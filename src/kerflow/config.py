@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import ConfigError
 
@@ -30,6 +31,19 @@ TOLERANCES = {
     "rp_axioms": {"rp1": 1e-12, "rp2": 1e-12, "pairing_invariance": 1e-10},
 }
 
+
+@dataclass(frozen=True)
+class Rule:
+    """A key's allowed types plus what is checked once the types hold: the
+    key may be required, and a number, or a list's length, may be bounded
+    below."""
+
+    types: object
+    required: bool = False
+    above: Optional[float] = None       # value must be greater than this
+    at_least: Optional[int] = None      # value or list length must reach this
+
+
 _FIELD_SPEC = {"name": str, "params": dict}
 _SAMPLES_SPEC = {"type": str, "n": int, "n_side": int, "halfwidth": (int, float),
                  "dimension": int, "points": list, "refinement": list,
@@ -39,8 +53,11 @@ _SAMPLES_SPEC = {"type": str, "n": int, "n_side": int, "halfwidth": (int, float)
 # allowed top-level keys per kind (beyond kind/seed/tolerances)
 SCHEMAS = {
     "flow_laws": {
-        "fields": list, "n_points": int, "step": (int, float),
-        "t_range": (int, float), "n_time_samples": int,
+        "fields": Rule(list, required=True, at_least=1),
+        "n_points": Rule(int, at_least=1),
+        "step": Rule((int, float), above=0),
+        "t_range": Rule((int, float), above=0),
+        "n_time_samples": Rule(int, at_least=1),
     },
     "bracket_order": {
         "pairs": list, "n_points": int, "h_ladder": list,
@@ -96,13 +113,36 @@ class ExperimentConfig:
 
 
 def _check_keys(obj: dict, spec: dict, path: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "expected an object")
     for key, val in obj.items():
         if key not in spec:
             raise ConfigError(f"{path}.{key}", "unknown key")
         expected = spec[key]
+        if isinstance(expected, Rule):
+            expected = expected.types
         if not isinstance(val, expected if isinstance(expected, tuple) else (expected,)):
             raise ConfigError(f"{path}.{key}",
                               f"expected {expected}, got {type(val).__name__}")
+
+
+def _check_rules(obj: dict, spec: dict, path: str):
+    """Required keys and lower bounds of the keys ``spec`` declares by Rule."""
+    for key, rule in spec.items():
+        if not isinstance(rule, Rule):
+            continue
+        if key not in obj:
+            if rule.required:
+                raise ConfigError(f"{path}.{key}", "required")
+            continue
+        val = obj[key]
+        size = len(val) if isinstance(val, list) else val
+        # written as ``not`` so that a NaN fails
+        if rule.above is not None and not size > rule.above:
+            raise ConfigError(f"{path}.{key}", f"must be > {rule.above}")
+        if rule.at_least is not None and not size >= rule.at_least:
+            what = "length" if isinstance(val, list) else "value"
+            raise ConfigError(f"{path}.{key}", f"{what} must be >= {rule.at_least}")
 
 
 def _validate_block(cfg: dict, key: str, spec: dict, path: str):
@@ -153,6 +193,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         if not isinstance(value, (int, float)):
             raise ConfigError(f"$.tolerances.{name}", "must be a number")
         tol_defaults[name] = float(value)
+    _check_rules(data, SCHEMAS[kind], "$")
 
     for block, spec in (("kernel", _FIELD_SPEC), ("action", _FIELD_SPEC),
                         ("field", _FIELD_SPEC), ("samples", _SAMPLES_SPEC),
@@ -161,8 +202,10 @@ def validate_config(data: dict) -> ExperimentConfig:
         _validate_block(data, block, spec, "$")
     _resolve_builtin_names(data)
     if kind == "flow_laws":
-        for i, f in enumerate(data.get("fields", [])):
+        for i, f in enumerate(data["fields"]):
             _check_keys(f, _FIELD_SPEC, f"$.fields[{i}]")
+            if "name" not in f:
+                raise ConfigError(f"$.fields[{i}].name", "required")
     if kind == "bracket_order":
         for i, pair in enumerate(data.get("pairs", [])):
             _check_keys(pair, {"x": dict, "y": dict}, f"$.pairs[{i}]")

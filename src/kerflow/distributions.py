@@ -206,9 +206,13 @@ class SmearedKernel:
                               grid: TestFunctionGrid) -> "SmearedKernel":
         """Vectorized path for translation-invariant kernels K(x, y) = p(|x-y|)."""
         pts = grid.points()
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        return cls(grid, profile(dist))
+        # one coordinate at a time: the (n, n, d) difference array would be
+        # the largest allocation of a grid experiment
+        dist = np.zeros((len(pts), len(pts)))
+        for axis in range(pts.shape[1]):
+            diff = np.subtract.outer(pts[:, axis], pts[:, axis])
+            dist += np.square(diff, out=diff)
+        return cls(grid, profile(np.sqrt(dist, out=dist)))
 
     def pairing(self, f: TestFunction, g: TestFunction) -> float:
         w = self.grid.weights()
@@ -228,8 +232,13 @@ def ou_mixture_profile(masses, weights) -> Callable[[np.ndarray], np.ndarray]:
 
     def profile(dist):
         out = np.zeros_like(dist)
+        term = np.empty_like(dist)
         for m, w in zip(masses, weights):
-            out += w * np.exp(-m * dist)
+            # w * exp(-m * dist), computed in place
+            np.multiply(dist, -m, out=term)
+            np.exp(term, out=term)
+            term *= w
+            out += term
         return out
 
     return profile

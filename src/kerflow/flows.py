@@ -10,8 +10,8 @@ occur here, but stiff blow-up can and is caught by a norm guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,12 +31,14 @@ class ChartDomain:
 
     ``membership`` must be decidable for every finite point; ``None`` means the
     whole space.  ``bounding_box`` is an optional (lo, hi) pair used only by
-    samplers, never by the flow itself.
+    samplers, never by the flow itself.  A ``vectorized`` predicate also maps
+    an (n, d) array to n booleans; any other is asked one point at a time.
     """
 
     dimension: int
     membership: Optional[Callable[[np.ndarray], bool]] = None
     bounding_box: Optional[tuple] = None
+    vectorized: bool = False
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -44,29 +46,31 @@ class ChartDomain:
 
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
-        if p.shape != (self.dimension,):
-            return False
-        if not np.all(np.isfinite(p)):
-            return False
+        return p.shape == (self.dimension,) and bool(
+            self.contains_rows(p[None], np.ones(1, dtype=bool))[0])
+
+    def contains_rows(self, points: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """Row-wise membership; a row-wise predicate sees only ``live`` rows."""
+        inside = np.isfinite(points).all(axis=1)
         if self.membership is None:
-            return True
-        return bool(self.membership(p))
+            return inside
+        if self.vectorized:
+            return inside & self.membership(points)
+        for i in (live & inside).nonzero()[0]:
+            inside[i] = bool(self.membership(points[i]))
+        return inside
 
 
 def full_space(dimension: int, box_halfwidth: float = 1.0) -> ChartDomain:
     lo = -box_halfwidth * np.ones(dimension)
-    return ChartDomain(dimension, None, (lo, -lo))
+    return ChartDomain(dimension, None, (lo, -lo), vectorized=True)
 
 
 def box_chart(lo, hi) -> ChartDomain:
     """Open axis-aligned box; infinite bounds allowed."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    return ChartDomain(
-        lo.size,
-        lambda p: bool(np.all(p > lo) and np.all(p < hi)),
-        (lo, hi),
-    )
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    return ChartDomain(lo.size, lambda p: np.all((p > lo) & (p < hi), axis=-1),
+                       (lo, hi), vectorized=True)
 
 
 def halfspace_chart(dimension: int, axis: int = 0, box_halfwidth: float = 3.0) -> ChartDomain:
@@ -74,7 +78,8 @@ def halfspace_chart(dimension: int, axis: int = 0, box_halfwidth: float = 3.0) -
     lo = -box_halfwidth * np.ones(dimension)
     lo[axis] = 0.0
     hi = box_halfwidth * np.ones(dimension)
-    return ChartDomain(dimension, lambda p: bool(p[axis] > 0.0), (lo, hi))
+    return ChartDomain(dimension, lambda p: p[..., axis] > 0.0, (lo, hi),
+                       vectorized=True)
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,8 @@ class VectorField:
     """Smooth field on a chart: a value map plus an optional analytic Jacobian.
 
     When no Jacobian is given, central differences with step ``h_fd`` are used.
+    A ``vectorized`` value map also maps an (n, d) array to (n, d) values (a
+    constant broadcasts); any other is called one point at a time.
     """
 
     chart: ChartDomain
@@ -89,45 +96,51 @@ class VectorField:
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     h_fd: float = DEFAULT_FD_STEP
     name: str = ""
+    vectorized: bool = False
 
     def __call__(self, point) -> np.ndarray:
-        p = np.asarray(point, dtype=float)
-        return np.asarray(self.func(p), dtype=float)
+        return np.asarray(self.func(np.asarray(point, dtype=float)), dtype=float)
+
+    def rows(self, points: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """Row-wise values; a row-wise map sees only ``live`` rows, others read 0."""
+        if self.vectorized:
+            values = self(points)     # a constant field returns one value
+            return values if values.ndim == 2 else np.repeat(values[None], len(points), 0)
+        values = np.zeros(points.shape)
+        for i in live.nonzero()[0]:
+            values[i] = self.func(points[i])
+        return values
 
     def jac(self, point) -> np.ndarray:
         p = np.asarray(point, dtype=float)
         if self.jacobian is not None:
             return np.asarray(self.jacobian(p), dtype=float)
-        d = self.chart.dimension
-        J = np.empty((d, d))
-        h = self.h_fd
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h
-            J[:, i] = (self(p + e) - self(p - e)) / (2.0 * h)
-        return J
+        steps = self.h_fd * np.eye(self.chart.dimension)
+        return np.stack([(self(p + e) - self(p - e)) / (2.0 * self.h_fd)
+                         for e in steps], axis=1)
 
 
 def constant_field(vector, chart: Optional[ChartDomain] = None) -> VectorField:
     v = np.asarray(vector, dtype=float)
-    chart = chart or full_space(v.size)
-    return VectorField(chart, lambda p: v, lambda p: np.zeros((v.size, v.size)),
-                       name="constant")
+    return VectorField(chart or full_space(v.size), lambda p: v,
+                       lambda p: np.zeros((v.size, v.size)), name="constant",
+                       vectorized=True)
 
 
 def affine_field(matrix, offset=None, chart: Optional[ChartDomain] = None) -> VectorField:
     """X(p) = A p + b with analytic Jacobian A."""
     A = np.asarray(matrix, dtype=float)
     b = np.zeros(A.shape[0]) if offset is None else np.asarray(offset, dtype=float)
-    chart = chart or full_space(A.shape[0])
-    return VectorField(chart, lambda p: A @ p + b, lambda p: A, name="affine")
+    # a matrix-vector product per point: a row's rounding ignores the batch size
+    return VectorField(chart or full_space(A.shape[0]),
+                       lambda p: (A @ p[..., None])[..., 0] + b, lambda p: A,
+                       name="affine", vectorized=True)
 
 
 def rotation_field(chart: Optional[ChartDomain] = None) -> VectorField:
     """Planar rotation generator X(x, y) = (-y, x)."""
-    A = np.array([[0.0, -1.0], [1.0, 0.0]])
-    f = affine_field(A, chart=chart)
-    return VectorField(f.chart, f.func, f.jacobian, name="rotation2d")
+    return replace(affine_field([[0.0, -1.0], [1.0, 0.0]], chart=chart),
+                   name="rotation2d")
 
 
 @dataclass(frozen=True)
@@ -148,111 +161,101 @@ class IntegralCurve:
         return float(self.times[-1])
 
 
-def _stage_value(field: VectorField, p: np.ndarray):
-    """Field value at a stage point, or an exit reason."""
-    if not field.chart.contains(p):
-        return None, EXIT_LEFT_CHART
-    v = field(p)
-    if not np.all(np.isfinite(v)) or np.linalg.norm(v) > BLOWUP_NORM:
-        return None, EXIT_STEP_FAILURE
-    return v, None
+class BatchFlow(NamedTuple):
+    """Per row: last accepted point, signed time reached, exit reason, finished."""
+
+    endpoints: np.ndarray
+    reached_times: np.ndarray
+    exit_reasons: tuple
+    completed: np.ndarray
 
 
-def _rk4_step(field: VectorField, p: np.ndarray, h: float):
-    k1, r = _stage_value(field, p)
-    if r:
-        return None, r
-    k2, r = _stage_value(field, p + 0.5 * h * k1)
-    if r:
-        return None, r
-    k3, r = _stage_value(field, p + 0.5 * h * k2)
-    if r:
-        return None, r
-    k4, r = _stage_value(field, p + h * k3)
-    if r:
-        return None, r
-    return p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), None
+def _stop(live: np.ndarray, ok: np.ndarray, reason: str, reasons: list):
+    """Stop the live rows that are not ``ok``, recording why."""
+    for i in (live & ~ok).nonzero()[0]:
+        reasons[i] = reason
+    live &= ok
+
+
+def _stage(field: VectorField, q: np.ndarray, live: np.ndarray, reasons: list):
+    """Field values at the stage points ``q``.  A live row stops if its stage
+    point left the chart or its value is non-finite or beyond BLOWUP_NORM."""
+    inside = field.chart.contains_rows(q, live)
+    v = field.rows(q, live & inside)
+    ok = inside & (np.einsum("ij,ij->i", v, v) <= BLOWUP_NORM ** 2)
+    if not ok.all():
+        _stop(live, inside, EXIT_LEFT_CHART, reasons)
+        _stop(live, ok, EXIT_STEP_FAILURE, reasons)
+    return v
+
+
+def _advance(field: VectorField, p: np.ndarray, t_end: np.ndarray, step: float,
+             path: Optional[list] = None):
+    """The RK4 loop: advance each row of ``p`` (n, d) to its own signed time.
+    A finished or stopped row takes h = 0 and keeps its last accepted point;
+    rows never mix, so whatever a stopped row computes after that is unused.
+    ``path``, used with one row, receives each accepted (time, point) pair."""
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    sign, total = np.where(t_end >= 0.0, 1.0, -1.0), np.abs(t_end)
+    # tiny guard keeps ``total/step`` from emitting a spurious final microstep
+    slack = 1e-15 * np.maximum(1.0, total)
+    t, reasons = np.zeros(len(p)), [None] * len(p)
+    live = total - t > slack
+    while live.any():
+        h = np.where(live, sign * np.minimum(step, total - t), 0.0)[:, None]
+        k1 = _stage(field, p, live, reasons)
+        k2 = _stage(field, p + 0.5 * h * k1, live, reasons)
+        k3 = _stage(field, p + 0.5 * h * k2, live, reasons)
+        k4 = _stage(field, p + h * k3, live, reasons)
+        p_new = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _stop(live, field.chart.contains_rows(p_new, live), EXIT_LEFT_CHART, reasons)
+        p = np.where(live[:, None], p_new, p)
+        t = np.where(live, t + np.abs(h[:, 0]), t)
+        if path is not None and live.all():
+            path.append((sign * t, p))
+        live &= total - t > slack
+    return BatchFlow(p, sign * t, tuple(reasons),
+                     np.array([r is None for r in reasons], dtype=bool))
 
 
 def integrate_curve(field: VectorField, start, t_end: float,
                     step: float = DEFAULT_STEP) -> IntegralCurve:
-    """Integrate the field from ``start`` to time ``t_end`` (either sign).
-
-    Runs up to ``t_end`` or until the curve exits the chart or the field blows
-    up; ``terminated_early`` and ``exit_reason`` record which.
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    """Integrate the field from ``start`` to time ``t_end`` (either sign): up
+    to ``t_end`` or until the curve exits the chart or the field blows up;
+    ``terminated_early`` and ``exit_reason`` record which."""
     p = np.asarray(start, dtype=float)
     if not field.chart.contains(p):
         raise FlowDomainError(f"start point {p} is outside the chart")
+    path = [(np.zeros(1), p[None])]
+    reason = _advance(field, p[None], np.array([t_end], dtype=float), step,
+                      path).exit_reasons[0]
+    times, points = map(np.concatenate, zip(*path))
+    return IntegralCurve(times, points, reason is not None, reason)
 
-    sign = 1.0 if t_end >= 0.0 else -1.0
-    total = abs(t_end)
-    times = [0.0]
-    points = [p]
-    t = 0.0
-    reason = None
-    # tiny guard keeps ``total/step`` from emitting a spurious final microstep
-    while total - t > 1e-15 * max(1.0, total):
-        h = sign * min(step, total - t)
-        p_new, reason = _rk4_step(field, p, h)
-        if reason is not None:
-            break
-        if not field.chart.contains(p_new):
-            reason = EXIT_LEFT_CHART
-            break
-        t += abs(h)
-        p = p_new
-        times.append(sign * t)
-        points.append(p)
-    return IntegralCurve(np.array(times), np.array(points), reason is not None, reason)
+
+def integrate_batch(field: VectorField, starts, t_ends,
+                    step: float = DEFAULT_STEP) -> BatchFlow:
+    """Integrate each row of ``starts`` (n, d) to its own time in ``t_ends``,
+    all rows together, each with the semantics and the endpoint of
+    ``integrate_curve``.  No trajectory is kept."""
+    p = np.array(starts, dtype=float)
+    if p.ndim != 2 or p.shape[1] != field.chart.dimension:
+        raise ValueError(f"starts must have shape (n, {field.chart.dimension})")
+    inside = field.chart.contains_rows(p, np.ones(len(p), dtype=bool))
+    if not inside.all():
+        raise FlowDomainError(f"start point {p[~inside][0]} is outside the chart")
+    t_ends = np.broadcast_to(np.asarray(t_ends, dtype=float), (len(p),))
+    return _advance(field, p, t_ends, step)
 
 
 def discrete_residual(curve: IntegralCurve, field: VectorField) -> float:
     """Max over steps of ||(p_{k+1}-p_k)/dt - X(midpoint)||; O(step^2) for RK4."""
-    if len(curve.times) < 2:
-        return 0.0
-    dt = np.diff(curve.times)
-    res = 0.0
-    for k in range(len(dt)):
-        mid = 0.5 * (curve.points[k] + curve.points[k + 1])
-        slope = (curve.points[k + 1] - curve.points[k]) / dt[k]
-        res = max(res, float(np.linalg.norm(slope - field(mid))))
-    return res
-
-
-@dataclass(frozen=True)
-class LocalFlowResult:
-    """Flow applied to a batch of points; failures are logged, not raised."""
-
-    time: float
-    starts: tuple
-    endpoints: tuple            # ndarray per point, or None marker on failure
-    exit_reasons: tuple         # None, or the exit reason per point
-    domain_log: tuple           # (t, start) pairs where integration failed
-
-
-def flow_map(field: VectorField, t: float, points: Sequence,
-             step: float = DEFAULT_STEP) -> LocalFlowResult:
-    """Apply the time-t flow to each point, recording per-point domain exits."""
-    starts, ends, reasons, log = [], [], [], []
-    for p in points:
-        p = np.asarray(p, dtype=float)
-        starts.append(p)
-        if t == 0.0:
-            ends.append(p.copy())
-            reasons.append(None)
-            continue
-        curve = integrate_curve(field, p, t, step)
-        if curve.terminated_early:
-            ends.append(None)
-            reasons.append(curve.exit_reason)
-            log.append((t, p))
-        else:
-            ends.append(curve.endpoint)
-            reasons.append(None)
-    return LocalFlowResult(t, tuple(starts), tuple(ends), tuple(reasons), tuple(log))
+    P = curve.points
+    slopes = (P[1:] - P[:-1]) / np.diff(curve.times)[:, None]
+    mids = 0.5 * (P[:-1] + P[1:])
+    return max((float(np.linalg.norm(s - field(m))) for s, m in zip(slopes, mids)),
+               default=0.0)
 
 
 def _rk4_with_jacobian(field: VectorField, start: np.ndarray, t_end: float,
@@ -262,21 +265,20 @@ def _rk4_with_jacobian(field: VectorField, start: np.ndarray, t_end: float,
     The matrix equation J' = DX(p) J is advanced with the same RK4 stages and
     the same step as the base flow, so both carry the same error order.
     """
-    d = field.chart.dimension
     p = np.asarray(start, dtype=float)
-    J = np.eye(d)
+    J = np.eye(field.chart.dimension)
     sign = 1.0 if t_end >= 0.0 else -1.0
-    total = abs(t_end)
-    t = 0.0
+    t, total = 0.0, abs(t_end)
+
+    def stage(q, M):
+        reasons = [None]
+        v = _stage(field, q[None], np.ones(1, dtype=bool), reasons)[0]
+        if reasons[0]:
+            raise FlowDomainError(f"flow Jacobian: {reasons[0]} at {q}")
+        return v, field.jac(q) @ M
+
     while total - t > 1e-15 * max(1.0, total):
         h = sign * min(step, total - t)
-
-        def stage(q, M):
-            v, r = _stage_value(field, q)
-            if r:
-                raise FlowDomainError(f"flow Jacobian: {r} at {q}")
-            return v, field.jac(q) @ M
-
         k1, K1 = stage(p, J)
         k2, K2 = stage(p + 0.5 * h * k1, J + 0.5 * h * K1)
         k3, K3 = stage(p + 0.5 * h * k2, J + 0.5 * h * K2)
@@ -352,22 +354,18 @@ def builtin_field(name: str, params: Optional[dict] = None) -> VectorField:
         frm, to, dim = params.get("from", 0), params.get("to", 1), params.get("dimension", 2)
         A = np.zeros((dim, dim))
         A[to, frm] = 1.0
-        f = affine_field(A)
-        return VectorField(f.chart, f.func, f.jacobian, name=f"shear{frm}{to}")
+        return replace(affine_field(A), name=f"shear{frm}{to}")
     if name == "quad_swirl":
         # (y^2, x): quadratic planar field with analytic Jacobian
-        chart = full_space(2)
-        return VectorField(chart,
-                           lambda p: np.array([p[1] ** 2, p[0]]),
+        return VectorField(full_space(2),
+                           lambda p: np.stack([p[..., 1] ** 2, p[..., 0]], axis=-1),
                            lambda p: np.array([[0.0, 2.0 * p[1]], [1.0, 0.0]]),
-                           name="quad_swirl")
+                           name="quad_swirl", vectorized=True)
     if name == "quadratic1d":
         # x^2 on the chart (-inf, 1): finite-time blow-up exits the chart
-        chart = box_chart([-np.inf], [1.0])
-        return VectorField(chart,
-                           lambda p: np.array([p[0] ** 2]),
+        return VectorField(box_chart([-np.inf], [1.0]), lambda p: p ** 2,
                            lambda p: np.array([[2.0 * p[0]]]),
-                           name="quadratic1d")
+                           name="quadratic1d", vectorized=True)
     raise KeyError(f"unknown builtin field {name!r}")
 
 

@@ -59,7 +59,8 @@ def test_unknown_kind_rejected():
 
 
 def test_seed_env_override(tmp_path, monkeypatch):
-    path = _write(tmp_path, {"kind": "flow_laws", "seed": 1, "fields": []})
+    path = _write(tmp_path, {"kind": "flow_laws", "seed": 1,
+                             "fields": [{"name": "rotation2d"}]})
     monkeypatch.setenv("KERFLOW_SEED", "42")
     assert parse_config(path).seed == 42
     monkeypatch.delenv("KERFLOW_SEED")
@@ -71,6 +72,65 @@ def test_cli_validate_and_exit_codes(tmp_path):
     assert cli.main(["validate", good]) == 0
     bad = _write(tmp_path, {"kind": "flow_laws", "seed": 1, "oops": 3})
     assert cli.main(["validate", bad]) == cli.EXIT_CONFIG_ERROR
+
+
+def test_flow_laws_without_fields_is_a_config_error(tmp_path, capsys):
+    path = _write(tmp_path, {"kind": "flow_laws", "seed": 1})
+    for command in ("validate", "run"):
+        assert cli.main([command, path]) == cli.EXIT_CONFIG_ERROR
+        assert "config error: $.fields: required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, json_path", [
+    ("fields", [], "$.fields"),
+    ("fields", [3], "$.fields[0]"),
+    ("fields", [{"params": {}}], "$.fields[0].name"),
+    ("fields", [{"name": "nope"}], "$.fields[0].name"),
+    ("step", 0, "$.step"),
+    ("step", -1e-3, "$.step"),
+    ("step", float("nan"), "$.step"),
+    ("t_range", 0.0, "$.t_range"),
+    ("n_points", 0, "$.n_points"),
+    ("n_time_samples", 0, "$.n_time_samples"),
+])
+def test_flow_laws_schema_bounds(tmp_path, capsys, key, value, json_path):
+    data = {"kind": "flow_laws", "seed": 1, "fields": [{"name": "rotation2d"}]}
+    data[key] = value
+    with pytest.raises(ConfigError) as err:
+        validate_config(data)
+    assert err.value.json_path == json_path
+    assert cli.main(["validate", _write(tmp_path, data)]) == cli.EXIT_CONFIG_ERROR
+    capsys.readouterr()
+
+
+def _flow_laws_report(tmp_path, capsys, seed=3, **body):
+    path = _write(tmp_path, {"kind": "flow_laws", "seed": seed, **body})
+    code = cli.main(["run", path, "--stable-output"])
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    return code, checks
+
+
+def test_flow_laws_without_affine_field_leaves_exponential_check_open(tmp_path, capsys):
+    code, checks = _flow_laws_report(
+        tmp_path, capsys, fields=[{"name": "quadratic1d"}], n_points=4,
+        step=0.01, t_range=0.5)
+    assert code == 0
+    assert checks["flow_law_max_defect"]["passed"] is True
+    assert checks["inverse_law_max_defect"]["passed"] is True
+    expm = checks["matrix_exponential_max_defect"]
+    assert expm["passed"] is None and expm["value"] is None
+
+
+def test_flow_laws_fails_when_every_curve_exits(tmp_path, capsys):
+    # seed 4 draws the single start x0 = 0.886 and first leg s = 0.91; the
+    # flow x0 / (1 - x0 s) leaves (-inf, 1) at s = 0.129, so no pair is compared
+    code, checks = _flow_laws_report(
+        tmp_path, capsys, seed=4, fields=[{"name": "quadratic1d"}], n_points=1,
+        n_time_samples=1, step=0.01, t_range=40.0)
+    flow, inverse = checks["flow_law_max_defect"], checks["inverse_law_max_defect"]
+    assert code == cli.EXIT_CHECK_FAILURE
+    assert flow["passed"] is False and flow["value"] is None
+    assert inverse["passed"] is False and inverse["value"] is None
 
 
 def test_cli_list_builtins(capsys):

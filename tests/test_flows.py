@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,24 +56,130 @@ def test_discrete_residual_second_order():
 
 def test_flow_map_identity_at_zero():
     f = fl.rotation_field()
-    pts = [np.array([1.0, 2.0]), np.array([-0.5, 0.3])]
-    out = fl.flow_map(f, 0.0, pts)
-    for p, q in zip(pts, out.endpoints):
-        assert np.array_equal(p, q)
+    pts = np.array([[1.0, 2.0], [-0.5, 0.3]])
+    out = fl.integrate_batch(f, pts, 0.0)
+    assert np.array_equal(out.endpoints, pts)
+    assert np.array_equal(out.reached_times, [0.0, 0.0])
+    assert out.exit_reasons == (None, None) and out.completed.all()
 
 
 def test_flow_map_half_turn():
     f = fl.rotation_field()
-    out = fl.flow_map(f, np.pi, [[1.0, 0.0]], 1e-3)
+    out = fl.integrate_batch(f, [[1.0, 0.0]], [np.pi], 1e-3)
     assert np.linalg.norm(out.endpoints[0] - [-1.0, 0.0]) <= 1e-8
 
 
 def test_flow_map_records_domain_exit():
     f = fl.builtin_field("quadratic1d")
-    out = fl.flow_map(f, 1.0, [[0.9]], 1e-3)
-    assert out.endpoints[0] is None
-    assert out.exit_reasons[0] == fl.EXIT_LEFT_CHART
-    assert len(out.domain_log) == 1
+    out = fl.integrate_batch(f, [[0.9], [0.1]], [1.0, 1.0], 1e-3)
+    assert out.exit_reasons == (fl.EXIT_LEFT_CHART, None)
+    assert list(out.completed) == [False, True]
+    # the exiting row stops at its last point inside the chart, before t = 1
+    assert f.chart.contains(out.endpoints[0])
+    assert 0.0 < out.reached_times[0] < 1.0 and out.reached_times[1] == 1.0
+
+
+def _assert_rows_match_curves(field, starts, t_ends, step):
+    out = fl.integrate_batch(field, starts, t_ends, step)
+    for i, (p, t) in enumerate(zip(starts, t_ends)):
+        curve = fl.integrate_curve(field, p, t, step)
+        assert np.array_equal(out.endpoints[i], curve.endpoint)
+        assert out.reached_times[i] == curve.reached_time
+        assert out.exit_reasons[i] == curve.exit_reason
+        assert out.completed[i] == (not curve.terminated_early)
+
+
+_times = st.floats(-1.5, 1.5) | st.just(0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), _times),
+                     min_size=1, max_size=6))
+def test_batch_matches_curves_affine(rows):
+    # a generic matrix too: a row's rounding must not depend on the batch size
+    starts = np.array([[x, y] for x, y, _ in rows])
+    t_ends = np.array([t for *_, t in rows])
+    for field in (fl.rotation_field(),
+                  fl.affine_field([[0.2, -1.1], [0.9, -0.3]], [0.1, 0.7])):
+        _assert_rows_match_curves(field, starts, t_ends, 1e-2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(-0.99, 0.99), st.floats(-4.0, 4.0) | st.just(0.0)),
+                     min_size=1, max_size=6))
+def test_batch_matches_curves_quadratic1d(rows):
+    # x0 / (1 - x0 t) leaves (-inf, 1) for t > 0 and blows up to -inf for
+    # t < 0 when x0 < 0, so rows exit, fail or finish in the same batch
+    starts = np.array([[x] for x, _ in rows])
+    _assert_rows_match_curves(fl.builtin_field("quadratic1d"), starts,
+                              np.array([t for _, t in rows]), 1e-2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(-2.0, 2.0), _times),
+                     min_size=1, max_size=6))
+def test_batch_matches_curves_halfspace_chart(rows):
+    # constant drift towards the wall x = 0 and a rotation that crosses it
+    starts = np.array([[x, y] for x, y, _ in rows])
+    t_ends = np.array([t for *_, t in rows])
+    chart = fl.halfspace_chart(2)
+    for field in (fl.constant_field([-1.0, 0.0], chart),
+                  fl.affine_field([[0.0, 1.0], [-1.0, 0.0]], chart=chart)):
+        _assert_rows_match_curves(field, starts, t_ends, 1e-2)
+
+
+def test_batch_matches_curves_quadratic1d_blowup_and_exit():
+    f = fl.builtin_field("quadratic1d")
+    starts = np.array([[0.5], [-0.5], [-0.9], [0.0], [0.9]])
+    t_ends = np.array([3.0, -50.0, 2.0, 1.0, 0.0])
+    out = fl.integrate_batch(f, starts, t_ends, 1e-2)
+    assert out.exit_reasons[:2] == (fl.EXIT_LEFT_CHART, fl.EXIT_STEP_FAILURE)
+    assert out.completed[2:].all()
+    _assert_rows_match_curves(f, starts, t_ends, 1e-2)
+
+
+def test_batch_row_wise_fallback_for_user_callables():
+    # neither the field nor the membership accepts more than one point
+    def value(p):
+        assert p.shape == (2,)
+        return np.array([1.0 + p[1] ** 2, p[0]])
+
+    def membership(p):
+        assert p.shape == (2,)
+        return bool(p @ p < 1.5)
+
+    f = fl.VectorField(fl.ChartDomain(2, membership), value)
+    starts = np.array([[0.5, 0.0], [0.9, 0.3], [-0.2, 0.1], [0.0, 0.0]])
+    t_ends = np.array([1.0, -2.0, 0.7, 0.0])
+    out = fl.integrate_batch(f, starts, t_ends, 1e-2)
+    assert out.exit_reasons[:2] == (fl.EXIT_LEFT_CHART, fl.EXIT_LEFT_CHART)
+    assert out.completed[2:].all()
+    _assert_rows_match_curves(f, starts, t_ends, 1e-2)
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_batch_step_failure_leaves_other_rows_untouched(vectorized):
+    # a field that is infinite on x > 0.5: the first row stops there, stays
+    # frozen without a warning, and the second runs on to its time
+    def value(p):
+        return np.stack([np.ones_like(p[..., 0]),
+                         np.where(p[..., 0] > 0.5, np.inf, p[..., 0])], axis=-1)
+
+    f = fl.VectorField(fl.full_space(2), value, vectorized=vectorized)
+    starts = np.array([[0.4, 0.0], [-2.0, 0.0]])
+    t_ends = np.array([1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = fl.integrate_batch(f, starts, t_ends, 1e-2)
+    assert out.exit_reasons == (fl.EXIT_STEP_FAILURE, None)
+    assert np.all(np.isfinite(out.endpoints))
+    _assert_rows_match_curves(f, starts, t_ends, 1e-2)
+
+
+def test_batch_start_outside_chart_raises():
+    f = fl.builtin_field("quadratic1d")
+    with pytest.raises(FlowDomainError):
+        fl.integrate_batch(f, [[0.2], [1.5]], [0.1, 0.1], 1e-3)
 
 
 def test_pushforward_at_zero_is_identity():
