@@ -35,20 +35,24 @@ TOLERANCES = {
 @dataclass(frozen=True)
 class Rule:
     """A key's allowed types plus what is checked once the types hold: the
-    key may be required, and a number, or a list's length, may be bounded
-    below."""
+    key may be required, a number, or a list's length, may be bounded below,
+    and every entry of a list may have to satisfy a rule of its own."""
 
     types: object
     required: bool = False
     above: Optional[float] = None       # value must be greater than this
     at_least: Optional[int] = None      # value or list length must reach this
+    each: Optional["Rule"] = None       # rule for every entry of a list value
 
 
-_FIELD_SPEC = {"name": str, "params": dict}
-_SAMPLES_SPEC = {"type": str, "n": int, "n_side": int, "halfwidth": (int, float),
-                 "dimension": int, "points": list, "refinement": list,
+_FIELD_SPEC = {"name": Rule(str, required=True), "params": dict}
+_SAMPLES_SPEC = {"type": Rule(str, required=True), "n": Rule(int, at_least=1),
+                 "n_side": Rule(int, at_least=1), "halfwidth": (int, float),
+                 "dimension": int, "points": list,
+                 "refinement": Rule(list, at_least=1, each=Rule(int, at_least=1)),
                  "x_range": list, "y_range": list, "radii": list,
                  "n_per_circle": int, "include_origin": bool}
+_REQUIRED_OBJECT = Rule(dict, required=True)
 
 # allowed top-level keys per kind (beyond kind/seed/tolerances)
 SCHEMAS = {
@@ -60,20 +64,21 @@ SCHEMAS = {
         "n_time_samples": Rule(int, at_least=1),
     },
     "bracket_order": {
-        "pairs": list, "n_points": int, "h_ladder": list,
+        "pairs": Rule(list, required=True), "n_points": int, "h_ladder": list,
     },
     "compatibility": {
-        "kernel": dict, "action": dict, "algebra": dict, "samples": dict,
-        "invariance": list,
+        "kernel": _REQUIRED_OBJECT, "action": _REQUIRED_OBJECT, "algebra": dict,
+        "samples": _REQUIRED_OBJECT, "invariance": list,
     },
     "froelich": {
-        "kernel": dict, "field": dict, "samples": dict,
-        "start_point": list, "time": (int, float), "step": (int, float),
-        "rank_cutoff": (int, float),
+        "kernel": _REQUIRED_OBJECT, "field": _REQUIRED_OBJECT,
+        "samples": _REQUIRED_OBJECT, "start_point": list, "time": (int, float),
+        "step": (int, float), "rank_cutoff": (int, float),
     },
     "cdual_rep": {
-        "kernel": dict, "action": dict, "algebra": dict, "samples": dict,
-        "unitary_times": list, "conjugation": dict, "rank_cutoff": (int, float),
+        "kernel": _REQUIRED_OBJECT, "action": _REQUIRED_OBJECT, "algebra": dict,
+        "samples": _REQUIRED_OBJECT, "unitary_times": list, "conjugation": dict,
+        "rank_cutoff": (int, float),
     },
     "luscher_mack": {
         "variant": str, "exponent": (int, float), "power": (int, float),
@@ -81,17 +86,26 @@ SCHEMAS = {
         "spectral_range": list, "rank_cutoff": (int, float),
     },
     "os_reconstruct": {
-        "grid": dict, "kernel": dict, "bumps": list, "expected_rank": int,
-        "times_cells": list, "law_pairs_cells": list, "rank_cutoff": (int, float),
+        "grid": _REQUIRED_OBJECT, "kernel": _REQUIRED_OBJECT,
+        "bumps": Rule(list, required=True), "expected_rank": Rule(int, required=True),
+        "times_cells": Rule(list, required=True), "law_pairs_cells": list,
+        "rank_cutoff": (int, float),
     },
     "rp_axioms": {
-        "grid": dict, "kernel": dict, "translations": list,
+        "grid": _REQUIRED_OBJECT, "kernel": dict, "translations": list,
         "parallel_translations": list,
     },
 }
 
-_GRID_SPEC = {"origin": (list, int, float), "spacing": (int, float),
-              "shape": (list, int), "margin": int}
+_GRID_SPEC = {"origin": Rule((list, int, float), required=True),
+              "spacing": Rule((int, float), required=True),
+              "shape": Rule((list, int), required=True, each=Rule(int)),
+              "margin": int}
+# the grid kinds smear an ou_mixture kernel through its distance profile
+_OU_MIXTURE_PARAMS = {"masses": Rule(list, required=True, at_least=1,
+                                     each=Rule((int, float), above=0)),
+                      "weights": Rule(list, each=Rule((int, float), above=0))}
+_TRANSLATION_SPEC = {"cells": Rule(list, required=True, each=Rule(int))}
 _ALGEBRA_SPEC = {"name": str, "params": dict, "structure_constants": list,
                  "involution": list, "labels": list}
 _CONJ_SPEC = {"x": str, "y": str, "s": (int, float)}
@@ -112,6 +126,11 @@ class ExperimentConfig:
         return float(self.tolerances[name])
 
 
+def _check_type(val, expected, path: str):
+    if not isinstance(val, expected if isinstance(expected, tuple) else (expected,)):
+        raise ConfigError(path, f"expected {expected}, got {type(val).__name__}")
+
+
 def _check_keys(obj: dict, spec: dict, path: str):
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected an object")
@@ -119,35 +138,43 @@ def _check_keys(obj: dict, spec: dict, path: str):
         if key not in spec:
             raise ConfigError(f"{path}.{key}", "unknown key")
         expected = spec[key]
-        if isinstance(expected, Rule):
-            expected = expected.types
-        if not isinstance(val, expected if isinstance(expected, tuple) else (expected,)):
-            raise ConfigError(f"{path}.{key}",
-                              f"expected {expected}, got {type(val).__name__}")
+        _check_type(val, expected.types if isinstance(expected, Rule) else expected,
+                    f"{path}.{key}")
 
 
 def _check_rules(obj: dict, spec: dict, path: str):
-    """Required keys and lower bounds of the keys ``spec`` declares by Rule."""
+    """Required keys and bounds of the keys ``spec`` declares by Rule."""
     for key, rule in spec.items():
         if not isinstance(rule, Rule):
             continue
-        if key not in obj:
-            if rule.required:
-                raise ConfigError(f"{path}.{key}", "required")
-            continue
-        val = obj[key]
-        size = len(val) if isinstance(val, list) else val
-        # written as ``not`` so that a NaN fails
-        if rule.above is not None and not size > rule.above:
-            raise ConfigError(f"{path}.{key}", f"must be > {rule.above}")
-        if rule.at_least is not None and not size >= rule.at_least:
-            what = "length" if isinstance(val, list) else "value"
-            raise ConfigError(f"{path}.{key}", f"{what} must be >= {rule.at_least}")
+        if key in obj:
+            _check_bounds(obj[key], rule, f"{path}.{key}")
+        elif rule.required:
+            raise ConfigError(f"{path}.{key}", "required")
+
+
+def _check_block(obj: dict, spec: dict, path: str):
+    _check_keys(obj, spec, path)
+    _check_rules(obj, spec, path)
+
+
+def _check_bounds(val, rule: Rule, path: str):
+    size = len(val) if isinstance(val, list) else val
+    # written as ``not`` so that a NaN fails
+    if rule.above is not None and not size > rule.above:
+        raise ConfigError(path, f"must be > {rule.above}")
+    if rule.at_least is not None and not size >= rule.at_least:
+        what = "length" if isinstance(val, list) else "value"
+        raise ConfigError(path, f"{what} must be >= {rule.at_least}")
+    if rule.each is not None and isinstance(val, list):
+        for i, item in enumerate(val):
+            _check_type(item, rule.each.types, f"{path}[{i}]")
+            _check_bounds(item, rule.each, f"{path}[{i}]")
 
 
 def _validate_block(cfg: dict, key: str, spec: dict, path: str):
     if key in cfg and isinstance(cfg[key], dict):
-        _check_keys(cfg[key], spec, f"{path}.{key}")
+        _check_block(cfg[key], spec, f"{path}.{key}")
 
 
 def _resolve_builtin_names(data: dict):
@@ -203,24 +230,36 @@ def validate_config(data: dict) -> ExperimentConfig:
     _resolve_builtin_names(data)
     if kind == "flow_laws":
         for i, f in enumerate(data["fields"]):
-            _check_keys(f, _FIELD_SPEC, f"$.fields[{i}]")
-            if "name" not in f:
-                raise ConfigError(f"$.fields[{i}].name", "required")
+            _check_block(f, _FIELD_SPEC, f"$.fields[{i}]")
     if kind == "bracket_order":
         for i, pair in enumerate(data.get("pairs", [])):
-            _check_keys(pair, {"x": dict, "y": dict}, f"$.pairs[{i}]")
-            _check_keys(pair["x"], _FIELD_SPEC, f"$.pairs[{i}].x")
-            _check_keys(pair["y"], _FIELD_SPEC, f"$.pairs[{i}].y")
+            _check_block(pair, {"x": _REQUIRED_OBJECT, "y": _REQUIRED_OBJECT},
+                         f"$.pairs[{i}]")
+            _check_block(pair["x"], _FIELD_SPEC, f"$.pairs[{i}].x")
+            _check_block(pair["y"], _FIELD_SPEC, f"$.pairs[{i}].y")
     if kind == "compatibility":
         for i, inv in enumerate(data.get("invariance", [])):
             _check_keys(inv, _INVARIANCE_SPEC, f"$.invariance[{i}]")
     if kind == "os_reconstruct":
         for i, b in enumerate(data.get("bumps", [])):
             _check_keys(b, _BUMP_SPEC, f"$.bumps[{i}]")
+    if kind in ("os_reconstruct", "rp_axioms") and "kernel" in data:
+        if data["kernel"]["name"] != "ou_mixture":
+            raise ConfigError("$.kernel.name", f"{kind} runs on the ou_mixture family")
+        _check_block(data["kernel"].get("params", {}), _OU_MIXTURE_PARAMS,
+                     "$.kernel.params")
     if kind == "rp_axioms":
+        shape = data["grid"]["shape"]
+        shape = shape if isinstance(shape, list) else [shape]
         for block in ("translations", "parallel_translations"):
             for i, t in enumerate(data.get(block, [])):
-                _check_keys(t, {"cells": list}, f"$.{block}[{i}]")
+                path = f"$.{block}[{i}].cells"
+                _check_block(t, _TRANSLATION_SPEC, f"$.{block}[{i}]")
+                if len(t["cells"]) != len(shape):
+                    raise ConfigError(path, "need one cell shift per grid axis")
+                if any(abs(c) >= extent for c, extent in zip(t["cells"], shape)):
+                    raise ConfigError(path, "each shift must be smaller than "
+                                            "the grid extent along its axis")
 
     samples = data.get("samples")
     if samples and "refinement" in samples:

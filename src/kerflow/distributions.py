@@ -189,17 +189,11 @@ class SmearedKernel:
 
     @classmethod
     def from_kernel(cls, kernel, grid: TestFunctionGrid) -> "SmearedKernel":
+        """Real part of a ``Kernel``, or of a plain callable K(x, y), on the grid."""
+        if not isinstance(kernel, Kernel):
+            kernel = Kernel("smeared", kernel)
         pts = grid.points()
-        n = pts.shape[0]
-        if isinstance(kernel, Kernel):
-            fn = lambda x, y: np.real(kernel.eval_fn(x, y))
-        else:
-            fn = kernel
-        M = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                M[i, j] = fn(pts[i], pts[j])
-        return cls(grid, M)
+        return cls(grid, np.real(kernel.matrix(pts, pts)))
 
     @classmethod
     def from_distance_profile(cls, profile: Callable[[np.ndarray], np.ndarray],
@@ -503,13 +497,17 @@ def os_semigroup_law_defect(space: OSSpace, s_cells: int, t_cells: int) -> float
 
 
 def grid_shift_matrix(grid: TestFunctionGrid, cells) -> np.ndarray:
-    """Matrix of the exact translation on flattened grid vectors (zero fill)."""
-    cells = tuple(int(c) for c in np.atleast_1d(cells))
-    n = grid.size
-    eye = np.eye(n)
-    out = np.empty((n, n))
-    for j in range(n):
-        out[:, j] = _shift_array(eye[:, j].reshape(grid.shape), cells).ravel()
+    """Matrix of the exact translation on flattened grid vectors (zero fill):
+    entry (k, j) is 1 when grid index j moved by ``cells`` is grid index k."""
+    cells = np.array([int(c) for c in np.atleast_1d(cells)])
+    if len(cells) != grid.ndim:
+        raise GridError("need one cell shift per axis")
+    axes = (-1,) + (1,) * grid.ndim
+    moved = np.indices(grid.shape) + cells.reshape(axes)
+    kept = np.all((moved >= 0) & (moved < np.reshape(grid.shape, axes)), axis=0)
+    out = np.zeros((grid.size, grid.size))
+    out[np.ravel_multi_index(tuple(moved[:, kept]), grid.shape),
+        np.flatnonzero(kept)] = 1.0
     return out
 
 

@@ -13,7 +13,7 @@ its first slot, so <K_mj, K_mi> = G[i, j].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,7 +31,10 @@ class Kernel:
     """Scalar kernel with a derivative in the first argument.
 
     ``grad1`` falls back to central differences with step ``h_fd`` when no
-    analytic gradient is supplied.
+    analytic gradient is supplied.  ``matrix`` and ``grad1_matrix`` evaluate
+    every pair of rows of X (n, d) and Y (m, d) at once, through
+    ``matrix_fn`` / ``grad1_matrix_fn`` when given and else entry by entry;
+    they return float64 unless the kernel returns complex values.
     """
 
     name: str
@@ -39,6 +42,8 @@ class Kernel:
     grad1_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     hermitian: bool = True
     h_fd: float = DEFAULT_FD_STEP
+    matrix_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    grad1_matrix_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __call__(self, x, y) -> complex:
         return complex(self.eval_fn(np.asarray(x, float), np.asarray(y, float)))
@@ -55,6 +60,37 @@ class Kernel:
             e[i] = h
             out[i] = (self.eval_fn(x + e, y) - self.eval_fn(x - e, y)) / (2.0 * h)
         return out
+
+    def matrix(self, X, Y) -> np.ndarray:
+        """Values K(x_i, y_j), shape (n, m)."""
+        X, Y = _rows(X), _rows(Y)
+        if self.matrix_fn is not None:
+            return self.matrix_fn(X, Y)
+        return _real_unless_complex([[self.eval_fn(x, y) for y in Y] for x in X],
+                                    (len(X), len(Y)))
+
+    def grad1_matrix(self, X, Y) -> np.ndarray:
+        """First-slot gradients grad1 K(x_i, y_j), shape (n, m, d)."""
+        X, Y = _rows(X), _rows(Y)
+        if self.grad1_matrix_fn is not None:
+            return self.grad1_matrix_fn(X, Y)
+        if self.grad1_fn is not None:
+            return _real_unless_complex([[self.grad1_fn(x, y) for y in Y] for x in X],
+                                        (len(X), len(Y), X.shape[1]))
+        # the same central differences as ``grad1``, on whole matrices
+        steps = self.h_fd * np.eye(X.shape[1])
+        return np.stack([(self.matrix(X + e, Y) - self.matrix(X - e, Y))
+                         / (2.0 * self.h_fd) for e in steps], axis=-1)
+
+
+def _rows(points) -> np.ndarray:
+    return np.atleast_2d(np.asarray(points, dtype=float))
+
+
+def _real_unless_complex(values, shape) -> np.ndarray:
+    """Entry-wise kernel results as one array: complex only if some entry is."""
+    out = np.array(values).reshape(shape)
+    return out if np.iscomplexobj(out) else out.astype(float)
 
 
 @dataclass(frozen=True)
@@ -98,8 +134,12 @@ def _eig_and_whiten(G: np.ndarray, rank_cutoff: float):
 def gram_from_matrix(G, rank_cutoff: float = DEFAULT_RANK_CUTOFF,
                      points=None, kernel: Optional[Kernel] = None,
                      duplicate_points: bool = False) -> GramModel:
-    """Build a model from an explicit Gram matrix (hermitized and checked)."""
-    G = np.asarray(G, dtype=complex)
+    """Build a model from an explicit Gram matrix (hermitized and checked).
+
+    A real matrix stays float64, with a real whitening; only a complex one is
+    handled in complex arithmetic."""
+    G = np.asarray(G)
+    G = G.astype(complex if np.iscomplexobj(G) else float, copy=False)
     asym = float(np.max(np.abs(G - G.conj().T))) if G.size else 0.0
     scale = max(1.0, float(np.max(np.abs(G)))) if G.size else 1.0
     if asym > HERMITICITY_TOL * scale:
@@ -116,16 +156,12 @@ def gram(kernel: Kernel, points, rank_cutoff: float = DEFAULT_RANK_CUTOFF) -> Gr
 
     Duplicated points are allowed but flagged; they force rank deficiency.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[0]
-    G = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            G[i, j] = kernel(pts[i], pts[j])
-    dupes = any(np.array_equal(pts[i], pts[j])
-                for i in range(n) for j in range(i + 1, n))
-    return gram_from_matrix(G, rank_cutoff, points=pts, kernel=kernel,
-                            duplicate_points=dupes)
+    pts = _rows(points)
+    # equal rows are neighbours once sorted
+    ordered = pts[np.lexsort(pts.T)]
+    dupes = bool(np.any(np.all(ordered[1:] == ordered[:-1], axis=1)))
+    return gram_from_matrix(kernel.matrix(pts, pts), rank_cutoff, points=pts,
+                            kernel=kernel, duplicate_points=dupes)
 
 
 @dataclass(frozen=True)
@@ -186,8 +222,7 @@ def embed_index(model: GramModel, i: int) -> RKHSVector:
 
 def embed_gvector(model: GramModel, g) -> RKHSVector:
     """Coordinates W g for a vector of inner products against the sample."""
-    g = np.asarray(g, dtype=complex)
-    return RKHSVector(model.whitening @ g, model, provenance="gvector")
+    return RKHSVector(model.whitening @ np.asarray(g), model, provenance="gvector")
 
 
 def embed_point(model: GramModel, m) -> RKHSVector:
@@ -201,8 +236,7 @@ def embed_point(model: GramModel, m) -> RKHSVector:
     if model.points is None or model.kernel is None:
         raise ValueError("model carries no kernel/points; only index embedding works")
     p = np.asarray(m, dtype=float)
-    g = np.array([model.kernel(q, p) for q in model.points])
-    v = embed_gvector(model, g)
+    v = embed_gvector(model, model.kernel.matrix(model.points, p)[:, 0])
     return RKHSVector(v.coords, model, provenance=f"K[{p}] projected")
 
 
@@ -238,6 +272,16 @@ class MeasureSample:
         object.__setattr__(self, "weights", weights)
 
 
+def _diff(X, Y) -> np.ndarray:
+    """x_i - y_j for every pair of rows, shape (n, m, d)."""
+    return X[:, None, :] - Y[None, :, :]
+
+
+def _sq(D) -> np.ndarray:
+    """Squared norms along the last axis of an (n, m, d) array."""
+    return np.einsum("ijk,ijk->ij", D, D)
+
+
 def laplace_kernel_from_measure(measure: MeasureSample) -> Kernel:
     """K(x, y) = sum_j w_j exp(-a_j . (x+y)/2): a nonnegative mixture of
     rank-one exponential kernels, hence positive definite by construction."""
@@ -250,16 +294,37 @@ def laplace_kernel_from_measure(measure: MeasureSample) -> Kernel:
         e = weights * np.exp(-(atoms @ (x + y)) / 2.0)
         return -(atoms * e[:, None]).sum(axis=0) / 2.0
 
-    return Kernel("laplace", ev, g1)
+    # factored as F(X) diag(w) F(Y)^T, F[i, j] = exp(-a_j . x_i / 2), so no
+    # (n, m, atoms) array is ever formed
+    def factor(X):
+        return np.exp(-(X @ atoms.T) / 2.0)
+
+    def mat(X, Y):
+        return (factor(X) * weights) @ factor(Y).T
+
+    def grad_mat(X, Y):
+        fx, fy = factor(X) * weights, factor(Y).T
+        return np.stack([(fx * (-a / 2.0)) @ fy for a in atoms.T], axis=-1)
+
+    return Kernel("laplace", ev, g1, matrix_fn=mat, grad1_matrix_fn=grad_mat)
 
 
 def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
-    """Catalog of named kernels used by experiment configs and tests."""
+    """Catalog of named kernels used by experiment configs and tests.
+
+    Every entry has array forms of its values and gradient.  ``ou_mixture``
+    and ``det`` have no analytic gradient: their scalar value is the one-row
+    case of the array form, so both difference the same numbers."""
     params = dict(params or {})
     if name == "fock":
+        def fock_mat(X, Y):
+            return np.exp(X @ Y.T)
+
         return Kernel("fock",
                       lambda x, y: np.exp(x @ y),
-                      lambda x, y: y * np.exp(x @ y))
+                      lambda x, y: y * np.exp(x @ y),
+                      matrix_fn=fock_mat,
+                      grad1_matrix_fn=lambda X, Y: Y[None] * fock_mat(X, Y)[..., None])
     if name == "gaussian_rbf":
         sigma = float(params.get("sigma", 1.0))
 
@@ -267,12 +332,20 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
             d = x - y
             return np.exp(-(d @ d) / (2.0 * sigma ** 2))
 
+        def rbf_grad(X, Y):
+            D = _diff(X, Y)
+            return -D / sigma ** 2 * np.exp(-_sq(D) / (2.0 * sigma ** 2))[..., None]
+
         return Kernel("gaussian_rbf", ev,
-                      lambda x, y: -(x - y) / sigma ** 2 * ev(x, y))
+                      lambda x, y: -(x - y) / sigma ** 2 * ev(x, y),
+                      matrix_fn=lambda X, Y: np.exp(-_sq(_diff(X, Y))
+                                                    / (2.0 * sigma ** 2)),
+                      grad1_matrix_fn=rbf_grad)
     if name == "ou":
         m = float(params.get("mass", 1.0))
         if m <= 0.0:
             raise ValueError("ou kernel needs mass > 0")
+        kink = "ou kernel has a kink on the diagonal; grad1 is one-sided for x != y only"
 
         def ev(x, y):
             return np.exp(-m * np.linalg.norm(x - y))
@@ -281,22 +354,34 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
             d = x - y
             r = np.linalg.norm(d)
             if r == 0.0:
-                raise KernelDomainError("ou kernel has a kink on the diagonal; "
-                                        "grad1 is one-sided for x != y only")
+                raise KernelDomainError(kink)
             return -m * d / r * ev(x, y)
 
-        return Kernel("ou", ev, g1)
+        def ou_grad(X, Y):
+            D = _diff(X, Y)
+            r = np.sqrt(_sq(D))
+            if np.any(r == 0.0):
+                raise KernelDomainError(kink)
+            return (-m * np.exp(-m * r) / r)[..., None] * D
+
+        return Kernel("ou", ev, g1,
+                      matrix_fn=lambda X, Y: np.exp(-m * np.sqrt(_sq(_diff(X, Y)))),
+                      grad1_matrix_fn=ou_grad)
     if name == "ou_mixture":
         masses = np.asarray(params["masses"], dtype=float)
         weights = np.asarray(params.get("weights", np.ones_like(masses)), dtype=float)
         if np.any(masses <= 0) or np.any(weights <= 0):
             raise ValueError("ou_mixture needs positive masses and weights")
 
-        def ev(x, y):
-            r = np.linalg.norm(x - y)
-            return float(np.sum(weights * np.exp(-masses * r)))
+        def mix_mat(X, Y):
+            r = np.sqrt(_sq(_diff(X, Y)))
+            out = np.zeros_like(r)
+            for mass, w in zip(masses, weights):
+                out += w * np.exp(-mass * r)
+            return out
 
-        return Kernel("ou_mixture", ev, None)
+        return Kernel("ou_mixture", lambda x, y: mix_mat(x[None], y[None])[0, 0],
+                      None, matrix_fn=mix_mat)
     if name == "laplace":
         measure = MeasureSample(np.asarray(params["atoms"], dtype=float),
                                 np.asarray(params["weights"], dtype=float))
@@ -309,8 +394,15 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
             u = x + y
             return np.exp(s ** 2 * (u @ u) / 8.0)
 
+        def lg_grad(X, Y):
+            U = X[:, None, :] + Y[None, :, :]
+            return s ** 2 * U / 4.0 * np.exp(s ** 2 * _sq(U) / 8.0)[..., None]
+
         return Kernel("laplace_gaussian", ev,
-                      lambda x, y: s ** 2 * (x + y) / 4.0 * ev(x, y))
+                      lambda x, y: s ** 2 * (x + y) / 4.0 * ev(x, y),
+                      matrix_fn=lambda X, Y: np.exp(
+                          s ** 2 * _sq(X[:, None, :] + Y[None, :, :]) / 8.0),
+                      grad1_matrix_fn=lg_grad)
     if name == "halfplane_bessel":
         # smooth reflected-argument kernel on the half-plane x[0] > 0:
         # 2 K0(m sqrt((x1+y1)^2 + (x2-y2)^2)); a continuum mixture of
@@ -338,7 +430,22 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
             d = -2.0 * m * k1(m * r) / r
             return np.array([d * a, d * b], dtype=complex)
 
-        return Kernel("halfplane_bessel", ev, g1)
+        def reflected(X, Y):
+            a = X[:, None, 0] + Y[None, :, 0]
+            b = X[:, None, 1] - Y[None, :, 1]
+            r = np.hypot(a, b)
+            if np.any((r <= 0.0) | (a < 0.0)):
+                raise KernelDomainError("halfplane_bessel needs x1 + y1 > 0")
+            return a, b, r
+
+        def hp_grad(X, Y):
+            a, b, r = reflected(X, Y)
+            d = -2.0 * m * k1(m * r) / r
+            return np.stack([d * a, d * b], axis=-1)
+
+        return Kernel("halfplane_bessel", ev, g1,
+                      matrix_fn=lambda X, Y: 2.0 * k0(m * reflected(X, Y)[2]),
+                      grad1_matrix_fn=hp_grad)
     if name == "circle_laplace":
         # transform of a uniform measure on a radius-m circle: a smooth,
         # rotation-invariant positive definite kernel close to I0(m |x+y| / 2)
@@ -347,24 +454,24 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
         ang = 2.0 * np.pi * np.arange(n_atoms) / n_atoms
         atoms = m * np.stack([np.cos(ang), np.sin(ang)], axis=1)
         weights = np.full(n_atoms, 1.0 / n_atoms)
-        kern = laplace_kernel_from_measure(MeasureSample(atoms, weights))
-        return Kernel("circle_laplace", kern.eval_fn, kern.grad1_fn)
+        return replace(laplace_kernel_from_measure(MeasureSample(atoms, weights)),
+                       name="circle_laplace")
     if name == "det":
         n = int(params["n"])
         power = float(params["power"])
         if power <= 0.0:
             raise ValueError("det kernel needs power > 0")
 
-        def ev(x, y):
-            X = x.reshape(n, n)
-            Y = y.reshape(n, n)
-            for M in (X, Y):
-                if np.linalg.norm(M, 2) >= 1.0:
-                    raise KernelDomainError("det kernel needs contractive arguments")
-            return np.linalg.det(np.eye(n) - X @ Y.T) ** (-power)
+        def det_mat(X, Y):
+            Xs, Ys = X.reshape(-1, n, n), Y.reshape(-1, n, n)
+            if np.any(np.linalg.norm(np.concatenate([Xs, Ys]), 2, axis=(1, 2)) >= 1.0):
+                raise KernelDomainError("det kernel needs contractive arguments")
+            products = Xs[:, None] @ np.swapaxes(Ys, 1, 2)[None]
+            return np.linalg.det(np.eye(n) - products) ** (-power)
 
         # analytic matrix derivatives are error-prone; finite differences only
-        return Kernel("det", ev, None)
+        return Kernel("det", lambda x, y: det_mat(x[None], y[None])[0, 0], None,
+                      matrix_fn=det_mat)
     raise KeyError(f"unknown builtin kernel {name!r}")
 
 

@@ -84,15 +84,11 @@ class CompatibleAction:
 
 
 def lie_derivative_form(kernel: Kernel, field: VectorField, points) -> np.ndarray:
-    """B[i, j] = grad1 K(m_i, m_j) . X(m_i), the form of the derivative along X."""
+    """B[i, j] = grad1 K(m_i, m_j) . X(m_i), the form of the derivative along X;
+    float64 unless the kernel returns complex values."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[0]
-    B = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        xi = field(pts[i])
-        for j in range(n):
-            B[i, j] = kernel.grad1(pts[i], pts[j]) @ xi
-    return B
+    values = field.rows(pts, np.ones(len(pts), dtype=bool))
+    return np.einsum("ijk,ik->ij", kernel.grad1_matrix(pts, pts), values)
 
 
 def symmetry_defects(B: np.ndarray):
@@ -193,11 +189,11 @@ class OperatorCompression:
 
     ``compressed`` is exactly hermitian (epsilon = +1) or skew-hermitian
     (epsilon = -1) after symmetrization; the pre-symmetrization defect is
-    recorded.  This is a compression of the operator to the sample span, not a
-    restriction: its fidelity is controlled only by sample refinement.
+    recorded.  It is real when the form and the whitening are.  This is a
+    compression of the operator to the sample span, not a restriction: its
+    fidelity is controlled only by sample refinement.
     """
 
-    form: np.ndarray
     compressed: np.ndarray
     epsilon: Optional[int]
     symmetrization_defect: float
@@ -218,10 +214,9 @@ def compress_operator(B: np.ndarray, model: GramModel, epsilon: Optional[int],
     an inconsistent declaration raises rather than silently averaging it away.
     """
     W = model.whitening
-    A = W @ np.asarray(B, dtype=complex) @ W.conj().T
+    A = W @ np.asarray(B) @ W.conj().T
     if epsilon is None:
-        return OperatorCompression(np.asarray(B, dtype=complex), A, None, 0.0,
-                                   model, label)
+        return OperatorCompression(A, None, 0.0, model, label)
     norm = float(np.linalg.norm(A))
     defect = float(np.linalg.norm(A - epsilon * A.conj().T))
     if defect > tol_sym * max(norm, 1e-12):
@@ -229,8 +224,7 @@ def compress_operator(B: np.ndarray, model: GramModel, epsilon: Optional[int],
             f"operator {label or '?'}: symmetry defect {defect:.3e} exceeds "
             f"{tol_sym:.0e} * {norm:.3e} for epsilon={epsilon:+d}")
     A = 0.5 * (A + epsilon * A.conj().T)
-    return OperatorCompression(np.asarray(B, dtype=complex), A, epsilon, defect,
-                               model, label)
+    return OperatorCompression(A, epsilon, defect, model, label)
 
 
 def _hermitian_function(A: np.ndarray, f) -> np.ndarray:

@@ -178,14 +178,9 @@ def h_group_rep(kernel: Kernel, action: CompatibleAction, model: GramModel,
         raise ValueError("group matrices exist only for fixed-part elements")
     move = action.sigma[x]
     pts = model.points
-    n = pts.shape[0]
-    A = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        moved = np.asarray(move(-t, pts[j]), dtype=float)
-        for i in range(n):
-            A[i, j] = kernel(pts[i], moved)
+    moved = np.array([move(-t, p) for p in pts], dtype=float)
     W = model.whitening
-    P = W @ A @ W.conj().T
+    P = W @ kernel.matrix(pts, moved) @ W.conj().T
     eye = np.eye(model.rank)
     unit = float(np.linalg.norm(P.conj().T @ P - eye))
     B = lie_derivative_form(kernel, action.basis_fields[x], pts)
@@ -268,12 +263,8 @@ def luscher_mack_pipeline(elements: Sequence[np.ndarray],
     W = model.whitening
 
     def translation_matrix(s):
-        A = np.empty((len(mats), len(mats)), dtype=complex)
-        for i in range(len(mats)):
-            row = (mats[i] @ s).ravel()
-            for j in range(len(mats)):
-                A[i, j] = kernel(row, points[j])
-        return W @ A @ W.conj().T
+        rows = np.array([(m @ s).ravel() for m in mats])
+        return W @ kernel.matrix(rows, points) @ W.conj().T
 
     star_defects = {}
     matrices = {}

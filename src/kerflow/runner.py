@@ -117,6 +117,14 @@ def _grid_from_spec(spec: dict) -> dist.TestFunctionGrid:
                                  shape=shape, margin=int(spec.get("margin", 2)))
 
 
+def _ou_mixture_smeared(kspec: dict, grid) -> tuple:
+    """Masses of an ``ou_mixture`` kernel spec and its smeared kernel on the grid."""
+    masses = [float(m) for m in kspec["params"]["masses"]]
+    weights = [float(w) for w in kspec["params"].get("weights", [1.0] * len(masses))]
+    return masses, dist.SmearedKernel.from_distance_profile(
+        dist.ou_mixture_profile(masses, weights), grid)
+
+
 # ---------------------------------------------------------------------------
 # per-kind runners
 
@@ -140,9 +148,10 @@ def _homogeneous_generator(fspec: dict) -> Optional[np.ndarray]:
 
 def _max_defect_check(name: str, gaps: list, tol: float,
                       required: bool = True) -> Check:
-    """Largest norm among the compared gap vectors.  When nothing was compared
-    the value is null and the check fails, or is informational (passed null)
-    when the comparison was not ``required``."""
+    """Largest norm among the compared gaps (vectors or scalars, given as a
+    list of blocks).  When nothing was compared the value is null and the
+    check fails, or is informational (passed null) when the comparison was
+    not ``required``."""
     norms = [float(np.linalg.norm(g)) for block in gaps for g in block]
     if not norms:
         return Check(name, None, tol, False if required else None)
@@ -263,7 +272,7 @@ def _run_compatibility(cfg: ExperimentConfig, rng) -> ExperimentReport:
     pts = _sample_points(body["samples"], rng)
     report = op.compatibility_check(kernel, action, pts, cfg.tol("compatibility"))
     hom = action.homomorphism_defect(pts[: min(len(pts), 8)])
-    drift = 0.0
+    drifts = []
     for inv in body.get("invariance", []):
         element = inv["element"]
         k = (action.algebra.index_of(element) if isinstance(element, str)
@@ -275,14 +284,15 @@ def _run_compatibility(cfg: ExperimentConfig, rng) -> ExperimentReport:
                                        float(inv.get("t_max", 0.5)),
                                        float(inv.get("step", 1e-3)),
                                        cfg.tol("invariance"))
-        drift = max(drift, res.max_drift)
+        drifts.append(res.max_drift)
     checks = [
         Check("compatibility_max_defect", report.max_defect,
               cfg.tol("compatibility"), report.passed),
         Check("homomorphism_defect", hom, cfg.tol("homomorphism"),
               hom <= cfg.tol("homomorphism")),
-        Check("invariance_max_drift", drift, cfg.tol("invariance"),
-              drift <= cfg.tol("invariance")),
+        # informational (value and passed null) without an invariance pair
+        _max_defect_check("invariance_max_drift", [drifts], cfg.tol("invariance"),
+                          required=False),
     ]
     return ExperimentReport(cfg.kind, cfg.raw, checks, {}, {})
 
@@ -436,15 +446,7 @@ def _run_luscher_mack(cfg: ExperimentConfig, rng) -> ExperimentReport:
 def _run_os_reconstruct(cfg: ExperimentConfig, rng) -> ExperimentReport:
     body = cfg.body
     grid = _grid_from_spec(body["grid"])
-    kspec = body["kernel"]
-    if kspec["name"] != "ou_mixture":
-        raise ConfigError("$.kernel.name",
-                          "os_reconstruct runs on the ou_mixture family")
-    masses = [float(m) for m in kspec["params"]["masses"]]
-    weights = [float(w) for w in kspec["params"].get("weights",
-                                                     [1.0] * len(masses))]
-    sk = dist.SmearedKernel.from_distance_profile(
-        dist.ou_mixture_profile(masses, weights), grid)
+    masses, sk = _ou_mixture_smeared(body["kernel"], grid)
     setup = dist.ReflectionSetup(grid, axis=0)
     fns = [dist.bump(grid, b["center"], b["width"]) for b in body["bumps"]]
     rp_report = dist.reflection_positivity_check(sk, setup, fns,
@@ -496,6 +498,22 @@ def _run_os_reconstruct(cfg: ExperimentConfig, rng) -> ExperimentReport:
 def _run_rp_axioms(cfg: ExperimentConfig, rng) -> ExperimentReport:
     body = cfg.body
     grid = _grid_from_spec(body["grid"])
+    pairing = 0.0
+    # the pairing runs first and drops its kernel matrix before the grid
+    # matrices are built, which lowers the peak allocation
+    if "kernel" in body:
+        _, sk = _ou_mixture_smeared(body["kernel"], grid)
+        # invariance of the pairing under margin-respecting shifts: check on
+        # a bump pair rather than the full (boundary-truncated) matrices
+        b1 = dist.bump(grid, [-0.8, 0.0] if grid.ndim == 2 else [-0.8], 0.3)
+        b2 = dist.bump(grid, [0.6, 0.2] if grid.ndim == 2 else [0.6], 0.3)
+        base = sk.pairing(b1, b2)
+        for t in body.get("translations", []):
+            cells = tuple(int(c) for c in t["cells"])
+            moved = sk.pairing(dist.translate(b1, cells),
+                               dist.translate(b2, cells))
+            pairing = max(pairing, abs(moved - base))
+        del sk
     theta = dist.grid_reflection_matrix(grid, axis=0)
     projector = dist.slice_projector(grid, axis=0)
     pairs = []
@@ -508,24 +526,6 @@ def _run_rp_axioms(cfg: ExperimentConfig, rng) -> ExperimentReport:
               for t in body.get("parallel_translations", [])]
     report = dist.rp_axioms_check(pairs, theta, projector, h_mats,
                                   tol=cfg.tol("rp1"))
-    pairing = 0.0
-    if "kernel" in body:
-        kspec = body["kernel"]
-        masses = [float(m) for m in kspec["params"]["masses"]]
-        weights = [float(w) for w in kspec["params"].get("weights",
-                                                         [1.0] * len(masses))]
-        sk = dist.SmearedKernel.from_distance_profile(
-            dist.ou_mixture_profile(masses, weights), grid)
-        # invariance of the pairing under margin-respecting shifts: check on
-        # a bump pair rather than the full (boundary-truncated) matrices
-        b1 = dist.bump(grid, [-0.8, 0.0] if grid.ndim == 2 else [-0.8], 0.3)
-        b2 = dist.bump(grid, [0.6, 0.2] if grid.ndim == 2 else [0.6], 0.3)
-        base = sk.pairing(b1, b2)
-        for t in body.get("translations", []):
-            cells = tuple(int(c) for c in t["cells"])
-            moved = sk.pairing(dist.translate(b1, cells),
-                               dist.translate(b2, cells))
-            pairing = max(pairing, abs(moved - base))
     checks = [
         Check("rp1_max_defect", report.rp1_max_defect, cfg.tol("rp1"),
               report.rp1_max_defect <= cfg.tol("rp1")),

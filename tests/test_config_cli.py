@@ -269,3 +269,66 @@ def test_operator_defect_export(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "label,epsilon,defect,min_eigenvalue,max_eigenvalue"
     assert len(lines) == 2
+
+
+def _shipped(stem):
+    with open(os.path.join(CONFIG_DIR, stem + ".json")) as handle:
+        return json.load(handle)
+
+
+def _zero_size(key):
+    def mutate(data):
+        del data["samples"]["refinement"]
+        data["samples"][key] = 0
+    return mutate
+
+
+# each input used to escape the contract at run time: a KeyError, numpy or
+# index error (exit 1) or an EmptyModelError (exit 3)
+@pytest.mark.parametrize("stem, mutate, json_path", [
+    ("cdual_euclidean", lambda d: d.pop("kernel"), "$.kernel"),
+    ("cdual_euclidean", _zero_size("n_side"), "$.samples.n_side"),
+    ("cdual_abelian", lambda d: d["samples"].update(n=0), "$.samples.n"),
+    ("froelich_laplace", _zero_size("n"), "$.samples.n"),
+    ("rp_axioms", lambda d: d.update(kernel={"name": "gaussian_rbf", "params": {}}),
+     "$.kernel.name"),
+    ("rp_axioms", lambda d: d.update(translations=[{"cells": [41, 0]}]),
+     "$.translations[0].cells"),
+    ("rp_axioms", lambda d: d.update(translations=[{"cells": [-45, 0]}]),
+     "$.translations[0].cells"),
+    ("rp_axioms", lambda d: d.update(parallel_translations=[{"cells": [0]}]),
+     "$.parallel_translations[0].cells"),
+    ("compatibility", lambda d: d.pop("action"), "$.action"),
+    ("froelich_rank1", lambda d: d.pop("field"), "$.field"),
+    ("cdual_abelian", lambda d: d.pop("samples"), "$.samples"),
+    ("cdual_halfplane", lambda d: d["samples"].update(refinement=[0, 5]),
+     "$.samples.refinement[0]"),
+    ("cdual_halfplane", lambda d: d["samples"].update(refinement=[]),
+     "$.samples.refinement"),
+    ("cdual_abelian", lambda d: d["kernel"].pop("name"), "$.kernel.name"),
+    ("os_reconstruct_ou", lambda d: d["kernel"].update(params={}),
+     "$.kernel.params.masses"),
+    ("os_reconstruct_ou", lambda d: d.pop("times_cells"), "$.times_cells"),
+    ("bracket_order", lambda d: d.pop("pairs"), "$.pairs"),
+])
+def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
+    data = _shipped(stem)
+    mutate(data)
+    with pytest.raises(ConfigError) as err:
+        validate_config(data)
+    assert err.value.json_path == json_path
+    path = _write(tmp_path, data)
+    for command in ("validate", "run"):
+        assert cli.main([command, path]) == cli.EXIT_CONFIG_ERROR
+        assert f"config error: {json_path}: " in capsys.readouterr().err
+
+
+def test_compatibility_without_invariance_compares_nothing(tmp_path, capsys):
+    data = _shipped("compatibility")
+    del data["invariance"]
+    code = cli.main(["run", _write(tmp_path, data), "--stable-output"])
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert code == 0
+    drift = checks["invariance_max_drift"]
+    assert drift["value"] is None and drift["passed"] is None
+    assert checks["compatibility_max_defect"]["passed"] is True

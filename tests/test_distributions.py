@@ -302,6 +302,30 @@ def test_grid_operators_are_exact_permutation_conjugates():
     assert np.array_equal(theta @ S @ theta, S_neg)
 
 
+def _shift_matrix_by_columns(grid, cells):
+    """Column j is the zero-fill shift of the j-th unit vector."""
+    eye = np.eye(grid.size)
+    return np.stack([ds._shift_array(eye[:, j].reshape(grid.shape), cells).ravel()
+                     for j in range(grid.size)], axis=1)
+
+
+@pytest.mark.parametrize("shape, cells", [
+    ((17,), (3,)), ((17,), (-5,)), ((17,), (0,)), ((17,), (16,)),
+    ((11, 8), (2, 0)), ((11, 8), (0, -3)), ((11, 8), (-4, 2)),
+    ((11, 8), (3, 5)), ((11, 8), (-10, -7)),
+])
+def test_grid_shift_matrix_matches_column_construction(shape, cells):
+    grid = ds.TestFunctionGrid(origin=[-1.0] * len(shape), spacing=0.1, shape=shape)
+    assert np.array_equal(ds.grid_shift_matrix(grid, cells),
+                          _shift_matrix_by_columns(grid, cells))
+
+
+def test_grid_shift_matrix_needs_one_shift_per_axis():
+    grid = ds.TestFunctionGrid(origin=[-1.0, -1.0], spacing=0.1, shape=(11, 8))
+    with pytest.raises(GridError):
+        ds.grid_shift_matrix(grid, (2,))
+
+
 def test_rp_axioms_identity_element():
     grid = ds.TestFunctionGrid(origin=[-2.0], spacing=0.1, shape=(41,))
     theta = ds.grid_reflection_matrix(grid, 0)

@@ -305,3 +305,107 @@ def test_semigroup_sample_tables():
     assert table[0][0] == 1          # 0.5 * 0.5 = 0.25 is the second element
     assert table[0][1] is None       # 0.5 * 0.25 leaves the sample
     assert sample.star_defect() == 0.0
+
+
+# every catalog kernel with parameters, the dimension of its points, and a
+# shift that puts points in its domain
+BATCH_CASES = {
+    "fock": ({}, 2, 0.0),
+    "gaussian_rbf": ({"sigma": 1.3}, 2, 0.0),
+    "ou": ({"mass": 1.5}, 2, 0.0),
+    "ou_mixture": ({"masses": [1.0, 2.0], "weights": [0.5, 0.5]}, 2, 0.0),
+    "laplace": ({"atoms": [[-1.0, 0.5], [1.0, 2.0], [0.0, -3.0]],
+                 "weights": [0.5, 0.2, 0.3]}, 2, 0.0),
+    "laplace_gaussian": ({"scale": 0.7}, 3, 0.0),
+    "circle_laplace": ({"mass": 2.0, "n_atoms": 32}, 2, 0.0),
+    "halfplane_bessel": ({"mass": 1.0}, 2, np.array([1.0, 0.0])),
+    "det": ({"n": 2, "power": 2.0}, 4, 0.0),
+}
+
+
+def _scalar_reference(K, X, Y):
+    values = np.array([[K(x, y) for y in Y] for x in X])
+    grads = np.array([[K.grad1(x, y) for y in Y] for x in X])
+    return values, grads
+
+
+def _assert_close(batch, scalar):
+    # 1e-12 relative per entry; the absolute floor only matters where a
+    # gradient component cancels to nearly zero
+    assert batch.dtype == np.float64
+    assert batch.shape == scalar.shape
+    np.testing.assert_allclose(batch, scalar.real, rtol=1e-12,
+                               atol=1e-12 * np.abs(scalar).max())
+    assert np.all(scalar.imag == 0.0)
+
+
+def test_batch_cases_cover_the_catalog():
+    assert set(BATCH_CASES) == set(kk.KERNEL_CATALOG)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_batch_forms_match_scalar_entries(name):
+    params, d, shift = BATCH_CASES[name]
+    K = kk.builtin_kernel(name, params)
+    rng = np.random.default_rng(sorted(BATCH_CASES).index(name))
+    X = rng.uniform(-0.45, 0.45, size=(7, d)) + shift
+    Y = rng.uniform(-0.45, 0.45, size=(5, d)) + shift
+    values, grads = _scalar_reference(K, X, Y)
+    _assert_close(K.matrix(X, Y), values)
+    _assert_close(K.grad1_matrix(X, Y), grads)
+    assert K.grad1_matrix(X, Y).shape == (7, 5, d)
+
+
+@pytest.mark.parametrize("name, x, y, which", [
+    ("halfplane_bessel", [-0.5, 0.0], [0.2, 0.1], "value"),
+    ("halfplane_bessel", [-0.5, 0.0], [0.2, 0.1], "grad"),
+    ("ou", [0.3, -0.2], [0.3, -0.2], "grad"),
+    ("det", 1.2 * np.eye(2).ravel(), np.zeros(4), "value"),
+    ("det", np.zeros(4), 1.2 * np.eye(2).ravel(), "grad"),
+])
+def test_batch_forms_raise_where_scalar_does(name, x, y, which):
+    K = kk.builtin_kernel(name, BATCH_CASES[name][0])
+    good = np.full((1, len(x)), 0.1) + BATCH_CASES[name][2]
+    X, Y = np.vstack([good, [x]]), np.vstack([[y], good])
+    scalar, batch = (K, K.matrix) if which == "value" else (K.grad1, K.grad1_matrix)
+    with pytest.raises(KernelDomainError):
+        scalar(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    with pytest.raises(KernelDomainError):
+        batch(X, Y)
+
+
+def test_user_kernel_takes_the_loop_fallback():
+    calls = []
+
+    def ev(x, y):
+        calls.append(1)
+        return float(np.exp(-abs(x[0] - y[0])) + x[1] * y[1])
+
+    K = kk.Kernel("user", ev)
+    X = np.array([[0.1, 0.2], [0.5, -0.3], [0.9, 0.4]])
+    Y = np.array([[0.2, 0.0], [0.7, 1.0]])
+    values, grads = _scalar_reference(K, X, Y)
+    calls.clear()
+    M = K.matrix(X, Y)
+    assert len(calls) == 6
+    assert M.dtype == np.float64 and np.array_equal(M, values.real)
+    # central differences on the same points as the scalar path, bit for bit
+    assert np.array_equal(K.grad1_matrix(X, Y), grads.real)
+    with_grad = kk.Kernel("user", ev, lambda x, y: np.array([0.0, y[1]]))
+    assert np.array_equal(with_grad.grad1_matrix(X, Y)[..., 1],
+                          np.broadcast_to(Y[:, 1], (3, 2)))
+    complex_valued = kk.Kernel("phase", lambda x, y: np.exp(1j * (x[0] - y[0])))
+    assert complex_valued.matrix(X, Y).dtype == np.complex128
+    assert kk.gram(complex_valued, X).gram.dtype == np.complex128
+
+
+def test_gram_of_real_kernel_is_float64_and_flags_duplicates(fock):
+    pts = np.array([[0.3, 0.0], [0.1, 0.7], [-0.2, 0.4], [0.1, 0.7], [0.0, -0.0]])
+    model = kk.gram(fock, pts)
+    assert model.gram.dtype == np.float64
+    assert model.whitening.dtype == np.float64
+    assert model.duplicate_points
+    assert not kk.gram(fock, pts[:3]).duplicate_points
+    # -0.0 equals 0.0, as for np.array_equal
+    assert kk.gram(fock, [[0.0, 0.0], [1.0, 1.0], [-0.0, 0.0]]).duplicate_points
+    assert not kk.gram(fock, [[0.0, 1.0], [1.0, 0.0]]).duplicate_points

@@ -97,6 +97,30 @@ def test_flow_invariance_wrong_sign_detects_drift(X1d):
     assert report.max_drift > 0.05
 
 
+def _form_by_entries(kernel, field, pts):
+    """The entry-by-entry definition B[i, j] = grad1 K(m_i, m_j) . X(m_i)."""
+    return np.array([[kernel.grad1(p, q) @ field(p) for q in pts] for p in pts])
+
+
+@pytest.mark.parametrize("kernel, field", [
+    (kk.builtin_kernel("circle_laplace", {"mass": 2.0}), fl.rotation_field()),
+    (kk.builtin_kernel("halfplane_bessel"), fl.constant_field([0.0, -1.0])),
+    # neither the field nor the kernel has an array form
+    (kk.Kernel("user", lambda x, y: np.exp(x @ y)),
+     fl.VectorField(fl.full_space(2), lambda p: np.array([p[1] ** 2, -p[0]]))),
+])
+def test_form_matches_entry_definition_and_stays_real(kernel, field):
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-0.8, 0.8, size=(12, 2)) + np.array([1.0, 0.0])
+    B = op.lie_derivative_form(kernel, field, pts)
+    ref = _form_by_entries(kernel, field, pts)
+    assert B.dtype == np.float64
+    np.testing.assert_allclose(B, ref.real, rtol=1e-12,
+                               atol=1e-12 * np.abs(ref).max())
+    model = kk.gram(kernel, pts, rank_cutoff=1e-10)
+    assert op.compress_operator(B, model, None).compressed.dtype == np.float64
+
+
 def test_compress_zero_form():
     model = kk.gram_from_matrix(np.eye(2))
     comp = op.compress_operator(np.zeros((2, 2)), model, op.SYMMETRIC)
