@@ -14,10 +14,10 @@ from kerflow.runner import run_experiment
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser()
     parser.add_argument("--csv-dir", default=None)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     failures = 0
     for name in sorted(os.listdir(CONFIG_DIR)):
@@ -33,7 +33,8 @@ def main():
         for check in report.checks:
             flag = {True: "+", False: "-", None: "."}[check.passed]
             tol = "" if check.tolerance is None else f" vs {check.tolerance:g}"
-            print(f"      {flag} {check.name}: {check.value:.6g}{tol}")
+            value = "null" if check.value is None else f"{check.value:.6g}"
+            print(f"      {flag} {check.name}: {value}{tol}")
         failures += 0 if report.passed else 1
     return 1 if failures else 0
 

@@ -35,13 +35,14 @@ TOLERANCES = {
 @dataclass(frozen=True)
 class Rule:
     """A key's allowed types plus what is checked once the types hold: the
-    key may be required, a number, or a list's length, may be bounded below,
-    and every entry of a list may have to satisfy a rule of its own."""
+    key may be required, a number, or a list's length, may be bounded, and
+    every entry of a list may have to satisfy a rule of its own."""
 
     types: object
     required: bool = False
     above: Optional[float] = None       # value must be greater than this
     at_least: Optional[int] = None      # value or list length must reach this
+    at_most: Optional[int] = None       # value or list length must not exceed this
     each: Optional["Rule"] = None       # rule for every entry of a list value
 
 
@@ -53,6 +54,7 @@ _SAMPLES_SPEC = {"type": Rule(str, required=True), "n": Rule(int, at_least=1),
                  "x_range": list, "y_range": list, "radii": list,
                  "n_per_circle": int, "include_origin": bool}
 _REQUIRED_OBJECT = Rule(dict, required=True)
+_CELLS = Rule(int, at_least=0)
 
 # allowed top-level keys per kind (beyond kind/seed/tolerances)
 SCHEMAS = {
@@ -87,8 +89,13 @@ SCHEMAS = {
     },
     "os_reconstruct": {
         "grid": _REQUIRED_OBJECT, "kernel": _REQUIRED_OBJECT,
-        "bumps": Rule(list, required=True), "expected_rank": Rule(int, required=True),
-        "times_cells": Rule(list, required=True), "law_pairs_cells": list,
+        "bumps": Rule(list, required=True, at_least=1),
+        "expected_rank": Rule(int, required=True),
+        # transfer times are cell counts along the direction away from the
+        # reflection hyperplane, so never negative
+        "times_cells": Rule(list, required=True, at_least=1, each=_CELLS),
+        "law_pairs_cells": Rule(list, each=Rule(list, at_least=2, at_most=2,
+                                                each=_CELLS)),
         "rank_cutoff": (int, float),
     },
     "rp_axioms": {
@@ -166,6 +173,9 @@ def _check_bounds(val, rule: Rule, path: str):
     if rule.at_least is not None and not size >= rule.at_least:
         what = "length" if isinstance(val, list) else "value"
         raise ConfigError(path, f"{what} must be >= {rule.at_least}")
+    if rule.at_most is not None and not size <= rule.at_most:
+        what = "length" if isinstance(val, list) else "value"
+        raise ConfigError(path, f"{what} must be <= {rule.at_most}")
     if rule.each is not None and isinstance(val, list):
         for i, item in enumerate(val):
             _check_type(item, rule.each.types, f"{path}[{i}]")

@@ -13,7 +13,7 @@ trapezoid, which is all compact support requires.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -143,6 +143,8 @@ def _shift_array(v: np.ndarray, cells) -> np.ndarray:
     for a, c in enumerate(cells):
         if c == 0:
             continue
+        # a shift past the extent leaves zeros, as one up to it does
+        c = max(-v.shape[a], min(c, v.shape[a]))
         rolled = np.zeros_like(v)
         src = [slice(None)] * v.ndim
         dst = [slice(None)] * v.ndim
@@ -180,8 +182,9 @@ def reflect(fn: TestFunction, axis: int) -> TestFunction:
 class SmearedKernel:
     """Kernel paired against grid functions: a cached matrix over grid points.
 
-    ``pairing(f, g)`` is the double quadrature sum of f K g; hermitian by
-    construction for symmetric real kernels, and checked on demand.
+    ``pairings(fs, gs)`` is the matrix of double quadrature sums of f K g over
+    two lists of functions, and ``pairing(f, g)`` its 1 x 1 case; hermitian
+    by construction for symmetric real kernels, and checked on demand.
     """
 
     grid: TestFunctionGrid
@@ -208,16 +211,25 @@ class SmearedKernel:
             dist += np.square(diff, out=diff)
         return cls(grid, profile(np.sqrt(dist, out=dist)))
 
-    def pairing(self, f: TestFunction, g: TestFunction) -> float:
+    def pairings(self, fs: Sequence[TestFunction],
+                 gs: Sequence[TestFunction]) -> np.ndarray:
+        """Matrix of pairings ``P[i, j] = pairing(fs[i], gs[j])``, that is
+        ``(W F)^T K (W G)`` with the functions as columns of F and G and the
+        quadrature weights on the diagonal of W, from one matrix product."""
+        for fn in (*fs, *gs):
+            if not same_grid(fn.grid, self.grid):
+                raise GridError("all functions must live on the smearing grid")
         w = self.grid.weights()
-        return float((w * f.flat) @ self.matrix @ (w * g.flat))
+        F = np.array([f.flat for f in fs]).reshape(len(fs), self.grid.size) * w
+        G = np.array([g.flat for g in gs]).reshape(len(gs), self.grid.size) * w
+        return F @ self.matrix @ G.T
+
+    def pairing(self, f: TestFunction, g: TestFunction) -> float:
+        return float(self.pairings([f], [g])[0, 0])
 
     def hermiticity_defect(self, fns: Sequence[TestFunction]) -> float:
-        worst = 0.0
-        for f in fns:
-            for g in fns:
-                worst = max(worst, abs(self.pairing(f, g) - self.pairing(g, f)))
-        return worst
+        P = self.pairings(fns, fns)
+        return float(np.max(np.abs(P - P.T), initial=0.0))
 
 
 def ou_mixture_profile(masses, weights) -> Callable[[np.ndarray], np.ndarray]:
@@ -246,15 +258,7 @@ def same_grid(a: TestFunctionGrid, b: TestFunctionGrid) -> bool:
 def smeared_gram(sk: SmearedKernel, fns: Sequence[TestFunction],
                  rank_cutoff: float = 1e-12) -> GramModel:
     """Gram of the pairing; reuses the whitening machinery on the matrix."""
-    for f in fns:
-        if not same_grid(f.grid, sk.grid):
-            raise GridError("all functions must live on the smearing grid")
-    n = len(fns)
-    G = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            G[i, j] = sk.pairing(fns[i], fns[j])
-    return gram_from_matrix(G, rank_cutoff)
+    return gram_from_matrix(sk.pairings(fns, fns), rank_cutoff)
 
 
 def directional_derivative(field_values: np.ndarray, fn: TestFunction) -> TestFunction:
@@ -320,20 +324,15 @@ def distribution_froelich_check(sk: SmearedKernel, field, base: TestFunction,
     pts = grid.points()
     vals = np.array([field(p) for p in pts], dtype=float)
     field_grid = vals.reshape(grid.shape + (grid.ndim,))
-    n = len(fns)
-    B = np.empty((n, n))
-    for j in range(n):
-        d = directional_derivative(field_grid, fns[j])
-        for i in range(n):
-            B[i, j] = -sk.pairing(fns[i], d)
-    op = compress_operator(B, model, SYMMETRIC, tol_sym, label="transport")
-
+    derivs = [directional_derivative(field_grid, f) for f in fns]
     t = t_cells * grid.spacing
     # forward flow of a constant field moves the support with it
     shifted = translate(base, tuple(t_cells if a == axis else 0
                                     for a in range(grid.ndim)))
-    g0 = np.array([sk.pairing(f, base) for f in fns])
-    g1 = np.array([sk.pairing(f, shifted) for f in fns])
+    P = sk.pairings(fns, derivs + [base, shifted])
+    n = len(fns)
+    op = compress_operator(-P[:, :n], model, SYMMETRIC, tol_sym, label="transport")
+    g0, g1 = P[:, n], P[:, n + 1]
     u0 = model.whitening @ g0
     target = model.whitening @ g1
     lhs = semigroup_matrix(op, t) @ u0
@@ -361,7 +360,7 @@ class ReflectionSetup:
         return reflect(fn, self.axis)
 
     def positive_mask(self) -> np.ndarray:
-        return self.grid.points()[:, self.axis] > 0.0
+        return slice_mask(self.grid, self.axis)
 
     def in_positive_slice(self, fn: TestFunction) -> bool:
         return bool(np.all(fn.flat[~self.positive_mask()] == 0.0))
@@ -382,13 +381,7 @@ def twisted_gram(sk: SmearedKernel, setup: ReflectionSetup,
     for f in fns_plus:
         if not setup.in_positive_slice(f):
             raise GridError("test functions must be supported in the positive slice")
-    n = len(fns_plus)
-    T = np.empty((n, n))
-    for i in range(n):
-        refl = setup.reflect(fns_plus[i])
-        for j in range(n):
-            T[i, j] = sk.pairing(refl, fns_plus[j])
-    return T
+    return sk.pairings([setup.reflect(f) for f in fns_plus], fns_plus)
 
 
 def reflection_positivity_check(sk: SmearedKernel, setup: ReflectionSetup,
@@ -411,12 +404,14 @@ class OSSpace:
 
     ``quotient_map`` (rank x n) whitens the twisted Gram; discarded
     eigendirections span the null space at the cutoff resolution.
+    ``positivity`` is the reflection-positivity report the quotient was
+    built from.
     """
 
     smeared: SmearedKernel
     setup: ReflectionSetup
     fns_plus: tuple
-    twisted: np.ndarray
+    positivity: ReflectionPositivityReport
     spectrum: np.ndarray
     rank: int
     rank_cutoff: float
@@ -452,7 +447,7 @@ def os_quotient(sk: SmearedKernel, setup: ReflectionSetup,
     if rank == 0:
         raise DegenerateQuotientError("twisted Gram has numerical rank zero")
     Q = (vecs[:, :rank].T) / np.sqrt(vals[:rank])[:, None]
-    return OSSpace(sk, setup, tuple(fns_plus), report.twisted_gram, vals, rank,
+    return OSSpace(sk, setup, tuple(fns_plus), report, vals, rank,
                    rank_cutoff, Q, vecs[:, rank:])
 
 
@@ -472,12 +467,8 @@ def os_semigroup(space: OSSpace, t_cells: int) -> OSSemigroupResult:
     shift = tuple(t_cells if a == space.setup.axis else 0
                   for a in range(grid.ndim))
     fns = space.fns_plus
-    n = len(fns)
-    A = np.empty((n, n))
-    for i in range(n):
-        refl = space.setup.reflect(fns[i])
-        for j in range(n):
-            A[i, j] = space.smeared.pairing(refl, translate(fns[j], shift))
+    A = space.smeared.pairings([space.setup.reflect(f) for f in fns],
+                               [translate(f, shift) for f in fns])
     S = space.quotient_map @ A @ space.quotient_map.T
     norm = float(np.linalg.norm(S, 2))
     contraction = max(norm - 1.0, 0.0)
@@ -496,60 +487,86 @@ def os_semigroup_law_defect(space: OSSpace, s_cells: int, t_cells: int) -> float
 # grid operators and the reflection-representation axioms
 
 
-def grid_shift_matrix(grid: TestFunctionGrid, cells) -> np.ndarray:
-    """Matrix of the exact translation on flattened grid vectors (zero fill):
-    entry (k, j) is 1 when grid index j moved by ``cells`` is grid index k."""
+def grid_shift_map(grid: TestFunctionGrid, cells) -> np.ndarray:
+    """Exact translation on flattened grid vectors as an index map: grid
+    index j moved by ``cells`` is grid index ``map[j]``, or -1 where the zero
+    fill drops it."""
     cells = np.array([int(c) for c in np.atleast_1d(cells)])
     if len(cells) != grid.ndim:
         raise GridError("need one cell shift per axis")
     axes = (-1,) + (1,) * grid.ndim
     moved = np.indices(grid.shape) + cells.reshape(axes)
     kept = np.all((moved >= 0) & (moved < np.reshape(grid.shape, axes)), axis=0)
+    out = np.full(grid.size, -1)
+    out[kept.ravel()] = np.ravel_multi_index(tuple(moved[:, kept]), grid.shape)
+    return out
+
+
+def grid_shift_matrix(grid: TestFunctionGrid, cells) -> np.ndarray:
+    """Dense matrix of ``grid_shift_map``: entry (k, j) is 1 when grid index
+    j moved by ``cells`` is grid index k."""
+    index = grid_shift_map(grid, cells)
+    kept = index >= 0
     out = np.zeros((grid.size, grid.size))
-    out[np.ravel_multi_index(tuple(moved[:, kept]), grid.shape),
-        np.flatnonzero(kept)] = 1.0
+    out[index[kept], np.flatnonzero(kept)] = 1.0
     return out
 
 
-def grid_reflection_matrix(grid: TestFunctionGrid, axis: int) -> np.ndarray:
+def grid_reflection_map(grid: TestFunctionGrid, axis: int) -> np.ndarray:
+    """Coordinate sign flip along ``axis`` as an index map (a permutation)."""
     if not grid.is_symmetric(axis):
-        raise GridError("reflection matrix needs a symmetric grid")
-    n = grid.size
-    idx = np.arange(n).reshape(grid.shape)
-    flipped = np.flip(idx, axis=axis).ravel()
-    out = np.zeros((n, n))
-    out[flipped, np.arange(n)] = 1.0
-    return out
+        raise GridError("reflection map needs a symmetric grid")
+    return np.flip(np.arange(grid.size).reshape(grid.shape), axis=axis).ravel()
 
 
-def slice_projector(grid: TestFunctionGrid, axis: int) -> np.ndarray:
-    mask = grid.points()[:, axis] > 0.0
-    return np.diag(mask.astype(float))
+def slice_mask(grid: TestFunctionGrid, axis: int) -> np.ndarray:
+    """Grid points of the positive slice: the diagonal of its projector."""
+    return grid.points()[:, axis] > 0.0
 
 
 @dataclass(frozen=True)
 class RPAxiomsReport:
-    rp1_max_defect: float
-    rp2_max_defect: float
+    rp1_max_defect: Optional[float]     # None when no pair was compared
+    rp2_max_defect: Optional[float]     # None without fixed-subgroup maps
     tolerance: float
     passed: bool
 
 
-def rp_axioms_check(pairs: Sequence, theta: np.ndarray, projector: np.ndarray,
-                    h_matrices: Sequence = (),
+def _index_map_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius distance of the 0/1 matrices of two index maps.  A column
+    where the maps differ holds one unit entry per map that keeps it, so the
+    squared distance is an exact count."""
+    differ = a != b
+    return float(np.sqrt(np.count_nonzero(a[differ] >= 0)
+                         + np.count_nonzero(b[differ] >= 0)))
+
+
+def _conjugated_map(theta: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Index map of Theta P_g Theta: index j goes to theta[g[theta[j]]]."""
+    moved = g[theta]
+    return np.where(moved >= 0, theta[moved], -1)
+
+
+def rp_axioms_check(pairs: Sequence, theta: np.ndarray, mask: np.ndarray,
+                    h_maps: Sequence = (),
                     tol: float = 1e-12) -> RPAxiomsReport:
     """Check the reflected-conjugation axiom and slice invariance.
 
-    ``pairs`` lists (P_g, P_{tau g}) matrices on the grid space; the first
-    axiom is || P_{tau g} - Theta P_g Theta ||, the second
-    || (I - Pi) P_h Pi || for the supplied fixed-subgroup matrices.  The
+    Operators are index maps on the flattened grid (``grid_shift_map``,
+    ``grid_reflection_map``) and the slice projector Pi is the boolean
+    ``mask`` of its diagonal.  ``pairs`` lists (P_g, P_{tau g}) maps; the
+    first axiom is || P_{tau g} - Theta P_g Theta ||, the second
+    || (I - Pi) P_h Pi || for the supplied fixed-subgroup maps, both
+    Frobenius norms.  A defect is None when nothing was compared, and
+    ``passed`` covers the compared ones.  The
     domain-density axiom has no finite-rank content and is documented only.
     """
-    rp1 = 0.0
-    for P_g, P_tau in pairs:
-        rp1 = max(rp1, float(np.linalg.norm(P_tau - theta @ P_g @ theta)))
-    eye = np.eye(projector.shape[0])
-    rp2 = 0.0
-    for P_h in h_matrices:
-        rp2 = max(rp2, float(np.linalg.norm((eye - projector) @ P_h @ projector)))
-    return RPAxiomsReport(rp1, rp2, tol, rp1 <= tol and rp2 <= tol)
+    rp1 = [_index_map_distance(tau_g, _conjugated_map(theta, g))
+           for g, tau_g in pairs]
+    # column j of (I - Pi) P_h Pi is a unit vector when j is in the slice and
+    # h moves it to a kept index outside the slice, else zero
+    rp2 = [float(np.sqrt(np.count_nonzero(mask & (h >= 0) & ~mask[h])))
+           for h in h_maps]
+    rp1, rp2 = max(rp1, default=None), max(rp2, default=None)
+    passed = all(d <= tol for d in (rp1, rp2) if d is not None)
+    return RPAxiomsReport(rp1, rp2, tol, passed)

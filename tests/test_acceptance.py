@@ -249,12 +249,12 @@ def test_ac10_os_reconstruction():
 def test_ac11_rp_axioms():
     grid = dist.TestFunctionGrid(origin=[-2.0, -1.0], spacing=0.1,
                                  shape=(41, 21))
-    theta = dist.grid_reflection_matrix(grid, 0)
-    projector = dist.slice_projector(grid, 0)
-    pairs = [(dist.grid_shift_matrix(grid, (k, 0)),
-              dist.grid_shift_matrix(grid, (-k, 0))) for k in (3, 5)]
-    h_mats = [dist.grid_shift_matrix(grid, (0, 2))]
-    report = dist.rp_axioms_check(pairs, theta, projector, h_mats, tol=1e-12)
+    theta = dist.grid_reflection_map(grid, 0)
+    mask = dist.slice_mask(grid, 0)
+    pairs = [(dist.grid_shift_map(grid, (k, 0)),
+              dist.grid_shift_map(grid, (-k, 0))) for k in (3, 5)]
+    h_maps = [dist.grid_shift_map(grid, (0, 2))]
+    report = dist.rp_axioms_check(pairs, theta, mask, h_maps, tol=1e-12)
     _report("AC11 reflected-conjugation and slice invariance <= 1e-12",
             report.passed,
             f"rp1 {report.rp1_max_defect:.2e}, rp2 {report.rp2_max_defect:.2e}")

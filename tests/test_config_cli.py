@@ -103,11 +103,13 @@ def test_flow_laws_schema_bounds(tmp_path, capsys, key, value, json_path):
     capsys.readouterr()
 
 
+def _run_checks(tmp_path, capsys, data):
+    code = cli.main(["run", _write(tmp_path, data), "--stable-output"])
+    return code, {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+
+
 def _flow_laws_report(tmp_path, capsys, seed=3, **body):
-    path = _write(tmp_path, {"kind": "flow_laws", "seed": seed, **body})
-    code = cli.main(["run", path, "--stable-output"])
-    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-    return code, checks
+    return _run_checks(tmp_path, capsys, {"kind": "flow_laws", "seed": seed, **body})
 
 
 def test_flow_laws_without_affine_field_leaves_exponential_check_open(tmp_path, capsys):
@@ -309,6 +311,19 @@ def _zero_size(key):
     ("os_reconstruct_ou", lambda d: d["kernel"].update(params={}),
      "$.kernel.params.masses"),
     ("os_reconstruct_ou", lambda d: d.pop("times_cells"), "$.times_cells"),
+    ("os_reconstruct_ou", lambda d: d.update(times_cells=[-3]), "$.times_cells[0]"),
+    ("os_reconstruct_ou", lambda d: d.update(bumps=[]), "$.bumps"),
+    pytest.param("os_reconstruct_ou", lambda d: d.update(times_cells=[]),
+                 "$.times_cells", id="os_reconstruct_ou-no-times"),
+    ("os_reconstruct_mixture", lambda d: d.update(law_pairs_cells=[[4, -6]]),
+     "$.law_pairs_cells[0][1]"),
+    pytest.param("os_reconstruct_mixture", lambda d: d.update(law_pairs_cells=[[4]]),
+                 "$.law_pairs_cells[0]", id="os_reconstruct_mixture-short-pair"),
+    pytest.param("os_reconstruct_mixture",
+                 lambda d: d.update(law_pairs_cells=[[4, 6, 8]]),
+                 "$.law_pairs_cells[0]", id="os_reconstruct_mixture-long-pair"),
+    pytest.param("os_reconstruct_mixture", lambda d: d.update(law_pairs_cells=[4]),
+                 "$.law_pairs_cells[0]", id="os_reconstruct_mixture-bare-pair"),
     ("bracket_order", lambda d: d.pop("pairs"), "$.pairs"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
@@ -332,3 +347,42 @@ def test_compatibility_without_invariance_compares_nothing(tmp_path, capsys):
     drift = checks["invariance_max_drift"]
     assert drift["value"] is None and drift["passed"] is None
     assert checks["compatibility_max_defect"]["passed"] is True
+
+
+@pytest.mark.parametrize("stem, drop, null_checks", [
+    ("rp_axioms", ("translations",), ("rp1_max_defect", "pairing_invariance_defect")),
+    ("rp_axioms", ("parallel_translations",), ("rp2_max_defect",)),
+    ("rp_axioms", ("kernel",), ("pairing_invariance_defect",)),
+    ("rp_axioms", ("translations", "parallel_translations", "kernel"),
+     ("rp1_max_defect", "rp2_max_defect", "pairing_invariance_defect")),
+    ("os_reconstruct_mixture", ("law_pairs_cells",), ("semigroup_law_defect",)),
+])
+def test_grid_checks_without_a_comparison_are_null(tmp_path, capsys, stem, drop,
+                                                   null_checks):
+    data = _shipped(stem)
+    for key in drop:
+        del data[key]
+    code, checks = _run_checks(tmp_path, capsys, data)
+    assert code == 0
+    for name, check in checks.items():
+        if name in null_checks:
+            assert check["value"] is None and check["passed"] is None, name
+        else:
+            assert check["passed"] is True, name
+
+
+def test_run_all_configs_prints_null_values(tmp_path, monkeypatch, capsys):
+    import importlib.util
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                          "run_all_configs.py")
+    spec = importlib.util.spec_from_file_location("run_all_configs", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    (tmp_path / "quadratic.json").write_text(json.dumps({
+        "kind": "flow_laws", "seed": 1, "fields": [{"name": "quadratic1d"}],
+        "n_points": 3, "n_time_samples": 2, "t_range": 0.2, "step": 1e-2}))
+    monkeypatch.setattr(module, "CONFIG_DIR", str(tmp_path))
+    assert module.main([]) == 0
+    out = capsys.readouterr().out
+    assert "pass  quadratic.json" in out
+    assert ". matrix_exponential_max_defect: null vs 1e-08" in out

@@ -1,8 +1,13 @@
+import math
+import os
+
 import numpy as np
 import pytest
 
 from kerflow import distributions as ds
 from kerflow import flows as fl
+from kerflow.config import parse_config
+from kerflow.runner import run_experiment
 from kerflow.errors import GridError, PositivityError
 
 
@@ -45,6 +50,9 @@ def test_translate_exact_and_guarded(line_grid):
     assert np.array_equal(moved.values[10:], fn.values[:-10])
     with pytest.raises(GridError):
         ds.translate(fn, (70,))
+    for cells in ((121,), (200,), (-300,)):
+        with pytest.raises(GridError):
+            ds.translate(fn, cells)
 
 
 def test_reflect_is_involutive(line_grid):
@@ -213,7 +221,7 @@ def test_quotient_rank_one_factors(ou_smeared, line_grid):
     space = ds.os_quotient(ou_smeared, setup, fns)
     assert space.rank == 1
     assert space.gap_ratio <= 1e-10
-    T = space.twisted
+    T = space.positivity.twisted_gram
     ratio = T[0, 0] / T[0, 1]
     assert ratio == pytest.approx(np.exp(-0.5) / np.exp(-1.0), rel=1e-6)
     assert np.exp(-0.5) == pytest.approx(0.60653, abs=1e-5)
@@ -294,12 +302,22 @@ def test_transfer_semigroup_law(ou_smeared, line_grid):
     assert ds.os_semigroup_law_defect(space, 4, 6) <= 1e-8
 
 
+def _dense(index_map):
+    """0/1 matrix of an index map: column j holds a 1 in row index_map[j]."""
+    out = np.zeros((len(index_map), len(index_map)))
+    kept = index_map >= 0
+    out[index_map[kept], np.flatnonzero(kept)] = 1.0
+    return out
+
+
 def test_grid_operators_are_exact_permutation_conjugates():
     grid = ds.TestFunctionGrid(origin=[-2.0, -1.0], spacing=0.1, shape=(41, 21))
-    theta = ds.grid_reflection_matrix(grid, 0)
+    theta = _dense(ds.grid_reflection_map(grid, 0))
     S = ds.grid_shift_matrix(grid, (3, 0))
     S_neg = ds.grid_shift_matrix(grid, (-3, 0))
     assert np.array_equal(theta @ S @ theta, S_neg)
+    fn = ds.bump(grid, [0.7, 0.2], 0.4)
+    assert np.array_equal(theta @ fn.flat, ds.reflect(fn, 0).flat)
 
 
 def _shift_matrix_by_columns(grid, cells):
@@ -326,22 +344,140 @@ def test_grid_shift_matrix_needs_one_shift_per_axis():
         ds.grid_shift_matrix(grid, (2,))
 
 
+def test_grid_shift_map_matches_shift_matrix():
+    grid = ds.TestFunctionGrid(origin=[-1.0, -1.0], spacing=0.1, shape=(11, 8))
+    index = ds.grid_shift_map(grid, (-4, 2))
+    assert index.dtype.kind == "i" and np.count_nonzero(index < 0) == 4 * 8 + 7 * 2
+    assert np.array_equal(_dense(index), ds.grid_shift_matrix(grid, (-4, 2)))
+
+
 def test_rp_axioms_identity_element():
     grid = ds.TestFunctionGrid(origin=[-2.0], spacing=0.1, shape=(41,))
-    theta = ds.grid_reflection_matrix(grid, 0)
-    eye = np.eye(grid.size)
-    report = ds.rp_axioms_check([(eye, eye)], theta, ds.slice_projector(grid, 0))
+    identity = np.arange(grid.size)
+    report = ds.rp_axioms_check([(identity, identity)],
+                                ds.grid_reflection_map(grid, 0),
+                                ds.slice_mask(grid, 0))
     assert report.rp1_max_defect == 0.0
+    assert report.rp2_max_defect is None
+    assert report.passed
 
 
 def test_rp_axioms_translations_2d():
     grid = ds.TestFunctionGrid(origin=[-2.0, -1.0], spacing=0.1, shape=(41, 21))
-    theta = ds.grid_reflection_matrix(grid, 0)
-    projector = ds.slice_projector(grid, 0)
-    pairs = [(ds.grid_shift_matrix(grid, (k, 0)),
-              ds.grid_shift_matrix(grid, (-k, 0))) for k in (3, 5)]
-    h_mats = [ds.grid_shift_matrix(grid, (0, 2))]
-    report = ds.rp_axioms_check(pairs, theta, projector, h_mats)
+    pairs = [(ds.grid_shift_map(grid, (k, 0)), ds.grid_shift_map(grid, (-k, 0)))
+             for k in (3, 5)]
+    h_maps = [ds.grid_shift_map(grid, (0, 2))]
+    report = ds.rp_axioms_check(pairs, ds.grid_reflection_map(grid, 0),
+                                ds.slice_mask(grid, 0), h_maps)
     assert report.passed
     assert report.rp1_max_defect <= 1e-12
     assert report.rp2_max_defect <= 1e-12
+
+
+def test_rp_axioms_compare_nothing_without_operators():
+    grid = ds.TestFunctionGrid(origin=[-2.0], spacing=0.1, shape=(41,))
+    report = ds.rp_axioms_check([], ds.grid_reflection_map(grid, 0),
+                                ds.slice_mask(grid, 0))
+    assert report.rp1_max_defect is None and report.rp2_max_defect is None
+
+
+# shifts along the reflected axis 0 pair correctly only with their negatives,
+# so every other pair is broken; a shift towards the hyperplane (negative
+# along axis 0) carries slice points out of the slice
+@pytest.mark.parametrize("shape, origin, shifts", [
+    ((41,), [-2.0], [(3,), (-7,), (0,), (-2,), (40,), (-41,)]),
+    ((15, 9), [-0.7, -0.4], [(3, 0), (2, -1), (-5, 0), (0, 5), (-14, 8)]),
+])
+def test_rp_axioms_maps_match_dense_norms(shape, origin, shifts):
+    grid = ds.TestFunctionGrid(origin=origin, spacing=0.1, shape=shape)
+    theta_map, mask = ds.grid_reflection_map(grid, 0), ds.slice_mask(grid, 0)
+    theta, projector = _dense(theta_map), np.diag(mask.astype(float))
+    eye = np.eye(grid.size)
+    rp1_values, rp2_values = set(), set()
+    for a in shifts:
+        P_g = ds.grid_shift_matrix(grid, a)
+        rp2_dense = np.linalg.norm((eye - projector) @ P_g @ projector)
+        for b in shifts + [tuple(-c for c in a)]:
+            report = ds.rp_axioms_check(
+                [(ds.grid_shift_map(grid, a), ds.grid_shift_map(grid, b))],
+                theta_map, mask, [ds.grid_shift_map(grid, a)])
+            P_tau = ds.grid_shift_matrix(grid, b)
+            rp1_dense = np.linalg.norm(P_tau - theta @ P_g @ theta)
+            assert report.rp1_max_defect == rp1_dense, (a, b)
+            assert report.rp2_max_defect == rp2_dense, a
+            rp1_values.add(report.rp1_max_defect)
+            rp2_values.add(report.rp2_max_defect)
+    # the cases reach zero and several nonzero defects of each kind
+    assert 0.0 in rp1_values and len(rp1_values) >= 4
+    assert 0.0 in rp2_values and len(rp2_values) >= 3
+
+
+def _double_quadrature(w, f, M, g):
+    n = len(w)
+    return math.fsum(w[a] * f[a] * M[a, b] * w[b] * g[b]
+                     for a in range(n) for b in range(n))
+
+
+@pytest.mark.parametrize("shape, origin, centers", [
+    ((31,), [-1.5], ([-0.4], [0.1], [0.5])),
+    ((13, 11), [-0.6, -0.5], ([-0.1, 0.0], [0.1, -0.05], [0.15, 0.05])),
+])
+def test_pairings_match_double_quadrature(shape, origin, centers):
+    grid = ds.TestFunctionGrid(origin=origin, spacing=0.1, shape=shape)
+    # a non-symmetric kernel matrix, so a transposed product fails
+    M = np.random.default_rng(0).uniform(0.5, 1.5, size=(grid.size, grid.size))
+    sk = ds.SmearedKernel(grid, M)
+    fs = [ds.bump(grid, c, 0.2) for c in centers]
+    gs = [ds.bump(grid, c, 0.15) for c in centers[1:]]
+    P = sk.pairings(fs, gs)
+    assert P.shape == (3, 2)
+    w = grid.weights()
+    for i, f in enumerate(fs):
+        for j, g in enumerate(gs):
+            ref = _double_quadrature(w, f.flat, M, g.flat)
+            assert P[i, j] == pytest.approx(ref, rel=1e-12)
+            assert sk.pairing(f, g) == pytest.approx(ref, rel=1e-12)
+    assert sk.pairings([], gs).shape == (0, 2)
+    other = ds.TestFunctionGrid(origin=np.add(origin, 0.05), spacing=0.1,
+                                shape=shape)
+    with pytest.raises(GridError):
+        sk.pairings(fs, [ds.bump(other, centers[1], 0.15)])
+
+
+@pytest.mark.parametrize("shape, origin, centers, shift", [
+    ((121,), [-3.0], ([0.5], [1.0], [1.5]), (4,)),
+    ((41, 21), [-2.0, -1.0], ([0.5, 0.0], [1.0, 0.2], [0.8, -0.3]), (3, 0)),
+])
+def test_twisted_gram_and_semigroup_match_entry_definitions(shape, origin,
+                                                            centers, shift):
+    grid = ds.TestFunctionGrid(origin=origin, spacing=0.05 if len(shape) == 1
+                               else 0.1, shape=shape)
+    sk = ds.SmearedKernel.from_distance_profile(
+        ds.ou_mixture_profile([1.0, 2.0], [0.5, 0.5]), grid)
+    setup = ds.ReflectionSetup(grid, 0)
+    fns = [ds.bump(grid, c, 0.3) for c in centers]
+    T = ds.twisted_gram(sk, setup, fns)
+    T_ref = np.array([[sk.pairing(setup.reflect(f), g) for g in fns] for f in fns])
+    assert np.allclose(T, T_ref, rtol=1e-12, atol=0.0)
+    space = ds.os_quotient(sk, setup, fns)
+    assert space.positivity.passed
+    A_ref = np.array([[sk.pairing(setup.reflect(f), ds.translate(g, shift))
+                       for g in fns] for f in fns])
+    S_ref = space.quotient_map @ A_ref @ space.quotient_map.T
+    S = ds.os_semigroup(space, shift[0]).matrix
+    assert np.allclose(S, S_ref, rtol=0.0, atol=1e-12)
+
+
+def test_os_reconstruct_checks_positivity_once(monkeypatch):
+    calls = []
+    check = ds.reflection_positivity_check
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(ds, "reflection_positivity_check", counted)
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                    "os_reconstruct_mixture.json"))
+    assert run_experiment(cfg).passed
+    assert len(calls) == 1
