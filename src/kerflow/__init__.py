@@ -14,6 +14,6 @@ from . import representation, runner
 from .errors import (ClassificationError, CompatibilityError, ConfigError,
                      DegenerateQuotientError, EmptyModelError, FlowDomainError,
                      GridError, KerflowError, KernelDomainError,
-                     MissingProductError, NotHermitianError, PositivityError)
+                     NotHermitianError, PositivityError)
 
 __version__ = "0.1.0"

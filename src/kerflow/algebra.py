@@ -97,37 +97,11 @@ class AlgebraElement:
             raise ValueError("coefficient vector has wrong length")
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def is_real(self) -> bool:
-        return bool(np.all(np.abs(self.coeffs.imag) < 1e-14))
-
-    def in_dual_form(self) -> bool:
-        """True when imaginary parts vanish on h-indices (an h + iq element)."""
-        h = list(self.algebra.h_indices)
-        return bool(np.all(np.abs(self.coeffs[h].imag) < 1e-14)) if h else True
-
-    def tau(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, self.algebra.involution @ self.coeffs)
-
-    def __add__(self, other):
-        self._check(other)
-        return AlgebraElement(self.algebra, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check(other)
-        return AlgebraElement(self.algebra, self.coeffs - other.coeffs)
-
-    def __rmul__(self, scalar):
-        return AlgebraElement(self.algebra, scalar * self.coeffs)
-
-    def _check(self, other):
-        if other.algebra is not self.algebra:
-            raise ValueError("elements belong to different algebras")
-
 
 def algebra_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the structure constants."""
-    a._check(b)
+    if b.algebra is not a.algebra:
+        raise ValueError("elements belong to different algebras")
     coeffs = np.einsum("i,j,ijk->k", a.coeffs, b.coeffs, a.algebra.structure)
     return AlgebraElement(a.algebra, coeffs)
 

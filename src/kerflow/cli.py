@@ -25,13 +25,9 @@ EXIT_NUMERIC_ERROR = 3
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     stem = os.path.splitext(os.path.basename(args.config))[0]
     try:
+        cfg = parse_config(args.config)
         report = run_experiment(cfg, csv_dir=args.csv_dir, csv_stem=stem)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -57,18 +53,11 @@ def _cmd_list_builtins(args) -> int:
     print("experiment kinds:")
     for kind in KINDS:
         print(f"  {kind}")
-    print("\nkernels:")
-    for name, desc in KERNEL_CATALOG.items():
-        print(f"  {name:18s} {desc}")
-    print("\nalgebras:")
-    for name, desc in ALGEBRA_CATALOG.items():
-        print(f"  {name:18s} {desc}")
-    print("\nactions:")
-    for name, desc in ACTION_CATALOG.items():
-        print(f"  {name:18s} {desc}")
-    print("\nvector fields:")
-    for name, desc in FIELD_CATALOG.items():
-        print(f"  {name:18s} {desc}")
+    for title, catalog in (("kernels", KERNEL_CATALOG), ("algebras", ALGEBRA_CATALOG),
+                           ("actions", ACTION_CATALOG), ("vector fields", FIELD_CATALOG)):
+        print(f"\n{title}:")
+        for name, desc in catalog.items():
+            print(f"  {name:18s} {desc}")
     return EXIT_PASS
 
 

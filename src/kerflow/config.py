@@ -53,6 +53,9 @@ _SAMPLES_SPEC = {"type": Rule(str, required=True), "n": Rule(int, at_least=1),
                  "refinement": Rule(list, at_least=1, each=Rule(int, at_least=1)),
                  "x_range": list, "y_range": list, "radii": list,
                  "n_per_circle": int, "include_origin": bool}
+# keys each sample type reads without a default
+_SAMPLE_KEYS = {"chebyshev": ("n",), "uniform_box": ("n",), "grid2d": ("n_side",),
+                "circles": ("radii", "n_per_circle"), "explicit": ("points",)}
 _REQUIRED_OBJECT = Rule(dict, required=True)
 _CELLS = Rule(int, at_least=0)
 
@@ -115,10 +118,22 @@ _OU_MIXTURE_PARAMS = {"masses": Rule(list, required=True, at_least=1,
 _TRANSLATION_SPEC = {"cells": Rule(list, required=True, each=Rule(int))}
 _ALGEBRA_SPEC = {"name": str, "params": dict, "structure_constants": list,
                  "involution": list, "labels": list}
-_CONJ_SPEC = {"x": str, "y": str, "s": (int, float)}
-_INVARIANCE_SPEC = {"pair": list, "epsilon": int, "element": (int, str),
-                    "t_max": (int, float), "step": (int, float)}
-_BUMP_SPEC = {"center": (list, int, float), "width": (int, float)}
+_CONJ_SPEC = {"x": Rule(str, required=True), "y": Rule(str, required=True),
+              "s": Rule((int, float), required=True)}
+_INVARIANCE_SPEC = {"pair": Rule(list, required=True, at_least=2, at_most=2),
+                    "epsilon": Rule(int, required=True),
+                    "element": Rule((int, str), required=True),
+                    "t_max": Rule((int, float), above=0),
+                    "step": Rule((int, float), above=0)}
+_BUMP_SPEC = {"center": Rule((list, int, float), required=True),
+              "width": Rule((int, float), required=True)}
+# params each builtin reads without a default; a name is unique across the
+# kernel, action, field and algebra catalogs
+_REQUIRED_PARAMS = {"ou_mixture": ("masses",), "laplace": ("atoms", "weights"),
+                    "det": ("n", "power"), "matrix_right_multiplication": ("n",),
+                    "constant": ("vector",), "affine": ("matrix",),
+                    "euclidean_motion": ("d", "p", "q"), "abelian": ("d",),
+                    "matrix_involutive": ("n",)}
 
 
 @dataclass(frozen=True)
@@ -134,7 +149,10 @@ class ExperimentConfig:
 
 
 def _check_type(val, expected, path: str):
-    if not isinstance(val, expected if isinstance(expected, tuple) else (expected,)):
+    """A JSON boolean is an integer to Python; it passes only where ``bool``
+    itself is expected."""
+    types = expected if isinstance(expected, tuple) else (expected,)
+    if not isinstance(val, types) or (isinstance(val, bool) and bool not in types):
         raise ConfigError(path, f"expected {expected}, got {type(val).__name__}")
 
 
@@ -187,23 +205,49 @@ def _validate_block(cfg: dict, key: str, spec: dict, path: str):
         _check_block(cfg[key], spec, f"{path}.{key}")
 
 
+def _check_samples(samples: dict, kind: str):
+    """The keys the sample type reads, and a strictly increasing ladder."""
+    if samples["type"] not in _SAMPLE_KEYS:
+        raise ConfigError("$.samples.type", f"unknown sample type {samples['type']!r}")
+    # a refinement ladder gives the sizes, except in compatibility, which
+    # samples once at the configured size
+    sized_by_ladder = "refinement" in samples and kind != "compatibility"
+    for key in _SAMPLE_KEYS[samples["type"]]:
+        if key not in samples and not (sized_by_ladder and key in ("n", "n_side")):
+            raise ConfigError(f"$.samples.{key}", "required")
+    ladder = samples.get("refinement", [])
+    if any(ladder[i + 1] <= ladder[i] for i in range(len(ladder) - 1)):
+        raise ConfigError("$.samples.refinement", "must be strictly increasing")
+
+
 def _resolve_builtin_names(data: dict):
-    """Every referenced builtin name must resolve in its catalog."""
+    """Every referenced builtin name must resolve in its catalog, with the
+    params it reads without a default."""
     from .algebra import ALGEBRA_CATALOG
     from .flows import FIELD_CATALOG
     from .kernels import KERNEL_CATALOG
     from .operators import ACTION_CATALOG
 
     def check(block, catalog, path):
-        if isinstance(block, dict) and "name" in block \
-                and block["name"] not in catalog:
+        if not isinstance(block, dict) or not isinstance(block.get("name"), str):
+            return
+        if block["name"] not in catalog:
             raise ConfigError(f"{path}.name",
                               f"unknown builtin {block['name']!r}")
+        params = block.get("params", {})
+        for key in _REQUIRED_PARAMS.get(block["name"], ()):
+            if isinstance(params, dict) and key not in params:
+                raise ConfigError(f"{path}.params.{key}", "required")
 
     check(data.get("kernel"), KERNEL_CATALOG, "$.kernel")
     check(data.get("action"), ACTION_CATALOG, "$.action")
     check(data.get("field"), FIELD_CATALOG, "$.field")
     check(data.get("algebra"), ALGEBRA_CATALOG, "$.algebra")
+    algebra = data.get("algebra")
+    if isinstance(algebra, dict) and "name" not in algebra:
+        for key in ("structure_constants", "involution"):
+            if key not in algebra:
+                raise ConfigError(f"$.algebra.{key}", "required")
     for i, f in enumerate(data.get("fields", [])):
         check(f, FIELD_CATALOG, f"$.fields[{i}]")
     for i, pair in enumerate(data.get("pairs", [])):
@@ -227,7 +271,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     for name, value in data.get("tolerances", {}).items():
         if name not in tol_defaults:
             raise ConfigError(f"$.tolerances.{name}", "unknown tolerance")
-        if not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"$.tolerances.{name}", "must be a number")
         tol_defaults[name] = float(value)
     _check_rules(data, SCHEMAS[kind], "$")
@@ -249,10 +293,10 @@ def validate_config(data: dict) -> ExperimentConfig:
             _check_block(pair["y"], _FIELD_SPEC, f"$.pairs[{i}].y")
     if kind == "compatibility":
         for i, inv in enumerate(data.get("invariance", [])):
-            _check_keys(inv, _INVARIANCE_SPEC, f"$.invariance[{i}]")
+            _check_block(inv, _INVARIANCE_SPEC, f"$.invariance[{i}]")
     if kind == "os_reconstruct":
         for i, b in enumerate(data.get("bumps", [])):
-            _check_keys(b, _BUMP_SPEC, f"$.bumps[{i}]")
+            _check_block(b, _BUMP_SPEC, f"$.bumps[{i}]")
     if kind in ("os_reconstruct", "rp_axioms") and "kernel" in data:
         if data["kernel"]["name"] != "ou_mixture":
             raise ConfigError("$.kernel.name", f"{kind} runs on the ou_mixture family")
@@ -271,11 +315,8 @@ def validate_config(data: dict) -> ExperimentConfig:
                     raise ConfigError(path, "each shift must be smaller than "
                                             "the grid extent along its axis")
 
-    samples = data.get("samples")
-    if samples and "refinement" in samples:
-        ladder = samples["refinement"]
-        if any(ladder[i + 1] <= ladder[i] for i in range(len(ladder) - 1)):
-            raise ConfigError("$.samples.refinement", "must be strictly increasing")
+    if "samples" in data:
+        _check_samples(data["samples"], kind)
 
     seed = int(data["seed"])
     if os.environ.get("KERFLOW_SEED"):

@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateQuotientError, GridError, PositivityError
+from .errors import (DegenerateQuotientError, EmptyModelError, GridError,
+                     PositivityError)
 from .kernels import GramModel, Kernel, gram_from_matrix
 from .operators import (SYMMETRIC, OperatorCompression, compress_operator,
                         semigroup_matrix)
@@ -359,11 +360,8 @@ class ReflectionSetup:
     def reflect(self, fn: TestFunction) -> TestFunction:
         return reflect(fn, self.axis)
 
-    def positive_mask(self) -> np.ndarray:
-        return slice_mask(self.grid, self.axis)
-
     def in_positive_slice(self, fn: TestFunction) -> bool:
-        return bool(np.all(fn.flat[~self.positive_mask()] == 0.0))
+        return bool(np.all(fn.flat[~slice_mask(self.grid, self.axis)] == 0.0))
 
 
 @dataclass(frozen=True)
@@ -402,8 +400,8 @@ def reflection_positivity_check(sk: SmearedKernel, setup: ReflectionSetup,
 class OSSpace:
     """Quotient of the positive slice by the null space of the reflected form.
 
-    ``quotient_map`` (rank x n) whitens the twisted Gram; discarded
-    eigendirections span the null space at the cutoff resolution.
+    ``quotient_map`` (rank x n) whitens the twisted Gram; the eigendirections
+    it discards span the null space at the cutoff resolution.
     ``positivity`` is the reflection-positivity report the quotient was
     built from.
     """
@@ -416,7 +414,6 @@ class OSSpace:
     rank: int
     rank_cutoff: float
     quotient_map: np.ndarray
-    null_basis: np.ndarray
 
     @property
     def gap_ratio(self) -> float:
@@ -439,16 +436,12 @@ def os_quotient(sk: SmearedKernel, setup: ReflectionSetup,
     if not report.passed:
         raise PositivityError(
             f"reflected pairing is not positive: min/max {report.min_ratio:.3e}")
-    vals, vecs = np.linalg.eigh(report.twisted_gram)
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    lam_max = float(vals[0])
-    rank = int(np.sum(vals > rank_cutoff * lam_max))
-    if rank == 0:
-        raise DegenerateQuotientError("twisted Gram has numerical rank zero")
-    Q = (vecs[:, :rank].T) / np.sqrt(vals[:rank])[:, None]
-    return OSSpace(sk, setup, tuple(fns_plus), report, vals, rank,
-                   rank_cutoff, Q, vecs[:, rank:])
+    try:
+        model = gram_from_matrix(report.twisted_gram, rank_cutoff)
+    except EmptyModelError as exc:
+        raise DegenerateQuotientError("twisted Gram has numerical rank zero") from exc
+    return OSSpace(sk, setup, tuple(fns_plus), report, model.eigenvalues,
+                   model.rank, rank_cutoff, model.whitening)
 
 
 @dataclass(frozen=True)
@@ -477,10 +470,13 @@ def os_semigroup(space: OSSpace, t_cells: int) -> OSSemigroupResult:
 
 
 def os_semigroup_law_defect(space: OSSpace, s_cells: int, t_cells: int) -> float:
-    Ss = os_semigroup(space, s_cells).matrix
-    St = os_semigroup(space, t_cells).matrix
-    Sst = os_semigroup(space, s_cells + t_cells).matrix
-    return float(np.linalg.norm(Ss @ St - Sst))
+    return semigroup_law_defect(*(os_semigroup(space, c).matrix
+                                  for c in (s_cells, t_cells, s_cells + t_cells)))
+
+
+def semigroup_law_defect(S_s: np.ndarray, S_t: np.ndarray, S_st: np.ndarray) -> float:
+    """Frobenius norm of S(s) S(t) - S(s + t), from the three matrices."""
+    return float(np.linalg.norm(S_s @ S_t - S_st))
 
 
 # ---------------------------------------------------------------------------

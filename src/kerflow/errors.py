@@ -41,11 +41,6 @@ class PositivityError(KerflowError):
     """A kernel that must be positive definite is not, beyond tolerance."""
 
 
-class MissingProductError(KerflowError):
-    """A semigroup product left the domain where the positive definite function
-    is evaluable."""
-
-
 class DegenerateQuotientError(KerflowError):
     """The twisted Gram has numerical rank zero; the quotient space is trivial."""
 

@@ -30,14 +30,12 @@ class ChartDomain:
     """Open subset of R^d described by a membership predicate.
 
     ``membership`` must be decidable for every finite point; ``None`` means the
-    whole space.  ``bounding_box`` is an optional (lo, hi) pair used only by
-    samplers, never by the flow itself.  A ``vectorized`` predicate also maps
-    an (n, d) array to n booleans; any other is asked one point at a time.
+    whole space.  A ``vectorized`` predicate also maps an (n, d) array to n
+    booleans; any other is asked one point at a time.
     """
 
     dimension: int
     membership: Optional[Callable[[np.ndarray], bool]] = None
-    bounding_box: Optional[tuple] = None
     vectorized: bool = False
 
     def __post_init__(self):
@@ -61,25 +59,20 @@ class ChartDomain:
         return inside
 
 
-def full_space(dimension: int, box_halfwidth: float = 1.0) -> ChartDomain:
-    lo = -box_halfwidth * np.ones(dimension)
-    return ChartDomain(dimension, None, (lo, -lo), vectorized=True)
+def full_space(dimension: int) -> ChartDomain:
+    return ChartDomain(dimension, None, vectorized=True)
 
 
 def box_chart(lo, hi) -> ChartDomain:
     """Open axis-aligned box; infinite bounds allowed."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     return ChartDomain(lo.size, lambda p: np.all((p > lo) & (p < hi), axis=-1),
-                       (lo, hi), vectorized=True)
-
-
-def halfspace_chart(dimension: int, axis: int = 0, box_halfwidth: float = 3.0) -> ChartDomain:
-    """Open half-space {x[axis] > 0}."""
-    lo = -box_halfwidth * np.ones(dimension)
-    lo[axis] = 0.0
-    hi = box_halfwidth * np.ones(dimension)
-    return ChartDomain(dimension, lambda p: p[..., axis] > 0.0, (lo, hi),
                        vectorized=True)
+
+
+def halfspace_chart(dimension: int, axis: int = 0) -> ChartDomain:
+    """Open half-space {x[axis] > 0}."""
+    return ChartDomain(dimension, lambda p: p[..., axis] > 0.0, vectorized=True)
 
 
 @dataclass(frozen=True)
@@ -247,15 +240,6 @@ def integrate_batch(field: VectorField, starts, t_ends,
         raise FlowDomainError(f"start point {p[~inside][0]} is outside the chart")
     t_ends = np.broadcast_to(np.asarray(t_ends, dtype=float), (len(p),))
     return _advance(field, p, t_ends, step)
-
-
-def discrete_residual(curve: IntegralCurve, field: VectorField) -> float:
-    """Max over steps of ||(p_{k+1}-p_k)/dt - X(midpoint)||; O(step^2) for RK4."""
-    P = curve.points
-    slopes = (P[1:] - P[:-1]) / np.diff(curve.times)[:, None]
-    mids = 0.5 * (P[:-1] + P[1:])
-    return max((float(np.linalg.norm(s - field(m))) for s, m in zip(slopes, mids)),
-               default=0.0)
 
 
 def _rk4_with_jacobian(field: VectorField, start: np.ndarray, t_end: float,

@@ -1,4 +1,4 @@
-"""Positive definite kernels, Gram models, whitening, and the GNS construction.
+"""Positive definite kernels, Gram models, and whitening.
 
 A finite sample m_1..m_N turns a kernel into a Gram matrix; eigenvalue
 truncation at a relative cutoff followed by whitening gives orthonormal
@@ -18,8 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (EmptyModelError, KernelDomainError, MissingProductError,
-                     NotHermitianError)
+from .errors import EmptyModelError, KernelDomainError, NotHermitianError
 
 DEFAULT_RANK_CUTOFF = 1e-12
 DEFAULT_FD_STEP = 1e-5
@@ -40,7 +39,6 @@ class Kernel:
     name: str
     eval_fn: Callable[[np.ndarray, np.ndarray], complex]
     grad1_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    hermitian: bool = True
     h_fd: float = DEFAULT_FD_STEP
     matrix_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     grad1_matrix_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
@@ -49,17 +47,11 @@ class Kernel:
         return complex(self.eval_fn(np.asarray(x, float), np.asarray(y, float)))
 
     def grad1(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         if self.grad1_fn is not None:
-            return np.asarray(self.grad1_fn(x, y), dtype=complex)
-        h = self.h_fd
-        out = np.empty(x.size, dtype=complex)
-        for i in range(x.size):
-            e = np.zeros(x.size)
-            e[i] = h
-            out[i] = (self.eval_fn(x + e, y) - self.eval_fn(x - e, y)) / (2.0 * h)
-        return out
+            return np.asarray(self.grad1_fn(np.asarray(x, float), np.asarray(y, float)),
+                              dtype=complex)
+        # the central differences of ``grad1_matrix``, at one pair
+        return self.grad1_matrix(x, y)[0, 0].astype(complex)
 
     def matrix(self, X, Y) -> np.ndarray:
         """Values K(x_i, y_j), shape (n, m)."""
@@ -181,28 +173,12 @@ def psd_check(model: GramModel, tol: float = 1e-10) -> PsdReport:
     return PsdReport(lam_min, lam_max, tol, lam_min >= -tol * lam_max, vals.copy())
 
 
-def whiten(model: GramModel, rank_cutoff: float) -> GramModel:
-    """Rebuild the whitening at a different rank cutoff (model is immutable)."""
-    vals, vecs = model.eigenvalues, model.eigenvectors
-    lam_max = float(vals[0])
-    if lam_max <= 0.0:
-        raise EmptyModelError("Gram matrix has no positive eigenvalue")
-    rank = int(np.sum(vals > rank_cutoff * lam_max))
-    if rank == 0:
-        raise EmptyModelError("all eigenvalues fall below the rank cutoff")
-    W = (vecs[:, :rank].conj().T) / np.sqrt(vals[:rank])[:, None]
-    return GramModel(model.gram, vals, vecs, rank, rank_cutoff, W,
-                     points=model.points, kernel=model.kernel,
-                     duplicate_points=model.duplicate_points)
-
-
 @dataclass(frozen=True)
 class RKHSVector:
     """Whitened coordinates of a vector in the sample span."""
 
     coords: np.ndarray
     model: GramModel
-    provenance: str = ""
 
     def inner(self, other: "RKHSVector") -> complex:
         # <self, other>, linear in self, conjugate-linear in other
@@ -217,27 +193,24 @@ def embed_index(model: GramModel, i: int) -> RKHSVector:
     """Coordinates of the kernel section at sample point i (exact)."""
     r = model.rank
     coords = np.sqrt(model.eigenvalues[:r]) * model.eigenvectors[i, :r].conj()
-    return RKHSVector(coords, model, provenance=f"K[point {i}]")
+    return RKHSVector(coords, model)
 
 
 def embed_gvector(model: GramModel, g) -> RKHSVector:
     """Coordinates W g for a vector of inner products against the sample."""
-    return RKHSVector(model.whitening @ np.asarray(g), model, provenance="gvector")
+    return RKHSVector(model.whitening @ np.asarray(g), model)
 
 
 def embed_point(model: GramModel, m) -> RKHSVector:
-    """Embed a sample index or a new point.
+    """Embed a new point (``embed_index`` embeds a sample point exactly).
 
-    A new point is projected orthogonally onto the sample span -- an
+    The point is projected orthogonally onto the sample span -- an
     approximation whose residual shrinks only with sample refinement.
     """
-    if isinstance(m, (int, np.integer)):
-        return embed_index(model, int(m))
     if model.points is None or model.kernel is None:
         raise ValueError("model carries no kernel/points; only index embedding works")
     p = np.asarray(m, dtype=float)
-    v = embed_gvector(model, model.kernel.matrix(model.points, p)[:, 0])
-    return RKHSVector(v.coords, model, provenance=f"K[{p}] projected")
+    return embed_gvector(model, model.kernel.matrix(model.points, p)[:, 0])
 
 
 def projection_residual(model: GramModel, m) -> float:
@@ -490,109 +463,3 @@ KERNEL_CATALOG = {
 
 def kernel_from_config(spec: dict) -> Kernel:
     return builtin_kernel(spec["name"], spec.get("params"))
-
-
-# ---------------------------------------------------------------------------
-# GNS construction for positive definite functions on involutive semigroups
-
-
-@dataclass(frozen=True)
-class InvolutiveSemigroupSample:
-    """Finite sample of an involutive semigroup with a function phi on it.
-
-    ``product`` and ``star`` are the semigroup operations; ``phi`` must be
-    evaluable on every product s_i (s_j)* and on right-translated products.
-    The product table indexes products that stay inside the sample; outside
-    products are marked external (None).
-    """
-
-    elements: tuple
-    product: Callable
-    star: Callable
-    phi: Callable
-
-    def __post_init__(self):
-        elems = tuple(np.asarray(e, dtype=float) for e in self.elements)
-        object.__setattr__(self, "elements", elems)
-
-    def product_table(self, match_tol: float = 1e-12):
-        table = []
-        for a in self.elements:
-            row = []
-            for b in self.elements:
-                ab = np.asarray(self.product(a, b), dtype=float)
-                hit = None
-                for k, e in enumerate(self.elements):
-                    if ab.shape == e.shape and np.max(np.abs(ab - e)) <= match_tol:
-                        hit = k
-                        break
-                row.append(hit)
-            table.append(tuple(row))
-        return tuple(table)
-
-    def star_defect(self) -> float:
-        """Max violation of (s*)* = s and (st)* = t* s*."""
-        worst = 0.0
-        for a in self.elements:
-            worst = max(worst, float(np.max(np.abs(
-                np.asarray(self.star(self.star(a))) - a))))
-            for b in self.elements:
-                lhs = np.asarray(self.star(self.product(a, b)))
-                rhs = np.asarray(self.product(self.star(b), self.star(a)))
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst
-
-    def _phi(self, u) -> complex:
-        try:
-            v = complex(self.phi(u))
-        except Exception as exc:
-            raise MissingProductError(
-                f"phi is not evaluable on the product {u!r}") from exc
-        if not np.isfinite(v.real) or not np.isfinite(v.imag):
-            raise MissingProductError(f"phi returned a non-finite value on {u!r}")
-        return v
-
-
-@dataclass(frozen=True)
-class GNSResult:
-    model: GramModel
-    matrices: dict          # element index -> whitened right-translation matrix
-    star_defects: dict      # element index -> || P(s*) - P(s)^dagger ||
-
-    @property
-    def max_star_defect(self) -> float:
-        return max(self.star_defects.values()) if self.star_defects else 0.0
-
-
-def gns_from_pd_function(sample: InvolutiveSemigroupSample,
-                         rank_cutoff: float = DEFAULT_RANK_CUTOFF) -> GNSResult:
-    """Gram of K(s, t) = phi(s t*) plus right-translation matrices.
-
-    Right translation by s sends the section at s_j to the section at
-    s_j s*, so its matrix element against the sample is phi(s_i s (s_j)*);
-    compressing with the whitening map gives a finite *-representation whose
-    adjoint relation P(s*) = P(s)^dagger is checked and reported.
-    """
-    elems = sample.elements
-    n = len(elems)
-    G = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            G[i, j] = sample._phi(sample.product(elems[i], sample.star(elems[j])))
-    model = gram_from_matrix(G, rank_cutoff)
-    W = model.whitening
-
-    def translation_matrix(s) -> np.ndarray:
-        A = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            row = sample.product(elems[i], s)
-            for j in range(n):
-                A[i, j] = sample._phi(sample.product(row, sample.star(elems[j])))
-        return W @ A @ W.conj().T
-
-    matrices = {k: translation_matrix(elems[k]) for k in range(n)}
-    star_defects = {}
-    for k in range(n):
-        P_star = translation_matrix(sample.star(elems[k]))
-        star_defects[k] = float(np.linalg.norm(P_star - matrices[k].conj().T))
-    return GNSResult(model, matrices, star_defects)

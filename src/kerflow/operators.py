@@ -19,8 +19,8 @@ import numpy as np
 from .algebra import AlgebraElement, SymmetricLieAlgebra, algebra_bracket
 from .errors import ClassificationError, FlowDomainError
 from .flows import (DEFAULT_STEP, VectorField, integrate_curve, lie_bracket)
-from .kernels import (GramModel, Kernel, RKHSVector, embed_gvector,
-                      embed_point, projection_residual)
+from .kernels import (GramModel, Kernel, embed_gvector, embed_point,
+                      projection_residual)
 
 DEFAULT_SYMMETRY_TOL = 1e-8
 
@@ -135,16 +135,17 @@ def compatibility_check(kernel: Kernel, action: CompatibleAction, points,
     identity reduces to: fixed-part fields have skew forms, flipped-part
     fields have symmetric forms.
     """
-    alg = action.algebra
-    signs = alg.involution_signs
-    defects = {}
-    for k in range(alg.dim):
-        B = lie_derivative_form(kernel, action.basis_fields[k], points)
-        # L2_{beta(tau x)} K sampled on pairs is sign * conj(B).T
-        defect = float(np.max(np.abs(B + signs[k] * B.conj().T)))
-        defects[alg.labels[k]] = defect
-    passed = all(v <= tol for v in defects.values())
-    return CompatibilityReport(defects, tol, passed)
+    forms = [lie_derivative_form(kernel, f, points) for f in action.basis_fields]
+    return _compatibility_report(action.algebra, forms, tol)
+
+
+def _compatibility_report(alg: SymmetricLieAlgebra, forms,
+                          tol: float) -> CompatibilityReport:
+    """``compatibility_check`` on the derivative forms of the basis fields."""
+    # L2_{beta(tau x)} K sampled on pairs is sign * conj(B).T
+    defects = {label: float(np.max(np.abs(B + sign * B.conj().T)))
+               for label, sign, B in zip(alg.labels, alg.involution_signs, forms)}
+    return CompatibilityReport(defects, tol, all(v <= tol for v in defects.values()))
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,8 @@ def flow_invariance_check(kernel: Kernel, field: VectorField, epsilon: int,
                           tol: float = 1e-8) -> FlowInvarianceReport:
     """Drift of K along the flow: K(Phi_t m, Phi_t n) for skew fields,
     K(Phi_t m, Phi_-t n) for symmetric ones.  Domain exits shorten the
-    reported range instead of failing."""
+    reported range instead of failing, but a pair whose curves reach no time
+    beyond 0 compares nothing and fails."""
     drifts, reached = {}, {}
     for idx, (m, n) in enumerate(pairs):
         m = np.asarray(m, dtype=float)
@@ -179,7 +181,7 @@ def flow_invariance_check(kernel: Kernel, field: VectorField, epsilon: int,
             drift = max(drift, abs(kernel(cm.points[k], cn.points[k]) - base))
         drifts[idx] = float(drift)
         reached[idx] = float(cm.times[k_steps - 1])
-    passed = all(v <= tol for v in drifts.values())
+    passed = all(drifts[i] <= tol and reached[i] != 0.0 for i in drifts)
     return FlowInvarianceReport(drifts, reached, tol, passed)
 
 
@@ -248,19 +250,6 @@ def unitary_matrix(op: OperatorCompression, t: float) -> np.ndarray:
         H = 1j * op.compressed
         return _hermitian_function(H, lambda lam: np.exp(-1j * t * lam))
     raise ClassificationError("unitary mode needs a classified operator")
-
-
-def spectral_apply(op: OperatorCompression, mode: str, t: float,
-                   v: RKHSVector) -> RKHSVector:
-    """Apply exp(tA) (mode 'semigroup') or the unitary exponential (mode
-    'unitary') to a whitened vector."""
-    if mode == "semigroup":
-        M = semigroup_matrix(op, t)
-    elif mode == "unitary":
-        M = unitary_matrix(op, t)
-    else:
-        raise ValueError("mode must be 'semigroup' or 'unitary'")
-    return RKHSVector(M @ v.coords, v.model, provenance=f"{mode}({t})")
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,11 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import SymmetricLieAlgebra, c_dual
-from .errors import (CompatibilityError, EmptyModelError, PositivityError)
+from .algebra import SymmetricLieAlgebra, c_dual, exp_ad
+from .errors import CompatibilityError, EmptyModelError, PositivityError
 from .kernels import GramModel, Kernel, gram, psd_check
 from .operators import (DEFAULT_SYMMETRY_TOL, SKEW, SYMMETRIC, CompatibleAction,
-                        OperatorCompression, compatibility_check,
+                        OperatorCompression, _compatibility_report,
                         compress_operator, lie_derivative_form,
                         symmetry_defects)
 
@@ -41,7 +41,6 @@ class RepresentationTable:
     algebra: SymmetricLieAlgebra
     model: GramModel
     entries: tuple
-    defects: dict              # label -> pre-symmetrization defect
 
     def entry(self, k: int) -> OperatorCompression:
         return self.entries[k]
@@ -89,14 +88,16 @@ def synthesize_cdual_rep(kernel: Kernel, action: CompatibleAction,
     symmetric; a contradiction raises a compatibility error naming the basis
     element rather than reinterpreting the split.
     """
-    alg = action.algebra
-    pts = model.points
+    forms = [lie_derivative_form(kernel, f, model.points) for f in action.basis_fields]
+    return _representation_table(action.algebra, model, forms, tol_sym)
+
+
+def _representation_table(alg: SymmetricLieAlgebra, model: GramModel, forms,
+                          tol_sym: float) -> RepresentationTable:
+    """``synthesize_cdual_rep`` on the derivative forms of the basis fields."""
     entries = []
-    defects = {}
-    for k in range(alg.dim):
-        label = alg.labels[k]
+    for k, (label, B) in enumerate(zip(alg.labels, forms)):
         expected = SKEW if k in alg.h_indices else SYMMETRIC
-        B = lie_derivative_form(kernel, action.basis_fields[k], pts)
         sym, skew, norm = symmetry_defects(B)
         raw = skew if expected == SKEW else sym
         if raw > tol_sym * max(norm, 1e-12):
@@ -105,8 +106,7 @@ def synthesize_cdual_rep(kernel: Kernel, action: CompatibleAction,
                 f"basis element {label!r} violates its {side} class: "
                 f"defect {raw:.3e} vs norm {norm:.3e}")
         entries.append(compress_operator(B, model, expected, tol_sym, label=label))
-        defects[label] = entries[-1].symmetrization_defect
-    return RepresentationTable(alg, model, tuple(entries), defects)
+    return RepresentationTable(alg, model, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -144,13 +144,11 @@ def conjugation_check(rep: RepresentationTable, x: int, y: int, s: float) -> flo
     if x not in alg.h_indices:
         raise ValueError(f"conjugation needs x in the fixed part; "
                          f"{alg.labels[x]!r} is not")
-    dual = c_dual(alg)
     Tx = rep.dual_matrix(x)          # equals the skew entry for x in h
     Ty = rep.dual_matrix(y)
     U = expm(s * Tx)
     Uinv = expm(-s * Tx)
-    w = expm(-s * dual.ad_matrix(np.eye(alg.dim)[x])) @ np.eye(alg.dim)[y]
-    target = rep.dual_combination(w)
+    target = rep.dual_combination(exp_ad(c_dual(alg).basis_element(x), -s)[:, y])
     return float(np.linalg.norm(Uinv @ Ty @ U - target))
 
 
@@ -253,12 +251,15 @@ def luscher_mack_pipeline(elements: Sequence[np.ndarray],
             f"phi is not positive definite on the sample: min/max eigenvalue "
             f"ratio {psd.min_eigenvalue / psd.max_eigenvalue:.3e}")
 
-    compat = compatibility_check(kernel, action, points, tol=tol_sym)
+    # each basis element's derivative form serves both the compatibility
+    # check and the operator table
+    forms = [lie_derivative_form(kernel, f, points) for f in action.basis_fields]
+    compat = _compatibility_report(action.algebra, forms, tol_sym)
     if not compat.passed:
         raise CompatibilityError(
             f"kernel/action compatibility fails: {compat.defects}")
 
-    table = synthesize_cdual_rep(kernel, action, model, tol_sym)
+    table = _representation_table(action.algebra, model, forms, tol_sym)
 
     W = model.whitening
 

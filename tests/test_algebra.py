@@ -29,9 +29,8 @@ def test_iso2_defining_relations(iso2):
 def test_bracket_bilinearity(iso2):
     r = iso2.basis_element(iso2.index_of("r"))
     t1 = iso2.basis_element(iso2.index_of("t1"))
-    lhs = la.algebra_bracket(2.0 * r, 3.0 * t1)
-    rhs = 6.0 * la.algebra_bracket(r, t1)
-    assert np.allclose(lhs.coeffs, rhs.coeffs)
+    lhs = la.algebra_bracket(iso2.element(2.0 * r.coeffs), iso2.element(3.0 * t1.coeffs))
+    assert np.allclose(lhs.coeffs, 6.0 * la.algebra_bracket(r, t1).coeffs)
 
 
 def test_validate_iso2_passes(iso2):

@@ -245,37 +245,25 @@ def test_csv_side_files(tmp_path):
 
 
 def test_gram_spectrum_export(tmp_path):
-    import numpy as np
-    from kerflow import kernels as kk
-    from kerflow.runner import export_gram_spectrum_csv
-    model = kk.gram(kk.builtin_kernel("fock"), np.array([[0.0], [0.5]]))
-    out = tmp_path / "spectrum.csv"
-    export_gram_spectrum_csv(model, str(out))
-    lines = out.read_text().splitlines()
+    cfg = parse_config(os.path.join(CONFIG_DIR, "cdual_abelian.json"))
+    report = run_experiment(cfg, csv_dir=str(tmp_path), csv_stem="abelian")
+    lines = (tmp_path / "abelian__gram_spectrum.csv").read_text().splitlines()
     assert lines[0] == "index,eigenvalue"
-    assert len(lines) == 3
-
-
-def test_operator_defect_export(tmp_path):
-    import numpy as np
-    from kerflow import kernels as kk, operators as op, representation as rp
-    from kerflow.runner import export_operator_defects_csv
-    kernel = kk.builtin_kernel("laplace", {"atoms": [[-1.0], [1.0]],
-                                           "weights": [0.5, 0.5]})
-    action = op.builtin_action("translation", {"dimension": 1})
-    pts = np.linspace(-1, 1, 9)[:, None]
-    table = rp.synthesize_cdual_rep(kernel, action,
-                                    kk.gram(kernel, pts, rank_cutoff=1e-10))
-    out = tmp_path / "defects.csv"
-    export_operator_defects_csv(table, str(out))
-    lines = out.read_text().splitlines()
-    assert lines[0] == "label,epsilon,defect,min_eigenvalue,max_eigenvalue"
-    assert len(lines) == 2
+    assert len(lines) == 1 + len(report.curves["gram_spectrum"]) == 1 + 15
 
 
 def _shipped(stem):
     with open(os.path.join(CONFIG_DIR, stem + ".json")) as handle:
         return json.load(handle)
+
+
+def _drop(*path):
+    """Delete the key at the end of ``path``."""
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        del data[path[-1]]
+    return mutate
 
 
 def _zero_size(key):
@@ -325,6 +313,61 @@ def _zero_size(key):
     pytest.param("os_reconstruct_mixture", lambda d: d.update(law_pairs_cells=[4]),
                  "$.law_pairs_cells[0]", id="os_reconstruct_mixture-bare-pair"),
     ("bracket_order", lambda d: d.pop("pairs"), "$.pairs"),
+    # a JSON boolean is no integer
+    pytest.param("os_reconstruct_ou", lambda d: d.update(times_cells=[True]),
+                 "$.times_cells[0]", id="bool-times-cells"),
+    pytest.param("os_reconstruct_ou", lambda d: d.update(seed=True), "$.seed",
+                 id="bool-seed"),
+    pytest.param("compatibility", lambda d: d["tolerances"].update(invariance=False),
+                 "$.tolerances.invariance", id="bool-tolerance"),
+    # keys a sample type reads
+    pytest.param("cdual_abelian", _drop("samples", "n"), "$.samples.n",
+                 id="chebyshev-without-n"),
+    pytest.param("cdual_halfplane",
+                 lambda d: [d["samples"].pop(k) for k in ("n_side", "refinement")],
+                 "$.samples.n_side", id="grid2d-without-n-side"),
+    pytest.param("compatibility",
+                 lambda d: (d["samples"].pop("n"), d["samples"].update(refinement=[5, 9])),
+                 "$.samples.n", id="compatibility-ladder-without-n"),
+    pytest.param("compatibility", lambda d: d["samples"].update(type="circles"),
+                 "$.samples.radii", id="circles-without-radii"),
+    pytest.param("compatibility",
+                 lambda d: d["samples"].update(type="circles", radii=[0.5]),
+                 "$.samples.n_per_circle", id="circles-without-count"),
+    pytest.param("compatibility", lambda d: d["samples"].update(type="explicit"),
+                 "$.samples.points", id="explicit-without-points"),
+    pytest.param("compatibility", lambda d: d["samples"].update(type="nope"),
+                 "$.samples.type", id="unknown-sample-type"),
+    # params a builtin reads without a default
+    pytest.param("froelich_rank1", _drop("field", "params"), "$.field.params.vector",
+                 id="constant-without-vector"),
+    pytest.param("froelich_rank1", _drop("kernel", "params", "atoms"),
+                 "$.kernel.params.atoms", id="laplace-without-atoms"),
+    pytest.param("froelich_rank1",
+                 lambda d: d.update(kernel={"name": "det", "params": {"power": 2}}),
+                 "$.kernel.params.n", id="det-without-n"),
+    pytest.param("flow_laws", _drop("fields", 1, "params", "matrix"),
+                 "$.fields[1].params.matrix", id="affine-without-matrix"),
+    pytest.param("bracket_order", _drop("pairs", 1, "y", "params", "vector"),
+                 "$.pairs[1].y.params.vector", id="pair-field-without-vector"),
+    pytest.param("cdual_abelian",
+                 lambda d: d.update(action={"name": "matrix_right_multiplication"}),
+                 "$.action.params.n", id="matrix-action-without-n"),
+    pytest.param("cdual_abelian", lambda d: d.update(algebra={"name": "abelian"}),
+                 "$.algebra.params.d", id="abelian-without-d"),
+    pytest.param("cdual_abelian", _drop("algebra", "involution"),
+                 "$.algebra.involution", id="custom-algebra-without-involution"),
+    # keys the other blocks read
+    pytest.param("compatibility", lambda d: d["invariance"][0].update(t_max=0.0),
+                 "$.invariance[0].t_max", id="invariance-zero-t-max"),
+    pytest.param("compatibility", lambda d: d["invariance"][0].update(step=-1e-3),
+                 "$.invariance[0].step", id="invariance-negative-step"),
+    pytest.param("compatibility", _drop("invariance", 0, "pair"),
+                 "$.invariance[0].pair", id="invariance-without-pair"),
+    pytest.param("cdual_euclidean", _drop("conjugation", "s"), "$.conjugation.s",
+                 id="conjugation-without-s"),
+    pytest.param("os_reconstruct_ou", _drop("bumps", 0, "width"), "$.bumps[0].width",
+                 id="bump-without-width"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
     data = _shipped(stem)
@@ -346,6 +389,32 @@ def test_compatibility_without_invariance_compares_nothing(tmp_path, capsys):
     assert code == 0
     drift = checks["invariance_max_drift"]
     assert drift["value"] is None and drift["passed"] is None
+    assert checks["compatibility_max_defect"]["passed"] is True
+
+
+# on the half-plane x1 > 0, t1 flows along (-1, 0): a curve from x1 = 1e-4
+# leaves the chart within its first step, so its pair compares nothing
+_STUCK_PAIR = {"pair": [[1e-4, 0.0], [1.0, 0.0]], "epsilon": 1, "element": "t1"}
+_MOVING_PAIR = {"pair": [[1.0, 0.0], [1.5, 0.2]], "epsilon": 1, "element": "t1"}
+
+
+@pytest.mark.parametrize("pairs, compared", [
+    ([_STUCK_PAIR], False),
+    ([_MOVING_PAIR, _STUCK_PAIR], True),
+])
+def test_invariance_pair_reaching_no_time_fails(tmp_path, capsys, pairs, compared):
+    code, checks = _run_checks(tmp_path, capsys, {
+        "kind": "compatibility", "seed": 1,
+        "kernel": {"name": "halfplane_bessel", "params": {"mass": 1.0}},
+        "action": {"name": "euclidean", "params": {"p": 1, "q": 1, "domain": "halfplane"}},
+        "samples": {"type": "grid2d", "n_side": 3, "x_range": [0.2, 2.2],
+                    "y_range": [-1.0, 1.0]},
+        "invariance": [dict(p, t_max=0.2, step=1e-3) for p in pairs],
+    })
+    drift = checks["invariance_max_drift"]
+    assert code == cli.EXIT_CHECK_FAILURE
+    assert drift["passed"] is False
+    assert (drift["value"] is not None) == compared
     assert checks["compatibility_max_defect"]["passed"] is True
 
 

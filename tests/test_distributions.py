@@ -8,7 +8,7 @@ from kerflow import distributions as ds
 from kerflow import flows as fl
 from kerflow.config import parse_config
 from kerflow.runner import run_experiment
-from kerflow.errors import GridError, PositivityError
+from kerflow.errors import DegenerateQuotientError, GridError, PositivityError
 
 
 @pytest.fixture
@@ -481,3 +481,27 @@ def test_os_reconstruct_checks_positivity_once(monkeypatch):
                                     "os_reconstruct_mixture.json"))
     assert run_experiment(cfg).passed
     assert len(calls) == 1
+
+
+def test_os_reconstruct_computes_each_transfer_time_once(monkeypatch):
+    # times 4 and 10 and the law pair (4, 10) need the cell counts 4, 10, 14
+    calls = []
+    semigroup = ds.os_semigroup
+
+    def counted(space, cells):
+        calls.append(cells)
+        return semigroup(space, cells)
+
+    monkeypatch.setattr(ds, "os_semigroup", counted)
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                    "os_reconstruct_mixture.json"))
+    assert run_experiment(cfg).passed
+    assert sorted(calls) == [4, 10, 14]
+
+
+def test_rank_zero_quotient_raises(ou_smeared, line_grid):
+    # a relative cutoff of 1 keeps no eigenvalue of a positive twisted Gram
+    setup = ds.ReflectionSetup(line_grid, 0)
+    with pytest.raises(DegenerateQuotientError):
+        ds.os_quotient(ou_smeared, setup, [ds.bump(line_grid, [0.5], 0.3)],
+                       rank_cutoff=1.0)

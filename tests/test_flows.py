@@ -45,15 +45,6 @@ def test_step_failure_on_nonfinite_field():
     assert c.terminated_early and c.exit_reason == fl.EXIT_STEP_FAILURE
 
 
-def test_discrete_residual_second_order():
-    f = fl.rotation_field()
-    res = []
-    for step in (1e-2, 5e-3):
-        c = fl.integrate_curve(f, [1.0, 0.0], 0.5, step)
-        res.append(fl.discrete_residual(c, f))
-    assert res[0] / res[1] == pytest.approx(4.0, rel=0.2)
-
-
 def test_flow_map_identity_at_zero():
     f = fl.rotation_field()
     pts = np.array([[1.0, 2.0], [-0.5, 0.3]])

