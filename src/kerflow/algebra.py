@@ -308,3 +308,6 @@ ALGEBRA_CATALOG = {
     "abelian": "R^d, zero bracket, involution -1",
     "matrix_involutive": "gl(n, R) with a -> -a^T; h = so(n), q = sym(n)",
 }
+# params a builtin algebra reads without a default; validation requires them
+REQUIRED_ALGEBRA_PARAMS = {"euclidean_motion": ("d", "p", "q"), "abelian": ("d",),
+                           "matrix_involutive": ("n",)}

@@ -53,9 +53,6 @@ _SAMPLES_SPEC = {"type": Rule(str, required=True), "n": Rule(int, at_least=1),
                  "refinement": Rule(list, at_least=1, each=Rule(int, at_least=1)),
                  "x_range": list, "y_range": list, "radii": list,
                  "n_per_circle": int, "include_origin": bool}
-# keys each sample type reads without a default
-_SAMPLE_KEYS = {"chebyshev": ("n",), "uniform_box": ("n",), "grid2d": ("n_side",),
-                "circles": ("radii", "n_per_circle"), "explicit": ("points",)}
 _REQUIRED_OBJECT = Rule(dict, required=True)
 _CELLS = Rule(int, at_least=0)
 
@@ -127,13 +124,6 @@ _INVARIANCE_SPEC = {"pair": Rule(list, required=True, at_least=2, at_most=2),
                     "step": Rule((int, float), above=0)}
 _BUMP_SPEC = {"center": Rule((list, int, float), required=True),
               "width": Rule((int, float), required=True)}
-# params each builtin reads without a default; a name is unique across the
-# kernel, action, field and algebra catalogs
-_REQUIRED_PARAMS = {"ou_mixture": ("masses",), "laplace": ("atoms", "weights"),
-                    "det": ("n", "power"), "matrix_right_multiplication": ("n",),
-                    "constant": ("vector",), "affine": ("matrix",),
-                    "euclidean_motion": ("d", "p", "q"), "abelian": ("d",),
-                    "matrix_involutive": ("n",)}
 
 
 @dataclass(frozen=True)
@@ -207,12 +197,14 @@ def _validate_block(cfg: dict, key: str, spec: dict, path: str):
 
 def _check_samples(samples: dict, kind: str):
     """The keys the sample type reads, and a strictly increasing ladder."""
-    if samples["type"] not in _SAMPLE_KEYS:
+    from .runner import SAMPLE_KEYS
+
+    if samples["type"] not in SAMPLE_KEYS:
         raise ConfigError("$.samples.type", f"unknown sample type {samples['type']!r}")
     # a refinement ladder gives the sizes, except in compatibility, which
     # samples once at the configured size
     sized_by_ladder = "refinement" in samples and kind != "compatibility"
-    for key in _SAMPLE_KEYS[samples["type"]]:
+    for key in SAMPLE_KEYS[samples["type"]]:
         if key not in samples and not (sized_by_ladder and key in ("n", "n_side")):
             raise ConfigError(f"$.samples.{key}", "required")
     ladder = samples.get("refinement", [])
@@ -223,37 +215,39 @@ def _check_samples(samples: dict, kind: str):
 def _resolve_builtin_names(data: dict):
     """Every referenced builtin name must resolve in its catalog, with the
     params it reads without a default."""
-    from .algebra import ALGEBRA_CATALOG
-    from .flows import FIELD_CATALOG
-    from .kernels import KERNEL_CATALOG
-    from .operators import ACTION_CATALOG
+    from .algebra import ALGEBRA_CATALOG, REQUIRED_ALGEBRA_PARAMS
+    from .flows import FIELD_CATALOG, REQUIRED_FIELD_PARAMS
+    from .kernels import KERNEL_CATALOG, REQUIRED_KERNEL_PARAMS
+    from .operators import ACTION_CATALOG, REQUIRED_ACTION_PARAMS
 
-    def check(block, catalog, path):
+    def check(block, catalog, required, path):
         if not isinstance(block, dict) or not isinstance(block.get("name"), str):
             return
         if block["name"] not in catalog:
             raise ConfigError(f"{path}.name",
                               f"unknown builtin {block['name']!r}")
         params = block.get("params", {})
-        for key in _REQUIRED_PARAMS.get(block["name"], ()):
+        for key in required.get(block["name"], ()):
             if isinstance(params, dict) and key not in params:
                 raise ConfigError(f"{path}.params.{key}", "required")
 
-    check(data.get("kernel"), KERNEL_CATALOG, "$.kernel")
-    check(data.get("action"), ACTION_CATALOG, "$.action")
-    check(data.get("field"), FIELD_CATALOG, "$.field")
-    check(data.get("algebra"), ALGEBRA_CATALOG, "$.algebra")
+    check(data.get("kernel"), KERNEL_CATALOG, REQUIRED_KERNEL_PARAMS, "$.kernel")
+    check(data.get("action"), ACTION_CATALOG, REQUIRED_ACTION_PARAMS, "$.action")
+    check(data.get("field"), FIELD_CATALOG, REQUIRED_FIELD_PARAMS, "$.field")
+    check(data.get("algebra"), ALGEBRA_CATALOG, REQUIRED_ALGEBRA_PARAMS, "$.algebra")
     algebra = data.get("algebra")
     if isinstance(algebra, dict) and "name" not in algebra:
         for key in ("structure_constants", "involution"):
             if key not in algebra:
                 raise ConfigError(f"$.algebra.{key}", "required")
     for i, f in enumerate(data.get("fields", [])):
-        check(f, FIELD_CATALOG, f"$.fields[{i}]")
+        check(f, FIELD_CATALOG, REQUIRED_FIELD_PARAMS, f"$.fields[{i}]")
     for i, pair in enumerate(data.get("pairs", [])):
         if isinstance(pair, dict):
-            check(pair.get("x"), FIELD_CATALOG, f"$.pairs[{i}].x")
-            check(pair.get("y"), FIELD_CATALOG, f"$.pairs[{i}].y")
+            check(pair.get("x"), FIELD_CATALOG, REQUIRED_FIELD_PARAMS,
+                  f"$.pairs[{i}].x")
+            check(pair.get("y"), FIELD_CATALOG, REQUIRED_FIELD_PARAMS,
+                  f"$.pairs[{i}].y")
 
 
 def validate_config(data: dict) -> ExperimentConfig:

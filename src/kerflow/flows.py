@@ -361,3 +361,5 @@ FIELD_CATALOG = {
     "quad_swirl": "quadratic planar field (y^2, x)",
     "quadratic1d": "x^2 on the chart (-inf, 1); blows up in finite time",
 }
+# params a builtin field reads without a default; validation requires them
+REQUIRED_FIELD_PARAMS = {"constant": ("vector",), "affine": ("matrix",)}

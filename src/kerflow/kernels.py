@@ -459,6 +459,9 @@ KERNEL_CATALOG = {
     "halfplane_bessel": "2 K0(m |(x1+y1, x2-y2)|) on the half-plane x1 > 0",
     "det": "det(1 - x y^T)^(-s) on contractive matrices",
 }
+# params a builtin kernel reads without a default; validation requires them
+REQUIRED_KERNEL_PARAMS = {"ou_mixture": ("masses",), "laplace": ("atoms", "weights"),
+                          "det": ("n", "power")}
 
 
 def kernel_from_config(spec: dict) -> Kernel:

@@ -135,16 +135,13 @@ def compatibility_check(kernel: Kernel, action: CompatibleAction, points,
     identity reduces to: fixed-part fields have skew forms, flipped-part
     fields have symmetric forms.
     """
-    forms = [lie_derivative_form(kernel, f, points) for f in action.basis_fields]
-    return _compatibility_report(action.algebra, forms, tol)
-
-
-def _compatibility_report(alg: SymmetricLieAlgebra, forms,
-                          tol: float) -> CompatibilityReport:
-    """``compatibility_check`` on the derivative forms of the basis fields."""
-    # L2_{beta(tau x)} K sampled on pairs is sign * conj(B).T
-    defects = {label: float(np.max(np.abs(B + sign * B.conj().T)))
-               for label, sign, B in zip(alg.labels, alg.involution_signs, forms)}
+    alg = action.algebra
+    defects = {}
+    for label, sign, field in zip(alg.labels, alg.involution_signs,
+                                  action.basis_fields):
+        B = lie_derivative_form(kernel, field, points)
+        # L2_{beta(tau x)} K sampled on pairs is sign * conj(B).T
+        defects[label] = float(np.max(np.abs(B + sign * B.conj().T)))
     return CompatibilityReport(defects, tol, all(v <= tol for v in defects.values()))
 
 
@@ -373,6 +370,8 @@ ACTION_CATALOG = {
     "euclidean": "planar motions on R^2; involution by conjugation with diag(-I_p, I_q)",
     "matrix_right_multiplication": "gl(n) acting on a matrix ball by g -> g x",
 }
+# params a builtin action reads without a default; validation requires them
+REQUIRED_ACTION_PARAMS = {"matrix_right_multiplication": ("n",)}
 
 
 def action_from_config(spec: dict) -> CompatibleAction:

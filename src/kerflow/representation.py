@@ -24,7 +24,7 @@ from .algebra import SymmetricLieAlgebra, c_dual, exp_ad
 from .errors import CompatibilityError, EmptyModelError, PositivityError
 from .kernels import GramModel, Kernel, gram, psd_check
 from .operators import (DEFAULT_SYMMETRY_TOL, SKEW, SYMMETRIC, CompatibleAction,
-                        OperatorCompression, _compatibility_report,
+                        OperatorCompression, compatibility_check,
                         compress_operator, lie_derivative_form,
                         symmetry_defects)
 
@@ -88,16 +88,11 @@ def synthesize_cdual_rep(kernel: Kernel, action: CompatibleAction,
     symmetric; a contradiction raises a compatibility error naming the basis
     element rather than reinterpreting the split.
     """
-    forms = [lie_derivative_form(kernel, f, model.points) for f in action.basis_fields]
-    return _representation_table(action.algebra, model, forms, tol_sym)
-
-
-def _representation_table(alg: SymmetricLieAlgebra, model: GramModel, forms,
-                          tol_sym: float) -> RepresentationTable:
-    """``synthesize_cdual_rep`` on the derivative forms of the basis fields."""
+    alg = action.algebra
     entries = []
-    for k, (label, B) in enumerate(zip(alg.labels, forms)):
+    for k, (label, field) in enumerate(zip(alg.labels, action.basis_fields)):
         expected = SKEW if k in alg.h_indices else SYMMETRIC
+        B = lie_derivative_form(kernel, field, model.points)
         sym, skew, norm = symmetry_defects(B)
         raw = skew if expected == SKEW else sym
         if raw > tol_sym * max(norm, 1e-12):
@@ -251,15 +246,12 @@ def luscher_mack_pipeline(elements: Sequence[np.ndarray],
             f"phi is not positive definite on the sample: min/max eigenvalue "
             f"ratio {psd.min_eigenvalue / psd.max_eigenvalue:.3e}")
 
-    # each basis element's derivative form serves both the compatibility
-    # check and the operator table
-    forms = [lie_derivative_form(kernel, f, points) for f in action.basis_fields]
-    compat = _compatibility_report(action.algebra, forms, tol_sym)
+    compat = compatibility_check(kernel, action, points, tol=tol_sym)
     if not compat.passed:
         raise CompatibilityError(
             f"kernel/action compatibility fails: {compat.defects}")
 
-    table = _representation_table(action.algebra, model, forms, tol_sym)
+    table = synthesize_cdual_rep(kernel, action, model, tol_sym)
 
     W = model.whitening
 

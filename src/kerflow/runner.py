@@ -69,6 +69,11 @@ class ExperimentReport:
         return json.dumps(self.to_dict(stable_output), indent=2, sort_keys=True)
 
 
+# keys each sample type reads without a default; validation requires them
+SAMPLE_KEYS = {"chebyshev": ("n",), "uniform_box": ("n",), "grid2d": ("n_side",),
+               "circles": ("radii", "n_per_circle"), "explicit": ("points",)}
+
+
 def _sample_points(spec: dict, rng: np.random.Generator, size: Optional[int] = None):
     """Realize a sample spec; ``size`` overrides the configured count so the
     same spec can be replayed along a refinement ladder."""
@@ -99,8 +104,9 @@ def _sample_points(spec: dict, rng: np.random.Generator, size: Optional[int] = N
         ang = 2 * np.pi * np.arange(n_per) / n_per
         return np.array([[r * np.cos(a), r * np.sin(a)]
                          for r in radii for a in ang])
-    # the schema admits no other sample type
-    return np.asarray(spec["points"], dtype=float)
+    if kind == "explicit":
+        return np.asarray(spec["points"], dtype=float)
+    raise ConfigError("$.samples.type", f"unknown sample type {kind!r}")
 
 
 def _gram_ladder(cfg: ExperimentConfig, kernel, cutoff: float):

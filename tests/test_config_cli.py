@@ -1,12 +1,14 @@
+import importlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from kerflow import cli
 from kerflow.config import parse_config, validate_config
 from kerflow.errors import ConfigError
-from kerflow.runner import run_experiment
+from kerflow.runner import SAMPLE_KEYS, _sample_points, run_experiment
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -188,7 +190,6 @@ def test_cli_numeric_error_exit(tmp_path, capsys):
 
 
 def test_declared_algebra_consistency(tmp_path):
-    import numpy as np
     from kerflow.algebra import abelian
     alg = abelian(1)
     base = {
@@ -379,6 +380,42 @@ def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_
     for command in ("validate", "run"):
         assert cli.main([command, path]) == cli.EXIT_CONFIG_ERROR
         assert f"config error: {json_path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module, build, catalog, required", [
+    ("kernels", "builtin_kernel", "KERNEL_CATALOG", "REQUIRED_KERNEL_PARAMS"),
+    ("flows", "builtin_field", "FIELD_CATALOG", "REQUIRED_FIELD_PARAMS"),
+    ("algebra", "builtin_algebra", "ALGEBRA_CATALOG", "REQUIRED_ALGEBRA_PARAMS"),
+    ("operators", "builtin_action", "ACTION_CATALOG", "REQUIRED_ACTION_PARAMS"),
+])
+def test_required_params_match_the_builders(module, build, catalog, required):
+    # a builtin built without params fails exactly when it declares a
+    # required param, so validation and the builder cannot drift apart
+    mod = importlib.import_module(f"kerflow.{module}")
+    declared = getattr(mod, required)
+    assert set(declared) <= set(getattr(mod, catalog))
+    for name in getattr(mod, catalog):
+        if name in declared:
+            with pytest.raises(KeyError) as err:
+                getattr(mod, build)(name, {})
+            assert err.value.args[0] in declared[name]
+        else:
+            getattr(mod, build)(name, {})
+
+
+def test_sample_keys_match_the_sampler():
+    given = {"n": 3, "n_side": 2, "radii": [0.5], "n_per_circle": 3,
+             "points": [[0.0]]}
+    rng = np.random.default_rng(0)
+    for kind, keys in SAMPLE_KEYS.items():
+        assert len(_sample_points({"type": kind, **{k: given[k] for k in keys}}, rng))
+        for key in keys:
+            spec = {"type": kind, **{k: given[k] for k in keys if k != key}}
+            with pytest.raises(KeyError):
+                _sample_points(spec, rng)
+    # an unvalidated spec with an unknown type is still a config error
+    with pytest.raises(ConfigError):
+        _sample_points({"type": "nope"}, rng)
 
 
 def test_compatibility_without_invariance_compares_nothing(tmp_path, capsys):

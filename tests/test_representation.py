@@ -231,25 +231,6 @@ def test_pipeline_determinant_kernel():
     assert table.max_skew_defect <= 1e-8
 
 
-def test_pipeline_builds_each_form_once(monkeypatch):
-    # the compatibility check and the operator table share the forms
-    calls = []
-    form = op.lie_derivative_form
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return form(*args, **kwargs)
-
-    monkeypatch.setattr(op, "lie_derivative_form", counted)
-    monkeypatch.setattr(rp, "lie_derivative_form", counted)
-    rng = np.random.default_rng(4)
-    elems = [0.5 * raw / np.linalg.norm(raw, 2) for raw in rng.normal(size=(6, 2, 2))]
-    action = op.builtin_action("matrix_right_multiplication", {"n": 2})
-    rp.luscher_mack_pipeline(
-        elems, lambda u: float(np.linalg.det(np.eye(2) - u) ** -2.0), action)
-    assert len(calls) == action.algebra.dim == 4
-
-
 def test_pipeline_rejects_non_positive_function():
     elems = [np.array([[s]]) for s in (0.3, 0.6)]
     action = op.builtin_action("matrix_right_multiplication", {"n": 1})
