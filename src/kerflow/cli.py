@@ -1,7 +1,8 @@
 """Batch command line: run experiment configs, validate them, list builtins.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
-3 numeric or domain error.  KERFLOW_SEED overrides the config seed.
+3 numeric or domain error, or any other error raised while running.
+KERFLOW_SEED overrides the config seed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 
 from .algebra import ALGEBRA_CATALOG
 from .config import KINDS, parse_config
-from .errors import ConfigError, KerflowError
+from .errors import ConfigError
 from .flows import FIELD_CATALOG
 from .kernels import KERNEL_CATALOG
 from .operators import ACTION_CATALOG
@@ -32,7 +33,7 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except KerflowError as exc:
+    except Exception as exc:    # exit 1 stays reserved for a failed check
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
     print(report.to_json(stable_output=args.stable_output))

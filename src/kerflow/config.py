@@ -35,8 +35,9 @@ TOLERANCES = {
 @dataclass(frozen=True)
 class Rule:
     """A key's allowed types plus what is checked once the types hold: the
-    key may be required, a number, or a list's length, may be bounded, and
-    every entry of a list may have to satisfy a rule of its own."""
+    key may be required, a number, or a list's length, may be bounded, every
+    entry of a list may have to satisfy a rule of its own, and an object
+    value is checked against a key table of its own."""
 
     types: object
     required: bool = False
@@ -44,52 +45,75 @@ class Rule:
     at_least: Optional[int] = None      # value or list length must reach this
     at_most: Optional[int] = None       # value or list length must not exceed this
     each: Optional["Rule"] = None       # rule for every entry of a list value
+    spec: Optional[dict] = None         # key table of an object value
 
 
+# key tables of the nested objects
 _FIELD_SPEC = {"name": Rule(str, required=True), "params": dict}
-_SAMPLES_SPEC = {"type": Rule(str, required=True), "n": Rule(int, at_least=1),
-                 "n_side": Rule(int, at_least=1), "halfwidth": (int, float),
-                 "dimension": int, "points": list,
-                 "refinement": Rule(list, at_least=1, each=Rule(int, at_least=1)),
-                 "x_range": list, "y_range": list, "radii": list,
-                 "n_per_circle": int, "include_origin": bool}
-_REQUIRED_OBJECT = Rule(dict, required=True)
+_FIELD = Rule(dict, required=True, spec=_FIELD_SPEC)
+_SAMPLES = Rule(dict, required=True, spec={
+    "type": Rule(str, required=True), "n": Rule(int, at_least=1),
+    "n_side": Rule(int, at_least=1), "halfwidth": (int, float),
+    "dimension": int, "points": list,
+    "refinement": Rule(list, at_least=1, each=Rule(int, at_least=1)),
+    "x_range": list, "y_range": list, "radii": list,
+    "n_per_circle": int, "include_origin": bool})
+_ALGEBRA = Rule(dict, spec={"name": str, "params": dict, "structure_constants": list,
+                            "involution": list, "labels": list})
+_GRID = Rule(dict, required=True, spec={
+    "origin": Rule((list, int, float), required=True),
+    "spacing": Rule((int, float), required=True),
+    "shape": Rule((list, int), required=True, each=Rule(int)), "margin": int})
+_TRANSLATIONS = Rule(list, each=Rule(dict, spec={"cells": Rule(list, required=True,
+                                                               each=Rule(int))}))
 _CELLS = Rule(int, at_least=0)
+_PAIR = Rule(list, at_least=2, at_most=2, each=Rule((int, float)))
 
 # allowed top-level keys per kind (beyond kind/seed/tolerances)
 SCHEMAS = {
     "flow_laws": {
-        "fields": Rule(list, required=True, at_least=1),
+        "fields": Rule(list, required=True, at_least=1, each=_FIELD),
         "n_points": Rule(int, at_least=1),
         "step": Rule((int, float), above=0),
         "t_range": Rule((int, float), above=0),
         "n_time_samples": Rule(int, at_least=1),
     },
     "bracket_order": {
-        "pairs": Rule(list, required=True), "n_points": int, "h_ladder": list,
+        "pairs": Rule(list, required=True,
+                      each=Rule(dict, spec={"x": _FIELD, "y": _FIELD})),
+        "n_points": int, "h_ladder": list,
     },
     "compatibility": {
-        "kernel": _REQUIRED_OBJECT, "action": _REQUIRED_OBJECT, "algebra": dict,
-        "samples": _REQUIRED_OBJECT, "invariance": list,
+        "kernel": _FIELD, "action": _FIELD, "algebra": _ALGEBRA, "samples": _SAMPLES,
+        "invariance": Rule(list, each=Rule(dict, spec={
+            "pair": Rule(list, required=True, at_least=2, at_most=2),
+            "epsilon": Rule(int, required=True),
+            "element": Rule((int, str), required=True),
+            "t_max": Rule((int, float), above=0),
+            "step": Rule((int, float), above=0)})),
     },
     "froelich": {
-        "kernel": _REQUIRED_OBJECT, "field": _REQUIRED_OBJECT,
-        "samples": _REQUIRED_OBJECT, "start_point": list, "time": (int, float),
+        "kernel": _FIELD, "field": _FIELD, "samples": _SAMPLES,
+        "start_point": list, "time": (int, float),
         "step": (int, float), "rank_cutoff": (int, float),
     },
     "cdual_rep": {
-        "kernel": _REQUIRED_OBJECT, "action": _REQUIRED_OBJECT, "algebra": dict,
-        "samples": _REQUIRED_OBJECT, "unitary_times": list, "conjugation": dict,
-        "rank_cutoff": (int, float),
+        "kernel": _FIELD, "action": _FIELD, "algebra": _ALGEBRA, "samples": _SAMPLES,
+        "unitary_times": list, "rank_cutoff": (int, float),
+        "conjugation": Rule(dict, spec={"x": Rule(str, required=True),
+                                        "y": Rule(str, required=True),
+                                        "s": Rule((int, float), required=True)}),
     },
     "luscher_mack": {
         "variant": str, "exponent": (int, float), "power": (int, float),
-        "n_samples": int, "interval": list, "matrix_size": int,
-        "spectral_range": list, "rank_cutoff": (int, float),
+        "n_samples": int, "interval": _PAIR, "matrix_size": int,
+        "spectral_range": _PAIR, "rank_cutoff": (int, float),
     },
     "os_reconstruct": {
-        "grid": _REQUIRED_OBJECT, "kernel": _REQUIRED_OBJECT,
-        "bumps": Rule(list, required=True, at_least=1),
+        "grid": _GRID, "kernel": _FIELD,
+        "bumps": Rule(list, required=True, at_least=1, each=Rule(dict, spec={
+            "center": Rule((list, int, float), required=True),
+            "width": Rule((int, float), required=True)})),
         "expected_rank": Rule(int, required=True),
         # transfer times are cell counts along the direction away from the
         # reflection hyperplane, so never negative
@@ -99,31 +123,15 @@ SCHEMAS = {
         "rank_cutoff": (int, float),
     },
     "rp_axioms": {
-        "grid": _REQUIRED_OBJECT, "kernel": dict, "translations": list,
-        "parallel_translations": list,
+        "grid": _GRID, "kernel": Rule(dict, spec=_FIELD_SPEC),
+        "translations": _TRANSLATIONS, "parallel_translations": _TRANSLATIONS,
     },
 }
 
-_GRID_SPEC = {"origin": Rule((list, int, float), required=True),
-              "spacing": Rule((int, float), required=True),
-              "shape": Rule((list, int), required=True, each=Rule(int)),
-              "margin": int}
 # the grid kinds smear an ou_mixture kernel through its distance profile
 _OU_MIXTURE_PARAMS = {"masses": Rule(list, required=True, at_least=1,
                                      each=Rule((int, float), above=0)),
                       "weights": Rule(list, each=Rule((int, float), above=0))}
-_TRANSLATION_SPEC = {"cells": Rule(list, required=True, each=Rule(int))}
-_ALGEBRA_SPEC = {"name": str, "params": dict, "structure_constants": list,
-                 "involution": list, "labels": list}
-_CONJ_SPEC = {"x": Rule(str, required=True), "y": Rule(str, required=True),
-              "s": Rule((int, float), required=True)}
-_INVARIANCE_SPEC = {"pair": Rule(list, required=True, at_least=2, at_most=2),
-                    "epsilon": Rule(int, required=True),
-                    "element": Rule((int, str), required=True),
-                    "t_max": Rule((int, float), above=0),
-                    "step": Rule((int, float), above=0)}
-_BUMP_SPEC = {"center": Rule((list, int, float), required=True),
-              "width": Rule((int, float), required=True)}
 
 
 @dataclass(frozen=True)
@@ -147,8 +155,6 @@ def _check_type(val, expected, path: str):
 
 
 def _check_keys(obj: dict, spec: dict, path: str):
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "expected an object")
     for key, val in obj.items():
         if key not in spec:
             raise ConfigError(f"{path}.{key}", "unknown key")
@@ -188,11 +194,8 @@ def _check_bounds(val, rule: Rule, path: str):
         for i, item in enumerate(val):
             _check_type(item, rule.each.types, f"{path}[{i}]")
             _check_bounds(item, rule.each, f"{path}[{i}]")
-
-
-def _validate_block(cfg: dict, key: str, spec: dict, path: str):
-    if key in cfg and isinstance(cfg[key], dict):
-        _check_block(cfg[key], spec, f"{path}.{key}")
+    if rule.spec is not None and isinstance(val, dict):
+        _check_block(val, rule.spec, path)
 
 
 def _check_samples(samples: dict, kind: str):
@@ -220,15 +223,15 @@ def _resolve_builtin_names(data: dict):
     from .kernels import KERNEL_CATALOG, REQUIRED_KERNEL_PARAMS
     from .operators import ACTION_CATALOG, REQUIRED_ACTION_PARAMS
 
+    # the blocks are checked against their key tables by now
     def check(block, catalog, required, path):
-        if not isinstance(block, dict) or not isinstance(block.get("name"), str):
+        if block is None or "name" not in block:
             return
         if block["name"] not in catalog:
             raise ConfigError(f"{path}.name",
                               f"unknown builtin {block['name']!r}")
-        params = block.get("params", {})
         for key in required.get(block["name"], ()):
-            if isinstance(params, dict) and key not in params:
+            if key not in block.get("params", {}):
                 raise ConfigError(f"{path}.params.{key}", "required")
 
     check(data.get("kernel"), KERNEL_CATALOG, REQUIRED_KERNEL_PARAMS, "$.kernel")
@@ -236,18 +239,15 @@ def _resolve_builtin_names(data: dict):
     check(data.get("field"), FIELD_CATALOG, REQUIRED_FIELD_PARAMS, "$.field")
     check(data.get("algebra"), ALGEBRA_CATALOG, REQUIRED_ALGEBRA_PARAMS, "$.algebra")
     algebra = data.get("algebra")
-    if isinstance(algebra, dict) and "name" not in algebra:
+    if algebra is not None and "name" not in algebra:
         for key in ("structure_constants", "involution"):
             if key not in algebra:
                 raise ConfigError(f"$.algebra.{key}", "required")
     for i, f in enumerate(data.get("fields", [])):
         check(f, FIELD_CATALOG, REQUIRED_FIELD_PARAMS, f"$.fields[{i}]")
     for i, pair in enumerate(data.get("pairs", [])):
-        if isinstance(pair, dict):
-            check(pair.get("x"), FIELD_CATALOG, REQUIRED_FIELD_PARAMS,
-                  f"$.pairs[{i}].x")
-            check(pair.get("y"), FIELD_CATALOG, REQUIRED_FIELD_PARAMS,
-                  f"$.pairs[{i}].y")
+        check(pair["x"], FIELD_CATALOG, REQUIRED_FIELD_PARAMS, f"$.pairs[{i}].x")
+        check(pair["y"], FIELD_CATALOG, REQUIRED_FIELD_PARAMS, f"$.pairs[{i}].y")
 
 
 def validate_config(data: dict) -> ExperimentConfig:
@@ -269,28 +269,7 @@ def validate_config(data: dict) -> ExperimentConfig:
             raise ConfigError(f"$.tolerances.{name}", "must be a number")
         tol_defaults[name] = float(value)
     _check_rules(data, SCHEMAS[kind], "$")
-
-    for block, spec in (("kernel", _FIELD_SPEC), ("action", _FIELD_SPEC),
-                        ("field", _FIELD_SPEC), ("samples", _SAMPLES_SPEC),
-                        ("grid", _GRID_SPEC), ("conjugation", _CONJ_SPEC),
-                        ("algebra", _ALGEBRA_SPEC)):
-        _validate_block(data, block, spec, "$")
     _resolve_builtin_names(data)
-    if kind == "flow_laws":
-        for i, f in enumerate(data["fields"]):
-            _check_block(f, _FIELD_SPEC, f"$.fields[{i}]")
-    if kind == "bracket_order":
-        for i, pair in enumerate(data.get("pairs", [])):
-            _check_block(pair, {"x": _REQUIRED_OBJECT, "y": _REQUIRED_OBJECT},
-                         f"$.pairs[{i}]")
-            _check_block(pair["x"], _FIELD_SPEC, f"$.pairs[{i}].x")
-            _check_block(pair["y"], _FIELD_SPEC, f"$.pairs[{i}].y")
-    if kind == "compatibility":
-        for i, inv in enumerate(data.get("invariance", [])):
-            _check_block(inv, _INVARIANCE_SPEC, f"$.invariance[{i}]")
-    if kind == "os_reconstruct":
-        for i, b in enumerate(data.get("bumps", [])):
-            _check_block(b, _BUMP_SPEC, f"$.bumps[{i}]")
     if kind in ("os_reconstruct", "rp_axioms") and "kernel" in data:
         if data["kernel"]["name"] != "ou_mixture":
             raise ConfigError("$.kernel.name", f"{kind} runs on the ou_mixture family")
@@ -302,7 +281,6 @@ def validate_config(data: dict) -> ExperimentConfig:
         for block in ("translations", "parallel_translations"):
             for i, t in enumerate(data.get(block, [])):
                 path = f"$.{block}[{i}].cells"
-                _check_block(t, _TRANSLATION_SPEC, f"$.{block}[{i}]")
                 if len(t["cells"]) != len(shape):
                     raise ConfigError(path, "need one cell shift per grid axis")
                 if any(abs(c) >= extent for c, extent in zip(t["cells"], shape)):

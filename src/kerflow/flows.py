@@ -149,10 +149,6 @@ class IntegralCurve:
     def endpoint(self) -> np.ndarray:
         return self.points[-1]
 
-    @property
-    def reached_time(self) -> float:
-        return float(self.times[-1])
-
 
 class BatchFlow(NamedTuple):
     """Per row: last accepted point, signed time reached, exit reason, finished."""
@@ -242,37 +238,40 @@ def integrate_batch(field: VectorField, starts, t_ends,
     return _advance(field, p, t_ends, step)
 
 
-def _rk4_with_jacobian(field: VectorField, start: np.ndarray, t_end: float,
-                       step: float):
-    """Flow plus the Jacobian of the flow map, via the variational equation.
+def _variational(field: VectorField) -> VectorField:
+    """The variational system (p, J)' = (X(p), DX(p) J) on R^(d + d^2), with J
+    row-major after p.  Its chart is the field's, decided by p alone; a row's
+    stage value is computed as for one point of the field."""
+    d, chart = field.chart.dimension, field.chart
 
-    The matrix equation J' = DX(p) J is advanced with the same RK4 stages and
-    the same step as the base flow, so both carry the same error order.
-    """
-    p = np.asarray(start, dtype=float)
-    J = np.eye(field.chart.dimension)
-    sign = 1.0 if t_end >= 0.0 else -1.0
-    t, total = 0.0, abs(t_end)
+    def value(z):
+        p, J = z[:d], z[d:].reshape(d, d)
+        x = field.rows(p[None], np.ones(1, dtype=bool))[0]
+        return np.concatenate([x, (field.jac(p) @ J).ravel()])
 
-    def stage(q, M):
-        reasons = [None]
-        v = _stage(field, q[None], np.ones(1, dtype=bool), reasons)[0]
-        if reasons[0]:
-            raise FlowDomainError(f"flow Jacobian: {reasons[0]} at {q}")
-        return v, field.jac(q) @ M
+    inside = None if chart.membership is None else lambda z: chart.membership(z[..., :d])
+    return VectorField(ChartDomain(d + d * d, inside, chart.vectorized), value,
+                       name=f"var[{field.name}]")
 
-    while total - t > 1e-15 * max(1.0, total):
-        h = sign * min(step, total - t)
-        k1, K1 = stage(p, J)
-        k2, K2 = stage(p + 0.5 * h * k1, J + 0.5 * h * K1)
-        k3, K3 = stage(p + 0.5 * h * k2, J + 0.5 * h * K2)
-        k4, K4 = stage(p + h * k3, J + h * K3)
-        p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        J = J + (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-        if not field.chart.contains(p):
-            raise FlowDomainError(f"flow Jacobian: {EXIT_LEFT_CHART} at {p}")
-        t += abs(h)
-    return p, J
+
+def _pushforward_rows(field_x: VectorField, t: np.ndarray, field_y: VectorField,
+                      points: np.ndarray, step: float) -> np.ndarray:
+    """Row i is the transport of ``field_y`` by the time-t[i] flow of
+    ``field_x`` at points[i]: J(q) Y(q), with q the backward flow of the
+    point and J the flow Jacobian at q.  Both legs run as one batch each;
+    reading a row that stopped raises, naming its start point."""
+    d = field_x.chart.dimension
+    back = integrate_batch(field_x, points, -t, step)
+    q = back.endpoints
+    eye = np.tile(np.eye(d).ravel(), (len(q), 1))
+    fwd = integrate_batch(_variational(field_x), np.hstack([q, eye]), t, step)
+    for leg, flow in (("backward", back), ("flow Jacobian", fwd)):
+        if not flow.completed.all():
+            i = int(np.argmin(flow.completed))
+            raise FlowDomainError(f"{leg} leg stopped ({flow.exit_reasons[i]}) "
+                                  f"from start point {points[i]}")
+    J = fwd.endpoints[:, d:].reshape(-1, d, d)
+    return np.array([Ji @ field_y(qi) for Ji, qi in zip(J, q)]).reshape(len(q), d)
 
 
 def pushforward(field_x: VectorField, t: float, field_y: VectorField,
@@ -287,13 +286,8 @@ def pushforward(field_x: VectorField, t: float, field_y: VectorField,
         return field_y
 
     def value(p):
-        back = integrate_curve(field_x, p, -t, step)
-        if back.terminated_early:
-            raise FlowDomainError(
-                f"backward flow exited chart ({back.exit_reason}) from {p}")
-        q = back.endpoint
-        _, J = _rk4_with_jacobian(field_x, q, t, step)
-        return J @ field_y(q)
+        return _pushforward_rows(field_x, np.array([t], dtype=float), field_y,
+                                 np.asarray(p, dtype=float)[None], step)[0]
 
     return VectorField(field_y.chart, value,
                        name=f"push[{field_x.name},{t}]{field_y.name}")
@@ -310,7 +304,8 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
 
 def lie_derivative_via_flow(x: VectorField, y: VectorField, point, h: float,
                             step: Optional[float] = None) -> np.ndarray:
-    """Symmetric difference quotient of the flow transport of y along x.
+    """Symmetric difference quotient of the flow transport of y along x, at a
+    point (d,) or at each row of points (n, d), both signs of h as one batch.
 
     Independent oracle for ``lie_bracket``; second-order accurate in h.  The
     internal ODE step defaults to h/8 so integration error stays far below the
@@ -319,9 +314,11 @@ def lie_derivative_via_flow(x: VectorField, y: VectorField, point, h: float,
     if step is None:
         step = h / 8.0
     p = np.asarray(point, dtype=float)
-    plus = pushforward(x, -h, y, step)(p)
-    minus = pushforward(x, h, y, step)(p)
-    return (plus - minus) / (2.0 * h)
+    rows = np.atleast_2d(p)
+    n = len(rows)
+    both = _pushforward_rows(x, np.repeat([-h, h], n), y, np.vstack([rows, rows]), step)
+    est = (both[:n] - both[n:]) / (2.0 * h)
+    return est if p.ndim == 2 else est[0]
 
 
 def builtin_field(name: str, params: Optional[dict] = None) -> VectorField:

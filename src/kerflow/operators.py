@@ -98,7 +98,7 @@ def symmetry_defects(B: np.ndarray):
     return sym, skew, float(np.linalg.norm(B))
 
 
-def symmetry_classify(B: np.ndarray, model: Optional[GramModel] = None,
+def symmetry_classify(B: np.ndarray,
                       tol_sym: float = DEFAULT_SYMMETRY_TOL) -> Optional[int]:
     """+1 if B = B*, -1 if B = -B*, None if neither holds within tolerance."""
     sym, skew, norm = symmetry_defects(B)
@@ -268,7 +268,7 @@ def froelich_check(kernel: Kernel, field: VectorField, model: GramModel,
     separated from semigroup error.
     """
     B = lie_derivative_form(kernel, field, model.points)
-    eps = symmetry_classify(B, model, tol_sym)
+    eps = symmetry_classify(B, tol_sym)
     if eps != SYMMETRIC:
         raise ClassificationError("semigroup transport needs a symmetric field")
     op = compress_operator(B, model, SYMMETRIC, tol_sym, label="transport")

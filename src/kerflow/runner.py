@@ -250,13 +250,10 @@ def _run_bracket_order(cfg: ExperimentConfig, rng) -> ExperimentReport:
         Y = fl.builtin_field(pair["y"]["name"], pair["y"].get("params"))
         bracket = fl.lie_bracket(X, Y)
         pts = rng.uniform(-1.0, 1.0, size=(n_points, X.chart.dimension))
-        errs = []
-        for h in hs:
-            worst = 0.0
-            for p in pts:
-                est = fl.lie_derivative_via_flow(X, Y, p, h)
-                worst = max(worst, float(np.linalg.norm(est - bracket(p))))
-            errs.append(worst)
+        exact = [bracket(p) for p in pts]
+        errs = [max([0.0] + [float(np.linalg.norm(e - b)) for e, b in
+                             zip(fl.lie_derivative_via_flow(X, Y, pts, h), exact)])
+                for h in hs]
         orders.append(_fit_order(hs, errs))
         curves[f"pair_{idx}_error_vs_h"] = [[h, e] for h, e in zip(hs, errs)]
     lo, hi = cfg.tol("order_low"), cfg.tol("order_high")
@@ -281,6 +278,18 @@ def _check_declared_algebra(body: dict, action):
                           "declared algebra disagrees with the action's")
 
 
+def _element_index(algebra, value, path: str, fixed_part: bool = False) -> int:
+    """Index of the basis element of ``algebra`` that ``value`` names, by
+    label or by index; ``fixed_part`` asks for an element of h."""
+    k = algebra.index_of(value) if value in algebra.labels else value
+    if not (isinstance(k, int) and 0 <= k < algebra.dim):
+        raise ConfigError(path, f"no basis element {value!r}: expected a label of "
+                                f"{list(algebra.labels)} or an index below {algebra.dim}")
+    if fixed_part and k not in algebra.h_indices:
+        raise ConfigError(path, f"{algebra.labels[k]!r} is outside the fixed part")
+    return k
+
+
 def _run_compatibility(cfg: ExperimentConfig, rng) -> ExperimentReport:
     body = cfg.body
     kernel = kr.kernel_from_config(body["kernel"])
@@ -290,11 +299,9 @@ def _run_compatibility(cfg: ExperimentConfig, rng) -> ExperimentReport:
     report = op.compatibility_check(kernel, action, pts, cfg.tol("compatibility"))
     hom = action.homomorphism_defect(pts[: min(len(pts), 8)])
     invariance = []
-    for inv in body.get("invariance", []):
-        element = inv["element"]
-        k = (action.algebra.index_of(element) if isinstance(element, str)
-             else int(element))
-        field = action.basis_fields[k]
+    for i, inv in enumerate(body.get("invariance", [])):
+        field = action.basis_fields[_element_index(
+            action.algebra, inv["element"], f"$.invariance[{i}].element")]
         eps = int(inv["epsilon"])
         pair = [tuple(np.asarray(q, dtype=float) for q in inv["pair"])]
         invariance.append(op.flow_invariance_check(
@@ -325,6 +332,9 @@ def _run_froelich(cfg: ExperimentConfig, rng) -> ExperimentReport:
     sizes = []
     deltas, resids = [], []
     for model in _gram_ladder(cfg, kernel, cutoff):
+        if "start_point" in body and len(start) != model.points.shape[1]:
+            raise ConfigError("$.start_point", f"needs {model.points.shape[1]} "
+                                               "coordinates, one per sample dimension")
         m_idx = int(np.argmin(np.linalg.norm(model.points - start, axis=1)))
         res = op.froelich_check(kernel, field, model, m_idx, t, step)
         sizes.append(model.size)
@@ -353,6 +363,10 @@ def _run_cdual_rep(cfg: ExperimentConfig, rng) -> ExperimentReport:
     cutoff = float(body.get("rank_cutoff", 1e-10))
     times = [float(t) for t in body.get("unitary_times", [0.5, 1.0])]
     conj_spec = body.get("conjugation")
+    if conj_spec:
+        x = _element_index(action.algebra, conj_spec["x"], "$.conjugation.x",
+                           fixed_part=True)
+        y = _element_index(action.algebra, conj_spec["y"], "$.conjugation.y")
     skew_defect = unit_defect = 0.0
     comm_curve, conj_curve = [], []
     for model in _gram_ladder(cfg, kernel, cutoff):
@@ -362,8 +376,6 @@ def _run_cdual_rep(cfg: ExperimentConfig, rng) -> ExperimentReport:
         comm = rp.commutation_defect(table)
         comm_curve.append([model.size, comm.max_defect])
         if conj_spec:
-            x = action.algebra.index_of(conj_spec["x"])
-            y = action.algebra.index_of(conj_spec["y"])
             conj_curve.append([model.size, rp.conjugation_check(
                 table, x, y, float(conj_spec["s"]))])
     conj_ratios = [conj_curve[i + 1][1] / conj_curve[i][1]

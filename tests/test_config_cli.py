@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kerflow import cli
 from kerflow.config import parse_config, validate_config
@@ -369,6 +370,18 @@ def _zero_size(key):
                  id="conjugation-without-s"),
     pytest.param("os_reconstruct_ou", _drop("bumps", 0, "width"), "$.bumps[0].width",
                  id="bump-without-width"),
+    # pairs the runner unpacks
+    pytest.param("luscher_mack_power", lambda d: d.update(interval=[0.2]),
+                 "$.interval", id="short-interval"),
+    pytest.param("luscher_mack_power", lambda d: d.update(interval=[0.2, 0.5, 0.9]),
+                 "$.interval", id="long-interval"),
+    pytest.param("luscher_mack_det", lambda d: d.update(spectral_range=[0.05]),
+                 "$.spectral_range", id="short-spectral-range"),
+    pytest.param("luscher_mack_det",
+                 lambda d: d.update(spectral_range=[0.05, 0.4, 0.8]),
+                 "$.spectral_range", id="long-spectral-range"),
+    pytest.param("luscher_mack_det", lambda d: d.update(spectral_range=[0.05, "zz"]),
+                 "$.spectral_range[1]", id="spectral-range-entry"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
     data = _shipped(stem)
@@ -380,6 +393,85 @@ def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_
     for command in ("validate", "run"):
         assert cli.main([command, path]) == cli.EXIT_CONFIG_ERROR
         assert f"config error: {json_path}: " in capsys.readouterr().err
+
+
+# values only the run can check against what the config builds: the
+# action's algebra and the sample dimension
+@pytest.mark.parametrize("stem, mutate, json_path", [
+    pytest.param("compatibility", lambda d: d["invariance"][0].update(element="zz"),
+                 "$.invariance[0].element", id="unknown-element-label"),
+    pytest.param("compatibility", lambda d: d["invariance"][0].update(element=7),
+                 "$.invariance[0].element", id="element-index-too-large"),
+    pytest.param("compatibility", lambda d: d["invariance"][0].update(element=-1),
+                 "$.invariance[0].element", id="negative-element-index"),
+    pytest.param("cdual_euclidean", lambda d: d["conjugation"].update(x="zz"),
+                 "$.conjugation.x", id="unknown-conjugation-label"),
+    pytest.param("cdual_euclidean", lambda d: d["conjugation"].update(x="t1"),
+                 "$.conjugation.x", id="conjugation-outside-fixed-part"),
+    pytest.param("cdual_euclidean", lambda d: d["conjugation"].update(y="zz"),
+                 "$.conjugation.y", id="unknown-conjugation-target"),
+    pytest.param("froelich_rank1", lambda d: d.update(start_point=[0.2, 0.3]),
+                 "$.start_point", id="start-point-dimension"),
+])
+def test_run_checks_references_exits_2_with_path(tmp_path, capsys, stem, mutate,
+                                                  json_path):
+    data = _shipped(stem)
+    mutate(data)
+    path = _write(tmp_path, data)
+    assert cli.main(["validate", path]) == cli.EXIT_PASS
+    capsys.readouterr()
+    assert cli.main(["run", path]) == cli.EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {json_path}: ")
+
+
+def test_unexpected_error_exits_3_in_one_line(tmp_path, capsys):
+    # validation does not look inside x_range; the sampler's unpack fails
+    data = _shipped("cdual_euclidean")
+    data["samples"]["x_range"] = []
+    assert cli.main(["run", _write(tmp_path, data)]) == cli.EXIT_NUMERIC_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ValueError: ")
+    assert captured.err.count("\n") == 1
+
+
+_SHIPPED_STEMS = sorted(os.path.splitext(f)[0] for f in os.listdir(CONFIG_DIR)
+                        if f.endswith(".json") and f != "flow_laws.json")
+_MUTATIONS = ("drop", True, -1, [], "zz", {})
+
+
+def _json_paths(node, prefix=()):
+    """Every path below the root of a JSON value, parents first."""
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_shipped_configs_keep_the_exit_code_contract(tmp_path, capsys, data):
+    # flow_laws is left out: its batches take about half a second a run
+    config = _shipped(data.draw(st.sampled_from(_SHIPPED_STEMS)))
+    *parents, key = data.draw(st.sampled_from(list(_json_paths(config))))
+    mode = data.draw(st.sampled_from(_MUTATIONS))
+    node = config
+    for k in parents:
+        node = node[k]
+    if mode == "drop":
+        del node[key]
+    else:
+        node[key] = mode
+    code = cli.main(["run", _write(tmp_path, config), "--stable-output"])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in captured.err
+    if code == cli.EXIT_CHECK_FAILURE:
+        assert json.loads(captured.out)["passed"] is False
 
 
 @pytest.mark.parametrize("module, build, catalog, required", [

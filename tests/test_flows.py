@@ -28,8 +28,8 @@ def test_blowup_exits_chart_before_blowup_time():
     assert c.terminated_early
     assert c.exit_reason == fl.EXIT_LEFT_CHART
     exit_time = (1.0 - 0.5) / 0.5
-    assert c.reached_time <= exit_time
-    assert c.reached_time >= exit_time - 5e-3
+    assert c.times[-1] <= exit_time
+    assert c.times[-1] >= exit_time - 5e-3
 
 
 def test_start_outside_chart_raises():
@@ -75,7 +75,7 @@ def _assert_rows_match_curves(field, starts, t_ends, step):
     for i, (p, t) in enumerate(zip(starts, t_ends)):
         curve = fl.integrate_curve(field, p, t, step)
         assert np.array_equal(out.endpoints[i], curve.endpoint)
-        assert out.reached_times[i] == curve.reached_time
+        assert out.reached_times[i] == curve.times[-1]
         assert out.exit_reasons[i] == curve.exit_reason
         assert out.completed[i] == (not curve.terminated_early)
 
@@ -193,6 +193,70 @@ def test_pushforward_rotation_of_constant():
     Y = fl.constant_field([1.0, 0.0])
     v = fl.pushforward(X, np.pi / 2, Y, 1e-3)([0.2, 0.1])
     assert np.linalg.norm(v - [0.0, 1.0]) <= 1e-7
+
+
+def test_pushforward_raises_when_either_leg_leaves_the_chart():
+    # the backward leg of a drift towards the wall crosses it
+    chart = fl.halfspace_chart(2)
+    drift = fl.constant_field([-1.0, 0.0], chart)
+    with pytest.raises(FlowDomainError, match=r"backward leg .*start point \[0\.05"):
+        fl.pushforward(drift, -0.1, fl.constant_field([1.0, 0.0], chart), 1e-2)([0.05, 0.0])
+    # one coarse step of x^2 back up from below 0.9999 puts an RK4 stage
+    # point past 1, in the flow Jacobian leg
+    quad = fl.builtin_field("quadratic1d")
+    with pytest.raises(FlowDomainError, match=r"Jacobian leg .*start point \[0\.9999\]"):
+        fl.pushforward(quad, 0.1, fl.constant_field([1.0], quad.chart), 0.1)([0.9999])
+    # in a batch, the error names the start point of the row that stopped
+    with pytest.raises(FlowDomainError, match=r"start point \[0\.95\]"):
+        fl.lie_derivative_via_flow(quad, quad, [[0.1], [0.95], [-0.5]], 0.1, 1e-2)
+
+
+def _flow_jacobians(field, starts, t_ends, step):
+    """Flow Jacobians of the rows of ``starts`` from the variational system."""
+    d = field.chart.dimension
+    z0 = np.hstack([starts, np.tile(np.eye(d).ravel(), (len(starts), 1))])
+    out = fl.integrate_batch(fl._variational(field), z0, t_ends, step)
+    assert out.completed.all()
+    return out.endpoints[:, d:].reshape(-1, d, d)
+
+
+def test_batched_flow_jacobian_of_affine_field_is_the_exponential():
+    from scipy.linalg import expm
+    A = np.array([[0.2, -1.1, 0.4], [0.9, -0.3, 0.0], [0.1, 0.5, -0.6]])
+    f = fl.affine_field(A, [0.3, -0.2, 0.1])
+    starts = np.random.default_rng(2).uniform(-1, 1, size=(6, 3))
+    t_ends = np.array([0.5, -0.7, 1.0, -1.0, 0.25, 0.0])
+    for J, t in zip(_flow_jacobians(f, starts, t_ends, 1e-3), t_ends):
+        assert np.max(np.abs(J - expm(t * A))) <= 1e-10
+
+
+def test_batched_flow_jacobian_of_quad_swirl_matches_central_differences():
+    f = fl.builtin_field("quad_swirl")
+    starts = np.random.default_rng(3).uniform(-1, 1, size=(5, 2))
+    t_ends, step, eps = np.array([0.6, -0.6, 0.3, 0.4, -0.2]), 1e-3, 1e-5
+    J = _flow_jacobians(f, starts, t_ends, step)
+    for k, e in enumerate(eps * np.eye(2)):
+        plus = fl.integrate_batch(f, starts + e, t_ends, step).endpoints
+        minus = fl.integrate_batch(f, starts - e, t_ends, step).endpoints
+        assert np.max(np.abs(J[:, :, k] - (plus - minus) / (2 * eps))) <= 1e-6
+
+
+_BRACKET_PAIRS = (
+    (fl.rotation_field(), fl.constant_field([1.0, 0.0])),
+    (fl.builtin_field("quad_swirl"), fl.builtin_field("coordinate_shear")),
+    (fl.builtin_field("coordinate_shear"), fl.builtin_field("quad_swirl")),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=st.sampled_from(_BRACKET_PAIRS), h=st.sampled_from([1e-2, 2.5e-3, 0.3]),
+       points=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                       min_size=1, max_size=5))
+def test_lie_derivative_on_points_stacks_one_point_calls(pair, h, points):
+    X, Y = pair
+    points = np.array(points)
+    one_by_one = np.stack([fl.lie_derivative_via_flow(X, Y, p, h) for p in points])
+    assert np.array_equal(fl.lie_derivative_via_flow(X, Y, points, h), one_by_one)
 
 
 def test_bracket_shear():
