@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 VALIDATION_TOL = 1e-12
 
@@ -184,6 +183,16 @@ def c_dual(alg: SymmetricLieAlgebra) -> SymmetricLieAlgebra:
                                name=f"dual({alg.name})" if alg.name else "dual")
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling-and-squaring Pade (``scipy.linalg.expm``).
+
+    The one place kerflow imports ``scipy.linalg``: importing it costs more
+    than the rest of start-up, and most kinds never take an exponential, so
+    it loads on the first call."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
+
+
 def exp_ad(x: AlgebraElement, t: float = 1.0) -> np.ndarray:
     """Matrix exponential of t ad(x); backed by scaling-and-squaring Pade."""
     ad = x.algebra.ad_matrix(x.coeffs)
@@ -240,9 +249,11 @@ def euclidean_motion(d: int, p: int, q: int) -> SymmetricLieAlgebra:
 
 def abelian(d: int) -> SymmetricLieAlgebra:
     """R^d with all brackets zero and involution -1 (h = 0, q = everything)."""
+    # the arrays first: numpy refuses a d too large to hold at once, where
+    # the label loop would run without end
+    structure, involution = np.zeros((d, d, d)), -np.eye(d)
     labels = tuple(f"v{i + 1}" for i in range(d))
-    return SymmetricLieAlgebra(np.zeros((d, d, d)), -np.eye(d), labels,
-                               name=f"abelian({d})")
+    return SymmetricLieAlgebra(structure, involution, labels, name=f"abelian({d})")
 
 
 def matrix_involutive(n: int) -> SymmetricLieAlgebra:

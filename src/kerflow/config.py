@@ -48,15 +48,21 @@ class Rule:
     spec: Optional[dict] = None         # key table of an object value
 
 
+_NUMBER = Rule((int, float))
+_POSITIVE = Rule((int, float), above=0)
+_PAIR = Rule(list, at_least=2, at_most=2, each=_NUMBER)
+_POINT = Rule(list, at_least=1, each=_NUMBER)
+
 # key tables of the nested objects
 _FIELD_SPEC = {"name": Rule(str, required=True), "params": dict}
 _FIELD = Rule(dict, required=True, spec=_FIELD_SPEC)
 _SAMPLES = Rule(dict, required=True, spec={
     "type": Rule(str, required=True), "n": Rule(int, at_least=1),
     "n_side": Rule(int, at_least=1), "halfwidth": (int, float),
-    "dimension": int, "points": list,
+    "dimension": int, "points": Rule(list, at_least=1, each=_POINT),
     "refinement": Rule(list, at_least=1, each=Rule(int, at_least=1)),
-    "x_range": list, "y_range": list, "radii": list,
+    "x_range": _PAIR, "y_range": _PAIR,
+    "radii": Rule(list, at_least=1, each=_POSITIVE),
     "n_per_circle": int, "include_origin": bool})
 _ALGEBRA = Rule(dict, spec={"name": str, "params": dict, "structure_constants": list,
                             "involution": list, "labels": list})
@@ -67,7 +73,6 @@ _GRID = Rule(dict, required=True, spec={
 _TRANSLATIONS = Rule(list, each=Rule(dict, spec={"cells": Rule(list, required=True,
                                                                each=Rule(int))}))
 _CELLS = Rule(int, at_least=0)
-_PAIR = Rule(list, at_least=2, at_most=2, each=Rule((int, float)))
 
 # allowed top-level keys per kind (beyond kind/seed/tolerances)
 SCHEMAS = {
@@ -81,12 +86,14 @@ SCHEMAS = {
     "bracket_order": {
         "pairs": Rule(list, required=True,
                       each=Rule(dict, spec={"x": _FIELD, "y": _FIELD})),
-        "n_points": int, "h_ladder": list,
+        "n_points": int,
+        # a fitted order needs at least two step sizes
+        "h_ladder": Rule(list, at_least=2, each=_POSITIVE),
     },
     "compatibility": {
         "kernel": _FIELD, "action": _FIELD, "algebra": _ALGEBRA, "samples": _SAMPLES,
         "invariance": Rule(list, each=Rule(dict, spec={
-            "pair": Rule(list, required=True, at_least=2, at_most=2),
+            "pair": Rule(list, required=True, at_least=2, at_most=2, each=_POINT),
             "epsilon": Rule(int, required=True),
             "element": Rule((int, str), required=True),
             "t_max": Rule((int, float), above=0),
@@ -94,12 +101,13 @@ SCHEMAS = {
     },
     "froelich": {
         "kernel": _FIELD, "field": _FIELD, "samples": _SAMPLES,
-        "start_point": list, "time": (int, float),
-        "step": (int, float), "rank_cutoff": (int, float),
+        "start_point": _POINT, "time": (int, float),
+        "step": Rule((int, float), above=0), "rank_cutoff": (int, float),
     },
     "cdual_rep": {
         "kernel": _FIELD, "action": _FIELD, "algebra": _ALGEBRA, "samples": _SAMPLES,
-        "unitary_times": list, "rank_cutoff": (int, float),
+        "unitary_times": Rule(list, at_least=1, each=_NUMBER),
+        "rank_cutoff": (int, float),
         "conjugation": Rule(dict, spec={"x": Rule(str, required=True),
                                         "y": Rule(str, required=True),
                                         "s": Rule((int, float), required=True)}),
@@ -210,9 +218,35 @@ def _check_samples(samples: dict, kind: str):
     for key in SAMPLE_KEYS[samples["type"]]:
         if key not in samples and not (sized_by_ladder and key in ("n", "n_side")):
             raise ConfigError(f"$.samples.{key}", "required")
+    points = samples.get("points", [])
+    for i, point in enumerate(points):
+        if len(point) != len(points[0]):
+            raise ConfigError(f"$.samples.points[{i}]",
+                              f"needs {len(points[0])} coordinates, as the first point")
     ladder = samples.get("refinement", [])
     if any(ladder[i + 1] <= ladder[i] for i in range(len(ladder) - 1)):
         raise ConfigError("$.samples.refinement", "must be strictly increasing")
+
+
+def _check_curve_steps(data: dict, kind: str):
+    """|time| / step of every integral curve the config asks for, read with
+    the runner's defaults, is at most ``flows.MAX_CURVE_STEPS``; a larger
+    ratio asks for work without bound."""
+    from .flows import DEFAULT_STEP, MAX_CURVE_STEPS
+    from .runner import CURVE_TIMES
+
+    if kind == "compatibility":
+        key, blocks = "t_max", [(f"$.invariance[{i}]", inv)
+                                for i, inv in enumerate(data.get("invariance", []))]
+    else:
+        key, blocks = {"froelich": "time", "flow_laws": "t_range"}[kind], [("$", data)]
+    for path, block in blocks:
+        time, step = abs(block.get(key, CURVE_TIMES[key])), block.get("step", DEFAULT_STEP)
+        # compared without dividing, so that a huge JSON integer cannot
+        # overflow, and written as ``not`` so that a NaN fails
+        if not time <= MAX_CURVE_STEPS * step:
+            raise ConfigError(f"{path}.{key}", f"asks for more than {MAX_CURVE_STEPS} "
+                                               f"RK4 steps of {step} per curve")
 
 
 def _resolve_builtin_names(data: dict):
@@ -289,6 +323,8 @@ def validate_config(data: dict) -> ExperimentConfig:
 
     if "samples" in data:
         _check_samples(data["samples"], kind)
+    if kind in ("froelich", "flow_laws", "compatibility"):
+        _check_curve_steps(data, kind)
 
     seed = int(data["seed"])
     if os.environ.get("KERFLOW_SEED"):

@@ -19,6 +19,8 @@ from .errors import FlowDomainError
 
 BLOWUP_NORM = 1e12
 DEFAULT_STEP = 1e-3
+# RK4 steps (|time| / step) one integral curve of a config may ask for
+MAX_CURVE_STEPS = 10 ** 5
 DEFAULT_FD_STEP = 1e-5
 
 EXIT_LEFT_CHART = "left chart"

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, SymmetricLieAlgebra, algebra_bracket
+from .algebra import AlgebraElement, SymmetricLieAlgebra, algebra_bracket, expm
 from .errors import ClassificationError, FlowDomainError
 from .flows import (DEFAULT_STEP, VectorField, integrate_curve, lie_bracket)
 from .kernels import (GramModel, Kernel, embed_gvector, embed_point,
@@ -226,27 +226,12 @@ def compress_operator(B: np.ndarray, model: GramModel, epsilon: Optional[int],
     return OperatorCompression(A, epsilon, defect, model, label)
 
 
-def _hermitian_function(A: np.ndarray, f) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(A)
-    return (vecs * f(vals)) @ vecs.conj().T
-
-
 def semigroup_matrix(op: OperatorCompression, t: float) -> np.ndarray:
     """exp(t A) by spectral calculus; requires a symmetric (hermitian) operator."""
     if op.epsilon != SYMMETRIC:
         raise ClassificationError("semigroup mode needs a symmetric operator")
-    return _hermitian_function(op.compressed, lambda lam: np.exp(t * lam))
-
-
-def unitary_matrix(op: OperatorCompression, t: float) -> np.ndarray:
-    """exp(i t A) for hermitian A, or exp(t A) for skew-hermitian A."""
-    if op.epsilon == SYMMETRIC:
-        return _hermitian_function(op.compressed, lambda lam: np.exp(1j * t * lam))
-    if op.epsilon == SKEW:
-        # A = -iH with H = iA hermitian, so exp(tA) = exp(-itH)
-        H = 1j * op.compressed
-        return _hermitian_function(H, lambda lam: np.exp(-1j * t * lam))
-    raise ClassificationError("unitary mode needs a classified operator")
+    vals, vecs = np.linalg.eigh(op.compressed)
+    return (vecs * np.exp(t * vals)) @ vecs.conj().T
 
 
 @dataclass(frozen=True)
@@ -353,8 +338,6 @@ def builtin_action(name: str, params: Optional[dict] = None) -> CompatibleAction
                 return np.kron(np.eye(n), m.T)
 
             fields.append(VectorField(chart, value, jac, name="right-mult"))
-        from scipy.linalg import expm
-
         sigma = {}
         for k in alg.h_indices:
             m = alg.basis_matrices[k]

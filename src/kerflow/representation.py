@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
-from .algebra import SymmetricLieAlgebra, c_dual, exp_ad
+from .algebra import SymmetricLieAlgebra, c_dual, exp_ad, expm
 from .errors import CompatibilityError, EmptyModelError, PositivityError
 from .kernels import GramModel, Kernel, gram, psd_check
 from .operators import (DEFAULT_SYMMETRY_TOL, SKEW, SYMMETRIC, CompatibleAction,

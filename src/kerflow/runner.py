@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import distributions as dist
 from . import flows as fl
 from . import kernels as kr
 from . import operators as op
 from . import representation as rp
+from .algebra import expm
 from .config import ExperimentConfig
 from .errors import ConfigError
 
@@ -68,6 +68,11 @@ class ExperimentReport:
     def to_json(self, stable_output: bool = False) -> str:
         return json.dumps(self.to_dict(stable_output), indent=2, sort_keys=True)
 
+
+# the time key of each kind's integral curves, with the value read when a
+# config gives none (the step defaults to flows.DEFAULT_STEP); validation
+# bounds time / step by flows.MAX_CURVE_STEPS
+CURVE_TIMES = {"time": 0.1, "t_range": 1.0, "t_max": 0.5}
 
 # keys each sample type reads without a default; validation requires them
 SAMPLE_KEYS = {"chebyshev": ("n",), "uniform_box": ("n",), "grid2d": ("n_side",),
@@ -178,8 +183,8 @@ def _defect_check(name: str, value: Optional[float], tol: float) -> Check:
 
 def _run_flow_laws(cfg: ExperimentConfig, rng) -> ExperimentReport:
     body = cfg.body
-    step = float(body.get("step", 1e-3))
-    t_range = float(body.get("t_range", 1.0))
+    step = float(body.get("step", fl.DEFAULT_STEP))
+    t_range = float(body.get("t_range", CURVE_TIMES["t_range"]))
     n_points = int(body.get("n_points", 10))
     n_times = int(body.get("n_time_samples", 3))
     flow_gaps, inverse_gaps, expm_gaps = [], [], []
@@ -303,10 +308,15 @@ def _run_compatibility(cfg: ExperimentConfig, rng) -> ExperimentReport:
         field = action.basis_fields[_element_index(
             action.algebra, inv["element"], f"$.invariance[{i}].element")]
         eps = int(inv["epsilon"])
+        for j, q in enumerate(inv["pair"]):
+            if len(q) != field.chart.dimension:
+                raise ConfigError(f"$.invariance[{i}].pair[{j}]",
+                                  f"needs {field.chart.dimension} coordinates, "
+                                  "one per chart dimension")
         pair = [tuple(np.asarray(q, dtype=float) for q in inv["pair"])]
         invariance.append(op.flow_invariance_check(
-            kernel, field, eps, pair, float(inv.get("t_max", 0.5)),
-            float(inv.get("step", 1e-3)), cfg.tol("invariance")))
+            kernel, field, eps, pair, float(inv.get("t_max", CURVE_TIMES["t_max"])),
+            float(inv.get("step", fl.DEFAULT_STEP)), cfg.tol("invariance")))
     # informational (value and passed null) without an invariance pair; a
     # pair whose curves reach no time beyond 0 compares nothing and fails
     drifts = [res.max_drift for res in invariance if res.reached[0] != 0.0]
@@ -326,8 +336,8 @@ def _run_froelich(cfg: ExperimentConfig, rng) -> ExperimentReport:
     kernel = kr.kernel_from_config(body["kernel"])
     field = fl.builtin_field(body["field"]["name"], body["field"].get("params"))
     start = np.asarray(body.get("start_point", [0.0]), dtype=float)
-    t = float(body.get("time", 0.1))
-    step = float(body.get("step", 1e-3))
+    t = float(body.get("time", CURVE_TIMES["time"]))
+    step = float(body.get("step", fl.DEFAULT_STEP))
     cutoff = float(body.get("rank_cutoff", 1e-10))
     sizes = []
     deltas, resids = [], []

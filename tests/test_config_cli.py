@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kerflow import cli
+from kerflow import cli, runner
 from kerflow.config import parse_config, validate_config
 from kerflow.errors import ConfigError
 from kerflow.runner import SAMPLE_KEYS, _sample_points, run_experiment
@@ -382,6 +382,64 @@ def _zero_size(key):
                  "$.spectral_range", id="long-spectral-range"),
     pytest.param("luscher_mack_det", lambda d: d.update(spectral_range=[0.05, "zz"]),
                  "$.spectral_range[1]", id="spectral-range-entry"),
+    # entries of the lists the runners read
+    pytest.param("cdual_euclidean", lambda d: d["samples"].update(x_range=["a", 1.0]),
+                 "$.samples.x_range[0]", id="x-range-entry"),
+    pytest.param("cdual_euclidean", lambda d: d["samples"].update(x_range=[1.0]),
+                 "$.samples.x_range", id="short-x-range"),
+    pytest.param("cdual_halfplane", lambda d: d["samples"].update(y_range=[0, 1, 2]),
+                 "$.samples.y_range", id="long-y-range"),
+    pytest.param("compatibility",
+                 lambda d: d["samples"].update(type="circles", radii=[0.5, 0.0],
+                                               n_per_circle=4),
+                 "$.samples.radii[1]", id="zero-radius"),
+    pytest.param("compatibility",
+                 lambda d: d["samples"].update(type="circles", radii=[], n_per_circle=4),
+                 "$.samples.radii", id="no-radii"),
+    pytest.param("compatibility",
+                 lambda d: d["samples"].update(type="explicit", points=[[0.1], ["a"]]),
+                 "$.samples.points[1][0]", id="point-entry"),
+    pytest.param("compatibility",
+                 lambda d: d["samples"].update(type="explicit", points=[[0.1], [0.2, 0.3]]),
+                 "$.samples.points[1]", id="ragged-points"),
+    pytest.param("compatibility",
+                 lambda d: d["samples"].update(type="explicit", points=[]),
+                 "$.samples.points", id="no-points"),
+    pytest.param("cdual_euclidean", lambda d: d.update(unitary_times=["a"]),
+                 "$.unitary_times[0]", id="unitary-time-entry"),
+    # no time would compare nothing and pass
+    pytest.param("cdual_euclidean", lambda d: d.update(unitary_times=[]),
+                 "$.unitary_times", id="no-unitary-times"),
+    pytest.param("bracket_order", lambda d: d.update(h_ladder=["a", 0.1]),
+                 "$.h_ladder[0]", id="h-ladder-entry"),
+    pytest.param("bracket_order", lambda d: d.update(h_ladder=[0.0, 0.1]),
+                 "$.h_ladder[0]", id="zero-h"),
+    pytest.param("bracket_order", lambda d: d.update(h_ladder=[0.01]),
+                 "$.h_ladder", id="one-h"),
+    pytest.param("froelich_rank1", lambda d: d.update(start_point=["a"]),
+                 "$.start_point[0]", id="start-point-entry"),
+    pytest.param("compatibility", lambda d: d["invariance"][0].update(pair=[[0.0], ["a"]]),
+                 "$.invariance[0].pair[1][0]", id="pair-point-entry"),
+    pytest.param("compatibility", lambda d: d["invariance"][0].update(pair=[[0.0], 0.3]),
+                 "$.invariance[0].pair[1]", id="pair-bare-point"),
+    # RK4 steps per curve
+    pytest.param("froelich_rank1", lambda d: d.update(step=0), "$.step", id="zero-step"),
+    pytest.param("froelich_rank1", lambda d: d.update(step=-0.001), "$.step",
+                 id="negative-step"),
+    pytest.param("froelich_rank1", lambda d: d.update(time=1e300), "$.time",
+                 id="huge-time"),
+    pytest.param("froelich_rank1", lambda d: d.update(time=-1e300), "$.time",
+                 id="huge-negative-time"),
+    pytest.param("froelich_rank1", lambda d: d.update(time=10 ** 400), "$.time",
+                 id="huge-integer-time"),
+    pytest.param("froelich_rank1", lambda d: (d.pop("step"), d.update(time=101.0)),
+                 "$.time", id="time-over-default-step"),
+    pytest.param("froelich_rank1", lambda d: d.update(time=1.0, step=1e-6), "$.time",
+                 id="tiny-step"),
+    pytest.param("flow_laws", lambda d: d.update(t_range=1e300), "$.t_range",
+                 id="huge-t-range"),
+    pytest.param("compatibility", lambda d: d["invariance"][0].update(t_max=1e300),
+                 "$.invariance[0].t_max", id="huge-t-max"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
     data = _shipped(stem)
@@ -412,6 +470,9 @@ def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_
                  "$.conjugation.y", id="unknown-conjugation-target"),
     pytest.param("froelich_rank1", lambda d: d.update(start_point=[0.2, 0.3]),
                  "$.start_point", id="start-point-dimension"),
+    pytest.param("compatibility",
+                 lambda d: d["invariance"][0].update(pair=[[0.0], [0.1, 0.2]]),
+                 "$.invariance[0].pair[1]", id="pair-point-dimension"),
 ])
 def test_run_checks_references_exits_2_with_path(tmp_path, capsys, stem, mutate,
                                                   json_path):
@@ -426,11 +487,13 @@ def test_run_checks_references_exits_2_with_path(tmp_path, capsys, stem, mutate,
     assert captured.err.startswith(f"config error: {json_path}: ")
 
 
-def test_unexpected_error_exits_3_in_one_line(tmp_path, capsys):
-    # validation does not look inside x_range; the sampler's unpack fails
-    data = _shipped("cdual_euclidean")
-    data["samples"]["x_range"] = []
-    assert cli.main(["run", _write(tmp_path, data)]) == cli.EXIT_NUMERIC_ERROR
+def test_unexpected_error_exits_3_in_one_line(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("not enough values to unpack")
+
+    monkeypatch.setattr(runner, "_sample_points", fail)
+    path = _write(tmp_path, _shipped("cdual_euclidean"))
+    assert cli.main(["run", path]) == cli.EXIT_NUMERIC_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ValueError: ")
@@ -439,7 +502,7 @@ def test_unexpected_error_exits_3_in_one_line(tmp_path, capsys):
 
 _SHIPPED_STEMS = sorted(os.path.splitext(f)[0] for f in os.listdir(CONFIG_DIR)
                         if f.endswith(".json") and f != "flow_laws.json")
-_MUTATIONS = ("drop", True, -1, [], "zz", {})
+_MUTATIONS = ("drop", True, -1, [], "zz", {}, 1e300)
 
 
 def _json_paths(node, prefix=()):

@@ -4,6 +4,7 @@ import pytest
 from kerflow import flows as fl
 from kerflow import kernels as kk
 from kerflow import operators as op
+from kerflow.algebra import expm
 from kerflow.errors import ClassificationError
 
 
@@ -173,12 +174,6 @@ def test_semigroup_on_eigen_section(X1d):
     assert np.allclose(out, np.exp(-0.7) * v.coords, atol=1e-12)
 
 
-def test_unitary_is_unitary(cosh_operator):
-    comp, model = cosh_operator
-    U = op.unitary_matrix(comp, 0.9)
-    assert np.max(np.abs(U.conj().T @ U - np.eye(comp.rank))) <= 1e-12
-
-
 def test_semigroup_law(cosh_operator):
     comp, _ = cosh_operator
     S = op.semigroup_matrix
@@ -190,7 +185,7 @@ def test_skew_unitary_mode(X1d):
     model = kk.gram(K, chebyshev(9), rank_cutoff=1e-10)
     B = op.lie_derivative_form(K, X1d, model.points)
     comp = op.compress_operator(B, model, op.SKEW)
-    U = op.unitary_matrix(comp, 0.6)
+    U = expm(0.6 * comp.compressed)
     assert np.max(np.abs(U.conj().T @ U - np.eye(comp.rank))) <= 1e-10
     with pytest.raises(ClassificationError):
         op.semigroup_matrix(comp, 0.3)
