@@ -8,6 +8,7 @@ fixed set of allowed blocks and tolerance names.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -48,6 +49,19 @@ class Rule:
     spec: Optional[dict] = None         # key table of an object value
 
 
+# Upper bounds on integer sizes, so that a huge JSON integer is a config
+# error, never an allocation or a loop without end.  A config's largest
+# arrays have about the square of its sizes as entries; each bound keeps
+# them near those of a Gram on MAX_POINTS points (32 MB).
+MAX_POINTS = 2000           # sample points, flow and bracket points, bumps
+MAX_SIDE = 44               # grid2d points per side: 44^2 = 1936 points
+MAX_DIMENSION = 8           # coordinates of a uniform_box point
+MAX_TIME_SAMPLES = 100      # flow_laws time pairs per point
+MAX_MATRIX_SIZE = 4         # luscher_mack matrix_size n
+# luscher_mack n_samples N: its kernel stacks (N n)^2 products
+MAX_SEMIGROUP_SAMPLES = MAX_POINTS // MAX_MATRIX_SIZE
+MAX_GRID_CELLS = 2048       # cells of a test-function grid, all axes together
+
 _NUMBER = Rule((int, float))
 _POSITIVE = Rule((int, float), above=0)
 _PAIR = Rule(list, at_least=2, at_most=2, each=_NUMBER)
@@ -57,36 +71,40 @@ _POINT = Rule(list, at_least=1, each=_NUMBER)
 _FIELD_SPEC = {"name": Rule(str, required=True), "params": dict}
 _FIELD = Rule(dict, required=True, spec=_FIELD_SPEC)
 _SAMPLES = Rule(dict, required=True, spec={
-    "type": Rule(str, required=True), "n": Rule(int, at_least=1),
-    "n_side": Rule(int, at_least=1), "halfwidth": (int, float),
-    "dimension": int, "points": Rule(list, at_least=1, each=_POINT),
-    "refinement": Rule(list, at_least=1, each=Rule(int, at_least=1)),
+    "type": Rule(str, required=True), "n": Rule(int, at_least=1, at_most=MAX_POINTS),
+    "n_side": Rule(int, at_least=1, at_most=MAX_SIDE), "halfwidth": (int, float),
+    "dimension": Rule(int, at_least=1, at_most=MAX_DIMENSION),
+    "points": Rule(list, at_least=1, each=_POINT),
+    # a level is a point count, or a side for grid2d (checked with the type)
+    "refinement": Rule(list, at_least=1, each=Rule(int, at_least=1, at_most=MAX_POINTS)),
     "x_range": _PAIR, "y_range": _PAIR,
     "radii": Rule(list, at_least=1, each=_POSITIVE),
-    "n_per_circle": int, "include_origin": bool})
+    "n_per_circle": Rule(int, at_least=1, at_most=MAX_POINTS), "include_origin": bool})
 _ALGEBRA = Rule(dict, spec={"name": str, "params": dict, "structure_constants": list,
                             "involution": list, "labels": list})
 _GRID = Rule(dict, required=True, spec={
     "origin": Rule((list, int, float), required=True),
     "spacing": Rule((int, float), required=True),
-    "shape": Rule((list, int), required=True, each=Rule(int)), "margin": int})
+    # the product of the extents is bounded once the types hold
+    "shape": Rule((list, int), required=True, at_least=1, each=Rule(int, at_least=1)),
+    "margin": Rule(int, at_most=MAX_GRID_CELLS)})
 _TRANSLATIONS = Rule(list, each=Rule(dict, spec={"cells": Rule(list, required=True,
                                                                each=Rule(int))}))
-_CELLS = Rule(int, at_least=0)
+_CELLS = Rule(int, at_least=0, at_most=MAX_GRID_CELLS)
 
 # allowed top-level keys per kind (beyond kind/seed/tolerances)
 SCHEMAS = {
     "flow_laws": {
         "fields": Rule(list, required=True, at_least=1, each=_FIELD),
-        "n_points": Rule(int, at_least=1),
+        "n_points": Rule(int, at_least=1, at_most=MAX_POINTS),
         "step": Rule((int, float), above=0),
         "t_range": Rule((int, float), above=0),
-        "n_time_samples": Rule(int, at_least=1),
+        "n_time_samples": Rule(int, at_least=1, at_most=MAX_TIME_SAMPLES),
     },
     "bracket_order": {
         "pairs": Rule(list, required=True,
                       each=Rule(dict, spec={"x": _FIELD, "y": _FIELD})),
-        "n_points": int,
+        "n_points": Rule(int, at_most=MAX_POINTS),
         # a fitted order needs at least two step sizes
         "h_ladder": Rule(list, at_least=2, each=_POSITIVE),
     },
@@ -114,7 +132,8 @@ SCHEMAS = {
     },
     "luscher_mack": {
         "variant": str, "exponent": (int, float), "power": (int, float),
-        "n_samples": int, "interval": _PAIR, "matrix_size": int,
+        "n_samples": Rule(int, at_least=1, at_most=MAX_SEMIGROUP_SAMPLES),
+        "interval": _PAIR, "matrix_size": Rule(int, at_least=1, at_most=MAX_MATRIX_SIZE),
         "spectral_range": _PAIR, "rank_cutoff": (int, float),
     },
     "os_reconstruct": {
@@ -122,7 +141,7 @@ SCHEMAS = {
         "bumps": Rule(list, required=True, at_least=1, each=Rule(dict, spec={
             "center": Rule((list, int, float), required=True),
             "width": Rule((int, float), required=True)})),
-        "expected_rank": Rule(int, required=True),
+        "expected_rank": Rule(int, required=True, at_most=MAX_POINTS),
         # transfer times are cell counts along the direction away from the
         # reflection hyperplane, so never negative
         "times_cells": Rule(list, required=True, at_least=1, each=_CELLS),
@@ -226,6 +245,11 @@ def _check_samples(samples: dict, kind: str):
     ladder = samples.get("refinement", [])
     if any(ladder[i + 1] <= ladder[i] for i in range(len(ladder) - 1)):
         raise ConfigError("$.samples.refinement", "must be strictly increasing")
+    if samples["type"] == "grid2d":
+        for i, side in enumerate(ladder):
+            if side > MAX_SIDE:
+                raise ConfigError(f"$.samples.refinement[{i}]",
+                                  f"a grid2d side must be <= {MAX_SIDE}")
 
 
 def _check_curve_steps(data: dict, kind: str):
@@ -309,9 +333,12 @@ def validate_config(data: dict) -> ExperimentConfig:
             raise ConfigError("$.kernel.name", f"{kind} runs on the ou_mixture family")
         _check_block(data["kernel"].get("params", {}), _OU_MIXTURE_PARAMS,
                      "$.kernel.params")
-    if kind == "rp_axioms":
+    if "grid" in data:
         shape = data["grid"]["shape"]
         shape = shape if isinstance(shape, list) else [shape]
+        if math.prod(shape) > MAX_GRID_CELLS:
+            raise ConfigError("$.grid.shape", f"more than {MAX_GRID_CELLS} cells")
+    if kind == "rp_axioms":
         for block in ("translations", "parallel_translations"):
             for i, t in enumerate(data.get(block, [])):
                 path = f"$.{block}[{i}].cells"

@@ -185,7 +185,9 @@ def _advance(field: VectorField, p: np.ndarray, t_end: np.ndarray, step: float,
     """The RK4 loop: advance each row of ``p`` (n, d) to its own signed time.
     A finished or stopped row takes h = 0 and keeps its last accepted point;
     rows never mix, so whatever a stopped row computes after that is unused.
-    ``path``, used with one row, receives each accepted (time, point) pair."""
+    ``path``, when given, receives the signed times and points of every row
+    after each step, for as long as every row is live: the steps that every
+    row accepted."""
     if step <= 0.0:
         raise ValueError("step must be positive")
     sign, total = np.where(t_end >= 0.0, 1.0, -1.0), np.abs(t_end)
@@ -218,18 +220,21 @@ def integrate_curve(field: VectorField, start, t_end: float,
     p = np.asarray(start, dtype=float)
     if not field.chart.contains(p):
         raise FlowDomainError(f"start point {p} is outside the chart")
-    path = [(np.zeros(1), p[None])]
-    reason = _advance(field, p[None], np.array([t_end], dtype=float), step,
-                      path).exit_reasons[0]
+    path = []
+    reason = integrate_batch(field, p[None], t_end, step, path).exit_reasons[0]
     times, points = map(np.concatenate, zip(*path))
     return IntegralCurve(times, points, reason is not None, reason)
 
 
 def integrate_batch(field: VectorField, starts, t_ends,
-                    step: float = DEFAULT_STEP) -> BatchFlow:
+                    step: float = DEFAULT_STEP,
+                    path: Optional[list] = None) -> BatchFlow:
     """Integrate each row of ``starts`` (n, d) to its own time in ``t_ends``,
     all rows together, each with the semantics and the endpoint of
-    ``integrate_curve``.  No trajectory is kept."""
+    ``integrate_curve``.  ``path``, when given, receives the (times, points)
+    of all rows at time 0 and after each step that every row accepted, so
+    it ends where the first row stops or finishes; else no trajectory is
+    kept."""
     p = np.array(starts, dtype=float)
     if p.ndim != 2 or p.shape[1] != field.chart.dimension:
         raise ValueError(f"starts must have shape (n, {field.chart.dimension})")
@@ -237,7 +242,9 @@ def integrate_batch(field: VectorField, starts, t_ends,
     if not inside.all():
         raise FlowDomainError(f"start point {p[~inside][0]} is outside the chart")
     t_ends = np.broadcast_to(np.asarray(t_ends, dtype=float), (len(p),))
-    return _advance(field, p, t_ends, step)
+    if path is not None:
+        path.append((np.zeros(len(p)), p))
+    return _advance(field, p, t_ends, step, path)
 
 
 def _variational(field: VectorField) -> VectorField:

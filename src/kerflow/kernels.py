@@ -34,6 +34,7 @@ class Kernel:
     every pair of rows of X (n, d) and Y (m, d) at once, through
     ``matrix_fn`` / ``grad1_matrix_fn`` when given and else entry by entry;
     they return float64 unless the kernel returns complex values.
+    ``dimension``, when given, is the number of coordinates of a point.
     """
 
     name: str
@@ -42,6 +43,7 @@ class Kernel:
     h_fd: float = DEFAULT_FD_STEP
     matrix_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     grad1_matrix_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    dimension: Optional[int] = None
 
     def __call__(self, x, y) -> complex:
         return complex(self.eval_fn(np.asarray(x, float), np.asarray(y, float)))
@@ -279,7 +281,8 @@ def laplace_kernel_from_measure(measure: MeasureSample) -> Kernel:
         fx, fy = factor(X) * weights, factor(Y).T
         return np.stack([(fx * (-a / 2.0)) @ fy for a in atoms.T], axis=-1)
 
-    return Kernel("laplace", ev, g1, matrix_fn=mat, grad1_matrix_fn=grad_mat)
+    return Kernel("laplace", ev, g1, matrix_fn=mat, grad1_matrix_fn=grad_mat,
+                  dimension=atoms.shape[1])
 
 
 def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
@@ -403,22 +406,37 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
             d = -2.0 * m * k1(m * r) / r
             return np.array([d * a, d * b], dtype=complex)
 
+        # the array forms fill preallocated outputs in place: at 289 points
+        # the gradient is the largest array of a cdual_rep run
         def reflected(X, Y):
-            a = X[:, None, 0] + Y[None, :, 0]
-            b = X[:, None, 1] - Y[None, :, 1]
-            r = np.hypot(a, b)
-            if np.any((r <= 0.0) | (a < 0.0)):
+            """(x1 + y1, x2 - y2) for every pair, shape (n, m, 2), and its norm."""
+            ab = np.empty((len(X), len(Y), 2))
+            np.add(X[:, None, 0], Y[None, :, 0], out=ab[..., 0])
+            np.subtract(X[:, None, 1], Y[None, :, 1], out=ab[..., 1])
+            r = np.hypot(ab[..., 0], ab[..., 1])
+            if np.any(r <= 0.0) or np.any(ab[..., 0] < 0.0):
                 raise KernelDomainError("halfplane_bessel needs x1 + y1 > 0")
-            return a, b, r
+            return ab, r
+
+        def hp_mat(X, Y):
+            r = reflected(X, Y)[1]
+            r *= m
+            k0(r, out=r)
+            r *= 2.0
+            return r
 
         def hp_grad(X, Y):
-            a, b, r = reflected(X, Y)
-            d = -2.0 * m * k1(m * r) / r
-            return np.stack([d * a, d * b], axis=-1)
+            # -2 m K1(m r) / r times (a, b)
+            ab, r = reflected(X, Y)
+            d = m * r
+            k1(d, out=d)
+            d *= -2.0 * m
+            d /= r
+            ab *= d[..., None]
+            return ab
 
-        return Kernel("halfplane_bessel", ev, g1,
-                      matrix_fn=lambda X, Y: 2.0 * k0(m * reflected(X, Y)[2]),
-                      grad1_matrix_fn=hp_grad)
+        return Kernel("halfplane_bessel", ev, g1, matrix_fn=hp_mat,
+                      grad1_matrix_fn=hp_grad, dimension=2)
     if name == "circle_laplace":
         # transform of a uniform measure on a radius-m circle: a smooth,
         # rotation-invariant positive definite kernel close to I0(m |x+y| / 2)
@@ -444,7 +462,7 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
 
         # analytic matrix derivatives are error-prone; finite differences only
         return Kernel("det", lambda x, y: det_mat(x[None], y[None])[0, 0], None,
-                      matrix_fn=det_mat)
+                      matrix_fn=det_mat, dimension=n * n)
     raise KeyError(f"unknown builtin kernel {name!r}")
 
 

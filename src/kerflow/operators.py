@@ -18,7 +18,8 @@ import numpy as np
 
 from .algebra import AlgebraElement, SymmetricLieAlgebra, algebra_bracket, expm
 from .errors import ClassificationError, FlowDomainError
-from .flows import (DEFAULT_STEP, VectorField, integrate_curve, lie_bracket)
+from .flows import (DEFAULT_STEP, VectorField, integrate_batch, integrate_curve,
+                    lie_bracket)
 from .kernels import (GramModel, Kernel, embed_gvector, embed_point,
                       projection_residual)
 
@@ -46,6 +47,11 @@ class CompatibleAction:
         if len(self.basis_fields) != self.algebra.dim:
             raise ValueError("need one vector field per basis element")
         object.__setattr__(self, "basis_fields", tuple(self.basis_fields))
+
+    @property
+    def dimension(self) -> int:
+        """Coordinates of a point of the chart the fields live on."""
+        return self.basis_fields[0].chart.dimension
 
     def field(self, element) -> VectorField:
         """Real-linear combination of the basis fields."""
@@ -166,18 +172,19 @@ def flow_invariance_check(kernel: Kernel, field: VectorField, epsilon: int,
     reported range instead of failing, but a pair whose curves reach no time
     beyond 0 compares nothing and fails."""
     drifts, reached = {}, {}
+    t_ends = [t_max, -t_max if epsilon == SYMMETRIC else t_max]
     for idx, (m, n) in enumerate(pairs):
         m = np.asarray(m, dtype=float)
         n = np.asarray(n, dtype=float)
-        cm = integrate_curve(field, m, t_max, step)
-        cn = integrate_curve(field, n, -t_max if epsilon == SYMMETRIC else t_max, step)
-        k_steps = min(len(cm.times), len(cn.times))
+        # both curves as one batch; the path stops where either curve does
+        path = []
+        integrate_batch(field, [m, n], t_ends, step, path)
         base = kernel(m, n)
         drift = 0.0
-        for k in range(k_steps):
-            drift = max(drift, abs(kernel(cm.points[k], cn.points[k]) - base))
+        for _, (pm, pn) in path:
+            drift = max(drift, abs(kernel(pm, pn) - base))
         drifts[idx] = float(drift)
-        reached[idx] = float(cm.times[k_steps - 1])
+        reached[idx] = float(path[-1][0][0])
     passed = all(drifts[i] <= tol and reached[i] != 0.0 for i in drifts)
     return FlowInvarianceReport(drifts, reached, tol, passed)
 

@@ -198,42 +198,67 @@ class SemigroupPipelineReport:
         return max(self.star_defects.values()) if self.star_defects else 0.0
 
 
+def _semigroup_kernel(phi, phi_grad, n: int, vectorized: bool) -> Kernel:
+    """K(x, y) = phi(x y^T) on flattened n x n matrices.
+
+    A ``vectorized`` phi (and phi_grad) maps a stack (..., n, n) of products
+    to (...) values (and (..., n, n) derivatives d phi / d u_ab); the kernel
+    then evaluates whole matrices at once and its scalar value is their 1 x 1
+    case.  Any other phi is called once per pair of points."""
+    if not vectorized:
+        def ev(x, y):
+            return phi(x.reshape(n, n) @ y.reshape(n, n).T)
+
+        g1 = None
+        if phi_grad is not None:
+            def g1(x, y):
+                Y = y.reshape(n, n)
+                D = np.asarray(phi_grad(x.reshape(n, n) @ Y.T), dtype=float)
+                # d/dx_ij phi(x y^T) = sum_b D[i, b] y[b, j]
+                return (D @ Y).ravel()
+
+        return Kernel("semigroup", ev, g1)
+
+    def stacks(X, Y):
+        Ys = Y.reshape(-1, n, n)
+        return X.reshape(-1, n, n)[:, None] @ np.swapaxes(Ys, 1, 2)[None], Ys
+
+    def mat(X, Y):
+        return phi(stacks(X, Y)[0])
+
+    grad_mat = None
+    if phi_grad is not None:
+        def grad_mat(X, Y):
+            products, Ys = stacks(X, Y)
+            # d/dx_ij phi(x y^T) = sum_b D[i, b] y[b, j], pair by pair
+            return (phi_grad(products) @ Ys[None]).reshape(len(X), len(Y), n * n)
+
+    return Kernel("semigroup", lambda x, y: mat(x[None], y[None])[0, 0], None,
+                  matrix_fn=mat, grad1_matrix_fn=grad_mat)
+
+
 def luscher_mack_pipeline(elements: Sequence[np.ndarray],
                           phi,
                           action: CompatibleAction,
-                          sharp=None,
                           phi_grad=None,
+                          vectorized: bool = False,
                           rank_cutoff: float = 1e-12,
                           psd_tol: float = 1e-10,
                           tol_sym: float = DEFAULT_SYMMETRY_TOL):
     """From a function phi on an open semigroup of matrices to a dual
     representation table.
 
-    Builds the kernel K(x, y) = phi(x y^#), checks positivity, verifies
-    compatibility with the right-multiplication action, synthesizes the
-    operator table, and checks the adjoint relation of the right-translation
-    matrices P(s^#) = P(s)^dagger.  ``sharp`` defaults to the transpose;
-    ``phi_grad``, when given, supplies an analytic kernel gradient.
+    Builds the kernel K(x, y) = phi(x y^#), with the transpose as ``#``,
+    checks positivity, verifies compatibility with the right-multiplication
+    action, synthesizes the operator table, and checks the adjoint relation
+    of the right-translation matrices P(s^#) = P(s)^dagger.  ``phi_grad``,
+    when given, supplies an analytic kernel gradient; ``vectorized`` marks a
+    phi and phi_grad that act on stacks (..., n, n) of matrices.
     """
-    mats = [np.atleast_2d(np.asarray(e, dtype=float)) for e in elements]
-    n = mats[0].shape[0]
-    if sharp is None:
-        sharp = lambda g: g.T
-
-    def ev(x, y):
-        return phi(x.reshape(n, n) @ sharp(y.reshape(n, n)))
-
-    g1 = None
-    if phi_grad is not None:
-        def g1(x, y):
-            X = x.reshape(n, n)
-            Ys = sharp(y.reshape(n, n))
-            D = np.asarray(phi_grad(X @ Ys), dtype=float)   # d phi / d u_{ab}
-            # d/dx_{ij} phi(x y^#) = sum_b D[i, b] Ys[j, b]
-            return (D @ Ys.T).ravel()
-
-    kernel = Kernel("semigroup", ev, g1)
-    points = np.array([m.ravel() for m in mats])
+    mats = np.array([np.atleast_2d(np.asarray(e, dtype=float)) for e in elements])
+    n = mats.shape[1]
+    kernel = _semigroup_kernel(phi, phi_grad, n, vectorized)
+    points = mats.reshape(len(mats), n * n)
     try:
         model = gram(kernel, points, rank_cutoff)
     except EmptyModelError as exc:
@@ -255,14 +280,14 @@ def luscher_mack_pipeline(elements: Sequence[np.ndarray],
     W = model.whitening
 
     def translation_matrix(s):
-        rows = np.array([(m @ s).ravel() for m in mats])
+        rows = (mats @ s).reshape(len(mats), n * n)
         return W @ kernel.matrix(rows, points) @ W.conj().T
 
     star_defects = {}
     matrices = {}
     for k, s in enumerate(mats):
         P = translation_matrix(s)
-        P_sharp = translation_matrix(sharp(s))
+        P_sharp = translation_matrix(s.T)
         matrices[k] = P
         star_defects[k] = float(np.linalg.norm(P_sharp - P.conj().T))
 

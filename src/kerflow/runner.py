@@ -114,15 +114,28 @@ def _sample_points(spec: dict, rng: np.random.Generator, size: Optional[int] = N
     raise ConfigError("$.samples.type", f"unknown sample type {kind!r}")
 
 
-def _gram_ladder(cfg: ExperimentConfig, kernel, cutoff: float):
+def _checked_samples(spec: dict, rng: np.random.Generator, kernel, dimension: int,
+                     size: Optional[int] = None) -> np.ndarray:
+    """``_sample_points``, whose points must have the ``dimension`` of the
+    action's or field's chart and that of the kernel, if it declares one."""
+    pts = _sample_points(spec, rng, size)
+    for what, need in (("the chart", dimension), ("the kernel", kernel.dimension)):
+        if need is not None and pts.shape[1] != need:
+            raise ConfigError("$.samples", f"points have {pts.shape[1]} coordinates, "
+                                           f"{what} needs {need}")
+    return pts
+
+
+def _gram_ladder(cfg: ExperimentConfig, kernel, cutoff: float, dimension: int):
     """Gram model of each level of the sample ladder: the ``refinement``
     sizes, else the one configured size.  Every level replays the seed, so
-    ladder levels nest statistically."""
+    ladder levels nest statistically.  Points have ``dimension`` coordinates."""
     spec = cfg.body["samples"]
     sizes = spec["refinement"] if "refinement" in spec \
         else [spec.get("n", spec.get("n_side", 0))]
     for size in sizes:
-        pts = _sample_points(spec, np.random.default_rng(cfg.seed), size=size)
+        pts = _checked_samples(spec, np.random.default_rng(cfg.seed), kernel,
+                               dimension, size)
         yield kr.gram(kernel, pts, rank_cutoff=cutoff)
 
 
@@ -300,7 +313,7 @@ def _run_compatibility(cfg: ExperimentConfig, rng) -> ExperimentReport:
     kernel = kr.kernel_from_config(body["kernel"])
     action = op.action_from_config(body["action"])
     _check_declared_algebra(body, action)
-    pts = _sample_points(body["samples"], rng)
+    pts = _checked_samples(body["samples"], rng, kernel, action.dimension)
     report = op.compatibility_check(kernel, action, pts, cfg.tol("compatibility"))
     hom = action.homomorphism_defect(pts[: min(len(pts), 8)])
     invariance = []
@@ -341,7 +354,7 @@ def _run_froelich(cfg: ExperimentConfig, rng) -> ExperimentReport:
     cutoff = float(body.get("rank_cutoff", 1e-10))
     sizes = []
     deltas, resids = [], []
-    for model in _gram_ladder(cfg, kernel, cutoff):
+    for model in _gram_ladder(cfg, kernel, cutoff, field.chart.dimension):
         if "start_point" in body and len(start) != model.points.shape[1]:
             raise ConfigError("$.start_point", f"needs {model.points.shape[1]} "
                                                "coordinates, one per sample dimension")
@@ -379,7 +392,7 @@ def _run_cdual_rep(cfg: ExperimentConfig, rng) -> ExperimentReport:
         y = _element_index(action.algebra, conj_spec["y"], "$.conjugation.y")
     skew_defect = unit_defect = 0.0
     comm_curve, conj_curve = [], []
-    for model in _gram_ladder(cfg, kernel, cutoff):
+    for model in _gram_ladder(cfg, kernel, cutoff, action.dimension):
         table = rp.synthesize_cdual_rep(kernel, action, model)
         skew_defect = max(skew_defect, table.max_skew_defect)
         unit_defect = max(unit_defect, table.max_unitarity_defect(times))
@@ -426,15 +439,11 @@ def _run_luscher_mack(cfg: ExperimentConfig, rng) -> ExperimentReport:
         elems = [np.array([[s]]) for s in np.linspace(lo, hi, n)]
         action = op.builtin_action("matrix_right_multiplication", {"n": 1})
 
-        def phi(u):
-            return float(u[0, 0]) ** a
-
-        def phi_grad(u):
-            return np.array([[a * float(u[0, 0]) ** (a - 1.0)]])
-
-        table, rep = rp.luscher_mack_pipeline(elems, phi, action,
-                                              phi_grad=phi_grad,
-                                              rank_cutoff=cutoff)
+        # phi and its gradient act on stacks (..., 1, 1) of products
+        table, rep = rp.luscher_mack_pipeline(elems, lambda u: u[..., 0, 0] ** a,
+                                              action,
+                                              phi_grad=lambda u: a * u ** (a - 1.0),
+                                              vectorized=True, rank_cutoff=cutoff)
         gen = table.entry(0).compressed
         gen_err = float(np.max(np.abs(gen - a * np.eye(gen.shape[0]))))
         gen_check = _defect_check("generator_error", gen_err, cfg.tol("generator"))
@@ -451,11 +460,10 @@ def _run_luscher_mack(cfg: ExperimentConfig, rng) -> ExperimentReport:
             elems.append(raw * (target / norm))
         action = op.builtin_action("matrix_right_multiplication", {"n": n_mat})
 
-        def phi(u):
-            return float(np.linalg.det(np.eye(n_mat) - u) ** (-power))
-
-        table, rep = rp.luscher_mack_pipeline(elems, phi, action,
-                                              rank_cutoff=cutoff)
+        # phi acts on stacks (..., n_mat, n_mat) of products
+        table, rep = rp.luscher_mack_pipeline(
+            elems, lambda u: np.linalg.det(np.eye(n_mat) - u) ** (-power), action,
+            vectorized=True, rank_cutoff=cutoff)
         gen_check = Check("generator_error", 0.0, None, None)
     else:
         raise ConfigError("$.variant", f"unknown variant {variant!r}")

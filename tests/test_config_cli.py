@@ -438,6 +438,33 @@ def _zero_size(key):
                  id="tiny-step"),
     pytest.param("flow_laws", lambda d: d.update(t_range=1e300), "$.t_range",
                  id="huge-t-range"),
+    # integer sizes: each is bounded, so a huge one asks for no unbounded work
+    pytest.param("luscher_mack_det", lambda d: d.update(n_samples=10 ** 300),
+                 "$.n_samples", id="huge-n-samples"),
+    pytest.param("luscher_mack_power", lambda d: d.update(n_samples=0),
+                 "$.n_samples", id="no-samples"),
+    pytest.param("luscher_mack_det", lambda d: d.update(matrix_size=10 ** 300),
+                 "$.matrix_size", id="huge-matrix-size"),
+    pytest.param("cdual_abelian", lambda d: d["samples"].update(n=10 ** 300),
+                 "$.samples.n", id="huge-sample-count"),
+    pytest.param("froelich_laplace", lambda d: d["samples"].update(dimension=10 ** 300),
+                 "$.samples.dimension", id="huge-sample-dimension"),
+    pytest.param("cdual_halfplane", lambda d: d["samples"].update(refinement=[3, 5, 45]),
+                 "$.samples.refinement[2]", id="grid2d-ladder-side"),
+    pytest.param("compatibility",
+                 lambda d: d["samples"].update(type="circles", radii=[0.5],
+                                               n_per_circle=10 ** 300),
+                 "$.samples.n_per_circle", id="huge-circle-count"),
+    pytest.param("flow_laws", lambda d: d.update(n_time_samples=10 ** 300),
+                 "$.n_time_samples", id="huge-time-samples"),
+    pytest.param("bracket_order", lambda d: d.update(n_points=10 ** 300),
+                 "$.n_points", id="huge-bracket-points"),
+    pytest.param("rp_axioms", lambda d: d["grid"].update(shape=[41, 10 ** 300]),
+                 "$.grid.shape", id="huge-grid-extent"),
+    pytest.param("rp_axioms", lambda d: d["grid"].update(shape=[64, 33]),
+                 "$.grid.shape", id="grid-cell-count"),
+    pytest.param("os_reconstruct_ou", lambda d: d.update(times_cells=[10 ** 300]),
+                 "$.times_cells[0]", id="huge-times-cells"),
     pytest.param("compatibility", lambda d: d["invariance"][0].update(t_max=1e300),
                  "$.invariance[0].t_max", id="huge-t-max"),
 ])
@@ -454,7 +481,7 @@ def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_
 
 
 # values only the run can check against what the config builds: the
-# action's algebra and the sample dimension
+# action's algebra, the point dimensions of the chart and the kernel
 @pytest.mark.parametrize("stem, mutate, json_path", [
     pytest.param("compatibility", lambda d: d["invariance"][0].update(element="zz"),
                  "$.invariance[0].element", id="unknown-element-label"),
@@ -473,6 +500,25 @@ def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_
     pytest.param("compatibility",
                  lambda d: d["invariance"][0].update(pair=[[0.0], [0.1, 0.2]]),
                  "$.invariance[0].pair[1]", id="pair-point-dimension"),
+    pytest.param("compatibility",
+                 lambda d: d.update(samples={"type": "circles", "radii": [0.5],
+                                             "n_per_circle": 4}),
+                 "$.samples", id="circles-on-a-line"),
+    pytest.param("compatibility",
+                 lambda d: d.update(samples={"type": "explicit",
+                                             "points": [[0.1, 0.2], [0.3, 0.4]]}),
+                 "$.samples", id="explicit-point-dimension"),
+    pytest.param("compatibility",
+                 lambda d: (d["action"]["params"].update(dimension=2), d.pop("invariance"),
+                            d.update(samples={"type": "uniform_box", "n": 5,
+                                              "dimension": 2})),
+                 "$.samples", id="sample-dimension-against-kernel"),
+    pytest.param("cdual_abelian",
+                 lambda d: d["samples"].update(type="uniform_box", dimension=2),
+                 "$.samples", id="cdual-sample-dimension"),
+    pytest.param("froelich_rank1",
+                 lambda d: d.update(samples={"type": "explicit", "points": [[0.0, 0.1]]}),
+                 "$.samples", id="froelich-sample-dimension"),
 ])
 def test_run_checks_references_exits_2_with_path(tmp_path, capsys, stem, mutate,
                                                   json_path):
@@ -502,7 +548,7 @@ def test_unexpected_error_exits_3_in_one_line(tmp_path, capsys, monkeypatch):
 
 _SHIPPED_STEMS = sorted(os.path.splitext(f)[0] for f in os.listdir(CONFIG_DIR)
                         if f.endswith(".json") and f != "flow_laws.json")
-_MUTATIONS = ("drop", True, -1, [], "zz", {}, 1e300)
+_MUTATIONS = ("drop", True, -1, [], "zz", {}, 1e300, 10 ** 300)
 
 
 def _json_paths(node, prefix=()):

@@ -355,3 +355,20 @@ def test_linear_field_flow_matches_exponential():
         for t in (0.5, 1.0, -0.7):
             c = fl.integrate_curve(f, p, t, 1e-3)
             assert np.linalg.norm(c.endpoint - expm(t * D) @ p) <= 1e-8
+
+
+def test_batch_path_ends_with_the_first_row_to_stop():
+    # quadratic1d leaves its chart (-inf, 1) at t = 1/x0 - 1 for x0 > 0
+    field = fl.builtin_field("quadratic1d")
+    starts = [[0.5], [-0.5], [0.8]]
+    path = []
+    flow = fl.integrate_batch(field, starts, 1.0, 0.01, path)
+    curves = [fl.integrate_curve(field, s, 1.0, 0.01) for s in starts]
+    k = min(len(c.times) for c in curves)
+    assert len(path) == k < len(curves[1].times)
+    times = np.array([t for t, _ in path])
+    points = np.array([p for _, p in path])
+    for i, curve in enumerate(curves):
+        assert np.array_equal(times[:, i], curve.times[:k])
+        assert np.array_equal(points[:, i], curve.points[:k])
+        assert np.array_equal(flow.endpoints[i], curve.endpoint)

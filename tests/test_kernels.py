@@ -377,3 +377,20 @@ def test_gram_of_real_kernel_is_float64_and_flags_duplicates(fock):
     # -0.0 equals 0.0, as for np.array_equal
     assert kk.gram(fock, [[0.0, 0.0], [1.0, 1.0], [-0.0, 0.0]]).duplicate_points
     assert not kk.gram(fock, [[0.0, 1.0], [1.0, 0.0]]).duplicate_points
+
+
+def test_halfplane_array_forms_equal_the_plain_expressions_bit_for_bit():
+    # the in-place forms reorder no operation of 2 K0(m r) and
+    # -2 m K1(m r) / r (a, b)
+    from scipy.special import k0, k1
+    m = 1.3
+    K = kk.builtin_kernel("halfplane_bessel", {"mass": m})
+    rng = np.random.default_rng(0)
+    X = rng.uniform([0.2, -1.0], [2.2, 1.0], size=(9, 2))
+    Y = rng.uniform([0.2, -1.0], [2.2, 1.0], size=(7, 2))
+    a = X[:, None, 0] + Y[None, :, 0]
+    b = X[:, None, 1] - Y[None, :, 1]
+    r = np.hypot(a, b)
+    d = -2.0 * m * k1(m * r) / r
+    assert np.array_equal(K.matrix(X, Y), 2.0 * k0(m * r))
+    assert np.array_equal(K.grad1_matrix(X, Y), np.stack([d * a, d * b], axis=-1))

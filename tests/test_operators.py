@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kerflow import flows as fl
 from kerflow import kernels as kk
@@ -263,3 +264,34 @@ def test_matrix_action_homomorphism():
     rng = np.random.default_rng(2)
     pts = [0.3 * rng.normal(size=4) for _ in range(4)]
     assert action.homomorphism_defect(pts) <= 1e-8
+
+
+def _per_curve_invariance(kernel, field, epsilon, m, n, t_max, step):
+    """The drift and reached time with each curve integrated on its own and
+    the two compared while both are inside the chart."""
+    cm = fl.integrate_curve(field, m, t_max, step)
+    cn = fl.integrate_curve(field, n, -t_max if epsilon == op.SYMMETRIC else t_max, step)
+    k_steps = min(len(cm.times), len(cn.times))
+    base = kernel(m, n)
+    drift = 0.0
+    for k in range(k_steps):
+        drift = max(drift, abs(kernel(cm.points[k], cn.points[k]) - base))
+    return float(drift), float(cm.times[k_steps - 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["quadratic1d", "rotation2d", "quad_swirl"]),
+       epsilon=st.sampled_from([op.SYMMETRIC, op.SKEW]),
+       t_max=st.floats(0.05, 2.0), step=st.sampled_from([0.01, 0.03]),
+       data=st.data())
+def test_batched_invariance_equals_per_curve_bit_for_bit(name, epsilon, t_max, step,
+                                                         data):
+    # quadratic1d curves leave the chart early, one or both of a pair
+    field = fl.builtin_field(name)
+    point = st.lists(st.floats(-0.95, 0.95), min_size=field.chart.dimension,
+                     max_size=field.chart.dimension).map(np.array)
+    m, n = data.draw(point), data.draw(point)
+    kernel = kk.builtin_kernel("gaussian_rbf", {"sigma": 0.8})
+    rep = op.flow_invariance_check(kernel, field, epsilon, [(m, n)], t_max, step)
+    assert (rep.drifts[0], rep.reached[0]) == _per_curve_invariance(
+        kernel, field, epsilon, m, n, t_max, step)

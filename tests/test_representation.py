@@ -237,3 +237,91 @@ def test_pipeline_rejects_non_positive_function():
     with pytest.raises(PositivityError):
         rp.luscher_mack_pipeline(elems, lambda u: -1.0, action,
                                  phi_grad=lambda u: np.zeros((1, 1)))
+
+
+def _contractions(count, n=2, seed=4):
+    """``count`` random n x n matrices with operator norms in [0.05, 0.8]."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(count, n, n))
+    return raw * (rng.uniform(0.05, 0.8, count)
+                  / np.linalg.norm(raw, 2, axis=(1, 2)))[:, None, None]
+
+
+def _det_grad(u):
+    # d det(1 - u) / d u = -det(1 - u) (1 - u)^-T, on stacks of matrices
+    m = np.eye(u.shape[-1]) - u
+    return -np.linalg.det(m)[..., None, None] * np.swapaxes(np.linalg.inv(m), -1, -2)
+
+
+def _both_forms(phi_stacked, phi, n, grad=None):
+    """The semigroup kernel from a stacked phi and from an entry-wise one."""
+    return (rp._semigroup_kernel(phi_stacked, grad, n, vectorized=True),
+            rp._semigroup_kernel(phi, grad, n, vectorized=False))
+
+
+@pytest.mark.parametrize("case", ["product00", "product01", "product10", "product11",
+                                  "det", "det_analytic_grad"])
+def test_stacked_semigroup_kernel_equals_entrywise_bit_for_bit(case):
+    # no power is taken, so stacking changes no rounding: values and
+    # gradients (central differences or analytic) are identical
+    P = _contractions(9).reshape(9, 4)
+    if case.startswith("product"):
+        i, j = int(case[-2]), int(case[-1])
+        stacked, entrywise = _both_forms(lambda u: u[..., i, j], lambda u: u[i, j], 2)
+    else:
+        det = lambda u: np.linalg.det(np.eye(2) - u)
+        grad = _det_grad if case == "det_analytic_grad" else None
+        stacked, entrywise = _both_forms(det, lambda u: float(det(u)), 2, grad)
+    assert np.array_equal(stacked.matrix(P, P[:5]), entrywise.matrix(P, P[:5]))
+    assert np.array_equal(stacked.grad1_matrix(P, P[:5]),
+                          entrywise.grad1_matrix(P, P[:5]))
+
+
+def test_stacked_semigroup_powers_within_one_ulp():
+    # numpy's array ** and Python's float ** may round differently by 1 ulp
+    a, power = 1.5, 2.0
+    s = np.linspace(0.2, 0.9, 24)[:, None]
+    stacked, entrywise = _both_forms(lambda u: u[..., 0, 0] ** a,
+                                     lambda u: float(u[0, 0]) ** a, 1)
+    np.testing.assert_array_max_ulp(stacked.matrix(s, s), entrywise.matrix(s, s), 1)
+    P = _contractions(8).reshape(8, 4)
+    stacked, entrywise = _both_forms(
+        lambda u: np.linalg.det(np.eye(2) - u) ** (-power),
+        lambda u: float(np.linalg.det(np.eye(2) - u) ** (-power)), 2)
+    np.testing.assert_array_max_ulp(stacked.matrix(P, P), entrywise.matrix(P, P), 1)
+
+
+def test_stacked_phi_is_never_called_entry_by_entry():
+    # every call of a stacked phi or phi_grad sees all N x N products at once
+    a = 1.5
+    shapes = []
+
+    def record(value):
+        def fn(u):
+            shapes.append(u.shape)
+            return value(u)
+        return fn
+
+    elems = [np.array([[s]]) for s in np.linspace(0.2, 0.9, 6)]
+    action = op.builtin_action("matrix_right_multiplication", {"n": 1})
+    table, report = rp.luscher_mack_pipeline(
+        elems, record(lambda u: u[..., 0, 0] ** a), action,
+        phi_grad=record(lambda u: a * u ** (a - 1.0)), vectorized=True)
+    assert shapes and set(shapes) == {(6, 6, 1, 1)}
+    assert table.entry(0).compressed[0, 0] == pytest.approx(a, abs=1e-10)
+
+    shapes.clear()
+    action = op.builtin_action("matrix_right_multiplication", {"n": 2})
+    stacked, rep = rp.luscher_mack_pipeline(
+        _contractions(8), record(lambda u: np.linalg.det(np.eye(2) - u) ** -2.0),
+        action, vectorized=True)
+    assert shapes and set(shapes) == {(8, 8, 2, 2)}
+    # the same report as the entry-wise phi, up to the rounding of **
+    _, ref = rp.luscher_mack_pipeline(
+        _contractions(8), lambda u: float(np.linalg.det(np.eye(2) - u) ** -2.0), action)
+    assert rep.psd_min_ratio == pytest.approx(ref.psd_min_ratio, rel=1e-9)
+    assert rep.commutation_max_defect == pytest.approx(ref.commutation_max_defect,
+                                                       rel=1e-9)
+    for k in ref.translation_matrices:
+        np.testing.assert_allclose(rep.translation_matrices[k],
+                                   ref.translation_matrices[k], rtol=1e-9, atol=1e-12)
