@@ -28,6 +28,15 @@ def chebyshev(n, half=1.0):
     return (half * np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n)))[::-1, None]
 
 
+def inverse_power_kernel():
+    """(1.05 + (x + y) / 2)^(-1) on the line: its singularity sits just off
+    the interval [-1, 1]."""
+    return kk.entrywise_kernel(
+        "inverse_power",
+        lambda x, y: (1.05 + (x[0] + y[0]) / 2.0) ** -1.0,
+        lambda x, y: np.array([-0.5 * (1.05 + (x[0] + y[0]) / 2.0) ** -2.0]))
+
+
 def ladder_1d(kernel, cutoff):
     field = fl.constant_field([1.0])
     out = []
@@ -71,12 +80,8 @@ def main():
     print("-- 1D Chebyshev ladders (saturate: no honest decrease) --")
     show("Gaussian transform, cutoff 1e-10",
          ladder_1d(kk.builtin_kernel("laplace_gaussian"), 1e-10))
-    inv = kk.Kernel(
-        "inverse_power",
-        lambda x, y: (1.05 + (x[0] + y[0]) / 2.0) ** -1.0,
-        lambda x, y: np.array([-0.5 * (1.05 + (x[0] + y[0]) / 2.0) ** -2.0],
-                              dtype=complex))
-    show("inverse-power transform, cutoff 1e-12", ladder_1d(inv, 1e-12))
+    show("inverse-power transform, cutoff 1e-12",
+         ladder_1d(inverse_power_kernel(), 1e-12))
     atoms = [[a] for s in (2, 4, 6, 8, 10, 12, 14, 16) for a in (s, -s)]
     wide = kk.builtin_kernel("laplace", {"atoms": atoms,
                                          "weights": [1 / 16] * 16})

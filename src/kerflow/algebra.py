@@ -14,6 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import MAX_DIMENSION, MAX_MATRIX_SIZE, Rule
+
 VALIDATION_TOL = 1e-12
 
 
@@ -319,6 +321,13 @@ ALGEBRA_CATALOG = {
     "abelian": "R^d, zero bracket, involution -1",
     "matrix_involutive": "gl(n, R) with a -> -a^T; h = so(n), q = sym(n)",
 }
-# params a builtin algebra reads without a default; validation requires them
-REQUIRED_ALGEBRA_PARAMS = {"euclidean_motion": ("d", "p", "q"), "abelian": ("d",),
-                           "matrix_involutive": ("n",)}
+_SIZE = Rule(int, required=True, at_least=1, at_most=MAX_DIMENSION)
+_PART = Rule(int, required=True, at_least=0, at_most=MAX_DIMENSION)
+# the params each builtin algebra reads, as the key table a config's
+# ``params`` is checked against
+ALGEBRA_PARAMS = {
+    "euclidean_motion": {"d": _SIZE, "p": _PART, "q": _PART},
+    "abelian": {"d": _SIZE},
+    "matrix_involutive": {"n": Rule(int, required=True, at_least=1,
+                                    at_most=MAX_MATRIX_SIZE)},
+}

@@ -62,10 +62,11 @@ MAX_MATRIX_SIZE = 4         # luscher_mack matrix_size n
 MAX_SEMIGROUP_SAMPLES = MAX_POINTS // MAX_MATRIX_SIZE
 MAX_GRID_CELLS = 2048       # cells of a test-function grid, all axes together
 
-_NUMBER = Rule((int, float))
-_POSITIVE = Rule((int, float), above=0)
-_PAIR = Rule(list, at_least=2, at_most=2, each=_NUMBER)
-_POINT = Rule(list, at_least=1, each=_NUMBER)
+# rules shared with the builtin param tables beside the builders
+NUMBER = Rule((int, float))
+POSITIVE = Rule((int, float), above=0)
+_PAIR = Rule(list, at_least=2, at_most=2, each=NUMBER)
+POINT = Rule(list, at_least=1, each=NUMBER)
 
 # key tables of the nested objects
 _FIELD_SPEC = {"name": Rule(str, required=True), "params": dict}
@@ -74,11 +75,11 @@ _SAMPLES = Rule(dict, required=True, spec={
     "type": Rule(str, required=True), "n": Rule(int, at_least=1, at_most=MAX_POINTS),
     "n_side": Rule(int, at_least=1, at_most=MAX_SIDE), "halfwidth": (int, float),
     "dimension": Rule(int, at_least=1, at_most=MAX_DIMENSION),
-    "points": Rule(list, at_least=1, each=_POINT),
+    "points": Rule(list, at_least=1, each=POINT),
     # a level is a point count, or a side for grid2d (checked with the type)
     "refinement": Rule(list, at_least=1, each=Rule(int, at_least=1, at_most=MAX_POINTS)),
     "x_range": _PAIR, "y_range": _PAIR,
-    "radii": Rule(list, at_least=1, each=_POSITIVE),
+    "radii": Rule(list, at_least=1, each=POSITIVE),
     "n_per_circle": Rule(int, at_least=1, at_most=MAX_POINTS), "include_origin": bool})
 _ALGEBRA = Rule(dict, spec={"name": str, "params": dict, "structure_constants": list,
                             "involution": list, "labels": list})
@@ -106,12 +107,12 @@ SCHEMAS = {
                       each=Rule(dict, spec={"x": _FIELD, "y": _FIELD})),
         "n_points": Rule(int, at_most=MAX_POINTS),
         # a fitted order needs at least two step sizes
-        "h_ladder": Rule(list, at_least=2, each=_POSITIVE),
+        "h_ladder": Rule(list, at_least=2, each=POSITIVE),
     },
     "compatibility": {
         "kernel": _FIELD, "action": _FIELD, "algebra": _ALGEBRA, "samples": _SAMPLES,
         "invariance": Rule(list, each=Rule(dict, spec={
-            "pair": Rule(list, required=True, at_least=2, at_most=2, each=_POINT),
+            "pair": Rule(list, required=True, at_least=2, at_most=2, each=POINT),
             "epsilon": Rule(int, required=True),
             "element": Rule((int, str), required=True),
             "t_max": Rule((int, float), above=0),
@@ -119,12 +120,12 @@ SCHEMAS = {
     },
     "froelich": {
         "kernel": _FIELD, "field": _FIELD, "samples": _SAMPLES,
-        "start_point": _POINT, "time": (int, float),
+        "start_point": POINT, "time": (int, float),
         "step": Rule((int, float), above=0), "rank_cutoff": (int, float),
     },
     "cdual_rep": {
         "kernel": _FIELD, "action": _FIELD, "algebra": _ALGEBRA, "samples": _SAMPLES,
-        "unitary_times": Rule(list, at_least=1, each=_NUMBER),
+        "unitary_times": Rule(list, at_least=1, each=NUMBER),
         "rank_cutoff": (int, float),
         "conjugation": Rule(dict, spec={"x": Rule(str, required=True),
                                         "y": Rule(str, required=True),
@@ -154,12 +155,6 @@ SCHEMAS = {
         "translations": _TRANSLATIONS, "parallel_translations": _TRANSLATIONS,
     },
 }
-
-# the grid kinds smear an ou_mixture kernel through its distance profile
-_OU_MIXTURE_PARAMS = {"masses": Rule(list, required=True, at_least=1,
-                                     each=Rule((int, float), above=0)),
-                      "weights": Rule(list, each=Rule((int, float), above=0))}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -274,38 +269,37 @@ def _check_curve_steps(data: dict, kind: str):
 
 
 def _resolve_builtin_names(data: dict):
-    """Every referenced builtin name must resolve in its catalog, with the
-    params it reads without a default."""
-    from .algebra import ALGEBRA_CATALOG, REQUIRED_ALGEBRA_PARAMS
-    from .flows import FIELD_CATALOG, REQUIRED_FIELD_PARAMS
-    from .kernels import KERNEL_CATALOG, REQUIRED_KERNEL_PARAMS
-    from .operators import ACTION_CATALOG, REQUIRED_ACTION_PARAMS
+    """Every referenced builtin name must resolve in its catalog, and its
+    params must satisfy the key table the builtin declares beside its
+    builder."""
+    from .algebra import ALGEBRA_PARAMS
+    from .flows import FIELD_PARAMS
+    from .kernels import KERNEL_PARAMS
+    from .operators import ACTION_PARAMS
 
     # the blocks are checked against their key tables by now
-    def check(block, catalog, required, path):
+    def check(block, tables, path):
         if block is None or "name" not in block:
             return
-        if block["name"] not in catalog:
+        if block["name"] not in tables:
             raise ConfigError(f"{path}.name",
                               f"unknown builtin {block['name']!r}")
-        for key in required.get(block["name"], ()):
-            if key not in block.get("params", {}):
-                raise ConfigError(f"{path}.params.{key}", "required")
+        _check_block(block.get("params", {}), tables[block["name"]], f"{path}.params")
 
-    check(data.get("kernel"), KERNEL_CATALOG, REQUIRED_KERNEL_PARAMS, "$.kernel")
-    check(data.get("action"), ACTION_CATALOG, REQUIRED_ACTION_PARAMS, "$.action")
-    check(data.get("field"), FIELD_CATALOG, REQUIRED_FIELD_PARAMS, "$.field")
-    check(data.get("algebra"), ALGEBRA_CATALOG, REQUIRED_ALGEBRA_PARAMS, "$.algebra")
+    check(data.get("kernel"), KERNEL_PARAMS, "$.kernel")
+    check(data.get("action"), ACTION_PARAMS, "$.action")
+    check(data.get("field"), FIELD_PARAMS, "$.field")
+    check(data.get("algebra"), ALGEBRA_PARAMS, "$.algebra")
     algebra = data.get("algebra")
     if algebra is not None and "name" not in algebra:
         for key in ("structure_constants", "involution"):
             if key not in algebra:
                 raise ConfigError(f"$.algebra.{key}", "required")
     for i, f in enumerate(data.get("fields", [])):
-        check(f, FIELD_CATALOG, REQUIRED_FIELD_PARAMS, f"$.fields[{i}]")
+        check(f, FIELD_PARAMS, f"$.fields[{i}]")
     for i, pair in enumerate(data.get("pairs", [])):
-        check(pair["x"], FIELD_CATALOG, REQUIRED_FIELD_PARAMS, f"$.pairs[{i}].x")
-        check(pair["y"], FIELD_CATALOG, REQUIRED_FIELD_PARAMS, f"$.pairs[{i}].y")
+        check(pair["x"], FIELD_PARAMS, f"$.pairs[{i}].x")
+        check(pair["y"], FIELD_PARAMS, f"$.pairs[{i}].y")
 
 
 def validate_config(data: dict) -> ExperimentConfig:
@@ -331,8 +325,6 @@ def validate_config(data: dict) -> ExperimentConfig:
     if kind in ("os_reconstruct", "rp_axioms") and "kernel" in data:
         if data["kernel"]["name"] != "ou_mixture":
             raise ConfigError("$.kernel.name", f"{kind} runs on the ou_mixture family")
-        _check_block(data["kernel"].get("params", {}), _OU_MIXTURE_PARAMS,
-                     "$.kernel.params")
     if "grid" in data:
         shape = data["grid"]["shape"]
         shape = shape if isinstance(shape, list) else [shape]

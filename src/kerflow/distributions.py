@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import (DegenerateQuotientError, EmptyModelError, GridError,
                      PositivityError)
-from .kernels import GramModel, Kernel, gram_from_matrix
+from .kernels import GramModel, gram_from_matrix
+# the distance profile of the grid kinds' kernel, importable from here too
+from .kernels import ou_mixture_profile  # noqa: F401
 from .operators import (SYMMETRIC, OperatorCompression, compress_operator,
                         semigroup_matrix)
 
@@ -192,14 +194,6 @@ class SmearedKernel:
     matrix: np.ndarray
 
     @classmethod
-    def from_kernel(cls, kernel, grid: TestFunctionGrid) -> "SmearedKernel":
-        """Real part of a ``Kernel``, or of a plain callable K(x, y), on the grid."""
-        if not isinstance(kernel, Kernel):
-            kernel = Kernel("smeared", kernel)
-        pts = grid.points()
-        return cls(grid, np.real(kernel.matrix(pts, pts)))
-
-    @classmethod
     def from_distance_profile(cls, profile: Callable[[np.ndarray], np.ndarray],
                               grid: TestFunctionGrid) -> "SmearedKernel":
         """Vectorized path for translation-invariant kernels K(x, y) = p(|x-y|)."""
@@ -231,24 +225,6 @@ class SmearedKernel:
     def hermiticity_defect(self, fns: Sequence[TestFunction]) -> float:
         P = self.pairings(fns, fns)
         return float(np.max(np.abs(P - P.T), initial=0.0))
-
-
-def ou_mixture_profile(masses, weights) -> Callable[[np.ndarray], np.ndarray]:
-    masses = np.asarray(masses, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-
-    def profile(dist):
-        out = np.zeros_like(dist)
-        term = np.empty_like(dist)
-        for m, w in zip(masses, weights):
-            # w * exp(-m * dist), computed in place
-            np.multiply(dist, -m, out=term)
-            np.exp(term, out=term)
-            term *= w
-            out += term
-        return out
-
-    return profile
 
 
 def same_grid(a: TestFunctionGrid, b: TestFunctionGrid) -> bool:

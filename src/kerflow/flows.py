@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .config import MAX_DIMENSION, POINT, Rule
 from .errors import FlowDomainError
 
 BLOWUP_NORM = 1e12
@@ -367,5 +368,16 @@ FIELD_CATALOG = {
     "quad_swirl": "quadratic planar field (y^2, x)",
     "quadratic1d": "x^2 on the chart (-inf, 1); blows up in finite time",
 }
-# params a builtin field reads without a default; validation requires them
-REQUIRED_FIELD_PARAMS = {"constant": ("vector",), "affine": ("matrix",)}
+_AXIS = Rule(int, at_least=0, at_most=MAX_DIMENSION - 1)
+# the params each builtin field reads, as the key table a config's
+# ``params`` is checked against
+FIELD_PARAMS = {
+    "rotation2d": {},
+    "constant": {"vector": replace(POINT, required=True)},
+    "affine": {"matrix": Rule(list, required=True, at_least=1, each=POINT),
+               "offset": POINT},
+    "coordinate_shear": {"from": _AXIS, "to": _AXIS,
+                         "dimension": Rule(int, at_least=1, at_most=MAX_DIMENSION)},
+    "quad_swirl": {},
+    "quadratic1d": {},
+}

@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .config import MAX_MATRIX_SIZE, MAX_POINTS, NUMBER, POINT, POSITIVE, Rule
 from .errors import EmptyModelError, KernelDomainError, NotHermitianError
 
 DEFAULT_RANK_CUTOFF = 1e-12
@@ -27,64 +28,67 @@ HERMITICITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Kernel:
-    """Scalar kernel with a derivative in the first argument.
+    """Kernel K on points of R^d, given by its array forms.
 
-    ``grad1`` falls back to central differences with step ``h_fd`` when no
-    analytic gradient is supplied.  ``matrix`` and ``grad1_matrix`` evaluate
-    every pair of rows of X (n, d) and Y (m, d) at once, through
-    ``matrix_fn`` / ``grad1_matrix_fn`` when given and else entry by entry;
-    they return float64 unless the kernel returns complex values.
-    ``dimension``, when given, is the number of coordinates of a point.
+    ``matrix`` evaluates K(x_i, y_j) for every pair of rows of X (n, d) and
+    Y (m, d) through ``matrix_fn``; ``grad1_matrix`` evaluates the gradient
+    in the first slot through ``grad1_matrix_fn``, or by central differences
+    of ``matrix`` with step ``h_fd`` when none is given; each raises
+    ``ValueError`` when its function returns another shape.  The calls at
+    one pair, ``kernel(x, y)`` and ``grad1(x, y)``, are their 1 x 1 cases.
+    Both forms return float64 unless the kernel is complex-valued.  A scalar
+    K(x, y) enters through ``entrywise_kernel``.  ``dimension``, when given,
+    is the number of coordinates of a point.
     """
 
     name: str
-    eval_fn: Callable[[np.ndarray, np.ndarray], complex]
-    grad1_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    h_fd: float = DEFAULT_FD_STEP
-    matrix_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    matrix_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad1_matrix_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    h_fd: float = DEFAULT_FD_STEP
     dimension: Optional[int] = None
 
     def __call__(self, x, y) -> complex:
-        return complex(self.eval_fn(np.asarray(x, float), np.asarray(y, float)))
+        return complex(self.matrix(x, y)[0, 0])
 
     def grad1(self, x, y) -> np.ndarray:
-        if self.grad1_fn is not None:
-            return np.asarray(self.grad1_fn(np.asarray(x, float), np.asarray(y, float)),
-                              dtype=complex)
-        # the central differences of ``grad1_matrix``, at one pair
         return self.grad1_matrix(x, y)[0, 0].astype(complex)
 
     def matrix(self, X, Y) -> np.ndarray:
         """Values K(x_i, y_j), shape (n, m)."""
         X, Y = _rows(X), _rows(Y)
-        if self.matrix_fn is not None:
-            return self.matrix_fn(X, Y)
-        return _real_unless_complex([[self.eval_fn(x, y) for y in Y] for x in X],
-                                    (len(X), len(Y)))
+        return self._shaped(self.matrix_fn(X, Y), (len(X), len(Y)))
 
     def grad1_matrix(self, X, Y) -> np.ndarray:
         """First-slot gradients grad1 K(x_i, y_j), shape (n, m, d)."""
         X, Y = _rows(X), _rows(Y)
         if self.grad1_matrix_fn is not None:
-            return self.grad1_matrix_fn(X, Y)
-        if self.grad1_fn is not None:
-            return _real_unless_complex([[self.grad1_fn(x, y) for y in Y] for x in X],
-                                        (len(X), len(Y), X.shape[1]))
-        # the same central differences as ``grad1``, on whole matrices
+            return self._shaped(self.grad1_matrix_fn(X, Y), (len(X), len(Y), X.shape[1]))
         steps = self.h_fd * np.eye(X.shape[1])
         return np.stack([(self.matrix(X + e, Y) - self.matrix(X - e, Y))
                          / (2.0 * self.h_fd) for e in steps], axis=-1)
 
+    def _shaped(self, out, shape: tuple):
+        # a function of one pair of points would run on the wrong entries
+        if np.shape(out) != shape:
+            raise ValueError(f"kernel {self.name!r}: an array form returned shape "
+                             f"{np.shape(out)} where {shape} belongs")
+        return out
+
+
+def entrywise_kernel(name: str, value, grad=None) -> Kernel:
+    """Kernel of a scalar K(x, y) on two points, and of its first-slot
+    gradient when given; its array forms call them once per pair, and are
+    complex only if some value is."""
+    def pairwise(fn, X, Y, *shape):
+        out = np.array([[fn(x, y) for y in Y] for x in X]).reshape(len(X), len(Y), *shape)
+        return out if np.iscomplexobj(out) else out.astype(float)
+
+    return Kernel(name, lambda X, Y: pairwise(value, X, Y),
+                  None if grad is None else lambda X, Y: pairwise(grad, X, Y, X.shape[1]))
+
 
 def _rows(points) -> np.ndarray:
     return np.atleast_2d(np.asarray(points, dtype=float))
-
-
-def _real_unless_complex(values, shape) -> np.ndarray:
-    """Entry-wise kernel results as one array: complex only if some entry is."""
-    out = np.array(values).reshape(shape)
-    return out if np.iscomplexobj(out) else out.astype(float)
 
 
 @dataclass(frozen=True)
@@ -262,17 +266,13 @@ def laplace_kernel_from_measure(measure: MeasureSample) -> Kernel:
     rank-one exponential kernels, hence positive definite by construction."""
     atoms, weights = measure.atoms, measure.weights
 
-    def ev(x, y):
-        return float(np.sum(weights * np.exp(-(atoms @ (x + y)) / 2.0)))
-
-    def g1(x, y):
-        e = weights * np.exp(-(atoms @ (x + y)) / 2.0)
-        return -(atoms * e[:, None]).sum(axis=0) / 2.0
-
     # factored as F(X) diag(w) F(Y)^T, F[i, j] = exp(-a_j . x_i / 2), so no
-    # (n, m, atoms) array is ever formed
+    # (n, m, atoms) array is ever formed; scaling the atoms by the power of
+    # two -1/2 first gives the same numbers in fewer array operations
+    half = -atoms.T / 2.0
+
     def factor(X):
-        return np.exp(-(X @ atoms.T) / 2.0)
+        return np.exp(X @ half)
 
     def mat(X, Y):
         return (factor(X) * weights) @ factor(Y).T
@@ -281,83 +281,73 @@ def laplace_kernel_from_measure(measure: MeasureSample) -> Kernel:
         fx, fy = factor(X) * weights, factor(Y).T
         return np.stack([(fx * (-a / 2.0)) @ fy for a in atoms.T], axis=-1)
 
-    return Kernel("laplace", ev, g1, matrix_fn=mat, grad1_matrix_fn=grad_mat,
-                  dimension=atoms.shape[1])
+    return Kernel("laplace", mat, grad_mat, dimension=atoms.shape[1])
+
+
+def ou_mixture_profile(masses, weights) -> Callable[[np.ndarray], np.ndarray]:
+    """Distance profile p(r) = sum_j w_j exp(-m_j r) of the ``ou_mixture``
+    kernel, on an array of distances."""
+    masses = np.asarray(masses, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+
+    def profile(dist):
+        out = np.zeros_like(dist)
+        term = np.empty_like(dist)
+        for m, w in zip(masses, weights):
+            # w * exp(-m * dist), computed in place
+            np.multiply(dist, -m, out=term)
+            np.exp(term, out=term)
+            term *= w
+            out += term
+        return out
+
+    return profile
 
 
 def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
     """Catalog of named kernels used by experiment configs and tests.
 
-    Every entry has array forms of its values and gradient.  ``ou_mixture``
-    and ``det`` have no analytic gradient: their scalar value is the one-row
-    case of the array form, so both difference the same numbers."""
+    Every entry has an array form of its values; ``ou_mixture`` and ``det``
+    have no analytic gradient and take the central differences of it."""
     params = dict(params or {})
     if name == "fock":
         def fock_mat(X, Y):
             return np.exp(X @ Y.T)
 
-        return Kernel("fock",
-                      lambda x, y: np.exp(x @ y),
-                      lambda x, y: y * np.exp(x @ y),
-                      matrix_fn=fock_mat,
-                      grad1_matrix_fn=lambda X, Y: Y[None] * fock_mat(X, Y)[..., None])
+        return Kernel("fock", fock_mat,
+                      lambda X, Y: Y[None] * fock_mat(X, Y)[..., None])
     if name == "gaussian_rbf":
         sigma = float(params.get("sigma", 1.0))
-
-        def ev(x, y):
-            d = x - y
-            return np.exp(-(d @ d) / (2.0 * sigma ** 2))
 
         def rbf_grad(X, Y):
             D = _diff(X, Y)
             return -D / sigma ** 2 * np.exp(-_sq(D) / (2.0 * sigma ** 2))[..., None]
 
-        return Kernel("gaussian_rbf", ev,
-                      lambda x, y: -(x - y) / sigma ** 2 * ev(x, y),
-                      matrix_fn=lambda X, Y: np.exp(-_sq(_diff(X, Y))
-                                                    / (2.0 * sigma ** 2)),
-                      grad1_matrix_fn=rbf_grad)
+        return Kernel("gaussian_rbf",
+                      lambda X, Y: np.exp(-_sq(_diff(X, Y)) / (2.0 * sigma ** 2)),
+                      rbf_grad)
     if name == "ou":
         m = float(params.get("mass", 1.0))
         if m <= 0.0:
             raise ValueError("ou kernel needs mass > 0")
-        kink = "ou kernel has a kink on the diagonal; grad1 is one-sided for x != y only"
-
-        def ev(x, y):
-            return np.exp(-m * np.linalg.norm(x - y))
-
-        def g1(x, y):
-            d = x - y
-            r = np.linalg.norm(d)
-            if r == 0.0:
-                raise KernelDomainError(kink)
-            return -m * d / r * ev(x, y)
 
         def ou_grad(X, Y):
             D = _diff(X, Y)
             r = np.sqrt(_sq(D))
             if np.any(r == 0.0):
-                raise KernelDomainError(kink)
+                raise KernelDomainError("ou kernel has a kink on the diagonal; "
+                                        "grad1 is one-sided for x != y only")
             return (-m * np.exp(-m * r) / r)[..., None] * D
 
-        return Kernel("ou", ev, g1,
-                      matrix_fn=lambda X, Y: np.exp(-m * np.sqrt(_sq(_diff(X, Y)))),
-                      grad1_matrix_fn=ou_grad)
+        return Kernel("ou", lambda X, Y: np.exp(-m * np.sqrt(_sq(_diff(X, Y)))),
+                      ou_grad)
     if name == "ou_mixture":
         masses = np.asarray(params["masses"], dtype=float)
         weights = np.asarray(params.get("weights", np.ones_like(masses)), dtype=float)
         if np.any(masses <= 0) or np.any(weights <= 0):
             raise ValueError("ou_mixture needs positive masses and weights")
-
-        def mix_mat(X, Y):
-            r = np.sqrt(_sq(_diff(X, Y)))
-            out = np.zeros_like(r)
-            for mass, w in zip(masses, weights):
-                out += w * np.exp(-mass * r)
-            return out
-
-        return Kernel("ou_mixture", lambda x, y: mix_mat(x[None], y[None])[0, 0],
-                      None, matrix_fn=mix_mat)
+        profile = ou_mixture_profile(masses, weights)
+        return Kernel("ou_mixture", lambda X, Y: profile(np.sqrt(_sq(_diff(X, Y)))))
     if name == "laplace":
         measure = MeasureSample(np.asarray(params["atoms"], dtype=float),
                                 np.asarray(params["weights"], dtype=float))
@@ -366,19 +356,12 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
         # transform of a standard Gaussian weight: exp(s^2 |x+y|^2 / 8)
         s = float(params.get("scale", 1.0))
 
-        def ev(x, y):
-            u = x + y
-            return np.exp(s ** 2 * (u @ u) / 8.0)
-
         def lg_grad(X, Y):
             U = X[:, None, :] + Y[None, :, :]
             return s ** 2 * U / 4.0 * np.exp(s ** 2 * _sq(U) / 8.0)[..., None]
 
-        return Kernel("laplace_gaussian", ev,
-                      lambda x, y: s ** 2 * (x + y) / 4.0 * ev(x, y),
-                      matrix_fn=lambda X, Y: np.exp(
-                          s ** 2 * _sq(X[:, None, :] + Y[None, :, :]) / 8.0),
-                      grad1_matrix_fn=lg_grad)
+        return Kernel("laplace_gaussian", lambda X, Y: np.exp(
+            s ** 2 * _sq(X[:, None, :] + Y[None, :, :]) / 8.0), lg_grad)
     if name == "halfplane_bessel":
         # smooth reflected-argument kernel on the half-plane x[0] > 0:
         # 2 K0(m sqrt((x1+y1)^2 + (x2-y2)^2)); a continuum mixture of
@@ -388,23 +371,6 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
         if m <= 0.0:
             raise ValueError("halfplane_bessel needs mass > 0")
         from scipy.special import k0, k1
-
-        def ev(x, y):
-            a = x[0] + y[0]
-            b = x[1] - y[1]
-            r = np.hypot(a, b)
-            if r <= 0.0 or a < 0.0:
-                raise KernelDomainError("halfplane_bessel needs x1 + y1 > 0")
-            return 2.0 * k0(m * r)
-
-        def g1(x, y):
-            a = x[0] + y[0]
-            b = x[1] - y[1]
-            r = np.hypot(a, b)
-            if r <= 0.0 or a < 0.0:
-                raise KernelDomainError("halfplane_bessel needs x1 + y1 > 0")
-            d = -2.0 * m * k1(m * r) / r
-            return np.array([d * a, d * b], dtype=complex)
 
         # the array forms fill preallocated outputs in place: at 289 points
         # the gradient is the largest array of a cdual_rep run
@@ -435,8 +401,7 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
             ab *= d[..., None]
             return ab
 
-        return Kernel("halfplane_bessel", ev, g1, matrix_fn=hp_mat,
-                      grad1_matrix_fn=hp_grad, dimension=2)
+        return Kernel("halfplane_bessel", hp_mat, hp_grad, dimension=2)
     if name == "circle_laplace":
         # transform of a uniform measure on a radius-m circle: a smooth,
         # rotation-invariant positive definite kernel close to I0(m |x+y| / 2)
@@ -460,9 +425,7 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
             products = Xs[:, None] @ np.swapaxes(Ys, 1, 2)[None]
             return np.linalg.det(np.eye(n) - products) ** (-power)
 
-        # analytic matrix derivatives are error-prone; finite differences only
-        return Kernel("det", lambda x, y: det_mat(x[None], y[None])[0, 0], None,
-                      matrix_fn=det_mat, dimension=n * n)
+        return Kernel("det", det_mat, dimension=n * n)
     raise KeyError(f"unknown builtin kernel {name!r}")
 
 
@@ -477,10 +440,21 @@ KERNEL_CATALOG = {
     "halfplane_bessel": "2 K0(m |(x1+y1, x2-y2)|) on the half-plane x1 > 0",
     "det": "det(1 - x y^T)^(-s) on contractive matrices",
 }
-# params a builtin kernel reads without a default; validation requires them
-REQUIRED_KERNEL_PARAMS = {"ou_mixture": ("masses",), "laplace": ("atoms", "weights"),
-                          "det": ("n", "power")}
-
-
-def kernel_from_config(spec: dict) -> Kernel:
-    return builtin_kernel(spec["name"], spec.get("params"))
+_POSITIVE_LIST = Rule(list, at_least=1, each=POSITIVE)
+# the params each builtin kernel reads, as the key table a config's
+# ``params`` is checked against
+KERNEL_PARAMS = {
+    "fock": {},
+    "gaussian_rbf": {"sigma": POSITIVE},
+    "ou": {"mass": POSITIVE},
+    "ou_mixture": {"masses": replace(_POSITIVE_LIST, required=True),
+                   "weights": _POSITIVE_LIST},
+    "laplace": {"atoms": Rule(list, required=True, at_least=1, each=POINT),
+                "weights": replace(_POSITIVE_LIST, required=True)},
+    "laplace_gaussian": {"scale": NUMBER},
+    "circle_laplace": {"mass": NUMBER,
+                       "n_atoms": Rule(int, at_least=1, at_most=MAX_POINTS)},
+    "halfplane_bessel": {"mass": POSITIVE},
+    "det": {"n": Rule(int, required=True, at_least=1, at_most=MAX_MATRIX_SIZE),
+            "power": replace(POSITIVE, required=True)},
+}

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, SymmetricLieAlgebra, algebra_bracket, expm
+from .config import MAX_DIMENSION, MAX_MATRIX_SIZE, POSITIVE, Rule
 from .errors import ClassificationError, FlowDomainError
 from .flows import (DEFAULT_STEP, VectorField, integrate_batch, integrate_curve,
                     lie_bracket)
@@ -360,9 +361,13 @@ ACTION_CATALOG = {
     "euclidean": "planar motions on R^2; involution by conjugation with diag(-I_p, I_q)",
     "matrix_right_multiplication": "gl(n) acting on a matrix ball by g -> g x",
 }
-# params a builtin action reads without a default; validation requires them
-REQUIRED_ACTION_PARAMS = {"matrix_right_multiplication": ("n",)}
-
-
-def action_from_config(spec: dict) -> CompatibleAction:
-    return builtin_action(spec["name"], spec.get("params"))
+# the params each builtin action reads, as the key table a config's
+# ``params`` is checked against; a planar motion splits 2 = p + q
+ACTION_PARAMS = {
+    "translation": {"dimension": Rule(int, at_least=1, at_most=MAX_DIMENSION)},
+    "euclidean": {"p": Rule(int, at_least=0, at_most=2),
+                  "q": Rule(int, at_least=0, at_most=2), "domain": Rule(str)},
+    "matrix_right_multiplication": {
+        "n": Rule(int, required=True, at_least=1, at_most=MAX_MATRIX_SIZE),
+        "radius": POSITIVE},
+}

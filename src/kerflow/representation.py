@@ -202,22 +202,15 @@ def _semigroup_kernel(phi, phi_grad, n: int, vectorized: bool) -> Kernel:
     """K(x, y) = phi(x y^T) on flattened n x n matrices.
 
     A ``vectorized`` phi (and phi_grad) maps a stack (..., n, n) of products
-    to (...) values (and (..., n, n) derivatives d phi / d u_ab); the kernel
-    then evaluates whole matrices at once and its scalar value is their 1 x 1
-    case.  Any other phi is called once per pair of points."""
+    to (...) values (and (..., n, n) derivatives d phi / d u_ab).  Any other
+    phi takes one product, and is lifted to stacks by a loop over them."""
+    def per_product(fn, shape):
+        return lambda u: np.array([fn(p) for p in u.reshape(-1, n, n)]).reshape(
+            u.shape[:-2] + shape)
+
     if not vectorized:
-        def ev(x, y):
-            return phi(x.reshape(n, n) @ y.reshape(n, n).T)
-
-        g1 = None
-        if phi_grad is not None:
-            def g1(x, y):
-                Y = y.reshape(n, n)
-                D = np.asarray(phi_grad(x.reshape(n, n) @ Y.T), dtype=float)
-                # d/dx_ij phi(x y^T) = sum_b D[i, b] y[b, j]
-                return (D @ Y).ravel()
-
-        return Kernel("semigroup", ev, g1)
+        phi = per_product(phi, ())
+        phi_grad = None if phi_grad is None else per_product(phi_grad, (n, n))
 
     def stacks(X, Y):
         Ys = Y.reshape(-1, n, n)
@@ -233,8 +226,7 @@ def _semigroup_kernel(phi, phi_grad, n: int, vectorized: bool) -> Kernel:
             # d/dx_ij phi(x y^T) = sum_b D[i, b] y[b, j], pair by pair
             return (phi_grad(products) @ Ys[None]).reshape(len(X), len(Y), n * n)
 
-    return Kernel("semigroup", lambda x, y: mat(x[None], y[None])[0, 0], None,
-                  matrix_fn=mat, grad1_matrix_fn=grad_mat)
+    return Kernel("semigroup", mat, grad_mat)
 
 
 def luscher_mack_pipeline(elements: Sequence[np.ndarray],

@@ -26,7 +26,7 @@ from . import operators as op
 from . import representation as rp
 from .algebra import expm
 from .config import ExperimentConfig
-from .errors import ConfigError
+from .errors import ConfigError, GridError
 
 
 @dataclass
@@ -146,12 +146,28 @@ def _grid_from_spec(spec: dict) -> dist.TestFunctionGrid:
                                  shape=shape, margin=int(spec.get("margin", 2)))
 
 
+def _checked_bump(grid, spec: dict, path: str) -> dist.TestFunction:
+    """The bump a spec asks for: its center has one coordinate per grid axis,
+    and its support is nonzero on the grid and stays off the margin."""
+    if np.size(spec["center"]) != grid.ndim:
+        raise ConfigError(f"{path}.center", f"needs {grid.ndim} coordinates, "
+                                            "one per grid axis")
+    try:
+        fn = dist.bump(grid, spec["center"], spec["width"])
+    except GridError as exc:
+        raise ConfigError(path, str(exc)) from exc
+    # an all-zero test function pairs to nothing
+    if not np.any(fn.values):
+        raise ConfigError(path, "the bump is zero on every grid point")
+    return fn
+
+
 def _ou_mixture_smeared(kspec: dict, grid) -> tuple:
     """Masses of an ``ou_mixture`` kernel spec and its smeared kernel on the grid."""
     masses = [float(m) for m in kspec["params"]["masses"]]
     weights = [float(w) for w in kspec["params"].get("weights", [1.0] * len(masses))]
     return masses, dist.SmearedKernel.from_distance_profile(
-        dist.ou_mixture_profile(masses, weights), grid)
+        kr.ou_mixture_profile(masses, weights), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +326,8 @@ def _element_index(algebra, value, path: str, fixed_part: bool = False) -> int:
 
 def _run_compatibility(cfg: ExperimentConfig, rng) -> ExperimentReport:
     body = cfg.body
-    kernel = kr.kernel_from_config(body["kernel"])
-    action = op.action_from_config(body["action"])
+    kernel = kr.builtin_kernel(body["kernel"]["name"], body["kernel"].get("params"))
+    action = op.builtin_action(body["action"]["name"], body["action"].get("params"))
     _check_declared_algebra(body, action)
     pts = _checked_samples(body["samples"], rng, kernel, action.dimension)
     report = op.compatibility_check(kernel, action, pts, cfg.tol("compatibility"))
@@ -346,7 +362,7 @@ def _run_compatibility(cfg: ExperimentConfig, rng) -> ExperimentReport:
 
 def _run_froelich(cfg: ExperimentConfig, rng) -> ExperimentReport:
     body = cfg.body
-    kernel = kr.kernel_from_config(body["kernel"])
+    kernel = kr.builtin_kernel(body["kernel"]["name"], body["kernel"].get("params"))
     field = fl.builtin_field(body["field"]["name"], body["field"].get("params"))
     start = np.asarray(body.get("start_point", [0.0]), dtype=float)
     t = float(body.get("time", CURVE_TIMES["time"]))
@@ -380,8 +396,8 @@ def _run_froelich(cfg: ExperimentConfig, rng) -> ExperimentReport:
 
 def _run_cdual_rep(cfg: ExperimentConfig, rng) -> ExperimentReport:
     body = cfg.body
-    kernel = kr.kernel_from_config(body["kernel"])
-    action = op.action_from_config(body["action"])
+    kernel = kr.builtin_kernel(body["kernel"]["name"], body["kernel"].get("params"))
+    action = op.builtin_action(body["action"]["name"], body["action"].get("params"))
     _check_declared_algebra(body, action)
     cutoff = float(body.get("rank_cutoff", 1e-10))
     times = [float(t) for t in body.get("unitary_times", [0.5, 1.0])]
@@ -483,7 +499,7 @@ def _run_os_reconstruct(cfg: ExperimentConfig, rng) -> ExperimentReport:
     grid = _grid_from_spec(body["grid"])
     masses, sk = _ou_mixture_smeared(body["kernel"], grid)
     setup = dist.ReflectionSetup(grid, axis=0)
-    fns = [dist.bump(grid, b["center"], b["width"]) for b in body["bumps"]]
+    fns = [_checked_bump(grid, b, f"$.bumps[{i}]") for i, b in enumerate(body["bumps"])]
     space = dist.os_quotient(sk, setup, fns,
                              rank_cutoff=float(body.get("rank_cutoff", 1e-10)),
                              psd_tol=cfg.tol("twisted_psd"))

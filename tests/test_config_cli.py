@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kerflow import cli, runner
-from kerflow.config import parse_config, validate_config
+from kerflow.config import Rule, parse_config, validate_config
 from kerflow.errors import ConfigError
 from kerflow.runner import SAMPLE_KEYS, _sample_points, run_experiment
 
@@ -467,6 +467,37 @@ def _zero_size(key):
                  "$.times_cells[0]", id="huge-times-cells"),
     pytest.param("compatibility", lambda d: d["invariance"][0].update(t_max=1e300),
                  "$.invariance[0].t_max", id="huge-t-max"),
+    # builtin params, checked against the key table beside each builder
+    pytest.param("cdual_euclidean", lambda d: d["kernel"]["params"].update(n_atoms=10 ** 300),
+                 "$.kernel.params.n_atoms", id="huge-n-atoms"),
+    pytest.param("cdual_euclidean",
+                 lambda d: d["kernel"]["params"].update(nn_atoms=d["kernel"]["params"]
+                                                        .pop("n_atoms")),
+                 "$.kernel.params.nn_atoms", id="unknown-kernel-param"),
+    pytest.param("compatibility", lambda d: d["action"]["params"].update(dimension=2.5),
+                 "$.action.params.dimension", id="fractional-dimension"),
+    pytest.param("compatibility", lambda d: d["action"]["params"].update(dimension=10 ** 300),
+                 "$.action.params.dimension", id="huge-dimension"),
+    pytest.param("cdual_halfplane", lambda d: d["action"]["params"].update(p="1"),
+                 "$.action.params.p", id="string-euclidean-p"),
+    pytest.param("cdual_halfplane", lambda d: d["kernel"]["params"].update(mass=0.0),
+                 "$.kernel.params.mass", id="zero-bessel-mass"),
+    pytest.param("froelich_rank1", lambda d: d["kernel"]["params"].update(weights=[-1.0]),
+                 "$.kernel.params.weights[0]", id="negative-laplace-weight"),
+    pytest.param("froelich_rank1",
+                 lambda d: d.update(kernel={"name": "det",
+                                            "params": {"n": 10 ** 300, "power": 2}}),
+                 "$.kernel.params.n", id="huge-det-n"),
+    pytest.param("os_reconstruct_ou", lambda d: d["kernel"]["params"].update(wieghts=[1.0]),
+                 "$.kernel.params.wieghts", id="unknown-mixture-param"),
+    pytest.param("flow_laws", lambda d: d["fields"][1]["params"].update(matrix=[[0.0, "a"]]),
+                 "$.fields[1].params.matrix[0][1]", id="affine-matrix-entry"),
+    pytest.param("bracket_order", lambda d: d["pairs"][0]["y"]["params"].update(
+                     **{"from": 10 ** 300}),
+                 "$.pairs[0].y.params.from", id="huge-shear-axis"),
+    pytest.param("cdual_abelian",
+                 lambda d: d.update(algebra={"name": "abelian", "params": {"d": 10 ** 300}}),
+                 "$.algebra.params.d", id="huge-abelian-d"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
     data = _shipped(stem)
@@ -519,6 +550,13 @@ def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_
     pytest.param("froelich_rank1",
                  lambda d: d.update(samples={"type": "explicit", "points": [[0.0, 0.1]]}),
                  "$.samples", id="froelich-sample-dimension"),
+    # a bump must be a nonzero test function on the grid, off its margin
+    pytest.param("os_reconstruct_mixture", lambda d: d["bumps"][2].update(center=[100.0]),
+                 "$.bumps[2]", id="off-grid-bump"),
+    pytest.param("os_reconstruct_mixture", lambda d: d["bumps"][2].update(center=[2.9]),
+                 "$.bumps[2]", id="bump-on-the-margin"),
+    pytest.param("os_reconstruct_mixture", lambda d: d["bumps"][2].update(center=[0.5, 0.5]),
+                 "$.bumps[2].center", id="bump-center-dimension"),
 ])
 def test_run_checks_references_exits_2_with_path(tmp_path, capsys, stem, mutate,
                                                   json_path):
@@ -548,7 +586,7 @@ def test_unexpected_error_exits_3_in_one_line(tmp_path, capsys, monkeypatch):
 
 _SHIPPED_STEMS = sorted(os.path.splitext(f)[0] for f in os.listdir(CONFIG_DIR)
                         if f.endswith(".json") and f != "flow_laws.json")
-_MUTATIONS = ("drop", True, -1, [], "zz", {}, 1e300, 10 ** 300)
+_MUTATIONS = ("drop", True, -1, 2.5, [], "zz", {}, 1e300, 10 ** 300)
 
 
 def _json_paths(node, prefix=()):
@@ -583,23 +621,26 @@ def test_mutated_shipped_configs_keep_the_exit_code_contract(tmp_path, capsys, d
         assert json.loads(captured.out)["passed"] is False
 
 
-@pytest.mark.parametrize("module, build, catalog, required", [
-    ("kernels", "builtin_kernel", "KERNEL_CATALOG", "REQUIRED_KERNEL_PARAMS"),
-    ("flows", "builtin_field", "FIELD_CATALOG", "REQUIRED_FIELD_PARAMS"),
-    ("algebra", "builtin_algebra", "ALGEBRA_CATALOG", "REQUIRED_ALGEBRA_PARAMS"),
-    ("operators", "builtin_action", "ACTION_CATALOG", "REQUIRED_ACTION_PARAMS"),
+@pytest.mark.parametrize("module, build, catalog, tables", [
+    ("kernels", "builtin_kernel", "KERNEL_CATALOG", "KERNEL_PARAMS"),
+    ("flows", "builtin_field", "FIELD_CATALOG", "FIELD_PARAMS"),
+    ("algebra", "builtin_algebra", "ALGEBRA_CATALOG", "ALGEBRA_PARAMS"),
+    ("operators", "builtin_action", "ACTION_CATALOG", "ACTION_PARAMS"),
 ])
-def test_required_params_match_the_builders(module, build, catalog, required):
-    # a builtin built without params fails exactly when it declares a
-    # required param, so validation and the builder cannot drift apart
+def test_required_params_match_the_builders(module, build, catalog, tables):
+    # every builtin has a key table of Rules, and is built without params
+    # exactly when its table requires none, so validation and the builder
+    # cannot drift apart
     mod = importlib.import_module(f"kerflow.{module}")
-    declared = getattr(mod, required)
-    assert set(declared) <= set(getattr(mod, catalog))
-    for name in getattr(mod, catalog):
-        if name in declared:
+    declared = getattr(mod, tables)
+    assert set(declared) == set(getattr(mod, catalog))
+    for name, table in declared.items():
+        assert all(isinstance(rule, Rule) for rule in table.values()), name
+        required = {key for key, rule in table.items() if rule.required}
+        if required:
             with pytest.raises(KeyError) as err:
                 getattr(mod, build)(name, {})
-            assert err.value.args[0] in declared[name]
+            assert err.value.args[0] in required
         else:
             getattr(mod, build)(name, {})
 

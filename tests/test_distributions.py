@@ -61,7 +61,7 @@ def test_reflect_is_involutive(line_grid):
 
 
 def test_constant_kernel_pairing_is_product_of_integrals(line_grid):
-    sk = ds.SmearedKernel.from_kernel(lambda x, y: 1.0, line_grid)
+    sk = ds.SmearedKernel(line_grid, np.ones((line_grid.size, line_grid.size)))
     fn = ds.bump(line_grid, [0.0], 0.5)
     assert sk.pairing(fn, fn) == pytest.approx(fn.integral() ** 2, rel=1e-12)
 
@@ -238,8 +238,8 @@ def test_quotient_rank_two_mixture(line_grid):
 
 
 def test_quotient_full_rank_for_invariant_kernel(line_grid):
-    sk = ds.SmearedKernel.from_kernel(
-        lambda x, y: np.exp(-(x[0] + y[0]) ** 2 / 2), line_grid)
+    pts = line_grid.points()[:, 0]
+    sk = ds.SmearedKernel(line_grid, np.exp(-(pts[:, None] + pts[None, :]) ** 2 / 2))
     setup = ds.ReflectionSetup(line_grid, 0)
     fns = [ds.bump(line_grid, [c], 0.3) for c in (1.0, 2.0)]
     space = ds.os_quotient(sk, setup, fns)
@@ -257,7 +257,7 @@ def test_quotient_rank_stable_under_dependent_function(ou_smeared, line_grid):
 
 
 def test_quotient_degenerate_raises(line_grid):
-    sk = ds.SmearedKernel.from_kernel(lambda x, y: 0.0, line_grid)
+    sk = ds.SmearedKernel(line_grid, np.zeros((line_grid.size, line_grid.size)))
     setup = ds.ReflectionSetup(line_grid, 0)
     with pytest.raises((PositivityError, Exception)):
         ds.os_quotient(sk, setup, [ds.bump(line_grid, [0.5], 0.3)])

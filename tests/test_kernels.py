@@ -42,7 +42,7 @@ def test_duplicate_points_force_rank_deficiency(fock):
 
 
 def test_non_hermitian_kernel_rejected():
-    bad = kk.Kernel("bad", lambda x, y: float(x[0] - y[0]) + 1.0)
+    bad = kk.entrywise_kernel("bad", lambda x, y: float(x[0] - y[0]) + 1.0)
     with pytest.raises(NotHermitianError):
         kk.gram(bad, [[0.0], [1.0]])
 
@@ -55,8 +55,9 @@ def test_psd_fock_random_ball(fock):
 
 
 def test_negative_constant_kernel_fails_psd():
-    neg = kk.Kernel("neg", lambda x, y: -1.0)
-    model = kk.gram_from_matrix(-np.ones((4, 4)) + np.eye(4) * 1e-9)
+    neg = kk.entrywise_kernel("neg", lambda x, y: -1.0)
+    pts = np.linspace(0.0, 1.0, 4)[:, None]
+    model = kk.gram_from_matrix(neg.matrix(pts, pts) + np.eye(4) * 1e-9)
     report = kk.psd_check(model, tol=1e-10)
     assert not report.passed
     assert report.min_eigenvalue < -3.0
@@ -202,7 +203,8 @@ def test_grad1_fd_matches_analytic():
     for name, params in (("fock", {}), ("gaussian_rbf", {"sigma": 1.3}),
                          ("laplace_gaussian", {})):
         K = kk.builtin_kernel(name, params)
-        fd = kk.Kernel(name, K.eval_fn, None)
+        # central differences of the same values, one pair at a time
+        fd = kk.entrywise_kernel(name, lambda x, y: K(x, y).real)
         x, y = np.array([0.3, -0.2]), np.array([0.1, 0.5])
         rel = np.abs(K.grad1(x, y) - fd.grad1(x, y)) / (np.abs(K.grad1(x, y)) + 1e-30)
         assert np.max(rel) <= 1e-6
@@ -291,37 +293,109 @@ BATCH_CASES = {
 }
 
 
-def _scalar_reference(K, X, Y):
-    values = np.array([[K(x, y) for y in Y] for x in X])
-    grads = np.array([[K.grad1(x, y) for y in Y] for x in X])
-    return values, grads
+def _laplace_value(atoms, weights):
+    atoms, weights = np.asarray(atoms, dtype=float), np.asarray(weights, dtype=float)
+    return lambda x, y: np.sum(weights * np.exp(-(atoms @ (x + y)) / 2.0))
 
 
-def _assert_close(batch, scalar):
-    # 1e-12 relative per entry; the absolute floor only matters where a
-    # gradient component cancels to nearly zero
+def _laplace_grad(atoms, weights):
+    atoms, weights = np.asarray(atoms, dtype=float), np.asarray(weights, dtype=float)
+
+    def grad(x, y):
+        e = weights * np.exp(-(atoms @ (x + y)) / 2.0)
+        return -(atoms * e[:, None]).sum(axis=0) / 2.0
+
+    return grad
+
+
+def _circle_atoms(mass, n_atoms):
+    ang = 2.0 * np.pi * np.arange(n_atoms) / n_atoms
+    return mass * np.stack([np.cos(ang), np.sin(ang)], axis=1), np.full(n_atoms, 1.0 / n_atoms)
+
+
+def _halfplane_value(x, y):
+    from scipy.special import k0
+    return 2.0 * k0(np.hypot(x[0] + y[0], x[1] - y[1]))
+
+
+def _halfplane_grad(x, y):
+    from scipy.special import k1
+    a, b = x[0] + y[0], x[1] - y[1]
+    r = np.hypot(a, b)
+    return -2.0 * k1(r) / r * np.array([a, b])
+
+
+def _det_value(x, y):
+    return np.linalg.det(np.eye(2) - x.reshape(2, 2) @ y.reshape(2, 2).T) ** -2.0
+
+
+# the per-pair formula of each BATCH_CASES kernel at its parameters (mass 1
+# for halfplane_bessel): the value, and the first-slot gradient where the
+# kernel has an analytic one
+REFERENCE = {
+    "fock": (lambda x, y: np.exp(x @ y), lambda x, y: y * np.exp(x @ y)),
+    "gaussian_rbf": (lambda x, y: np.exp(-((x - y) @ (x - y)) / (2.0 * 1.3 ** 2)),
+                     lambda x, y: -(x - y) / 1.3 ** 2
+                     * np.exp(-((x - y) @ (x - y)) / (2.0 * 1.3 ** 2))),
+    "ou": (lambda x, y: np.exp(-1.5 * np.linalg.norm(x - y)),
+           lambda x, y: -1.5 * (x - y) / np.linalg.norm(x - y)
+           * np.exp(-1.5 * np.linalg.norm(x - y))),
+    "ou_mixture": (lambda x, y: 0.5 * np.exp(-np.linalg.norm(x - y))
+                   + 0.5 * np.exp(-2.0 * np.linalg.norm(x - y)), None),
+    "laplace": (_laplace_value(**BATCH_CASES["laplace"][0]),
+                _laplace_grad(**BATCH_CASES["laplace"][0])),
+    "laplace_gaussian": (lambda x, y: np.exp(0.7 ** 2 * ((x + y) @ (x + y)) / 8.0),
+                         lambda x, y: 0.7 ** 2 * (x + y) / 4.0
+                         * np.exp(0.7 ** 2 * ((x + y) @ (x + y)) / 8.0)),
+    "circle_laplace": (_laplace_value(*_circle_atoms(2.0, 32)),
+                       _laplace_grad(*_circle_atoms(2.0, 32))),
+    "halfplane_bessel": (_halfplane_value, _halfplane_grad),
+    "det": (_det_value, None),
+}
+
+
+def _pairwise(fn, X, Y):
+    return np.array([[fn(x, y) for y in Y] for x in X])
+
+
+def _central_differences(matrix, X, Y, h=kk.DEFAULT_FD_STEP):
+    """First-slot gradient of an array form by central differences."""
+    return np.stack([(matrix(X + e, Y) - matrix(X - e, Y)) / (2.0 * h)
+                     for e in h * np.eye(X.shape[1])], axis=-1)
+
+
+def _assert_close(batch, reference, rtol=1e-12):
+    # relative per entry; the absolute floor only matters where a gradient
+    # component cancels to nearly zero
     assert batch.dtype == np.float64
-    assert batch.shape == scalar.shape
-    np.testing.assert_allclose(batch, scalar.real, rtol=1e-12,
-                               atol=1e-12 * np.abs(scalar).max())
-    assert np.all(scalar.imag == 0.0)
+    assert batch.shape == reference.shape
+    np.testing.assert_allclose(batch, reference, rtol=rtol,
+                               atol=rtol * np.abs(reference).max())
 
 
 def test_batch_cases_cover_the_catalog():
-    assert set(BATCH_CASES) == set(kk.KERNEL_CATALOG)
+    assert set(BATCH_CASES) == set(REFERENCE) == set(kk.KERNEL_CATALOG)
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))
 def test_batch_forms_match_scalar_entries(name):
     params, d, shift = BATCH_CASES[name]
+    value, grad = REFERENCE[name]
     K = kk.builtin_kernel(name, params)
     rng = np.random.default_rng(sorted(BATCH_CASES).index(name))
     X = rng.uniform(-0.45, 0.45, size=(7, d)) + shift
     Y = rng.uniform(-0.45, 0.45, size=(5, d)) + shift
-    values, grads = _scalar_reference(K, X, Y)
+    values = _pairwise(value, X, Y)
     _assert_close(K.matrix(X, Y), values)
-    _assert_close(K.grad1_matrix(X, Y), grads)
-    assert K.grad1_matrix(X, Y).shape == (7, 5, d)
+    G = K.grad1_matrix(X, Y)
+    assert G.shape == (7, 5, d)
+    if grad is not None:
+        _assert_close(G, _pairwise(grad, X, Y))
+    _assert_close(G, _central_differences(K.matrix, X, Y), rtol=1e-6)
+    # the calls at one pair, the 1 x 1 cases of the array forms
+    assert K(X[0], Y[0]) == pytest.approx(values[0, 0], rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(K.grad1(X[0], Y[0]), G[0, 0], rtol=1e-9,
+                               atol=1e-9 * np.abs(G).max())
 
 
 @pytest.mark.parametrize("name, x, y, which", [
@@ -349,22 +423,40 @@ def test_user_kernel_takes_the_loop_fallback():
         calls.append(1)
         return float(np.exp(-abs(x[0] - y[0])) + x[1] * y[1])
 
-    K = kk.Kernel("user", ev)
+    K = kk.entrywise_kernel("user", ev)
     X = np.array([[0.1, 0.2], [0.5, -0.3], [0.9, 0.4]])
     Y = np.array([[0.2, 0.0], [0.7, 1.0]])
-    values, grads = _scalar_reference(K, X, Y)
+    values = _pairwise(ev, X, Y)
     calls.clear()
     M = K.matrix(X, Y)
     assert len(calls) == 6
-    assert M.dtype == np.float64 and np.array_equal(M, values.real)
-    # central differences on the same points as the scalar path, bit for bit
-    assert np.array_equal(K.grad1_matrix(X, Y), grads.real)
-    with_grad = kk.Kernel("user", ev, lambda x, y: np.array([0.0, y[1]]))
+    assert M.dtype == np.float64 and np.array_equal(M, values)
+    # central differences of the user's function, pair by pair, bit for bit
+    h = kk.DEFAULT_FD_STEP
+    grads = np.stack([(_pairwise(ev, X + e, Y) - _pairwise(ev, X - e, Y)) / (2.0 * h)
+                      for e in h * np.eye(2)], axis=-1)
+    assert np.array_equal(K.grad1_matrix(X, Y), grads)
+    with_grad = kk.entrywise_kernel("user", ev, lambda x, y: np.array([0.0, y[1]]))
     assert np.array_equal(with_grad.grad1_matrix(X, Y)[..., 1],
                           np.broadcast_to(Y[:, 1], (3, 2)))
-    complex_valued = kk.Kernel("phase", lambda x, y: np.exp(1j * (x[0] - y[0])))
+    complex_valued = kk.entrywise_kernel("phase", lambda x, y: np.exp(1j * (x[0] - y[0])))
     assert complex_valued.matrix(X, Y).dtype == np.complex128
     assert kk.gram(complex_valued, X).gram.dtype == np.complex128
+
+
+def test_kernel_rejects_array_forms_of_the_wrong_shape():
+    # a function of one pair of points, given where the array form belongs:
+    # on two rows each it broadcasts and returns one number
+    K = kk.Kernel("pairwise", lambda x, y: np.exp(-np.sum((x - y) ** 2)))
+    X, Y = np.array([[0.1], [0.4]]), np.array([[0.2], [0.3]])
+    for call in (K.matrix, K.grad1_matrix, K, K.grad1):
+        with pytest.raises(ValueError, match="shape"):
+            call(X, Y)
+    # and a gradient of one pair, where its array form belongs
+    G = kk.Kernel("pairwise", lambda X, Y: np.exp(-(X - Y.T) ** 2),
+                  lambda x, y: -2.0 * (x - y) * np.exp(-np.sum((x - y) ** 2)))
+    with pytest.raises(ValueError, match="shape"):
+        G.grad1_matrix(X, Y)
 
 
 def test_gram_of_real_kernel_is_float64_and_flags_duplicates(fock):
@@ -394,3 +486,17 @@ def test_halfplane_array_forms_equal_the_plain_expressions_bit_for_bit():
     d = -2.0 * m * k1(m * r) / r
     assert np.array_equal(K.matrix(X, Y), 2.0 * k0(m * r))
     assert np.array_equal(K.grad1_matrix(X, Y), np.stack([d * a, d * b], axis=-1))
+
+
+def test_laplace_factor_equals_the_plain_expression_bit_for_bit():
+    # scaling the atoms by -1/2 before the product is exact, so the factored
+    # form keeps the numbers of exp(-(X a^T) / 2)
+    rng = np.random.default_rng(3)
+    atoms, weights = rng.normal(size=(40, 2)) * 5.0, rng.uniform(0.1, 1.0, size=40)
+    K = kk.laplace_kernel_from_measure(kk.MeasureSample(atoms, weights))
+    X, Y = rng.normal(size=(9, 2)), rng.normal(size=(7, 2))
+    FX, FY = np.exp(-(X @ atoms.T) / 2.0), np.exp(-(Y @ atoms.T) / 2.0)
+    assert np.array_equal(K.matrix(X, Y), (FX * weights) @ FY.T)
+    assert np.array_equal(K.grad1_matrix(X, Y),
+                          np.stack([(FX * weights * (-a / 2.0)) @ FY.T for a in atoms.T],
+                                   axis=-1))

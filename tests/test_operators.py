@@ -19,15 +19,15 @@ def X1d():
 
 
 def test_form_of_constant_kernel_vanishes(X1d):
-    K = kk.Kernel("const", lambda x, y: 1.0, lambda x, y: np.zeros(1, complex))
+    K = kk.entrywise_kernel("const", lambda x, y: 1.0, lambda x, y: np.zeros(1, complex))
     B = op.lie_derivative_form(K, X1d, [[0.0], [0.7]])
     assert np.allclose(B, 0.0)
 
 
 def test_form_exponential_product_kernel(X1d):
     # K = e^{xy}: d/dx K = y e^{xy}, so B[i, j] = m_j e^{m_i m_j}
-    K = kk.Kernel("exy", lambda x, y: np.exp(x @ y),
-                  lambda x, y: y * np.exp(x @ y))
+    K = kk.entrywise_kernel("exy", lambda x, y: np.exp(x @ y),
+                            lambda x, y: y * np.exp(x @ y))
     B = op.lie_derivative_form(K, X1d, [[0.0], [1.0]])
     assert np.allclose(B.real, [[0.0, 1.0], [0.0, np.e]], atol=1e-14)
     assert op.symmetry_classify(B) is None
@@ -108,7 +108,7 @@ def _form_by_entries(kernel, field, pts):
     (kk.builtin_kernel("circle_laplace", {"mass": 2.0}), fl.rotation_field()),
     (kk.builtin_kernel("halfplane_bessel"), fl.constant_field([0.0, -1.0])),
     # neither the field nor the kernel has an array form
-    (kk.Kernel("user", lambda x, y: np.exp(x @ y)),
+    (kk.entrywise_kernel("user", lambda x, y: np.exp(x @ y)),
      fl.VectorField(fl.full_space(2), lambda p: np.array([p[1] ** 2, -p[0]]))),
 ])
 def test_form_matches_entry_definition_and_stays_real(kernel, field):
@@ -295,3 +295,20 @@ def test_batched_invariance_equals_per_curve_bit_for_bit(name, epsilon, t_max, s
     rep = op.flow_invariance_check(kernel, field, epsilon, [(m, n)], t_max, step)
     assert (rep.drifts[0], rep.reached[0]) == _per_curve_invariance(
         kernel, field, epsilon, m, n, t_max, step)
+
+
+def test_convergence_study_ladder_runs_on_a_user_kernel():
+    # the study's inverse-power kernel is a user kernel; ladder_1d reports an
+    # exception by its name in place of a rank
+    import importlib.util
+    import os
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                          "transport_convergence_study.py")
+    spec = importlib.util.spec_from_file_location("transport_convergence_study", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    rows = module.ladder_1d(module.inverse_power_kernel(), 1e-12)
+    assert len(rows) == len(module.SIZES)
+    for rank, err in rows:
+        assert isinstance(rank, int) and rank > 0, err
+        assert 0.0 <= err < 1e-5

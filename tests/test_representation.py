@@ -57,8 +57,8 @@ def test_euclidean_table_split(euclidean_setup):
 
 
 def test_trivial_kernel_gives_zero_operators():
-    kernel = kk.Kernel("one", lambda x, y: 1.0,
-                       lambda x, y: np.zeros(1, complex))
+    kernel = kk.entrywise_kernel("one", lambda x, y: 1.0,
+                                 lambda x, y: np.zeros(1, complex))
     action = op.builtin_action("translation", {"dimension": 1})
     model = kk.gram(kernel, [[0.0]])
     table = rp.synthesize_cdual_rep(kernel, action, model)
