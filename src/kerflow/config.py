@@ -2,7 +2,7 @@
 
 Unknown keys are fatal and reported with their JSON path; silent typos in
 tolerance names would invalidate acceptance runs.  Every experiment kind has a
-fixed set of allowed blocks and tolerance names.
+fixed set of allowed blocks, and a check table that names its tolerances.
 """
 
 from __future__ import annotations
@@ -15,30 +15,53 @@ from typing import Optional
 
 from .errors import ConfigError
 
-KINDS = ("flow_laws", "bracket_order", "compatibility", "froelich",
-         "cdual_rep", "luscher_mack", "os_reconstruct", "rp_axioms")
-
-# allowed tolerance names and defaults, per kind
-TOLERANCES = {
-    "flow_laws": {"flow_law": 1e-8, "inverse_law": 1e-8, "matrix_exponential": 1e-8},
-    "bracket_order": {"order_low": 1.8, "order_high": 2.2},
-    "compatibility": {"compatibility": 1e-8, "invariance": 1e-8, "homomorphism": 1e-8},
-    "froelich": {"relative_error": 1e-3, "monotone_ratio": 1.0},
-    "cdual_rep": {"skew_defect": 1e-8, "unitarity": 1e-10, "conjugation_ratio": 1.0},
-    "luscher_mack": {"psd_ratio": 1e-10, "generator": 1e-10, "star_property": 1e-8},
-    "os_reconstruct": {"twisted_psd": 1e-10, "rank_ratio": 1e-10,
-                       "semigroup_value": 1e-8, "contraction": 1e-8,
-                       "semigroup_law": 1e-8, "self_adjoint": 1e-8},
-    "rp_axioms": {"rp1": 1e-12, "rp2": 1e-12, "pairing_invariance": 1e-10},
+# Each kind's check contract, in report order: a check name maps to
+# (tolerance name, default, test), or to None for an informational check
+# (value only, passed null).  The test compares the value with the
+# tolerance; ``quotient_rank`` has no default, since it is held to the
+# body's ``expected_rank``.  The tolerance names with a default are the ones
+# a config may set under ``tolerances``.
+CHECKS = {
+    "flow_laws": {"flow_law_max_defect": ("flow_law", 1e-8, "<="),
+                  "inverse_law_max_defect": ("inverse_law", 1e-8, "<="),
+                  "matrix_exponential_max_defect": ("matrix_exponential", 1e-8, "<=")},
+    "bracket_order": {"min_fitted_order": ("order_low", 1.8, ">="),
+                      "max_fitted_order": ("order_high", 2.2, "<=")},
+    "compatibility": {"compatibility_max_defect": ("compatibility", 1e-8, "<="),
+                      "homomorphism_defect": ("homomorphism", 1e-8, "<="),
+                      "invariance_max_drift": ("invariance", 1e-8, "<=")},
+    "froelich": {"relative_error": ("relative_error", 1e-3, "<="),
+                 "monotone_max_ratio": ("monotone_ratio", 1.0, "<"),
+                 "projection_residual": None},
+    "cdual_rep": {"skew_defect_max": ("skew_defect", 1e-8, "<="),
+                  "unitarity_defect_max": ("unitarity", 1e-10, "<="),
+                  "conjugation_max_ratio": ("conjugation_ratio", 1.0, "<"),
+                  "commutation_defect_final": None},
+    "luscher_mack": {"psd_min_ratio": ("psd_ratio", 1e-10, ">= -tol"),
+                     "generator_error": ("generator", 1e-10, "<="),
+                     "star_defect_max": ("star_property", 1e-8, "<="),
+                     "commutation_defect": None},
+    "os_reconstruct": {"twisted_psd_min_ratio": ("twisted_psd", 1e-10, ">= -tol"),
+                       "quotient_rank": ("expected_rank", None, "=="),
+                       "rank_gap_ratio": ("rank_ratio", 1e-10, "<="),
+                       "semigroup_eigenvalue_error": ("semigroup_value", 1e-8, "<="),
+                       "contraction_defect": ("contraction", 1e-8, "<="),
+                       "semigroup_law_defect": ("semigroup_law", 1e-8, "<="),
+                       "self_adjointness_defect": ("self_adjoint", 1e-8, "<=")},
+    "rp_axioms": {"rp1_max_defect": ("rp1", 1e-12, "<="),
+                  "rp2_max_defect": ("rp2", 1e-12, "<="),
+                  "pairing_invariance_defect": ("pairing_invariance", 1e-10, "<=")},
 }
+KINDS = tuple(CHECKS)
 
 
 @dataclass(frozen=True)
 class Rule:
     """A key's allowed types plus what is checked once the types hold: the
-    key may be required, a number, or a list's length, may be bounded, every
-    entry of a list may have to satisfy a rule of its own, and an object
-    value is checked against a key table of its own."""
+    key may be required, a number, or a list's length, may be bounded, a
+    value may have to be one of a few choices, every entry of a list may
+    have to satisfy a rule of its own, and an object value is checked
+    against a key table of its own."""
 
     types: object
     required: bool = False
@@ -47,6 +70,7 @@ class Rule:
     at_most: Optional[int] = None       # value or list length must not exceed this
     each: Optional["Rule"] = None       # rule for every entry of a list value
     spec: Optional[dict] = None         # key table of an object value
+    choices: Optional[tuple] = None     # the values allowed
 
 
 # Upper bounds on integer sizes, so that a huge JSON integer is a config
@@ -132,7 +156,8 @@ SCHEMAS = {
                                         "s": Rule((int, float), required=True)}),
     },
     "luscher_mack": {
-        "variant": str, "exponent": (int, float), "power": (int, float),
+        "variant": Rule(str, choices=("power_1x1", "determinant")),
+        "exponent": (int, float), "power": (int, float),
         "n_samples": Rule(int, at_least=1, at_most=MAX_SEMIGROUP_SAMPLES),
         "interval": _PAIR, "matrix_size": Rule(int, at_least=1, at_most=MAX_MATRIX_SIZE),
         "spectral_range": _PAIR, "rank_cutoff": (int, float),
@@ -165,7 +190,8 @@ class ExperimentConfig:
     raw: dict           # full echo for the report
 
     def tol(self, name: str) -> float:
-        return float(self.tolerances[name])
+        """A tolerance, or the body key a check is held to (``expected_rank``)."""
+        return float(self.tolerances[name] if name in self.tolerances else self.body[name])
 
 
 def _check_type(val, expected, path: str):
@@ -212,6 +238,8 @@ def _check_bounds(val, rule: Rule, path: str):
     if rule.at_most is not None and not size <= rule.at_most:
         what = "length" if isinstance(val, list) else "value"
         raise ConfigError(path, f"{what} must be <= {rule.at_most}")
+    if rule.choices is not None and val not in rule.choices:
+        raise ConfigError(path, f"must be one of {', '.join(rule.choices)}")
     if rule.each is not None and isinstance(val, list):
         for i, item in enumerate(val):
             _check_type(item, rule.each.types, f"{path}[{i}]")
@@ -308,19 +336,12 @@ def validate_config(data: dict) -> ExperimentConfig:
     kind = data.get("kind")
     if kind not in KINDS:
         raise ConfigError("$.kind", f"must be one of {', '.join(KINDS)}")
-    top_spec = {"kind": str, "seed": int, "tolerances": dict, **SCHEMAS[kind]}
-    _check_keys(data, top_spec, "$")
-    if "seed" not in data:
-        raise ConfigError("$.seed", "required")
-
-    tol_defaults = dict(TOLERANCES[kind])
-    for name, value in data.get("tolerances", {}).items():
-        if name not in tol_defaults:
-            raise ConfigError(f"$.tolerances.{name}", "unknown tolerance")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"$.tolerances.{name}", "must be a number")
-        tol_defaults[name] = float(value)
-    _check_rules(data, SCHEMAS[kind], "$")
+    tolerances = {entry[0]: entry[1] for entry in CHECKS[kind].values()
+                  if entry is not None and entry[1] is not None}
+    _check_block(data, {"kind": str, "seed": Rule(int, required=True),
+                        "tolerances": Rule(dict, spec=dict.fromkeys(tolerances, NUMBER)),
+                        **SCHEMAS[kind]}, "$")
+    tolerances.update({k: float(v) for k, v in data.get("tolerances", {}).items()})
     _resolve_builtin_names(data)
     if kind in ("os_reconstruct", "rp_axioms") and "kernel" in data:
         if data["kernel"]["name"] != "ou_mixture":
@@ -354,7 +375,7 @@ def validate_config(data: dict) -> ExperimentConfig:
 
     body = {k: v for k, v in data.items()
             if k not in ("kind", "seed", "tolerances")}
-    return ExperimentConfig(kind, seed, tol_defaults, body, data)
+    return ExperimentConfig(kind, seed, tolerances, body, data)
 
 
 def parse_config(path: str) -> ExperimentConfig:

@@ -366,7 +366,7 @@ ACTION_CATALOG = {
 ACTION_PARAMS = {
     "translation": {"dimension": Rule(int, at_least=1, at_most=MAX_DIMENSION)},
     "euclidean": {"p": Rule(int, at_least=0, at_most=2),
-                  "q": Rule(int, at_least=0, at_most=2), "domain": Rule(str)},
+                  "q": Rule(int, at_least=0, at_most=2), "domain": Rule(str, choices=("plane", "halfplane"))},
     "matrix_right_multiplication": {
         "n": Rule(int, required=True, at_least=1, at_most=MAX_MATRIX_SIZE),
         "radius": POSITIVE},

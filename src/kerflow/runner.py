@@ -3,15 +3,16 @@ verification operations and emits machine-readable reports.
 
 Reports are deterministic given the seed; with the stable-output flag the
 wall-clock block is dropped so repeated runs are byte-identical.  Every
-experiment kind emits a fixed list of named checks (order fixed, each exactly
-once); checks with a null pass flag are informational and never affect the
-exit code.
+experiment kind emits the checks of its ``config.CHECKS`` table (in its
+order, each exactly once); checks with a null pass flag are informational
+and never affect the exit code.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from . import kernels as kr
 from . import operators as op
 from . import representation as rp
 from .algebra import expm
-from .config import ExperimentConfig
+from .config import CHECKS, ExperimentConfig
 from .errors import ConfigError, GridError
 
 
@@ -191,33 +192,48 @@ def _homogeneous_generator(fspec: dict) -> Optional[np.ndarray]:
     return H
 
 
-def _max_defect_check(name: str, gaps: list, tol: float,
-                      required: bool = True) -> Check:
+# how each test of the check table compares a value with its tolerance
+_TESTS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
+          ">= -tol": lambda value, tol: value >= -tol, "==": operator.eq}
+
+
+def _checks(cfg: ExperimentConfig, values: dict, failed=()) -> list:
+    """The kind's checks of ``config.CHECKS``, in its order, from the
+    measured ``values`` by check name.  A check whose value is missing or
+    None compared nothing and is informational (value and passed null),
+    unless it is named in ``failed``: a comparison that was asked for but
+    compared nothing fails."""
+    if {*values, *failed} - CHECKS[cfg.kind].keys():   # a name outside the table is a slip
+        raise KeyError(f"{cfg.kind} has only the checks {list(CHECKS[cfg.kind])}")
+    checks = []
+    for name, entry in CHECKS[cfg.kind].items():
+        value = values.get(name)
+        tol = None if entry is None else cfg.tol(entry[0])
+        passed = False if name in failed else None if entry is None or value is None \
+            else bool(_TESTS[entry[2]](value, tol))
+        checks.append(Check(name, value, tol, passed))
+    return checks
+
+
+def _max_norm(gaps: list) -> Optional[float]:
     """Largest norm among the compared gaps (vectors or scalars, given as a
-    list of blocks).  When nothing was compared the value is null and the
-    check fails, or is informational (passed null) when the comparison was
-    not ``required``."""
-    norms = [float(np.linalg.norm(g)) for block in gaps for g in block]
-    if not norms:
-        return Check(name, None, tol, False if required else None)
-    return _defect_check(name, max(norms), tol)
+    list of blocks); None when nothing was compared."""
+    return max((float(np.linalg.norm(g)) for block in gaps for g in block), default=None)
 
 
-def _defect_check(name: str, value: Optional[float], tol: float) -> Check:
-    """A defect (or any value bounded above) against its tolerance;
-    informational (value and passed null) when ``value`` is None because
-    nothing was compared."""
-    return Check(name, value, tol, None if value is None else value <= tol)
+def _max_ratio(values: list) -> Optional[float]:
+    """Largest ratio of a ladder level's value to the one before it, over the
+    levels after a nonzero value; None when no two levels give a ratio."""
+    return max((b / a for a, b in zip(values, values[1:]) if a > 0), default=None)
 
 
-def _run_flow_laws(cfg: ExperimentConfig, rng) -> ExperimentReport:
+def _run_flow_laws(cfg: ExperimentConfig, rng) -> tuple:
     body = cfg.body
     step = float(body.get("step", fl.DEFAULT_STEP))
     t_range = float(body.get("t_range", CURVE_TIMES["t_range"]))
     n_points = int(body.get("n_points", 10))
     n_times = int(body.get("n_time_samples", 3))
     flow_gaps, inverse_gaps, expm_gaps = [], [], []
-    any_affine = False
     for fspec in body["fields"]:
         field = fl.builtin_field(fspec["name"], fspec.get("params"))
         d = field.chart.dimension
@@ -230,7 +246,6 @@ def _run_flow_laws(cfg: ExperimentConfig, rng) -> ExperimentReport:
         s, t = np.tile(ss, n_points), np.tile(ts, n_points)
         n = len(p)
         H = _homogeneous_generator(fspec)
-        any_affine = any_affine or H is not None
         # phase 1: every curve that starts at a sample point, mid and direct
         # plus, for an affine field, Phi_t p against the exponential
         starts, times = [p, p], [s, s + t]
@@ -256,14 +271,13 @@ def _run_flow_laws(cfg: ExperimentConfig, rng) -> ExperimentReport:
                               for pj, tj in zip(p, t)])
             done = first.completed[2 * n:]
             expm_gaps.append(first.endpoints[2 * n:][done] - exact[done])
-    checks = [
-        _max_defect_check("flow_law_max_defect", flow_gaps, cfg.tol("flow_law")),
-        _max_defect_check("inverse_law_max_defect", inverse_gaps,
-                          cfg.tol("inverse_law")),
-        _max_defect_check("matrix_exponential_max_defect", expm_gaps,
-                          cfg.tol("matrix_exponential"), required=any_affine),
-    ]
-    return ExperimentReport(cfg.kind, cfg.raw, checks, {}, {})
+    # one block per field (per affine field for the exponential): a check
+    # with blocks but no compared gap fails
+    gaps = {"flow_law_max_defect": flow_gaps, "inverse_law_max_defect": inverse_gaps,
+            "matrix_exponential_max_defect": expm_gaps}
+    values = {name: _max_norm(blocks) for name, blocks in gaps.items()}
+    return _checks(cfg, values, [n for n, blocks in gaps.items()
+                                 if blocks and values[n] is None]), {}
 
 
 def _fit_order(hs, errs) -> float:
@@ -273,7 +287,7 @@ def _fit_order(hs, errs) -> float:
     return float(slope)
 
 
-def _run_bracket_order(cfg: ExperimentConfig, rng) -> ExperimentReport:
+def _run_bracket_order(cfg: ExperimentConfig, rng) -> tuple:
     body = cfg.body
     hs = [float(h) for h in body.get("h_ladder", [1e-2, 5e-3, 2.5e-3])]
     n_points = int(body.get("n_points", 10))
@@ -290,12 +304,8 @@ def _run_bracket_order(cfg: ExperimentConfig, rng) -> ExperimentReport:
                 for h in hs]
         orders.append(_fit_order(hs, errs))
         curves[f"pair_{idx}_error_vs_h"] = [[h, e] for h, e in zip(hs, errs)]
-    lo, hi = cfg.tol("order_low"), cfg.tol("order_high")
-    checks = [
-        Check("min_fitted_order", min(orders), lo, min(orders) >= lo),
-        _defect_check("max_fitted_order", max(orders), hi),
-    ]
-    return ExperimentReport(cfg.kind, cfg.raw, checks, curves, {})
+    return _checks(cfg, {"min_fitted_order": min(orders),
+                         "max_fitted_order": max(orders)}), curves
 
 
 def _check_declared_algebra(body: dict, action):
@@ -324,13 +334,13 @@ def _element_index(algebra, value, path: str, fixed_part: bool = False) -> int:
     return k
 
 
-def _run_compatibility(cfg: ExperimentConfig, rng) -> ExperimentReport:
+def _run_compatibility(cfg: ExperimentConfig, rng) -> tuple:
     body = cfg.body
     kernel = kr.builtin_kernel(body["kernel"]["name"], body["kernel"].get("params"))
     action = op.builtin_action(body["action"]["name"], body["action"].get("params"))
     _check_declared_algebra(body, action)
     pts = _checked_samples(body["samples"], rng, kernel, action.dimension)
-    report = op.compatibility_check(kernel, action, pts, cfg.tol("compatibility"))
+    report = op.compatibility_check(kernel, action, pts)
     hom = action.homomorphism_defect(pts[: min(len(pts), 8)])
     invariance = []
     for i, inv in enumerate(body.get("invariance", [])):
@@ -345,22 +355,17 @@ def _run_compatibility(cfg: ExperimentConfig, rng) -> ExperimentReport:
         pair = [tuple(np.asarray(q, dtype=float) for q in inv["pair"])]
         invariance.append(op.flow_invariance_check(
             kernel, field, eps, pair, float(inv.get("t_max", CURVE_TIMES["t_max"])),
-            float(inv.get("step", fl.DEFAULT_STEP)), cfg.tol("invariance")))
+            float(inv.get("step", fl.DEFAULT_STEP))))
     # informational (value and passed null) without an invariance pair; a
     # pair whose curves reach no time beyond 0 compares nothing and fails
     drifts = [res.max_drift for res in invariance if res.reached[0] != 0.0]
-    checks = [
-        Check("compatibility_max_defect", report.max_defect,
-              cfg.tol("compatibility"), report.passed),
-        _defect_check("homomorphism_defect", hom, cfg.tol("homomorphism")),
-        Check("invariance_max_drift", max(drifts, default=None),
-              cfg.tol("invariance"),
-              all(res.passed for res in invariance) if invariance else None),
-    ]
-    return ExperimentReport(cfg.kind, cfg.raw, checks, {}, {})
+    return _checks(cfg, {"compatibility_max_defect": report.max_defect,
+                         "homomorphism_defect": hom,
+                         "invariance_max_drift": max(drifts, default=None)},
+                   ["invariance_max_drift"] if len(drifts) < len(invariance) else []), {}
 
 
-def _run_froelich(cfg: ExperimentConfig, rng) -> ExperimentReport:
+def _run_froelich(cfg: ExperimentConfig, rng) -> tuple:
     body = cfg.body
     kernel = kr.builtin_kernel(body["kernel"]["name"], body["kernel"].get("params"))
     field = fl.builtin_field(body["field"]["name"], body["field"].get("params"))
@@ -380,21 +385,14 @@ def _run_froelich(cfg: ExperimentConfig, rng) -> ExperimentReport:
         deltas.append(res.relative_error)
         resids.append(res.projection_residual)
     spectrum = [[i, float(lam)] for i, lam in enumerate(model.eigenvalues.real)]
-    ratios = [deltas[i + 1] / deltas[i] if deltas[i] > 0 else 0.0
-              for i in range(len(deltas) - 1)]
-    max_ratio = max(ratios) if ratios else 0.0
-    checks = [
-        _defect_check("relative_error", deltas[-1], cfg.tol("relative_error")),
-        Check("monotone_max_ratio", max_ratio, cfg.tol("monotone_ratio"),
-              max_ratio < cfg.tol("monotone_ratio")),
-        Check("projection_residual", resids[-1], None, None),
-    ]
-    curves = {"delta_vs_size": [[s, d] for s, d in zip(sizes, deltas)],
-              "gram_spectrum": spectrum}
-    return ExperimentReport(cfg.kind, cfg.raw, checks, curves, {})
+    checks = _checks(cfg, {"relative_error": deltas[-1],
+                           "monotone_max_ratio": _max_ratio(deltas),
+                           "projection_residual": resids[-1]})
+    return checks, {"delta_vs_size": [[s, d] for s, d in zip(sizes, deltas)],
+                    "gram_spectrum": spectrum}
 
 
-def _run_cdual_rep(cfg: ExperimentConfig, rng) -> ExperimentReport:
+def _run_cdual_rep(cfg: ExperimentConfig, rng) -> tuple:
     body = cfg.body
     kernel = kr.builtin_kernel(body["kernel"]["name"], body["kernel"].get("params"))
     action = op.builtin_action(body["action"]["name"], body["action"].get("params"))
@@ -417,16 +415,10 @@ def _run_cdual_rep(cfg: ExperimentConfig, rng) -> ExperimentReport:
         if conj_spec:
             conj_curve.append([model.size, rp.conjugation_check(
                 table, x, y, float(conj_spec["s"]))])
-    conj_ratios = [conj_curve[i + 1][1] / conj_curve[i][1]
-                   for i in range(len(conj_curve) - 1) if conj_curve[i][1] > 0]
-    max_conj_ratio = max(conj_ratios) if conj_ratios else 0.0
-    checks = [
-        _defect_check("skew_defect_max", skew_defect, cfg.tol("skew_defect")),
-        _defect_check("unitarity_defect_max", unit_defect, cfg.tol("unitarity")),
-        Check("conjugation_max_ratio", max_conj_ratio, cfg.tol("conjugation_ratio"),
-              max_conj_ratio < cfg.tol("conjugation_ratio")),
-        Check("commutation_defect_final", comm_curve[-1][1], None, None),
-    ]
+    checks = _checks(cfg, {"skew_defect_max": skew_defect,
+                           "unitarity_defect_max": unit_defect,
+                           "conjugation_max_ratio": _max_ratio([v for _, v in conj_curve]),
+                           "commutation_defect_final": comm_curve[-1][1]})
     curves = {"commutation_vs_size": comm_curve}
     if conj_curve:
         curves["conjugation_vs_size"] = conj_curve
@@ -441,14 +433,14 @@ def _run_cdual_rep(cfg: ExperimentConfig, rng) -> ExperimentReport:
         for (a, b), d in sorted(comm.pair_defects.items())]
     curves["gram_spectrum"] = [[i, float(lam)] for i, lam
                                in enumerate(model.eigenvalues.real)]
-    return ExperimentReport(cfg.kind, cfg.raw, checks, curves, {})
+    return checks, curves
 
 
-def _run_luscher_mack(cfg: ExperimentConfig, rng) -> ExperimentReport:
+def _run_luscher_mack(cfg: ExperimentConfig, rng) -> tuple:
     body = cfg.body
-    variant = body.get("variant", "power_1x1")
     cutoff = float(body.get("rank_cutoff", 1e-12))
-    if variant == "power_1x1":
+    values = {}
+    if body.get("variant", "power_1x1") == "power_1x1":
         a = float(body.get("exponent", 1.5))
         lo, hi = body.get("interval", [0.2, 0.9])
         n = int(body.get("n_samples", 6))
@@ -461,9 +453,8 @@ def _run_luscher_mack(cfg: ExperimentConfig, rng) -> ExperimentReport:
                                               phi_grad=lambda u: a * u ** (a - 1.0),
                                               vectorized=True, rank_cutoff=cutoff)
         gen = table.entry(0).compressed
-        gen_err = float(np.max(np.abs(gen - a * np.eye(gen.shape[0]))))
-        gen_check = _defect_check("generator_error", gen_err, cfg.tol("generator"))
-    elif variant == "determinant":
+        values["generator_error"] = float(np.max(np.abs(gen - a * np.eye(gen.shape[0]))))
+    else:   # the determinant variant; its generator has no closed form here
         n_mat = int(body.get("matrix_size", 2))
         power = float(body.get("power", 2.0))
         n = int(body.get("n_samples", 8))
@@ -480,21 +471,12 @@ def _run_luscher_mack(cfg: ExperimentConfig, rng) -> ExperimentReport:
         table, rep = rp.luscher_mack_pipeline(
             elems, lambda u: np.linalg.det(np.eye(n_mat) - u) ** (-power), action,
             vectorized=True, rank_cutoff=cutoff)
-        gen_check = Check("generator_error", 0.0, None, None)
-    else:
-        raise ConfigError("$.variant", f"unknown variant {variant!r}")
-    checks = [
-        Check("psd_min_ratio", rep.psd_min_ratio, cfg.tol("psd_ratio"),
-              rep.psd_min_ratio >= -cfg.tol("psd_ratio")),
-        gen_check,
-        _defect_check("star_defect_max", rep.max_star_defect,
-                      cfg.tol("star_property")),
-        Check("commutation_defect", rep.commutation_max_defect, None, None),
-    ]
-    return ExperimentReport(cfg.kind, cfg.raw, checks, {}, {})
+    return _checks(cfg, {**values, "psd_min_ratio": rep.psd_min_ratio,
+                         "star_defect_max": rep.max_star_defect,
+                         "commutation_defect": rep.commutation_max_defect}), {}
 
 
-def _run_os_reconstruct(cfg: ExperimentConfig, rng) -> ExperimentReport:
+def _run_os_reconstruct(cfg: ExperimentConfig, rng) -> tuple:
     body = cfg.body
     grid = _grid_from_spec(body["grid"])
     masses, sk = _ou_mixture_smeared(body["kernel"], grid)
@@ -503,7 +485,6 @@ def _run_os_reconstruct(cfg: ExperimentConfig, rng) -> ExperimentReport:
     space = dist.os_quotient(sk, setup, fns,
                              rank_cutoff=float(body.get("rank_cutoff", 1e-10)),
                              psd_tol=cfg.tol("twisted_psd"))
-    expected_rank = int(body["expected_rank"])
 
     times = [int(c) for c in body["times_cells"]]
     law_pairs = [(int(s), int(t)) for s, t in body.get("law_pairs_cells", [])]
@@ -527,26 +508,17 @@ def _run_os_reconstruct(cfg: ExperimentConfig, rng) -> ExperimentReport:
     laws = [dist.semigroup_law_defect(transfer[s].matrix, transfer[t].matrix,
                                       transfer[s + t].matrix)
             for s, t in law_pairs]
-    min_ratio = space.positivity.min_ratio
-    checks = [
-        Check("twisted_psd_min_ratio", min_ratio, cfg.tol("twisted_psd"),
-              min_ratio >= -cfg.tol("twisted_psd")),
-        Check("quotient_rank", float(space.rank), float(expected_rank),
-              space.rank == expected_rank),
-        _defect_check("rank_gap_ratio", space.gap_ratio, cfg.tol("rank_ratio")),
-        _defect_check("semigroup_eigenvalue_error", eig_err,
-                      cfg.tol("semigroup_value")),
-        _defect_check("contraction_defect", contraction, cfg.tol("contraction")),
-        _defect_check("semigroup_law_defect", max(laws, default=None),
-                      cfg.tol("semigroup_law")),
-        _defect_check("self_adjointness_defect", sa_defect,
-                      cfg.tol("self_adjoint")),
-    ]
-    return ExperimentReport(cfg.kind, cfg.raw, checks,
-                            {"semigroup_eigenvalues": curve}, {})
+    checks = _checks(cfg, {"twisted_psd_min_ratio": space.positivity.min_ratio,
+                           "quotient_rank": float(space.rank),
+                           "rank_gap_ratio": space.gap_ratio,
+                           "semigroup_eigenvalue_error": eig_err,
+                           "contraction_defect": contraction,
+                           "semigroup_law_defect": max(laws, default=None),
+                           "self_adjointness_defect": sa_defect})
+    return checks, {"semigroup_eigenvalues": curve}
 
 
-def _run_rp_axioms(cfg: ExperimentConfig, rng) -> ExperimentReport:
+def _run_rp_axioms(cfg: ExperimentConfig, rng) -> tuple:
     body = cfg.body
     grid = _grid_from_spec(body["grid"])
     shifts = [tuple(int(c) for c in t["cells"])
@@ -566,17 +538,12 @@ def _run_rp_axioms(cfg: ExperimentConfig, rng) -> ExperimentReport:
     h_maps = [dist.grid_shift_map(grid, tuple(int(c) for c in t["cells"]))
               for t in body.get("parallel_translations", [])]
     report = dist.rp_axioms_check(pairs, dist.grid_reflection_map(grid, axis=0),
-                                  dist.slice_mask(grid, axis=0), h_maps,
-                                  tol=cfg.tol("rp1"))
+                                  dist.slice_mask(grid, axis=0), h_maps)
     # each check is informational (value and passed null) when its block
     # gives it nothing to compare
-    checks = [
-        _defect_check("rp1_max_defect", report.rp1_max_defect, cfg.tol("rp1")),
-        _defect_check("rp2_max_defect", report.rp2_max_defect, cfg.tol("rp2")),
-        _defect_check("pairing_invariance_defect", max(drifts, default=None),
-                      cfg.tol("pairing_invariance")),
-    ]
-    return ExperimentReport(cfg.kind, cfg.raw, checks, {}, {})
+    return _checks(cfg, {"rp1_max_defect": report.rp1_max_defect,
+                         "rp2_max_defect": report.rp2_max_defect,
+                         "pairing_invariance_defect": max(drifts, default=None)}), {}
 
 
 _RUNNERS = {
@@ -596,8 +563,9 @@ def run_experiment(cfg: ExperimentConfig,
                    csv_stem: str = "experiment") -> ExperimentReport:
     rng = np.random.default_rng(cfg.seed)
     started = time.perf_counter()
-    report = _RUNNERS[cfg.kind](cfg, rng)
-    report.timings["wall_seconds"] = time.perf_counter() - started
+    checks, curves = _RUNNERS[cfg.kind](cfg, rng)
+    report = ExperimentReport(cfg.kind, cfg.raw, checks, curves,
+                              {"wall_seconds": time.perf_counter() - started})
     if csv_dir:
         _write_csv(report, csv_dir, csv_stem)
     return report

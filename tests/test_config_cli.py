@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kerflow import cli, runner
-from kerflow.config import Rule, parse_config, validate_config
+from kerflow.config import CHECKS, ExperimentConfig, Rule, parse_config, validate_config
 from kerflow.errors import ConfigError
 from kerflow.runner import SAMPLE_KEYS, _sample_points, run_experiment
 
@@ -211,19 +212,95 @@ def test_declared_algebra_consistency(tmp_path):
         run_experiment(cfg)
 
 
-def test_checks_appear_exactly_once():
-    for name in sorted(os.listdir(CONFIG_DIR)):
-        cfg = parse_config(os.path.join(CONFIG_DIR, name))
-        report = run_experiment(cfg)
-        names = [c.name for c in report.checks]
-        assert len(names) == len(set(names)), name
-
-
 def test_every_shipped_config_passes():
+    # each report carries the checks of its kind's table, each once, in order
     for name in sorted(os.listdir(CONFIG_DIR)):
         cfg = parse_config(os.path.join(CONFIG_DIR, name))
         report = run_experiment(cfg)
+        assert [c.name for c in report.checks] == list(CHECKS[cfg.kind]), name
         assert report.passed, f"{name}: {[c.name for c in report.checks if c.passed is False]}"
+
+
+def test_perfbench_check_lists_read_the_table():
+    # the benchmark keeps its own copy of the check lists; a check renamed
+    # here but not there would count every report of its kind as failed
+    script = os.path.join(os.path.dirname(__file__), "..", "perfbench", "run.py")
+    with open(script) as handle:
+        tree = ast.parse(handle.read())
+    found = {target.id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) for target in node.targets
+             if isinstance(target, ast.Name) and target.id in ("CHECKS", "INFORMATIONAL")}
+    assert found["CHECKS"] == {kind: tuple(checks) for kind, checks in CHECKS.items()}
+    assert found["INFORMATIONAL"] == {name for checks in CHECKS.values()
+                                      for name, entry in checks.items() if entry is None}
+
+
+def _cfg(kind, body=None):
+    """A config of ``kind`` at its default tolerances."""
+    return ExperimentConfig(kind, 1, {entry[0]: entry[1] for entry in CHECKS[kind].values()
+                                      if entry is not None and entry[1] is not None},
+                            body or {}, {})
+
+
+def _verdicts(cfg, values, failed=()):
+    return {c.name: (c.value, c.tolerance, c.passed)
+            for c in runner._checks(cfg, values, failed)}
+
+
+def test_checks_at_the_boundary_of_le_and_lt():
+    # froelich: relative_error <= 1e-3, monotone_max_ratio < 1.0
+    got = _verdicts(_cfg("froelich"), {"relative_error": 1e-3, "monotone_max_ratio": 1.0})
+    assert got["relative_error"] == (1e-3, 1e-3, True)
+    assert got["monotone_max_ratio"] == (1.0, 1.0, False)
+    got = _verdicts(_cfg("froelich"), {"relative_error": 2e-3, "monotone_max_ratio": 0.5})
+    assert got["relative_error"][2] is False and got["monotone_max_ratio"][2] is True
+
+
+def test_checks_at_the_boundary_of_ge():
+    got = _verdicts(_cfg("bracket_order"), {"min_fitted_order": 1.8,
+                                            "max_fitted_order": 2.2})
+    assert got["min_fitted_order"] == (1.8, 1.8, True)
+    assert got["max_fitted_order"] == (2.2, 2.2, True)
+    got = _verdicts(_cfg("bracket_order"), {"min_fitted_order": 1.7,
+                                            "max_fitted_order": 2.3})
+    assert got["min_fitted_order"][2] is False and got["max_fitted_order"][2] is False
+
+
+def test_checks_at_the_boundary_of_ge_minus_tol():
+    cfg = _cfg("luscher_mack")
+    assert _verdicts(cfg, {"psd_min_ratio": -1e-10})["psd_min_ratio"] == \
+        (-1e-10, 1e-10, True)
+    assert _verdicts(cfg, {"psd_min_ratio": -2e-10})["psd_min_ratio"][2] is False
+
+
+def test_checks_hold_the_rank_to_the_expected_rank():
+    cfg = _cfg("os_reconstruct", {"expected_rank": 3})
+    assert _verdicts(cfg, {"quotient_rank": 3.0})["quotient_rank"] == (3.0, 3.0, True)
+    assert _verdicts(cfg, {"quotient_rank": 2.0})["quotient_rank"] == (2.0, 3.0, False)
+
+
+def test_checks_named_failed_fail_within_tolerance():
+    cfg = _cfg("compatibility")
+    got = _verdicts(cfg, {"invariance_max_drift": 0.0}, ["invariance_max_drift"])
+    assert got["invariance_max_drift"] == (0.0, 1e-8, False)
+    got = _verdicts(cfg, {}, ["invariance_max_drift"])
+    assert got["invariance_max_drift"] == (None, 1e-8, False)
+
+
+def test_checks_without_a_value_are_null():
+    got = _verdicts(_cfg("cdual_rep"), {"skew_defect_max": None,
+                                        "commutation_defect_final": 0.5})
+    # a missing or None value is informational, as is a check without a test
+    assert got["skew_defect_max"] == (None, 1e-8, None)
+    assert got["conjugation_max_ratio"] == (None, 1.0, None)
+    assert got["commutation_defect_final"] == (0.5, None, None)
+
+
+def test_checks_reject_a_name_outside_the_table():
+    with pytest.raises(KeyError):
+        runner._checks(_cfg("froelich"), {"relative_eror": 0.0})
+    with pytest.raises(KeyError):
+        runner._checks(_cfg("froelich"), {}, ["monotone_ratio"])
 
 
 def test_stable_output_is_byte_identical(tmp_path):
@@ -498,6 +575,13 @@ def _zero_size(key):
     pytest.param("cdual_abelian",
                  lambda d: d.update(algebra={"name": "abelian", "params": {"d": 10 ** 300}}),
                  "$.algebra.params.d", id="huge-abelian-d"),
+    # a string that names one of a few choices (Rule.choices)
+    pytest.param("cdual_halfplane", lambda d: d["action"]["params"].update(domain="halfplain"),
+                 "$.action.params.domain", id="euclidean-domain-typo"),
+    pytest.param("luscher_mack_det", lambda d: d.update(variant="determinnt"),
+                 "$.variant", id="luscher-mack-variant-typo"),
+    pytest.param("compatibility", lambda d: d["tolerances"].update(invarience=1e-8),
+                 "$.tolerances.invarience", id="unknown-tolerance"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
     data = _shipped(stem)
@@ -586,7 +670,8 @@ def test_unexpected_error_exits_3_in_one_line(tmp_path, capsys, monkeypatch):
 
 _SHIPPED_STEMS = sorted(os.path.splitext(f)[0] for f in os.listdir(CONFIG_DIR)
                         if f.endswith(".json") and f != "flow_laws.json")
-_MUTATIONS = ("drop", True, -1, 2.5, [], "zz", {}, 1e300, 10 ** 300)
+_MUTATIONS = ("drop", True, -1, 2.5, [], "zz", {}, 1e300, 10 ** 300,
+              "halfplain", "determinnt")
 
 
 def _json_paths(node, prefix=()):
@@ -704,6 +789,13 @@ def test_invariance_pair_reaching_no_time_fails(tmp_path, capsys, pairs, compare
     ("rp_axioms", ("translations", "parallel_translations", "kernel"),
      ("rp1_max_defect", "rp2_max_defect", "pairing_invariance_defect")),
     ("os_reconstruct_mixture", ("law_pairs_cells",), ("semigroup_law_defect",)),
+    # a ratio over the ladder needs two levels with a conjugation value, or
+    # two levels at all; the determinant has no closed-form generator
+    ("cdual_euclidean", ("conjugation",), ("conjugation_max_ratio",)),
+    ("cdual_abelian", (), ("conjugation_max_ratio",)),
+    ("cdual_halfplane", (), ("conjugation_max_ratio",)),
+    ("froelich_rank1", (), ("monotone_max_ratio",)),
+    ("luscher_mack_det", (), ("generator_error",)),
 ])
 def test_grid_checks_without_a_comparison_are_null(tmp_path, capsys, stem, drop,
                                                    null_checks):
@@ -715,6 +807,8 @@ def test_grid_checks_without_a_comparison_are_null(tmp_path, capsys, stem, drop,
     for name, check in checks.items():
         if name in null_checks:
             assert check["value"] is None and check["passed"] is None, name
+        elif CHECKS[data["kind"]][name] is None:
+            assert check["passed"] is None, name
         else:
             assert check["passed"] is True, name
 
