@@ -212,12 +212,26 @@ def test_declared_algebra_consistency(tmp_path):
         run_experiment(cfg)
 
 
-def test_every_shipped_config_passes():
-    # each report carries the checks of its kind's table, each once, in order
+@pytest.fixture(scope="module")
+def shipped_reports():
+    """(file name, config, report) of every shipped config, run once per module."""
+    out = []
     for name in sorted(os.listdir(CONFIG_DIR)):
         cfg = parse_config(os.path.join(CONFIG_DIR, name))
-        report = run_experiment(cfg)
-        assert [c.name for c in report.checks] == list(CHECKS[cfg.kind]), name
+        out.append((name, cfg, run_experiment(cfg)))
+    return out
+
+
+def test_checks_appear_exactly_once(shipped_reports):
+    # each report carries the checks of its kind's table, each once, in order
+    for name, cfg, report in shipped_reports:
+        names = [c.name for c in report.checks]
+        assert len(names) == len(set(names)), name
+        assert names == list(CHECKS[cfg.kind]), name
+
+
+def test_every_shipped_config_passes(shipped_reports):
+    for name, _, report in shipped_reports:
         assert report.passed, f"{name}: {[c.name for c in report.checks if c.passed is False]}"
 
 
