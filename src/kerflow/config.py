@@ -59,9 +59,10 @@ KINDS = tuple(CHECKS)
 class Rule:
     """A key's allowed types plus what is checked once the types hold: the
     key may be required, a number, or a list's length, may be bounded, a
-    value may have to be one of a few choices, every entry of a list may
-    have to satisfy a rule of its own, and an object value is checked
-    against a key table of its own."""
+    list may have to be as long as a sibling key's list, a value may have to
+    be one of a few choices, every entry of a list may have to satisfy a
+    rule of its own, and an object value is checked against a key table of
+    its own."""
 
     types: object
     required: bool = False
@@ -71,6 +72,7 @@ class Rule:
     each: Optional["Rule"] = None       # rule for every entry of a list value
     spec: Optional[dict] = None         # key table of an object value
     choices: Optional[tuple] = None     # the values allowed
+    same_length: Optional[str] = None   # sibling key whose list this one matches
 
 
 # Upper bounds on integer sizes, so that a huge JSON integer is a config
@@ -218,6 +220,10 @@ def _check_rules(obj: dict, spec: dict, path: str):
             continue
         if key in obj:
             _check_bounds(obj[key], rule, f"{path}.{key}")
+            other = obj.get(rule.same_length)
+            if other is not None and len(obj[key]) != len(other):
+                raise ConfigError(f"{path}.{key}",
+                                  f"needs one entry per entry of {rule.same_length}")
         elif rule.required:
             raise ConfigError(f"{path}.{key}", "required")
 
@@ -352,6 +358,11 @@ def validate_config(data: dict) -> ExperimentConfig:
         if math.prod(shape) > MAX_GRID_CELLS:
             raise ConfigError("$.grid.shape", f"more than {MAX_GRID_CELLS} cells")
     if kind == "rp_axioms":
+        # the kernel's check compares the translated bumps, so without a
+        # translation of either kind no check would compare anything
+        if not data.get("translations") and not data.get("parallel_translations"):
+            raise ConfigError("$.translations", "required unless "
+                                                "parallel_translations is given")
         for block in ("translations", "parallel_translations"):
             for i, t in enumerate(data.get(block, [])):
                 path = f"$.{block}[{i}].cells"

@@ -10,6 +10,7 @@ occur here, but stiff blow-up can and is caught by a norm guard.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -34,7 +35,9 @@ class ChartDomain:
 
     ``membership`` must be decidable for every finite point; ``None`` means the
     whole space.  A ``vectorized`` predicate also maps an (n, d) array to n
-    booleans; any other is asked one point at a time.
+    booleans, each row's decided by that row alone, since the set of rows a
+    flow asks about changes as rows finish or stop; any other is asked one
+    point at a time.
     """
 
     dimension: int
@@ -61,6 +64,13 @@ class ChartDomain:
             inside[i] = bool(self.membership(points[i]))
         return inside
 
+    def contains_all(self, points: np.ndarray) -> bool:
+        """One test over a block of a vectorized chart: True only if every row
+        is inside.  False decides nothing: a row-wise chart, or a finite row
+        too large to square, leaves it to ``contains_rows``."""
+        return (self.vectorized and math.isfinite(np.vdot(points, points))
+                and (self.membership is None or bool(self.membership(points).all())))
+
 
 def full_space(dimension: int) -> ChartDomain:
     return ChartDomain(dimension, None, vectorized=True)
@@ -84,7 +94,10 @@ class VectorField:
 
     When no Jacobian is given, central differences with step ``h_fd`` are used.
     A ``vectorized`` value map also maps an (n, d) array to (n, d) values (a
-    constant broadcasts); any other is called one point at a time.
+    constant broadcasts), and its Jacobian maps it to (n, d, d) or to one
+    (d, d) for every row; each row's value and Jacobian are computed from
+    that row alone, since the set of rows a flow passes changes as rows
+    finish or stop.  Any other is called one point at a time.
     """
 
     chart: ChartDomain
@@ -108,12 +121,14 @@ class VectorField:
         return values
 
     def jac(self, point) -> np.ndarray:
+        """DX at a point (d,) as (d, d); a vectorized field also takes an
+        (n, d) array, giving (n, d, d) or one (d, d) for every row."""
         p = np.asarray(point, dtype=float)
         if self.jacobian is not None:
             return np.asarray(self.jacobian(p), dtype=float)
         steps = self.h_fd * np.eye(self.chart.dimension)
         return np.stack([(self(p + e) - self(p - e)) / (2.0 * self.h_fd)
-                         for e in steps], axis=1)
+                         for e in steps], axis=-1)
 
 
 def constant_field(vector, chart: Optional[ChartDomain] = None) -> VectorField:
@@ -162,53 +177,87 @@ class BatchFlow(NamedTuple):
     completed: np.ndarray
 
 
-def _stop(live: np.ndarray, ok: np.ndarray, reason: str, reasons: list):
-    """Stop the live rows that are not ``ok``, recording why."""
+# The block's summed squared value norms bound each row's; the half absorbs
+# the rounding of a sum taken in another order than a row's own.
+_BLOCK_BOUND = 0.5 * BLOWUP_NORM ** 2
+
+
+def _stop(live: np.ndarray, ok: np.ndarray, reason: str, stops: dict):
+    """Stop the live rows of the block that are not ``ok``, recording why."""
     for i in (live & ~ok).nonzero()[0]:
-        reasons[i] = reason
+        stops[i] = reason
     live &= ok
 
 
-def _stage(field: VectorField, q: np.ndarray, live: np.ndarray, reasons: list):
-    """Field values at the stage points ``q``.  A live row stops if its stage
-    point left the chart or its value is non-finite or beyond BLOWUP_NORM."""
-    inside = field.chart.contains_rows(q, live)
-    v = field.rows(q, live & inside)
+def _stage(field: VectorField, q: np.ndarray, live: np.ndarray, stops: dict):
+    """Field values at the block's stage points ``q``.  One test over the
+    block passes when every stage point is in the chart and the summed
+    squared norms are within bound; only when it trips is each live row
+    checked, and stopped if its stage point left the chart or its value is
+    non-finite or beyond BLOWUP_NORM."""
+    if field.chart.contains_all(q):
+        v = field.rows(q, live)
+        if np.vdot(v, v) <= _BLOCK_BOUND:
+            return v
+        inside = np.ones(len(q), dtype=bool)
+    else:
+        inside = field.chart.contains_rows(q, live)
+        v = field.rows(q, live & inside)
     ok = inside & (np.einsum("ij,ij->i", v, v) <= BLOWUP_NORM ** 2)
     if not ok.all():
-        _stop(live, inside, EXIT_LEFT_CHART, reasons)
-        _stop(live, ok, EXIT_STEP_FAILURE, reasons)
+        _stop(live, inside, EXIT_LEFT_CHART, stops)
+        _stop(live, ok, EXIT_STEP_FAILURE, stops)
     return v
 
 
 def _advance(field: VectorField, p: np.ndarray, t_end: np.ndarray, step: float,
              path: Optional[list] = None):
     """The RK4 loop: advance each row of ``p`` (n, d) to its own signed time.
-    A finished or stopped row takes h = 0 and keeps its last accepted point;
-    rows never mix, so whatever a stopped row computes after that is unused.
-    ``path``, when given, receives the signed times and points of every row
-    after each step, for as long as every row is live: the steps that every
-    row accepted."""
+    A step advances the block of rows still running; a row that finishes or
+    stops is written back once, with its last accepted point, and leaves the
+    block.  Rows never mix, so whatever a row that stopped during a step
+    computes after that is unused.  ``path``, when given, receives the
+    signed times and points of every row after each step, for as long as
+    every row is in the block: the steps that every row accepted."""
     if step <= 0.0:
         raise ValueError("step must be positive")
+    n = len(p)
     sign, total = np.where(t_end >= 0.0, 1.0, -1.0), np.abs(t_end)
     # tiny guard keeps ``total/step`` from emitting a spurious final microstep
     slack = 1e-15 * np.maximum(1.0, total)
-    t, reasons = np.zeros(len(p)), [None] * len(p)
-    live = total - t > slack
-    while live.any():
-        h = np.where(live, sign * np.minimum(step, total - t), 0.0)[:, None]
-        k1 = _stage(field, p, live, reasons)
-        k2 = _stage(field, p + 0.5 * h * k1, live, reasons)
-        k3 = _stage(field, p + 0.5 * h * k2, live, reasons)
-        k4 = _stage(field, p + h * k3, live, reasons)
-        p_new = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _stop(live, field.chart.contains_rows(p_new, live), EXIT_LEFT_CHART, reasons)
-        p = np.where(live[:, None], p_new, p)
-        t = np.where(live, t + np.abs(h[:, 0]), t)
-        if path is not None and live.all():
-            path.append((sign * t, p))
-        live &= total - t > slack
+    p, t, reasons = p.copy(), np.zeros(n), [None] * n
+    ids = (total > slack).nonzero()[0]
+    # the block: row numbers, then per row the point, time reached, sign,
+    # total, slack and time left
+    x, tx, s, end, tiny = p[ids], t[ids], sign[ids], total[ids], slack[ids]
+    left, live, full = end, np.ones(len(ids), dtype=bool), len(ids) == n
+    while len(ids):
+        a = np.minimum(step, left)          # |h|
+        h = (s * a)[:, None]
+        stops = {}
+        k1 = _stage(field, x, live, stops)
+        k2 = _stage(field, x + 0.5 * h * k1, live, stops)
+        k3 = _stage(field, x + 0.5 * h * k2, live, stops)
+        k4 = _stage(field, x + h * k3, live, stops)
+        x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not field.chart.contains_all(x_new):
+            _stop(live, field.chart.contains_rows(x_new, live), EXIT_LEFT_CHART, stops)
+        t_new = tx + a
+        if path is not None and full and not stops:
+            path.append((s * t_new, x_new))
+        left = end - t_new
+        running = left > tiny
+        if stops or not running.all():
+            for i, reason in stops.items():
+                reasons[ids[i]] = reason
+            keep = live & running
+            gone = ~keep
+            p[ids[gone]] = np.where(live[:, None], x_new, x)[gone]
+            t[ids[gone]] = np.where(live, t_new, tx)[gone]
+            ids, x_new, t_new, s, end, tiny, left = (
+                arr[keep] for arr in (ids, x_new, t_new, s, end, tiny, left))
+            live, full = np.ones(len(ids), dtype=bool), False
+        x, tx = x_new, t_new
     return BatchFlow(p, sign * t, tuple(reasons),
                      np.array([r is None for r in reasons], dtype=bool))
 
@@ -250,18 +299,21 @@ def integrate_batch(field: VectorField, starts, t_ends,
 
 def _variational(field: VectorField) -> VectorField:
     """The variational system (p, J)' = (X(p), DX(p) J) on R^(d + d^2), with J
-    row-major after p.  Its chart is the field's, decided by p alone; a row's
-    stage value is computed as for one point of the field."""
+    row-major after p.  Its chart is the field's, decided by p alone.  It is
+    vectorized when the field is, as the stack DX(P) @ J of the block's rows;
+    else a row's stage value is computed as for one point of the field."""
     d, chart = field.chart.dimension, field.chart
 
-    def value(z):
-        p, J = z[:d], z[d:].reshape(d, d)
-        x = field.rows(p[None], np.ones(1, dtype=bool))[0]
-        return np.concatenate([x, (field.jac(p) @ J).ravel()])
+    def stacked(z):
+        p, J = z[:, :d], z[:, d:].reshape(len(z), d, d)
+        x = field.rows(p, np.ones(len(z), dtype=bool))
+        DX = field.jac(p) if field.vectorized else np.stack([field.jac(pi) for pi in p])
+        return np.concatenate([x, (DX @ J).reshape(len(z), d * d)], axis=1)
 
     inside = None if chart.membership is None else lambda z: chart.membership(z[..., :d])
-    return VectorField(ChartDomain(d + d * d, inside, chart.vectorized), value,
-                       name=f"var[{field.name}]")
+    return VectorField(ChartDomain(d + d * d, inside, chart.vectorized),
+                       stacked if field.vectorized else lambda z: stacked(z[None])[0],
+                       name=f"var[{field.name}]", vectorized=field.vectorized)
 
 
 def _pushforward_rows(field_x: VectorField, t: np.ndarray, field_y: VectorField,
@@ -281,7 +333,7 @@ def _pushforward_rows(field_x: VectorField, t: np.ndarray, field_y: VectorField,
             raise FlowDomainError(f"{leg} leg stopped ({flow.exit_reasons[i]}) "
                                   f"from start point {points[i]}")
     J = fwd.endpoints[:, d:].reshape(-1, d, d)
-    return np.array([Ji @ field_y(qi) for Ji, qi in zip(J, q)]).reshape(len(q), d)
+    return (J @ field_y.rows(q, np.ones(len(q), dtype=bool))[..., None])[..., 0]
 
 
 def pushforward(field_x: VectorField, t: float, field_y: VectorField,
@@ -331,6 +383,14 @@ def lie_derivative_via_flow(x: VectorField, y: VectorField, point, h: float,
     return est if p.ndim == 2 else est[0]
 
 
+def _quad_swirl_jacobian(p: np.ndarray) -> np.ndarray:
+    """[[0, 2 y], [1, 0]] at each point of p (..., 2)."""
+    J = np.zeros(p.shape + (2,))
+    J[..., 0, 1] = 2.0 * p[..., 1]
+    J[..., 1, 0] = 1.0
+    return J
+
+
 def builtin_field(name: str, params: Optional[dict] = None) -> VectorField:
     """Catalog of named fields used by experiment configs and tests."""
     params = dict(params or {})
@@ -350,13 +410,12 @@ def builtin_field(name: str, params: Optional[dict] = None) -> VectorField:
         # (y^2, x): quadratic planar field with analytic Jacobian
         return VectorField(full_space(2),
                            lambda p: np.stack([p[..., 1] ** 2, p[..., 0]], axis=-1),
-                           lambda p: np.array([[0.0, 2.0 * p[1]], [1.0, 0.0]]),
-                           name="quad_swirl", vectorized=True)
+                           _quad_swirl_jacobian, name="quad_swirl", vectorized=True)
     if name == "quadratic1d":
         # x^2 on the chart (-inf, 1): finite-time blow-up exits the chart
         return VectorField(box_chart([-np.inf], [1.0]), lambda p: p ** 2,
-                           lambda p: np.array([[2.0 * p[0]]]),
-                           name="quadratic1d", vectorized=True)
+                           lambda p: 2.0 * p[..., None], name="quadratic1d",
+                           vectorized=True)
     raise KeyError(f"unknown builtin field {name!r}")
 
 

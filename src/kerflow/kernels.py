@@ -289,6 +289,8 @@ def ou_mixture_profile(masses, weights) -> Callable[[np.ndarray], np.ndarray]:
     kernel, on an array of distances."""
     masses = np.asarray(masses, dtype=float)
     weights = np.asarray(weights, dtype=float)
+    if weights.shape != masses.shape:
+        raise ValueError("need one weight per mass")
 
     def profile(dist):
         out = np.zeros_like(dist)
@@ -448,9 +450,9 @@ KERNEL_PARAMS = {
     "gaussian_rbf": {"sigma": POSITIVE},
     "ou": {"mass": POSITIVE},
     "ou_mixture": {"masses": replace(_POSITIVE_LIST, required=True),
-                   "weights": _POSITIVE_LIST},
+                   "weights": replace(_POSITIVE_LIST, same_length="masses")},
     "laplace": {"atoms": Rule(list, required=True, at_least=1, each=POINT),
-                "weights": replace(_POSITIVE_LIST, required=True)},
+                "weights": replace(_POSITIVE_LIST, required=True, same_length="atoms")},
     "laplace_gaussian": {"scale": NUMBER},
     "circle_laplace": {"mass": NUMBER,
                        "n_atoms": Rule(int, at_least=1, at_most=MAX_POINTS)},

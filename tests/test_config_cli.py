@@ -596,6 +596,18 @@ def _zero_size(key):
                  "$.variant", id="luscher-mack-variant-typo"),
     pytest.param("compatibility", lambda d: d["tolerances"].update(invarience=1e-8),
                  "$.tolerances.invarience", id="unknown-tolerance"),
+    # lists that must agree in length (Rule.same_length)
+    pytest.param("os_reconstruct_mixture", lambda d: d["kernel"]["params"].update(weights=[0.5]),
+                 "$.kernel.params.weights", id="mixture-weights-shorter-than-masses"),
+    pytest.param("froelich_rank1", lambda d: d["kernel"]["params"].update(weights=[0.5, 0.5]),
+                 "$.kernel.params.weights", id="laplace-weights-against-atoms"),
+    # a report must compare something: with no translation of either kind,
+    # all three rp_axioms checks would be null and the report would pass
+    pytest.param("rp_axioms", lambda d: [d.pop(k) for k in ("translations",
+                                                            "parallel_translations", "kernel")],
+                 "$.translations", id="rp-axioms-without-translations"),
+    pytest.param("rp_axioms", lambda d: d.update(translations=[], parallel_translations=[]),
+                 "$.translations", id="rp-axioms-with-empty-translations"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
     data = _shipped(stem)
@@ -800,16 +812,15 @@ def test_invariance_pair_reaching_no_time_fails(tmp_path, capsys, pairs, compare
     ("rp_axioms", ("translations",), ("rp1_max_defect", "pairing_invariance_defect")),
     ("rp_axioms", ("parallel_translations",), ("rp2_max_defect",)),
     ("rp_axioms", ("kernel",), ("pairing_invariance_defect",)),
-    ("rp_axioms", ("translations", "parallel_translations", "kernel"),
-     ("rp1_max_defect", "rp2_max_defect", "pairing_invariance_defect")),
+    # the determinant has no closed-form generator
+    ("luscher_mack_det", (), ("generator_error",)),
     ("os_reconstruct_mixture", ("law_pairs_cells",), ("semigroup_law_defect",)),
     # a ratio over the ladder needs two levels with a conjugation value, or
-    # two levels at all; the determinant has no closed-form generator
+    # two levels at all
     ("cdual_euclidean", ("conjugation",), ("conjugation_max_ratio",)),
     ("cdual_abelian", (), ("conjugation_max_ratio",)),
     ("cdual_halfplane", (), ("conjugation_max_ratio",)),
     ("froelich_rank1", (), ("monotone_max_ratio",)),
-    ("luscher_mack_det", (), ("generator_error",)),
 ])
 def test_grid_checks_without_a_comparison_are_null(tmp_path, capsys, stem, drop,
                                                    null_checks):

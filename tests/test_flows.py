@@ -372,3 +372,229 @@ def test_batch_path_ends_with_the_first_row_to_stop():
         assert np.array_equal(times[:, i], curve.times[:k])
         assert np.array_equal(points[:, i], curve.points[:k])
         assert np.array_equal(flow.endpoints[i], curve.endpoint)
+
+
+# Reference RK4 loop: every row takes every step, a finished or stopped row
+# with h = 0, and every stage tests each row.  The library loop, which
+# advances only the rows still running, must match it bit for bit.
+def _ref_stop(live, ok, reason, reasons):
+    for i in (live & ~ok).nonzero()[0]:
+        reasons[i] = reason
+    live &= ok
+
+
+def _ref_stage(field, q, live, reasons):
+    inside = field.chart.contains_rows(q, live)
+    v = field.rows(q, live & inside)
+    ok = inside & (np.einsum("ij,ij->i", v, v) <= fl.BLOWUP_NORM ** 2)
+    if not ok.all():
+        _ref_stop(live, inside, fl.EXIT_LEFT_CHART, reasons)
+        _ref_stop(live, ok, fl.EXIT_STEP_FAILURE, reasons)
+    return v
+
+
+def _ref_advance(field, p, t_end, step, path=None):
+    sign, total = np.where(t_end >= 0.0, 1.0, -1.0), np.abs(t_end)
+    slack = 1e-15 * np.maximum(1.0, total)
+    t, reasons = np.zeros(len(p)), [None] * len(p)
+    live = total - t > slack
+    while live.any():
+        h = np.where(live, sign * np.minimum(step, total - t), 0.0)[:, None]
+        k1 = _ref_stage(field, p, live, reasons)
+        k2 = _ref_stage(field, p + 0.5 * h * k1, live, reasons)
+        k3 = _ref_stage(field, p + 0.5 * h * k2, live, reasons)
+        k4 = _ref_stage(field, p + h * k3, live, reasons)
+        p_new = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _ref_stop(live, field.chart.contains_rows(p_new, live), fl.EXIT_LEFT_CHART, reasons)
+        p = np.where(live[:, None], p_new, p)
+        t = np.where(live, t + np.abs(h[:, 0]), t)
+        if path is not None and live.all():
+            path.append((sign * t, p))
+        live &= total - t > slack
+    return fl.BatchFlow(p, sign * t, tuple(reasons),
+                        np.array([r is None for r in reasons], dtype=bool))
+
+
+def _same(a, b):
+    """Equal bit for bit: dtype, shape and every byte (so -0.0 != 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_flow(got, want, got_path, want_path):
+    assert _same(got.endpoints, want.endpoints)
+    assert _same(got.reached_times, want.reached_times)
+    assert got.exit_reasons == want.exit_reasons
+    assert _same(got.completed, want.completed)
+    assert len(got_path) == len(want_path)
+    for (ta, pa), (tb, pb) in zip(got_path, want_path):
+        assert _same(ta, tb) and _same(pa, pb)
+
+
+def _row_wise(field, chart=None):
+    """The same value map, called one point at a time."""
+    return fl.VectorField(chart or field.chart, field.func, field.jacobian,
+                          name=f"rows[{field.name}]")
+
+
+def _ball(dimension, radius):
+    """A row-wise chart: the open ball, asked one point at a time."""
+    return fl.ChartDomain(dimension, lambda p: bool(p @ p < radius ** 2))
+
+
+def _inf_beyond(x0, vectorized):
+    # infinite for x > x0: a step failure at a stage point
+    def value(p):
+        return np.stack([np.ones_like(p[..., 0]),
+                         np.where(p[..., 0] > x0, np.inf, p[..., 0])], axis=-1)
+    return fl.VectorField(fl.full_space(2), value, vectorized=vectorized)
+
+
+_quad = fl.builtin_field("quadratic1d")
+_halfspace = fl.halfspace_chart(2)
+# (field, range of each start coordinate); coarse steps put stage points
+# outside the chart before the new point leaves it
+_ORACLE_CASES = {
+    "rotation": (fl.rotation_field(), (-1.0, 1.0)),
+    "affine": (fl.affine_field([[0.2, -1.1], [0.9, -0.3]], [0.1, 0.7]), (-1.0, 1.0)),
+    "box-drift": (fl.constant_field([0.7, -0.4], fl.box_chart([-1.0, -1.0], [1.0, 1.0])),
+                  (-0.95, 0.95)),
+    "box-rotation": (fl.affine_field([[0.0, -1.0], [1.0, 0.0]],
+                                     chart=fl.box_chart([-1.0, -np.inf], [1.0, np.inf])),
+                     (-0.9, 0.9)),
+    "halfspace-drift": (fl.constant_field([-1.0, 0.0], _halfspace), (0.05, 2.0)),
+    "halfspace-rotation": (fl.affine_field([[0.0, 1.0], [-1.0, 0.0]], chart=_halfspace),
+                           (0.05, 2.0)),
+    "quadratic1d": (_quad, (-0.99, 0.99)),
+    "quadratic1d-rows": (_row_wise(_quad), (-0.99, 0.99)),
+    "ball-rows": (_row_wise(fl.affine_field([[0.3, -1.0], [1.0, 0.1]]), _ball(2, 1.2)),
+                  (-0.8, 0.8)),
+    "ball-vectorized-field": (fl.affine_field([[0.3, -1.0], [1.0, 0.1]], chart=_ball(2, 1.2)),
+                              (-0.8, 0.8)),
+    "inf-vectorized": (_inf_beyond(0.5, True), (-1.0, 0.45)),
+    "inf-rows": (_inf_beyond(0.5, False), (-1.0, 0.45)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), case=st.sampled_from(sorted(_ORACLE_CASES)),
+       step=st.sampled_from([1e-2, 0.07, 0.3]), record=st.booleans())
+def test_rk4_loop_matches_the_reference_loop(data, case, step, record):
+    field, (lo, hi) = _ORACLE_CASES[case]
+    d = field.chart.dimension
+    n = data.draw(st.integers(1, 6))
+    starts = np.array(data.draw(st.lists(st.lists(st.floats(lo, hi), min_size=d, max_size=d),
+                                         min_size=n, max_size=n)))
+    times = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 2.5 * step, -step])
+    t_ends = np.array(data.draw(st.lists(times, min_size=n, max_size=n)))
+    got_path, want_path = ([], []) if record else (None, None)
+    with np.errstate(all="ignore"):
+        got = fl._advance(field, starts.copy(), t_ends, step, got_path)
+        want = _ref_advance(field, starts.copy(), t_ends, step, want_path)
+    _assert_same_flow(got, want, got_path or [], want_path or [])
+
+
+def test_reference_oracle_cases_reach_every_exit():
+    # rows stop at a stage point, at a new point and by a blow-up while the
+    # others finish, in one batch that starts with every row running
+    biggest = np.finfo(float).max
+    cases = [(_quad, [[0.95], [-0.9], [0.1]], [0.5, -30.0, 1.0], 0.3),
+             (_ORACLE_CASES["halfspace-drift"][0], [[0.05, 0.0], [1.0, 0.0]], [1.0, 0.5], 1e-2),
+             (_inf_beyond(0.5, False), [[0.4, 0.0], [-1.0, 0.0]], [1.0, 1.0], 1e-2),
+             # a stage point that overflows to inf has left the full space
+             (fl.constant_field([1.0]), [[biggest], [0.0]], [1e300, 1e300], 1e300)]
+    seen = set()
+    for field, starts, t_ends, step in cases:
+        got_path, want_path = [], []
+        with np.errstate(all="ignore"):
+            got = fl._advance(field, np.array(starts), np.array(t_ends), step, got_path)
+            want = _ref_advance(field, np.array(starts), np.array(t_ends), step, want_path)
+        _assert_same_flow(got, want, got_path, want_path)
+        assert not got.completed.all()
+        seen.update(got.exit_reasons)
+    assert seen == {None, fl.EXIT_LEFT_CHART, fl.EXIT_STEP_FAILURE}
+
+
+# Reference variational system: one Python call per row per stage.  The
+# stacked system of a vectorized field must match it bit for bit.
+def _ref_variational(field):
+    d, chart = field.chart.dimension, field.chart
+
+    def value(z):
+        p, J = z[:d], z[d:].reshape(d, d)
+        x = field.rows(p[None], np.ones(1, dtype=bool))[0]
+        return np.concatenate([x, (field.jac(p) @ J).ravel()])
+
+    inside = None if chart.membership is None else lambda z: chart.membership(z[..., :d])
+    return fl.VectorField(fl.ChartDomain(d + d * d, inside, chart.vectorized), value)
+
+
+def _ref_pushforward_rows(field_x, t, field_y, points, step):
+    d = field_x.chart.dimension
+    q = fl.integrate_batch(field_x, points, -t, step).endpoints
+    z0 = np.hstack([q, np.tile(np.eye(d).ravel(), (len(q), 1))])
+    J = fl.integrate_batch(_ref_variational(field_x), z0, t, step).endpoints[:, d:]
+    return np.array([Ji @ field_y(qi) for Ji, qi in zip(J.reshape(-1, d, d), q)])
+
+
+_swirl = fl.builtin_field("quad_swirl")
+_VARIATIONAL_FIELDS = {
+    "rotation": fl.rotation_field(),
+    "affine": fl.affine_field([[0.2, -1.1], [0.9, -0.3]], [0.1, 0.7]),
+    "constant": fl.constant_field([0.3, -0.2]),
+    "shear": fl.builtin_field("coordinate_shear"),
+    "quad_swirl": _swirl,
+    "quad_swirl-rows": _row_wise(_swirl),
+    # no analytic Jacobian: central differences on the stack
+    "quad_swirl-differences": fl.VectorField(_swirl.chart, _swirl.func, vectorized=True),
+    "halfspace-rotation": _ORACLE_CASES["halfspace-rotation"][0],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(_VARIATIONAL_FIELDS) + ["quadratic1d"]),
+       step=st.sampled_from([1e-2, 0.1]))
+def test_stacked_variational_system_matches_the_per_row_one(data, name, step):
+    field = _ORACLE_CASES[name][0] if name == "quadratic1d" else _VARIATIONAL_FIELDS[name]
+    d = field.chart.dimension
+    lo = 0.1 if name.startswith("halfspace") else -0.9
+    n = data.draw(st.integers(1, 5))
+    coords = st.lists(st.floats(lo, 0.9), min_size=d + d * d, max_size=d + d * d)
+    z0 = np.array(data.draw(st.lists(coords, min_size=n, max_size=n)))
+    times = st.floats(-1.0, 1.0) | st.just(0.0)
+    t_ends = np.array(data.draw(st.lists(times, min_size=n, max_size=n)))
+    got_path, want_path = [], []
+    with np.errstate(all="ignore"):
+        got = fl.integrate_batch(fl._variational(field), z0, t_ends, step, got_path)
+        want = fl.integrate_batch(_ref_variational(field), z0, t_ends, step, want_path)
+    _assert_same_flow(got, want, got_path, want_path)
+
+
+@settings(max_examples=25, deadline=None)
+@given(x=st.sampled_from(sorted(set(_VARIATIONAL_FIELDS) - {"halfspace-rotation"})),
+       y=st.sampled_from(sorted(_VARIATIONAL_FIELDS)),
+       points=st.lists(st.tuples(st.floats(0.1, 0.9), st.floats(-0.9, 0.9)),
+                       min_size=1, max_size=4),
+       t=st.sampled_from([0.3, -0.2, 0.05]))
+def test_stacked_pushforward_matches_the_per_row_product(x, y, points, t):
+    field_x, field_y = _VARIATIONAL_FIELDS[x], _VARIATIONAL_FIELDS[y]
+    points = np.array(points)
+    ts = np.full(len(points), t)
+    got = fl._pushforward_rows(field_x, ts, field_y, points, 1e-2)
+    assert _same(got, _ref_pushforward_rows(field_x, ts, field_y, points, 1e-2))
+
+
+_FIELD_PARAMS = {"constant": {"vector": [0.3, -0.2]},
+                 "affine": {"matrix": [[0.2, -1.1], [0.9, -0.3]], "offset": [0.1, 0.7]}}
+
+
+@pytest.mark.parametrize("name", sorted(fl.FIELD_CATALOG))
+def test_builtin_jacobians_take_a_stack_of_points(name):
+    # a vectorized field's Jacobian maps (n, d) to (n, d, d), or to one
+    # (d, d) for every row, equal to its Jacobian at each point
+    field = fl.builtin_field(name, _FIELD_PARAMS.get(name))
+    assert field.vectorized
+    points = np.random.default_rng(4).uniform(-1.0, 0.9, size=(5, field.chart.dimension))
+    d = field.chart.dimension
+    stacked = np.broadcast_to(field.jac(points), (5, d, d))
+    assert _same(stacked, np.stack([field.jac(p) for p in points]))
