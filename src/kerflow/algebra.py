@@ -326,7 +326,9 @@ _PART = Rule(int, required=True, at_least=0, at_most=MAX_DIMENSION)
 # the params each builtin algebra reads, as the key table a config's
 # ``params`` is checked against
 ALGEBRA_PARAMS = {
-    "euclidean_motion": {"d": _SIZE, "p": _PART, "q": _PART},
+    "euclidean_motion": {"d": _SIZE, "p": _PART, "q": Rule(
+        int, required=True, at_least=0, at_most=MAX_DIMENSION,
+        agrees=lambda b: None if b["p"] + b["q"] == b["d"] else "needs p + q = d")},
     "abelian": {"d": _SIZE},
     "matrix_involutive": {"n": Rule(int, required=True, at_least=1,
                                     at_most=MAX_MATRIX_SIZE)},

@@ -11,7 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import ConfigError
 
@@ -61,8 +61,8 @@ class Rule:
     key may be required, a number, or a list's length, may be bounded, a
     list may have to be as long as a sibling key's list, a value may have to
     be one of a few choices, every entry of a list may have to satisfy a
-    rule of its own, and an object value is checked against a key table of
-    its own."""
+    rule of its own, an object value is checked against a key table of its
+    own, and a key may have to agree with its siblings."""
 
     types: object
     required: bool = False
@@ -73,6 +73,9 @@ class Rule:
     spec: Optional[dict] = None         # key table of an object value
     choices: Optional[tuple] = None     # the values allowed
     same_length: Optional[str] = None   # sibling key whose list this one matches
+    # cross-key check, given the whole block once every key's bounds hold:
+    # None, or why this key (present or at its default) disagrees with the rest
+    agrees: Optional[Callable[[dict], Optional[str]]] = None
 
 
 # Upper bounds on integer sizes, so that a huge JSON integer is a config
@@ -214,7 +217,8 @@ def _check_keys(obj: dict, spec: dict, path: str):
 
 
 def _check_rules(obj: dict, spec: dict, path: str):
-    """Required keys and bounds of the keys ``spec`` declares by Rule."""
+    """Required keys, bounds and cross-key checks of the keys ``spec``
+    declares by Rule."""
     for key, rule in spec.items():
         if not isinstance(rule, Rule):
             continue
@@ -226,6 +230,10 @@ def _check_rules(obj: dict, spec: dict, path: str):
                                   f"needs one entry per entry of {rule.same_length}")
         elif rule.required:
             raise ConfigError(f"{path}.{key}", "required")
+    for key, rule in spec.items():
+        problem = rule.agrees(obj) if isinstance(rule, Rule) and rule.agrees else None
+        if problem is not None:
+            raise ConfigError(f"{path}.{key}", problem)
 
 
 def _check_block(obj: dict, spec: dict, path: str):

@@ -181,43 +181,69 @@ def reflect(fn: TestFunction, axis: int) -> TestFunction:
     return TestFunction(fn.grid, np.flip(fn.values, axis=axis))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmearedKernel:
-    """Kernel paired against grid functions: a cached matrix over grid points.
+    """Kernel paired against grid functions, evaluated block by block.
 
-    ``pairings(fs, gs)`` is the matrix of double quadrature sums of f K g over
-    two lists of functions, and ``pairing(f, g)`` its 1 x 1 case; hermitian
-    by construction for symmetric real kernels, and checked on demand.
+    ``block(rows, cols)`` gives the kernel on grid points ``rows`` x ``cols``
+    (flat grid indices).  ``pairings(fs, gs)`` is the matrix of double
+    quadrature sums of f K g over two lists of functions, and
+    ``pairing(f, g)`` its 1 x 1 case; both ask only for the block between the
+    supports of their functions, so no grid-sized matrix is formed.
+    Hermitian by construction for symmetric real kernels, and checked on
+    demand.
     """
 
     grid: TestFunctionGrid
-    matrix: np.ndarray
+    block: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    @classmethod
+    def from_matrix(cls, grid: TestFunctionGrid, matrix) -> "SmearedKernel":
+        """An explicit kernel matrix over all grid points; blocks are read by
+        indexing."""
+        matrix = np.asarray(matrix, dtype=float)
+        return cls(grid, lambda rows, cols: matrix[np.ix_(rows, cols)])
 
     @classmethod
     def from_distance_profile(cls, profile: Callable[[np.ndarray], np.ndarray],
                               grid: TestFunctionGrid) -> "SmearedKernel":
-        """Vectorized path for translation-invariant kernels K(x, y) = p(|x-y|)."""
+        """Translation-invariant kernel K(x, y) = p(|x-y|), evaluated on the
+        points of each block only."""
         pts = grid.points()
-        # one coordinate at a time: the (n, n, d) difference array would be
-        # the largest allocation of a grid experiment
-        dist = np.zeros((len(pts), len(pts)))
-        for axis in range(pts.shape[1]):
-            diff = np.subtract.outer(pts[:, axis], pts[:, axis])
-            dist += np.square(diff, out=diff)
-        return cls(grid, profile(np.sqrt(dist, out=dist)))
+
+        def block(rows, cols):
+            # one coordinate at a time, so each entry is 0 + d_0^2 + d_1^2
+            # whatever block it is evaluated in
+            dist = np.zeros((len(rows), len(cols)))
+            for axis in range(pts.shape[1]):
+                diff = np.subtract.outer(pts[rows, axis], pts[cols, axis])
+                dist += np.square(diff, out=diff)
+            return profile(np.sqrt(dist, out=dist))
+        return cls(grid, block)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The kernel on every pair of grid points: the dense form of
+        ``block``, which no pairing reads."""
+        every = np.arange(self.grid.size)
+        return self.block(every, every)
 
     def pairings(self, fs: Sequence[TestFunction],
                  gs: Sequence[TestFunction]) -> np.ndarray:
         """Matrix of pairings ``P[i, j] = pairing(fs[i], gs[j])``, that is
         ``(W F)^T K (W G)`` with the functions as columns of F and G and the
-        quadrature weights on the diagonal of W, from one matrix product."""
+        quadrature weights on the diagonal of W.  Rows of K outside the union
+        support of ``fs``, and columns outside that of ``gs``, multiply zeros,
+        so only the block between the two supports is evaluated."""
         for fn in (*fs, *gs):
             if not same_grid(fn.grid, self.grid):
                 raise GridError("all functions must live on the smearing grid")
         w = self.grid.weights()
         F = np.array([f.flat for f in fs]).reshape(len(fs), self.grid.size) * w
         G = np.array([g.flat for g in gs]).reshape(len(gs), self.grid.size) * w
-        return F @ self.matrix @ G.T
+        rows = np.flatnonzero(np.any(F != 0.0, axis=0))
+        cols = np.flatnonzero(np.any(G != 0.0, axis=0))
+        return F[:, rows] @ self.block(rows, cols) @ G[:, cols].T
 
     def pairing(self, f: TestFunction, g: TestFunction) -> float:
         return float(self.pairings([f], [g])[0, 0])

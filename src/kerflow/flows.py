@@ -402,7 +402,8 @@ def builtin_field(name: str, params: Optional[dict] = None) -> VectorField:
         return affine_field(params["matrix"], params.get("offset"))
     if name == "coordinate_shear":
         # x[frm] * d/dx[to]
-        frm, to, dim = params.get("from", 0), params.get("to", 1), params.get("dimension", 2)
+        shear = {**_SHEAR_DEFAULTS, **params}
+        frm, to, dim = shear["from"], shear["to"], shear["dimension"]
         A = np.zeros((dim, dim))
         A[to, frm] = 1.0
         return replace(affine_field(A), name=f"shear{frm}{to}")
@@ -427,7 +428,20 @@ FIELD_CATALOG = {
     "quad_swirl": "quadratic planar field (y^2, x)",
     "quadratic1d": "x^2 on the chart (-inf, 1); blows up in finite time",
 }
-_AXIS = Rule(int, at_least=0, at_most=MAX_DIMENSION - 1)
+# the coordinate_shear params when absent
+_SHEAR_DEFAULTS = {"from": 0, "to": 1, "dimension": 2}
+
+
+def _shear_axis(key: str) -> Rule:
+    """A ``coordinate_shear`` axis, below the field's own dimension."""
+    def agrees(params):
+        shear = {**_SHEAR_DEFAULTS, **params}
+        if shear[key] >= shear["dimension"]:
+            return f"must be < dimension ({shear['dimension']})"
+        return None
+    return Rule(int, at_least=0, at_most=MAX_DIMENSION - 1, agrees=agrees)
+
+
 # the params each builtin field reads, as the key table a config's
 # ``params`` is checked against
 FIELD_PARAMS = {
@@ -435,7 +449,7 @@ FIELD_PARAMS = {
     "constant": {"vector": replace(POINT, required=True)},
     "affine": {"matrix": Rule(list, required=True, at_least=1, each=POINT),
                "offset": POINT},
-    "coordinate_shear": {"from": _AXIS, "to": _AXIS,
+    "coordinate_shear": {"from": _shear_axis("from"), "to": _shear_axis("to"),
                          "dimension": Rule(int, at_least=1, at_most=MAX_DIMENSION)},
     "quad_swirl": {},
     "quadratic1d": {},

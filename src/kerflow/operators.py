@@ -300,8 +300,8 @@ def builtin_action(name: str, params: Optional[dict] = None) -> CompatibleAction
         # q-directions have no closed-form group action in the fixed subgroup
         return CompatibleAction(alg, fields, sigma=None, name=f"translation({d})")
     if name == "euclidean":
-        p = int(params.get("p", 2))
-        q = int(params.get("q", 0))
+        split = {**_EUCLIDEAN_SPLIT, **params}
+        p, q = int(split["p"]), int(split["q"])
         domain = params.get("domain", "plane")
         alg = la.euclidean_motion(2, p, q)
         if domain == "halfplane":
@@ -361,12 +361,23 @@ ACTION_CATALOG = {
     "euclidean": "planar motions on R^2; involution by conjugation with diag(-I_p, I_q)",
     "matrix_right_multiplication": "gl(n) acting on a matrix ball by g -> g x",
 }
+# the ``euclidean`` p and q when absent: a planar motion splits 2 = p + q
+_EUCLIDEAN_SPLIT = {"p": 2, "q": 0}
+
+
+def _planar_split(params) -> Optional[str]:
+    split = {**_EUCLIDEAN_SPLIT, **params}
+    p, q = split["p"], split["q"]
+    return None if p + q == 2 else f"a planar motion needs p + q = 2, got {p} + {q}"
+
+
 # the params each builtin action reads, as the key table a config's
-# ``params`` is checked against; a planar motion splits 2 = p + q
+# ``params`` is checked against
 ACTION_PARAMS = {
     "translation": {"dimension": Rule(int, at_least=1, at_most=MAX_DIMENSION)},
     "euclidean": {"p": Rule(int, at_least=0, at_most=2),
-                  "q": Rule(int, at_least=0, at_most=2), "domain": Rule(str, choices=("plane", "halfplane"))},
+                  "q": Rule(int, at_least=0, at_most=2, agrees=_planar_split),
+                  "domain": Rule(str, choices=("plane", "halfplane"))},
     "matrix_right_multiplication": {
         "n": Rule(int, required=True, at_least=1, at_most=MAX_MATRIX_SIZE),
         "radius": POSITIVE},

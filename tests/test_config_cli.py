@@ -1,5 +1,5 @@
 import ast
-import importlib
+import importlib.util
 import json
 import os
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kerflow import cli, runner
+from kerflow import cli, distributions, runner
 from kerflow.config import CHECKS, ExperimentConfig, Rule, parse_config, validate_config
 from kerflow.errors import ConfigError
 from kerflow.runner import SAMPLE_KEYS, _sample_points, run_experiment
@@ -235,6 +235,15 @@ def test_every_shipped_config_passes(shipped_reports):
         assert report.passed, f"{name}: {[c.name for c in report.checks if c.passed is False]}"
 
 
+def _module_from_file(*parts):
+    """A script of the repository outside the package, imported by path."""
+    path = os.path.join(os.path.dirname(__file__), "..", *parts)
+    spec = importlib.util.spec_from_file_location(os.path.splitext(parts[-1])[0], path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_perfbench_check_lists_read_the_table():
     # the benchmark keeps its own copy of the check lists; a check renamed
     # here but not there would count every report of its kind as failed
@@ -247,6 +256,22 @@ def test_perfbench_check_lists_read_the_table():
     assert found["CHECKS"] == {kind: tuple(checks) for kind, checks in CHECKS.items()}
     assert found["INFORMATIONAL"] == {name for checks in CHECKS.values()
                                       for name, entry in checks.items() if entry is None}
+
+
+def test_traced_grid_runs_keep_what_the_benchmark_tracer_reads(capsys):
+    # the benchmark's tracer patches SmearedKernel.from_distance_profile (a
+    # classmethod) and .pairing, and reads .matrix of the result; a library
+    # change that drops one of them breaks every traced grid run
+    tracer = _module_from_file("perfbench", "tracer.py")
+    for stem in ("rp_axioms", "os_reconstruct_ou"):
+        with tracer.Tracer() as t:
+            code = cli.main(["run", os.path.join(CONFIG_DIR, stem + ".json"),
+                             "--stable-output"])
+        capsys.readouterr()
+        assert code == cli.EXIT_PASS, stem
+        summary = t.summary()
+        assert summary["distributions.from_distance_profile.calls"] >= 1, stem
+        assert summary["distributions.from_distance_profile.bytes_computed"] > 0, stem
 
 
 def _cfg(kind, body=None):
@@ -601,6 +626,16 @@ def _zero_size(key):
                  "$.kernel.params.weights", id="mixture-weights-shorter-than-masses"),
     pytest.param("froelich_rank1", lambda d: d["kernel"]["params"].update(weights=[0.5, 0.5]),
                  "$.kernel.params.weights", id="laplace-weights-against-atoms"),
+    # params that must agree with each other (Rule.agrees), at their defaults
+    # where absent: a shear axis below its dimension, p + q = 2
+    pytest.param("bracket_order", lambda d: d["pairs"][0]["y"]["params"].update(
+                     **{"from": 5}),
+                 "$.pairs[0].y.params.from", id="shear-axis-above-dimension"),
+    pytest.param("cdual_halfplane", lambda d: d["action"]["params"].update(q=2),
+                 "$.action.params.q", id="euclidean-split-not-planar"),
+    pytest.param("cdual_abelian", lambda d: d.update(algebra={
+                     "name": "euclidean_motion", "params": {"d": 2, "p": 2, "q": 1}}),
+                 "$.algebra.params.q", id="euclidean-motion-split"),
     # a report must compare something: with no translation of either kind,
     # all three rp_axioms checks would be null and the report would pass
     pytest.param("rp_axioms", lambda d: [d.pop(k) for k in ("translations",
@@ -838,13 +873,26 @@ def test_grid_checks_without_a_comparison_are_null(tmp_path, capsys, stem, drop,
             assert check["passed"] is True, name
 
 
+def test_pairing_invariance_fails_on_a_kernel_that_is_not_translation_invariant(
+        tmp_path, capsys, monkeypatch):
+    # exp(-(x0 + y0)) scales a pair translated by c cells along axis 0 by
+    # exp(-2 c h), so the small defect of the shipped kernel comes from its
+    # invariance, not from comparing nothing
+    def smeared(kspec, grid):
+        x = grid.points()[:, 0]
+        return [1.0], distributions.SmearedKernel.from_matrix(
+            grid, np.exp(-(x[:, None] + x[None, :])))
+
+    monkeypatch.setattr(runner, "_ou_mixture_smeared", smeared)
+    code, checks = _run_checks(tmp_path, capsys, _shipped("rp_axioms"))
+    assert code == cli.EXIT_CHECK_FAILURE
+    assert [name for name, c in checks.items() if c["passed"] is not True] \
+        == ["pairing_invariance_defect"]
+    assert checks["pairing_invariance_defect"]["value"] > 1e-6
+
+
 def test_run_all_configs_prints_null_values(tmp_path, monkeypatch, capsys):
-    import importlib.util
-    script = os.path.join(os.path.dirname(__file__), "..", "scripts",
-                          "run_all_configs.py")
-    spec = importlib.util.spec_from_file_location("run_all_configs", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _module_from_file("scripts", "run_all_configs.py")
     (tmp_path / "quadratic.json").write_text(json.dumps({
         "kind": "flow_laws", "seed": 1, "fields": [{"name": "quadratic1d"}],
         "n_points": 3, "n_time_samples": 2, "t_range": 0.2, "step": 1e-2}))

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kerflow import distributions as ds
 from kerflow import flows as fl
@@ -61,7 +62,8 @@ def test_reflect_is_involutive(line_grid):
 
 
 def test_constant_kernel_pairing_is_product_of_integrals(line_grid):
-    sk = ds.SmearedKernel(line_grid, np.ones((line_grid.size, line_grid.size)))
+    sk = ds.SmearedKernel.from_matrix(line_grid,
+                                      np.ones((line_grid.size, line_grid.size)))
     fn = ds.bump(line_grid, [0.0], 0.5)
     assert sk.pairing(fn, fn) == pytest.approx(fn.integral() ** 2, rel=1e-12)
 
@@ -136,7 +138,7 @@ def test_derivative_margin_guard(line_grid):
 def test_transport_zero_time():
     grid = ds.TestFunctionGrid(origin=[-3.0], spacing=0.025, shape=(241,))
     pts = grid.points()[:, 0]
-    sk = ds.SmearedKernel(grid, np.exp(-(pts[:, None] + pts[None, :])))
+    sk = ds.SmearedKernel.from_matrix(grid, np.exp(-(pts[:, None] + pts[None, :])))
     base = ds.bump(grid, [0.0], 0.4)
     X = fl.constant_field([1.0])
     res = ds.distribution_froelich_check(sk, X, base, t_cells=0, n_basis=4,
@@ -149,7 +151,7 @@ def test_transport_rank_one_kernel():
     # translate relation holds to stencil accuracy
     grid = ds.TestFunctionGrid(origin=[-3.0], spacing=0.025, shape=(241,))
     pts = grid.points()[:, 0]
-    sk = ds.SmearedKernel(grid, np.exp(-(pts[:, None] + pts[None, :])))
+    sk = ds.SmearedKernel.from_matrix(grid, np.exp(-(pts[:, None] + pts[None, :])))
     base = ds.bump(grid, [0.0], 0.4)
     X = fl.constant_field([1.0])
     res = ds.distribution_froelich_check(sk, X, base, t_cells=2, n_basis=4,
@@ -163,7 +165,7 @@ def test_transport_sum_kernel_refines():
     for n, cells in ((121, 8), (241, 16)):
         grid = ds.TestFunctionGrid(origin=[-3.0], spacing=6.0 / (n - 1), shape=(n,))
         pts = grid.points()[:, 0]
-        sk = ds.SmearedKernel(grid, np.cosh((pts[:, None] + pts[None, :]) / 2))
+        sk = ds.SmearedKernel.from_matrix(grid, np.cosh((pts[:, None] + pts[None, :]) / 2))
         base = ds.bump(grid, [-1.0], 0.3)
         res = ds.distribution_froelich_check(sk, X, base, t_cells=cells,
                                              n_basis=15,
@@ -176,7 +178,7 @@ def test_transport_sum_kernel_refines():
 def test_transport_rejects_fractional_cells():
     grid = ds.TestFunctionGrid(origin=[-3.0], spacing=0.05, shape=(121,))
     pts = grid.points()[:, 0]
-    sk = ds.SmearedKernel(grid, np.exp(-(pts[:, None] + pts[None, :])))
+    sk = ds.SmearedKernel.from_matrix(grid, np.exp(-(pts[:, None] + pts[None, :])))
     base = ds.bump(grid, [0.0], 0.4)
     X = fl.constant_field([1.0])
     with pytest.raises(GridError):
@@ -239,7 +241,8 @@ def test_quotient_rank_two_mixture(line_grid):
 
 def test_quotient_full_rank_for_invariant_kernel(line_grid):
     pts = line_grid.points()[:, 0]
-    sk = ds.SmearedKernel(line_grid, np.exp(-(pts[:, None] + pts[None, :]) ** 2 / 2))
+    sk = ds.SmearedKernel.from_matrix(line_grid,
+                                      np.exp(-(pts[:, None] + pts[None, :]) ** 2 / 2))
     setup = ds.ReflectionSetup(line_grid, 0)
     fns = [ds.bump(line_grid, [c], 0.3) for c in (1.0, 2.0)]
     space = ds.os_quotient(sk, setup, fns)
@@ -257,7 +260,8 @@ def test_quotient_rank_stable_under_dependent_function(ou_smeared, line_grid):
 
 
 def test_quotient_degenerate_raises(line_grid):
-    sk = ds.SmearedKernel(line_grid, np.zeros((line_grid.size, line_grid.size)))
+    sk = ds.SmearedKernel.from_matrix(line_grid,
+                                      np.zeros((line_grid.size, line_grid.size)))
     setup = ds.ReflectionSetup(line_grid, 0)
     with pytest.raises((PositivityError, Exception)):
         ds.os_quotient(sk, setup, [ds.bump(line_grid, [0.5], 0.3)])
@@ -426,7 +430,7 @@ def test_pairings_match_double_quadrature(shape, origin, centers):
     grid = ds.TestFunctionGrid(origin=origin, spacing=0.1, shape=shape)
     # a non-symmetric kernel matrix, so a transposed product fails
     M = np.random.default_rng(0).uniform(0.5, 1.5, size=(grid.size, grid.size))
-    sk = ds.SmearedKernel(grid, M)
+    sk = ds.SmearedKernel.from_matrix(grid, M)
     fs = [ds.bump(grid, c, 0.2) for c in centers]
     gs = [ds.bump(grid, c, 0.15) for c in centers[1:]]
     P = sk.pairings(fs, gs)
@@ -442,6 +446,84 @@ def test_pairings_match_double_quadrature(shape, origin, centers):
                                 shape=shape)
     with pytest.raises(GridError):
         sk.pairings(fs, [ds.bump(other, centers[1], 0.15)])
+
+
+@st.composite
+def _smeared_functions(draw):
+    """A 1D or 2D grid symmetric about the origin, and two lists of test
+    functions on it: bumps, their translates and reflections, and zeros."""
+    shape = tuple(draw(st.lists(st.integers(13, 25), min_size=1, max_size=2)))
+    h = 0.1
+    grid = ds.TestFunctionGrid(origin=[-h * (n - 1) / 2 for n in shape],
+                               spacing=h, shape=shape)
+    hi = grid.origin + h * (np.array(shape) - 1)
+
+    def function():
+        width = draw(st.sampled_from([0.15, 0.25]))
+        # the support |x - center| < width stays off the margin
+        lo_c, hi_c = grid.origin + h * grid.margin + width, hi - h * grid.margin - width
+        center = lo_c + (hi_c - lo_c) * np.array(
+            draw(st.lists(st.floats(0.0, 1.0), min_size=grid.ndim, max_size=grid.ndim)))
+        fn = ds.bump(grid, center, width)
+        kind = draw(st.sampled_from(["bump", "translate", "reflect", "zero"]))
+        if kind == "zero":
+            return ds.TestFunction(grid, np.zeros(shape))
+        if kind == "reflect":
+            return ds.reflect(fn, draw(st.integers(0, grid.ndim - 1)))
+        if kind == "translate":
+            cells = draw(st.lists(st.integers(-4, 4), min_size=grid.ndim,
+                                  max_size=grid.ndim))
+            try:
+                return ds.translate(fn, cells)
+            except GridError:
+                pass
+        return fn
+
+    fs = [function() for _ in range(draw(st.integers(0, 4)))]
+    gs = [function() for _ in range(draw(st.integers(0, 4)))]
+    return grid, fs, gs
+
+
+def _distance_kernel_matrix(profile, grid):
+    """The profile on every pair of grid points, squared distances summed
+    axis by axis from 0."""
+    pts = grid.points()
+    dist = np.zeros((grid.size, grid.size))
+    for axis in range(grid.ndim):
+        dist += np.subtract.outer(pts[:, axis], pts[:, axis]) ** 2
+    return profile(np.sqrt(dist))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_smeared_functions())
+def test_pairings_evaluate_the_support_block_of_the_dense_kernel(case):
+    grid, fs, gs = case
+    w = grid.weights()
+    F = np.array([f.flat for f in fs]).reshape(len(fs), grid.size) * w
+    G = np.array([g.flat for g in gs]).reshape(len(gs), grid.size) * w
+    profile = ds.ou_mixture_profile([1.0, 2.0], [0.5, 0.5])
+    # non-symmetric, so a transposed block or product fails
+    M = np.random.default_rng(grid.size).uniform(0.5, 1.5, size=(grid.size, grid.size))
+    for sk, reference in ((ds.SmearedKernel.from_distance_profile(profile, grid),
+                           _distance_kernel_matrix(profile, grid)),
+                          (ds.SmearedKernel.from_matrix(grid, M), M)):
+        dense = sk.matrix
+        assert np.array_equal(dense, reference)
+        blocks = []
+
+        def recorded(rows, cols, block=sk.block):
+            blocks.append((rows, cols, block(rows, cols)))
+            return blocks[-1][2]
+
+        P = ds.SmearedKernel(grid, recorded).pairings(fs, gs)
+        # one block, between the union supports, equal bit for bit to the
+        # dense kernel's entries there
+        (rows, cols, K), = blocks
+        assert np.array_equal(rows, np.flatnonzero(np.any(F != 0.0, axis=0)))
+        assert np.array_equal(cols, np.flatnonzero(np.any(G != 0.0, axis=0)))
+        assert np.array_equal(K, dense[np.ix_(rows, cols)])
+        assert P.shape == (len(fs), len(gs))
+        np.testing.assert_allclose(P, F @ dense @ G.T, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("shape, origin, centers, shift", [
