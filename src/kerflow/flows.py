@@ -29,20 +29,21 @@ EXIT_LEFT_CHART = "left chart"
 EXIT_STEP_FAILURE = "step failure"
 
 
+def _label(fn) -> str:
+    return getattr(fn, "__qualname__", repr(fn))
+
+
 @dataclass(frozen=True)
 class ChartDomain:
     """Open subset of R^d described by a membership predicate.
 
-    ``membership`` must be decidable for every finite point; ``None`` means the
-    whole space.  A ``vectorized`` predicate also maps an (n, d) array to n
-    booleans, each row's decided by that row alone, since the set of rows a
-    flow asks about changes as rows finish or stop; any other is asked one
-    point at a time.
+    ``membership`` maps an (n, d) array of finite points to n booleans, each
+    row's decided by that row alone, since the set of rows a flow asks about
+    changes as rows finish or stop; ``None`` means the whole space.
     """
 
     dimension: int
-    membership: Optional[Callable[[np.ndarray], bool]] = None
-    vectorized: bool = False
+    membership: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -50,42 +51,44 @@ class ChartDomain:
 
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
-        return p.shape == (self.dimension,) and bool(
-            self.contains_rows(p[None], np.ones(1, dtype=bool))[0])
+        return p.shape == (self.dimension,) and bool(self.contains_rows(p[None])[0])
 
-    def contains_rows(self, points: np.ndarray, live: np.ndarray) -> np.ndarray:
-        """Row-wise membership; a row-wise predicate sees only ``live`` rows."""
+    def contains_rows(self, points: np.ndarray) -> np.ndarray:
+        """Row-wise membership; the predicate sees only the finite rows."""
         inside = np.isfinite(points).all(axis=1)
-        if self.membership is None:
-            return inside
-        if self.vectorized:
-            return inside & self.membership(points)
-        for i in (live & inside).nonzero()[0]:
-            inside[i] = bool(self.membership(points[i]))
+        if self.membership is not None:
+            inside[inside] = self._members(points[inside])
         return inside
 
     def contains_all(self, points: np.ndarray) -> bool:
-        """One test over a block of a vectorized chart: True only if every row
-        is inside.  False decides nothing: a row-wise chart, or a finite row
-        too large to square, leaves it to ``contains_rows``."""
-        return (self.vectorized and math.isfinite(np.vdot(points, points))
-                and (self.membership is None or bool(self.membership(points).all())))
+        """One test over a block: True only if every row is inside.  False
+        decides nothing: a finite row too large to square leaves it to
+        ``contains_rows``."""
+        return math.isfinite(np.vdot(points, points)) and (
+            self.membership is None or bool(self._members(points).all()))
+
+    def _members(self, points: np.ndarray) -> np.ndarray:
+        # a predicate of one point answers once for the whole block
+        out = np.asarray(self.membership(points))
+        if out.shape != (len(points),):
+            raise ValueError(f"chart {_label(self.membership)}: membership returned "
+                             f"shape {out.shape} where ({len(points)},) belongs")
+        return out
 
 
 def full_space(dimension: int) -> ChartDomain:
-    return ChartDomain(dimension, None, vectorized=True)
+    return ChartDomain(dimension, None)
 
 
 def box_chart(lo, hi) -> ChartDomain:
     """Open axis-aligned box; infinite bounds allowed."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    return ChartDomain(lo.size, lambda p: np.all((p > lo) & (p < hi), axis=-1),
-                       vectorized=True)
+    return ChartDomain(lo.size, lambda p: np.all((p > lo) & (p < hi), axis=-1))
 
 
 def halfspace_chart(dimension: int, axis: int = 0) -> ChartDomain:
     """Open half-space {x[axis] > 0}."""
-    return ChartDomain(dimension, lambda p: p[..., axis] > 0.0, vectorized=True)
+    return ChartDomain(dimension, lambda p: p[..., axis] > 0.0)
 
 
 @dataclass(frozen=True)
@@ -93,11 +96,11 @@ class VectorField:
     """Smooth field on a chart: a value map plus an optional analytic Jacobian.
 
     When no Jacobian is given, central differences with step ``h_fd`` are used.
-    A ``vectorized`` value map also maps an (n, d) array to (n, d) values (a
-    constant broadcasts), and its Jacobian maps it to (n, d, d) or to one
-    (d, d) for every row; each row's value and Jacobian are computed from
-    that row alone, since the set of rows a flow passes changes as rows
-    finish or stop.  Any other is called one point at a time.
+    The value map takes a point (d,) or an (n, d) array of points, giving
+    (n, d) values or, for a constant field, one (d,) value for every row;
+    its Jacobian likewise gives (n, d, d) or one (d, d).  Each row's value
+    and Jacobian are computed from that row alone, since the set of rows a
+    flow passes changes as rows finish or stop.
     """
 
     chart: ChartDomain
@@ -105,24 +108,25 @@ class VectorField:
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     h_fd: float = DEFAULT_FD_STEP
     name: str = ""
-    vectorized: bool = False
 
     def __call__(self, point) -> np.ndarray:
         return np.asarray(self.func(np.asarray(point, dtype=float)), dtype=float)
 
-    def rows(self, points: np.ndarray, live: np.ndarray) -> np.ndarray:
-        """Row-wise values; a row-wise map sees only ``live`` rows, others read 0."""
-        if self.vectorized:
-            values = self(points)     # a constant field returns one value
-            return values if values.ndim == 2 else np.repeat(values[None], len(points), 0)
-        values = np.zeros(points.shape)
-        for i in live.nonzero()[0]:
-            values[i] = self.func(points[i])
+    def rows(self, points: np.ndarray) -> np.ndarray:
+        """Values at each row of ``points`` (n, d), as (n, d)."""
+        values = self(points)
+        if values.shape != points.shape:
+            # a map of one point would run on the wrong entries
+            if values.shape != points.shape[1:]:
+                raise ValueError(f"field {self.name or _label(self.func)!r}: value map "
+                                 f"returned shape {values.shape} where {points.shape} "
+                                 f"or {points.shape[1:]} belongs")
+            values = np.repeat(values[None], len(points), 0)   # a constant field
         return values
 
     def jac(self, point) -> np.ndarray:
-        """DX at a point (d,) as (d, d); a vectorized field also takes an
-        (n, d) array, giving (n, d, d) or one (d, d) for every row."""
+        """DX at a point (d,) as (d, d), or at each row of (n, d) as
+        (n, d, d) or one (d, d) for every row."""
         p = np.asarray(point, dtype=float)
         if self.jacobian is not None:
             return np.asarray(self.jacobian(p), dtype=float)
@@ -134,8 +138,7 @@ class VectorField:
 def constant_field(vector, chart: Optional[ChartDomain] = None) -> VectorField:
     v = np.asarray(vector, dtype=float)
     return VectorField(chart or full_space(v.size), lambda p: v,
-                       lambda p: np.zeros((v.size, v.size)), name="constant",
-                       vectorized=True)
+                       lambda p: np.zeros((v.size, v.size)), name="constant")
 
 
 def affine_field(matrix, offset=None, chart: Optional[ChartDomain] = None) -> VectorField:
@@ -145,7 +148,7 @@ def affine_field(matrix, offset=None, chart: Optional[ChartDomain] = None) -> Ve
     # a matrix-vector product per point: a row's rounding ignores the batch size
     return VectorField(chart or full_space(A.shape[0]),
                        lambda p: (A @ p[..., None])[..., 0] + b, lambda p: A,
-                       name="affine", vectorized=True)
+                       name="affine")
 
 
 def rotation_field(chart: Optional[ChartDomain] = None) -> VectorField:
@@ -196,13 +199,13 @@ def _stage(field: VectorField, q: np.ndarray, live: np.ndarray, stops: dict):
     checked, and stopped if its stage point left the chart or its value is
     non-finite or beyond BLOWUP_NORM."""
     if field.chart.contains_all(q):
-        v = field.rows(q, live)
+        v = field.rows(q)
         if np.vdot(v, v) <= _BLOCK_BOUND:
             return v
         inside = np.ones(len(q), dtype=bool)
     else:
-        inside = field.chart.contains_rows(q, live)
-        v = field.rows(q, live & inside)
+        inside = field.chart.contains_rows(q)
+        v = field.rows(q)
     ok = inside & (np.einsum("ij,ij->i", v, v) <= BLOWUP_NORM ** 2)
     if not ok.all():
         _stop(live, inside, EXIT_LEFT_CHART, stops)
@@ -241,7 +244,7 @@ def _advance(field: VectorField, p: np.ndarray, t_end: np.ndarray, step: float,
         k4 = _stage(field, x + h * k3, live, stops)
         x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not field.chart.contains_all(x_new):
-            _stop(live, field.chart.contains_rows(x_new, live), EXIT_LEFT_CHART, stops)
+            _stop(live, field.chart.contains_rows(x_new), EXIT_LEFT_CHART, stops)
         t_new = tx + a
         if path is not None and full and not stops:
             path.append((s * t_new, x_new))
@@ -288,7 +291,7 @@ def integrate_batch(field: VectorField, starts, t_ends,
     p = np.array(starts, dtype=float)
     if p.ndim != 2 or p.shape[1] != field.chart.dimension:
         raise ValueError(f"starts must have shape (n, {field.chart.dimension})")
-    inside = field.chart.contains_rows(p, np.ones(len(p), dtype=bool))
+    inside = field.chart.contains_rows(p)
     if not inside.all():
         raise FlowDomainError(f"start point {p[~inside][0]} is outside the chart")
     t_ends = np.broadcast_to(np.asarray(t_ends, dtype=float), (len(p),))
@@ -299,21 +302,17 @@ def integrate_batch(field: VectorField, starts, t_ends,
 
 def _variational(field: VectorField) -> VectorField:
     """The variational system (p, J)' = (X(p), DX(p) J) on R^(d + d^2), with J
-    row-major after p.  Its chart is the field's, decided by p alone.  It is
-    vectorized when the field is, as the stack DX(P) @ J of the block's rows;
-    else a row's stage value is computed as for one point of the field."""
+    row-major after p, as the stack DX(P) @ J of the block's rows.  Its
+    chart is the field's, decided by p alone."""
     d, chart = field.chart.dimension, field.chart
 
-    def stacked(z):
+    def value(z):
         p, J = z[:, :d], z[:, d:].reshape(len(z), d, d)
-        x = field.rows(p, np.ones(len(z), dtype=bool))
-        DX = field.jac(p) if field.vectorized else np.stack([field.jac(pi) for pi in p])
-        return np.concatenate([x, (DX @ J).reshape(len(z), d * d)], axis=1)
+        return np.concatenate([field.rows(p), (field.jac(p) @ J).reshape(len(z), d * d)],
+                              axis=1)
 
-    inside = None if chart.membership is None else lambda z: chart.membership(z[..., :d])
-    return VectorField(ChartDomain(d + d * d, inside, chart.vectorized),
-                       stacked if field.vectorized else lambda z: stacked(z[None])[0],
-                       name=f"var[{field.name}]", vectorized=field.vectorized)
+    inside = None if chart.membership is None else lambda z: chart.membership(z[:, :d])
+    return VectorField(ChartDomain(d + d * d, inside), value, name=f"var[{field.name}]")
 
 
 def _pushforward_rows(field_x: VectorField, t: np.ndarray, field_y: VectorField,
@@ -333,7 +332,7 @@ def _pushforward_rows(field_x: VectorField, t: np.ndarray, field_y: VectorField,
             raise FlowDomainError(f"{leg} leg stopped ({flow.exit_reasons[i]}) "
                                   f"from start point {points[i]}")
     J = fwd.endpoints[:, d:].reshape(-1, d, d)
-    return (J @ field_y.rows(q, np.ones(len(q), dtype=bool))[..., None])[..., 0]
+    return (J @ field_y.rows(q)[..., None])[..., 0]
 
 
 def pushforward(field_x: VectorField, t: float, field_y: VectorField,
@@ -348,8 +347,9 @@ def pushforward(field_x: VectorField, t: float, field_y: VectorField,
         return field_y
 
     def value(p):
-        return _pushforward_rows(field_x, np.array([t], dtype=float), field_y,
-                                 np.asarray(p, dtype=float)[None], step)[0]
+        rows = np.atleast_2d(p)
+        out = _pushforward_rows(field_x, np.full(len(rows), float(t)), field_y, rows, step)
+        return out if p.ndim == 2 else out[0]
 
     return VectorField(field_y.chart, value,
                        name=f"push[{field_x.name},{t}]{field_y.name}")
@@ -359,7 +359,7 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """Pointwise bracket dY X - dX Y, with analytic Jacobians when available."""
 
     def value(p):
-        return y.jac(p) @ x(p) - x.jac(p) @ y(p)
+        return (y.jac(p) @ x(p)[..., None] - x.jac(p) @ y(p)[..., None])[..., 0]
 
     return VectorField(x.chart, value, name=f"[{x.name},{y.name}]")
 
@@ -411,12 +411,11 @@ def builtin_field(name: str, params: Optional[dict] = None) -> VectorField:
         # (y^2, x): quadratic planar field with analytic Jacobian
         return VectorField(full_space(2),
                            lambda p: np.stack([p[..., 1] ** 2, p[..., 0]], axis=-1),
-                           _quad_swirl_jacobian, name="quad_swirl", vectorized=True)
+                           _quad_swirl_jacobian, name="quad_swirl")
     if name == "quadratic1d":
         # x^2 on the chart (-inf, 1): finite-time blow-up exits the chart
         return VectorField(box_chart([-np.inf], [1.0]), lambda p: p ** 2,
-                           lambda p: 2.0 * p[..., None], name="quadratic1d",
-                           vectorized=True)
+                           lambda p: 2.0 * p[..., None], name="quadratic1d")
     raise KeyError(f"unknown builtin field {name!r}")
 
 

@@ -78,15 +78,15 @@ class CompatibleAction:
     def homomorphism_defect(self, points) -> float:
         """Max defect of [beta(e_i), beta(e_j)] = beta([e_i, e_j]) at points."""
         alg = self.algebra
+        pts = np.asarray(points, dtype=float)
         worst = 0.0
         for i in range(alg.dim):
             for j in range(i + 1, alg.dim):
                 br_field = lie_bracket(self.basis_fields[i], self.basis_fields[j])
                 target = self.field(algebra_bracket(alg.basis_element(i),
                                                     alg.basis_element(j)))
-                for p in points:
-                    worst = max(worst, float(np.linalg.norm(
-                        br_field(p) - target(p))))
+                gaps = np.linalg.norm(br_field.rows(pts) - target.rows(pts), axis=-1)
+                worst = max(worst, float(np.max(gaps, initial=0.0)))
         return worst
 
 
@@ -94,7 +94,7 @@ def lie_derivative_form(kernel: Kernel, field: VectorField, points) -> np.ndarra
     """B[i, j] = grad1 K(m_i, m_j) . X(m_i), the form of the derivative along X;
     float64 unless the kernel returns complex values."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    values = field.rows(pts, np.ones(len(pts), dtype=bool))
+    values = field.rows(pts)
     return np.einsum("ijk,ik->ij", kernel.grad1_matrix(pts, pts), values)
 
 
@@ -336,11 +336,11 @@ def builtin_action(name: str, params: Optional[dict] = None) -> CompatibleAction
         alg = la.matrix_involutive(n)
         chart = fl.ChartDomain(
             n * n,
-            lambda g: bool(np.linalg.norm(g.reshape(n, n), 2) < radius))
+            lambda g: np.linalg.norm(g.reshape(-1, n, n), 2, axis=(1, 2)) < radius)
         fields = []
         for m in alg.basis_matrices:
             def value(g, m=m):
-                return (g.reshape(n, n) @ m).ravel()
+                return (g.reshape(-1, n, n) @ m).reshape(g.shape)
 
             def jac(g, m=m):
                 return np.kron(np.eye(n), m.T)

@@ -198,20 +198,11 @@ class SemigroupPipelineReport:
         return max(self.star_defects.values()) if self.star_defects else 0.0
 
 
-def _semigroup_kernel(phi, phi_grad, n: int, vectorized: bool) -> Kernel:
+def _semigroup_kernel(phi, phi_grad, n: int) -> Kernel:
     """K(x, y) = phi(x y^T) on flattened n x n matrices.
 
-    A ``vectorized`` phi (and phi_grad) maps a stack (..., n, n) of products
-    to (...) values (and (..., n, n) derivatives d phi / d u_ab).  Any other
-    phi takes one product, and is lifted to stacks by a loop over them."""
-    def per_product(fn, shape):
-        return lambda u: np.array([fn(p) for p in u.reshape(-1, n, n)]).reshape(
-            u.shape[:-2] + shape)
-
-    if not vectorized:
-        phi = per_product(phi, ())
-        phi_grad = None if phi_grad is None else per_product(phi_grad, (n, n))
-
+    phi (and phi_grad) maps a stack (..., n, n) of products to (...) values
+    (and (..., n, n) derivatives d phi / d u_ab)."""
     def stacks(X, Y):
         Ys = Y.reshape(-1, n, n)
         return X.reshape(-1, n, n)[:, None] @ np.swapaxes(Ys, 1, 2)[None], Ys
@@ -233,7 +224,6 @@ def luscher_mack_pipeline(elements: Sequence[np.ndarray],
                           phi,
                           action: CompatibleAction,
                           phi_grad=None,
-                          vectorized: bool = False,
                           rank_cutoff: float = 1e-12,
                           psd_tol: float = 1e-10,
                           tol_sym: float = DEFAULT_SYMMETRY_TOL):
@@ -243,13 +233,13 @@ def luscher_mack_pipeline(elements: Sequence[np.ndarray],
     Builds the kernel K(x, y) = phi(x y^#), with the transpose as ``#``,
     checks positivity, verifies compatibility with the right-multiplication
     action, synthesizes the operator table, and checks the adjoint relation
-    of the right-translation matrices P(s^#) = P(s)^dagger.  ``phi_grad``,
-    when given, supplies an analytic kernel gradient; ``vectorized`` marks a
-    phi and phi_grad that act on stacks (..., n, n) of matrices.
+    of the right-translation matrices P(s^#) = P(s)^dagger.  phi acts on
+    stacks (..., n, n) of matrices; ``phi_grad``, when given, acts on them
+    too and supplies an analytic kernel gradient.
     """
     mats = np.array([np.atleast_2d(np.asarray(e, dtype=float)) for e in elements])
     n = mats.shape[1]
-    kernel = _semigroup_kernel(phi, phi_grad, n, vectorized)
+    kernel = _semigroup_kernel(phi, phi_grad, n)
     points = mats.reshape(len(mats), n * n)
     try:
         model = gram(kernel, points, rank_cutoff)

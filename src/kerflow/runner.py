@@ -103,7 +103,7 @@ def _sample_points(spec: dict, rng: np.random.Generator, size: Optional[int] = N
         y_lo, y_hi = spec.get("y_range", [-1.0, 1.0])
         gx = np.linspace(x_lo, x_hi, n_side)
         gy = np.linspace(y_lo, y_hi, n_side)
-        return np.array([[a, b] for a in gx for b in gy])
+        return np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
     if kind == "circles":
         radii = spec["radii"]
         n_per = int(spec["n_per_circle"])
@@ -298,7 +298,7 @@ def _run_bracket_order(cfg: ExperimentConfig, rng) -> tuple:
         Y = fl.builtin_field(pair["y"]["name"], pair["y"].get("params"))
         bracket = fl.lie_bracket(X, Y)
         pts = rng.uniform(-1.0, 1.0, size=(n_points, X.chart.dimension))
-        exact = [bracket(p) for p in pts]
+        exact = bracket.rows(pts)
         errs = [max([0.0] + [float(np.linalg.norm(e - b)) for e, b in
                              zip(fl.lie_derivative_via_flow(X, Y, pts, h), exact)])
                 for h in hs]
@@ -451,7 +451,7 @@ def _run_luscher_mack(cfg: ExperimentConfig, rng) -> tuple:
         table, rep = rp.luscher_mack_pipeline(elems, lambda u: u[..., 0, 0] ** a,
                                               action,
                                               phi_grad=lambda u: a * u ** (a - 1.0),
-                                              vectorized=True, rank_cutoff=cutoff)
+                                              rank_cutoff=cutoff)
         gen = table.entry(0).compressed
         values["generator_error"] = float(np.max(np.abs(gen - a * np.eye(gen.shape[0]))))
     else:   # the determinant variant; its generator has no closed form here
@@ -470,7 +470,7 @@ def _run_luscher_mack(cfg: ExperimentConfig, rng) -> tuple:
         # phi acts on stacks (..., n_mat, n_mat) of products
         table, rep = rp.luscher_mack_pipeline(
             elems, lambda u: np.linalg.det(np.eye(n_mat) - u) ** (-power), action,
-            vectorized=True, rank_cutoff=cutoff)
+            rank_cutoff=cutoff)
     return _checks(cfg, {**values, "psd_min_ratio": rep.psd_min_ratio,
                          "star_defect_max": rep.max_star_defect,
                          "commutation_defect": rep.commutation_max_defect}), {}

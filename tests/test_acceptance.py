@@ -194,8 +194,8 @@ def test_ac09_semigroup_pipelines():
     action1 = op.builtin_action("matrix_right_multiplication", {"n": 1})
     a = 1.5
     table, _ = rp.luscher_mack_pipeline(
-        elems, lambda u: float(u[0, 0]) ** a, action1,
-        phi_grad=lambda u: np.array([[a * float(u[0, 0]) ** (a - 1.0)]]))
+        elems, lambda u: u[..., 0, 0] ** a, action1,
+        phi_grad=lambda u: a * u ** (a - 1.0))
     gen_err = abs(table.entry(0).compressed[0, 0].real - a)
     rank_ok = table.model.rank == 1
 
@@ -206,7 +206,7 @@ def test_ac09_semigroup_pipelines():
         mats.append(raw * rng.uniform(0.05, 0.8) / np.linalg.norm(raw, 2))
     action2 = op.builtin_action("matrix_right_multiplication", {"n": 2})
     _, rep2 = rp.luscher_mack_pipeline(
-        mats, lambda u: float(np.linalg.det(np.eye(2) - u) ** -2.0), action2)
+        mats, lambda u: np.linalg.det(np.eye(2) - u) ** -2.0, action2)
     ok = rank_ok and gen_err <= 1e-10 and rep2.psd_min_ratio >= -1e-10
     _report("AC9 semigroup pipeline: rank 1 with generator 1.5 +- 1e-10; "
             "determinant kernel positive", ok,

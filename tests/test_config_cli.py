@@ -1,12 +1,16 @@
 import ast
+import contextlib
 import importlib.util
+import io
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import kerflow
 from kerflow import cli, distributions, runner
 from kerflow.config import CHECKS, ExperimentConfig, Rule, parse_config, validate_config
 from kerflow.errors import ConfigError
@@ -139,6 +143,31 @@ def test_flow_laws_fails_when_every_curve_exits(tmp_path, capsys):
     assert inverse["passed"] is False and inverse["value"] is None
 
 
+# One shipped config and one change per gated check of the flow kinds, at the
+# shipped seed and tolerances, under which the run exits 1 with that check
+# failed.  At step 0.1 RK4 misses a rotation by about h^4 / 120 = 8e-7 per
+# unit time: Phi_t Phi_s and Phi_{s+t} split |s| + |t| <= 2 into different
+# steps, and the exponential is exact.  Its stability function R has
+# R(ih) R(-ih) = 1 - h^6 / 72 + ..., so each of up to 10 steps there and
+# back leaves 1.4e-8 of |p|.  All three sit 20x or more above 1e-8.  At
+# h = 1e-6 the quotient of two values O(1) apart by 2h carries rounding of
+# about eps / h = 2e-10, far above its truncation h^2 |F^(3)| / 6, and it
+# grows as h shrinks, so the fitted order falls below 0.  No single change
+# makes max_fitted_order exceed 2.2: about a rotation each pair's error is
+# a sum of c (1 - sin(w h) / (w h)) terms, whose order falls from 2 as h
+# grows.
+@pytest.mark.parametrize("stem, change, check", [
+    ("flow_laws", {"step": 0.1}, "flow_law_max_defect"),
+    ("flow_laws", {"step": 0.1}, "inverse_law_max_defect"),
+    ("flow_laws", {"step": 0.1}, "matrix_exponential_max_defect"),
+    ("bracket_order", {"h_ladder": [1e-6, 5e-7, 2.5e-7]}, "min_fitted_order"),
+])
+def test_flow_checks_fail_on_their_witness(tmp_path, capsys, stem, change, check):
+    code, checks = _run_checks(tmp_path, capsys, {**_shipped(stem), **change})
+    assert code == cli.EXIT_CHECK_FAILURE
+    assert checks[check]["passed"] is False
+
+
 def test_cli_list_builtins(capsys):
     assert cli.main(["list-builtins"]) == 0
     out = capsys.readouterr().out
@@ -212,27 +241,125 @@ def test_declared_algebra_consistency(tmp_path):
         run_experiment(cfg)
 
 
+def _quiet(argv):
+    """Exit code and stdout of one in-process ``kerflow`` command."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        return cli.main(argv), out.getvalue()
+
+
 @pytest.fixture(scope="module")
-def shipped_reports():
-    """(file name, config, report) of every shipped config, run once per module."""
-    out = []
-    for name in sorted(os.listdir(CONFIG_DIR)):
-        cfg = parse_config(os.path.join(CONFIG_DIR, name))
-        out.append((name, cfg, run_experiment(cfg)))
-    return out
+def shipped_replay():
+    """``kerflow run --stable-output`` on every shipped config, each run once
+    per module, then ``validate`` on each and ``list-builtins``, all under a
+    profiler.  Returns the runs as (file name, exit code, report) and the
+    (file, first line) of the code of every function they entered."""
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    paths = [os.path.join(CONFIG_DIR, name) for name in sorted(os.listdir(CONFIG_DIR))]
+    runs = []
+    sys.setprofile(record)
+    try:
+        for path in paths:
+            code, out = _quiet(["run", path, "--stable-output"])
+            runs.append((os.path.basename(path), code, json.loads(out)))
+        validated = [_quiet(["validate", path])[0] for path in paths]
+        listed = _quiet(["list-builtins"])[0]
+    finally:
+        sys.setprofile(None)
+    assert validated == [cli.EXIT_PASS] * len(paths) and listed == cli.EXIT_PASS
+    return runs, {(os.path.realpath(f), line) for f, line in entered}
 
 
-def test_checks_appear_exactly_once(shipped_reports):
+def test_checks_appear_exactly_once(shipped_replay):
     # each report carries the checks of its kind's table, each once, in order
-    for name, cfg, report in shipped_reports:
-        names = [c.name for c in report.checks]
+    for name, _, report in shipped_replay[0]:
+        names = [c["name"] for c in report["checks"]]
         assert len(names) == len(set(names)), name
-        assert names == list(CHECKS[cfg.kind]), name
+        assert names == list(CHECKS[report["kind"]]), name
 
 
-def test_every_shipped_config_passes(shipped_reports):
-    for name, _, report in shipped_reports:
-        assert report.passed, f"{name}: {[c.name for c in report.checks if c.passed is False]}"
+def test_every_shipped_config_passes(shipped_replay):
+    for name, code, report in shipped_replay[0]:
+        assert report["passed"] and code == cli.EXIT_PASS, \
+            f"{name}: {[c['name'] for c in report['checks'] if c['passed'] is False]}"
+
+
+def _named_functions():
+    """(file, first line) -> name of each function of src/kerflow defined at
+    module level or in a class body; a decorated function's code starts at
+    its first decorator.  Nested functions and lambdas run inside the call
+    of the function that holds them."""
+    names = {}
+    package = os.path.dirname(kerflow.__file__)
+    for file in sorted(os.listdir(package)):
+        if not file.endswith(".py"):
+            continue
+        path = os.path.realpath(os.path.join(package, file))
+        with open(path) as handle:
+            scopes = [(node, file[:-3]) for node in ast.parse(handle.read()).body]
+        for node, owner in scopes:
+            if isinstance(node, ast.ClassDef):
+                scopes += [(child, f"{owner}.{node.name}") for child in node.body]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                names[(path, first)] = f"{owner}.{node.name}"
+    return names
+
+
+_CLASS_2 = "Class 2 (the distribution kernel), awaiting promotion into a kind"
+_ACCEPTANCE = "acceptance API: AC3 builds its transported and target fields with it"
+_TRACER = "perfbench/tracer.py names it"
+_CATALOG = "reached by a catalog builtin or config block that no shipped config uses"
+_FAILURE = "reached when a config is rejected or a flow leaves its chart"
+# functions that no shipped config, ``validate`` or ``list-builtins``
+# reaches, each with the reason it stays
+_UNREACHED = {
+    "representation.h_group_rep": "Class 1 (the H-group part), awaiting promotion "
+                                  "into cdual_rep",
+    "distributions.distribution_froelich_check": _CLASS_2,
+    "distributions.distribution_lie_derivative": _CLASS_2,
+    "distributions.directional_derivative": _CLASS_2,
+    "distributions.smeared_gram": _CLASS_2,
+    "distributions.SmearedKernel.from_matrix": _CLASS_2,
+    "distributions.SmearedKernel.hermiticity_defect": _CLASS_2,
+    "distributions.TestFunction.integral": _CLASS_2,
+    "kernels.RKHSVector.inner": _CLASS_2,
+    "kernels.embed_index": _CLASS_2,
+    "flows.pushforward": _ACCEPTANCE,
+    "operators.CompatibleAction.field": _ACCEPTANCE,
+    "algebra.SymmetricLieAlgebra.element": _ACCEPTANCE,
+    "distributions.os_semigroup_law_defect": "acceptance API: AC10's semigroup law",
+    "distributions.grid_shift_matrix": _TRACER,
+    "distributions.SmearedKernel.pairing": _TRACER,
+    "distributions.SmearedKernel.matrix": _TRACER,
+    "kernels.Kernel.grad1": _TRACER,
+    "kernels.entrywise_kernel": "the entry point of a user's scalar kernel",
+    "runner._write_csv": "reached through --csv-dir",
+    "flows._shear_axis": "runs at import, building FIELD_PARAMS",
+    "algebra.algebra_bracket": _CATALOG,
+    "algebra.SymmetricLieAlgebra.q_indices": _CATALOG,
+    "algebra.SymmetricPairReport.max_defect": _CATALOG,
+    "algebra.builtin_algebra": _CATALOG,
+    "kernels._diff": _CATALOG,
+    "kernels._sq": _CATALOG,
+    "flows.box_chart": _CATALOG,
+    "flows.ChartDomain._members": _CATALOG,
+    "flows._stop": _FAILURE,
+    "flows._label": _FAILURE,
+    "errors.ConfigError.__init__": _FAILURE,
+}
+
+
+def test_every_function_is_reached_or_allowed(shipped_replay):
+    reached = shipped_replay[1]
+    unreached = {name for key, name in _named_functions().items() if key not in reached}
+    assert sorted(unreached - _UNREACHED.keys()) == []
+    # an entry that something reaches again leaves the list
+    assert sorted(_UNREACHED.keys() - unreached) == []
 
 
 def _module_from_file(*parts):

@@ -129,17 +129,12 @@ def test_batch_matches_curves_quadratic1d_blowup_and_exit():
     _assert_rows_match_curves(f, starts, t_ends, 1e-2)
 
 
-def test_batch_row_wise_fallback_for_user_callables():
-    # neither the field nor the membership accepts more than one point
+def test_batch_matches_curves_for_user_array_callables():
+    # a user field and membership that act on (n, d) arrays
     def value(p):
-        assert p.shape == (2,)
-        return np.array([1.0 + p[1] ** 2, p[0]])
+        return np.stack([1.0 + p[..., 1] ** 2, p[..., 0]], axis=-1)
 
-    def membership(p):
-        assert p.shape == (2,)
-        return bool(p @ p < 1.5)
-
-    f = fl.VectorField(fl.ChartDomain(2, membership), value)
+    f = fl.VectorField(fl.ChartDomain(2, lambda p: (p * p).sum(axis=-1) < 1.5), value)
     starts = np.array([[0.5, 0.0], [0.9, 0.3], [-0.2, 0.1], [0.0, 0.0]])
     t_ends = np.array([1.0, -2.0, 0.7, 0.0])
     out = fl.integrate_batch(f, starts, t_ends, 1e-2)
@@ -148,15 +143,28 @@ def test_batch_row_wise_fallback_for_user_callables():
     _assert_rows_match_curves(f, starts, t_ends, 1e-2)
 
 
-@pytest.mark.parametrize("vectorized", [False, True])
-def test_batch_step_failure_leaves_other_rows_untouched(vectorized):
+def test_point_callables_are_rejected_by_shape():
+    # a map of one point, given a block of rows, runs on the wrong entries:
+    # its value, or its one answer for the whole block, has the wrong shape
+    block = np.array([[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]])
+    field = fl.VectorField(fl.full_space(2), lambda p: np.array([p[1] ** 2, -p[0]]),
+                           name="point_field")
+    with pytest.raises(ValueError, match=r"field 'point_field'.*\(2, 2\) where \(3, 2\)"):
+        field.rows(block)
+    with pytest.raises(ValueError, match="field 'point_field'"):
+        fl.integrate_batch(field, block, 0.1, 1e-2)
+    chart = fl.ChartDomain(2, lambda p: np.linalg.norm(p) < 1)
+    for test in (chart.contains_rows, chart.contains_all):
+        with pytest.raises(ValueError, match=r"chart .*<lambda>.*\(\) where \(3,\) belongs"):
+            test(block)
+    with pytest.raises(ValueError, match="chart"):
+        fl.integrate_batch(fl.constant_field([1.0, 0.0], chart), block, 0.1, 1e-2)
+
+
+def test_batch_step_failure_leaves_other_rows_untouched():
     # a field that is infinite on x > 0.5: the first row stops there, stays
     # frozen without a warning, and the second runs on to its time
-    def value(p):
-        return np.stack([np.ones_like(p[..., 0]),
-                         np.where(p[..., 0] > 0.5, np.inf, p[..., 0])], axis=-1)
-
-    f = fl.VectorField(fl.full_space(2), value, vectorized=vectorized)
+    f = _inf_beyond(0.5)
     starts = np.array([[0.4, 0.0], [-2.0, 0.0]])
     t_ends = np.array([1.0, 1.0])
     with warnings.catch_warnings():
@@ -384,8 +392,8 @@ def _ref_stop(live, ok, reason, reasons):
 
 
 def _ref_stage(field, q, live, reasons):
-    inside = field.chart.contains_rows(q, live)
-    v = field.rows(q, live & inside)
+    inside = field.chart.contains_rows(q)
+    v = field.rows(q)
     ok = inside & (np.einsum("ij,ij->i", v, v) <= fl.BLOWUP_NORM ** 2)
     if not ok.all():
         _ref_stop(live, inside, fl.EXIT_LEFT_CHART, reasons)
@@ -405,7 +413,7 @@ def _ref_advance(field, p, t_end, step, path=None):
         k3 = _ref_stage(field, p + 0.5 * h * k2, live, reasons)
         k4 = _ref_stage(field, p + h * k3, live, reasons)
         p_new = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _ref_stop(live, field.chart.contains_rows(p_new, live), fl.EXIT_LEFT_CHART, reasons)
+        _ref_stop(live, field.chart.contains_rows(p_new), fl.EXIT_LEFT_CHART, reasons)
         p = np.where(live[:, None], p_new, p)
         t = np.where(live, t + np.abs(h[:, 0]), t)
         if path is not None and live.all():
@@ -431,23 +439,17 @@ def _assert_same_flow(got, want, got_path, want_path):
         assert _same(ta, tb) and _same(pa, pb)
 
 
-def _row_wise(field, chart=None):
-    """The same value map, called one point at a time."""
-    return fl.VectorField(chart or field.chart, field.func, field.jacobian,
-                          name=f"rows[{field.name}]")
-
-
 def _ball(dimension, radius):
-    """A row-wise chart: the open ball, asked one point at a time."""
-    return fl.ChartDomain(dimension, lambda p: bool(p @ p < radius ** 2))
+    """The open ball: a chart whose boundary is curved."""
+    return fl.ChartDomain(dimension, lambda p: (p * p).sum(axis=-1) < radius ** 2)
 
 
-def _inf_beyond(x0, vectorized):
+def _inf_beyond(x0):
     # infinite for x > x0: a step failure at a stage point
     def value(p):
         return np.stack([np.ones_like(p[..., 0]),
                          np.where(p[..., 0] > x0, np.inf, p[..., 0])], axis=-1)
-    return fl.VectorField(fl.full_space(2), value, vectorized=vectorized)
+    return fl.VectorField(fl.full_space(2), value)
 
 
 _quad = fl.builtin_field("quadratic1d")
@@ -466,13 +468,8 @@ _ORACLE_CASES = {
     "halfspace-rotation": (fl.affine_field([[0.0, 1.0], [-1.0, 0.0]], chart=_halfspace),
                            (0.05, 2.0)),
     "quadratic1d": (_quad, (-0.99, 0.99)),
-    "quadratic1d-rows": (_row_wise(_quad), (-0.99, 0.99)),
-    "ball-rows": (_row_wise(fl.affine_field([[0.3, -1.0], [1.0, 0.1]]), _ball(2, 1.2)),
-                  (-0.8, 0.8)),
-    "ball-vectorized-field": (fl.affine_field([[0.3, -1.0], [1.0, 0.1]], chart=_ball(2, 1.2)),
-                              (-0.8, 0.8)),
-    "inf-vectorized": (_inf_beyond(0.5, True), (-1.0, 0.45)),
-    "inf-rows": (_inf_beyond(0.5, False), (-1.0, 0.45)),
+    "ball": (fl.affine_field([[0.3, -1.0], [1.0, 0.1]], chart=_ball(2, 1.2)), (-0.8, 0.8)),
+    "inf": (_inf_beyond(0.5), (-1.0, 0.45)),
 }
 
 
@@ -500,7 +497,7 @@ def test_reference_oracle_cases_reach_every_exit():
     biggest = np.finfo(float).max
     cases = [(_quad, [[0.95], [-0.9], [0.1]], [0.5, -30.0, 1.0], 0.3),
              (_ORACLE_CASES["halfspace-drift"][0], [[0.05, 0.0], [1.0, 0.0]], [1.0, 0.5], 1e-2),
-             (_inf_beyond(0.5, False), [[0.4, 0.0], [-1.0, 0.0]], [1.0, 1.0], 1e-2),
+             (_inf_beyond(0.5), [[0.4, 0.0], [-1.0, 0.0]], [1.0, 1.0], 1e-2),
              # a stage point that overflows to inf has left the full space
              (fl.constant_field([1.0]), [[biggest], [0.0]], [1e300, 1e300], 1e300)]
     seen = set()
@@ -516,17 +513,17 @@ def test_reference_oracle_cases_reach_every_exit():
 
 
 # Reference variational system: one Python call per row per stage.  The
-# stacked system of a vectorized field must match it bit for bit.
+# stacked system must match it bit for bit.
 def _ref_variational(field):
     d, chart = field.chart.dimension, field.chart
 
-    def value(z):
+    def one(z):
         p, J = z[:d], z[d:].reshape(d, d)
-        x = field.rows(p[None], np.ones(1, dtype=bool))[0]
-        return np.concatenate([x, (field.jac(p) @ J).ravel()])
+        return np.concatenate([field.rows(p[None])[0], (field.jac(p) @ J).ravel()])
 
-    inside = None if chart.membership is None else lambda z: chart.membership(z[..., :d])
-    return fl.VectorField(fl.ChartDomain(d + d * d, inside, chart.vectorized), value)
+    inside = None if chart.membership is None else lambda z: chart.membership(z[:, :d])
+    return fl.VectorField(fl.ChartDomain(d + d * d, inside),
+                          lambda z: np.array([one(zi) for zi in z]).reshape(z.shape))
 
 
 def _ref_pushforward_rows(field_x, t, field_y, points, step):
@@ -544,9 +541,8 @@ _VARIATIONAL_FIELDS = {
     "constant": fl.constant_field([0.3, -0.2]),
     "shear": fl.builtin_field("coordinate_shear"),
     "quad_swirl": _swirl,
-    "quad_swirl-rows": _row_wise(_swirl),
     # no analytic Jacobian: central differences on the stack
-    "quad_swirl-differences": fl.VectorField(_swirl.chart, _swirl.func, vectorized=True),
+    "quad_swirl-differences": fl.VectorField(_swirl.chart, _swirl.func),
     "halfspace-rotation": _ORACLE_CASES["halfspace-rotation"][0],
 }
 
@@ -590,10 +586,9 @@ _FIELD_PARAMS = {"constant": {"vector": [0.3, -0.2]},
 
 @pytest.mark.parametrize("name", sorted(fl.FIELD_CATALOG))
 def test_builtin_jacobians_take_a_stack_of_points(name):
-    # a vectorized field's Jacobian maps (n, d) to (n, d, d), or to one
-    # (d, d) for every row, equal to its Jacobian at each point
+    # a field's Jacobian maps (n, d) to (n, d, d), or to one (d, d) for
+    # every row, equal to its Jacobian at each point
     field = fl.builtin_field(name, _FIELD_PARAMS.get(name))
-    assert field.vectorized
     points = np.random.default_rng(4).uniform(-1.0, 0.9, size=(5, field.chart.dimension))
     d = field.chart.dimension
     stacked = np.broadcast_to(field.jac(points), (5, d, d))

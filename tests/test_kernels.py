@@ -249,7 +249,7 @@ def _scalar_semigroup_pipeline(phi, elements):
     GNS construction of ``luscher_mack_pipeline`` on 1 x 1 matrices."""
     action = op.builtin_action("matrix_right_multiplication", {"n": 1})
     return rp.luscher_mack_pipeline([np.array([[s]]) for s in elements],
-                                    lambda u: phi(float(u[0, 0])), action)
+                                    lambda u: phi(u[..., 0, 0]), action)
 
 
 def test_gns_rank_one_scalar_action():
@@ -263,7 +263,7 @@ def test_gns_rank_one_scalar_action():
 
 
 def test_gns_trivial_character():
-    table, report = _scalar_semigroup_pipeline(lambda u: 1.0, (0.4, 0.6))
+    table, report = _scalar_semigroup_pipeline(np.ones_like, (0.4, 0.6))
     assert table.model.rank == 1
     for P in report.translation_matrices.values():
         assert P[0, 0] == pytest.approx(1.0, abs=1e-12)

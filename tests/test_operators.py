@@ -107,9 +107,10 @@ def _form_by_entries(kernel, field, pts):
 @pytest.mark.parametrize("kernel, field", [
     (kk.builtin_kernel("circle_laplace", {"mass": 2.0}), fl.rotation_field()),
     (kk.builtin_kernel("halfplane_bessel"), fl.constant_field([0.0, -1.0])),
-    # neither the field nor the kernel has an array form
+    # a user field, and a kernel with no array form
     (kk.entrywise_kernel("user", lambda x, y: np.exp(x @ y)),
-     fl.VectorField(fl.full_space(2), lambda p: np.array([p[1] ** 2, -p[0]]))),
+     fl.VectorField(fl.full_space(2),
+                    lambda p: np.stack([p[..., 1] ** 2, -p[..., 0]], axis=-1))),
 ])
 def test_form_matches_entry_definition_and_stays_real(kernel, field):
     rng = np.random.default_rng(4)
@@ -264,6 +265,16 @@ def test_matrix_action_homomorphism():
     rng = np.random.default_rng(2)
     pts = [0.3 * rng.normal(size=4) for _ in range(4)]
     assert action.homomorphism_defect(pts) <= 1e-8
+
+
+def test_matrix_action_acts_on_blocks_of_points():
+    # the chart and the fields take (n, 4) blocks of flattened 2 x 2 matrices,
+    # each row as on its own; a non-finite row is outside
+    action = op.builtin_action("matrix_right_multiplication", {"n": 2, "radius": 1.0})
+    rows = np.array([[0.5, 0.1, 0.0, 0.5], [2.0, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]])
+    assert list(action.basis_fields[0].chart.contains_rows(rows)) == [True, False, False]
+    for field in action.basis_fields:
+        assert np.array_equal(field.rows(rows[:2]), np.stack([field(p) for p in rows[:2]]))
 
 
 def _per_curve_invariance(kernel, field, epsilon, m, n, t_max, step):

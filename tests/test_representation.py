@@ -175,8 +175,8 @@ def test_pipeline_power_rank_one():
     action = op.builtin_action("matrix_right_multiplication", {"n": 1})
     a = 1.5
     table, report = rp.luscher_mack_pipeline(
-        elems, lambda u: float(u[0, 0]) ** a, action,
-        phi_grad=lambda u: np.array([[a * float(u[0, 0]) ** (a - 1.0)]]))
+        elems, lambda u: u[..., 0, 0] ** a, action,
+        phi_grad=lambda u: a * u ** (a - 1.0))
     assert table.model.rank == 1
     gen = table.entry(0).compressed
     assert gen[0, 0].real == pytest.approx(a, abs=1e-10)
@@ -208,8 +208,8 @@ def test_pipeline_trivial_function():
     elems = [np.array([[s]]) for s in (0.3, 0.6)]
     action = op.builtin_action("matrix_right_multiplication", {"n": 1})
     table, report = rp.luscher_mack_pipeline(
-        elems, lambda u: 1.0, action,
-        phi_grad=lambda u: np.zeros((1, 1)))
+        elems, lambda u: np.ones(u.shape[:-2]), action,
+        phi_grad=np.zeros_like)
     assert table.model.rank == 1
     assert np.max(np.abs(table.entry(0).compressed)) <= 1e-10
     for k in report.star_defects:
@@ -224,7 +224,7 @@ def test_pipeline_determinant_kernel():
         elems.append(raw * rng.uniform(0.05, 0.8) / np.linalg.norm(raw, 2))
     action = op.builtin_action("matrix_right_multiplication", {"n": 2})
     table, report = rp.luscher_mack_pipeline(
-        elems, lambda u: float(np.linalg.det(np.eye(2) - u) ** -2.0), action)
+        elems, lambda u: np.linalg.det(np.eye(2) - u) ** -2.0, action)
     assert report.psd_min_ratio >= -1e-10
     assert report.max_star_defect <= 1e-8
     assert np.isfinite(report.commutation_max_defect)
@@ -235,8 +235,8 @@ def test_pipeline_rejects_non_positive_function():
     elems = [np.array([[s]]) for s in (0.3, 0.6)]
     action = op.builtin_action("matrix_right_multiplication", {"n": 1})
     with pytest.raises(PositivityError):
-        rp.luscher_mack_pipeline(elems, lambda u: -1.0, action,
-                                 phi_grad=lambda u: np.zeros((1, 1)))
+        rp.luscher_mack_pipeline(elems, lambda u: -np.ones(u.shape[:-2]), action,
+                                 phi_grad=np.zeros_like)
 
 
 def _contractions(count, n=2, seed=4):
@@ -253,10 +253,19 @@ def _det_grad(u):
     return -np.linalg.det(m)[..., None, None] * np.swapaxes(np.linalg.inv(m), -1, -2)
 
 
+def _per_product(fn, n, shape=()):
+    """A function of one n x n product, lifted to stacks (..., n, n) by a
+    loop over the products."""
+    return lambda u: np.array([fn(p) for p in u.reshape(-1, n, n)]).reshape(
+        u.shape[:-2] + shape)
+
+
 def _both_forms(phi_stacked, phi, n, grad=None):
     """The semigroup kernel from a stacked phi and from an entry-wise one."""
-    return (rp._semigroup_kernel(phi_stacked, grad, n, vectorized=True),
-            rp._semigroup_kernel(phi, grad, n, vectorized=False))
+    return (rp._semigroup_kernel(phi_stacked, grad, n),
+            rp._semigroup_kernel(_per_product(phi, n),
+                                 None if grad is None else _per_product(grad, n, (n, n)),
+                                 n))
 
 
 @pytest.mark.parametrize("case", ["product00", "product01", "product10", "product11",
@@ -306,7 +315,7 @@ def test_stacked_phi_is_never_called_entry_by_entry():
     action = op.builtin_action("matrix_right_multiplication", {"n": 1})
     table, report = rp.luscher_mack_pipeline(
         elems, record(lambda u: u[..., 0, 0] ** a), action,
-        phi_grad=record(lambda u: a * u ** (a - 1.0)), vectorized=True)
+        phi_grad=record(lambda u: a * u ** (a - 1.0)))
     assert shapes and set(shapes) == {(6, 6, 1, 1)}
     assert table.entry(0).compressed[0, 0] == pytest.approx(a, abs=1e-10)
 
@@ -314,11 +323,12 @@ def test_stacked_phi_is_never_called_entry_by_entry():
     action = op.builtin_action("matrix_right_multiplication", {"n": 2})
     stacked, rep = rp.luscher_mack_pipeline(
         _contractions(8), record(lambda u: np.linalg.det(np.eye(2) - u) ** -2.0),
-        action, vectorized=True)
+        action)
     assert shapes and set(shapes) == {(8, 8, 2, 2)}
     # the same report as the entry-wise phi, up to the rounding of **
     _, ref = rp.luscher_mack_pipeline(
-        _contractions(8), lambda u: float(np.linalg.det(np.eye(2) - u) ** -2.0), action)
+        _contractions(8),
+        _per_product(lambda u: float(np.linalg.det(np.eye(2) - u) ** -2.0), 2), action)
     assert rep.psd_min_ratio == pytest.approx(ref.psd_min_ratio, rel=1e-9)
     assert rep.commutation_max_defect == pytest.approx(ref.commutation_max_defect,
                                                        rel=1e-9)
