@@ -161,16 +161,21 @@ def test_point_callables_are_rejected_by_shape():
         fl.integrate_batch(fl.constant_field([1.0, 0.0], chart), block, 0.1, 1e-2)
 
 
-def test_batch_step_failure_leaves_other_rows_untouched():
-    # a field that is infinite on x > 0.5: the first row stops there, stays
-    # frozen without a warning, and the second runs on to its time
+@pytest.mark.parametrize("failing_first", [False, True])
+def test_batch_step_failure_leaves_other_rows_untouched(failing_first):
+    # a field that is infinite on x > 0.5: the row from 0.4 stops there,
+    # stays frozen without a warning, and the other runs on to its time,
+    # whichever of the two comes first in the batch
     f = _inf_beyond(0.5)
     starts = np.array([[0.4, 0.0], [-2.0, 0.0]])
+    reasons = (fl.EXIT_STEP_FAILURE, None)
+    if not failing_first:
+        starts, reasons = starts[::-1], reasons[::-1]
     t_ends = np.array([1.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = fl.integrate_batch(f, starts, t_ends, 1e-2)
-    assert out.exit_reasons == (fl.EXIT_STEP_FAILURE, None)
+    assert out.exit_reasons == reasons
     assert np.all(np.isfinite(out.endpoints))
     _assert_rows_match_curves(f, starts, t_ends, 1e-2)
 
