@@ -75,9 +75,12 @@ class CompatibleAction:
 
         return VectorField(chart, value, jac, name="beta-combination")
 
-    def homomorphism_defect(self, points) -> float:
-        """Max defect of [beta(e_i), beta(e_j)] = beta([e_i, e_j]) at points."""
+    def homomorphism_defect(self, points) -> Optional[float]:
+        """Max defect of [beta(e_i), beta(e_j)] = beta([e_i, e_j]) at points;
+        None on a one-element algebra, which has no pair i < j to compare."""
         alg = self.algebra
+        if alg.dim < 2:
+            return None
         pts = np.asarray(points, dtype=float)
         worst = 0.0
         for i in range(alg.dim):
@@ -90,12 +93,19 @@ class CompatibleAction:
         return worst
 
 
-def lie_derivative_form(kernel: Kernel, field: VectorField, points) -> np.ndarray:
+def lie_derivative_form(kernel: Kernel, field: VectorField, points,
+                        grad: Optional[np.ndarray] = None) -> np.ndarray:
     """B[i, j] = grad1 K(m_i, m_j) . X(m_i), the form of the derivative along X;
-    float64 unless the kernel returns complex values."""
+    float64 unless the kernel returns complex values.
+
+    ``grad`` passes in ``kernel.grad1_matrix(points, points)``, which every
+    form on one sample set contracts, so that a basis loop evaluates it once;
+    without it the form evaluates the gradient itself."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     values = field.rows(pts)
-    return np.einsum("ijk,ik->ij", kernel.grad1_matrix(pts, pts), values)
+    if grad is None:
+        grad = kernel.grad1_matrix(pts, pts)
+    return np.einsum("ijk,ik->ij", grad, values)
 
 
 def symmetry_defects(B: np.ndarray):
@@ -143,10 +153,11 @@ def compatibility_check(kernel: Kernel, action: CompatibleAction, points,
     fields have symmetric forms.
     """
     alg = action.algebra
+    grad = kernel.grad1_matrix(points, points)
     defects = {}
     for label, sign, field in zip(alg.labels, alg.involution_signs,
                                   action.basis_fields):
-        B = lie_derivative_form(kernel, field, points)
+        B = lie_derivative_form(kernel, field, points, grad)
         # L2_{beta(tau x)} K sampled on pairs is sign * conj(B).T
         defects[label] = float(np.max(np.abs(B + sign * B.conj().T)))
     return CompatibilityReport(defects, tol, all(v <= tol for v in defects.values()))

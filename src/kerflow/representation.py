@@ -88,10 +88,11 @@ def synthesize_cdual_rep(kernel: Kernel, action: CompatibleAction,
     element rather than reinterpreting the split.
     """
     alg = action.algebra
+    grad = kernel.grad1_matrix(model.points, model.points)
     entries = []
     for k, (label, field) in enumerate(zip(alg.labels, action.basis_fields)):
         expected = SKEW if k in alg.h_indices else SYMMETRIC
-        B = lie_derivative_form(kernel, field, model.points)
+        B = lie_derivative_form(kernel, field, model.points, grad)
         sym, skew, norm = symmetry_defects(B)
         raw = skew if expected == SKEW else sym
         if raw > tol_sym * max(norm, 1e-12):

@@ -944,6 +944,19 @@ def test_compatibility_without_invariance_compares_nothing(tmp_path, capsys):
     assert checks["compatibility_max_defect"]["passed"] is True
 
 
+def test_shipped_compatibility_has_no_basis_pair_for_the_homomorphism(capsys):
+    # a translation action in one dimension has one basis field, so the
+    # bracket law compares nothing and must not pass
+    code = cli.main(["run", os.path.join(CONFIG_DIR, "compatibility.json"),
+                     "--stable-output"])
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert code == cli.EXIT_PASS
+    hom = checks["homomorphism_defect"]
+    assert hom["value"] is None and hom["passed"] is None
+    assert checks["compatibility_max_defect"]["passed"] is True
+    assert checks["invariance_max_drift"]["passed"] is True
+
+
 # on the half-plane x1 > 0, t1 flows along (-1, 0): a curve from x1 = 1e-4
 # leaves the chart within its first step, so its pair compares nothing
 _STUCK_PAIR = {"pair": [[1e-4, 0.0], [1.0, 0.0]], "epsilon": 1, "element": "t1"}

@@ -258,6 +258,9 @@ def test_action_homomorphism_defect():
         action = op.builtin_action(name, params)
         pts = rng.uniform(0.2, 1.0, size=(5, 2))
         assert action.homomorphism_defect(pts) <= 1e-8
+    # one basis field: no pair i < j, so nothing is compared
+    one = op.builtin_action("translation", {"dimension": 1})
+    assert one.homomorphism_defect(rng.uniform(size=(5, 1))) is None
 
 
 def test_matrix_action_homomorphism():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -335,3 +337,69 @@ def test_stacked_phi_is_never_called_entry_by_entry():
     for k in ref.translation_matrices:
         np.testing.assert_allclose(rep.translation_matrices[k],
                                    ref.translation_matrices[k], rtol=1e-9, atol=1e-12)
+
+
+def _recording_forms(monkeypatch):
+    """Patch ``lie_derivative_form`` where the basis loops call it; returns
+    the list of (field, form, passed a gradient) of every call."""
+    original = op.lie_derivative_form
+    calls = []
+
+    def form(kernel, field, points, *grad):
+        B = original(kernel, field, points, *grad)
+        calls.append((field, B, bool(grad)))
+        return B
+
+    monkeypatch.setattr(op, "lie_derivative_form", form)
+    monkeypatch.setattr(rp, "lie_derivative_form", form)
+    return calls
+
+
+def test_a_basis_loop_evaluates_the_kernel_gradient_once(monkeypatch):
+    # every form of a basis contracts the same first-slot gradient, so each
+    # loop evaluates it once and still builds one form per basis element
+    base = kk.builtin_kernel("halfplane_bessel", {"mass": 1.0})
+    grads = []
+
+    def grad1(X, Y):
+        grads.append((len(X), len(Y)))
+        return base.grad1_matrix_fn(X, Y)
+
+    kernel = dataclasses.replace(base, grad1_matrix_fn=grad1)
+    action = op.builtin_action("euclidean", {"p": 1, "q": 1, "domain": "halfplane"})
+    pts = grid2d(5, x_range=(0.2, 2.2))
+    model = kk.gram(kernel, pts, rank_cutoff=1e-10)
+    forms = _recording_forms(monkeypatch)
+    assert grads == []
+    assert op.compatibility_check(kernel, action, pts).passed
+    assert grads == [(25, 25)]
+    assert [f for f, _, _ in forms] == list(action.basis_fields)
+    grads.clear()
+    forms.clear()
+    rp.synthesize_cdual_rep(kernel, action, model)
+    assert grads == [(25, 25)]
+    assert [f for f, _, _ in forms] == list(action.basis_fields)
+
+
+@pytest.mark.parametrize("kernel, action, pts", [
+    # analytic gradients
+    (kk.builtin_kernel("halfplane_bessel", {"mass": 1.0}),
+     op.builtin_action("euclidean", {"p": 1, "q": 1, "domain": "halfplane"}),
+     grid2d(5, x_range=(0.2, 2.2))),
+    (kk.builtin_kernel("circle_laplace", {"mass": 2.0, "n_atoms": 32}),
+     op.builtin_action("euclidean", {"p": 2, "q": 0}), grid2d(5)),
+    # central differences of the values
+    (kk.builtin_kernel("det", {"n": 2, "power": 2.0}),
+     op.builtin_action("matrix_right_multiplication", {"n": 2}),
+     _contractions(12).reshape(12, 4)),
+], ids=["halfplane_bessel", "circle_laplace", "det"])
+def test_forms_from_the_shared_gradient_equal_lone_forms_bit_for_bit(
+        monkeypatch, kernel, action, pts):
+    model = kk.gram(kernel, pts, rank_cutoff=1e-10)
+    lone = [op.lie_derivative_form(kernel, field, pts) for field in action.basis_fields]
+    forms = _recording_forms(monkeypatch)
+    op.compatibility_check(kernel, action, pts)
+    rp.synthesize_cdual_rep(kernel, action, model)
+    assert [f for f, _, _ in forms] == 2 * list(action.basis_fields)
+    for (_, B, shared), ref in zip(forms, 2 * lone):
+        assert shared and np.array_equal(B, ref)
