@@ -102,7 +102,7 @@ _FIELD_SPEC = {"name": Rule(str, required=True), "params": dict}
 _FIELD = Rule(dict, required=True, spec=_FIELD_SPEC)
 _SAMPLES = Rule(dict, required=True, spec={
     "type": Rule(str, required=True), "n": Rule(int, at_least=1, at_most=MAX_POINTS),
-    "n_side": Rule(int, at_least=1, at_most=MAX_SIDE), "halfwidth": (int, float),
+    "n_side": Rule(int, at_least=1, at_most=MAX_SIDE), "halfwidth": POSITIVE,
     "dimension": Rule(int, at_least=1, at_most=MAX_DIMENSION),
     "points": Rule(list, at_least=1, each=POINT),
     # a level is a point count, or a side for grid2d (checked with the type)
@@ -268,12 +268,15 @@ def _check_samples(samples: dict, kind: str):
 
     if samples["type"] not in SAMPLE_KEYS:
         raise ConfigError("$.samples.type", f"unknown sample type {samples['type']!r}")
-    # a refinement ladder gives the sizes, except in compatibility, which
-    # samples once at the configured size
-    sized_by_ladder = "refinement" in samples and kind != "compatibility"
+    # a ladder gives the sizes, but compatibility samples once and some types take none
+    sized = {"n", "n_side"} & set(SAMPLE_KEYS[samples["type"]])
+    by_ladder = "refinement" in samples and kind != "compatibility"
     for key in SAMPLE_KEYS[samples["type"]]:
-        if key not in samples and not (sized_by_ladder and key in ("n", "n_side")):
+        if key not in samples and not (by_ladder and key in sized):
             raise ConfigError(f"$.samples.{key}", "required")
+    if "refinement" in samples and not (by_ladder and sized):
+        why = "compatibility samples once" if sized else f"{samples['type']} samples take no size"
+        raise ConfigError("$.samples.refinement", f"no level would be read: {why}")
     points = samples.get("points", [])
     for i, point in enumerate(points):
         if len(point) != len(points[0]):

@@ -186,10 +186,10 @@ class SmearedKernel:
     """Kernel paired against grid functions, evaluated block by block.
 
     ``block(rows, cols)`` gives the kernel on grid points ``rows`` x ``cols``
-    (flat grid indices).  ``pairings(fs, gs)`` is the matrix of double
-    quadrature sums of f K g over two lists of functions, and
-    ``pairing(f, g)`` its 1 x 1 case; both ask only for the block between the
-    supports of their functions, so no grid-sized matrix is formed.
+    (flat grid indices).  ``pairings_each(fs, gss)`` gives the matrix of
+    double quadrature sums of f K g of ``fs`` against each list of ``gss``,
+    ``pairings(fs, gs)`` against one list and ``pairing(f, g)`` one entry,
+    each from the block between the supports alone, never a grid-sized one.
     Hermitian by construction for symmetric real kernels, and checked on
     demand.
     """
@@ -212,13 +212,16 @@ class SmearedKernel:
         pts = grid.points()
 
         def block(rows, cols):
-            # one coordinate at a time, so each entry is 0 + d_0^2 + d_1^2
-            # whatever block it is evaluated in
-            dist = np.zeros((len(rows), len(cols)))
-            for axis in range(pts.shape[1]):
-                diff = np.subtract.outer(pts[rows, axis], pts[cols, axis])
-                dist += np.square(diff, out=diff)
-            return profile(np.sqrt(dist, out=dist))
+            # one coordinate at a time, so each entry is 0 + d_0^2 + d_1^2 whatever
+            # block it is in; rows in parts of about 2^15 entries bound the temporaries
+            out = np.empty((len(rows), len(cols)))
+            for part in np.array_split(np.arange(len(rows)), max(1, out.size >> 15)):
+                dist = np.zeros((len(part), len(cols)))
+                for axis in range(pts.shape[1]):
+                    diff = np.subtract.outer(pts[rows[part], axis], pts[cols, axis])
+                    dist += np.square(diff, out=diff)
+                out[part] = profile(np.sqrt(dist, out=dist))
+            return out
         return cls(grid, block)
 
     @property
@@ -228,22 +231,31 @@ class SmearedKernel:
         every = np.arange(self.grid.size)
         return self.block(every, every)
 
-    def pairings(self, fs: Sequence[TestFunction],
-                 gs: Sequence[TestFunction]) -> np.ndarray:
-        """Matrix of pairings ``P[i, j] = pairing(fs[i], gs[j])``, that is
-        ``(W F)^T K (W G)`` with the functions as columns of F and G and the
-        quadrature weights on the diagonal of W.  Rows of K outside the union
-        support of ``fs``, and columns outside that of ``gs``, multiply zeros,
-        so only the block between the two supports is evaluated."""
-        for fn in (*fs, *gs):
+    def pairings_each(self, fs: Sequence[TestFunction],
+                      gss: Sequence[Sequence[TestFunction]]) -> list:
+        """One matrix ``P[i, j] = pairing(fs[i], gs[j])`` per list ``gs`` of
+        ``gss``, that is ``(W F)^T K (W G)`` with the functions as columns of
+        F and G and the quadrature weights on the diagonal of W.  Rows of K
+        outside the support of ``fs``, and columns outside the sorted union
+        of those of the lists, multiply zeros, so only that block is read."""
+        for fn in (*fs, *(g for gs in gss for g in gs)):
             if not same_grid(fn.grid, self.grid):
                 raise GridError("all functions must live on the smearing grid")
         w = self.grid.weights()
-        F = np.array([f.flat for f in fs]).reshape(len(fs), self.grid.size) * w
-        G = np.array([g.flat for g in gs]).reshape(len(gs), self.grid.size) * w
+        F, *Gs = [np.array([f.flat for f in fns]).reshape(len(fns), self.grid.size) * w
+                  for fns in (fs, *gss)]
         rows = np.flatnonzero(np.any(F != 0.0, axis=0))
-        cols = np.flatnonzero(np.any(G != 0.0, axis=0))
-        return F[:, rows] @ self.block(rows, cols) @ G[:, cols].T
+        supports = [np.any(G != 0.0, axis=0) for G in Gs]
+        union = np.flatnonzero(np.logical_or.reduce(supports, axis=0))
+        K = self.block(rows, union)
+        # take, unlike K[:, i], keeps the row-major layout of a block of cols alone
+        return [F[:, rows] @ K.take(np.searchsorted(union, cols), axis=1) @ G[:, cols].T
+                for G, cols in zip(Gs, map(np.flatnonzero, supports))]
+
+    def pairings(self, fs: Sequence[TestFunction],
+                 gs: Sequence[TestFunction]) -> np.ndarray:
+        """``pairings_each`` for the one list ``gs``."""
+        return self.pairings_each(fs, [gs])[0]
 
     def pairing(self, f: TestFunction, g: TestFunction) -> float:
         return float(self.pairings([f], [g])[0, 0])
@@ -453,27 +465,25 @@ class OSSemigroupResult:
     self_adjointness_defect: float
 
 
-def os_semigroup(space: OSSpace, t_cells: int) -> OSSemigroupResult:
-    """Matrix of the positive-slice shift (away from the hyperplane) on the
-    quotient, from reflected pairings of exact translates."""
-    if t_cells < 0:
+def os_semigroup(space: OSSpace, cells: Sequence[int]) -> list:
+    """Matrix of the positive-slice shift (away from the hyperplane) by each
+    cell count of ``cells`` on the quotient, in order, from reflected
+    pairings of exact translates; one kernel block serves every count."""
+    if any(c < 0 for c in cells):
         raise GridError("the transfer direction needs t >= 0")
-    grid = space.setup.grid
-    shift = tuple(t_cells if a == space.setup.axis else 0
-                  for a in range(grid.ndim))
-    fns = space.fns_plus
-    A = space.smeared.pairings([space.setup.reflect(f) for f in fns],
-                               [translate(f, shift) for f in fns])
-    S = space.quotient_map @ A @ space.quotient_map.T
-    norm = float(np.linalg.norm(S, 2))
-    contraction = max(norm - 1.0, 0.0)
-    sa = float(np.linalg.norm(S - S.T))
-    return OSSemigroupResult(S, contraction, sa)
+    fns, axis, ndim = space.fns_plus, space.setup.axis, space.setup.grid.ndim
+    As = space.smeared.pairings_each(
+        [space.setup.reflect(f) for f in fns],
+        [[translate(f, tuple(c if a == axis else 0 for a in range(ndim))) for f in fns]
+         for c in cells])
+    Ss = [space.quotient_map @ A @ space.quotient_map.T for A in As]
+    return [OSSemigroupResult(S, max(float(np.linalg.norm(S, 2)) - 1.0, 0.0),
+                              float(np.linalg.norm(S - S.T))) for S in Ss]
 
 
 def os_semigroup_law_defect(space: OSSpace, s_cells: int, t_cells: int) -> float:
-    return semigroup_law_defect(*(os_semigroup(space, c).matrix
-                                  for c in (s_cells, t_cells, s_cells + t_cells)))
+    return semigroup_law_defect(*(r.matrix for r in os_semigroup(
+        space, [s_cells, t_cells, s_cells + t_cells])))
 
 
 def semigroup_law_defect(S_s: np.ndarray, S_t: np.ndarray, S_st: np.ndarray) -> float:

@@ -221,7 +221,7 @@ def test_ac10_os_reconstruction():
         dist.ou_mixture_profile([1.0], [1.0]), grid)
     fns = [dist.bump(grid, [0.5], 0.3), dist.bump(grid, [1.0], 0.3)]
     space1 = dist.os_quotient(sk1, setup, fns)
-    sg = dist.os_semigroup(space1, 6)
+    sg = dist.os_semigroup(space1, [6])[0]
     rank1_ok = (space1.rank == 1 and space1.gap_ratio <= 1e-10
                 and abs(sg.matrix[0, 0] - np.exp(-0.3)) <= 1e-10)
 
@@ -232,7 +232,7 @@ def test_ac10_os_reconstruction():
     eig_err = law = contraction = 0.0
     for cells in (4, 10):
         t = cells * grid.spacing
-        res = dist.os_semigroup(space2, cells)
+        res = dist.os_semigroup(space2, [cells])[0]
         eigs = np.sort(np.linalg.eigvalsh(0.5 * (res.matrix + res.matrix.T)))[::-1]
         eig_err = max(eig_err, float(np.max(np.abs(
             eigs - [np.exp(-t), np.exp(-2 * t)]))))

@@ -288,6 +288,64 @@ def test_every_shipped_config_passes(shipped_replay):
             f"{name}: {[c['name'] for c in report['checks'] if c['passed'] is False]}"
 
 
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+_ABSENT = "<absent>"
+
+
+def _moved_values(old, new, path="$"):
+    """One line per leaf where report ``new`` differs from ``old``: its JSON
+    path, both values and, for numbers, the relative move.  A value that
+    changes type (1 to 1.0) moves too."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from _moved_values(old.get(key, _ABSENT), new.get(key, _ABSENT),
+                                     f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _moved_values(a, b, f"{path}[{i}]")
+    elif type(old) is not type(new) or (old != new and not (old != old and new != new)):
+        line = f"{path}: {old!r} -> {new!r}"
+        if isinstance(old, float) and isinstance(new, float):
+            line += (f" (relative move {abs(new - old) / abs(old):.3e})" if old
+                     else " (from zero)")
+        yield line
+
+
+def test_shipped_reports_match_their_golden_files(shipped_replay):
+    """Each shipped config's ``--stable-output`` report is byte-identical to
+    its file under tests/golden/, so a refactor that moves a reported value
+    fails here and names it.  The bytes depend on the numpy and OpenBLAS
+    builds: on another build this test can fail at rounding level.  Rewrite
+    the files with scripts/write_golden_reports.py only on purpose, and name
+    every moved value in CHANGES.md."""
+    runs = shipped_replay[0]
+    assert sorted(os.listdir(GOLDEN_DIR)) == [name for name, _, _ in runs]
+    moved = []
+    for name, _, report in runs:
+        with open(os.path.join(GOLDEN_DIR, name)) as handle:
+            golden = handle.read()
+        # the CLI prints json.dumps(report, indent=2, sort_keys=True), and a
+        # float survives the round trip through json.loads exactly
+        if json.dumps(report, indent=2, sort_keys=True) + "\n" != golden:
+            lines = list(_moved_values(json.loads(golden), report))
+            moved += [f"{name} {line}" for line in lines or ["$: other bytes, same values"]]
+    if moved:
+        pytest.fail("values moved from tests/golden:\n" + "\n".join(moved))
+
+
+def test_golden_mismatch_names_each_moved_value():
+    old = {"checks": [{"name": "a", "value": 2.0}, {"name": "b", "value": 0.0}],
+           "curves": {"x": [1.0, float("nan")]}, "passed": True}
+    new = {"checks": [{"name": "a", "value": 2.5}, {"name": "b", "value": 1e-3}],
+           "curves": {"x": [1.0, float("nan")], "y": []}, "passed": 1}
+    assert list(_moved_values(old, new)) == [
+        "$.checks[0].value: 2.0 -> 2.5 (relative move 2.500e-01)",
+        "$.checks[1].value: 0.0 -> 0.001 (from zero)",
+        "$.curves.y: '<absent>' -> []",
+        "$.passed: True -> 1"]
+    assert list(_moved_values(old, old)) == []
+
+
 def _named_functions():
     """(file, first line) -> name of each function of src/kerflow defined at
     module level or in a class body; a decorated function's code starts at
@@ -694,6 +752,20 @@ def _zero_size(key):
                  "$.samples.dimension", id="huge-sample-dimension"),
     pytest.param("cdual_halfplane", lambda d: d["samples"].update(refinement=[3, 5, 45]),
                  "$.samples.refinement[2]", id="grid2d-ladder-side"),
+    # a sample box of no extent samples one point, whatever the count
+    pytest.param("cdual_abelian", lambda d: d["samples"].update(halfwidth=0),
+                 "$.samples.halfwidth", id="zero-halfwidth"),
+    pytest.param("froelich_laplace", lambda d: d["samples"].update(halfwidth=-1.0),
+                 "$.samples.halfwidth", id="negative-halfwidth"),
+    # a ladder where no level would be read replays the same points
+    pytest.param("froelich_rank1", lambda d: d["samples"].update(refinement=[1, 2]),
+                 "$.samples.refinement", id="explicit-samples-ladder"),
+    pytest.param("cdual_euclidean",
+                 lambda d: d.update(samples={"type": "circles", "radii": [0.5],
+                                             "n_per_circle": 4, "refinement": [4, 8]}),
+                 "$.samples.refinement", id="circles-ladder"),
+    pytest.param("compatibility", lambda d: d["samples"].update(refinement=[11, 21]),
+                 "$.samples.refinement", id="compatibility-ladder"),
     pytest.param("compatibility",
                  lambda d: d["samples"].update(type="circles", radii=[0.5],
                                                n_per_circle=10 ** 300),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -271,7 +272,7 @@ def test_transfer_scalar_matches_decay(ou_smeared, line_grid):
     setup = ds.ReflectionSetup(line_grid, 0)
     fns = [ds.bump(line_grid, [0.5], 0.3), ds.bump(line_grid, [1.0], 0.3)]
     space = ds.os_quotient(ou_smeared, setup, fns)
-    sg = ds.os_semigroup(space, 6)     # t = 0.3
+    sg = ds.os_semigroup(space, [6])[0]     # t = 0.3
     assert sg.matrix.shape == (1, 1)
     assert sg.matrix[0, 0] == pytest.approx(np.exp(-0.3), abs=1e-10)
     assert sg.contraction_defect <= 1e-10
@@ -282,7 +283,7 @@ def test_transfer_identity_at_zero(ou_smeared, line_grid):
     setup = ds.ReflectionSetup(line_grid, 0)
     fns = [ds.bump(line_grid, [0.5], 0.3), ds.bump(line_grid, [1.0], 0.3)]
     space = ds.os_quotient(ou_smeared, setup, fns)
-    sg = ds.os_semigroup(space, 0)
+    sg = ds.os_semigroup(space, [0])[0]
     assert np.max(np.abs(sg.matrix - np.eye(space.rank))) <= 1e-12
 
 
@@ -294,7 +295,7 @@ def test_transfer_mixture_eigenvalues(line_grid):
     space = ds.os_quotient(sk, setup, fns)
     for cells in (4, 10):
         t = cells * line_grid.spacing
-        S = ds.os_semigroup(space, cells).matrix
+        S = ds.os_semigroup(space, [cells])[0].matrix
         eigs = np.sort(np.linalg.eigvalsh(0.5 * (S + S.T)))[::-1]
         assert np.max(np.abs(eigs - [np.exp(-t), np.exp(-2 * t)])) <= 1e-8
 
@@ -449,9 +450,10 @@ def test_pairings_match_double_quadrature(shape, origin, centers):
 
 
 @st.composite
-def _smeared_functions(draw):
-    """A 1D or 2D grid symmetric about the origin, and two lists of test
-    functions on it: bumps, their translates and reflections, and zeros."""
+def _smeared_functions(draw, lists=st.just(1)):
+    """A 1D or 2D grid symmetric about the origin, a list ``fs`` of test
+    functions on it and ``lists`` more lists: bumps, their translates and
+    reflections, and zeros."""
     shape = tuple(draw(st.lists(st.integers(13, 25), min_size=1, max_size=2)))
     h = 0.1
     grid = ds.TestFunctionGrid(origin=[-h * (n - 1) / 2 for n in shape],
@@ -479,9 +481,9 @@ def _smeared_functions(draw):
                 pass
         return fn
 
-    fs = [function() for _ in range(draw(st.integers(0, 4)))]
-    gs = [function() for _ in range(draw(st.integers(0, 4)))]
-    return grid, fs, gs
+    fs, *gss = [[function() for _ in range(draw(st.integers(0, 4)))]
+                for _ in range(1 + draw(lists))]
+    return grid, fs, gss
 
 
 def _distance_kernel_matrix(profile, grid):
@@ -497,7 +499,7 @@ def _distance_kernel_matrix(profile, grid):
 @settings(max_examples=40, deadline=None)
 @given(case=_smeared_functions())
 def test_pairings_evaluate_the_support_block_of_the_dense_kernel(case):
-    grid, fs, gs = case
+    grid, fs, (gs,) = case
     w = grid.weights()
     F = np.array([f.flat for f in fs]).reshape(len(fs), grid.size) * w
     G = np.array([g.flat for g in gs]).reshape(len(gs), grid.size) * w
@@ -526,6 +528,95 @@ def test_pairings_evaluate_the_support_block_of_the_dense_kernel(case):
         np.testing.assert_allclose(P, F @ dense @ G.T, rtol=1e-12, atol=0.0)
 
 
+def _recording(sk):
+    """``sk`` with a block that records its rows and columns, and the list
+    it records into."""
+    blocks = []
+
+    def block(rows, cols):
+        blocks.append((rows, cols))
+        return sk.block(rows, cols)
+    return ds.SmearedKernel(sk.grid, block), blocks
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_smeared_functions(lists=st.integers(0, 3)))
+def test_pairings_each_reads_every_list_from_one_union_block(case):
+    grid, fs, gss = case
+    profile = ds.ou_mixture_profile([1.0, 2.0], [0.5, 0.5])
+    M = np.random.default_rng(grid.size).uniform(0.5, 1.5, size=(grid.size, grid.size))
+    w = grid.weights()
+
+    def weighted(fns):
+        return np.array([f.flat for f in fns]).reshape(len(fns), grid.size) * w
+
+    def support(fns):
+        return np.flatnonzero(np.any(weighted(fns) != 0.0, axis=0))
+    F = weighted(fs)
+    for sk in (ds.SmearedKernel.from_distance_profile(profile, grid),
+               ds.SmearedKernel.from_matrix(grid, M)):
+        recorded, blocks = _recording(sk)
+        Ps = recorded.pairings_each(fs, gss)
+        (rows, union), = blocks
+        assert np.array_equal(rows, support(fs))
+        assert np.array_equal(union, np.unique(np.concatenate(
+            [np.empty(0, int), *map(support, gss)])))
+        assert len(Ps) == len(gss)
+        for P, gs in zip(Ps, gss):
+            # the same operands as a pairing of this list alone, and as the
+            # product over the block of this list's own support
+            cols = support(gs)
+            lone = F[:, rows] @ sk.block(rows, cols) @ weighted(gs)[:, cols].T
+            assert np.array_equal(P, sk.pairings(fs, gs))
+            assert np.array_equal(P, lone)
+
+
+@st.composite
+def _os_spaces(draw):
+    """An OS space on a 1D or 2D grid, from 1 to 4 bumps in the positive
+    slice, and transfer cell counts that keep every translate off the
+    margin, always with 0 and a repeat among them.  On the line the kernel
+    is an ``ou_mixture``; in the plane, where exp(-m |x - y|) is not
+    reflection positive, it is exp(-m |x_0 - y_0|) times a Gaussian in
+    x_1 - y_1."""
+    masses = draw(st.sampled_from([[1.0], [1.0, 2.0], [0.5, 1.5, 3.0]]))
+    if draw(st.booleans()):
+        grid = ds.TestFunctionGrid(origin=[-3.0], spacing=0.1, shape=(61,))
+        lo, hi, most = [0.35], [1.2], 12
+        sk = ds.SmearedKernel.from_distance_profile(
+            ds.ou_mixture_profile(masses, [1.0 / len(masses)] * len(masses)), grid)
+    else:
+        grid = ds.TestFunctionGrid(origin=[-2.0, -1.0], spacing=0.1, shape=(41, 21))
+        lo, hi, most = [0.35, -0.5], [0.8, 0.5], 6
+        pts = grid.points()
+
+        def block(rows, cols):
+            d0, d1 = (np.subtract.outer(pts[rows, a], pts[cols, a]) for a in (0, 1))
+            return np.exp(-masses[0] * np.abs(d0) - d1 ** 2)
+        sk = ds.SmearedKernel(grid, block)
+    centers = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=grid.ndim,
+                                     max_size=grid.ndim), min_size=1, max_size=4))
+    fns = [ds.bump(grid, np.add(lo, np.multiply(np.subtract(hi, lo), u)), 0.3)
+           for u in centers]
+    space = ds.os_quotient(sk, ds.ReflectionSetup(grid, 0), fns)
+    cells = draw(st.lists(st.integers(0, most), min_size=1, max_size=4))
+    return space, [*cells, 0, cells[0]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_os_spaces())
+def test_os_semigroup_of_many_counts_equals_one_count_calls(case):
+    space, cells = case
+    recorded, blocks = _recording(space.smeared)
+    many = ds.os_semigroup(dataclasses.replace(space, smeared=recorded), cells)
+    assert len(blocks) == 1 and len(many) == len(cells)
+    for c, got in zip(cells, many):
+        (one,) = ds.os_semigroup(space, [c])
+        assert np.array_equal(got.matrix, one.matrix)
+        assert got.contraction_defect == one.contraction_defect
+        assert got.self_adjointness_defect == one.self_adjointness_defect
+
+
 @pytest.mark.parametrize("shape, origin, centers, shift", [
     ((121,), [-3.0], ([0.5], [1.0], [1.5]), (4,)),
     ((41, 21), [-2.0, -1.0], ([0.5, 0.0], [1.0, 0.2], [0.8, -0.3]), (3, 0)),
@@ -546,7 +637,7 @@ def test_twisted_gram_and_semigroup_match_entry_definitions(shape, origin,
     A_ref = np.array([[sk.pairing(setup.reflect(f), ds.translate(g, shift))
                        for g in fns] for f in fns])
     S_ref = space.quotient_map @ A_ref @ space.quotient_map.T
-    S = ds.os_semigroup(space, shift[0]).matrix
+    S = ds.os_semigroup(space, [shift[0]])[0].matrix
     assert np.allclose(S, S_ref, rtol=0.0, atol=1e-12)
 
 
@@ -566,19 +657,38 @@ def test_os_reconstruct_checks_positivity_once(monkeypatch):
 
 
 def test_os_reconstruct_computes_each_transfer_time_once(monkeypatch):
-    # times 4 and 10 and the law pair (4, 10) need the cell counts 4, 10, 14
+    # times 4 and 10 and the law pair (4, 10) need the cell counts 4, 10, 14,
+    # all asked for in one call
     calls = []
     semigroup = ds.os_semigroup
 
     def counted(space, cells):
-        calls.append(cells)
+        calls.append(list(cells))
         return semigroup(space, cells)
 
     monkeypatch.setattr(ds, "os_semigroup", counted)
     cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs",
                                     "os_reconstruct_mixture.json"))
     assert run_experiment(cfg).passed
-    assert sorted(calls) == [4, 10, 14]
+    assert calls == [[4, 10, 14]]
+
+
+def test_os_reconstruct_evaluates_two_kernel_blocks(monkeypatch):
+    # the twisted Gram's block, and one block for all transfer times
+    blocks = []
+    build = ds.SmearedKernel.from_distance_profile
+
+    def counted(profile, grid):
+        recorded, seen = _recording(build(profile, grid))
+        blocks.append(seen)
+        return recorded
+
+    monkeypatch.setattr(ds.SmearedKernel, "from_distance_profile",
+                        staticmethod(counted))
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                    "os_reconstruct_mixture.json"))
+    assert run_experiment(cfg).passed
+    assert [len(seen) for seen in blocks] == [2]
 
 
 def test_rank_zero_quotient_raises(ou_smeared, line_grid):

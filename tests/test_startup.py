@@ -1,4 +1,5 @@
-"""scipy.linalg loads only when a run first takes a matrix exponential.
+"""scipy.linalg loads only when a run first takes a matrix exponential, and
+numpy.random only when a run first draws from a generator.
 
 Each case runs in a fresh interpreter, since the test process itself has
 long imported scipy.linalg by the time this module runs.
@@ -24,7 +25,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["validate", c]) for c in configs]
     codes += [cli.main(["run", os.path.join({configs!r}, s + ".json"), "--stable-output"])
               for s in {stems!r}]
-print(json.dumps({{"codes": codes, "scipy_linalg": "scipy.linalg" in sys.modules}}))
+print(json.dumps({{"codes": codes, "scipy_linalg": "scipy.linalg" in sys.modules,
+                  "numpy_random": "numpy.random" in sys.modules}}))
 """
 
 
@@ -41,6 +43,8 @@ def test_validate_and_the_grid_kinds_never_load_scipy_linalg():
     assert len(result["codes"]) == len(shipped) + 3
     assert set(result["codes"]) == {0}
     assert result["scipy_linalg"] is False
+    # the grid kinds draw nothing, so they do not load numpy.random either
+    assert result["numpy_random"] is False
 
 
 def test_a_kind_that_takes_an_exponential_loads_scipy_linalg():
@@ -48,3 +52,4 @@ def test_a_kind_that_takes_an_exponential_loads_scipy_linalg():
     result = _child(("cdual_abelian",))
     assert result["codes"][-1] == 0
     assert result["scipy_linalg"] is True
+    assert result["numpy_random"] is True
