@@ -2,9 +2,14 @@
 every shipped config under ``configs/``, written to ``tests/golden/`` under
 the config's file name.  Golden files without a shipped config are removed.
 
+It also rewrites ``tests/golden_workloads/``: for each benchmark workload in
+``WORKLOADS``, the configs that ``perfbench/workloads.py`` generates at seed
+``WORKLOAD_SEED`` go to ``<workload>/configs/`` and their reports to
+``<workload>/reports/``, under the same file names.
+
 Run: PYTHONPATH=src python scripts/write_golden_reports.py
 
-A rewrite is deliberate.  The tier-1 test that reads these files fails on
+A rewrite is deliberate.  The tier-1 tests that read these files fail on
 any moved value; a change that rewrites them names every moved value in
 CHANGES.md (the failing test lists each one with its JSON path and relative
 move).  The bytes depend on the numpy and OpenBLAS builds, so the files are
@@ -12,8 +17,10 @@ also rewritten, with a CHANGES.md line, when that toolchain changes.
 """
 
 import contextlib
+import importlib.util
 import io
 import os
+import shutil
 import sys
 
 from kerflow import cli
@@ -21,27 +28,64 @@ from kerflow import cli
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CONFIG_DIR = os.path.join(ROOT, "configs")
 GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
+WORKLOAD_DIR = os.path.join(ROOT, "tests", "golden_workloads")
+# the benchmark's workloads at their own sizes; shipped_batch is tests/golden
+WORKLOADS = ("gram_ladder", "grid_quotient")
+WORKLOAD_SEED = 4
+
+
+def _reports(config_dir: str) -> dict:
+    """File name -> stable report of every config in ``config_dir``; None
+    when some config does not pass."""
+    reports = {}
+    for name in sorted(n for n in os.listdir(config_dir) if n.endswith(".json")):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["run", os.path.join(config_dir, name), "--stable-output"])
+        if code != cli.EXIT_PASS:
+            print(f"{name}: exit {code}; no golden file was written", file=sys.stderr)
+            return None
+        reports[name] = out.getvalue()
+    return reports
+
+
+def _write(reports: dict, out_dir: str) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in reports.items():
+        with open(os.path.join(out_dir, name), "w") as handle:
+            handle.write(text)
+
+
+def _workloads_module():
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def main() -> int:
-    names = sorted(n for n in os.listdir(CONFIG_DIR) if n.endswith(".json"))
-    reports = {}
-    for name in names:
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            code = cli.main(["run", os.path.join(CONFIG_DIR, name), "--stable-output"])
-        if code != cli.EXIT_PASS:
-            print(f"{name}: exit {code}; no golden file was written", file=sys.stderr)
-            return 1
-        reports[name] = out.getvalue()
+    reports = _reports(CONFIG_DIR)
+    if reports is None:
+        return 1
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name in sorted(os.listdir(GOLDEN_DIR)):
         if name.endswith(".json") and name not in reports:
             os.remove(os.path.join(GOLDEN_DIR, name))
             print(f"removed tests/golden/{name}")
-    for name, text in reports.items():
-        with open(os.path.join(GOLDEN_DIR, name), "w") as handle:
-            handle.write(text)
+    _write(reports, GOLDEN_DIR)
     print(f"wrote {len(reports)} reports to tests/golden/")
+
+    workloads = _workloads_module()
+    shutil.rmtree(WORKLOAD_DIR, ignore_errors=True)
+    for workload in WORKLOADS:
+        configs = os.path.join(WORKLOAD_DIR, workload, "configs")
+        workloads.write_workload(workload, WORKLOAD_SEED, CONFIG_DIR, configs)
+        reports = _reports(configs)
+        if reports is None:
+            return 1
+        _write(reports, os.path.join(WORKLOAD_DIR, workload, "reports"))
+        print(f"wrote {len(reports)} configs and reports to "
+              f"tests/golden_workloads/{workload}/")
     return 0
 
 

@@ -322,15 +322,46 @@ def test_shipped_reports_match_their_golden_files(shipped_replay):
     assert sorted(os.listdir(GOLDEN_DIR)) == [name for name, _, _ in runs]
     moved = []
     for name, _, report in runs:
-        with open(os.path.join(GOLDEN_DIR, name)) as handle:
-            golden = handle.read()
         # the CLI prints json.dumps(report, indent=2, sort_keys=True), and a
         # float survives the round trip through json.loads exactly
-        if json.dumps(report, indent=2, sort_keys=True) + "\n" != golden:
-            lines = list(_moved_values(json.loads(golden), report))
-            moved += [f"{name} {line}" for line in lines or ["$: other bytes, same values"]]
+        moved += _golden_moves(name, json.dumps(report, indent=2, sort_keys=True) + "\n",
+                               os.path.join(GOLDEN_DIR, name))
     if moved:
         pytest.fail("values moved from tests/golden:\n" + "\n".join(moved))
+
+
+def _golden_moves(name, text, golden_path):
+    """The ``_moved_values`` lines of report ``text`` against its golden file,
+    none when the bytes agree."""
+    with open(golden_path) as handle:
+        golden = handle.read()
+    if text == golden:
+        return []
+    lines = list(_moved_values(json.loads(golden), json.loads(text)))
+    return [f"{name} {line}" for line in lines or ["$: other bytes, same values"]]
+
+
+WORKLOAD_GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden_workloads")
+
+
+@pytest.mark.parametrize("workload", ["gram_ladder", "grid_quotient"])
+def test_workload_reports_match_their_golden_files(workload):
+    """The benchmark workload's configs at seed 4, committed under
+    tests/golden_workloads/<workload>/configs/, each give the report under
+    .../reports/ byte for byte, and pass.  Same build caveat as the shipped
+    golden files; scripts/write_golden_reports.py rewrites both."""
+    configs = os.path.join(WORKLOAD_GOLDEN_DIR, workload, "configs")
+    reports = os.path.join(WORKLOAD_GOLDEN_DIR, workload, "reports")
+    names = sorted(os.listdir(configs))
+    assert names and sorted(os.listdir(reports)) == names
+    moved = []
+    for name in names:
+        code, text = _quiet(["run", os.path.join(configs, name), "--stable-output"])
+        assert code == cli.EXIT_PASS, name
+        moved += _golden_moves(name, text, os.path.join(reports, name))
+    if moved:
+        pytest.fail(f"values moved from tests/golden_workloads/{workload}:\n"
+                    + "\n".join(moved))
 
 
 def test_golden_mismatch_names_each_moved_value():
