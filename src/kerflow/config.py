@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .errors import ConfigError
@@ -122,6 +122,19 @@ _TRANSLATIONS = Rule(list, each=Rule(dict, spec={"cells": Rule(list, required=Tr
                                                                each=Rule(int))}))
 _CELLS = Rule(int, at_least=0, at_most=MAX_GRID_CELLS)
 
+
+def _read_by(variant: str, key: str, rule: Rule) -> Rule:
+    """``rule`` for a luscher_mack key that only ``variant`` reads: set in a
+    config of the other variant, it disagrees."""
+    def agrees(block: dict) -> Optional[str]:
+        chosen = block.get("variant", "power_1x1")
+        if key in block and chosen != variant:
+            return f"the {chosen} variant does not read it; only {variant} does"
+        return None
+
+    return replace(rule, agrees=agrees)
+
+
 # allowed top-level keys per kind (beyond kind/seed/tolerances)
 SCHEMAS = {
     "flow_laws": {
@@ -162,10 +175,14 @@ SCHEMAS = {
     },
     "luscher_mack": {
         "variant": Rule(str, choices=("power_1x1", "determinant")),
-        "exponent": (int, float), "power": (int, float),
+        "exponent": _read_by("power_1x1", "exponent", NUMBER),
+        "interval": _read_by("power_1x1", "interval", _PAIR),
+        "power": _read_by("determinant", "power", NUMBER),
+        "matrix_size": _read_by("determinant", "matrix_size",
+                                Rule(int, at_least=1, at_most=MAX_MATRIX_SIZE)),
+        "spectral_range": _read_by("determinant", "spectral_range", _PAIR),
         "n_samples": Rule(int, at_least=1, at_most=MAX_SEMIGROUP_SAMPLES),
-        "interval": _PAIR, "matrix_size": Rule(int, at_least=1, at_most=MAX_MATRIX_SIZE),
-        "spectral_range": _PAIR, "rank_cutoff": (int, float),
+        "rank_cutoff": (int, float),
     },
     "os_reconstruct": {
         "grid": _GRID, "kernel": _FIELD,

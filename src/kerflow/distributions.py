@@ -304,9 +304,8 @@ def distribution_lie_derivative(sk_or_grid, field, fn: TestFunction) -> TestFunc
     distributions.
     """
     grid = sk_or_grid.grid if isinstance(sk_or_grid, SmearedKernel) else sk_or_grid
-    pts = grid.points()
-    vals = np.array([field(p) for p in pts], dtype=float)
-    return directional_derivative(vals.reshape(grid.shape + (grid.ndim,)), fn)
+    values = field.rows(grid.points())
+    return directional_derivative(values.reshape(grid.shape + (grid.ndim,)), fn)
 
 
 @dataclass(frozen=True)
@@ -336,9 +335,7 @@ def distribution_froelich_check(sk: SmearedKernel, field, base: TestFunction,
            for k in range(n_basis)]
     model = smeared_gram(sk, fns, rank_cutoff)
 
-    pts = grid.points()
-    vals = np.array([field(p) for p in pts], dtype=float)
-    field_grid = vals.reshape(grid.shape + (grid.ndim,))
+    field_grid = field.rows(grid.points()).reshape(grid.shape + (grid.ndim,))
     derivs = [directional_derivative(field_grid, f) for f in fns]
     t = t_cells * grid.spacing
     # forward flow of a constant field moves the support with it
@@ -414,27 +411,17 @@ def reflection_positivity_check(sk: SmearedKernel, setup: ReflectionSetup,
 class OSSpace:
     """Quotient of the positive slice by the null space of the reflected form.
 
-    ``quotient_map`` (rank x n) whitens the twisted Gram; the eigendirections
-    it discards span the null space at the cutoff resolution.
-    ``positivity`` is the reflection-positivity report the quotient was
-    built from.
+    ``model`` is the Gram model of the twisted Gram: its whitening is the
+    quotient map, and the eigendirections it discards span the null space
+    at the cutoff resolution.  ``positivity`` is the reflection-positivity
+    report the quotient was built from.
     """
 
     smeared: SmearedKernel
     setup: ReflectionSetup
     fns_plus: tuple
     positivity: ReflectionPositivityReport
-    spectrum: np.ndarray
-    rank: int
-    rank_cutoff: float
-    quotient_map: np.ndarray
-
-    @property
-    def gap_ratio(self) -> float:
-        """First discarded eigenvalue over the largest (0 if full rank)."""
-        if self.rank >= len(self.spectrum):
-            return 0.0
-        return float(abs(self.spectrum[self.rank]) / self.spectrum[0])
+    model: GramModel
 
 
 def os_quotient(sk: SmearedKernel, setup: ReflectionSetup,
@@ -454,8 +441,7 @@ def os_quotient(sk: SmearedKernel, setup: ReflectionSetup,
         model = gram_from_matrix(report.twisted_gram, rank_cutoff)
     except EmptyModelError as exc:
         raise DegenerateQuotientError("twisted Gram has numerical rank zero") from exc
-    return OSSpace(sk, setup, tuple(fns_plus), report, model.eigenvalues,
-                   model.rank, rank_cutoff, model.whitening)
+    return OSSpace(sk, setup, tuple(fns_plus), report, model)
 
 
 @dataclass(frozen=True)
@@ -476,9 +462,9 @@ def os_semigroup(space: OSSpace, cells: Sequence[int]) -> list:
         [space.setup.reflect(f) for f in fns],
         [[translate(f, tuple(c if a == axis else 0 for a in range(ndim))) for f in fns]
          for c in cells])
-    Ss = [space.quotient_map @ A @ space.quotient_map.T for A in As]
     return [OSSemigroupResult(S, max(float(np.linalg.norm(S, 2)) - 1.0, 0.0),
-                              float(np.linalg.norm(S - S.T))) for S in Ss]
+                              float(np.linalg.norm(S - S.T)))
+            for S in map(space.model.compress, As)]
 
 
 def os_semigroup_law_defect(space: OSSpace, s_cells: int, t_cells: int) -> float:

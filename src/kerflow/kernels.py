@@ -34,7 +34,8 @@ class Kernel:
     Y (m, d) through ``matrix_fn``; ``grad1_matrix`` evaluates the gradient
     in the first slot through ``grad1_matrix_fn``, or by central differences
     of ``matrix`` with step ``h_fd`` when none is given; each raises
-    ``ValueError`` when its function returns another shape.  The calls at
+    ``ValueError`` when its function returns another shape, and
+    ``KernelDomainError`` when some value is not finite.  The calls at
     one pair, ``kernel(x, y)`` and ``grad1(x, y)``, are their 1 x 1 cases.
     Both forms return float64 unless the kernel is complex-valued.  A scalar
     K(x, y) enters through ``entrywise_kernel``.  ``dimension``, when given,
@@ -62,16 +63,22 @@ class Kernel:
         """First-slot gradients grad1 K(x_i, y_j), shape (n, m, d)."""
         X, Y = _rows(X), _rows(Y)
         if self.grad1_matrix_fn is not None:
-            return self._shaped(self.grad1_matrix_fn(X, Y), (len(X), len(Y), X.shape[1]))
-        steps = self.h_fd * np.eye(X.shape[1])
-        return np.stack([(self.matrix(X + e, Y) - self.matrix(X - e, Y))
-                         / (2.0 * self.h_fd) for e in steps], axis=-1)
+            out = self.grad1_matrix_fn(X, Y)
+        else:
+            steps = self.h_fd * np.eye(X.shape[1])
+            out = np.stack([(self.matrix(X + e, Y) - self.matrix(X - e, Y))
+                            / (2.0 * self.h_fd) for e in steps], axis=-1)
+        return self._shaped(out, (len(X), len(Y), X.shape[1]))
 
     def _shaped(self, out, shape: tuple):
         # a function of one pair of points would run on the wrong entries
         if np.shape(out) != shape:
             raise ValueError(f"kernel {self.name!r}: an array form returned shape "
                              f"{np.shape(out)} where {shape} belongs")
+        # an overflow would reach every later eigensolver and verdict
+        if not np.all(np.isfinite(out)):
+            raise KernelDomainError(f"kernel {self.name!r}: an array form returned "
+                                    "non-finite values")
         return out
 
 
@@ -113,6 +120,19 @@ class GramModel:
     @property
     def size(self) -> int:
         return self.gram.shape[0]
+
+    @property
+    def gap_ratio(self) -> float:
+        """First discarded eigenvalue over the largest (0 if full rank)."""
+        if self.rank >= len(self.eigenvalues):
+            return 0.0
+        return float(abs(self.eigenvalues[self.rank]) / self.eigenvalues[0])
+
+    def compress(self, M) -> np.ndarray:
+        """W M W^* of an N x N matrix M on the sample: the one compression of
+        forms, kernel blocks at moved points and transfer matrices alike."""
+        W = self.whitening
+        return W @ M @ W.conj().T
 
 
 def _eig_and_whiten(G: np.ndarray, rank_cutoff: float):

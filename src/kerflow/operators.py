@@ -34,9 +34,9 @@ SKEW = -1
 class CompatibleAction:
     """Lie algebra action by vector fields, linear over the basis fields.
 
-    ``sigma`` optionally supplies closed-form flows (t, point) -> point for
-    basis elements whose one-parameter groups are known exactly; only
-    fixed-part (h) elements ever need one.
+    ``sigma`` optionally supplies closed-form flows (t, points) -> points,
+    on stacks (n, d) as fields and charts take them, for basis elements
+    whose one-parameter groups are known exactly.
     """
 
     algebra: SymmetricLieAlgebra
@@ -215,7 +215,6 @@ class OperatorCompression:
     compressed: np.ndarray
     epsilon: Optional[int]
     symmetrization_defect: float
-    model: GramModel
     label: str = ""
 
     @property
@@ -231,10 +230,9 @@ def compress_operator(B: np.ndarray, model: GramModel, epsilon: Optional[int],
     Classification must precede symmetrization (it has to see the raw defect);
     an inconsistent declaration raises rather than silently averaging it away.
     """
-    W = model.whitening
-    A = W @ np.asarray(B) @ W.conj().T
+    A = model.compress(B)
     if epsilon is None:
-        return OperatorCompression(A, None, 0.0, model, label)
+        return OperatorCompression(A, None, 0.0, label)
     norm = float(np.linalg.norm(A))
     defect = float(np.linalg.norm(A - epsilon * A.conj().T))
     if defect > tol_sym * max(norm, 1e-12):
@@ -242,7 +240,7 @@ def compress_operator(B: np.ndarray, model: GramModel, epsilon: Optional[int],
             f"operator {label or '?'}: symmetry defect {defect:.3e} exceeds "
             f"{tol_sym:.0e} * {norm:.3e} for epsilon={epsilon:+d}")
     A = 0.5 * (A + epsilon * A.conj().T)
-    return OperatorCompression(A, epsilon, defect, model, label)
+    return OperatorCompression(A, epsilon, defect, label)
 
 
 def semigroup_matrix(op: OperatorCompression, t: float) -> np.ndarray:
@@ -327,16 +325,17 @@ def builtin_action(name: str, params: Optional[dict] = None) -> CompatibleAction
         for k, lab in enumerate(alg.labels):
             if lab == "t1":
                 fields.append(fl.constant_field([-1.0, 0.0], chart))
-                sigma[k] = lambda t, pt: pt - np.array([t, 0.0])
+                sigma[k] = lambda t, pts: pts - np.array([t, 0.0])
             elif lab == "t2":
                 fields.append(fl.constant_field([0.0, -1.0], chart))
-                sigma[k] = lambda t, pt: pt - np.array([0.0, t])
+                sigma[k] = lambda t, pts: pts - np.array([0.0, t])
             else:
                 fields.append(fl.affine_field(rot, chart=chart))
 
-                def rot_flow(t, pt):
+                def rot_flow(t, pts):
+                    # each row p goes to R p, R = [[c, s], [-s, c]]
                     c, s = np.cos(t), np.sin(t)
-                    return np.array([[c, s], [-s, c]]) @ pt
+                    return pts @ np.array([[c, -s], [s, c]])
 
                 sigma[k] = rot_flow
         return CompatibleAction(alg, tuple(fields), sigma=sigma,
@@ -361,7 +360,7 @@ def builtin_action(name: str, params: Optional[dict] = None) -> CompatibleAction
         for k in alg.h_indices:
             m = alg.basis_matrices[k]
             sigma[k] = (lambda t, g, m=m:
-                        (g.reshape(n, n) @ expm(t * m)).ravel())
+                        (g.reshape(-1, n, n) @ expm(t * m)).reshape(g.shape))
         return CompatibleAction(alg, tuple(fields), sigma=sigma,
                                 name=f"matrix_right_multiplication({n})")
     raise KeyError(f"unknown builtin action {name!r}")

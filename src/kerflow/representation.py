@@ -160,20 +160,18 @@ def h_group_rep(kernel: Kernel, action: CompatibleAction, model: GramModel,
     """Matrix of the group element exp(t x), x in the fixed part, from kernel
     evaluations at moved sample points.
 
-    The group sends the section at m to the section at the backward-moved
-    point, so the matrix elements are K(m_i, sigma_{-t}(m_j)).  Reports the
-    unitarity defect and the consistency ||(P - I)/t - T_x|| with the
-    compressed generator, which decays like O(t).
+    P = compress(K(sigma_t(m_i), m_j)), the moved-section matrix that the
+    Lüscher–Mack right translations share; on an H-invariant kernel it
+    equals compress(K(m_i, sigma_{-t}(m_j))).  Reports the unitarity defect
+    and the consistency ||(P - I)/t - T_x|| with the compressed generator,
+    which decays like O(t).
     """
     if action.sigma is None or x not in action.sigma:
         raise ValueError("no closed-form point map available for this element")
     if x not in action.algebra.h_indices:
         raise ValueError("group matrices exist only for fixed-part elements")
-    move = action.sigma[x]
     pts = model.points
-    moved = np.array([move(-t, p) for p in pts], dtype=float)
-    W = model.whitening
-    P = W @ kernel.matrix(pts, moved) @ W.conj().T
+    P = model.compress(kernel.matrix(action.sigma[x](t, pts), pts))
     eye = np.eye(model.rank)
     unit = float(np.linalg.norm(P.conj().T @ P - eye))
     B = lie_derivative_form(kernel, action.basis_fields[x], pts)
@@ -260,11 +258,8 @@ def luscher_mack_pipeline(elements: Sequence[np.ndarray],
 
     table = synthesize_cdual_rep(kernel, action, model, tol_sym)
 
-    W = model.whitening
-
     def translation_matrix(s):
-        rows = (mats @ s).reshape(len(mats), n * n)
-        return W @ kernel.matrix(rows, points) @ W.conj().T
+        return model.compress(kernel.matrix((mats @ s).reshape(len(mats), n * n), points))
 
     star_defects = {}
     matrices = {}

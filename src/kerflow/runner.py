@@ -510,8 +510,8 @@ def _run_os_reconstruct(cfg: ExperimentConfig) -> tuple:
                                       transfer[s + t].matrix)
             for s, t in law_pairs]
     checks = _checks(cfg, {"twisted_psd_min_ratio": space.positivity.min_ratio,
-                           "quotient_rank": float(space.rank),
-                           "rank_gap_ratio": space.gap_ratio,
+                           "quotient_rank": float(space.model.rank),
+                           "rank_gap_ratio": space.model.gap_ratio,
                            "semigroup_eigenvalue_error": eig_err,
                            "contraction_defect": contraction,
                            "semigroup_law_defect": max(laws, default=None),

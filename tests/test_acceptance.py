@@ -222,7 +222,7 @@ def test_ac10_os_reconstruction():
     fns = [dist.bump(grid, [0.5], 0.3), dist.bump(grid, [1.0], 0.3)]
     space1 = dist.os_quotient(sk1, setup, fns)
     sg = dist.os_semigroup(space1, [6])[0]
-    rank1_ok = (space1.rank == 1 and space1.gap_ratio <= 1e-10
+    rank1_ok = (space1.model.rank == 1 and space1.model.gap_ratio <= 1e-10
                 and abs(sg.matrix[0, 0] - np.exp(-0.3)) <= 1e-10)
 
     sk2 = dist.SmearedKernel.from_distance_profile(
@@ -238,7 +238,7 @@ def test_ac10_os_reconstruction():
             eigs - [np.exp(-t), np.exp(-2 * t)]))))
         contraction = max(contraction, res.contraction_defect)
     law = dist.os_semigroup_law_defect(space2, 4, 10)
-    ok = (rank1_ok and space2.rank == 2 and eig_err <= 1e-8
+    ok = (rank1_ok and space2.model.rank == 2 and eig_err <= 1e-8
           and contraction <= 1e-8 and law <= 1e-8)
     _report("AC10 quotient reconstruction: rank 1 scalar e^{-0.3} +- 1e-10; "
             "mixture eigenvalues +- 1e-8; contraction/law <= 1e-8", ok,

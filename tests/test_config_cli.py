@@ -429,6 +429,7 @@ _UNREACHED = {
     "kernels.entrywise_kernel": "the entry point of a user's scalar kernel",
     "runner._write_csv": "reached through --csv-dir",
     "flows._shear_axis": "runs at import, building FIELD_PARAMS",
+    "config._read_by": "runs at import, building SCHEMAS",
     "algebra.algebra_bracket": _CATALOG,
     "algebra.SymmetricLieAlgebra.q_indices": _CATALOG,
     "algebra.SymmetricPairReport.max_defect": _CATALOG,
@@ -866,6 +867,18 @@ def _zero_size(key):
     pytest.param("cdual_abelian", lambda d: d.update(algebra={
                      "name": "euclidean_motion", "params": {"d": 2, "p": 2, "q": 1}}),
                  "$.algebra.params.q", id="euclidean-motion-split"),
+    # a luscher_mack key that only the other variant reads
+    pytest.param("luscher_mack_det", lambda d: d.update(exponent=1.5),
+                 "$.exponent", id="exponent-in-determinant"),
+    pytest.param("luscher_mack_det", lambda d: d.update(interval=[0.2, 0.9]),
+                 "$.interval", id="interval-in-determinant"),
+    pytest.param("luscher_mack_power", lambda d: d.update(matrix_size=2),
+                 "$.matrix_size", id="matrix-size-in-power"),
+    pytest.param("luscher_mack_power", lambda d: d.update(power=2.0),
+                 "$.power", id="power-in-power"),
+    pytest.param("luscher_mack_power",
+                 lambda d: (d.pop("variant"), d.update(spectral_range=[0.05, 0.8])),
+                 "$.spectral_range", id="spectral-range-in-default-variant"),
     # a report must compare something: with no translation of either kind,
     # all three rp_axioms checks would be null and the report would pass
     pytest.param("rp_axioms", lambda d: [d.pop(k) for k in ("translations",
@@ -944,6 +957,23 @@ def test_run_checks_references_exits_2_with_path(tmp_path, capsys, stem, mutate,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"config error: {json_path}: ")
+
+
+# a kernel that overflows on far samples is a numeric error naming it: before,
+# compatibility reported a NaN defect (exit 1) and the other two failed in
+# the eigensolver without naming the kernel (exit 3)
+@pytest.mark.parametrize("stem, kernel", [("compatibility", "laplace"),
+                                          ("froelich_laplace", "circle_laplace"),
+                                          ("cdual_abelian", "laplace")])
+def test_overflowing_kernel_exits_3_naming_it(tmp_path, capsys, stem, kernel):
+    data = _shipped(stem)
+    data["samples"]["halfwidth"] = 1000
+    path = _write(tmp_path, data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["run", path]) == cli.EXIT_NUMERIC_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: KernelDomainError: kernel {kernel!r}: ")
 
 
 def test_unexpected_error_exits_3_in_one_line(tmp_path, capsys, monkeypatch):

@@ -222,8 +222,8 @@ def test_quotient_rank_one_factors(ou_smeared, line_grid):
     setup = ds.ReflectionSetup(line_grid, 0)
     fns = [ds.bump(line_grid, [0.5], 0.1), ds.bump(line_grid, [1.0], 0.1)]
     space = ds.os_quotient(ou_smeared, setup, fns)
-    assert space.rank == 1
-    assert space.gap_ratio <= 1e-10
+    assert space.model.rank == 1
+    assert space.model.gap_ratio <= 1e-10
     T = space.positivity.twisted_gram
     ratio = T[0, 0] / T[0, 1]
     assert ratio == pytest.approx(np.exp(-0.5) / np.exp(-1.0), rel=1e-6)
@@ -237,7 +237,7 @@ def test_quotient_rank_two_mixture(line_grid):
     setup = ds.ReflectionSetup(line_grid, 0)
     fns = [ds.bump(line_grid, [c], 0.3) for c in (0.5, 1.0, 1.5)]
     space = ds.os_quotient(sk, setup, fns)
-    assert space.rank == 2
+    assert space.model.rank == 2
 
 
 def test_quotient_full_rank_for_invariant_kernel(line_grid):
@@ -247,7 +247,7 @@ def test_quotient_full_rank_for_invariant_kernel(line_grid):
     setup = ds.ReflectionSetup(line_grid, 0)
     fns = [ds.bump(line_grid, [c], 0.3) for c in (1.0, 2.0)]
     space = ds.os_quotient(sk, setup, fns)
-    assert space.rank == 2
+    assert space.model.rank == 2
 
 
 def test_quotient_rank_stable_under_dependent_function(ou_smeared, line_grid):
@@ -255,8 +255,8 @@ def test_quotient_rank_stable_under_dependent_function(ou_smeared, line_grid):
     f1 = ds.bump(line_grid, [0.5], 0.3)
     f2 = ds.bump(line_grid, [1.0], 0.3)
     combo = ds.TestFunction(line_grid, 0.5 * f1.values + 0.25 * f2.values)
-    r2 = ds.os_quotient(ou_smeared, setup, [f1, f2]).rank
-    r3 = ds.os_quotient(ou_smeared, setup, [f1, f2, combo]).rank
+    r2 = ds.os_quotient(ou_smeared, setup, [f1, f2]).model.rank
+    r3 = ds.os_quotient(ou_smeared, setup, [f1, f2, combo]).model.rank
     assert r2 == r3
 
 
@@ -284,7 +284,7 @@ def test_transfer_identity_at_zero(ou_smeared, line_grid):
     fns = [ds.bump(line_grid, [0.5], 0.3), ds.bump(line_grid, [1.0], 0.3)]
     space = ds.os_quotient(ou_smeared, setup, fns)
     sg = ds.os_semigroup(space, [0])[0]
-    assert np.max(np.abs(sg.matrix - np.eye(space.rank))) <= 1e-12
+    assert np.max(np.abs(sg.matrix - np.eye(space.model.rank))) <= 1e-12
 
 
 def test_transfer_mixture_eigenvalues(line_grid):
@@ -636,7 +636,8 @@ def test_twisted_gram_and_semigroup_match_entry_definitions(shape, origin,
     assert space.positivity.passed
     A_ref = np.array([[sk.pairing(setup.reflect(f), ds.translate(g, shift))
                        for g in fns] for f in fns])
-    S_ref = space.quotient_map @ A_ref @ space.quotient_map.T
+    W = space.model.whitening
+    S_ref = W @ A_ref @ W.T
     S = ds.os_semigroup(space, [shift[0]])[0].matrix
     assert np.allclose(S, S_ref, rtol=0.0, atol=1e-12)
 

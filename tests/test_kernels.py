@@ -193,6 +193,20 @@ def test_det_kernel_psd_on_contractions():
         assert kk.psd_check(kk.gram(K, pts), tol=1e-10).passed
 
 
+def test_array_forms_reject_non_finite_values():
+    # an overflow is a domain error that names the kernel, whichever form
+    # (value, analytic gradient or central differences) meets it
+    analytic = kk.Kernel("big", lambda X, Y: np.exp(X @ Y.T),
+                         lambda X, Y: Y[None] * np.exp(X @ Y.T)[..., None])
+    differenced = kk.Kernel("big", analytic.matrix_fn)
+    forms = (analytic.matrix, analytic.grad1_matrix, differenced.grad1_matrix)
+    for form in forms:
+        assert np.isfinite(form([[1.0]], [[1.0]])).all()
+        with pytest.raises(KernelDomainError, match="kernel 'big'"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            form([[1000.0]], [[1000.0]])
+
+
 def test_ou_grad_kink_raises():
     K = kk.builtin_kernel("ou")
     with pytest.raises(KernelDomainError):

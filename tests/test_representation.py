@@ -172,6 +172,35 @@ def test_h_group_generator_consistency():
     assert order >= 0.9
 
 
+@pytest.mark.parametrize("kernel, params, action_params, x_range", [
+    ("circle_laplace", {"mass": 2.0, "n_atoms": 32}, {"p": 2, "q": 0}, (-1.0, 1.0)),
+    ("halfplane_bessel", {"mass": 1.0}, {"p": 1, "q": 1, "domain": "halfplane"},
+     (0.2, 2.2)),
+], ids=["cdual_euclidean", "cdual_halfplane"])
+def test_moved_section_matrix_differentiates_to_each_generator(kernel, params,
+                                                               action_params,
+                                                               x_range):
+    # P(t) = compress(K(sigma_t m, m)) moves the first slot, as the form does,
+    # so (P(t) - P(-t)) / 2t tends to T_x at order 2 for h and q elements
+    # alike; moving the second slot instead gave -T_x on q elements
+    K = kk.builtin_kernel(kernel, params)
+    action = op.builtin_action("euclidean", action_params)
+    pts = grid2d(9, x_range)
+    model = kk.gram(K, pts, rank_cutoff=1e-10)
+    table = rp.synthesize_cdual_rep(K, action, model)
+    times = [0.1, 0.05, 0.025, 0.0125]
+    for x, label in enumerate(action.algebra.labels):
+        T = table.entry(x).compressed
+
+        def P(t):
+            return model.compress(K.matrix(action.sigma[x](t, pts), pts))
+
+        errors = [np.linalg.norm((P(t) - P(-t)) / (2 * t) - T) / np.linalg.norm(T)
+                  for t in times]
+        order = np.polyfit(np.log(times), np.log(errors), 1)[0]
+        assert order >= 1.8, (label, errors)
+
+
 def test_pipeline_power_rank_one():
     elems = [np.array([[s]]) for s in np.linspace(0.2, 0.9, 6)]
     action = op.builtin_action("matrix_right_multiplication", {"n": 1})
