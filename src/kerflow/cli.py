@@ -11,6 +11,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .algebra import ALGEBRA_CATALOG
 from .config import KINDS, parse_config
 from .errors import ConfigError
@@ -28,15 +30,19 @@ EXIT_NUMERIC_ERROR = 3
 def _cmd_run(args) -> int:
     stem = os.path.splitext(os.path.basename(args.config))[0]
     try:
-        cfg = parse_config(args.config)
-        report = run_experiment(cfg, csv_dir=args.csv_dir, csv_stem=stem)
+        # an error, not numpy's floating-point warnings, reports what went
+        # wrong: the guards raise on the non-finite values that matter
+        with np.errstate(all="ignore"):
+            cfg = parse_config(args.config)
+            report = run_experiment(cfg, csv_dir=args.csv_dir, csv_stem=stem)
+        text = report.to_json(stable_output=args.stable_output)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except Exception as exc:    # exit 1 stays reserved for a failed check
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
-    print(report.to_json(stable_output=args.stable_output))
+    print(text)
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
 
 

@@ -67,6 +67,7 @@ class Rule:
     types: object
     required: bool = False
     above: Optional[float] = None       # value must be greater than this
+    below: Optional[float] = None       # value must be less than this
     at_least: Optional[int] = None      # value or list length must reach this
     at_most: Optional[int] = None       # value or list length must not exceed this
     each: Optional["Rule"] = None       # rule for every entry of a list value
@@ -94,6 +95,8 @@ MAX_GRID_CELLS = 2048       # cells of a test-function grid, all axes together
 # rules shared with the builtin param tables beside the builders
 NUMBER = Rule((int, float))
 POSITIVE = Rule((int, float), above=0)
+# a share of the largest Gram eigenvalue, below which an eigenvalue is dropped
+_RANK_CUTOFF = Rule((int, float), above=0, below=1)
 _PAIR = Rule(list, at_least=2, at_most=2, each=NUMBER)
 POINT = Rule(list, at_least=1, each=NUMBER)
 
@@ -163,12 +166,12 @@ SCHEMAS = {
     "froelich": {
         "kernel": _FIELD, "field": _FIELD, "samples": _SAMPLES,
         "start_point": POINT, "time": (int, float),
-        "step": Rule((int, float), above=0), "rank_cutoff": (int, float),
+        "step": Rule((int, float), above=0), "rank_cutoff": _RANK_CUTOFF,
     },
     "cdual_rep": {
         "kernel": _FIELD, "action": _FIELD, "algebra": _ALGEBRA, "samples": _SAMPLES,
         "unitary_times": Rule(list, at_least=1, each=NUMBER),
-        "rank_cutoff": (int, float),
+        "rank_cutoff": _RANK_CUTOFF,
         "conjugation": Rule(dict, spec={"x": Rule(str, required=True),
                                         "y": Rule(str, required=True),
                                         "s": Rule((int, float), required=True)}),
@@ -182,7 +185,7 @@ SCHEMAS = {
                                 Rule(int, at_least=1, at_most=MAX_MATRIX_SIZE)),
         "spectral_range": _read_by("determinant", "spectral_range", _PAIR),
         "n_samples": Rule(int, at_least=1, at_most=MAX_SEMIGROUP_SAMPLES),
-        "rank_cutoff": (int, float),
+        "rank_cutoff": _RANK_CUTOFF,
     },
     "os_reconstruct": {
         "grid": _GRID, "kernel": _FIELD,
@@ -195,7 +198,7 @@ SCHEMAS = {
         "times_cells": Rule(list, required=True, at_least=1, each=_CELLS),
         "law_pairs_cells": Rule(list, each=Rule(list, at_least=2, at_most=2,
                                                 each=_CELLS)),
-        "rank_cutoff": (int, float),
+        "rank_cutoff": _RANK_CUTOFF,
     },
     "rp_axioms": {
         "grid": _GRID, "kernel": Rule(dict, spec=_FIELD_SPEC),
@@ -263,6 +266,8 @@ def _check_bounds(val, rule: Rule, path: str):
     # written as ``not`` so that a NaN fails
     if rule.above is not None and not size > rule.above:
         raise ConfigError(path, f"must be > {rule.above}")
+    if rule.below is not None and not size < rule.below:
+        raise ConfigError(path, f"must be < {rule.below}")
     if rule.at_least is not None and not size >= rule.at_least:
         what = "length" if isinstance(val, list) else "value"
         raise ConfigError(path, f"{what} must be >= {rule.at_least}")

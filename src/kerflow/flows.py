@@ -28,6 +28,8 @@ DEFAULT_FD_STEP = 1e-5
 EXIT_LEFT_CHART = "left chart"
 EXIT_STEP_FAILURE = "step failure"
 
+_FLOAT = np.dtype(float)
+
 
 def _label(fn) -> str:
     return getattr(fn, "__qualname__", repr(fn))
@@ -114,14 +116,22 @@ class VectorField:
 
     def rows(self, points: np.ndarray) -> np.ndarray:
         """Values at each row of ``points`` (n, d), as (n, d)."""
-        values = self(points)
+        values = self.block(np.asarray(points, dtype=float))
         if values.shape != points.shape:
-            # a map of one point would run on the wrong entries
-            if values.shape != points.shape[1:]:
-                raise ValueError(f"field {self.name or _label(self.func)!r}: value map "
-                                 f"returned shape {values.shape} where {points.shape} "
-                                 f"or {points.shape[1:]} belongs")
             values = np.repeat(values[None], len(points), 0)   # a constant field
+        return values
+
+    def block(self, points: np.ndarray) -> np.ndarray:
+        """Values at each row of the float block ``points`` (n, d): (n, d), or
+        a constant field's one (d,) value, which broadcasts over the rows."""
+        values = self.func(points)
+        if values.__class__ is not np.ndarray or values.dtype is not _FLOAT:
+            values = np.asarray(values, dtype=float)
+        if values.shape != points.shape and values.shape != points.shape[1:]:
+            # a map of one point would run on the wrong entries
+            raise ValueError(f"field {self.name or _label(self.func)!r}: value map "
+                             f"returned shape {values.shape} where {points.shape} "
+                             f"or {points.shape[1:]} belongs")
         return values
 
     def jac(self, point) -> np.ndarray:
@@ -172,7 +182,8 @@ class IntegralCurve:
 
 
 class BatchFlow(NamedTuple):
-    """Per row: last accepted point, signed time reached, exit reason, finished."""
+    """Per row: last accepted point, signed time reached, exit reason,
+    finished; with a leg axis after the row axis for a batch of legs."""
 
     endpoints: np.ndarray
     reached_times: np.ndarray
@@ -192,21 +203,25 @@ def _stop(live: np.ndarray, ok: np.ndarray, reason: str, stops: dict):
     live &= ok
 
 
-def _stage(field: VectorField, q: np.ndarray, live: np.ndarray, stops: dict):
+def _stage(field: VectorField, q: np.ndarray, live: np.ndarray, stops: dict,
+           charted: bool = True):
     """Field values at the block's stage points ``q``.  One test over the
     block passes when every stage point is in the chart and the summed
     squared norms are within bound; only when it trips is each live row
     checked, and stopped if its stage point left the chart or its value is
-    non-finite or beyond BLOWUP_NORM."""
-    if field.chart.contains_all(q):
-        v = field.rows(q)
-        if np.vdot(v, v) <= _BLOCK_BOUND:
+    non-finite or beyond BLOWUP_NORM.  ``charted`` False skips the chart
+    test, for stage points known to be inside."""
+    if not charted or field.chart.contains_all(q):
+        v = field.block(q)
+        # a constant field's one value stands for each of the rows
+        if (len(q) if v.ndim == 1 else 1) * np.vdot(v, v) <= _BLOCK_BOUND:
             return v
         inside = np.ones(len(q), dtype=bool)
     else:
         inside = field.chart.contains_rows(q)
-        v = field.rows(q)
-    ok = inside & (np.einsum("ij,ij->i", v, v) <= BLOWUP_NORM ** 2)
+        v = field.block(q)
+    rows = np.broadcast_to(v, q.shape)
+    ok = inside & (np.einsum("ij,ij->i", rows, rows) <= BLOWUP_NORM ** 2)
     if not ok.all():
         _stop(live, inside, EXIT_LEFT_CHART, stops)
         _stop(live, ok, EXIT_STEP_FAILURE, stops)
@@ -215,34 +230,50 @@ def _stage(field: VectorField, q: np.ndarray, live: np.ndarray, stops: dict):
 
 def _advance(field: VectorField, p: np.ndarray, t_end: np.ndarray, step: float,
              path: Optional[list] = None):
-    """The RK4 loop: advance each row of ``p`` (n, d) to its own signed time.
-    A step advances the block of rows still running; a row that finishes or
-    stops is written back once, with its last accepted point, and leaves the
-    block.  Rows never mix, so whatever a row that stopped during a step
-    computes after that is unused.  ``path``, when given, receives the
-    signed times and points of every row after each step, for as long as
-    every row is in the block: the steps that every row accepted."""
+    """The RK4 loop: advance each row of ``p`` (n, d) to its own signed time
+    in ``t_end`` (n,), or through its row of legs in ``t_end`` (n, k).  A
+    step advances the block of rows still running; a row that finishes a
+    leg goes on with its next leg that takes a step, its clock at 0; a row
+    that finishes its last leg or stops is written back once, with its last
+    accepted point, and leaves the block.  Rows never mix, so whatever a row
+    that stopped during a step computes after that is unused.  ``path``,
+    when given, receives the signed times and points of every row after
+    each step, for as long as every row is in the block: the steps that
+    every row accepted."""
     if step <= 0.0:
         raise ValueError("step must be positive")
-    n = len(p)
+    one = t_end.ndim == 1
+    t_end = t_end[:, None] if one else t_end
+    (n, k), d = t_end.shape, p.shape[1]
     sign, total = np.where(t_end >= 0.0, 1.0, -1.0), np.abs(t_end)
     # tiny guard keeps ``total/step`` from emitting a spurious final microstep
     slack = 1e-15 * np.maximum(1.0, total)
-    p, t, reasons = p.copy(), np.zeros(n), [None] * n
-    ids = (total > slack).nonzero()[0]
-    # the block: row numbers, then per row the point, time reached, sign,
-    # total, slack and time left
-    x, tx, s, end, tiny = p[ids], t[ids], sign[ids], total[ids], slack[ids]
-    left, live, full = end, np.ones(len(ids), dtype=bool), len(ids) == n
+    # per row and leg: the first leg from there on that takes a step (k: none)
+    legs = np.where(total > slack, np.arange(k), k)
+    first = np.minimum.accumulate(legs[:, ::-1], axis=1)[:, ::-1]
+    first = np.hstack([first, np.full((n, 1), k)])
+    # per row and leg, filled as legs end: point, time reached, exit reason
+    ends, t = np.empty((n, k, d)), np.zeros((n, k))
+    reasons, ran = np.full((n, k), None, dtype=object), np.zeros((n, k), dtype=bool)
+    ids = (first[:, 0] < k).nonzero()[0]
+    # the block: row numbers and legs, then per row the point, time reached,
+    # sign, total, slack and time left of its leg
+    j = first[ids, 0]
+    x, tx, s, end, tiny = p[ids], np.zeros(len(ids)), sign[ids, j], total[ids, j], slack[ids, j]
+    left, live, full, a = end, np.ones(len(ids), dtype=bool), len(ids) == n, None
     while len(ids):
-        a = np.minimum(step, left)          # |h|
-        h = (s * a)[:, None]
+        # |h| moves only when the block does or a row takes a shorter last step
+        if a is None or left.min() < step:
+            a = np.minimum(step, left)
+            h = (s * a)[:, None]
+            half, sixth = 0.5 * h, h / 6.0
         stops = {}
-        k1 = _stage(field, x, live, stops)
-        k2 = _stage(field, x + 0.5 * h * k1, live, stops)
-        k3 = _stage(field, x + 0.5 * h * k2, live, stops)
+        # every row of x passed the start check or its last step's chart test
+        k1 = _stage(field, x, live, stops, charted=False)
+        k2 = _stage(field, x + half * k1, live, stops)
+        k3 = _stage(field, x + half * k2, live, stops)
         k4 = _stage(field, x + h * k3, live, stops)
-        x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x_new = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not field.chart.contains_all(x_new):
             _stop(live, field.chart.contains_rows(x_new), EXIT_LEFT_CHART, stops)
         t_new = tx + a
@@ -252,17 +283,35 @@ def _advance(field: VectorField, p: np.ndarray, t_end: np.ndarray, step: float,
         running = left > tiny
         if stops or not running.all():
             for i, reason in stops.items():
-                reasons[ids[i]] = reason
-            keep = live & running
-            gone = ~keep
-            p[ids[gone]] = np.where(live[:, None], x_new, x)[gone]
-            t[ids[gone]] = np.where(live, t_new, tx)[gone]
-            ids, x_new, t_new, s, end, tiny, left = (
-                arr[keep] for arr in (ids, x_new, t_new, s, end, tiny, left))
-            live, full = np.ones(len(ids), dtype=bool), False
+                reasons[ids[i], j[i]] = reason
+            gone = ~(live & running)
+            ran[ids[gone], j[gone]] = True
+            ends[ids[gone], j[gone]] = np.where(live[:, None], x_new, x)[gone]
+            t[ids[gone], j[gone]] = np.where(live, t_new, tx)[gone]
+            done = live & ~running
+            j = np.where(done, first[ids, j + 1], j)
+            keep = live & (j < k)
+            ids, j, x_new, t_new, s, end, tiny, left, done = (
+                arr[keep] for arr in (ids, j, x_new, t_new, s, end, tiny, left, done))
+            if done.any():
+                # the next leg starts from the point reached, as a fresh batch would
+                r, jd = ids[done], j[done]
+                t_new[done], s[done], end[done], tiny[done] = (
+                    0.0, sign[r, jd], total[r, jd], slack[r, jd])
+                left[done] = end[done]
+            live, full, a = np.ones(len(ids), dtype=bool), False, None
         x, tx = x_new, t_new
-    return BatchFlow(p, sign * t, tuple(reasons),
-                     np.array([r is None for r in reasons], dtype=bool))
+    # a leg that took no step ends where the row's previous leg did, with
+    # its outcome: a zero leg completes, a leg after a stop does not
+    for leg in range(k):
+        idle = ~ran[:, leg]
+        ends[idle, leg] = (p if leg == 0 else ends[:, leg - 1])[idle]
+        if leg:
+            reasons[idle, leg] = reasons[idle, leg - 1]
+    reached, completed = sign * t, np.equal(reasons, None)
+    if one:
+        return BatchFlow(ends[:, 0], reached[:, 0], tuple(reasons[:, 0]), completed[:, 0])
+    return BatchFlow(ends, reached, tuple(map(tuple, reasons)), completed)
 
 
 def integrate_curve(field: VectorField, start, t_end: float,
@@ -284,18 +333,26 @@ def integrate_batch(field: VectorField, starts, t_ends,
                     path: Optional[list] = None) -> BatchFlow:
     """Integrate each row of ``starts`` (n, d) to its own time in ``t_ends``,
     all rows together, each with the semantics and the endpoint of
-    ``integrate_curve``.  ``path``, when given, receives the (times, points)
-    of all rows at time 0 and after each step that every row accepted, so
-    it ends where the first row stops or finishes; else no trajectory is
-    kept."""
+    ``integrate_curve``.  With ``t_ends`` of shape (n, k), row i runs k legs
+    back to back, each from the point where its previous leg ended, exactly
+    as a fresh batch from that point would; the flow then carries each
+    leg's endpoint, time, exit reason and completion.  A leg of length 0
+    leaves the point where it is, and a row that stops ends its later legs
+    there, with the same exit reason.  ``path``, for one leg only, receives
+    the (times, points) of all rows at time 0 and after each step that
+    every row accepted, so it ends where the first row stops or finishes;
+    else no trajectory is kept."""
     p = np.array(starts, dtype=float)
     if p.ndim != 2 or p.shape[1] != field.chart.dimension:
         raise ValueError(f"starts must have shape (n, {field.chart.dimension})")
     inside = field.chart.contains_rows(p)
     if not inside.all():
         raise FlowDomainError(f"start point {p[~inside][0]} is outside the chart")
-    t_ends = np.broadcast_to(np.asarray(t_ends, dtype=float), (len(p),))
+    t_ends = np.asarray(t_ends, dtype=float)
+    t_ends = np.broadcast_to(t_ends, (len(p),) + t_ends.shape[1:])
     if path is not None:
+        if t_ends.ndim != 1:
+            raise ValueError("a path follows one leg; t_ends must have shape (n,)")
         path.append((np.zeros(len(p)), p))
     return _advance(field, p, t_ends, step, path)
 

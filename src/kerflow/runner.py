@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
 import os
 import time
@@ -67,7 +68,29 @@ class ExperimentReport:
         return out
 
     def to_json(self, stable_output: bool = False) -> str:
-        return json.dumps(self.to_dict(stable_output), indent=2, sort_keys=True)
+        out = self.to_dict(stable_output)
+        try:
+            return json.dumps(out, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:      # the one value json refuses: NaN or an infinity
+            raise ValueError(f"report value {_non_finite(out)} is not finite; "
+                             "JSON has no NaN or Infinity") from None
+
+
+def _non_finite(node, path: str = "$") -> Optional[str]:
+    """The JSON path of the first non-finite number in ``node``, or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else path
+    if isinstance(node, dict):
+        children = ((f"{path}.{key}", child) for key, child in node.items())
+    elif isinstance(node, (list, tuple)):
+        children = ((f"{path}[{i}]", child) for i, child in enumerate(node))
+    else:
+        return None
+    for at, child in children:
+        found = _non_finite(child, at)
+        if found is not None:
+            return found
+    return None
 
 
 # the time key of each kind's integral curves, with the value read when a
@@ -240,37 +263,32 @@ def _run_flow_laws(cfg: ExperimentConfig) -> tuple:
         pts = rng.uniform(-1.0, 1.0, size=(n_points, d))
         ts = rng.uniform(-t_range, t_range, size=n_times)
         ss = rng.uniform(-t_range, t_range, size=n_times)
-        # one row per (point, time pair): mid = Phi_s p, ab = Phi_t mid,
-        # direct = Phi_{s+t} p, back = Phi_{-t} ab
+        # one row per (point, time pair), all rows as one batch of legs:
+        # mid = Phi_s p, ab = Phi_t mid and back = Phi_{-t} ab chained, then
+        # direct = Phi_{s+t} p and, for an affine field, Phi_t p against the
+        # exponential
         p = np.repeat(pts, n_times, axis=0)
         s, t = np.tile(ss, n_points), np.tile(ts, n_points)
-        n = len(p)
+        n, zero = len(p), np.zeros(len(p))
         H = _homogeneous_generator(fspec)
-        # phase 1: every curve that starts at a sample point, mid and direct
-        # plus, for an affine field, Phi_t p against the exponential
-        starts, times = [p, p], [s, s + t]
+        legs = [np.stack([s, t, -t], 1), np.stack([s + t, zero, zero], 1)]
         if H is not None:
-            starts.append(p)
-            times.append(t)
-        first = fl.integrate_batch(field, np.concatenate(starts),
-                                   np.concatenate(times), step)
-        mid_ok, direct_ok = first.completed[:n], first.completed[n:2 * n]
-        mid, direct = first.endpoints[:n][mid_ok], first.endpoints[n:2 * n][mid_ok]
-        # phase 2: continue each completed mid curve
-        ab = fl.integrate_batch(field, mid, t[mid_ok], step)
-        pair = ab.completed & direct_ok[mid_ok]
-        flow_gaps.append(ab.endpoints[pair] - direct[pair])
-        # phase 3: flow each compared ab endpoint back
-        back = fl.integrate_batch(field, ab.endpoints[pair], -t[mid_ok][pair], step)
-        inverse_gaps.append(back.endpoints[back.completed]
-                            - mid[pair][back.completed])
+            legs.append(np.stack([t, zero, zero], 1))
+        flow = fl.integrate_batch(field, np.tile(p, (len(legs), 1)),
+                                  np.concatenate(legs), step)
+        ends, done = flow.endpoints, flow.completed
+        # a row that stops ends its later legs, so ab completed implies mid did
+        pair = done[:n, 1] & done[n:2 * n, 0]
+        flow_gaps.append(ends[:n, 1][pair] - ends[n:2 * n, 0][pair])
+        back = pair & done[:n, 2]
+        inverse_gaps.append(ends[:n, 2][back] - ends[:n, 0][back])
         # affine fields admit an exact exponential through homogeneous coordinates
         if H is not None:
             E = {tj: expm(tj * H) for tj in ts}
             exact = np.array([E[tj][:-1, :-1] @ pj + E[tj][:-1, -1]
                               for pj, tj in zip(p, t)])
-            done = first.completed[2 * n:]
-            expm_gaps.append(first.endpoints[2 * n:][done] - exact[done])
+            ok = done[2 * n:, 0]
+            expm_gaps.append(ends[2 * n:, 0][ok] - exact[ok])
     # one block per field (per affine field for the exponential): a check
     # with blocks but no compared gap fails
     gaps = {"flow_law_max_defect": flow_gaps, "inverse_law_max_defect": inverse_gaps,

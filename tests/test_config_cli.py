@@ -5,6 +5,7 @@ import io
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -428,6 +429,7 @@ _UNREACHED = {
     "kernels.Kernel.grad1": _TRACER,
     "kernels.entrywise_kernel": "the entry point of a user's scalar kernel",
     "runner._write_csv": "reached through --csv-dir",
+    "runner._non_finite": "reached when a report carries NaN or Infinity",
     "flows._shear_axis": "runs at import, building FIELD_PARAMS",
     "config._read_by": "runs at import, building SCHEMAS",
     "algebra.algebra_bracket": _CATALOG,
@@ -886,6 +888,18 @@ def _zero_size(key):
                  "$.translations", id="rp-axioms-without-translations"),
     pytest.param("rp_axioms", lambda d: d.update(translations=[], parallel_translations=[]),
                  "$.translations", id="rp-axioms-with-empty-translations"),
+    # a rank cutoff is a share of the largest Gram eigenvalue: at 0 or below
+    # whitening divides by near-zero or negative eigenvalues
+    pytest.param("cdual_euclidean", lambda d: d.update(rank_cutoff=0),
+                 "$.rank_cutoff", id="rank-cutoff-zero"),
+    pytest.param("froelich_laplace", lambda d: d.update(rank_cutoff=-1e-3),
+                 "$.rank_cutoff", id="rank-cutoff-negative"),
+    pytest.param("luscher_mack_det", lambda d: d.update(rank_cutoff=1),
+                 "$.rank_cutoff", id="rank-cutoff-one"),
+    pytest.param("os_reconstruct_ou", lambda d: d.update(rank_cutoff=float("nan")),
+                 "$.rank_cutoff", id="rank-cutoff-nan"),
+    pytest.param("cdual_abelian", lambda d: d.update(rank_cutoff=float("inf")),
+                 "$.rank_cutoff", id="rank-cutoff-infinite"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
     data = _shipped(stem)
@@ -969,11 +983,14 @@ def test_overflowing_kernel_exits_3_naming_it(tmp_path, capsys, stem, kernel):
     data = _shipped(stem)
     data["samples"]["halfwidth"] = 1000
     path = _write(tmp_path, data)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the error line alone: numpy's overflow warnings stay off stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert cli.main(["run", path]) == cli.EXIT_NUMERIC_ERROR
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert captured.out == "" and caught == []
     assert captured.err.startswith(f"error: KernelDomainError: kernel {kernel!r}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_unexpected_error_exits_3_in_one_line(tmp_path, capsys, monkeypatch):
@@ -987,6 +1004,40 @@ def test_unexpected_error_exits_3_in_one_line(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: ValueError: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_report_value_exits_3_naming_its_path(tmp_path, capsys, monkeypatch,
+                                                          value):
+    # JSON has no NaN or Infinity, so no report may carry one
+    monkeypatch.setattr(runner, "_fit_order", lambda hs, errs: value)
+    path = _write(tmp_path, _shipped("bracket_order"))
+    assert cli.main(["run", path]) == cli.EXIT_NUMERIC_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: ValueError: report value $.checks[0].value is not "
+                            "finite; JSON has no NaN or Infinity\n")
+    report = runner.ExperimentReport("k", {"x": [1.0, {"y": value}]}, [], {}, {})
+    with pytest.raises(ValueError, match=r"\$\.config\.x\[1\]\.y is not finite"):
+        report.to_json()
+
+
+def test_flow_laws_runs_one_batch_per_field(monkeypatch):
+    # each field's curves, chained legs included, run as one batch
+    from kerflow import flows
+
+    shapes = []
+
+    def counted(field, starts, t_ends, *args, **kwargs):
+        shapes.append(np.shape(t_ends))
+        return integrate(field, starts, t_ends, *args, **kwargs)
+
+    integrate = flows.integrate_batch
+    monkeypatch.setattr(flows, "integrate_batch", counted)
+    cfg = parse_config(os.path.join(CONFIG_DIR, "flow_laws.json"))
+    assert run_experiment(cfg).passed
+    assert len(shapes) == len(cfg.body["fields"])
+    assert all(len(shape) == 2 and shape[1] == 3 for shape in shapes)
 
 
 _SHIPPED_STEMS = sorted(os.path.splitext(f)[0] for f in os.listdir(CONFIG_DIR)

@@ -478,22 +478,104 @@ _ORACLE_CASES = {
 }
 
 
-@settings(max_examples=60, deadline=None)
+def _ref_legs(field, p, t_ends, step):
+    """Legs as one-leg reference runs chained, each from the endpoints of the
+    one before; a row that stopped keeps its point and exit reason in its
+    later legs, at time 0 of their sign."""
+    legs = []
+    for leg in t_ends.T:
+        flow = _ref_advance(field, p.copy(), leg, step)
+        if legs:
+            ended = ~legs[-1].completed
+            flow = fl.BatchFlow(
+                np.where(ended[:, None], p, flow.endpoints),
+                np.where(ended, np.where(leg >= 0.0, 0.0, -0.0), flow.reached_times),
+                tuple(b if e else r for e, b, r in zip(ended, legs[-1].exit_reasons,
+                                                       flow.exit_reasons)),
+                flow.completed & ~ended)
+        legs.append(flow)
+        p = flow.endpoints
+    return fl.BatchFlow(np.stack([f.endpoints for f in legs], 1),
+                        np.stack([f.reached_times for f in legs], 1),
+                        tuple(zip(*(f.exit_reasons for f in legs))),
+                        np.stack([f.completed for f in legs], 1))
+
+
+@settings(max_examples=80, deadline=None)
 @given(data=st.data(), case=st.sampled_from(sorted(_ORACLE_CASES)),
-       step=st.sampled_from([1e-2, 0.07, 0.3]), record=st.booleans())
-def test_rk4_loop_matches_the_reference_loop(data, case, step, record):
+       step=st.sampled_from([1e-2, 0.07, 0.3]), legs=st.integers(0, 3),
+       record=st.booleans())
+def test_rk4_loop_matches_the_reference_loop(data, case, step, legs, record):
+    # legs 0 is a one-leg batch, times (n,), whose path may be recorded;
+    # else each row runs that many legs, times (n, legs), chained
     field, (lo, hi) = _ORACLE_CASES[case]
     d = field.chart.dimension
     n = data.draw(st.integers(1, 6))
     starts = np.array(data.draw(st.lists(st.lists(st.floats(lo, hi), min_size=d, max_size=d),
                                          min_size=n, max_size=n)))
     times = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 2.5 * step, -step])
-    t_ends = np.array(data.draw(st.lists(times, min_size=n, max_size=n)))
+    t_ends = np.array(data.draw(st.lists(st.lists(times, min_size=max(legs, 1),
+                                                  max_size=max(legs, 1)),
+                                         min_size=n, max_size=n)))
+    record = record and not legs
     got_path, want_path = ([], []) if record else (None, None)
     with np.errstate(all="ignore"):
-        got = fl._advance(field, starts.copy(), t_ends, step, got_path)
-        want = _ref_advance(field, starts.copy(), t_ends, step, want_path)
+        if legs:
+            got = fl._advance(field, starts.copy(), t_ends, step)
+            want = _ref_legs(field, starts.copy(), t_ends, step)
+        else:
+            got = fl._advance(field, starts.copy(), t_ends[:, 0], step, got_path)
+            want = _ref_advance(field, starts.copy(), t_ends[:, 0], step, want_path)
     _assert_same_flow(got, want, got_path or [], want_path or [])
+
+
+def test_legs_after_a_stop_or_of_length_zero():
+    # quadratic1d leaves (-inf, 1) from 0.5 at t = 1: the first row stops in
+    # its second leg and ends the third there; the second row's zero legs,
+    # the first one included, leave it where it is
+    field = _quad
+    starts = np.array([[0.5], [-0.5]])
+    t_ends = np.array([[0.5, 2.0, -0.5], [0.0, -0.25, -0.0]])
+    flow = fl.integrate_batch(field, starts, t_ends, 1e-2)
+    want = _ref_legs(field, starts, t_ends, 1e-2)
+    _assert_same_flow(flow, want, [], [])
+    assert flow.exit_reasons == ((None, fl.EXIT_LEFT_CHART, fl.EXIT_LEFT_CHART),
+                                 (None, None, None))
+    assert flow.completed.tolist() == [[True, False, False], [True, True, True]]
+    assert _same(flow.endpoints[0, 2], flow.endpoints[0, 1])
+    assert _same(flow.endpoints[1, 0], starts[1]) and _same(flow.endpoints[1, 2],
+                                                            flow.endpoints[1, 1])
+    # each leg is a fresh batch from where the last one ended
+    second = fl.integrate_batch(field, flow.endpoints[:, 0], t_ends[:, 1], 1e-2)
+    assert _same(second.endpoints, flow.endpoints[:, 1])
+    with pytest.raises(ValueError, match="path follows one leg"):
+        fl.integrate_batch(field, starts, t_ends, 1e-2, [])
+    # each leg's slack absorbs the rounding of its summed steps: nine steps
+    # of 0.1 reach 0.8999999999999999, and no microstep follows
+    field, starts = fl.rotation_field(), np.array([[0.5, 0.0], [0.0, -0.5]])
+    t_ends = np.array([[0.9, 0.9], [-0.9, 0.9]])
+    flow = fl.integrate_batch(field, starts, t_ends, 0.1)
+    _assert_same_flow(flow, _ref_legs(field, starts, t_ends, 0.1), [], [])
+    assert flow.reached_times[0].tolist() == [0.8999999999999999] * 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.integers(1, 5))
+def test_affine_map_of_a_block_is_the_map_of_its_rows(data, d):
+    # the RK4 loop and its legs evaluate a row inside blocks that change as
+    # rows finish or stop: a row's value must not depend on the rows beside it
+    entries = st.floats(-10.0, 10.0)
+    matrix = data.draw(st.lists(st.lists(entries, min_size=d, max_size=d),
+                                min_size=d, max_size=d))
+    field = fl.affine_field(matrix, data.draw(st.lists(entries, min_size=d, max_size=d)))
+    n = data.draw(st.integers(1, 40))
+    block = np.array(data.draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=d,
+                                                 max_size=d), min_size=n, max_size=n)))
+    values = field.block(block)
+    rows = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    assert _same(field.block(block[rows]), values[rows])
+    for point, value in zip(block, values):
+        assert _same(field.block(point[None])[0], value) and _same(field(point), value)
 
 
 def test_reference_oracle_cases_reach_every_exit():
