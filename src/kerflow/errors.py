@@ -18,7 +18,7 @@ class FlowDomainError(KerflowError):
 
 
 class KernelDomainError(KerflowError):
-    """Kernel or derivative queried outside its domain (kink, non-contractive arg)."""
+    """Kernel, derivative or Gram value outside its domain, or not finite."""
 
 
 class NotHermitianError(KerflowError):

@@ -128,6 +128,11 @@ class GramModel:
             return 0.0
         return float(abs(self.eigenvalues[self.rank]) / self.eigenvalues[0])
 
+    @property
+    def min_ratio(self) -> float:
+        """Smallest eigenvalue over the largest (negative if not PSD)."""
+        return float(self.eigenvalues[-1]) / float(self.eigenvalues[0])
+
     def compress(self, M) -> np.ndarray:
         """W M W^* of an N x N matrix M on the sample: the one compression of
         forms, kernel blocks at moved points and transfer matrices alike."""
@@ -152,12 +157,14 @@ def _eig_and_whiten(G: np.ndarray, rank_cutoff: float):
 def gram_from_matrix(G, rank_cutoff: float = DEFAULT_RANK_CUTOFF,
                      points=None, kernel: Optional[Kernel] = None,
                      duplicate_points: bool = False) -> GramModel:
-    """Build a model from an explicit Gram matrix (hermitized and checked).
+    """Build a model from an explicit Gram matrix (checked, then hermitized).
 
     A real matrix stays float64, with a real whitening; only a complex one is
     handled in complex arithmetic."""
     G = np.asarray(G)
     G = G.astype(complex if np.iscomplexobj(G) else float, copy=False)
+    if not np.all(np.isfinite(G)):     # NaN > tol is False in the guard below
+        raise KernelDomainError("Gram matrix has non-finite entries")
     asym = float(np.max(np.abs(G - G.conj().T))) if G.size else 0.0
     scale = max(1.0, float(np.max(np.abs(G)))) if G.size else 1.0
     if asym > HERMITICITY_TOL * scale:
@@ -180,23 +187,6 @@ def gram(kernel: Kernel, points, rank_cutoff: float = DEFAULT_RANK_CUTOFF) -> Gr
     dupes = bool(np.any(np.all(ordered[1:] == ordered[:-1], axis=1)))
     return gram_from_matrix(kernel.matrix(pts, pts), rank_cutoff, points=pts,
                             kernel=kernel, duplicate_points=dupes)
-
-
-@dataclass(frozen=True)
-class PsdReport:
-    min_eigenvalue: float
-    max_eigenvalue: float
-    tolerance: float
-    passed: bool
-    spectrum: np.ndarray
-
-
-def psd_check(model: GramModel, tol: float = 1e-10) -> PsdReport:
-    """Pass iff the smallest eigenvalue is >= -tol * largest."""
-    vals = model.eigenvalues.real
-    lam_max = float(vals[0])
-    lam_min = float(vals[-1])
-    return PsdReport(lam_min, lam_max, tol, lam_min >= -tol * lam_max, vals.copy())
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import SymmetricLieAlgebra, c_dual, exp_ad, expm
 from .errors import CompatibilityError, EmptyModelError, PositivityError
-from .kernels import GramModel, Kernel, gram, psd_check
+from .kernels import GramModel, Kernel, gram
 from .operators import (DEFAULT_SYMMETRY_TOL, SKEW, SYMMETRIC, CompatibleAction,
                         OperatorCompression, compatibility_check,
                         compress_operator, lie_derivative_form,
@@ -187,7 +187,6 @@ def h_group_rep(kernel: Kernel, action: CompatibleAction, model: GramModel,
 @dataclass(frozen=True)
 class SemigroupPipelineReport:
     psd_min_ratio: float
-    compatibility_max_defect: float
     star_defects: dict
     commutation_max_defect: float
     translation_matrices: dict     # element index -> whitened matrix of pi(s)
@@ -224,17 +223,17 @@ def luscher_mack_pipeline(elements: Sequence[np.ndarray],
                           action: CompatibleAction,
                           phi_grad=None,
                           rank_cutoff: float = 1e-12,
-                          psd_tol: float = 1e-10,
                           tol_sym: float = DEFAULT_SYMMETRY_TOL):
     """From a function phi on an open semigroup of matrices to a dual
     representation table.
 
     Builds the kernel K(x, y) = phi(x y^#), with the transpose as ``#``,
-    checks positivity, verifies compatibility with the right-multiplication
-    action, synthesizes the operator table, and checks the adjoint relation
-    of the right-translation matrices P(s^#) = P(s)^dagger.  phi acts on
-    stacks (..., n, n) of matrices; ``phi_grad``, when given, acts on them
-    too and supplies an analytic kernel gradient.
+    measures its positivity on the sample, verifies compatibility with the
+    right-multiplication action, synthesizes the operator table, and
+    measures the adjoint relation of the right-translation matrices
+    P(s^#) = P(s)^dagger.  phi acts on stacks (..., n, n) of matrices;
+    ``phi_grad``, when given, acts on them too and supplies an analytic
+    kernel gradient.
     """
     mats = np.array([np.atleast_2d(np.asarray(e, dtype=float)) for e in elements])
     n = mats.shape[1]
@@ -245,14 +244,9 @@ def luscher_mack_pipeline(elements: Sequence[np.ndarray],
     except EmptyModelError as exc:
         raise PositivityError(
             f"phi is not positive definite on the sample: {exc}") from exc
-    psd = psd_check(model, psd_tol)
-    if not psd.passed:
-        raise PositivityError(
-            f"phi is not positive definite on the sample: min/max eigenvalue "
-            f"ratio {psd.min_eigenvalue / psd.max_eigenvalue:.3e}")
 
-    compat = compatibility_check(kernel, action, points, tol=tol_sym)
-    if not compat.passed:
+    compat = compatibility_check(kernel, action, points)
+    if compat.max_defect > tol_sym:
         raise CompatibilityError(
             f"kernel/action compatibility fails: {compat.defects}")
 
@@ -261,16 +255,8 @@ def luscher_mack_pipeline(elements: Sequence[np.ndarray],
     def translation_matrix(s):
         return model.compress(kernel.matrix((mats @ s).reshape(len(mats), n * n), points))
 
-    star_defects = {}
-    matrices = {}
-    for k, s in enumerate(mats):
-        P = translation_matrix(s)
-        P_sharp = translation_matrix(s.T)
-        matrices[k] = P
-        star_defects[k] = float(np.linalg.norm(P_sharp - P.conj().T))
-
-    comm = commutation_defect(table)
-    ratio = psd.min_eigenvalue / psd.max_eigenvalue
-    report = SemigroupPipelineReport(ratio, compat.max_defect, star_defects,
-                                     comm.max_defect, matrices)
-    return table, report
+    matrices = {k: translation_matrix(s) for k, s in enumerate(mats)}
+    star_defects = {k: float(np.linalg.norm(translation_matrix(s.T) - P.conj().T))
+                    for (k, P), s in zip(matrices.items(), mats)}
+    return table, SemigroupPipelineReport(model.min_ratio, star_defects,
+                                          commutation_defect(table).max_defect, matrices)

@@ -11,6 +11,7 @@ and never affect the exit code.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import operator
@@ -502,14 +503,25 @@ def _run_os_reconstruct(cfg: ExperimentConfig) -> tuple:
     setup = dist.ReflectionSetup(grid, axis=0)
     fns = [_checked_bump(grid, b, f"$.bumps[{i}]") for i, b in enumerate(body["bumps"])]
     space = dist.os_quotient(sk, setup, fns,
-                             rank_cutoff=float(body.get("rank_cutoff", 1e-10)),
-                             psd_tol=cfg.tol("twisted_psd"))
+                             rank_cutoff=float(body.get("rank_cutoff", 1e-10)))
 
     times = [int(c) for c in body["times_cells"]]
     law_pairs = [(int(s), int(t)) for s, t in body.get("law_pairs_cells", [])]
     # one transfer matrix per distinct cell count, read by every check
     needed = sorted({*times, *(c for s, t in law_pairs for c in (s, t, s + t))})
-    transfer = dict(zip(needed, dist.os_semigroup(space, needed)))
+    try:
+        transfer = dict(zip(needed, dist.os_semigroup(space, needed)))
+    except GridError as exc:
+        # blamed only once raised, so a passing run translates nothing more
+        uses = [(f"$.times_cells[{i}]", c) for i, c in enumerate(times)] + [
+            (f"$.law_pairs_cells[{i}]", c) for i, (s, t) in enumerate(law_pairs)
+            for c in (s, t, s + t)]
+        for (path, c), f in itertools.product(uses, fns):
+            try:
+                dist.translate(f, (c,) + (0,) * (grid.ndim - 1))
+            except GridError as off:
+                raise ConfigError(path, f"a shift by {c} cells: {off}") from exc
+        raise
 
     eig_err = contraction = sa_defect = 0.0
     curve = []
@@ -518,7 +530,9 @@ def _run_os_reconstruct(cfg: ExperimentConfig) -> tuple:
         sg = transfer[cells]
         S = 0.5 * (sg.matrix + sg.matrix.T)
         eigs = np.sort(np.linalg.eigvalsh(S))[::-1]
+        # one target per mass, and 0 for each eigenvalue of the rank beyond them
         targets = np.sort([np.exp(-m * t) for m in masses])[::-1][: len(eigs)]
+        targets = np.pad(targets, (0, len(eigs) - len(targets)))
         eig_err = max(eig_err, float(np.max(np.abs(eigs - targets))))
         contraction = max(contraction, sg.contraction_defect)
         sa_defect = max(sa_defect, sg.self_adjointness_defect)

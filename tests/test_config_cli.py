@@ -169,6 +169,31 @@ def test_flow_checks_fail_on_their_witness(tmp_path, capsys, stem, change, check
     assert checks[check]["passed"] is False
 
 
+# One shipped config and one change per os_reconstruct check that no
+# shipped config fails: the reflected pairing of an ou_mixture kernel is not
+# reflection positive in the plane, so four generic bumps on a 2-D grid give a
+# twisted Gram with a negative eigenvalue; and five bumps under a cutoff of
+# 1e-17 keep a quotient of rank 3 for 2 masses, whose third eigenvalue is
+# held to a target of 0.
+_PLANE = {"grid": {"origin": [-2.0, -1.0], "spacing": 0.1, "shape": [41, 21]},
+          "bumps": [{"center": c, "width": 0.3} for c in
+                    ([0.64, -0.23], [0.37, -0.48], [0.72, 0.41], [0.62, 0.23])],
+          "expected_rank": 3, "times_cells": [2, 4], "law_pairs_cells": [[2, 2]]}
+_FIVE_BUMPS = {"bumps": [{"center": [c], "width": 0.3} for c in (0.5, 0.8, 1.1, 1.4, 1.7)],
+               "rank_cutoff": 1e-17}
+
+
+@pytest.mark.parametrize("change, check", [
+    (_PLANE, "twisted_psd_min_ratio"),
+    (_FIVE_BUMPS, "quotient_rank"),
+], ids=["plane", "five-bumps"])
+def test_os_reconstruct_checks_fail_on_their_witness(tmp_path, capsys, change, check):
+    code, checks = _run_checks(tmp_path, capsys,
+                               {**_shipped("os_reconstruct_mixture"), **change})
+    assert code == cli.EXIT_CHECK_FAILURE
+    assert checks[check]["passed"] is False
+
+
 def test_cli_list_builtins(capsys):
     assert cli.main(["list-builtins"]) == 0
     out = capsys.readouterr().out
@@ -959,6 +984,11 @@ def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_
                  "$.bumps[2]", id="bump-on-the-margin"),
     pytest.param("os_reconstruct_mixture", lambda d: d["bumps"][2].update(center=[0.5, 0.5]),
                  "$.bumps[2].center", id="bump-center-dimension"),
+    # a transfer time, or a law pair's time or sum, shifts a bump off the grid
+    pytest.param("os_reconstruct_ou", lambda d: d.update(times_cells=[6, 40]),
+                 "$.times_cells[1]", id="transfer-time-off-the-grid"),
+    pytest.param("os_reconstruct_ou", lambda d: d.update(law_pairs_cells=[[30, 20]]),
+                 "$.law_pairs_cells[0]", id="law-pair-sum-off-the-grid"),
 ])
 def test_run_checks_references_exits_2_with_path(tmp_path, capsys, stem, mutate,
                                                   json_path):

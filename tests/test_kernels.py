@@ -47,26 +47,32 @@ def test_non_hermitian_kernel_rejected():
         kk.gram(bad, [[0.0], [1.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gram_from_matrix_rejects_non_finite_entries(bad):
+    # NaN > tol is False, so the hermiticity guard alone lets a NaN through
+    with pytest.raises(KernelDomainError, match="non-finite"):
+        kk.gram_from_matrix([[bad, 0.0], [0.0, 1.0]])
+
+
 def test_psd_fock_random_ball(fock):
     rng = np.random.default_rng(12)
     pts = rng.normal(size=(20, 3))
     pts /= np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1.0)
-    assert kk.psd_check(kk.gram(fock, pts), tol=1e-10).passed
+    assert kk.gram(fock, pts).min_ratio >= -1e-10
 
 
 def test_negative_constant_kernel_fails_psd():
     neg = kk.entrywise_kernel("neg", lambda x, y: -1.0)
     pts = np.linspace(0.0, 1.0, 4)[:, None]
     model = kk.gram_from_matrix(neg.matrix(pts, pts) + np.eye(4) * 1e-9)
-    report = kk.psd_check(model, tol=1e-10)
-    assert not report.passed
-    assert report.min_eigenvalue < -3.0
+    assert model.min_ratio < -1e-10
+    assert model.eigenvalues[-1] < -3.0
 
 
 def test_psd_ou_kernel():
     ou = kk.builtin_kernel("ou")
     pts = np.linspace(-2, 2, 10)[:, None]
-    assert kk.psd_check(kk.gram(ou, pts)).passed
+    assert kk.gram(ou, pts).min_ratio >= -1e-10
 
 
 def test_whiten_identity_gram():
@@ -141,7 +147,7 @@ def test_laplace_cosh_closed_form():
                                       "weights": [0.5, 0.5]})
     assert K([0.3], [0.4]).real == pytest.approx(np.cosh(0.35), abs=1e-14)
     pts = np.linspace(-1, 1, 10)[:, None]
-    assert kk.psd_check(kk.gram(K, pts)).passed
+    assert kk.gram(K, pts).min_ratio >= -1e-10
 
 
 def test_laplace_gaussian_quadrature_converges():
@@ -190,7 +196,7 @@ def test_det_kernel_psd_on_contractions():
         for _ in range(6):
             raw = rng.normal(size=(2, 2))
             pts.append((raw * rng.uniform(0.1, 0.8) / np.linalg.norm(raw, 2)).ravel())
-        assert kk.psd_check(kk.gram(K, pts), tol=1e-10).passed
+        assert kk.gram(K, pts).min_ratio >= -1e-10
 
 
 def test_array_forms_reject_non_finite_values():
@@ -235,7 +241,7 @@ def test_builtin_kernels_hermitian_and_psd(xs):
         model = kk.gram(K, pts)
         asym = np.max(np.abs(model.gram - model.gram.conj().T))
         assert asym <= 1e-12
-        assert kk.psd_check(model, tol=1e-10).passed
+        assert model.min_ratio >= -1e-10
 
 
 def test_reproducing_property_across_builtins():
@@ -287,7 +293,7 @@ def test_gns_hardy_kernel():
     # phi(s) = 1/(1-s) on (-1, 1) gives the geometric kernel 1/(1 - s t)
     table, report = _scalar_semigroup_pipeline(lambda u: 1.0 / (1.0 - u),
                                                np.linspace(-0.85, 0.85, 8))
-    assert kk.psd_check(table.model).passed
+    assert table.model.min_ratio >= -1e-10
     assert report.max_star_defect <= 1e-9
 
 

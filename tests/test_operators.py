@@ -51,8 +51,7 @@ def test_compatibility_cosh_translation(X1d):
     K = kk.builtin_kernel("laplace", {"atoms": [[-1.0], [1.0]],
                                       "weights": [0.5, 0.5]})
     action = op.builtin_action("translation", {"dimension": 1})
-    report = op.compatibility_check(K, action, chebyshev(15), tol=1e-10)
-    assert report.passed
+    report = op.compatibility_check(K, action, chebyshev(15))
     assert report.max_defect <= 1e-12
 
 
@@ -64,7 +63,7 @@ def test_compatibility_rotation_invariant_kernel():
     action = op.CompatibleAction(alg, (fl.rotation_field(),))
     K = kk.builtin_kernel("gaussian_rbf")
     pts = np.random.default_rng(3).normal(size=(8, 2))
-    assert op.compatibility_check(K, action, pts, tol=1e-10).passed
+    assert op.compatibility_check(K, action, pts).max_defect <= 1e-10
 
 
 def test_compatibility_mismatch_fails():
@@ -72,8 +71,8 @@ def test_compatibility_mismatch_fails():
     # translation direction flipped (symmetric) must fail
     K = kk.builtin_kernel("gaussian_rbf")
     action = op.builtin_action("translation", {"dimension": 1})
-    report = op.compatibility_check(K, action, chebyshev(8), tol=1e-8)
-    assert not report.passed
+    report = op.compatibility_check(K, action, chebyshev(8))
+    assert report.max_defect > 1e-8
 
 
 def test_flow_invariance_rotation_rbf():
@@ -94,8 +93,7 @@ def test_flow_invariance_symmetric_pair(X1d):
 def test_flow_invariance_wrong_sign_detects_drift(X1d):
     K = kk.builtin_kernel("gaussian_rbf")
     report = op.flow_invariance_check(K, X1d, op.SYMMETRIC,
-                                      [([0.0], [0.3])], 0.5, 1e-3, tol=1e-8)
-    assert not report.passed
+                                      [([0.0], [0.3])], 0.5, 1e-3)
     assert report.max_drift > 0.05
 
 

@@ -6,7 +6,9 @@ import pytest
 from kerflow import kernels as kk
 from kerflow import operators as op
 from kerflow import representation as rp
+from kerflow.config import CHECKS
 from kerflow.errors import CompatibilityError, PositivityError
+from kerflow.runner import _TESTS
 
 
 def chebyshev(n, half=1.0):
@@ -270,6 +272,18 @@ def test_pipeline_rejects_non_positive_function():
                                  phi_grad=np.zeros_like)
 
 
+def test_pipeline_reports_a_non_positive_phi():
+    # cos(8 st) is no positive definite kernel on [0.2, 0.9]: the pipeline
+    # reports its eigenvalue ratio, and the check table fails it
+    elems = [np.array([[s]]) for s in np.linspace(0.2, 0.9, 6)]
+    action = op.builtin_action("matrix_right_multiplication", {"n": 1})
+    _, report = rp.luscher_mack_pipeline(elems, lambda u: np.cos(8.0 * u[..., 0, 0]),
+                                         action, phi_grad=lambda u: -8.0 * np.sin(8.0 * u))
+    assert report.psd_min_ratio == pytest.approx(-0.954, abs=1e-3)
+    _, tol, test = CHECKS["luscher_mack"]["psd_min_ratio"]
+    assert not _TESTS[test](report.psd_min_ratio, tol)
+
+
 def _contractions(count, n=2, seed=4):
     """``count`` random n x n matrices with operator norms in [0.05, 0.8]."""
     rng = np.random.default_rng(seed)
@@ -400,7 +414,7 @@ def test_a_basis_loop_evaluates_the_kernel_gradient_once(monkeypatch):
     model = kk.gram(kernel, pts, rank_cutoff=1e-10)
     forms = _recording_forms(monkeypatch)
     assert grads == []
-    assert op.compatibility_check(kernel, action, pts).passed
+    assert op.compatibility_check(kernel, action, pts).max_defect <= 1e-8
     assert grads == [(25, 25)]
     assert [f for f, _, _ in forms] == list(action.basis_fields)
     grads.clear()
