@@ -5,7 +5,11 @@ the config's file name.  Golden files without a shipped config are removed.
 It also rewrites ``tests/golden_workloads/``: for each benchmark workload in
 ``WORKLOADS``, the configs that ``perfbench/workloads.py`` generates at seed
 ``WORKLOAD_SEED`` go to ``<workload>/configs/`` and their reports to
-``<workload>/reports/``, under the same file names.
+``<workload>/reports/``, under the same file names.  The workload configs
+run in a child process with ``OPENBLAS_NUM_THREADS=1``, a thread count
+every machine can honour: their 289-point Gram spectra round differently
+under another count.  ``pinned_runs`` is that child run, which the tier-1
+test of the workload reports calls too.
 
 Run: PYTHONPATH=src python scripts/write_golden_reports.py
 
@@ -19,8 +23,10 @@ also rewritten, with a CHANGES.md line, when that toolchain changes.
 import contextlib
 import importlib.util
 import io
+import json
 import os
 import shutil
+import subprocess
 import sys
 
 from kerflow import cli
@@ -32,20 +38,38 @@ WORKLOAD_DIR = os.path.join(ROOT, "tests", "golden_workloads")
 # the benchmark's workloads at their own sizes; shipped_batch is tests/golden
 WORKLOADS = ("gram_ladder", "grid_quotient")
 WORKLOAD_SEED = 4
+# BLAS threads of the workload runs, read by OpenBLAS when numpy loads
+PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1"}
 
 
-def _reports(config_dir: str) -> dict:
-    """File name -> stable report of every config in ``config_dir``; None
-    when some config does not pass."""
-    reports = {}
+def _runs(config_dir: str) -> dict:
+    """File name -> (exit code, stdout) of ``kerflow run --stable-output`` on
+    every config in ``config_dir``, in this process."""
+    runs = {}
     for name in sorted(n for n in os.listdir(config_dir) if n.endswith(".json")):
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = cli.main(["run", os.path.join(config_dir, name), "--stable-output"])
+        runs[name] = (code, out.getvalue())
+    return runs
+
+
+def pinned_runs(config_dir: str) -> dict:
+    """``_runs`` of ``config_dir`` in a child process under ``PINNED_ENV``."""
+    src = os.path.join(ROOT, "src")
+    env = {**os.environ, **PINNED_ENV,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, __file__, "--runs", config_dir], env=env,
+                           capture_output=True, text=True, check=True)
+    return {name: tuple(run) for name, run in json.loads(child.stdout).items()}
+
+
+def _reports(runs: dict) -> dict:
+    """File name -> report of each run; None when some config does not pass."""
+    for name, (code, _) in runs.items():
         if code != cli.EXIT_PASS:
             print(f"{name}: exit {code}; no golden file was written", file=sys.stderr)
             return None
-        reports[name] = out.getvalue()
-    return reports
+    return {name: text for name, (_, text) in runs.items()}
 
 
 def _write(reports: dict, out_dir: str) -> None:
@@ -63,8 +87,12 @@ def _workloads_module():
     return module
 
 
-def main() -> int:
-    reports = _reports(CONFIG_DIR)
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--runs"]:
+        print(json.dumps(_runs(argv[1])))
+        return 0
+    reports = _reports(_runs(CONFIG_DIR))
     if reports is None:
         return 1
     os.makedirs(GOLDEN_DIR, exist_ok=True)
@@ -80,7 +108,7 @@ def main() -> int:
     for workload in WORKLOADS:
         configs = os.path.join(WORKLOAD_DIR, workload, "configs")
         workloads.write_workload(workload, WORKLOAD_SEED, CONFIG_DIR, configs)
-        reports = _reports(configs)
+        reports = _reports(pinned_runs(configs))
         if reports is None:
             return 1
         _write(reports, os.path.join(WORKLOAD_DIR, workload, "reports"))

@@ -115,9 +115,30 @@ _SAMPLES = Rule(dict, required=True, spec={
     "n_per_circle": Rule(int, at_least=1, at_most=MAX_POINTS), "include_origin": bool})
 _ALGEBRA = Rule(dict, spec={"name": str, "params": dict, "structure_constants": list,
                             "involution": list, "labels": list})
+
+
+def _reflection_origin(grid: dict) -> Optional[str]:
+    """Why a grid's origin does not fit its shape, or leaves the first axis,
+    the one both grid kinds reflect along, unsymmetric about 0."""
+    from .distributions import symmetric_axis
+
+    origin, shape = (v if isinstance(v, list) else [v] for v in (grid["origin"], grid["shape"]))
+    if len(origin) != len(shape):
+        return f"needs one coordinate per grid axis ({len(shape)})"
+    if math.prod(shape) > MAX_GRID_CELLS:
+        return None     # the cell bound below reports the shape
+    lo, spacing = float(origin[0]), float(grid["spacing"])
+    if not symmetric_axis(lo, spacing, shape[0]):
+        return (f"the grid must be symmetric about 0 along its first axis, the "
+                f"reflection axis: with spacing {spacing:g} and {shape[0]} points "
+                f"the origin there must be {-0.5 * spacing * (shape[0] - 1):g}")
+    return None
+
+
 _GRID = Rule(dict, required=True, spec={
-    "origin": Rule((list, int, float), required=True),
-    "spacing": Rule((int, float), required=True),
+    "origin": Rule((list, int, float), required=True, each=NUMBER,
+                   agrees=_reflection_origin),
+    "spacing": Rule((int, float), required=True, above=0),
     # the product of the extents is bounded once the types hold
     "shape": Rule((list, int), required=True, at_least=1, each=Rule(int, at_least=1)),
     "margin": Rule(int, at_most=MAX_GRID_CELLS)})

@@ -89,9 +89,13 @@ class TestFunctionGrid:
 
     def is_symmetric(self, axis: int) -> bool:
         """Whether coordinate negation along ``axis`` maps the grid to itself."""
-        lo = self.origin[axis]
-        hi = lo + self.spacing * (self.shape[axis] - 1)
-        return abs(lo + hi) < 1e-12 * max(1.0, abs(hi))
+        return symmetric_axis(self.origin[axis], self.spacing, self.shape[axis])
+
+
+def symmetric_axis(lo: float, spacing: float, n: int) -> bool:
+    """Whether the n coordinates lo + k spacing are symmetric about 0."""
+    hi = lo + spacing * (n - 1)
+    return abs(lo + hi) < 1e-12 * max(1.0, abs(hi))
 
 
 @dataclass(frozen=True, eq=False)

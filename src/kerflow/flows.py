@@ -203,7 +203,40 @@ def _stop(live: np.ndarray, ok: np.ndarray, reason: str, stops: dict):
     live &= ok
 
 
-def _stage(field: VectorField, q: np.ndarray, live: np.ndarray, stops: dict,
+class _Maps(NamedTuple):
+    """The value map and chart tests of a block: each answers for every row
+    from that row's own field and chart."""
+
+    value: Callable[[np.ndarray], np.ndarray]
+    contains_all: Callable[[np.ndarray], bool]
+    contains_rows: Callable[[np.ndarray], np.ndarray]
+
+
+def _block_maps(fields: list, edges: np.ndarray, ids: np.ndarray) -> _Maps:
+    """The maps of a block whose rows, numbered ``ids`` in increasing order,
+    fall in contiguous groups: original rows edges[i]:edges[i + 1] are run
+    by fields[i].  One group's maps are its field's own; the chart tests
+    run once over the block when every group's chart is the same."""
+    bounds = np.searchsorted(ids, edges).tolist()
+    spans = [(f, slice(lo, hi)) for f, lo, hi in zip(fields, bounds, bounds[1:]) if lo < hi]
+    first = spans[0][0]
+    if len(spans) == 1:
+        value = first.block
+    else:
+        def value(q):
+            v = np.empty_like(q)
+            for field, rows in spans:
+                # a constant field's one (d,) value is written into its rows
+                v[rows] = field.block(q[rows])
+            return v
+    if all(field.chart == first.chart for field, _ in spans):
+        return _Maps(value, first.chart.contains_all, first.chart.contains_rows)
+    return _Maps(value,
+                 lambda q: all(f.chart.contains_all(q[rows]) for f, rows in spans),
+                 lambda q: np.concatenate([f.chart.contains_rows(q[rows]) for f, rows in spans]))
+
+
+def _stage(maps: _Maps, q: np.ndarray, live: np.ndarray, stops: dict,
            charted: bool = True):
     """Field values at the block's stage points ``q``.  One test over the
     block passes when every stage point is in the chart and the summed
@@ -211,15 +244,16 @@ def _stage(field: VectorField, q: np.ndarray, live: np.ndarray, stops: dict,
     checked, and stopped if its stage point left the chart or its value is
     non-finite or beyond BLOWUP_NORM.  ``charted`` False skips the chart
     test, for stage points known to be inside."""
-    if not charted or field.chart.contains_all(q):
-        v = field.block(q)
+    value, contains_all, contains_rows = maps
+    if not charted or contains_all(q):
+        v = value(q)
         # a constant field's one value stands for each of the rows
         if (len(q) if v.ndim == 1 else 1) * np.vdot(v, v) <= _BLOCK_BOUND:
             return v
         inside = np.ones(len(q), dtype=bool)
     else:
-        inside = field.chart.contains_rows(q)
-        v = field.block(q)
+        inside = contains_rows(q)
+        v = value(q)
     rows = np.broadcast_to(v, q.shape)
     ok = inside & (np.einsum("ij,ij->i", rows, rows) <= BLOWUP_NORM ** 2)
     if not ok.all():
@@ -228,26 +262,40 @@ def _stage(field: VectorField, q: np.ndarray, live: np.ndarray, stops: dict,
     return v
 
 
-def _advance(field: VectorField, p: np.ndarray, t_end: np.ndarray, step: float,
+# Steps a leg may take for the countdown to run: over at most this many
+# additions of ``step`` the rounding of a row's time t < end stays below
+# 2**26 * 2**-53 * end <= step / 2.
+_COUNTDOWN_STEPS = 2 ** 26
+
+
+def _advance(groups: list, p: np.ndarray, t_end: np.ndarray, step: float,
              path: Optional[list] = None):
     """The RK4 loop: advance each row of ``p`` (n, d) to its own signed time
-    in ``t_end`` (n,), or through its row of legs in ``t_end`` (n, k).  A
-    step advances the block of rows still running; a row that finishes a
-    leg goes on with its next leg that takes a step, its clock at 0; a row
-    that finishes its last leg or stops is written back once, with its last
-    accepted point, and leaves the block.  Rows never mix, so whatever a row
-    that stopped during a step computes after that is unused.  ``path``,
-    when given, receives the signed times and points of every row after
-    each step, for as long as every row is in the block: the steps that
-    every row accepted."""
+    in ``t_end`` (n,), or through its row of legs in ``t_end`` (n, k).
+    ``groups`` is a list of (field, rows): each field runs the next ``rows``
+    rows of ``p``, in order.  A step advances the block of rows still
+    running, each group's slice by its own field, and does the arithmetic
+    and the bookkeeping once for all; a row that finishes a leg goes on with
+    its next leg that takes a step, its clock at 0; a row that finishes its
+    last leg or stops is written back once, with its last accepted point,
+    and leaves the block.  Rows never mix, so whatever a row that stopped
+    during a step computes after that is unused.  ``path``, when given,
+    receives the signed times and points of every row after each step, for
+    as long as every row is in the block: the steps that every row
+    accepted."""
     if step <= 0.0:
         raise ValueError("step must be positive")
     one = t_end.ndim == 1
     t_end = t_end[:, None] if one else t_end
     (n, k), d = t_end.shape, p.shape[1]
+    fields, edges = [f for f, _ in groups], np.cumsum([0] + [rows for _, rows in groups])
     sign, total = np.where(t_end >= 0.0, 1.0, -1.0), np.abs(t_end)
     # tiny guard keeps ``total/step`` from emitting a spurious final microstep
     slack = 1e-15 * np.maximum(1.0, total)
+    # the countdown below holds for legs of at most _COUNTDOWN_STEPS steps,
+    # each step longer than the leg's slack
+    steady = (total.max(initial=0.0) <= _COUNTDOWN_STEPS * step
+              and step > slack.max(initial=0.0))
     # per row and leg: the first leg from there on that takes a step (k: none)
     legs = np.where(total > slack, np.arange(k), k)
     first = np.minimum.accumulate(legs[:, ::-1], axis=1)[:, ::-1]
@@ -260,25 +308,43 @@ def _advance(field: VectorField, p: np.ndarray, t_end: np.ndarray, step: float,
     # sign, total, slack and time left of its leg
     j = first[ids, 0]
     x, tx, s, end, tiny = p[ids], np.zeros(len(ids)), sign[ids, j], total[ids, j], slack[ids, j]
-    left, live, full, a = end, np.ones(len(ids), dtype=bool), len(ids) == n, None
+    left, live, full, a, quiet = end, np.ones(len(ids), dtype=bool), len(ids) == n, None, 0
     while len(ids):
-        # |h| moves only when the block does or a row takes a shorter last step
-        if a is None or left.min() < step:
-            a = np.minimum(step, left)
-            h = (s * a)[:, None]
-            half, sixth = 0.5 * h, h / 6.0
+        if not quiet:
+            # ``left`` is fresh here
+            if a is None:
+                maps = _block_maps(fields, edges, ids)
+            low = left.min()
+            # |h| moves only when the block does or a row takes a shorter last step
+            if a is None or low < step:
+                a = np.minimum(step, left)
+                # (rows, d), as every operand of the arithmetic below
+                h = np.repeat((s * a)[:, None], d, axis=1)
+                half, sixth = 0.5 * h, h / 6.0
+            # a countdown of steps, all but the last of which no row can
+            # finish or take short: each row keeps more than a step left
+            # after int(low / step) - 4 full steps, as the rounding of t
+            # stays below half a step (_COUNTDOWN_STEPS) and that of
+            # low / step below one
+            quiet = max(int(low / step) - 3, 0) if steady else 0
         stops = {}
         # every row of x passed the start check or its last step's chart test
-        k1 = _stage(field, x, live, stops, charted=False)
-        k2 = _stage(field, x + half * k1, live, stops)
-        k3 = _stage(field, x + half * k2, live, stops)
-        k4 = _stage(field, x + h * k3, live, stops)
+        k1 = _stage(maps, x, live, stops, charted=False)
+        k2 = _stage(maps, x + half * k1, live, stops)
+        k3 = _stage(maps, x + half * k2, live, stops)
+        k4 = _stage(maps, x + h * k3, live, stops)
         x_new = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not field.chart.contains_all(x_new):
-            _stop(live, field.chart.contains_rows(x_new), EXIT_LEFT_CHART, stops)
+        if not maps.contains_all(x_new):
+            _stop(live, maps.contains_rows(x_new), EXIT_LEFT_CHART, stops)
         t_new = tx + a
         if path is not None and full and not stops:
             path.append((s * t_new, x_new))
+        if quiet > 1 and not stops:
+            # no row finishes a leg or needs a shorter step yet
+            quiet -= 1
+            x, tx = x_new, t_new
+            continue
+        quiet = 0
         left = end - t_new
         running = left > tiny
         if stops or not running.all():
@@ -341,11 +407,28 @@ def integrate_batch(field: VectorField, starts, t_ends,
     there, with the same exit reason.  ``path``, for one leg only, receives
     the (times, points) of all rows at time 0 and after each step that
     every row accepted, so it ends where the first row stops or finishes;
-    else no trajectory is kept."""
+    else no trajectory is kept.  It is the one-group case of
+    ``integrate_groups``."""
     p = np.array(starts, dtype=float)
-    if p.ndim != 2 or p.shape[1] != field.chart.dimension:
-        raise ValueError(f"starts must have shape (n, {field.chart.dimension})")
-    inside = field.chart.contains_rows(p)
+    return integrate_groups([(field, len(p) if p.ndim else 0)], p, t_ends, step, path)
+
+
+def integrate_groups(groups: list, starts, t_ends, step: float = DEFAULT_STEP,
+                     path: Optional[list] = None) -> BatchFlow:
+    """``integrate_batch`` for rows of several fields in one RK4 loop:
+    ``groups`` is a list of (field, rows), and each field runs the next
+    ``rows`` rows of ``starts`` (n, d), in order, every field on R^d.  Each
+    row's flow is the one ``integrate_batch`` gives for its own field."""
+    p = np.array(starts, dtype=float)
+    d = groups[0][0].chart.dimension
+    if p.ndim != 2 or p.shape[1] != d:
+        raise ValueError(f"starts must have shape (n, {d})")
+    if any(f.chart.dimension != d for f, _ in groups) or sum(r for _, r in groups) != len(p):
+        raise ValueError("the groups' fields must share one dimension and "
+                         "own every row of starts")
+    edges = np.cumsum([0] + [rows for _, rows in groups])
+    inside = np.concatenate([field.chart.contains_rows(p[lo:hi])
+                             for (field, _), lo, hi in zip(groups, edges, edges[1:])])
     if not inside.all():
         raise FlowDomainError(f"start point {p[~inside][0]} is outside the chart")
     t_ends = np.asarray(t_ends, dtype=float)
@@ -354,7 +437,7 @@ def integrate_batch(field: VectorField, starts, t_ends,
         if t_ends.ndim != 1:
             raise ValueError("a path follows one leg; t_ends must have shape (n,)")
         path.append((np.zeros(len(p)), p))
-    return _advance(field, p, t_ends, step, path)
+    return _advance(groups, p, t_ends, step, path)
 
 
 def _variational(field: VectorField) -> VectorField:

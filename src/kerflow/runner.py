@@ -171,9 +171,11 @@ def _grid_from_spec(spec: dict) -> dist.TestFunctionGrid:
                                  shape=shape, margin=int(spec.get("margin", 2)))
 
 
-def _checked_bump(grid, spec: dict, path: str) -> dist.TestFunction:
+def _checked_bump(setup: dist.ReflectionSetup, spec: dict, path: str) -> dist.TestFunction:
     """The bump a spec asks for: its center has one coordinate per grid axis,
-    and its support is nonzero on the grid and stays off the margin."""
+    and its support is nonzero on the grid, stays off the margin and lies in
+    the positive slice of the reflection."""
+    grid = setup.grid
     if np.size(spec["center"]) != grid.ndim:
         raise ConfigError(f"{path}.center", f"needs {grid.ndim} coordinates, "
                                             "one per grid axis")
@@ -184,6 +186,9 @@ def _checked_bump(grid, spec: dict, path: str) -> dist.TestFunction:
     # an all-zero test function pairs to nothing
     if not np.any(fn.values):
         raise ConfigError(path, "the bump is zero on every grid point")
+    if not setup.in_positive_slice(fn):
+        raise ConfigError(path, "the bump's support must lie in the positive "
+                                "slice, where the first coordinate is > 0")
     return fn
 
 
@@ -257,27 +262,39 @@ def _run_flow_laws(cfg: ExperimentConfig) -> tuple:
     t_range = float(body.get("t_range", CURVE_TIMES["t_range"]))
     n_points = int(body.get("n_points", 10))
     n_times = int(body.get("n_time_samples", 3))
-    flow_gaps, inverse_gaps, expm_gaps = [], [], []
+    # per field, drawn in config order: one row per (point, time pair), all
+    # rows as one batch of legs: mid = Phi_s p, ab = Phi_t mid and back =
+    # Phi_{-t} ab chained, then direct = Phi_{s+t} p and, for an affine
+    # field, Phi_t p against the exponential
+    fields, starts, t_ends, samples = [], [], [], []
     for fspec in body["fields"]:
         field = fl.builtin_field(fspec["name"], fspec.get("params"))
-        d = field.chart.dimension
-        pts = rng.uniform(-1.0, 1.0, size=(n_points, d))
+        pts = rng.uniform(-1.0, 1.0, size=(n_points, field.chart.dimension))
         ts = rng.uniform(-t_range, t_range, size=n_times)
         ss = rng.uniform(-t_range, t_range, size=n_times)
-        # one row per (point, time pair), all rows as one batch of legs:
-        # mid = Phi_s p, ab = Phi_t mid and back = Phi_{-t} ab chained, then
-        # direct = Phi_{s+t} p and, for an affine field, Phi_t p against the
-        # exponential
         p = np.repeat(pts, n_times, axis=0)
         s, t = np.tile(ss, n_points), np.tile(ts, n_points)
-        n, zero = len(p), np.zeros(len(p))
-        H = _homogeneous_generator(fspec)
+        zero, H = np.zeros(len(p)), _homogeneous_generator(fspec)
         legs = [np.stack([s, t, -t], 1), np.stack([s + t, zero, zero], 1)]
         if H is not None:
             legs.append(np.stack([t, zero, zero], 1))
-        flow = fl.integrate_batch(field, np.tile(p, (len(legs), 1)),
-                                  np.concatenate(legs), step)
-        ends, done = flow.endpoints, flow.completed
+        fields.append(field)
+        starts.append(np.tile(p, (len(legs), 1)))
+        t_ends.append(np.concatenate(legs))
+        samples.append((p, t, ts, H))
+    # the fields of one dimension run as one RK4 loop, each on its own rows
+    outcomes, dims = [None] * len(fields), [f.chart.dimension for f in fields]
+    for d in dict.fromkeys(dims):
+        group = [i for i, di in enumerate(dims) if di == d]
+        flow = fl.integrate_groups([(fields[i], len(starts[i])) for i in group],
+                                   np.concatenate([starts[i] for i in group]),
+                                   np.concatenate([t_ends[i] for i in group]), step)
+        edges = np.cumsum([0] + [len(starts[i]) for i in group])
+        for i, lo, hi in zip(group, edges, edges[1:]):
+            outcomes[i] = flow.endpoints[lo:hi], flow.completed[lo:hi]
+    flow_gaps, inverse_gaps, expm_gaps = [], [], []
+    for (p, t, ts, H), (ends, done) in zip(samples, outcomes):
+        n = len(p)
         # a row that stops ends its later legs, so ab completed implies mid did
         pair = done[:n, 1] & done[n:2 * n, 0]
         flow_gaps.append(ends[:n, 1][pair] - ends[n:2 * n, 0][pair])
@@ -501,7 +518,7 @@ def _run_os_reconstruct(cfg: ExperimentConfig) -> tuple:
     grid = _grid_from_spec(body["grid"])
     masses, sk = _ou_mixture_smeared(body["kernel"], grid)
     setup = dist.ReflectionSetup(grid, axis=0)
-    fns = [_checked_bump(grid, b, f"$.bumps[{i}]") for i, b in enumerate(body["bumps"])]
+    fns = [_checked_bump(setup, b, f"$.bumps[{i}]") for i, b in enumerate(body["bumps"])]
     space = dist.os_quotient(sk, setup, fns,
                              rank_cutoff=float(body.get("rank_cutoff", 1e-10)))
 

@@ -374,15 +374,19 @@ WORKLOAD_GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden_workloads"
 def test_workload_reports_match_their_golden_files(workload):
     """The benchmark workload's configs at seed 4, committed under
     tests/golden_workloads/<workload>/configs/, each give the report under
-    .../reports/ byte for byte, and pass.  Same build caveat as the shipped
-    golden files; scripts/write_golden_reports.py rewrites both."""
+    .../reports/ byte for byte, and pass.  They run as the script that
+    writes them runs them, in a child process with one BLAS thread, since
+    their 289-point Gram spectra round differently under another thread
+    count.  Same build caveat as the shipped golden files;
+    scripts/write_golden_reports.py rewrites both."""
     configs = os.path.join(WORKLOAD_GOLDEN_DIR, workload, "configs")
     reports = os.path.join(WORKLOAD_GOLDEN_DIR, workload, "reports")
     names = sorted(os.listdir(configs))
     assert names and sorted(os.listdir(reports)) == names
+    runs = _module_from_file("scripts", "write_golden_reports.py").pinned_runs(configs)
+    assert sorted(runs) == names
     moved = []
-    for name in names:
-        code, text = _quiet(["run", os.path.join(configs, name), "--stable-output"])
+    for name, (code, text) in runs.items():
         assert code == cli.EXIT_PASS, name
         moved += _golden_moves(name, text, os.path.join(reports, name))
     if moved:
@@ -925,6 +929,20 @@ def _zero_size(key):
                  "$.rank_cutoff", id="rank-cutoff-nan"),
     pytest.param("cdual_abelian", lambda d: d.update(rank_cutoff=float("inf")),
                  "$.rank_cutoff", id="rank-cutoff-infinite"),
+    # both grid kinds reflect along the first axis, which must be symmetric
+    # about 0, and the origin has one coordinate per grid axis
+    pytest.param("rp_axioms", lambda d: d["grid"].update(origin=[-1.95, -1.0]),
+                 "$.grid.origin", id="rp-grid-not-symmetric"),
+    pytest.param("os_reconstruct_mixture", lambda d: d["grid"].update(origin=[-2.95]),
+                 "$.grid.origin", id="os-grid-not-symmetric"),
+    pytest.param("os_reconstruct_ou", lambda d: d["grid"].update(origin=-3.05),
+                 "$.grid.origin", id="os-scalar-origin-not-symmetric"),
+    pytest.param("rp_axioms", lambda d: d["grid"].update(origin=[-2.0]),
+                 "$.grid.origin", id="grid-origin-dimension"),
+    pytest.param("rp_axioms", lambda d: d["grid"].update(origin=["a", -1.0]),
+                 "$.grid.origin[0]", id="grid-origin-entry"),
+    pytest.param("os_reconstruct_ou", lambda d: d["grid"].update(spacing=0),
+                 "$.grid.spacing", id="grid-spacing-zero"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
     data = _shipped(stem)
@@ -984,6 +1002,12 @@ def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_
                  "$.bumps[2]", id="bump-on-the-margin"),
     pytest.param("os_reconstruct_mixture", lambda d: d["bumps"][2].update(center=[0.5, 0.5]),
                  "$.bumps[2].center", id="bump-center-dimension"),
+    # an OS test function lives in the positive slice: a bump whose support
+    # reaches the reflection hyperplane or beyond it is no such function
+    pytest.param("os_reconstruct_mixture", lambda d: d["bumps"][0].update(center=[0.1]),
+                 "$.bumps[0]", id="bump-across-the-reflection"),
+    pytest.param("os_reconstruct_ou", lambda d: d["bumps"][1].update(center=[-0.5]),
+                 "$.bumps[1]", id="bump-in-the-negative-slice"),
     # a transfer time, or a law pair's time or sum, shifts a bump off the grid
     pytest.param("os_reconstruct_ou", lambda d: d.update(times_cells=[6, 40]),
                  "$.times_cells[1]", id="transfer-time-off-the-grid"),
@@ -1052,22 +1076,40 @@ def test_non_finite_report_value_exits_3_naming_its_path(tmp_path, capsys, monke
         report.to_json()
 
 
-def test_flow_laws_runs_one_batch_per_field(monkeypatch):
-    # each field's curves, chained legs included, run as one batch
+def test_flow_laws_runs_one_loop_per_dimension(monkeypatch, tmp_path):
+    # the fields of one chart dimension, chained legs included, run as one
+    # RK4 loop, each field on its own rows: the shipped config's two planar
+    # fields take 2,379 steps where one loop per field took 4,668
     from kerflow import flows
 
-    shapes = []
+    calls, steps = [], []
 
-    def counted(field, starts, t_ends, *args, **kwargs):
-        shapes.append(np.shape(t_ends))
-        return integrate(field, starts, t_ends, *args, **kwargs)
+    def advance(groups, p, t_ends, *args, **kwargs):
+        calls.append(([field.name for field, _ in groups], p.shape[1], t_ends.shape))
+        return loop(groups, p, t_ends, *args, **kwargs)
 
-    integrate = flows.integrate_batch
-    monkeypatch.setattr(flows, "integrate_batch", counted)
+    def stage(*args, charted=True):
+        steps.append(charted)
+        return first_stage(*args, charted=charted)
+
+    loop, first_stage = flows._advance, flows._stage
+    monkeypatch.setattr(flows, "_advance", advance)
+    monkeypatch.setattr(flows, "_stage", stage)
     cfg = parse_config(os.path.join(CONFIG_DIR, "flow_laws.json"))
     assert run_experiment(cfg).passed
-    assert len(shapes) == len(cfg.body["fields"])
-    assert all(len(shape) == 2 and shape[1] == 3 for shape in shapes)
+    # 30 rows of three legs per field, and 30 more against the exponential
+    assert calls == [(["rotation2d", "affine"], 2, (180, 3))]
+    assert steps.count(False) == 2379
+    calls.clear()
+    cfg = parse_config(_write(tmp_path, {
+        "kind": "flow_laws", "seed": 1,
+        "fields": [{"name": "quadratic1d"}, {"name": "rotation2d"},
+                   {"name": "constant", "params": {"vector": [1.0]}},
+                   {"name": "quad_swirl"}],
+        "n_points": 2, "n_time_samples": 2, "t_range": 0.2, "step": 1e-2}))
+    run_experiment(cfg)
+    assert calls == [(["quadratic1d", "constant"], 1, (16, 3)),
+                     (["rotation2d", "quad_swirl"], 2, (20, 3))]
 
 
 _SHIPPED_STEMS = sorted(os.path.splitext(f)[0] for f in os.listdir(CONFIG_DIR)

@@ -521,12 +521,60 @@ def test_rk4_loop_matches_the_reference_loop(data, case, step, legs, record):
     got_path, want_path = ([], []) if record else (None, None)
     with np.errstate(all="ignore"):
         if legs:
-            got = fl._advance(field, starts.copy(), t_ends, step)
+            got = fl._advance([(field, n)], starts.copy(), t_ends, step)
             want = _ref_legs(field, starts.copy(), t_ends, step)
         else:
-            got = fl._advance(field, starts.copy(), t_ends[:, 0], step, got_path)
+            got = fl._advance([(field, n)], starts.copy(), t_ends[:, 0], step, got_path)
             want = _ref_advance(field, starts.copy(), t_ends[:, 0], step, want_path)
     _assert_same_flow(got, want, got_path or [], want_path or [])
+
+
+# the 2-D cases by chart: full space (rotation, affine, inf), two boxes, one
+# half-space and a ball; box-drift and halfspace-drift are constant fields
+_GROUP_CASES = sorted(name for name, (field, _) in _ORACLE_CASES.items()
+                      if field.chart.dimension == 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), step=st.sampled_from([1e-2, 0.07]), legs=st.integers(0, 3))
+def test_groups_in_one_loop_match_each_fields_own_batch(data, step, legs):
+    # several fields in one RK4 loop, each on its own contiguous rows, give
+    # each row the flow of its own field's batch; 300 steps let the
+    # countdown run, and a group may have no rows
+    names = data.draw(st.lists(st.sampled_from(_GROUP_CASES), min_size=2, max_size=4))
+    times = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, -step, 300 * step])
+    groups, starts, t_ends = [], [], []
+    for name in names:
+        field, (lo, hi) = _ORACLE_CASES[name]
+        n = data.draw(st.integers(0, 4))
+        starts.append(np.array(data.draw(st.lists(st.lists(st.floats(lo, hi), min_size=2,
+                                                           max_size=2),
+                                                  min_size=n, max_size=n))).reshape(n, 2))
+        t_ends.append(np.array(data.draw(st.lists(st.lists(times, min_size=max(legs, 1),
+                                                           max_size=max(legs, 1)),
+                                                  min_size=n, max_size=n))
+                               ).reshape(n, max(legs, 1)))
+        groups.append((field, n))
+    if not legs:
+        t_ends = [t[:, 0] for t in t_ends]
+    with np.errstate(all="ignore"):
+        got = fl._advance(groups, np.concatenate(starts), np.concatenate(t_ends), step)
+        wants = [fl.integrate_batch(field, p, t, step)
+                 for (field, _), p, t in zip(groups, starts, t_ends)]
+    edges = np.cumsum([0] + [n for _, n in groups])
+    for want, lo, hi in zip(wants, edges, edges[1:]):
+        _assert_same_flow(fl.BatchFlow(*(part[lo:hi] for part in got)), want, [], [])
+
+
+def test_integrate_groups_checks_its_groups_and_starts():
+    fields = [(fl.rotation_field(), 1), (_quad, 1)]
+    with pytest.raises(ValueError, match="one dimension"):
+        fl.integrate_groups(fields, [[0.1, 0.2], [0.3, 0.4]], 1.0)
+    with pytest.raises(ValueError, match="every row"):
+        fl.integrate_groups(fields[:1], [[0.1, 0.2], [0.3, 0.4]], 1.0)
+    with pytest.raises(FlowDomainError, match="outside the chart"):
+        fl.integrate_groups([(fl.rotation_field(), 1), (_ORACLE_CASES["ball"][0], 1)],
+                            [[0.1, 0.2], [2.0, 0.0]], 1.0)
 
 
 def test_legs_after_a_stop_or_of_length_zero():
@@ -591,7 +639,8 @@ def test_reference_oracle_cases_reach_every_exit():
     for field, starts, t_ends, step in cases:
         got_path, want_path = [], []
         with np.errstate(all="ignore"):
-            got = fl._advance(field, np.array(starts), np.array(t_ends), step, got_path)
+            got = fl._advance([(field, len(starts))], np.array(starts), np.array(t_ends),
+                             step, got_path)
             want = _ref_advance(field, np.array(starts), np.array(t_ends), step, want_path)
         _assert_same_flow(got, want, got_path, want_path)
         assert not got.completed.all()
