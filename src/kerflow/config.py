@@ -135,13 +135,21 @@ def _reflection_origin(grid: dict) -> Optional[str]:
     return None
 
 
+def _margin_fits(grid: dict) -> Optional[str]:
+    """Why the margin (2 cells when absent) leaves a grid axis too short for it."""
+    margin, shape = grid.get("margin", 2), grid["shape"]
+    if min(shape if isinstance(shape, list) else [shape]) <= 2 * margin + 1:
+        return f"every grid axis needs more than 2 * margin + 1 = {2 * margin + 1} points"
+    return None
+
+
 _GRID = Rule(dict, required=True, spec={
     "origin": Rule((list, int, float), required=True, each=NUMBER,
                    agrees=_reflection_origin),
     "spacing": Rule((int, float), required=True, above=0),
     # the product of the extents is bounded once the types hold
     "shape": Rule((list, int), required=True, at_least=1, each=Rule(int, at_least=1)),
-    "margin": Rule(int, at_most=MAX_GRID_CELLS)})
+    "margin": Rule(int, at_least=2, at_most=MAX_GRID_CELLS, agrees=_margin_fits)})
 _TRANSLATIONS = Rule(list, each=Rule(dict, spec={"cells": Rule(list, required=True,
                                                                each=Rule(int))}))
 _CELLS = Rule(int, at_least=0, at_most=MAX_GRID_CELLS)
@@ -306,8 +314,8 @@ def _check_bounds(val, rule: Rule, path: str):
 
 
 def _check_samples(samples: dict, kind: str):
-    """The keys the sample type reads, and a strictly increasing ladder."""
-    from .runner import SAMPLE_KEYS
+    """The keys the sample type reads and no other, and a strictly increasing ladder."""
+    from .runner import SAMPLE_KEYS, SAMPLE_OPTIONAL_KEYS
 
     if samples["type"] not in SAMPLE_KEYS:
         raise ConfigError("$.samples.type", f"unknown sample type {samples['type']!r}")
@@ -333,6 +341,11 @@ def _check_samples(samples: dict, kind: str):
             if side > MAX_SIDE:
                 raise ConfigError(f"$.samples.refinement[{i}]",
                                   f"a grid2d side must be <= {MAX_SIDE}")
+    reads = {"type", "refinement", *SAMPLE_KEYS[samples["type"]],
+             *SAMPLE_OPTIONAL_KEYS[samples["type"]]}
+    for key in samples:
+        if key not in reads:
+            raise ConfigError(f"$.samples.{key}", f"a {samples['type']} sample does not read it")
 
 
 def _check_curve_steps(data: dict, kind: str):

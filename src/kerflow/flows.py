@@ -11,7 +11,8 @@ occur here, but stiff blow-up can and is caught by a norm guard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as _field, replace
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -102,7 +103,8 @@ class VectorField:
     (n, d) values or, for a constant field, one (d,) value for every row;
     its Jacobian likewise gives (n, d, d) or one (d, d).  Each row's value
     and Jacobian are computed from that row alone, since the set of rows a
-    flow passes changes as rows finish or stop.
+    flow passes changes as rows finish or stop.  ``affine`` is the (A, b)
+    of an affine field X(p) = A p + b; ``==`` leaves it out.
     """
 
     chart: ChartDomain
@@ -110,6 +112,7 @@ class VectorField:
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     h_fd: float = DEFAULT_FD_STEP
     name: str = ""
+    affine: Optional[tuple] = _field(default=None, compare=False)
 
     def __call__(self, point) -> np.ndarray:
         return np.asarray(self.func(np.asarray(point, dtype=float)), dtype=float)
@@ -151,14 +154,17 @@ def constant_field(vector, chart: Optional[ChartDomain] = None) -> VectorField:
                        lambda p: np.zeros((v.size, v.size)), name="constant")
 
 
+def _affine_rows(A: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # a matrix-vector product per point: a row's rounding ignores the batch size
+    return (A @ p[..., None])[..., 0] + b
+
+
 def affine_field(matrix, offset=None, chart: Optional[ChartDomain] = None) -> VectorField:
     """X(p) = A p + b with analytic Jacobian A."""
-    A = np.asarray(matrix, dtype=float)
+    A = np.ascontiguousarray(matrix, dtype=float)
     b = np.zeros(A.shape[0]) if offset is None else np.asarray(offset, dtype=float)
-    # a matrix-vector product per point: a row's rounding ignores the batch size
-    return VectorField(chart or full_space(A.shape[0]),
-                       lambda p: (A @ p[..., None])[..., 0] + b, lambda p: A,
-                       name="affine")
+    return VectorField(chart or full_space(A.shape[0]), partial(_affine_rows, A, b),
+                       lambda p: A, name="affine", affine=(A, b))
 
 
 def rotation_field(chart: Optional[ChartDomain] = None) -> VectorField:
@@ -215,13 +221,20 @@ class _Maps(NamedTuple):
 def _block_maps(fields: list, edges: np.ndarray, ids: np.ndarray) -> _Maps:
     """The maps of a block whose rows, numbered ``ids`` in increasing order,
     fall in contiguous groups: original rows edges[i]:edges[i + 1] are run
-    by fields[i].  One group's maps are its field's own; the chart tests
-    run once over the block when every group's chart is the same."""
+    by fields[i].  One group's maps are its field's own; groups of affine
+    fields share one product; the chart tests run once over the block when
+    every group's chart is the same."""
     bounds = np.searchsorted(ids, edges).tolist()
     spans = [(f, slice(lo, hi)) for f, lo, hi in zip(fields, bounds, bounds[1:]) if lo < hi]
     first = spans[0][0]
     if len(spans) == 1:
         value = first.block
+    elif all(f.affine is not None for f, _ in spans):
+        # per row its field's A (rows, d, d) and b (rows, d); A in C order,
+        # as each field's own, so the product rounds a row as its field does
+        counts = [rows.stop - rows.start for _, rows in spans]
+        value = partial(_affine_rows, *(np.repeat(np.stack([f.affine[i] for f, _ in spans]),
+                                                  counts, axis=0) for i in (0, 1)))
     else:
         def value(q):
             v = np.empty_like(q)

@@ -102,6 +102,11 @@ CURVE_TIMES = {"time": 0.1, "t_range": 1.0, "t_max": 0.5}
 # keys each sample type reads without a default; validation requires them
 SAMPLE_KEYS = {"chebyshev": ("n",), "uniform_box": ("n",), "grid2d": ("n_side",),
                "circles": ("radii", "n_per_circle"), "explicit": ("points",)}
+# keys each sample type reads with a default; besides ``type`` and the
+# ``refinement`` ladder, validation rejects any key neither table names
+SAMPLE_OPTIONAL_KEYS = {"chebyshev": ("halfwidth",),
+                        "uniform_box": ("dimension", "halfwidth", "include_origin"),
+                        "grid2d": ("x_range", "y_range"), "circles": (), "explicit": ()}
 
 
 def _sample_points(spec: dict, rng: np.random.Generator, size: Optional[int] = None):
@@ -204,20 +209,14 @@ def _ou_mixture_smeared(kspec: dict, grid) -> tuple:
 # per-kind runners
 
 
-def _homogeneous_generator(fspec: dict) -> Optional[np.ndarray]:
+def _homogeneous_generator(field: fl.VectorField) -> Optional[np.ndarray]:
     """Generator H of an affine field in homogeneous coordinates, so that
     expm(t H) is its exact time-t flow; None for a field that is not affine."""
-    if fspec["name"] == "rotation2d":
-        A, b = np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(2)
-    elif fspec["name"] == "affine":
-        A = np.asarray(fspec["params"]["matrix"], dtype=float)
-        offset = fspec["params"].get("offset")
-        b = np.zeros(len(A)) if offset is None else np.asarray(offset, dtype=float)
-    else:
+    if field.affine is None:
         return None
+    A, b = field.affine
     H = np.zeros((len(A) + 1, len(A) + 1))
-    H[:-1, :-1] = A
-    H[:-1, -1] = b
+    H[:-1, :-1], H[:-1, -1] = A, b
     return H
 
 
@@ -274,7 +273,7 @@ def _run_flow_laws(cfg: ExperimentConfig) -> tuple:
         ss = rng.uniform(-t_range, t_range, size=n_times)
         p = np.repeat(pts, n_times, axis=0)
         s, t = np.tile(ss, n_points), np.tile(ts, n_points)
-        zero, H = np.zeros(len(p)), _homogeneous_generator(fspec)
+        zero, H = np.zeros(len(p)), _homogeneous_generator(field)
         legs = [np.stack([s, t, -t], 1), np.stack([s + t, zero, zero], 1)]
         if H is not None:
             legs.append(np.stack([t, zero, zero], 1))

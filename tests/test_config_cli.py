@@ -15,7 +15,7 @@ import kerflow
 from kerflow import cli, distributions, runner
 from kerflow.config import CHECKS, ExperimentConfig, Rule, parse_config, validate_config
 from kerflow.errors import ConfigError
-from kerflow.runner import SAMPLE_KEYS, _sample_points, run_experiment
+from kerflow.runner import SAMPLE_KEYS, SAMPLE_OPTIONAL_KEYS, _sample_points, run_experiment
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -130,6 +130,15 @@ def test_flow_laws_without_affine_field_leaves_exponential_check_open(tmp_path, 
     assert checks["inverse_law_max_defect"]["passed"] is True
     expm = checks["matrix_exponential_max_defect"]
     assert expm["passed"] is None and expm["value"] is None
+
+
+def test_flow_laws_checks_the_exponential_of_every_affine_field(tmp_path, capsys):
+    # coordinate_shear is affine, so its curves meet the exact exponential
+    code, checks = _flow_laws_report(tmp_path, capsys, seed=0,
+                                     fields=[{"name": "coordinate_shear"}])
+    assert code == 0
+    expm = checks["matrix_exponential_max_defect"]
+    assert expm["passed"] is True and 0.0 < expm["value"] <= 1e-12
 
 
 def test_flow_laws_fails_when_every_curve_exits(tmp_path, capsys):
@@ -943,6 +952,33 @@ def _zero_size(key):
                  "$.grid.origin[0]", id="grid-origin-entry"),
     pytest.param("os_reconstruct_ou", lambda d: d["grid"].update(spacing=0),
                  "$.grid.spacing", id="grid-spacing-zero"),
+    # a grid needs a margin of at least 2 cells and more than 2 margin + 1
+    # points along every axis: these passed validate, then the run raised
+    # a bare GridError (exit 3)
+    pytest.param("os_reconstruct_ou", lambda d: d["grid"].update(margin=1),
+                 "$.grid.margin", id="os-grid-margin-one"),
+    pytest.param("rp_axioms", lambda d: d["grid"].update(margin=1),
+                 "$.grid.margin", id="rp-grid-margin-one"),
+    pytest.param("os_reconstruct_ou", lambda d: d["grid"].update(margin=60),
+                 "$.grid.margin", id="grid-margin-fills-the-axis"),
+    pytest.param("rp_axioms", lambda d: d["grid"].update(margin=10),
+                 "$.grid.margin", id="grid-margin-fills-the-second-axis"),
+    pytest.param("rp_axioms", lambda d: (d["grid"].pop("margin"),
+                                         d["grid"].update(shape=[41, 5])),
+                 "$.grid.margin", id="grid-default-margin-fills-an-axis"),
+    # a sample key its type does not read was ignored (exit 0)
+    pytest.param("cdual_euclidean", lambda d: d["samples"].update(halfwidth=1.0),
+                 "$.samples.halfwidth", id="grid2d-halfwidth"),
+    pytest.param("cdual_abelian", lambda d: d["samples"].update(x_range=[-1.0, 1.0]),
+                 "$.samples.x_range", id="chebyshev-x-range"),
+    pytest.param("froelich_laplace", lambda d: d["samples"].update(n_side=5),
+                 "$.samples.n_side", id="uniform-box-n-side"),
+    pytest.param("froelich_rank1", lambda d: d["samples"].update(include_origin=True),
+                 "$.samples.include_origin", id="explicit-include-origin"),
+    pytest.param("compatibility",
+                 lambda d: d.update(samples={"type": "circles", "radii": [0.5],
+                                             "n_per_circle": 4, "n": 8}),
+                 "$.samples.n", id="circles-n"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
     data = _shipped(stem)
@@ -1187,6 +1223,16 @@ def test_sample_keys_match_the_sampler():
     # an unvalidated spec with an unknown type is still a config error
     with pytest.raises(ConfigError):
         _sample_points({"type": "nope"}, rng)
+    # each key of a type's optional table changes the points it samples
+    other = {"halfwidth": 0.5, "dimension": 3, "include_origin": True,
+             "x_range": [0.0, 2.0], "y_range": [0.0, 2.0]}
+    assert SAMPLE_OPTIONAL_KEYS.keys() == SAMPLE_KEYS.keys()
+    for kind, keys in SAMPLE_OPTIONAL_KEYS.items():
+        spec = {"type": kind, **{k: given[k] for k in SAMPLE_KEYS[kind]}}
+        plain = _sample_points(spec, np.random.default_rng(0))
+        for key in keys:
+            pts = _sample_points({**spec, key: other[key]}, np.random.default_rng(0))
+            assert pts.shape != plain.shape or not np.array_equal(pts, plain), key
 
 
 def test_compatibility_without_invariance_compares_nothing(tmp_path, capsys):

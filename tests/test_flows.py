@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -529,6 +531,17 @@ def test_rk4_loop_matches_the_reference_loop(data, case, step, legs, record):
     _assert_same_flow(got, want, got_path or [], want_path or [])
 
 
+def _assert_groups_match_own_batches(groups, starts, t_ends, step):
+    """One loop over the groups gives each row its own field's batch flow."""
+    with np.errstate(all="ignore"):
+        got = fl.integrate_groups(groups, np.concatenate(starts), np.concatenate(t_ends), step)
+        wants = [fl.integrate_batch(field, p, t, step)
+                 for (field, _), p, t in zip(groups, starts, t_ends)]
+    edges = np.cumsum([0] + [n for _, n in groups])
+    for want, lo, hi in zip(wants, edges, edges[1:]):
+        _assert_same_flow(fl.BatchFlow(*(part[lo:hi] for part in got)), want, [], [])
+
+
 # the 2-D cases by chart: full space (rotation, affine, inf), two boxes, one
 # half-space and a ball; box-drift and halfspace-drift are constant fields
 _GROUP_CASES = sorted(name for name, (field, _) in _ORACLE_CASES.items()
@@ -557,13 +570,7 @@ def test_groups_in_one_loop_match_each_fields_own_batch(data, step, legs):
         groups.append((field, n))
     if not legs:
         t_ends = [t[:, 0] for t in t_ends]
-    with np.errstate(all="ignore"):
-        got = fl._advance(groups, np.concatenate(starts), np.concatenate(t_ends), step)
-        wants = [fl.integrate_batch(field, p, t, step)
-                 for (field, _), p, t in zip(groups, starts, t_ends)]
-    edges = np.cumsum([0] + [n for _, n in groups])
-    for want, lo, hi in zip(wants, edges, edges[1:]):
-        _assert_same_flow(fl.BatchFlow(*(part[lo:hi] for part in got)), want, [], [])
+    _assert_groups_match_own_batches(groups, starts, t_ends, step)
 
 
 def test_integrate_groups_checks_its_groups_and_starts():
@@ -624,6 +631,75 @@ def test_affine_map_of_a_block_is_the_map_of_its_rows(data, d):
     assert _same(field.block(block[rows]), values[rows])
     for point, value in zip(block, values):
         assert _same(field.block(point[None])[0], value) and _same(field(point), value)
+
+
+def _first_block_value(groups):
+    """The value map of the block of every row of the groups."""
+    edges = np.cumsum([0] + [n for _, n in groups])
+    return fl._block_maps([f for f, _ in groups], edges, np.arange(edges[-1])).value
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), step=st.sampled_from([1e-2, 0.07]),
+       legs=st.integers(1, 3))
+def test_affine_groups_share_one_product_bit_for_bit(data, d, step, legs):
+    # a block of affine fields evaluates one stacked product; each row still
+    # gets its own field's flow, through zero legs and stops at a half-space
+    # or box chart or by a blow-up
+    charts = {"full": fl.full_space(d), "halfspace": fl.halfspace_chart(d),
+              "box": fl.box_chart([-1.5] * d, [1.5] * d)}
+    entries = st.floats(-2.0, 2.0)
+    times = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, -step, 300 * step])
+    groups, starts, t_ends = [], [], []
+    for _ in range(data.draw(st.integers(1, 3))):
+        chart = data.draw(st.sampled_from(sorted(charts)))
+        matrix = data.draw(st.lists(st.lists(entries, min_size=d, max_size=d),
+                                    min_size=d, max_size=d))
+        field = fl.affine_field(matrix, data.draw(st.lists(entries, min_size=d, max_size=d)),
+                                charts[chart])
+        n = data.draw(st.integers(0, 4))
+        lo = 0.05 if chart == "halfspace" else -1.0
+        starts.append(np.array(data.draw(st.lists(st.lists(st.floats(lo, 1.0), min_size=d,
+                                                           max_size=d),
+                                                  min_size=n, max_size=n))).reshape(n, d))
+        t_ends.append(np.array(data.draw(st.lists(st.lists(times, min_size=legs,
+                                                           max_size=legs),
+                                                  min_size=n, max_size=n))).reshape(n, legs))
+        groups.append((field, n))
+    _assert_groups_match_own_batches(groups, starts, t_ends, step)
+    # the stacked A must be in C order, as each field's own: in another
+    # layout the product may round a row differently
+    held = [(field, n) for field, n in groups if n]
+    if len(held) > 1:
+        A, b = _first_block_value(held).args
+        assert A.flags.c_contiguous and A.shape == (sum(n for _, n in held), d, d)
+        assert b.shape == A.shape[:2]
+
+
+@pytest.mark.parametrize("other", ["constant", "quad_swirl"])
+def test_affine_beside_a_general_field_keeps_the_per_group_map(other):
+    # a field without (A, b) keeps the per-group map, and each row its own flow
+    general = fl.builtin_field(other, _FIELD_PARAMS.get(other))
+    assert general.affine is None
+    affine = fl.affine_field([[0.2, -1.1], [0.9, -0.3]], [0.1, 0.7])
+    groups = [(affine, 3), (general, 2), (fl.rotation_field(), 2)]
+    rng = np.random.default_rng(7)
+    starts = [rng.uniform(-0.9, 0.9, size=(n, 2)) for _, n in groups]
+    t_ends = [np.column_stack([rng.uniform(-1.0, 1.0, n), np.zeros(n), rng.uniform(-1.0, 1.0, n)])
+              for _, n in groups]
+    _assert_groups_match_own_batches(groups, starts, t_ends, 1e-2)
+    assert not isinstance(_first_block_value(groups), functools.partial)
+    assert isinstance(_first_block_value([groups[0], groups[2]]), functools.partial)
+
+
+def test_affine_fields_carry_their_matrix_and_offset():
+    # rotation2d and coordinate_shear inherit (A, b); == never compares it
+    rotation, shear = fl.rotation_field(), fl.builtin_field("coordinate_shear")
+    assert _same(rotation.affine[0], np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert _same(shear.affine[0], np.array([[0.0, 0.0], [1.0, 0.0]]))
+    assert _same(shear.affine[1], np.zeros(2))
+    assert rotation == dataclasses.replace(rotation, affine=None)
+    assert fl.builtin_field("constant", {"vector": [1.0, 0.0]}).affine is None
 
 
 def test_reference_oracle_cases_reach_every_exit():
