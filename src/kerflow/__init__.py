@@ -7,13 +7,25 @@ derivative-form compressions and spectral calculus in ``operators``; the
 representation synthesis in ``representation``; smeared distribution kernels
 and quotient semigroups in ``distributions``; the batch harness in ``config``,
 ``runner``, and ``cli``.
+
+Each submodule loads on first access (``kerflow.flows``, ``from kerflow
+import runner``), so that ``import kerflow`` loads neither them nor numpy.
 """
 
-from . import algebra, config, distributions, flows, kernels, operators
-from . import representation, runner
+import importlib
+
 from .errors import (ClassificationError, CompatibilityError, ConfigError,
                      DegenerateQuotientError, EmptyModelError, FlowDomainError,
                      GridError, KerflowError, KernelDomainError,
                      NotHermitianError, PositivityError)
 
 __version__ = "0.1.0"
+
+_SUBMODULES = ("algebra", "cli", "config", "distributions", "flows", "kernels",
+               "operators", "representation", "runner")
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

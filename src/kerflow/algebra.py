@@ -14,8 +14,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import MAX_DIMENSION, MAX_MATRIX_SIZE, Rule
-
 VALIDATION_TOL = 1e-12
 
 
@@ -295,6 +293,8 @@ def matrix_involutive(n: int) -> SymmetricLieAlgebra:
 
 
 def builtin_algebra(name: str, params: Optional[dict] = None) -> SymmetricLieAlgebra:
+    """Catalog of named algebras; the params each reads are
+    ``config.ALGEBRA_PARAMS``."""
     params = dict(params or {})
     if name == "euclidean_motion":
         return euclidean_motion(params["d"], params["p"], params["q"])
@@ -314,22 +314,3 @@ def algebra_from_config(spec: dict) -> SymmetricLieAlgebra:
     inv = np.diag(np.asarray(inv, dtype=float)) if np.ndim(inv) == 1 else np.asarray(inv, dtype=float)
     labels = tuple(spec.get("labels") or (f"e{i + 1}" for i in range(structure.shape[0])))
     return SymmetricLieAlgebra(structure, inv, labels, name="custom")
-
-
-ALGEBRA_CATALOG = {
-    "euclidean_motion": "R^d >| so(d) with involution by diag(-I_p, I_q)",
-    "abelian": "R^d, zero bracket, involution -1",
-    "matrix_involutive": "gl(n, R) with a -> -a^T; h = so(n), q = sym(n)",
-}
-_SIZE = Rule(int, required=True, at_least=1, at_most=MAX_DIMENSION)
-_PART = Rule(int, required=True, at_least=0, at_most=MAX_DIMENSION)
-# the params each builtin algebra reads, as the key table a config's
-# ``params`` is checked against
-ALGEBRA_PARAMS = {
-    "euclidean_motion": {"d": _SIZE, "p": _PART, "q": Rule(
-        int, required=True, at_least=0, at_most=MAX_DIMENSION,
-        agrees=lambda b: None if b["p"] + b["q"] == b["d"] else "needs p + q = d")},
-    "abelian": {"d": _SIZE},
-    "matrix_involutive": {"n": Rule(int, required=True, at_least=1,
-                                    at_most=MAX_MATRIX_SIZE)},
-}

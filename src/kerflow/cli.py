@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
 3 numeric or domain error, or any other error raised while running.
-KERFLOW_SEED overrides the config seed.
+KERFLOW_SEED overrides the config seed.  Only ``run`` loads numpy.
 """
 
 from __future__ import annotations
@@ -11,15 +11,9 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from .algebra import ALGEBRA_CATALOG
-from .config import KINDS, parse_config
+from .config import (ACTION_CATALOG, ALGEBRA_CATALOG, FIELD_CATALOG, KERNEL_CATALOG,
+                     KINDS, parse_config)
 from .errors import ConfigError
-from .flows import FIELD_CATALOG
-from .kernels import KERNEL_CATALOG
-from .operators import ACTION_CATALOG
-from .runner import run_experiment
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -28,6 +22,12 @@ EXIT_NUMERIC_ERROR = 3
 
 
 def _cmd_run(args) -> int:
+    # numpy and the runner load with the first run, never for validate or
+    # list-builtins
+    import numpy as np
+
+    from .runner import run_experiment
+
     stem = os.path.splitext(os.path.basename(args.config))[0]
     try:
         # an error, not numpy's floating-point warnings, reports what went

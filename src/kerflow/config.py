@@ -3,6 +3,10 @@
 Unknown keys are fatal and reported with their JSON path; silent typos in
 tolerance names would invalidate acceptance runs.  Every experiment kind has a
 fixed set of allowed blocks, and a check table that names its tolerances.
+
+Everything ``validate`` and ``list-builtins`` read lives here, the builtin
+catalogs and the key tables of their params included, and this module
+imports no numpy, so neither command loads it.
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ MAX_MATRIX_SIZE = 4         # luscher_mack matrix_size n
 MAX_SEMIGROUP_SAMPLES = MAX_POINTS // MAX_MATRIX_SIZE
 MAX_GRID_CELLS = 2048       # cells of a test-function grid, all axes together
 
-# rules shared with the builtin param tables beside the builders
+# rules shared by the schemas and the builtin param tables below
 NUMBER = Rule((int, float))
 POSITIVE = Rule((int, float), above=0)
 # a share of the largest Gram eigenvalue, below which an eigenvalue is dropped
@@ -120,8 +124,6 @@ _ALGEBRA = Rule(dict, spec={"name": str, "params": dict, "structure_constants": 
 def _reflection_origin(grid: dict) -> Optional[str]:
     """Why a grid's origin does not fit its shape, or leaves the first axis,
     the one both grid kinds reflect along, unsymmetric about 0."""
-    from .distributions import symmetric_axis
-
     origin, shape = (v if isinstance(v, list) else [v] for v in (grid["origin"], grid["shape"]))
     if len(origin) != len(shape):
         return f"needs one coordinate per grid axis ({len(shape)})"
@@ -133,6 +135,12 @@ def _reflection_origin(grid: dict) -> Optional[str]:
                 f"reflection axis: with spacing {spacing:g} and {shape[0]} points "
                 f"the origin there must be {-0.5 * spacing * (shape[0] - 1):g}")
     return None
+
+
+def symmetric_axis(lo: float, spacing: float, n: int) -> bool:
+    """Whether the n coordinates lo + k spacing are symmetric about 0."""
+    hi = lo + spacing * (n - 1)
+    return abs(lo + hi) < 1e-12 * max(1.0, abs(hi))
 
 
 def _margin_fits(grid: dict) -> Optional[str]:
@@ -235,6 +243,150 @@ SCHEMAS = {
     },
 }
 
+# the RK4 step of an integral curve when a config gives none
+DEFAULT_STEP = 1e-3
+# RK4 steps (|time| / step) one integral curve of a config may ask for
+MAX_CURVE_STEPS = 10 ** 5
+# the time key of each kind's integral curves, with the value the runner
+# reads when a config gives none; validation bounds time / step by
+# MAX_CURVE_STEPS
+CURVE_TIMES = {"time": 0.1, "t_range": 1.0, "t_max": 0.5}
+
+# keys each sample type reads without a default (``runner._sample_points``);
+# validation requires them
+SAMPLE_KEYS = {"chebyshev": ("n",), "uniform_box": ("n",), "grid2d": ("n_side",),
+               "circles": ("radii", "n_per_circle"), "explicit": ("points",)}
+# keys each sample type reads with a default; besides ``type`` and the
+# ``refinement`` ladder, validation rejects any key neither table names
+SAMPLE_OPTIONAL_KEYS = {"chebyshev": ("halfwidth",),
+                        "uniform_box": ("dimension", "halfwidth", "include_origin"),
+                        "grid2d": ("x_range", "y_range"), "circles": (), "explicit": ()}
+
+# The builtins a config names: for each kernel, action, field and algebra, a
+# line for ``list-builtins`` and the key table its ``params`` are checked
+# against, which lists the params its builder (``kernels.builtin_kernel``,
+# ``operators.builtin_action``, ``flows.builtin_field``,
+# ``algebra.builtin_algebra``) reads.
+
+KERNEL_CATALOG = {
+    "fock": "exponential kernel exp(<x, y>)",
+    "gaussian_rbf": "rotation-invariant exp(-|x-y|^2 / 2 sigma^2)",
+    "ou": "exponential-decay kernel exp(-m |x-y|), kink on the diagonal",
+    "ou_mixture": "positive mixture sum_j w_j exp(-m_j |x-y|)",
+    "laplace": "transform of an atomic measure: sum_j w_j exp(-a_j.(x+y)/2)",
+    "laplace_gaussian": "transform of a Gaussian weight: exp(s^2 |x+y|^2 / 8)",
+    "circle_laplace": "transform of a uniform circle measure; rotation invariant",
+    "halfplane_bessel": "2 K0(m |(x1+y1, x2-y2)|) on the half-plane x1 > 0",
+    "det": "det(1 - x y^T)^(-s) on contractive matrices",
+}
+_POSITIVE_LIST = Rule(list, at_least=1, each=POSITIVE)
+KERNEL_PARAMS = {
+    "fock": {},
+    "gaussian_rbf": {"sigma": POSITIVE},
+    "ou": {"mass": POSITIVE},
+    "ou_mixture": {"masses": replace(_POSITIVE_LIST, required=True),
+                   "weights": replace(_POSITIVE_LIST, same_length="masses")},
+    "laplace": {"atoms": Rule(list, required=True, at_least=1, each=POINT),
+                "weights": replace(_POSITIVE_LIST, required=True, same_length="atoms")},
+    "laplace_gaussian": {"scale": NUMBER},
+    "circle_laplace": {"mass": NUMBER,
+                       "n_atoms": Rule(int, at_least=1, at_most=MAX_POINTS)},
+    "halfplane_bessel": {"mass": POSITIVE},
+    "det": {"n": Rule(int, required=True, at_least=1, at_most=MAX_MATRIX_SIZE),
+            "power": replace(POSITIVE, required=True)},
+}
+
+ACTION_CATALOG = {
+    "translation": "R^d translating itself; all directions flipped by the involution",
+    "euclidean": "planar motions on R^2; involution by conjugation with diag(-I_p, I_q)",
+    "matrix_right_multiplication": "gl(n) acting on a matrix ball by g -> g x",
+}
+# the ``euclidean`` p and q when absent: a planar motion splits 2 = p + q
+EUCLIDEAN_SPLIT = {"p": 2, "q": 0}
+
+
+def _planar_split(params) -> Optional[str]:
+    split = {**EUCLIDEAN_SPLIT, **params}
+    p, q = split["p"], split["q"]
+    return None if p + q == 2 else f"a planar motion needs p + q = 2, got {p} + {q}"
+
+
+ACTION_PARAMS = {
+    "translation": {"dimension": Rule(int, at_least=1, at_most=MAX_DIMENSION)},
+    "euclidean": {"p": Rule(int, at_least=0, at_most=2),
+                  "q": Rule(int, at_least=0, at_most=2, agrees=_planar_split),
+                  "domain": Rule(str, choices=("plane", "halfplane"))},
+    "matrix_right_multiplication": {
+        "n": Rule(int, required=True, at_least=1, at_most=MAX_MATRIX_SIZE),
+        "radius": POSITIVE},
+}
+
+FIELD_CATALOG = {
+    "rotation2d": "planar rotation generator (-y, x)",
+    "constant": "constant field v",
+    "affine": "affine field A p + b",
+    "coordinate_shear": "x_from d/dx_to",
+    "quad_swirl": "quadratic planar field (y^2, x)",
+    "quadratic1d": "x^2 on the chart (-inf, 1); blows up in finite time",
+}
+# the coordinate_shear params when absent
+SHEAR_DEFAULTS = {"from": 0, "to": 1, "dimension": 2}
+
+
+def _shear_axis(key: str) -> Rule:
+    """A ``coordinate_shear`` axis, below the field's own dimension."""
+    def agrees(params):
+        shear = {**SHEAR_DEFAULTS, **params}
+        if shear[key] >= shear["dimension"]:
+            return f"must be < dimension ({shear['dimension']})"
+        return None
+    return Rule(int, at_least=0, at_most=MAX_DIMENSION - 1, agrees=agrees)
+
+
+def _square(params) -> Optional[str]:
+    """Why an ``affine`` matrix is not square."""
+    d = len(params["matrix"])
+    if any(len(row) != d for row in params["matrix"]):
+        return f"must be square: as many numbers in each row as it has rows ({d})"
+    return None
+
+
+def _offset_fits(params) -> Optional[str]:
+    """Why an ``affine`` offset is not as long as a row of its matrix."""
+    d = len(params["matrix"])
+    if "offset" in params and len(params["offset"]) != d:
+        return f"needs one entry per matrix row ({d})"
+    return None
+
+
+FIELD_PARAMS = {
+    "rotation2d": {},
+    "constant": {"vector": replace(POINT, required=True)},
+    "affine": {"matrix": Rule(list, required=True, at_least=1, each=POINT, agrees=_square),
+               "offset": replace(POINT, agrees=_offset_fits)},
+    "coordinate_shear": {"from": _shear_axis("from"), "to": _shear_axis("to"),
+                         "dimension": Rule(int, at_least=1, at_most=MAX_DIMENSION)},
+    "quad_swirl": {},
+    "quadratic1d": {},
+}
+
+ALGEBRA_CATALOG = {
+    "euclidean_motion": "R^d >| so(d) with involution by diag(-I_p, I_q)",
+    "abelian": "R^d, zero bracket, involution -1",
+    "matrix_involutive": "gl(n, R) with a -> -a^T; h = so(n), q = sym(n)",
+}
+_SIZE = Rule(int, required=True, at_least=1, at_most=MAX_DIMENSION)
+_PART = Rule(int, required=True, at_least=0, at_most=MAX_DIMENSION)
+ALGEBRA_PARAMS = {
+    "euclidean_motion": {"d": _SIZE, "p": _PART, "q": Rule(
+        int, required=True, at_least=0, at_most=MAX_DIMENSION,
+        agrees=lambda b: None if b["p"] + b["q"] == b["d"] else "needs p + q = d")},
+    "abelian": {"d": _SIZE},
+    "matrix_involutive": {"n": Rule(int, required=True, at_least=1,
+                                    at_most=MAX_MATRIX_SIZE)},
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -315,8 +467,6 @@ def _check_bounds(val, rule: Rule, path: str):
 
 def _check_samples(samples: dict, kind: str):
     """The keys the sample type reads and no other, and a strictly increasing ladder."""
-    from .runner import SAMPLE_KEYS, SAMPLE_OPTIONAL_KEYS
-
     if samples["type"] not in SAMPLE_KEYS:
         raise ConfigError("$.samples.type", f"unknown sample type {samples['type']!r}")
     # a ladder gives the sizes, but compatibility samples once and some types take none
@@ -350,11 +500,8 @@ def _check_samples(samples: dict, kind: str):
 
 def _check_curve_steps(data: dict, kind: str):
     """|time| / step of every integral curve the config asks for, read with
-    the runner's defaults, is at most ``flows.MAX_CURVE_STEPS``; a larger
-    ratio asks for work without bound."""
-    from .flows import DEFAULT_STEP, MAX_CURVE_STEPS
-    from .runner import CURVE_TIMES
-
+    the runner's defaults, is at most ``MAX_CURVE_STEPS``; a larger ratio
+    asks for work without bound."""
     if kind == "compatibility":
         key, blocks = "t_max", [(f"$.invariance[{i}]", inv)
                                 for i, inv in enumerate(data.get("invariance", []))]
@@ -371,13 +518,8 @@ def _check_curve_steps(data: dict, kind: str):
 
 def _resolve_builtin_names(data: dict):
     """Every referenced builtin name must resolve in its catalog, and its
-    params must satisfy the key table the builtin declares beside its
-    builder."""
-    from .algebra import ALGEBRA_PARAMS
-    from .flows import FIELD_PARAMS
-    from .kernels import KERNEL_PARAMS
-    from .operators import ACTION_PARAMS
-
+    params must satisfy the builtin's key table (``KERNEL_PARAMS`` and the
+    rest)."""
     # the blocks are checked against their key tables by now
     def check(block, tables, path):
         if block is None or "name" not in block:
@@ -401,6 +543,23 @@ def _resolve_builtin_names(data: dict):
     for i, pair in enumerate(data.get("pairs", [])):
         check(pair["x"], FIELD_PARAMS, f"$.pairs[{i}].x")
         check(pair["y"], FIELD_PARAMS, f"$.pairs[{i}].y")
+
+
+def first_non_finite(node, path: str = "$") -> Optional[str]:
+    """The JSON path of the first non-finite number in ``node``, or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else path
+    if isinstance(node, dict):
+        children = ((f"{path}.{key}", child) for key, child in node.items())
+    elif isinstance(node, (list, tuple)):
+        children = ((f"{path}[{i}]", child) for i, child in enumerate(node))
+    else:
+        return None
+    for at, child in children:
+        found = first_non_finite(child, at)
+        if found is not None:
+            return found
+    return None
 
 
 def validate_config(data: dict) -> ExperimentConfig:
@@ -443,6 +602,11 @@ def validate_config(data: dict) -> ExperimentConfig:
         _check_samples(data["samples"], kind)
     if kind in ("froelich", "flow_laws", "compatibility"):
         _check_curve_steps(data, kind)
+    # JSON has no NaN or Infinity, yet the parser reads them, and 1e999 as an
+    # infinity: no key takes one, and a report could not carry it back out
+    where = first_non_finite(data)
+    if where is not None:
+        raise ConfigError(where, "must be a finite number")
 
     seed = int(data["seed"])
     if os.environ.get("KERFLOW_SEED"):
@@ -459,10 +623,15 @@ def validate_config(data: dict) -> ExperimentConfig:
 def parse_config(path: str) -> ExperimentConfig:
     """Load and validate a JSON experiment configuration file."""
     try:
-        with open(path, "r") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except FileNotFoundError:
         raise ConfigError("$", f"no such file: {path}")
+    # a directory, a file without read permission, bytes that are not UTF-8
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("$", f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError("$", f"invalid JSON: {exc}")
+    except RecursionError:
+        raise ConfigError("$", "JSON nested too deeply to read")
     return validate_config(data)

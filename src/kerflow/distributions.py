@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .config import symmetric_axis
 from .errors import DegenerateQuotientError, EmptyModelError, GridError
 from .kernels import GramModel, gram_from_matrix
 # the distance profile of the grid kinds' kernel, importable from here too
@@ -90,12 +91,6 @@ class TestFunctionGrid:
     def is_symmetric(self, axis: int) -> bool:
         """Whether coordinate negation along ``axis`` maps the grid to itself."""
         return symmetric_axis(self.origin[axis], self.spacing, self.shape[axis])
-
-
-def symmetric_axis(lo: float, spacing: float, n: int) -> bool:
-    """Whether the n coordinates lo + k spacing are symmetric about 0."""
-    hi = lo + spacing * (n - 1)
-    return abs(lo + hi) < 1e-12 * max(1.0, abs(hi))
 
 
 @dataclass(frozen=True, eq=False)

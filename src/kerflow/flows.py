@@ -17,13 +17,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .config import MAX_DIMENSION, POINT, Rule
+from .config import DEFAULT_STEP, SHEAR_DEFAULTS
 from .errors import FlowDomainError
 
 BLOWUP_NORM = 1e12
-DEFAULT_STEP = 1e-3
-# RK4 steps (|time| / step) one integral curve of a config may ask for
-MAX_CURVE_STEPS = 10 ** 5
 DEFAULT_FD_STEP = 1e-5
 
 EXIT_LEFT_CHART = "left chart"
@@ -545,7 +542,8 @@ def _quad_swirl_jacobian(p: np.ndarray) -> np.ndarray:
 
 
 def builtin_field(name: str, params: Optional[dict] = None) -> VectorField:
-    """Catalog of named fields used by experiment configs and tests."""
+    """Catalog of named fields used by experiment configs and tests; the
+    params each reads are ``config.FIELD_PARAMS``."""
     params = dict(params or {})
     if name == "rotation2d":
         return rotation_field()
@@ -555,7 +553,7 @@ def builtin_field(name: str, params: Optional[dict] = None) -> VectorField:
         return affine_field(params["matrix"], params.get("offset"))
     if name == "coordinate_shear":
         # x[frm] * d/dx[to]
-        shear = {**_SHEAR_DEFAULTS, **params}
+        shear = {**SHEAR_DEFAULTS, **params}
         frm, to, dim = shear["from"], shear["to"], shear["dimension"]
         A = np.zeros((dim, dim))
         A[to, frm] = 1.0
@@ -570,39 +568,3 @@ def builtin_field(name: str, params: Optional[dict] = None) -> VectorField:
         return VectorField(box_chart([-np.inf], [1.0]), lambda p: p ** 2,
                            lambda p: 2.0 * p[..., None], name="quadratic1d")
     raise KeyError(f"unknown builtin field {name!r}")
-
-
-FIELD_CATALOG = {
-    "rotation2d": "planar rotation generator (-y, x)",
-    "constant": "constant field v",
-    "affine": "affine field A p + b",
-    "coordinate_shear": "x_from d/dx_to",
-    "quad_swirl": "quadratic planar field (y^2, x)",
-    "quadratic1d": "x^2 on the chart (-inf, 1); blows up in finite time",
-}
-# the coordinate_shear params when absent
-_SHEAR_DEFAULTS = {"from": 0, "to": 1, "dimension": 2}
-
-
-def _shear_axis(key: str) -> Rule:
-    """A ``coordinate_shear`` axis, below the field's own dimension."""
-    def agrees(params):
-        shear = {**_SHEAR_DEFAULTS, **params}
-        if shear[key] >= shear["dimension"]:
-            return f"must be < dimension ({shear['dimension']})"
-        return None
-    return Rule(int, at_least=0, at_most=MAX_DIMENSION - 1, agrees=agrees)
-
-
-# the params each builtin field reads, as the key table a config's
-# ``params`` is checked against
-FIELD_PARAMS = {
-    "rotation2d": {},
-    "constant": {"vector": replace(POINT, required=True)},
-    "affine": {"matrix": Rule(list, required=True, at_least=1, each=POINT),
-               "offset": POINT},
-    "coordinate_shear": {"from": _shear_axis("from"), "to": _shear_axis("to"),
-                         "dimension": Rule(int, at_least=1, at_most=MAX_DIMENSION)},
-    "quad_swirl": {},
-    "quadratic1d": {},
-}

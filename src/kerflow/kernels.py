@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import MAX_MATRIX_SIZE, MAX_POINTS, NUMBER, POINT, POSITIVE, Rule
 from .errors import EmptyModelError, KernelDomainError, NotHermitianError
 
 DEFAULT_RANK_CUTOFF = 1e-12
@@ -317,7 +316,8 @@ def ou_mixture_profile(masses, weights) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
-    """Catalog of named kernels used by experiment configs and tests.
+    """Catalog of named kernels used by experiment configs and tests; the
+    params each reads are ``config.KERNEL_PARAMS``.
 
     Every entry has an array form of its values; ``ou_mixture`` and ``det``
     have no analytic gradient and take the central differences of it."""
@@ -439,34 +439,3 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
 
         return Kernel("det", det_mat, dimension=n * n)
     raise KeyError(f"unknown builtin kernel {name!r}")
-
-
-KERNEL_CATALOG = {
-    "fock": "exponential kernel exp(<x, y>)",
-    "gaussian_rbf": "rotation-invariant exp(-|x-y|^2 / 2 sigma^2)",
-    "ou": "exponential-decay kernel exp(-m |x-y|), kink on the diagonal",
-    "ou_mixture": "positive mixture sum_j w_j exp(-m_j |x-y|)",
-    "laplace": "transform of an atomic measure: sum_j w_j exp(-a_j.(x+y)/2)",
-    "laplace_gaussian": "transform of a Gaussian weight: exp(s^2 |x+y|^2 / 8)",
-    "circle_laplace": "transform of a uniform circle measure; rotation invariant",
-    "halfplane_bessel": "2 K0(m |(x1+y1, x2-y2)|) on the half-plane x1 > 0",
-    "det": "det(1 - x y^T)^(-s) on contractive matrices",
-}
-_POSITIVE_LIST = Rule(list, at_least=1, each=POSITIVE)
-# the params each builtin kernel reads, as the key table a config's
-# ``params`` is checked against
-KERNEL_PARAMS = {
-    "fock": {},
-    "gaussian_rbf": {"sigma": POSITIVE},
-    "ou": {"mass": POSITIVE},
-    "ou_mixture": {"masses": replace(_POSITIVE_LIST, required=True),
-                   "weights": replace(_POSITIVE_LIST, same_length="masses")},
-    "laplace": {"atoms": Rule(list, required=True, at_least=1, each=POINT),
-                "weights": replace(_POSITIVE_LIST, required=True, same_length="atoms")},
-    "laplace_gaussian": {"scale": NUMBER},
-    "circle_laplace": {"mass": NUMBER,
-                       "n_atoms": Rule(int, at_least=1, at_most=MAX_POINTS)},
-    "halfplane_bessel": {"mass": POSITIVE},
-    "det": {"n": Rule(int, required=True, at_least=1, at_most=MAX_MATRIX_SIZE),
-            "power": replace(POSITIVE, required=True)},
-}

@@ -17,10 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, SymmetricLieAlgebra, algebra_bracket, expm
-from .config import MAX_DIMENSION, MAX_MATRIX_SIZE, POSITIVE, Rule
+from .config import DEFAULT_STEP, EUCLIDEAN_SPLIT
 from .errors import ClassificationError, FlowDomainError
-from .flows import (DEFAULT_STEP, VectorField, integrate_batch, integrate_curve,
-                    lie_bracket)
+from .flows import VectorField, integrate_batch, integrate_curve, lie_bracket
 from .kernels import (GramModel, Kernel, embed_gvector, embed_point,
                       projection_residual)
 
@@ -286,7 +285,8 @@ def froelich_check(kernel: Kernel, field: VectorField, model: GramModel,
 
 
 def builtin_action(name: str, params: Optional[dict] = None) -> CompatibleAction:
-    """Catalog of named kernel-compatible actions for configs and tests."""
+    """Catalog of named kernel-compatible actions for configs and tests; the
+    params each reads are ``config.ACTION_PARAMS``."""
     from . import algebra as la
     from . import flows as fl
 
@@ -299,7 +299,7 @@ def builtin_action(name: str, params: Optional[dict] = None) -> CompatibleAction
         # q-directions have no closed-form group action in the fixed subgroup
         return CompatibleAction(alg, fields, sigma=None, name=f"translation({d})")
     if name == "euclidean":
-        split = {**_EUCLIDEAN_SPLIT, **params}
+        split = {**EUCLIDEAN_SPLIT, **params}
         p, q = int(split["p"]), int(split["q"])
         domain = params.get("domain", "plane")
         alg = la.euclidean_motion(2, p, q)
@@ -354,31 +354,3 @@ def builtin_action(name: str, params: Optional[dict] = None) -> CompatibleAction
         return CompatibleAction(alg, tuple(fields), sigma=sigma,
                                 name=f"matrix_right_multiplication({n})")
     raise KeyError(f"unknown builtin action {name!r}")
-
-
-ACTION_CATALOG = {
-    "translation": "R^d translating itself; all directions flipped by the involution",
-    "euclidean": "planar motions on R^2; involution by conjugation with diag(-I_p, I_q)",
-    "matrix_right_multiplication": "gl(n) acting on a matrix ball by g -> g x",
-}
-# the ``euclidean`` p and q when absent: a planar motion splits 2 = p + q
-_EUCLIDEAN_SPLIT = {"p": 2, "q": 0}
-
-
-def _planar_split(params) -> Optional[str]:
-    split = {**_EUCLIDEAN_SPLIT, **params}
-    p, q = split["p"], split["q"]
-    return None if p + q == 2 else f"a planar motion needs p + q = 2, got {p} + {q}"
-
-
-# the params each builtin action reads, as the key table a config's
-# ``params`` is checked against
-ACTION_PARAMS = {
-    "translation": {"dimension": Rule(int, at_least=1, at_most=MAX_DIMENSION)},
-    "euclidean": {"p": Rule(int, at_least=0, at_most=2),
-                  "q": Rule(int, at_least=0, at_most=2, agrees=_planar_split),
-                  "domain": Rule(str, choices=("plane", "halfplane"))},
-    "matrix_right_multiplication": {
-        "n": Rule(int, required=True, at_least=1, at_most=MAX_MATRIX_SIZE),
-        "radius": POSITIVE},
-}

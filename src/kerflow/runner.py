@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
 import operator
 import os
 import time
@@ -28,7 +27,7 @@ from . import kernels as kr
 from . import operators as op
 from . import representation as rp
 from .algebra import expm
-from .config import CHECKS, ExperimentConfig
+from .config import CHECKS, CURVE_TIMES, DEFAULT_STEP, ExperimentConfig, first_non_finite
 from .errors import ConfigError, GridError
 
 
@@ -73,45 +72,14 @@ class ExperimentReport:
         try:
             return json.dumps(out, indent=2, sort_keys=True, allow_nan=False)
         except ValueError:      # the one value json refuses: NaN or an infinity
-            raise ValueError(f"report value {_non_finite(out)} is not finite; "
+            raise ValueError(f"report value {first_non_finite(out)} is not finite; "
                              "JSON has no NaN or Infinity") from None
-
-
-def _non_finite(node, path: str = "$") -> Optional[str]:
-    """The JSON path of the first non-finite number in ``node``, or None."""
-    if isinstance(node, float):
-        return None if math.isfinite(node) else path
-    if isinstance(node, dict):
-        children = ((f"{path}.{key}", child) for key, child in node.items())
-    elif isinstance(node, (list, tuple)):
-        children = ((f"{path}[{i}]", child) for i, child in enumerate(node))
-    else:
-        return None
-    for at, child in children:
-        found = _non_finite(child, at)
-        if found is not None:
-            return found
-    return None
-
-
-# the time key of each kind's integral curves, with the value read when a
-# config gives none (the step defaults to flows.DEFAULT_STEP); validation
-# bounds time / step by flows.MAX_CURVE_STEPS
-CURVE_TIMES = {"time": 0.1, "t_range": 1.0, "t_max": 0.5}
-
-# keys each sample type reads without a default; validation requires them
-SAMPLE_KEYS = {"chebyshev": ("n",), "uniform_box": ("n",), "grid2d": ("n_side",),
-               "circles": ("radii", "n_per_circle"), "explicit": ("points",)}
-# keys each sample type reads with a default; besides ``type`` and the
-# ``refinement`` ladder, validation rejects any key neither table names
-SAMPLE_OPTIONAL_KEYS = {"chebyshev": ("halfwidth",),
-                        "uniform_box": ("dimension", "halfwidth", "include_origin"),
-                        "grid2d": ("x_range", "y_range"), "circles": (), "explicit": ()}
 
 
 def _sample_points(spec: dict, rng: np.random.Generator, size: Optional[int] = None):
     """Realize a sample spec; ``size`` overrides the configured count so the
-    same spec can be replayed along a refinement ladder."""
+    same spec can be replayed along a refinement ladder.  A type reads the
+    keys ``config.SAMPLE_KEYS`` and ``config.SAMPLE_OPTIONAL_KEYS`` name."""
     kind = spec["type"]
     if kind == "chebyshev":
         n = int(size or spec["n"])
@@ -257,7 +225,7 @@ def _max_ratio(values: list) -> Optional[float]:
 
 def _run_flow_laws(cfg: ExperimentConfig) -> tuple:
     body, rng = cfg.body, np.random.default_rng(cfg.seed)
-    step = float(body.get("step", fl.DEFAULT_STEP))
+    step = float(body.get("step", DEFAULT_STEP))
     t_range = float(body.get("t_range", CURVE_TIMES["t_range"]))
     n_points = int(body.get("n_points", 10))
     n_times = int(body.get("n_time_samples", 3))
@@ -391,7 +359,7 @@ def _run_compatibility(cfg: ExperimentConfig) -> tuple:
         pair = [tuple(np.asarray(q, dtype=float) for q in inv["pair"])]
         invariance.append(op.flow_invariance_check(
             kernel, field, eps, pair, float(inv.get("t_max", CURVE_TIMES["t_max"])),
-            float(inv.get("step", fl.DEFAULT_STEP))))
+            float(inv.get("step", DEFAULT_STEP))))
     # informational (value and passed null) without an invariance pair; a
     # pair whose curves reach no time beyond 0 compares nothing and fails
     drifts = [res.max_drift for res in invariance if res.reached[0] != 0.0]
@@ -407,7 +375,7 @@ def _run_froelich(cfg: ExperimentConfig) -> tuple:
     field = fl.builtin_field(body["field"]["name"], body["field"].get("params"))
     start = np.asarray(body.get("start_point", [0.0]), dtype=float)
     t = float(body.get("time", CURVE_TIMES["time"]))
-    step = float(body.get("step", fl.DEFAULT_STEP))
+    step = float(body.get("step", DEFAULT_STEP))
     cutoff = float(body.get("rank_cutoff", 1e-10))
     sizes = []
     deltas, resids = [], []

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kerflow
-from kerflow import cli, distributions, runner
-from kerflow.config import CHECKS, ExperimentConfig, Rule, parse_config, validate_config
+from kerflow import cli, config, distributions, runner
+from kerflow.config import (CHECKS, SAMPLE_KEYS, SAMPLE_OPTIONAL_KEYS, ExperimentConfig,
+                            Rule, parse_config, validate_config)
 from kerflow.errors import ConfigError
-from kerflow.runner import SAMPLE_KEYS, SAMPLE_OPTIONAL_KEYS, _sample_points, run_experiment
+from kerflow.runner import _sample_points, run_experiment
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -467,8 +468,8 @@ _UNREACHED = {
     "kernels.Kernel.grad1": _TRACER,
     "kernels.entrywise_kernel": "the entry point of a user's scalar kernel",
     "runner._write_csv": "reached through --csv-dir",
-    "runner._non_finite": "reached when a report carries NaN or Infinity",
-    "flows._shear_axis": "runs at import, building FIELD_PARAMS",
+    "config._shear_axis": "runs at import, building FIELD_PARAMS",
+    "__init__.__getattr__": "runs when a submodule is first imported",
     "config._read_by": "runs at import, building SCHEMAS",
     "algebra.algebra_bracket": _CATALOG,
     "algebra.SymmetricLieAlgebra.q_indices": _CATALOG,
@@ -979,6 +980,30 @@ def _zero_size(key):
                  lambda d: d.update(samples={"type": "circles", "radii": [0.5],
                                              "n_per_circle": 4, "n": 8}),
                  "$.samples.n", id="circles-n"),
+    # JSON has no NaN or Infinity, but the parser reads them: these passed
+    # validate, then the run exited 3, after all its work where the report
+    # refused the echoed value
+    pytest.param("flow_laws", lambda d: d.update(step=float("inf")),
+                 "$.step", id="infinite-step"),
+    pytest.param("flow_laws",
+                 lambda d: d["fields"][1]["params"]["matrix"][0].__setitem__(1, float("nan")),
+                 "$.fields[1].params.matrix[0][1]", id="nan-in-affine-matrix"),
+    pytest.param("cdual_abelian", lambda d: d["samples"].update(halfwidth=float("inf")),
+                 "$.samples.halfwidth", id="infinite-halfwidth"),
+    pytest.param("compatibility", lambda d: d["tolerances"].update(invariance=float("inf")),
+                 "$.tolerances.invariance", id="infinite-tolerance"),
+    # an affine matrix is square and its offset as long as a row: these
+    # passed validate, and the run exited 3, or broadcast a short offset
+    pytest.param("flow_laws", lambda d: d["fields"][1]["params"].update(matrix=[[1.0, 2.0]]),
+                 "$.fields[1].params.matrix", id="affine-matrix-not-square"),
+    pytest.param("flow_laws",
+                 lambda d: d["fields"][1]["params"].update(matrix=[[1.0, 2.0], [3.0]]),
+                 "$.fields[1].params.matrix", id="affine-matrix-ragged"),
+    pytest.param("flow_laws", lambda d: d["fields"][1]["params"].update(offset=[1.0]),
+                 "$.fields[1].params.offset", id="affine-offset-short"),
+    pytest.param("flow_laws", lambda d: (d["fields"].pop(0),
+                                         d["fields"][0]["params"].update(offset=[1.0])),
+                 "$.fields[0].params.offset", id="affine-offset-short-alone"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
     data = _shipped(stem)
@@ -990,6 +1015,34 @@ def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_
     for command in ("validate", "run"):
         assert cli.main([command, path]) == cli.EXIT_CONFIG_ERROR
         assert f"config error: {json_path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("write, json_path", [
+    pytest.param(lambda path: path.mkdir(), "$", id="directory"),
+    pytest.param(lambda path: path.write_bytes(
+        json.dumps(_shipped("cdual_abelian")).replace('"seed"', '"s\u00e9ed"').encode("latin-1")),
+        "$", id="not-utf-8"),
+    pytest.param(lambda path: path.write_text(
+        json.dumps(_shipped("flow_laws")).replace('"step": 0.001', '"step": 1e999')),
+        "$.step", id="step-1e999"),
+    pytest.param(lambda path: path.write_text(
+        json.dumps(_shipped("cdual_abelian")).replace('"seed"', '"x": ' + "[" * 5000
+                                                      + "]" * 5000 + ', "seed"')),
+        "$", id="nested-too-deeply"),
+])
+def test_config_file_exits_2_with_path(tmp_path, capsys, write, json_path):
+    # a directory, bytes that are not UTF-8 or JSON nested deeper than the
+    # parser's recursion limit raised out of validate (exit 1, the
+    # check-failure code) and exited 3 at run; 1e999 is read as an
+    # infinity, which passed validate
+    path = tmp_path / "cfg.json"
+    write(path)
+    with pytest.raises(ConfigError) as err:
+        parse_config(str(path))
+    assert err.value.json_path == json_path
+    for command in ("validate", "run"):
+        assert cli.main([command, str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(f"config error: {json_path}: ")
 
 
 # values only the run can check against what the config builds: the
@@ -1193,12 +1246,12 @@ def test_mutated_shipped_configs_keep_the_exit_code_contract(tmp_path, capsys, d
     ("operators", "builtin_action", "ACTION_CATALOG", "ACTION_PARAMS"),
 ])
 def test_required_params_match_the_builders(module, build, catalog, tables):
-    # every builtin has a key table of Rules, and is built without params
-    # exactly when its table requires none, so validation and the builder
-    # cannot drift apart
+    # every builtin has a key table of Rules in config, and is built without
+    # params exactly when its table requires none, so validation and the
+    # builder cannot drift apart
     mod = importlib.import_module(f"kerflow.{module}")
-    declared = getattr(mod, tables)
-    assert set(declared) == set(getattr(mod, catalog))
+    declared = getattr(config, tables)
+    assert set(declared) == set(getattr(config, catalog))
     for name, table in declared.items():
         assert all(isinstance(rule, Rule) for rule in table.values()), name
         required = {key for key, rule in table.items() if rule.required}

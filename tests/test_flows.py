@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kerflow import flows as fl
+from kerflow.config import FIELD_CATALOG
 from kerflow.errors import FlowDomainError
 
 
@@ -796,7 +797,7 @@ _FIELD_PARAMS = {"constant": {"vector": [0.3, -0.2]},
                  "affine": {"matrix": [[0.2, -1.1], [0.9, -0.3]], "offset": [0.1, 0.7]}}
 
 
-@pytest.mark.parametrize("name", sorted(fl.FIELD_CATALOG))
+@pytest.mark.parametrize("name", sorted(FIELD_CATALOG))
 def test_builtin_jacobians_take_a_stack_of_points(name):
     # a field's Jacobian maps (n, d) to (n, d, d), or to one (d, d) for
     # every row, equal to its Jacobian at each point

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from kerflow import kernels as kk
 from kerflow import operators as op
 from kerflow import representation as rp
+from kerflow.config import KERNEL_CATALOG
 from kerflow.errors import EmptyModelError, KernelDomainError, NotHermitianError
 
 
@@ -394,7 +395,7 @@ def _assert_close(batch, reference, rtol=1e-12):
 
 
 def test_batch_cases_cover_the_catalog():
-    assert set(BATCH_CASES) == set(REFERENCE) == set(kk.KERNEL_CATALOG)
+    assert set(BATCH_CASES) == set(REFERENCE) == set(KERNEL_CATALOG)
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))

@@ -1,5 +1,7 @@
-"""scipy.linalg loads only when a run first takes a matrix exponential, and
-numpy.random only when a run first draws from a generator.
+"""``import kerflow``, ``validate`` and ``list-builtins`` load no numpy and
+none of the numpy-backed modules; scipy.linalg loads only when a run first
+takes a matrix exponential, and numpy.random only when a run first draws from
+a generator.
 
 Each case runs in a fresh interpreter, since the test process itself has
 long imported scipy.linalg by the time this module runs.
@@ -53,3 +55,29 @@ def test_a_kind_that_takes_an_exponential_loads_scipy_linalg():
     assert result["codes"][-1] == 0
     assert result["scipy_linalg"] is True
     assert result["numpy_random"] is True
+
+
+_BARE = """
+import contextlib, io, json, os, sys
+sys.path.insert(0, {src!r})
+import kerflow
+from kerflow import cli
+configs = [os.path.join({configs!r}, f) for f in sorted(os.listdir({configs!r}))
+           if f.endswith(".json")]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["validate", c]) for c in configs] + [cli.main(["list-builtins"])]
+    loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("kerflow."))
+    codes.append(cli.main(["run", os.path.join({configs!r}, "rp_axioms.json")]))
+print(json.dumps({{"codes": codes, "loaded": loaded}}))
+"""
+
+
+def test_import_validate_and_list_builtins_never_load_numpy():
+    code = _BARE.format(src=SRC_DIR, configs=CONFIG_DIR)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, check=True).stdout
+    result = json.loads(out.splitlines()[-1])
+    shipped = [f for f in os.listdir(CONFIG_DIR) if f.endswith(".json")]
+    # every validate, list-builtins, and a run afterwards, pass
+    assert result["codes"] == [0] * (len(shipped) + 2)
+    assert result["loaded"] == ["kerflow.cli", "kerflow.config", "kerflow.errors"]
