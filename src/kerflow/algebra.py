@@ -119,8 +119,7 @@ class SymmetricPairReport:
                    self.involution_defect, *self.split_defects.values())
 
 
-def validate_symmetric_pair(alg: SymmetricLieAlgebra,
-                            tol: float = VALIDATION_TOL) -> SymmetricPairReport:
+def validate_symmetric_pair(alg: SymmetricLieAlgebra) -> SymmetricPairReport:
     """Check antisymmetry, Jacobi, involution squaring, and the eigenspace
     bracket inclusions [h,h] in h, [q,q] in h, [h,q] in q."""
     c = alg.structure
@@ -153,7 +152,7 @@ def validate_symmetric_pair(alg: SymmetricLieAlgebra,
             else:
                 split["hq->q"] = max(split["hq->q"], leak)
 
-    passed = max(anti, jac, inv, *split.values()) <= tol
+    passed = max(anti, jac, inv, *split.values()) <= VALIDATION_TOL
     return SymmetricPairReport(anti, jac, inv, split, passed)
 
 

@@ -117,8 +117,61 @@ _SAMPLES = Rule(dict, required=True, spec={
     "x_range": _PAIR, "y_range": _PAIR,
     "radii": Rule(list, at_least=1, each=POSITIVE),
     "n_per_circle": Rule(int, at_least=1, at_most=MAX_POINTS), "include_origin": bool})
-_ALGEBRA = Rule(dict, spec={"name": str, "params": dict, "structure_constants": list,
-                            "involution": list, "labels": list})
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_sign(x) -> bool:
+    return _is_number(x) and x in (-1, 1)
+
+
+def _square_of(rows, n: int, entry: Callable) -> bool:
+    """Whether ``rows`` is a list of n lists of n entries, each passing ``entry``."""
+    return isinstance(rows, list) and len(rows) == n and all(
+        isinstance(row, list) and len(row) == n and all(map(entry, row)) for row in rows)
+
+
+def _structure_shape(block) -> Optional[str]:
+    """Why explicit structure constants are not an (n, n, n) nested list."""
+    c = block.get("structure_constants")
+    if c is None or all(_square_of(layer, len(c), _is_number) for layer in c):
+        return None
+    return f"must be an (n, n, n) nested list of numbers, here n = {len(c)}"
+
+
+def _involution_shape(block) -> Optional[str]:
+    """Why an explicit involution is not diagonal with entries +-1, given
+    as its n diagonal entries or as the n x n matrix."""
+    if "involution" not in block or "structure_constants" not in block:
+        return None
+    inv, n = block["involution"], len(block["structure_constants"])
+    if len(inv) == n and all(map(_is_sign, inv)):
+        return None
+    if _square_of(inv, n, _is_number) and all(
+            _is_sign(v) if i == j else v == 0 for i, row in enumerate(inv)
+            for j, v in enumerate(row)):
+        return None
+    return (f"must be the {n} diagonal entries, each +-1, or the {n} x {n} matrix with "
+            "+-1 on its diagonal and 0 elsewhere (a basis of involution eigenvectors)")
+
+
+def _one_label_each(block) -> Optional[str]:
+    """Why explicit labels are not one string per basis element."""
+    if "labels" not in block or "structure_constants" not in block:
+        return None
+    n = len(block["structure_constants"])
+    if len(block["labels"]) == n and all(isinstance(x, str) for x in block["labels"]):
+        return None
+    return f"needs one string label per basis element ({n})"
+
+
+_ALGEBRA = Rule(dict, spec={
+    "name": str, "params": dict,
+    "structure_constants": Rule(list, at_least=1, agrees=_structure_shape),
+    "involution": Rule(list, agrees=_involution_shape),
+    "labels": Rule(list, agrees=_one_label_each)})
 
 
 def _reflection_origin(grid: dict) -> Optional[str]:
@@ -163,6 +216,19 @@ _TRANSLATIONS = Rule(list, each=Rule(dict, spec={"cells": Rule(list, required=Tr
 _CELLS = Rule(int, at_least=0, at_most=MAX_GRID_CELLS)
 
 
+def _distinct_steps(block: dict) -> Optional[str]:
+    """Why a ``bracket_order`` step ladder would fit an order to one step size."""
+    if len(set(block.get("h_ladder", (1, 2)))) < 2:
+        return "a fitted order needs two distinct step sizes"
+    return None
+
+
+def _spectral_order(block: dict) -> Optional[str]:
+    """Why a ``luscher_mack`` spectral range [lo, hi] is not ordered."""
+    lo, hi = block.get("spectral_range", (0, 0))
+    return None if lo <= hi else f"needs lo <= hi, got [{lo}, {hi}]"
+
+
 def _read_by(variant: str, key: str, rule: Rule) -> Rule:
     """``rule`` for a luscher_mack key that only ``variant`` reads: set in a
     config of the other variant, it disagrees."""
@@ -170,7 +236,7 @@ def _read_by(variant: str, key: str, rule: Rule) -> Rule:
         chosen = block.get("variant", "power_1x1")
         if key in block and chosen != variant:
             return f"the {chosen} variant does not read it; only {variant} does"
-        return None
+        return rule.agrees(block) if rule.agrees else None
 
     return replace(rule, agrees=agrees)
 
@@ -187,15 +253,15 @@ SCHEMAS = {
     "bracket_order": {
         "pairs": Rule(list, required=True,
                       each=Rule(dict, spec={"x": _FIELD, "y": _FIELD})),
-        "n_points": Rule(int, at_most=MAX_POINTS),
-        # a fitted order needs at least two step sizes
-        "h_ladder": Rule(list, at_least=2, each=POSITIVE),
+        "n_points": Rule(int, at_least=1, at_most=MAX_POINTS),
+        # a fitted order needs at least two distinct step sizes
+        "h_ladder": Rule(list, at_least=2, each=POSITIVE, agrees=_distinct_steps),
     },
     "compatibility": {
         "kernel": _FIELD, "action": _FIELD, "algebra": _ALGEBRA, "samples": _SAMPLES,
         "invariance": Rule(list, each=Rule(dict, spec={
             "pair": Rule(list, required=True, at_least=2, at_most=2, each=POINT),
-            "epsilon": Rule(int, required=True),
+            "epsilon": Rule(int, required=True, choices=(-1, 1)),
             "element": Rule((int, str), required=True),
             "t_max": Rule((int, float), above=0),
             "step": Rule((int, float), above=0)})),
@@ -220,7 +286,8 @@ SCHEMAS = {
         "power": _read_by("determinant", "power", NUMBER),
         "matrix_size": _read_by("determinant", "matrix_size",
                                 Rule(int, at_least=1, at_most=MAX_MATRIX_SIZE)),
-        "spectral_range": _read_by("determinant", "spectral_range", _PAIR),
+        "spectral_range": _read_by("determinant", "spectral_range",
+                                   replace(_PAIR, agrees=_spectral_order)),
         "n_samples": Rule(int, at_least=1, at_most=MAX_SEMIGROUP_SAMPLES),
         "rank_cutoff": _RANK_CUTOFF,
     },
@@ -456,7 +523,7 @@ def _check_bounds(val, rule: Rule, path: str):
         what = "length" if isinstance(val, list) else "value"
         raise ConfigError(path, f"{what} must be <= {rule.at_most}")
     if rule.choices is not None and val not in rule.choices:
-        raise ConfigError(path, f"must be one of {', '.join(rule.choices)}")
+        raise ConfigError(path, f"must be one of {', '.join(map(str, rule.choices))}")
     if rule.each is not None and isinstance(val, list):
         for i, item in enumerate(val):
             _check_type(item, rule.each.types, f"{path}[{i}]")

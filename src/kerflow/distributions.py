@@ -20,10 +20,7 @@ import numpy as np
 from .config import symmetric_axis
 from .errors import DegenerateQuotientError, EmptyModelError, GridError
 from .kernels import GramModel, gram_from_matrix
-# the distance profile of the grid kinds' kernel, importable from here too
-from .kernels import ou_mixture_profile  # noqa: F401
-from .operators import (SYMMETRIC, OperatorCompression, compress_operator,
-                        semigroup_matrix)
+from .operators import SYMMETRIC, compress_operator, semigroup_matrix
 
 DEFAULT_MARGIN = 2
 TWISTED_RANK_CUTOFF = 1e-10
@@ -309,15 +306,13 @@ def distribution_lie_derivative(sk_or_grid, field, fn: TestFunction) -> TestFunc
 @dataclass(frozen=True)
 class DistributionTransportResult:
     relative_error: float
-    operator: OperatorCompression
     model: GramModel
 
 
 def distribution_froelich_check(sk: SmearedKernel, field, base: TestFunction,
                                 t_cells: int, axis: int = 0,
                                 n_basis: int = 8, basis_spacing_cells: int = 1,
-                                rank_cutoff: float = 1e-12,
-                                tol_sym: float = 1e-8) -> DistributionTransportResult:
+                                rank_cutoff: float = 1e-12) -> DistributionTransportResult:
     """Semigroup transport on a basis of exact translates of one function.
 
     The derivative form is B[i, j] = -pairing(phi_i, dphi_j); compressing and
@@ -341,14 +336,14 @@ def distribution_froelich_check(sk: SmearedKernel, field, base: TestFunction,
                                     for a in range(grid.ndim)))
     P = sk.pairings(fns, derivs + [base, shifted])
     n = len(fns)
-    op = compress_operator(-P[:, :n], model, SYMMETRIC, tol_sym, label="transport")
+    op = compress_operator(-P[:, :n], model, SYMMETRIC, label="transport")
     g0, g1 = P[:, n], P[:, n + 1]
     u0 = model.whitening @ g0
     target = model.whitening @ g1
     lhs = semigroup_matrix(op, t) @ u0
     denom = float(np.linalg.norm(target))
     err = float(np.linalg.norm(lhs - target)) / denom if denom > 0 else np.inf
-    return DistributionTransportResult(err, op, model)
+    return DistributionTransportResult(err, model)
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,6 @@ class ChartDomain:
         if self.dimension < 1:
             raise ValueError("chart dimension must be >= 1")
 
-    def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
-        return p.shape == (self.dimension,) and bool(self.contains_rows(p[None])[0])
-
     def contains_rows(self, points: np.ndarray) -> np.ndarray:
         """Row-wise membership; the predicate sees only the finite rows."""
         inside = np.isfinite(points).all(axis=1)
@@ -95,7 +91,7 @@ def halfspace_chart(dimension: int, axis: int = 0) -> ChartDomain:
 class VectorField:
     """Smooth field on a chart: a value map plus an optional analytic Jacobian.
 
-    When no Jacobian is given, central differences with step ``h_fd`` are used.
+    When no Jacobian is given, central differences with step ``DEFAULT_FD_STEP`` are used.
     The value map takes a point (d,) or an (n, d) array of points, giving
     (n, d) values or, for a constant field, one (d,) value for every row;
     its Jacobian likewise gives (n, d, d) or one (d, d).  Each row's value
@@ -107,7 +103,6 @@ class VectorField:
     chart: ChartDomain
     func: Callable[[np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    h_fd: float = DEFAULT_FD_STEP
     name: str = ""
     affine: Optional[tuple] = _field(default=None, compare=False)
 
@@ -140,8 +135,8 @@ class VectorField:
         p = np.asarray(point, dtype=float)
         if self.jacobian is not None:
             return np.asarray(self.jacobian(p), dtype=float)
-        steps = self.h_fd * np.eye(self.chart.dimension)
-        return np.stack([(self(p + e) - self(p - e)) / (2.0 * self.h_fd)
+        steps = DEFAULT_FD_STEP * np.eye(self.chart.dimension)
+        return np.stack([(self(p + e) - self(p - e)) / (2.0 * DEFAULT_FD_STEP)
                          for e in steps], axis=-1)
 
 
@@ -394,10 +389,9 @@ def integrate_curve(field: VectorField, start, t_end: float,
                     step: float = DEFAULT_STEP) -> IntegralCurve:
     """Integrate the field from ``start`` to time ``t_end`` (either sign): up
     to ``t_end`` or until the curve exits the chart or the field blows up;
-    ``terminated_early`` and ``exit_reason`` record which."""
+    ``terminated_early`` and ``exit_reason`` record which; a start outside
+    the chart raises ``FlowDomainError``."""
     p = np.asarray(start, dtype=float)
-    if not field.chart.contains(p):
-        raise FlowDomainError(f"start point {p} is outside the chart")
     path = []
     reason = integrate_batch(field, p[None], t_end, step, path).exit_reasons[0]
     times, points = map(np.concatenate, zip(*path))

@@ -32,7 +32,7 @@ class Kernel:
     ``matrix`` evaluates K(x_i, y_j) for every pair of rows of X (n, d) and
     Y (m, d) through ``matrix_fn``; ``grad1_matrix`` evaluates the gradient
     in the first slot through ``grad1_matrix_fn``, or by central differences
-    of ``matrix`` with step ``h_fd`` when none is given; each raises
+    of ``matrix`` with step ``DEFAULT_FD_STEP`` when none is given; each raises
     ``ValueError`` when its function returns another shape, and
     ``KernelDomainError`` when some value is not finite.  The calls at
     one pair, ``kernel(x, y)`` and ``grad1(x, y)``, are their 1 x 1 cases.
@@ -44,7 +44,6 @@ class Kernel:
     name: str
     matrix_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad1_matrix_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    h_fd: float = DEFAULT_FD_STEP
     dimension: Optional[int] = None
 
     def __call__(self, x, y) -> complex:
@@ -64,9 +63,9 @@ class Kernel:
         if self.grad1_matrix_fn is not None:
             out = self.grad1_matrix_fn(X, Y)
         else:
-            steps = self.h_fd * np.eye(X.shape[1])
+            steps = DEFAULT_FD_STEP * np.eye(X.shape[1])
             out = np.stack([(self.matrix(X + e, Y) - self.matrix(X - e, Y))
-                            / (2.0 * self.h_fd) for e in steps], axis=-1)
+                            / (2.0 * DEFAULT_FD_STEP) for e in steps], axis=-1)
         return self._shaped(out, (len(X), len(Y), X.shape[1]))
 
     def _shaped(self, out, shape: tuple):
@@ -188,36 +187,16 @@ def gram(kernel: Kernel, points, rank_cutoff: float = DEFAULT_RANK_CUTOFF) -> Gr
                             kernel=kernel, duplicate_points=dupes)
 
 
-@dataclass(frozen=True)
-class RKHSVector:
-    """Whitened coordinates of a vector in the sample span."""
-
-    coords: np.ndarray
-    model: GramModel
-
-    def inner(self, other: "RKHSVector") -> complex:
-        # <self, other>, linear in self, conjugate-linear in other
-        return complex(np.vdot(other.coords, self.coords))
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-
-def embed_index(model: GramModel, i: int) -> RKHSVector:
-    """Coordinates of the kernel section at sample point i (exact)."""
+def embed_index(model: GramModel, i: int) -> np.ndarray:
+    """Whitened coordinates of the kernel section at sample point i (exact);
+    <u, v> is ``np.vdot(v, u)``, so <K_mj, K_mi> = G[i, j]."""
     r = model.rank
-    coords = np.sqrt(model.eigenvalues[:r]) * model.eigenvectors[i, :r].conj()
-    return RKHSVector(coords, model)
+    return np.sqrt(model.eigenvalues[:r]) * model.eigenvectors[i, :r].conj()
 
 
-def embed_gvector(model: GramModel, g) -> RKHSVector:
-    """Coordinates W g for a vector of inner products against the sample."""
-    return RKHSVector(model.whitening @ np.asarray(g), model)
-
-
-def embed_point(model: GramModel, m) -> RKHSVector:
-    """Embed a new point (``embed_index`` embeds a sample point exactly).
+def embed_point(model: GramModel, m) -> np.ndarray:
+    """Whitened coordinates of a new point's section, with <u, v> =
+    ``np.vdot(v, u)`` (``embed_index`` embeds a sample point exactly).
 
     The point is projected orthogonally onto the sample span -- an
     approximation whose residual shrinks only with sample refinement.
@@ -225,14 +204,14 @@ def embed_point(model: GramModel, m) -> RKHSVector:
     if model.points is None or model.kernel is None:
         raise ValueError("model carries no kernel/points; only index embedding works")
     p = np.asarray(m, dtype=float)
-    return embed_gvector(model, model.kernel.matrix(model.points, p)[:, 0])
+    return model.whitening @ model.kernel.matrix(model.points, p)[:, 0]
 
 
 def projection_residual(model: GramModel, m) -> float:
     """Relative norm of the part of K_m orthogonal to the sample span."""
     p = np.asarray(m, dtype=float)
     full = float(np.real(model.kernel(p, p)))
-    proj = embed_point(model, p).norm ** 2
+    proj = float(np.linalg.norm(embed_point(model, p))) ** 2
     if full <= 0.0:
         return 0.0
     return float(np.sqrt(max(full - proj, 0.0) / full))

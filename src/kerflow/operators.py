@@ -20,9 +20,9 @@ from .algebra import AlgebraElement, SymmetricLieAlgebra, algebra_bracket, expm
 from .config import DEFAULT_STEP, EUCLIDEAN_SPLIT
 from .errors import ClassificationError, FlowDomainError
 from .flows import VectorField, integrate_batch, integrate_curve, lie_bracket
-from .kernels import (GramModel, Kernel, embed_gvector, embed_point,
-                      projection_residual)
+from .kernels import GramModel, Kernel, embed_point, projection_residual
 
+# the one tolerance of every symmetry test in the package
 DEFAULT_SYMMETRY_TOL = 1e-8
 
 SYMMETRIC = 1
@@ -114,11 +114,10 @@ def symmetry_defects(B: np.ndarray):
     return sym, skew, float(np.linalg.norm(B))
 
 
-def symmetry_classify(B: np.ndarray,
-                      tol_sym: float = DEFAULT_SYMMETRY_TOL) -> Optional[int]:
+def symmetry_classify(B: np.ndarray) -> Optional[int]:
     """+1 if B = B*, -1 if B = -B*, None if neither holds within tolerance."""
     sym, skew, norm = symmetry_defects(B)
-    threshold = tol_sym * norm
+    threshold = DEFAULT_SYMMETRY_TOL * norm
     ok_sym = sym <= threshold
     ok_skew = skew <= threshold
     if ok_sym and ok_skew:
@@ -202,34 +201,31 @@ class OperatorCompression:
     """
 
     compressed: np.ndarray
-    epsilon: Optional[int]
+    epsilon: int
     symmetrization_defect: float
-    label: str = ""
 
     @property
     def rank(self) -> int:
         return self.compressed.shape[0]
 
 
-def compress_operator(B: np.ndarray, model: GramModel, epsilon: Optional[int],
-                      tol_sym: float = DEFAULT_SYMMETRY_TOL,
+def compress_operator(B: np.ndarray, model: GramModel, epsilon: int,
                       label: str = "") -> OperatorCompression:
     """A_tilde = W B W^*, then symmetrize according to the declared class.
 
     Classification must precede symmetrization (it has to see the raw defect);
-    an inconsistent declaration raises rather than silently averaging it away.
+    an inconsistent declaration raises, naming ``label``, rather than silently
+    averaging it away.
     """
     A = model.compress(B)
-    if epsilon is None:
-        return OperatorCompression(A, None, 0.0, label)
     norm = float(np.linalg.norm(A))
     defect = float(np.linalg.norm(A - epsilon * A.conj().T))
-    if defect > tol_sym * max(norm, 1e-12):
+    if defect > DEFAULT_SYMMETRY_TOL * max(norm, 1e-12):
         raise ClassificationError(
             f"operator {label or '?'}: symmetry defect {defect:.3e} exceeds "
-            f"{tol_sym:.0e} * {norm:.3e} for epsilon={epsilon:+d}")
+            f"{DEFAULT_SYMMETRY_TOL:.0e} * {norm:.3e} for epsilon={epsilon:+d}")
     A = 0.5 * (A + epsilon * A.conj().T)
-    return OperatorCompression(A, epsilon, defect, label)
+    return OperatorCompression(A, epsilon, defect)
 
 
 def semigroup_matrix(op: OperatorCompression, t: float) -> np.ndarray:
@@ -245,12 +241,10 @@ class SemigroupTransportResult:
     relative_error: float
     projection_residual: float
     endpoint: np.ndarray
-    operator: OperatorCompression
 
 
 def froelich_check(kernel: Kernel, field: VectorField, model: GramModel,
-                   m: int, t: float, step: float = DEFAULT_STEP,
-                   tol_sym: float = DEFAULT_SYMMETRY_TOL) -> SemigroupTransportResult:
+                   m: int, t: float, step: float = DEFAULT_STEP) -> SemigroupTransportResult:
     """Semigroup-transport consistency: exp(tA) applied to the section at
     sample m should match the embedded section at the flow endpoint.
 
@@ -259,10 +253,9 @@ def froelich_check(kernel: Kernel, field: VectorField, model: GramModel,
     separated from semigroup error.
     """
     B = lie_derivative_form(kernel, field, model.points)
-    eps = symmetry_classify(B, tol_sym)
-    if eps != SYMMETRIC:
+    if symmetry_classify(B) != SYMMETRIC:
         raise ClassificationError("semigroup transport needs a symmetric field")
-    op = compress_operator(B, model, SYMMETRIC, tol_sym, label="transport")
+    op = compress_operator(B, model, SYMMETRIC, label="transport")
 
     curve = integrate_curve(field, model.points[m], t, step)
     if curve.terminated_early:
@@ -271,13 +264,12 @@ def froelich_check(kernel: Kernel, field: VectorField, model: GramModel,
 
     # embed both sides through the same g-vector path so the time-zero case
     # is exact and whitening noise cancels consistently
-    u0 = embed_gvector(model, model.gram[:, m])
-    lhs = semigroup_matrix(op, t) @ u0.coords
+    lhs = semigroup_matrix(op, t) @ (model.whitening @ model.gram[:, m])
     target = embed_point(model, endpoint)
-    denom = target.norm
-    err = float(np.linalg.norm(lhs - target.coords)) / denom if denom > 0 else np.inf
+    denom = float(np.linalg.norm(target))
+    err = float(np.linalg.norm(lhs - target)) / denom if denom > 0 else np.inf
     resid = projection_residual(model, endpoint)
-    return SemigroupTransportResult(err, resid, endpoint, op)
+    return SemigroupTransportResult(err, resid, endpoint)
 
 
 # ---------------------------------------------------------------------------

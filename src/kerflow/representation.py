@@ -23,9 +23,8 @@ from .algebra import SymmetricLieAlgebra, c_dual, exp_ad, expm
 from .errors import CompatibilityError, EmptyModelError, PositivityError
 from .kernels import GramModel, Kernel, gram
 from .operators import (DEFAULT_SYMMETRY_TOL, SKEW, SYMMETRIC, CompatibleAction,
-                        OperatorCompression, compatibility_check,
-                        compress_operator, lie_derivative_form,
-                        symmetry_defects)
+                        compatibility_check, compress_operator,
+                        lie_derivative_form, symmetry_defects)
 
 
 @dataclass(frozen=True)
@@ -40,9 +39,6 @@ class RepresentationTable:
     algebra: SymmetricLieAlgebra
     model: GramModel
     entries: tuple
-
-    def entry(self, k: int) -> OperatorCompression:
-        return self.entries[k]
 
     def dual_matrix(self, k: int) -> np.ndarray:
         A = self.entries[k].compressed
@@ -79,8 +75,7 @@ class RepresentationTable:
 
 
 def synthesize_cdual_rep(kernel: Kernel, action: CompatibleAction,
-                         model: GramModel,
-                         tol_sym: float = DEFAULT_SYMMETRY_TOL) -> RepresentationTable:
+                         model: GramModel) -> RepresentationTable:
     """Build the representation table, enforcing the h/q symmetry split.
 
     Every fixed-part element must classify skew and every flipped-part element
@@ -95,12 +90,12 @@ def synthesize_cdual_rep(kernel: Kernel, action: CompatibleAction,
         B = lie_derivative_form(kernel, field, model.points, grad)
         sym, skew, norm = symmetry_defects(B)
         raw = skew if expected == SKEW else sym
-        if raw > tol_sym * max(norm, 1e-12):
+        if raw > DEFAULT_SYMMETRY_TOL * max(norm, 1e-12):
             side = "fixed (skew)" if expected == SKEW else "flipped (symmetric)"
             raise CompatibilityError(
                 f"basis element {label!r} violates its {side} class: "
                 f"defect {raw:.3e} vs norm {norm:.3e}")
-        entries.append(compress_operator(B, model, expected, tol_sym, label=label))
+        entries.append(compress_operator(B, model, expected, label=label))
     return RepresentationTable(alg, model, tuple(entries))
 
 
@@ -155,8 +150,7 @@ class HGroupResult:
 
 
 def h_group_rep(kernel: Kernel, action: CompatibleAction, model: GramModel,
-                x: int, t: float,
-                tol_sym: float = DEFAULT_SYMMETRY_TOL) -> HGroupResult:
+                x: int, t: float) -> HGroupResult:
     """Matrix of the group element exp(t x), x in the fixed part, from kernel
     evaluations at moved sample points.
 
@@ -175,7 +169,7 @@ def h_group_rep(kernel: Kernel, action: CompatibleAction, model: GramModel,
     eye = np.eye(model.rank)
     unit = float(np.linalg.norm(P.conj().T @ P - eye))
     B = lie_derivative_form(kernel, action.basis_fields[x], pts)
-    op = compress_operator(B, model, SKEW, tol_sym, label=action.algebra.labels[x])
+    op = compress_operator(B, model, SKEW, label=action.algebra.labels[x])
     gen = float(np.linalg.norm((P - eye) / t - op.compressed)) if t != 0 else 0.0
     return HGroupResult(P, unit, gen)
 
@@ -222,8 +216,7 @@ def luscher_mack_pipeline(elements: Sequence[np.ndarray],
                           phi,
                           action: CompatibleAction,
                           phi_grad=None,
-                          rank_cutoff: float = 1e-12,
-                          tol_sym: float = DEFAULT_SYMMETRY_TOL):
+                          rank_cutoff: float = 1e-12):
     """From a function phi on an open semigroup of matrices to a dual
     representation table.
 
@@ -246,11 +239,11 @@ def luscher_mack_pipeline(elements: Sequence[np.ndarray],
             f"phi is not positive definite on the sample: {exc}") from exc
 
     compat = compatibility_check(kernel, action, points)
-    if compat.max_defect > tol_sym:
+    if compat.max_defect > DEFAULT_SYMMETRY_TOL:
         raise CompatibilityError(
             f"kernel/action compatibility fails: {compat.defects}")
 
-    table = synthesize_cdual_rep(kernel, action, model, tol_sym)
+    table = synthesize_cdual_rep(kernel, action, model)
 
     def translation_matrix(s):
         return model.compress(kernel.matrix((mats @ s).reshape(len(mats), n * n), points))

@@ -456,7 +456,7 @@ def _run_luscher_mack(cfg: ExperimentConfig) -> tuple:
                                               action,
                                               phi_grad=lambda u: a * u ** (a - 1.0),
                                               rank_cutoff=cutoff)
-        gen = table.entry(0).compressed
+        gen = table.entries[0].compressed
         values["generator_error"] = float(np.max(np.abs(gen - a * np.eye(gen.shape[0]))))
     else:   # the determinant variant; its generator has no closed form here
         n_mat = int(body.get("matrix_size", 2))

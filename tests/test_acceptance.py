@@ -196,7 +196,7 @@ def test_ac09_semigroup_pipelines():
     table, _ = rp.luscher_mack_pipeline(
         elems, lambda u: u[..., 0, 0] ** a, action1,
         phi_grad=lambda u: a * u ** (a - 1.0))
-    gen_err = abs(table.entry(0).compressed[0, 0].real - a)
+    gen_err = abs(table.entries[0].compressed[0, 0].real - a)
     rank_ok = table.model.rank == 1
 
     rng = np.random.default_rng(4)
@@ -218,7 +218,7 @@ def test_ac10_os_reconstruction():
     setup = dist.ReflectionSetup(grid, 0)
 
     sk1 = dist.SmearedKernel.from_distance_profile(
-        dist.ou_mixture_profile([1.0], [1.0]), grid)
+        kk.ou_mixture_profile([1.0], [1.0]), grid)
     fns = [dist.bump(grid, [0.5], 0.3), dist.bump(grid, [1.0], 0.3)]
     space1 = dist.os_quotient(sk1, setup, fns)
     sg = dist.os_semigroup(space1, [6])[0]
@@ -226,7 +226,7 @@ def test_ac10_os_reconstruction():
                 and abs(sg.matrix[0, 0] - np.exp(-0.3)) <= 1e-10)
 
     sk2 = dist.SmearedKernel.from_distance_profile(
-        dist.ou_mixture_profile([1.0, 2.0], [0.5, 0.5]), grid)
+        kk.ou_mixture_profile([1.0, 2.0], [0.5, 0.5]), grid)
     fns2 = fns + [dist.bump(grid, [1.5], 0.3)]
     space2 = dist.os_quotient(sk2, setup, fns2)
     eig_err = law = contraction = 0.0

@@ -456,7 +456,6 @@ _UNREACHED = {
     "distributions.SmearedKernel.from_matrix": _CLASS_2,
     "distributions.SmearedKernel.hermiticity_defect": _CLASS_2,
     "distributions.TestFunction.integral": _CLASS_2,
-    "kernels.RKHSVector.inner": _CLASS_2,
     "kernels.embed_index": _CLASS_2,
     "flows.pushforward": _ACCEPTANCE,
     "operators.CompatibleAction.field": _ACCEPTANCE,
@@ -1004,6 +1003,33 @@ def _zero_size(key):
     pytest.param("flow_laws", lambda d: (d["fields"].pop(0),
                                          d["fields"][0]["params"].update(offset=[1.0])),
                  "$.fields[0].params.offset", id="affine-offset-short-alone"),
+    # a custom algebra's shapes and labels: these passed validate, and the
+    # run exited 3 with a bare ValueError, or took an integer label that
+    # reads like an index
+    pytest.param("cdual_abelian", lambda d: d["algebra"].update(structure_constants=[[1.0]]),
+                 "$.algebra.structure_constants", id="algebra-structure-not-cubic"),
+    pytest.param("cdual_abelian", lambda d: d["algebra"].update(involution=[1.0, -1.0]),
+                 "$.algebra.involution", id="algebra-involution-too-long"),
+    pytest.param("cdual_abelian", lambda d: d["algebra"].update(involution=[[-1.0, 0.0]]),
+                 "$.algebra.involution", id="algebra-involution-not-square"),
+    pytest.param("cdual_abelian", lambda d: d["algebra"].update(involution=[0.5]),
+                 "$.algebra.involution", id="algebra-involution-not-a-sign"),
+    pytest.param("cdual_abelian", lambda d: d["algebra"].update(labels=["v1", "v2"]),
+                 "$.algebra.labels", id="algebra-two-labels-for-one-element"),
+    pytest.param("cdual_abelian", lambda d: d["algebra"].update(labels=[3]),
+                 "$.algebra.labels", id="algebra-integer-label"),
+    # a bracket order fitted over no points, or over one step size, compared
+    # nothing (exit 1) or raised a bare LinAlgError (exit 3)
+    pytest.param("bracket_order", lambda d: d.update(n_points=0),
+                 "$.n_points", id="bracket-no-points"),
+    pytest.param("bracket_order", lambda d: d.update(h_ladder=[1.0, 1.0]),
+                 "$.h_ladder", id="bracket-one-step-size"),
+    # an epsilon other than -1 or 1 was read as skew (exit 1), and a reversed
+    # spectral range raised numpy's ValueError (exit 3)
+    pytest.param("compatibility", lambda d: d["invariance"][0].update(epsilon=5),
+                 "$.invariance[0].epsilon", id="invariance-epsilon-not-a-sign"),
+    pytest.param("luscher_mack_det", lambda d: d.update(spectral_range=[0.8, 0.05]),
+                 "$.spectral_range", id="spectral-range-reversed"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
     data = _shipped(stem)
@@ -1015,6 +1041,19 @@ def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_
     for command in ("validate", "run"):
         assert cli.main([command, path]) == cli.EXIT_CONFIG_ERROR
         assert f"config error: {json_path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algebra", [
+    pytest.param({"structure_constants": [[[0.0]]], "involution": [[-1.0]]},
+                 id="matrix-involution"),
+    pytest.param({"structure_constants": [[[0]]], "involution": [-1], "labels": ["v"]},
+                 id="integer-entries"),
+])
+def test_custom_algebra_shapes_that_pass(tmp_path, algebra):
+    # the shape checks of a custom algebra reject no form the builder reads
+    data = _shipped("cdual_abelian")
+    data["algebra"] = algebra
+    assert cli.main(["run", _write(tmp_path, data)]) == cli.EXIT_PASS
 
 
 @pytest.mark.parametrize("write, json_path", [

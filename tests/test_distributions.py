@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from kerflow import distributions as ds
 from kerflow import flows as fl
+from kerflow import kernels as kk
 from kerflow.config import parse_config
 from kerflow.runner import run_experiment
 from kerflow.errors import DegenerateQuotientError, GridError, PositivityError
@@ -20,7 +21,7 @@ def line_grid():
 
 @pytest.fixture
 def ou_smeared(line_grid):
-    profile = ds.ou_mixture_profile([1.0], [1.0])
+    profile = kk.ou_mixture_profile([1.0], [1.0])
     return ds.SmearedKernel.from_distance_profile(profile, line_grid)
 
 
@@ -71,7 +72,7 @@ def test_constant_kernel_pairing_is_product_of_integrals(line_grid):
 
 def test_ou_pairing_distance_decay():
     grid = ds.TestFunctionGrid(origin=[-4.0], spacing=0.05, shape=(161,))
-    sk = ds.SmearedKernel.from_distance_profile(ds.ou_mixture_profile([1.0], [1.0]), grid)
+    sk = ds.SmearedKernel.from_distance_profile(kk.ou_mixture_profile([1.0], [1.0]), grid)
     f = ds.bump(grid, [-2.0], 0.4)
     g = ds.bump(grid, [2.0], 0.4)
     off = sk.pairing(f, g)
@@ -232,7 +233,7 @@ def test_quotient_rank_one_factors(ou_smeared, line_grid):
 
 def test_quotient_rank_two_mixture(line_grid):
     sk = ds.SmearedKernel.from_distance_profile(
-        ds.ou_mixture_profile([1.0, 2.0], [0.5, 0.5]), line_grid)
+        kk.ou_mixture_profile([1.0, 2.0], [0.5, 0.5]), line_grid)
     setup = ds.ReflectionSetup(line_grid, 0)
     fns = [ds.bump(line_grid, [c], 0.3) for c in (0.5, 1.0, 1.5)]
     space = ds.os_quotient(sk, setup, fns)
@@ -288,7 +289,7 @@ def test_transfer_identity_at_zero(ou_smeared, line_grid):
 
 def test_transfer_mixture_eigenvalues(line_grid):
     sk = ds.SmearedKernel.from_distance_profile(
-        ds.ou_mixture_profile([1.0, 2.0], [0.5, 0.5]), line_grid)
+        kk.ou_mixture_profile([1.0, 2.0], [0.5, 0.5]), line_grid)
     setup = ds.ReflectionSetup(line_grid, 0)
     fns = [ds.bump(line_grid, [c], 0.3) for c in (0.5, 1.0, 1.5)]
     space = ds.os_quotient(sk, setup, fns)
@@ -500,7 +501,7 @@ def test_pairings_evaluate_the_support_block_of_the_dense_kernel(case):
     w = grid.weights()
     F = np.array([f.flat for f in fs]).reshape(len(fs), grid.size) * w
     G = np.array([g.flat for g in gs]).reshape(len(gs), grid.size) * w
-    profile = ds.ou_mixture_profile([1.0, 2.0], [0.5, 0.5])
+    profile = kk.ou_mixture_profile([1.0, 2.0], [0.5, 0.5])
     # non-symmetric, so a transposed block or product fails
     M = np.random.default_rng(grid.size).uniform(0.5, 1.5, size=(grid.size, grid.size))
     for sk, reference in ((ds.SmearedKernel.from_distance_profile(profile, grid),
@@ -540,7 +541,7 @@ def _recording(sk):
 @given(case=_smeared_functions(lists=st.integers(0, 3)))
 def test_pairings_each_reads_every_list_from_one_union_block(case):
     grid, fs, gss = case
-    profile = ds.ou_mixture_profile([1.0, 2.0], [0.5, 0.5])
+    profile = kk.ou_mixture_profile([1.0, 2.0], [0.5, 0.5])
     M = np.random.default_rng(grid.size).uniform(0.5, 1.5, size=(grid.size, grid.size))
     w = grid.weights()
 
@@ -581,7 +582,7 @@ def _os_spaces(draw):
         grid = ds.TestFunctionGrid(origin=[-3.0], spacing=0.1, shape=(61,))
         lo, hi, most = [0.35], [1.2], 12
         sk = ds.SmearedKernel.from_distance_profile(
-            ds.ou_mixture_profile(masses, [1.0 / len(masses)] * len(masses)), grid)
+            kk.ou_mixture_profile(masses, [1.0 / len(masses)] * len(masses)), grid)
     else:
         grid = ds.TestFunctionGrid(origin=[-2.0, -1.0], spacing=0.1, shape=(41, 21))
         lo, hi, most = [0.35, -0.5], [0.8, 0.5], 6
@@ -623,7 +624,7 @@ def test_twisted_gram_and_semigroup_match_entry_definitions(shape, origin,
     grid = ds.TestFunctionGrid(origin=origin, spacing=0.05 if len(shape) == 1
                                else 0.1, shape=shape)
     sk = ds.SmearedKernel.from_distance_profile(
-        ds.ou_mixture_profile([1.0, 2.0], [0.5, 0.5]), grid)
+        kk.ou_mixture_profile([1.0, 2.0], [0.5, 0.5]), grid)
     setup = ds.ReflectionSetup(grid, 0)
     fns = [ds.bump(grid, c, 0.3) for c in centers]
     T = ds.twisted_gram(sk, setup, fns)

@@ -69,7 +69,7 @@ def test_flow_map_records_domain_exit():
     assert out.exit_reasons == (fl.EXIT_LEFT_CHART, None)
     assert list(out.completed) == [False, True]
     # the exiting row stops at its last point inside the chart, before t = 1
-    assert f.chart.contains(out.endpoints[0])
+    assert f.chart.contains_rows(out.endpoints[:1])[0]
     assert 0.0 < out.reached_times[0] < 1.0 and out.reached_times[1] == 1.0
 
 

@@ -192,7 +192,7 @@ def test_moved_section_matrix_differentiates_to_each_generator(kernel, params,
     table = rp.synthesize_cdual_rep(K, action, model)
     times = [0.1, 0.05, 0.025, 0.0125]
     for x, label in enumerate(action.algebra.labels):
-        T = table.entry(x).compressed
+        T = table.entries[x].compressed
 
         def P(t):
             return model.compress(K.matrix(action.sigma[x](t, pts), pts))
@@ -211,7 +211,7 @@ def test_pipeline_power_rank_one():
         elems, lambda u: u[..., 0, 0] ** a, action,
         phi_grad=lambda u: a * u ** (a - 1.0))
     assert table.model.rank == 1
-    gen = table.entry(0).compressed
+    gen = table.entries[0].compressed
     assert gen[0, 0].real == pytest.approx(a, abs=1e-10)
     assert report.max_star_defect <= 1e-10
     # right translation by s acts on the one-dimensional model as s^a
@@ -244,7 +244,7 @@ def test_pipeline_trivial_function():
         elems, lambda u: np.ones(u.shape[:-2]), action,
         phi_grad=np.zeros_like)
     assert table.model.rank == 1
-    assert np.max(np.abs(table.entry(0).compressed)) <= 1e-10
+    assert np.max(np.abs(table.entries[0].compressed)) <= 1e-10
     for k in report.star_defects:
         assert report.star_defects[k] <= 1e-10
 
@@ -362,7 +362,7 @@ def test_stacked_phi_is_never_called_entry_by_entry():
         elems, record(lambda u: u[..., 0, 0] ** a), action,
         phi_grad=record(lambda u: a * u ** (a - 1.0)))
     assert shapes and set(shapes) == {(6, 6, 1, 1)}
-    assert table.entry(0).compressed[0, 0] == pytest.approx(a, abs=1e-10)
+    assert table.entries[0].compressed[0, 0] == pytest.approx(a, abs=1e-10)
 
     shapes.clear()
     action = op.builtin_action("matrix_right_multiplication", {"n": 2})
