@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
 3 numeric or domain error, or any other error raised while running.
-KERFLOW_SEED overrides the config seed.  Only ``run`` loads numpy.
+Only ``run`` loads numpy.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -66,7 +65,8 @@ class Rule:
     list may have to be as long as a sibling key's list, a value may have to
     be one of a few choices, every entry of a list may have to satisfy a
     rule of its own, an object value is checked against a key table of its
-    own, and a key may have to agree with its siblings."""
+    own, a string value may select the keys its block reads, and a key may
+    have to agree with its siblings."""
 
     types: object
     required: bool = False
@@ -75,12 +75,15 @@ class Rule:
     at_least: Optional[int] = None      # value or list length must reach this
     at_most: Optional[int] = None       # value or list length must not exceed this
     each: Optional["Rule"] = None       # rule for every entry of a list value
-    spec: Optional[dict] = None         # key table of an object value
+    # key table of an object value; of a string key, the keys that each of
+    # its values adds to the block, under None those it adds when absent
+    spec: Optional[dict] = None
     choices: Optional[tuple] = None     # the values allowed
     same_length: Optional[str] = None   # sibling key whose list this one matches
     # cross-key check, given the whole block once every key's bounds hold:
-    # None, or why this key (present or at its default) disagrees with the rest
-    agrees: Optional[Callable[[dict], Optional[str]]] = None
+    # None, or why this key (present or at its default) disagrees with the
+    # rest, as a message or as (path suffix, message) naming one of its entries
+    agrees: Optional[Callable[[dict], object]] = None
 
 
 # Upper bounds on integer sizes, so that a huge JSON integer is a config
@@ -99,24 +102,12 @@ MAX_GRID_CELLS = 2048       # cells of a test-function grid, all axes together
 # rules shared by the schemas and the builtin param tables below
 NUMBER = Rule((int, float))
 POSITIVE = Rule((int, float), above=0)
-# a share of the largest Gram eigenvalue, below which an eigenvalue is dropped
-_RANK_CUTOFF = Rule((int, float), above=0, below=1)
+# strictly between 0 and 1: a rank cutoff, the share of the largest Gram
+# eigenvalue below which an eigenvalue is dropped, and a contraction's norm
+_UNIT = Rule((int, float), above=0, below=1)
 _PAIR = Rule(list, at_least=2, at_most=2, each=NUMBER)
 POINT = Rule(list, at_least=1, each=NUMBER)
-
-# key tables of the nested objects
-_FIELD_SPEC = {"name": Rule(str, required=True), "params": dict}
-_FIELD = Rule(dict, required=True, spec=_FIELD_SPEC)
-_SAMPLES = Rule(dict, required=True, spec={
-    "type": Rule(str, required=True), "n": Rule(int, at_least=1, at_most=MAX_POINTS),
-    "n_side": Rule(int, at_least=1, at_most=MAX_SIDE), "halfwidth": POSITIVE,
-    "dimension": Rule(int, at_least=1, at_most=MAX_DIMENSION),
-    "points": Rule(list, at_least=1, each=POINT),
-    # a level is a point count, or a side for grid2d (checked with the type)
-    "refinement": Rule(list, at_least=1, each=Rule(int, at_least=1, at_most=MAX_POINTS)),
-    "x_range": _PAIR, "y_range": _PAIR,
-    "radii": Rule(list, at_least=1, each=POSITIVE),
-    "n_per_circle": Rule(int, at_least=1, at_most=MAX_POINTS), "include_origin": bool})
+_COUNT = Rule(int, required=True, at_least=1, at_most=MAX_POINTS)
 
 
 def _is_number(x) -> bool:
@@ -135,8 +126,8 @@ def _square_of(rows, n: int, entry: Callable) -> bool:
 
 def _structure_shape(block) -> Optional[str]:
     """Why explicit structure constants are not an (n, n, n) nested list."""
-    c = block.get("structure_constants")
-    if c is None or all(_square_of(layer, len(c), _is_number) for layer in c):
+    c = block["structure_constants"]
+    if all(_square_of(layer, len(c), _is_number) for layer in c):
         return None
     return f"must be an (n, n, n) nested list of numbers, here n = {len(c)}"
 
@@ -144,8 +135,6 @@ def _structure_shape(block) -> Optional[str]:
 def _involution_shape(block) -> Optional[str]:
     """Why an explicit involution is not diagonal with entries +-1, given
     as its n diagonal entries or as the n x n matrix."""
-    if "involution" not in block or "structure_constants" not in block:
-        return None
     inv, n = block["involution"], len(block["structure_constants"])
     if len(inv) == n and all(map(_is_sign, inv)):
         return None
@@ -159,7 +148,7 @@ def _involution_shape(block) -> Optional[str]:
 
 def _one_label_each(block) -> Optional[str]:
     """Why explicit labels are not one string per basis element."""
-    if "labels" not in block or "structure_constants" not in block:
+    if "labels" not in block:
         return None
     n = len(block["structure_constants"])
     if len(block["labels"]) == n and all(isinstance(x, str) for x in block["labels"]):
@@ -167,21 +156,19 @@ def _one_label_each(block) -> Optional[str]:
     return f"needs one string label per basis element ({n})"
 
 
-_ALGEBRA = Rule(dict, spec={
-    "name": str, "params": dict,
-    "structure_constants": Rule(list, at_least=1, agrees=_structure_shape),
-    "involution": Rule(list, agrees=_involution_shape),
-    "labels": Rule(list, agrees=_one_label_each)})
+def _axes(value) -> list:
+    """A grid ``shape`` or ``origin`` as a list: a number stands for one axis."""
+    return value if isinstance(value, list) else [value]
 
 
 def _reflection_origin(grid: dict) -> Optional[str]:
     """Why a grid's origin does not fit its shape, or leaves the first axis,
     the one both grid kinds reflect along, unsymmetric about 0."""
-    origin, shape = (v if isinstance(v, list) else [v] for v in (grid["origin"], grid["shape"]))
+    origin, shape = _axes(grid["origin"]), _axes(grid["shape"])
     if len(origin) != len(shape):
         return f"needs one coordinate per grid axis ({len(shape)})"
     if math.prod(shape) > MAX_GRID_CELLS:
-        return None     # the cell bound below reports the shape
+        return None     # the cell bound of the shape reports it
     lo, spacing = float(origin[0]), float(grid["spacing"])
     if not symmetric_axis(lo, spacing, shape[0]):
         return (f"the grid must be symmetric about 0 along its first axis, the "
@@ -198,8 +185,8 @@ def symmetric_axis(lo: float, spacing: float, n: int) -> bool:
 
 def _margin_fits(grid: dict) -> Optional[str]:
     """Why the margin (2 cells when absent) leaves a grid axis too short for it."""
-    margin, shape = grid.get("margin", 2), grid["shape"]
-    if min(shape if isinstance(shape, list) else [shape]) <= 2 * margin + 1:
+    margin = grid.get("margin", 2)
+    if min(_axes(grid["shape"])) <= 2 * margin + 1:
         return f"every grid axis needs more than 2 * margin + 1 = {2 * margin + 1} points"
     return None
 
@@ -208,12 +195,28 @@ _GRID = Rule(dict, required=True, spec={
     "origin": Rule((list, int, float), required=True, each=NUMBER,
                    agrees=_reflection_origin),
     "spacing": Rule((int, float), required=True, above=0),
-    # the product of the extents is bounded once the types hold
-    "shape": Rule((list, int), required=True, at_least=1, each=Rule(int, at_least=1)),
+    "shape": Rule((list, int), required=True, at_least=1, each=Rule(int, at_least=1),
+                  agrees=lambda grid: None if math.prod(_axes(grid["shape"])) <= MAX_GRID_CELLS
+                  else f"more than {MAX_GRID_CELLS} cells"),
     "margin": Rule(int, at_least=2, at_most=MAX_GRID_CELLS, agrees=_margin_fits)})
-_TRANSLATIONS = Rule(list, each=Rule(dict, spec={"cells": Rule(list, required=True,
-                                                               each=Rule(int))}))
+_SHIFT = Rule(dict, spec={"cells": Rule(list, required=True, each=Rule(int))})
 _CELLS = Rule(int, at_least=0, at_most=MAX_GRID_CELLS)
+
+
+def _shifts_fit(block: dict, key: str):
+    """Why an ``rp_axioms`` translation of ``key`` is not one cell shift per
+    grid axis, each smaller in size than the grid extent along its axis.
+    The kernel's check compares translated bumps, so with no translation of
+    either kind no check would compare anything: the first key reports it."""
+    if not block.get("translations") and not block.get("parallel_translations"):
+        return "required unless parallel_translations is given"
+    shape = _axes(block["grid"]["shape"])
+    for i, t in enumerate(block.get(key, [])):
+        if len(t["cells"]) != len(shape) or any(
+                abs(c) >= extent for c, extent in zip(t["cells"], shape)):
+            return f"[{i}].cells", ("needs one cell shift per grid axis, each smaller in size "
+                                    f"than the grid extent along it, {shape}")
+    return None
 
 
 def _distinct_steps(block: dict) -> Optional[str]:
@@ -229,87 +232,6 @@ def _spectral_order(block: dict) -> Optional[str]:
     return None if lo <= hi else f"needs lo <= hi, got [{lo}, {hi}]"
 
 
-def _read_by(variant: str, key: str, rule: Rule) -> Rule:
-    """``rule`` for a luscher_mack key that only ``variant`` reads: set in a
-    config of the other variant, it disagrees."""
-    def agrees(block: dict) -> Optional[str]:
-        chosen = block.get("variant", "power_1x1")
-        if key in block and chosen != variant:
-            return f"the {chosen} variant does not read it; only {variant} does"
-        return rule.agrees(block) if rule.agrees else None
-
-    return replace(rule, agrees=agrees)
-
-
-# allowed top-level keys per kind (beyond kind/seed/tolerances)
-SCHEMAS = {
-    "flow_laws": {
-        "fields": Rule(list, required=True, at_least=1, each=_FIELD),
-        "n_points": Rule(int, at_least=1, at_most=MAX_POINTS),
-        "step": Rule((int, float), above=0),
-        "t_range": Rule((int, float), above=0),
-        "n_time_samples": Rule(int, at_least=1, at_most=MAX_TIME_SAMPLES),
-    },
-    "bracket_order": {
-        "pairs": Rule(list, required=True,
-                      each=Rule(dict, spec={"x": _FIELD, "y": _FIELD})),
-        "n_points": Rule(int, at_least=1, at_most=MAX_POINTS),
-        # a fitted order needs at least two distinct step sizes
-        "h_ladder": Rule(list, at_least=2, each=POSITIVE, agrees=_distinct_steps),
-    },
-    "compatibility": {
-        "kernel": _FIELD, "action": _FIELD, "algebra": _ALGEBRA, "samples": _SAMPLES,
-        "invariance": Rule(list, each=Rule(dict, spec={
-            "pair": Rule(list, required=True, at_least=2, at_most=2, each=POINT),
-            "epsilon": Rule(int, required=True, choices=(-1, 1)),
-            "element": Rule((int, str), required=True),
-            "t_max": Rule((int, float), above=0),
-            "step": Rule((int, float), above=0)})),
-    },
-    "froelich": {
-        "kernel": _FIELD, "field": _FIELD, "samples": _SAMPLES,
-        "start_point": POINT, "time": (int, float),
-        "step": Rule((int, float), above=0), "rank_cutoff": _RANK_CUTOFF,
-    },
-    "cdual_rep": {
-        "kernel": _FIELD, "action": _FIELD, "algebra": _ALGEBRA, "samples": _SAMPLES,
-        "unitary_times": Rule(list, at_least=1, each=NUMBER),
-        "rank_cutoff": _RANK_CUTOFF,
-        "conjugation": Rule(dict, spec={"x": Rule(str, required=True),
-                                        "y": Rule(str, required=True),
-                                        "s": Rule((int, float), required=True)}),
-    },
-    "luscher_mack": {
-        "variant": Rule(str, choices=("power_1x1", "determinant")),
-        "exponent": _read_by("power_1x1", "exponent", NUMBER),
-        "interval": _read_by("power_1x1", "interval", _PAIR),
-        "power": _read_by("determinant", "power", NUMBER),
-        "matrix_size": _read_by("determinant", "matrix_size",
-                                Rule(int, at_least=1, at_most=MAX_MATRIX_SIZE)),
-        "spectral_range": _read_by("determinant", "spectral_range",
-                                   replace(_PAIR, agrees=_spectral_order)),
-        "n_samples": Rule(int, at_least=1, at_most=MAX_SEMIGROUP_SAMPLES),
-        "rank_cutoff": _RANK_CUTOFF,
-    },
-    "os_reconstruct": {
-        "grid": _GRID, "kernel": _FIELD,
-        "bumps": Rule(list, required=True, at_least=1, each=Rule(dict, spec={
-            "center": Rule((list, int, float), required=True),
-            "width": Rule((int, float), required=True)})),
-        "expected_rank": Rule(int, required=True, at_most=MAX_POINTS),
-        # transfer times are cell counts along the direction away from the
-        # reflection hyperplane, so never negative
-        "times_cells": Rule(list, required=True, at_least=1, each=_CELLS),
-        "law_pairs_cells": Rule(list, each=Rule(list, at_least=2, at_most=2,
-                                                each=_CELLS)),
-        "rank_cutoff": _RANK_CUTOFF,
-    },
-    "rp_axioms": {
-        "grid": _GRID, "kernel": Rule(dict, spec=_FIELD_SPEC),
-        "translations": _TRANSLATIONS, "parallel_translations": _TRANSLATIONS,
-    },
-}
-
 # the RK4 step of an integral curve when a config gives none
 DEFAULT_STEP = 1e-3
 # RK4 steps (|time| / step) one integral curve of a config may ask for
@@ -319,15 +241,18 @@ MAX_CURVE_STEPS = 10 ** 5
 # MAX_CURVE_STEPS
 CURVE_TIMES = {"time": 0.1, "t_range": 1.0, "t_max": 0.5}
 
-# keys each sample type reads without a default (``runner._sample_points``);
-# validation requires them
-SAMPLE_KEYS = {"chebyshev": ("n",), "uniform_box": ("n",), "grid2d": ("n_side",),
-               "circles": ("radii", "n_per_circle"), "explicit": ("points",)}
-# keys each sample type reads with a default; besides ``type`` and the
-# ``refinement`` ladder, validation rejects any key neither table names
-SAMPLE_OPTIONAL_KEYS = {"chebyshev": ("halfwidth",),
-                        "uniform_box": ("dimension", "halfwidth", "include_origin"),
-                        "grid2d": ("x_range", "y_range"), "circles": (), "explicit": ()}
+
+def _curve_steps(block: dict, key: str) -> Optional[str]:
+    """Why the curves of the block, |time| / step read with the runner's
+    defaults, ask for more than ``MAX_CURVE_STEPS`` RK4 steps each: a larger
+    ratio asks for work without bound."""
+    time, step = abs(block.get(key, CURVE_TIMES[key])), block.get("step", DEFAULT_STEP)
+    # compared without dividing, so that a huge JSON integer cannot
+    # overflow, and written as ``not`` so that a NaN fails
+    if not time <= MAX_CURVE_STEPS * step:
+        return f"asks for more than {MAX_CURVE_STEPS} RK4 steps of {step} per curve"
+    return None
+
 
 # The builtins a config names: for each kernel, action, field and algebra, a
 # line for ``list-builtins`` and the key table its ``params`` are checked
@@ -454,6 +379,189 @@ ALGEBRA_PARAMS = {
 }
 
 
+def _builtin(tables: dict, names=None, unnamed=None) -> Rule:
+    """A required builtin block, whose ``name``, one of ``names`` (every name
+    of ``tables`` when None), selects the key table of its ``params``; absent
+    params read as none, so the first the builtin requires is named.
+    ``unnamed`` is the key table of a block without a name."""
+    def params(table):
+        needed = [key for key, rule in table.items() if rule.required]
+        return {"params": Rule(dict, spec=table, agrees=lambda block: (
+            (f".{needed[0]}", "required") if needed and "params" not in block else None))}
+
+    named = {name: params(tables[name]) for name in names or tables}
+    return Rule(dict, required=True, spec={"name": Rule(str, spec={
+        **({None: unnamed} if unnamed else {}), **named})})
+
+
+_FIELD = _builtin(FIELD_PARAMS)
+_ACTION = _builtin(ACTION_PARAMS)
+# the kinds that compress derivative forms evaluate a kernel's gradient on
+# the sample diagonal, where ``ou`` has a kink; the grid kinds smear the
+# distance profile of an ``ou_mixture``
+_FORM_KERNEL = _builtin(KERNEL_PARAMS, [name for name in KERNEL_PARAMS if name != "ou"])
+_GRID_KERNEL = _builtin(KERNEL_PARAMS, ["ou_mixture"])
+_ALGEBRA = replace(_builtin(ALGEBRA_PARAMS, unnamed={
+    "structure_constants": Rule(list, required=True, at_least=1, agrees=_structure_shape),
+    "involution": Rule(list, required=True, agrees=_involution_shape),
+    "labels": Rule(list, agrees=_one_label_each)}), required=False)
+
+
+def _one_dimension(samples: dict):
+    """Why explicit sample points do not all have the first one's coordinates."""
+    points = samples["points"]
+    for i, point in enumerate(points):
+        if len(point) != len(points[0]):
+            return f"[{i}]", f"needs {len(points[0])} coordinates, as the first point"
+    return None
+
+
+# the key of each sample type that takes a size, which a ladder level stands in for
+_SAMPLE_SIZES = {"chebyshev": "n", "uniform_box": "n", "grid2d": "n_side"}
+
+
+def _sized(samples: dict) -> Optional[str]:
+    """Why a sample gives neither its type's size nor a ladder of sizes."""
+    if _SAMPLE_SIZES[samples["type"]] in samples or "refinement" in samples:
+        return None
+    return "required"
+
+
+def _ascending(samples: dict) -> Optional[str]:
+    """Why a ``refinement`` ladder does not strictly increase."""
+    ladder = samples.get("refinement", [])
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        return "must be strictly increasing"
+    return None
+
+
+def _sampled_once(samples: dict) -> Optional[str]:
+    """Why a ``compatibility`` sample, drawn once, gives a ladder."""
+    if "refinement" in samples:
+        return "no level would be read: compatibility samples once"
+    return None
+
+
+# the keys each sample type reads (``runner._sample_points``) in a kind that
+# samples once; those it reads without a default are required
+SAMPLE_TYPES = {
+    "chebyshev": {"n": _COUNT, "halfwidth": POSITIVE},
+    "uniform_box": {"n": _COUNT, "dimension": Rule(int, at_least=1, at_most=MAX_DIMENSION),
+                    "halfwidth": POSITIVE, "include_origin": Rule(bool)},
+    "grid2d": {"n_side": Rule(int, required=True, at_least=1, at_most=MAX_SIDE),
+               "x_range": _PAIR, "y_range": _PAIR},
+    "circles": {"radii": Rule(list, required=True, at_least=1, each=POSITIVE),
+                "n_per_circle": _COUNT},
+    "explicit": {"points": Rule(list, required=True, at_least=1, each=POINT,
+                                agrees=_one_dimension)},
+}
+
+
+def _samples(ladder: bool) -> Rule:
+    """The ``samples`` block, whose ``type`` selects the keys it reads.  The
+    levels of a ``refinement`` ladder stand in for a sized type's size, and
+    increase; ``compatibility`` samples once, so there no level is read."""
+    types = dict(SAMPLE_TYPES)
+    for name, size in _SAMPLE_SIZES.items():
+        level = types[name][size]
+        types[name] = {**types[name], size: replace(level, required=not ladder, agrees=_sized),
+                       "refinement": Rule(list, at_least=1, each=level,
+                                          agrees=_ascending if ladder else _sampled_once)}
+    return Rule(dict, required=True, spec={"type": Rule(str, required=True, spec=types)})
+
+
+_LADDER_SAMPLES = _samples(ladder=True)
+# the keys each luscher_mack variant reads: power_1x1 raises positive
+# elements to a power, determinant needs contractions
+_POWER_1X1 = {"exponent": NUMBER, "interval": Rule(list, at_least=2, at_most=2, each=POSITIVE)}
+
+# allowed top-level keys per kind (beyond kind/seed/tolerances)
+SCHEMAS = {
+    "flow_laws": {
+        "fields": Rule(list, required=True, at_least=1, each=_FIELD),
+        "n_points": Rule(int, at_least=1, at_most=MAX_POINTS),
+        "step": Rule((int, float), above=0),
+        "t_range": Rule((int, float), above=0,
+                        agrees=lambda block: _curve_steps(block, "t_range")),
+        "n_time_samples": Rule(int, at_least=1, at_most=MAX_TIME_SAMPLES),
+    },
+    "bracket_order": {
+        "pairs": Rule(list, required=True, at_least=1,
+                      each=Rule(dict, spec={"x": _FIELD, "y": _FIELD})),
+        "n_points": Rule(int, at_least=1, at_most=MAX_POINTS),
+        # a fitted order needs at least two distinct step sizes
+        "h_ladder": Rule(list, at_least=2, each=POSITIVE, agrees=_distinct_steps),
+    },
+    "compatibility": {
+        "kernel": _FORM_KERNEL, "action": _ACTION, "algebra": _ALGEBRA,
+        "samples": _samples(ladder=False),
+        "invariance": Rule(list, each=Rule(dict, spec={
+            "pair": Rule(list, required=True, at_least=2, at_most=2, each=POINT),
+            "epsilon": Rule(int, required=True, choices=(-1, 1)),
+            "element": Rule((int, str), required=True),
+            "t_max": Rule((int, float), above=0,
+                          agrees=lambda block: _curve_steps(block, "t_max")),
+            "step": Rule((int, float), above=0)})),
+    },
+    "froelich": {
+        "kernel": _FORM_KERNEL, "field": _FIELD, "samples": _LADDER_SAMPLES,
+        "start_point": POINT,
+        "time": Rule((int, float), agrees=lambda block: _curve_steps(block, "time")),
+        "step": Rule((int, float), above=0), "rank_cutoff": _UNIT,
+    },
+    "cdual_rep": {
+        "kernel": _FORM_KERNEL, "action": _ACTION, "algebra": _ALGEBRA,
+        "samples": _LADDER_SAMPLES,
+        "unitary_times": Rule(list, at_least=1, each=NUMBER),
+        "rank_cutoff": _UNIT,
+        "conjugation": Rule(dict, spec={"x": Rule(str, required=True),
+                                        "y": Rule(str, required=True),
+                                        "s": Rule((int, float), required=True)}),
+    },
+    "luscher_mack": {
+        "variant": Rule(str, spec={None: _POWER_1X1, "power_1x1": _POWER_1X1, "determinant": {
+            "power": NUMBER, "matrix_size": Rule(int, at_least=1, at_most=MAX_MATRIX_SIZE),
+            "spectral_range": Rule(list, at_least=2, at_most=2, each=_UNIT,
+                                   agrees=_spectral_order)}}),
+        "n_samples": Rule(int, at_least=1, at_most=MAX_SEMIGROUP_SAMPLES),
+        "rank_cutoff": _UNIT,
+    },
+    "os_reconstruct": {
+        "grid": _GRID, "kernel": _GRID_KERNEL,
+        "bumps": Rule(list, required=True, at_least=1, each=Rule(dict, spec={
+            "center": Rule((list, int, float), required=True),
+            "width": Rule((int, float), required=True)})),
+        "expected_rank": Rule(int, required=True, at_most=MAX_POINTS),
+        # transfer times are cell counts along the direction away from the
+        # reflection hyperplane, so never negative
+        "times_cells": Rule(list, required=True, at_least=1, each=_CELLS),
+        "law_pairs_cells": Rule(list, each=Rule(list, at_least=2, at_most=2,
+                                                each=_CELLS)),
+        "rank_cutoff": _UNIT,
+    },
+    "rp_axioms": {
+        "grid": _GRID, "kernel": replace(_GRID_KERNEL, required=False),
+        "translations": Rule(list, each=_SHIFT,
+                             agrees=lambda block: _shifts_fit(block, "translations")),
+        "parallel_translations": Rule(
+            list, each=_SHIFT, agrees=lambda block: _shifts_fit(block, "parallel_translations")),
+    },
+}
+
+
+def _tolerances(kind: str) -> dict:
+    """The tolerances a config of ``kind`` may set, each with its default."""
+    return {entry[0]: entry[1] for entry in CHECKS[kind].values()
+            if entry is not None and entry[1] is not None}
+
+
+# the key table of a config, whose kind selects the keys it reads
+SCHEMA = {"kind": Rule(str, required=True, spec={
+    kind: {"seed": Rule(int, required=True),
+           "tolerances": Rule(dict, spec=dict.fromkeys(_tolerances(kind), NUMBER)), **keys}
+    for kind, keys in SCHEMAS.items()})}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -475,21 +583,32 @@ def _check_type(val, expected, path: str):
         raise ConfigError(path, f"expected {expected}, got {type(val).__name__}")
 
 
-def _check_keys(obj: dict, spec: dict, path: str):
-    for key, val in obj.items():
-        if key not in spec:
-            raise ConfigError(f"{path}.{key}", "unknown key")
-        expected = spec[key]
-        _check_type(val, expected.types if isinstance(expected, Rule) else expected,
-                    f"{path}.{key}")
-
-
-def _check_rules(obj: dict, spec: dict, path: str):
-    """Required keys, bounds and cross-key checks of the keys ``spec``
-    declares by Rule."""
-    for key, rule in spec.items():
-        if not isinstance(rule, Rule):
+def _check_block(obj: dict, spec: dict, path: str):
+    """``obj`` against its key table ``spec``, with the keys that the value of
+    each selecting key (a string key whose rule has a ``spec``) adds: unknown
+    keys and types first, then each key's bounds, nested blocks and presence,
+    the cross-key checks, and last the keys only another value would add."""
+    table, unread, keys = dict(spec), {}, list(spec)
+    for key in keys:        # grows by the keys each selection adds
+        rule = table[key]
+        if rule.types is not str or rule.spec is None:
             continue
+        if key in obj:
+            _check_type(obj[key], str, f"{path}.{key}")
+        value = obj.get(key)
+        if value not in rule.spec:
+            raise ConfigError(f"{path}.{key}", "required" if key not in obj else
+                              f"must be one of {', '.join(filter(None, rule.spec))}")
+        why = f"not read with {key} {value}" if key in obj else f"not read without {key}"
+        unread.update((other, why) for added in rule.spec.values() for other in added)
+        table.update(rule.spec[value])
+        keys += rule.spec[value]
+    for key, val in obj.items():
+        if key in table:
+            _check_type(val, table[key].types, f"{path}.{key}")
+        elif key not in unread:
+            raise ConfigError(f"{path}.{key}", "unknown key")
+    for key, rule in table.items():
         if key in obj:
             _check_bounds(obj[key], rule, f"{path}.{key}")
             other = obj.get(rule.same_length)
@@ -498,15 +617,14 @@ def _check_rules(obj: dict, spec: dict, path: str):
                                   f"needs one entry per entry of {rule.same_length}")
         elif rule.required:
             raise ConfigError(f"{path}.{key}", "required")
-    for key, rule in spec.items():
-        problem = rule.agrees(obj) if isinstance(rule, Rule) and rule.agrees else None
+    for key, rule in table.items():
+        problem = rule.agrees(obj) if rule.agrees else None
         if problem is not None:
-            raise ConfigError(f"{path}.{key}", problem)
-
-
-def _check_block(obj: dict, spec: dict, path: str):
-    _check_keys(obj, spec, path)
-    _check_rules(obj, spec, path)
+            suffix, why = problem if isinstance(problem, tuple) else ("", problem)
+            raise ConfigError(f"{path}.{key}{suffix}", why)
+    for key, why in unread.items():
+        if key in obj and key not in table:
+            raise ConfigError(f"{path}.{key}", why)
 
 
 def _check_bounds(val, rule: Rule, path: str):
@@ -532,86 +650,6 @@ def _check_bounds(val, rule: Rule, path: str):
         _check_block(val, rule.spec, path)
 
 
-def _check_samples(samples: dict, kind: str):
-    """The keys the sample type reads and no other, and a strictly increasing ladder."""
-    if samples["type"] not in SAMPLE_KEYS:
-        raise ConfigError("$.samples.type", f"unknown sample type {samples['type']!r}")
-    # a ladder gives the sizes, but compatibility samples once and some types take none
-    sized = {"n", "n_side"} & set(SAMPLE_KEYS[samples["type"]])
-    by_ladder = "refinement" in samples and kind != "compatibility"
-    for key in SAMPLE_KEYS[samples["type"]]:
-        if key not in samples and not (by_ladder and key in sized):
-            raise ConfigError(f"$.samples.{key}", "required")
-    if "refinement" in samples and not (by_ladder and sized):
-        why = "compatibility samples once" if sized else f"{samples['type']} samples take no size"
-        raise ConfigError("$.samples.refinement", f"no level would be read: {why}")
-    points = samples.get("points", [])
-    for i, point in enumerate(points):
-        if len(point) != len(points[0]):
-            raise ConfigError(f"$.samples.points[{i}]",
-                              f"needs {len(points[0])} coordinates, as the first point")
-    ladder = samples.get("refinement", [])
-    if any(ladder[i + 1] <= ladder[i] for i in range(len(ladder) - 1)):
-        raise ConfigError("$.samples.refinement", "must be strictly increasing")
-    if samples["type"] == "grid2d":
-        for i, side in enumerate(ladder):
-            if side > MAX_SIDE:
-                raise ConfigError(f"$.samples.refinement[{i}]",
-                                  f"a grid2d side must be <= {MAX_SIDE}")
-    reads = {"type", "refinement", *SAMPLE_KEYS[samples["type"]],
-             *SAMPLE_OPTIONAL_KEYS[samples["type"]]}
-    for key in samples:
-        if key not in reads:
-            raise ConfigError(f"$.samples.{key}", f"a {samples['type']} sample does not read it")
-
-
-def _check_curve_steps(data: dict, kind: str):
-    """|time| / step of every integral curve the config asks for, read with
-    the runner's defaults, is at most ``MAX_CURVE_STEPS``; a larger ratio
-    asks for work without bound."""
-    if kind == "compatibility":
-        key, blocks = "t_max", [(f"$.invariance[{i}]", inv)
-                                for i, inv in enumerate(data.get("invariance", []))]
-    else:
-        key, blocks = {"froelich": "time", "flow_laws": "t_range"}[kind], [("$", data)]
-    for path, block in blocks:
-        time, step = abs(block.get(key, CURVE_TIMES[key])), block.get("step", DEFAULT_STEP)
-        # compared without dividing, so that a huge JSON integer cannot
-        # overflow, and written as ``not`` so that a NaN fails
-        if not time <= MAX_CURVE_STEPS * step:
-            raise ConfigError(f"{path}.{key}", f"asks for more than {MAX_CURVE_STEPS} "
-                                               f"RK4 steps of {step} per curve")
-
-
-def _resolve_builtin_names(data: dict):
-    """Every referenced builtin name must resolve in its catalog, and its
-    params must satisfy the builtin's key table (``KERNEL_PARAMS`` and the
-    rest)."""
-    # the blocks are checked against their key tables by now
-    def check(block, tables, path):
-        if block is None or "name" not in block:
-            return
-        if block["name"] not in tables:
-            raise ConfigError(f"{path}.name",
-                              f"unknown builtin {block['name']!r}")
-        _check_block(block.get("params", {}), tables[block["name"]], f"{path}.params")
-
-    check(data.get("kernel"), KERNEL_PARAMS, "$.kernel")
-    check(data.get("action"), ACTION_PARAMS, "$.action")
-    check(data.get("field"), FIELD_PARAMS, "$.field")
-    check(data.get("algebra"), ALGEBRA_PARAMS, "$.algebra")
-    algebra = data.get("algebra")
-    if algebra is not None and "name" not in algebra:
-        for key in ("structure_constants", "involution"):
-            if key not in algebra:
-                raise ConfigError(f"$.algebra.{key}", "required")
-    for i, f in enumerate(data.get("fields", [])):
-        check(f, FIELD_PARAMS, f"$.fields[{i}]")
-    for i, pair in enumerate(data.get("pairs", [])):
-        check(pair["x"], FIELD_PARAMS, f"$.pairs[{i}].x")
-        check(pair["y"], FIELD_PARAMS, f"$.pairs[{i}].y")
-
-
 def first_non_finite(node, path: str = "$") -> Optional[str]:
     """The JSON path of the first non-finite number in ``node``, or None."""
     if isinstance(node, float):
@@ -632,59 +670,17 @@ def first_non_finite(node, path: str = "$") -> Optional[str]:
 def validate_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("$", "configuration must be a JSON object")
-    kind = data.get("kind")
-    if kind not in KINDS:
-        raise ConfigError("$.kind", f"must be one of {', '.join(KINDS)}")
-    tolerances = {entry[0]: entry[1] for entry in CHECKS[kind].values()
-                  if entry is not None and entry[1] is not None}
-    _check_block(data, {"kind": str, "seed": Rule(int, required=True),
-                        "tolerances": Rule(dict, spec=dict.fromkeys(tolerances, NUMBER)),
-                        **SCHEMAS[kind]}, "$")
-    tolerances.update({k: float(v) for k, v in data.get("tolerances", {}).items()})
-    _resolve_builtin_names(data)
-    if kind in ("os_reconstruct", "rp_axioms") and "kernel" in data:
-        if data["kernel"]["name"] != "ou_mixture":
-            raise ConfigError("$.kernel.name", f"{kind} runs on the ou_mixture family")
-    if "grid" in data:
-        shape = data["grid"]["shape"]
-        shape = shape if isinstance(shape, list) else [shape]
-        if math.prod(shape) > MAX_GRID_CELLS:
-            raise ConfigError("$.grid.shape", f"more than {MAX_GRID_CELLS} cells")
-    if kind == "rp_axioms":
-        # the kernel's check compares the translated bumps, so without a
-        # translation of either kind no check would compare anything
-        if not data.get("translations") and not data.get("parallel_translations"):
-            raise ConfigError("$.translations", "required unless "
-                                                "parallel_translations is given")
-        for block in ("translations", "parallel_translations"):
-            for i, t in enumerate(data.get(block, [])):
-                path = f"$.{block}[{i}].cells"
-                if len(t["cells"]) != len(shape):
-                    raise ConfigError(path, "need one cell shift per grid axis")
-                if any(abs(c) >= extent for c, extent in zip(t["cells"], shape)):
-                    raise ConfigError(path, "each shift must be smaller than "
-                                            "the grid extent along its axis")
-
-    if "samples" in data:
-        _check_samples(data["samples"], kind)
-    if kind in ("froelich", "flow_laws", "compatibility"):
-        _check_curve_steps(data, kind)
+    _check_block(data, SCHEMA, "$")
     # JSON has no NaN or Infinity, yet the parser reads them, and 1e999 as an
     # infinity: no key takes one, and a report could not carry it back out
     where = first_non_finite(data)
     if where is not None:
         raise ConfigError(where, "must be a finite number")
-
-    seed = int(data["seed"])
-    if os.environ.get("KERFLOW_SEED"):
-        try:
-            seed = int(os.environ["KERFLOW_SEED"])
-        except ValueError:
-            raise ConfigError("$.seed", "KERFLOW_SEED must be an integer")
-
+    tolerances = _tolerances(data["kind"])
+    tolerances.update({k: float(v) for k, v in data.get("tolerances", {}).items()})
     body = {k: v for k, v in data.items()
             if k not in ("kind", "seed", "tolerances")}
-    return ExperimentConfig(kind, seed, tolerances, body, data)
+    return ExperimentConfig(data["kind"], data["seed"], tolerances, body, data)
 
 
 def parse_config(path: str) -> ExperimentConfig:

@@ -79,7 +79,7 @@ class ExperimentReport:
 def _sample_points(spec: dict, rng: np.random.Generator, size: Optional[int] = None):
     """Realize a sample spec; ``size`` overrides the configured count so the
     same spec can be replayed along a refinement ladder.  A type reads the
-    keys ``config.SAMPLE_KEYS`` and ``config.SAMPLE_OPTIONAL_KEYS`` name."""
+    keys of its table in ``config.SAMPLE_TYPES``."""
     kind = spec["type"]
     if kind == "chebyshev":
         n = int(size or spec["n"])

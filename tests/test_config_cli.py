@@ -13,8 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kerflow
 from kerflow import cli, config, distributions, runner
-from kerflow.config import (CHECKS, SAMPLE_KEYS, SAMPLE_OPTIONAL_KEYS, ExperimentConfig,
-                            Rule, parse_config, validate_config)
+from kerflow.config import (CHECKS, SAMPLE_TYPES, ExperimentConfig, Rule, parse_config,
+                            validate_config)
 from kerflow.errors import ConfigError
 from kerflow.runner import _sample_points, run_experiment
 
@@ -68,13 +68,20 @@ def test_unknown_kind_rejected():
         validate_config({"kind": "nope", "seed": 0})
 
 
-def test_seed_env_override(tmp_path, monkeypatch):
+def test_seed_env_override(tmp_path, monkeypatch, capsys):
+    # a report is reproducible from the config it echoes: the environment
+    # sets no seed
     path = _write(tmp_path, {"kind": "flow_laws", "seed": 1,
                              "fields": [{"name": "rotation2d"}]})
     monkeypatch.setenv("KERFLOW_SEED", "42")
-    assert parse_config(path).seed == 42
+    assert parse_config(path).seed == 1
+    bracket = os.path.join(CONFIG_DIR, "bracket_order.json")
+    assert cli.main(["run", bracket, "--stable-output"]) == cli.EXIT_PASS
+    with_variable = capsys.readouterr().out
     monkeypatch.delenv("KERFLOW_SEED")
     assert parse_config(path).seed == 1
+    assert cli.main(["run", bracket, "--stable-output"]) == cli.EXIT_PASS
+    assert capsys.readouterr().out == with_variable
 
 
 def test_cli_validate_and_exit_codes(tmp_path):
@@ -469,7 +476,8 @@ _UNREACHED = {
     "runner._write_csv": "reached through --csv-dir",
     "config._shear_axis": "runs at import, building FIELD_PARAMS",
     "__init__.__getattr__": "runs when a submodule is first imported",
-    "config._read_by": "runs at import, building SCHEMAS",
+    "config._builtin": "runs at import, building SCHEMAS",
+    "config._samples": "runs at import, building SCHEMAS",
     "algebra.algebra_bracket": _CATALOG,
     "algebra.SymmetricLieAlgebra.q_indices": _CATALOG,
     "algebra.SymmetricPairReport.max_defect": _CATALOG,
@@ -1030,6 +1038,23 @@ def _zero_size(key):
                  "$.invariance[0].epsilon", id="invariance-epsilon-not-a-sign"),
     pytest.param("luscher_mack_det", lambda d: d.update(spectral_range=[0.8, 0.05]),
                  "$.spectral_range", id="spectral-range-reversed"),
+    # a bracket order over no pairs raised a bare ValueError from min() (exit 3)
+    pytest.param("bracket_order", lambda d: d.update(pairs=[]), "$.pairs", id="no-pairs"),
+    # element ranges outside the kernel's domain exited 3: a spectral radius
+    # of 1 or more leaves the contractions where det(1 - x y^T)^(-s) is
+    # defined, and a negative element has no real power
+    pytest.param("luscher_mack_det", lambda d: d.update(spectral_range=[0.5, 1.5]),
+                 "$.spectral_range[1]", id="spectral-range-past-one"),
+    pytest.param("luscher_mack_power", lambda d: d.update(interval=[-0.5, 0.9]),
+                 "$.interval[0]", id="negative-interval"),
+    # the kinds that compress derivative forms take the kernel's gradient on
+    # the sample diagonal, where ou has a kink: these exited 3
+    pytest.param("compatibility", lambda d: d.update(kernel={"name": "ou"}),
+                 "$.kernel.name", id="ou-in-compatibility"),
+    pytest.param("froelich_rank1", lambda d: d.update(kernel={"name": "ou"}),
+                 "$.kernel.name", id="ou-in-froelich"),
+    pytest.param("cdual_abelian", lambda d: d.update(kernel={"name": "ou"}),
+                 "$.kernel.name", id="ou-in-cdual-rep"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
     data = _shipped(stem)
@@ -1302,7 +1327,73 @@ def test_required_params_match_the_builders(module, build, catalog, tables):
             getattr(mod, build)(name, {})
 
 
+# one run per catalog builtin: the shipped config one of whose blocks it
+# takes, and params with the keys its key table requires, valued to fit that
+# config's samples and action; matrix_right_multiplication names its element
+# by index, since its algebra gl(1) labels it d1
+_BUILTIN_RUNS = {
+    "fock": ("compatibility", "kernel", {}),
+    "gaussian_rbf": ("compatibility", "kernel", {}),
+    "ou": ("compatibility", "kernel", {}),
+    "ou_mixture": ("compatibility", "kernel", {"masses": [1.0]}),
+    "laplace": ("compatibility", "kernel", {"atoms": [[1.0]], "weights": [1.0]}),
+    "laplace_gaussian": ("compatibility", "kernel", {}),
+    "circle_laplace": ("cdual_euclidean", "kernel", {}),
+    "halfplane_bessel": ("cdual_halfplane", "kernel", {}),
+    "det": ("compatibility", "kernel", {"n": 1, "power": 1.0}),
+    "translation": ("compatibility", "action", {}),
+    "euclidean": ("cdual_euclidean", "action", {}),
+    "matrix_right_multiplication": ("compatibility", "action", {"n": 1}),
+    "rotation2d": ("flow_laws", "fields", {}),
+    "constant": ("flow_laws", "fields", {"vector": [1.0]}),
+    "affine": ("flow_laws", "fields", {"matrix": [[1.0]]}),
+    "coordinate_shear": ("flow_laws", "fields", {}),
+    "quad_swirl": ("flow_laws", "fields", {}),
+    "quadratic1d": ("flow_laws", "fields", {}),
+    "euclidean_motion": ("cdual_euclidean", "algebra", {"d": 2, "p": 2, "q": 0}),
+    "abelian": ("cdual_abelian", "algebra", {"d": 1}),
+    "matrix_involutive": ("compatibility", "algebra", {"n": 1}),
+}
+_BUILTIN_TABLES = {**config.KERNEL_PARAMS, **config.ACTION_PARAMS, **config.FIELD_PARAMS,
+                   **config.ALGEBRA_PARAMS}
+
+
+def test_builtin_runs_cover_every_catalog_name():
+    catalogs = (config.KERNEL_CATALOG, config.ACTION_CATALOG, config.FIELD_CATALOG,
+                config.ALGEBRA_CATALOG)
+    assert sum(map(len, catalogs)) == len(_BUILTIN_TABLES) == len(_BUILTIN_RUNS)
+    for name, (_, _, params) in _BUILTIN_RUNS.items():
+        table = _BUILTIN_TABLES[name]
+        assert set(params) == {key for key, rule in table.items() if rule.required}, name
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTIN_RUNS))
+def test_every_catalog_builtin_runs_in_a_kind(tmp_path, capsys, name):
+    stem, key, params = _BUILTIN_RUNS[name]
+    data = _shipped(stem)
+    block = {"name": name, "params": params}
+    data[key] = [block] if key == "fields" else block
+    if name == "matrix_right_multiplication":
+        data["invariance"][0]["element"] = 0
+    path = _write(tmp_path, data)
+    if name == "ou":
+        # no kind runs it: the form kinds' catalogs leave it out
+        assert cli.main(["validate", path]) == cli.EXIT_CONFIG_ERROR
+        assert "config error: $.kernel.name: " in capsys.readouterr().err
+        return
+    assert cli.main(["validate", path]) == cli.EXIT_PASS
+    capsys.readouterr()
+    code = cli.main(["run", path, "--stable-output"])
+    assert code in (cli.EXIT_PASS, cli.EXIT_CHECK_FAILURE)
+    assert json.loads(capsys.readouterr().out)["passed"] is (code == cli.EXIT_PASS)
+
+
 def test_sample_keys_match_the_sampler():
+    # each type's key table: the keys it requires, and those it reads with a default
+    SAMPLE_KEYS = {kind: tuple(key for key, rule in table.items() if rule.required)
+                   for kind, table in SAMPLE_TYPES.items()}
+    SAMPLE_OPTIONAL_KEYS = {kind: tuple(key for key, rule in table.items() if not rule.required)
+                            for kind, table in SAMPLE_TYPES.items()}
     given = {"n": 3, "n_side": 2, "radii": [0.5], "n_per_circle": 3,
              "points": [[0.0]]}
     rng = np.random.default_rng(0)
