@@ -14,6 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import ALGEBRA_PARAMS, builtin_params
+
 VALIDATION_TOL = 1e-12
 
 
@@ -292,16 +294,15 @@ def matrix_involutive(n: int) -> SymmetricLieAlgebra:
 
 
 def builtin_algebra(name: str, params: Optional[dict] = None) -> SymmetricLieAlgebra:
-    """Catalog of named algebras; the params each reads are
-    ``config.ALGEBRA_PARAMS``."""
-    params = dict(params or {})
+    """Catalog of named algebras; the params each reads, and their bounds,
+    are ``config.ALGEBRA_PARAMS``."""
+    params = builtin_params(ALGEBRA_PARAMS, name, params)
     if name == "euclidean_motion":
         return euclidean_motion(params["d"], params["p"], params["q"])
     if name == "abelian":
         return abelian(params["d"])
     if name == "matrix_involutive":
         return matrix_involutive(params["n"])
-    raise KeyError(f"unknown builtin algebra {name!r}")
 
 
 def algebra_from_config(spec: dict) -> SymmetricLieAlgebra:

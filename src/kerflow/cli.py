@@ -8,11 +8,13 @@ Only ``run`` loads numpy.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
-from .config import (ACTION_CATALOG, ALGEBRA_CATALOG, FIELD_CATALOG, KERNEL_CATALOG,
-                     KINDS, parse_config)
+from .config import (ACTION_CATALOG, ACTION_PARAMS, ALGEBRA_CATALOG, ALGEBRA_PARAMS,
+                     FIELD_CATALOG, FIELD_PARAMS, KERNEL_CATALOG, KERNEL_PARAMS, KINDS,
+                     parse_config)
 from .errors import ConfigError
 
 EXIT_PASS = 0
@@ -60,11 +62,20 @@ def _cmd_list_builtins(args) -> int:
     print("experiment kinds:")
     for kind in KINDS:
         print(f"  {kind}")
-    for title, catalog in (("kernels", KERNEL_CATALOG), ("algebras", ALGEBRA_CATALOG),
-                           ("actions", ACTION_CATALOG), ("vector fields", FIELD_CATALOG)):
+    for title, catalog, tables in (("kernels", KERNEL_CATALOG, KERNEL_PARAMS),
+                                   ("algebras", ALGEBRA_CATALOG, ALGEBRA_PARAMS),
+                                   ("actions", ACTION_CATALOG, ACTION_PARAMS),
+                                   ("vector fields", FIELD_CATALOG, FIELD_PARAMS)):
         print(f"\n{title}:")
         for name, desc in catalog.items():
             print(f"  {name:18s} {desc}")
+            # each param with its default, or (optional) when its builder
+            # derives what an absent one means
+            params = [f"{key} (required)" if rule.required else f"{key} (optional)"
+                      if rule.default is None else f"{key}={json.dumps(rule.default)}"
+                      for key, rule in tables[name].items()]
+            if params:
+                print(f"  {'':18s} params: {', '.join(params)}")
     return EXIT_PASS
 
 

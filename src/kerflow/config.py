@@ -58,18 +58,23 @@ CHECKS = {
 KINDS = tuple(CHECKS)
 
 
+REQUIRED = object()     # the ``default`` of a key that its block must give
+
+
 @dataclass(frozen=True)
 class Rule:
     """A key's allowed types plus what is checked once the types hold: the
-    key may be required, a number, or a list's length, may be bounded, a
-    list may have to be as long as a sibling key's list, a value may have to
-    be one of a few choices, every entry of a list may have to satisfy a
-    rule of its own, an object value is checked against a key table of its
-    own, a string value may select the keys its block reads, and a key may
-    have to agree with its siblings."""
+    key may be required or have a default, a number, or a list's length, may
+    be bounded, a list may have to be as long as a sibling key's list, a
+    value may have to be one of a few choices, every entry of a list may
+    have to satisfy a rule of its own, an object value is checked against a
+    key table of its own, a string value may select the keys its block
+    reads, and a key may have to agree with its siblings."""
 
     types: object
-    required: bool = False
+    # REQUIRED, the value an absent key reads as, or None: an absent key
+    # stays absent, and its reader says what that means
+    default: object = None
     above: Optional[float] = None       # value must be greater than this
     below: Optional[float] = None       # value must be less than this
     at_least: Optional[int] = None      # value or list length must reach this
@@ -84,6 +89,10 @@ class Rule:
     # None, or why this key (present or at its default) disagrees with the
     # rest, as a message or as (path suffix, message) naming one of its entries
     agrees: Optional[Callable[[dict], object]] = None
+
+    @property
+    def required(self) -> bool:
+        return self.default is REQUIRED
 
 
 # Upper bounds on integer sizes, so that a huge JSON integer is a config
@@ -105,9 +114,9 @@ POSITIVE = Rule((int, float), above=0)
 # strictly between 0 and 1: a rank cutoff, the share of the largest Gram
 # eigenvalue below which an eigenvalue is dropped, and a contraction's norm
 _UNIT = Rule((int, float), above=0, below=1)
-_PAIR = Rule(list, at_least=2, at_most=2, each=NUMBER)
 POINT = Rule(list, at_least=1, each=NUMBER)
-_COUNT = Rule(int, required=True, at_least=1, at_most=MAX_POINTS)
+_COUNT = Rule(int, default=REQUIRED, at_least=1, at_most=MAX_POINTS)
+_RANK_CUTOFF = replace(_UNIT, default=1e-10)
 
 
 def _is_number(x) -> bool:
@@ -184,22 +193,22 @@ def symmetric_axis(lo: float, spacing: float, n: int) -> bool:
 
 
 def _margin_fits(grid: dict) -> Optional[str]:
-    """Why the margin (2 cells when absent) leaves a grid axis too short for it."""
-    margin = grid.get("margin", 2)
+    """Why the margin leaves a grid axis too short for it."""
+    margin = grid["margin"]
     if min(_axes(grid["shape"])) <= 2 * margin + 1:
         return f"every grid axis needs more than 2 * margin + 1 = {2 * margin + 1} points"
     return None
 
 
-_GRID = Rule(dict, required=True, spec={
-    "origin": Rule((list, int, float), required=True, each=NUMBER,
+_GRID = Rule(dict, default=REQUIRED, spec={
+    "origin": Rule((list, int, float), default=REQUIRED, each=NUMBER,
                    agrees=_reflection_origin),
-    "spacing": Rule((int, float), required=True, above=0),
-    "shape": Rule((list, int), required=True, at_least=1, each=Rule(int, at_least=1),
+    "spacing": Rule((int, float), default=REQUIRED, above=0),
+    "shape": Rule((list, int), default=REQUIRED, at_least=1, each=Rule(int, at_least=1),
                   agrees=lambda grid: None if math.prod(_axes(grid["shape"])) <= MAX_GRID_CELLS
                   else f"more than {MAX_GRID_CELLS} cells"),
-    "margin": Rule(int, at_least=2, at_most=MAX_GRID_CELLS, agrees=_margin_fits)})
-_SHIFT = Rule(dict, spec={"cells": Rule(list, required=True, each=Rule(int))})
+    "margin": Rule(int, default=2, at_least=2, at_most=MAX_GRID_CELLS, agrees=_margin_fits)})
+_SHIFT = Rule(dict, spec={"cells": Rule(list, default=REQUIRED, each=Rule(int))})
 _CELLS = Rule(int, at_least=0, at_most=MAX_GRID_CELLS)
 
 
@@ -208,10 +217,10 @@ def _shifts_fit(block: dict, key: str):
     grid axis, each smaller in size than the grid extent along its axis.
     The kernel's check compares translated bumps, so with no translation of
     either kind no check would compare anything: the first key reports it."""
-    if not block.get("translations") and not block.get("parallel_translations"):
+    if not block["translations"] and not block["parallel_translations"]:
         return "required unless parallel_translations is given"
     shape = _axes(block["grid"]["shape"])
-    for i, t in enumerate(block.get(key, [])):
+    for i, t in enumerate(block[key]):
         if len(t["cells"]) != len(shape) or any(
                 abs(c) >= extent for c, extent in zip(t["cells"], shape)):
             return f"[{i}].cells", ("needs one cell shift per grid axis, each smaller in size "
@@ -221,44 +230,47 @@ def _shifts_fit(block: dict, key: str):
 
 def _distinct_steps(block: dict) -> Optional[str]:
     """Why a ``bracket_order`` step ladder would fit an order to one step size."""
-    if len(set(block.get("h_ladder", (1, 2)))) < 2:
+    if len(set(block["h_ladder"])) < 2:
         return "a fitted order needs two distinct step sizes"
     return None
 
 
-def _spectral_order(block: dict) -> Optional[str]:
-    """Why a ``luscher_mack`` spectral range [lo, hi] is not ordered."""
-    lo, hi = block.get("spectral_range", (0, 0))
-    return None if lo <= hi else f"needs lo <= hi, got [{lo}, {hi}]"
+def _range(key: str, default: list, each: Rule, strict: bool) -> Rule:
+    """A range [lo, hi] of ``key`` with lo < hi, or lo <= hi when not ``strict``."""
+    def agrees(block):
+        lo, hi = block[key]
+        if lo < hi or (lo == hi and not strict):
+            return None
+        return f"needs lo {'<' if strict else '<='} hi, got [{lo}, {hi}]"
+    return Rule(list, default=default, at_least=2, at_most=2, each=each, agrees=agrees)
 
 
 # the RK4 step of an integral curve when a config gives none
 DEFAULT_STEP = 1e-3
+_STEP = Rule((int, float), default=DEFAULT_STEP, above=0)
 # RK4 steps (|time| / step) one integral curve of a config may ask for
 MAX_CURVE_STEPS = 10 ** 5
-# the time key of each kind's integral curves, with the value the runner
-# reads when a config gives none; validation bounds time / step by
-# MAX_CURVE_STEPS
-CURVE_TIMES = {"time": 0.1, "t_range": 1.0, "t_max": 0.5}
 
 
-def _curve_steps(block: dict, key: str) -> Optional[str]:
-    """Why the curves of the block, |time| / step read with the runner's
-    defaults, ask for more than ``MAX_CURVE_STEPS`` RK4 steps each: a larger
-    ratio asks for work without bound."""
-    time, step = abs(block.get(key, CURVE_TIMES[key])), block.get("step", DEFAULT_STEP)
-    # compared without dividing, so that a huge JSON integer cannot
-    # overflow, and written as ``not`` so that a NaN fails
-    if not time <= MAX_CURVE_STEPS * step:
-        return f"asks for more than {MAX_CURVE_STEPS} RK4 steps of {step} per curve"
-    return None
+def _curve_time(key: str, default: float, **bounds) -> Rule:
+    """The time ``key`` of a block's integral curves, whose |time| / step is
+    at most ``MAX_CURVE_STEPS`` RK4 steps: a larger ratio asks for work
+    without bound."""
+    def agrees(block):
+        time, step = abs(block[key]), block["step"]
+        # compared without dividing, so that a huge JSON integer cannot
+        # overflow, and written as ``not`` so that a NaN fails
+        if not time <= MAX_CURVE_STEPS * step:
+            return f"asks for more than {MAX_CURVE_STEPS} RK4 steps of {step} per curve"
+        return None
+    return Rule((int, float), default=default, agrees=agrees, **bounds)
 
 
 # The builtins a config names: for each kernel, action, field and algebra, a
-# line for ``list-builtins`` and the key table its ``params`` are checked
-# against, which lists the params its builder (``kernels.builtin_kernel``,
-# ``operators.builtin_action``, ``flows.builtin_field``,
-# ``algebra.builtin_algebra``) reads.
+# line for ``list-builtins`` and the key table of the params its builder
+# (``kernels.builtin_kernel``, ``operators.builtin_action``,
+# ``flows.builtin_field``, ``algebra.builtin_algebra``) reads through
+# ``builtin_params``, each absent one at its default.
 
 KERNEL_CATALOG = {
     "fock": "exponential kernel exp(<x, y>)",
@@ -274,18 +286,19 @@ KERNEL_CATALOG = {
 _POSITIVE_LIST = Rule(list, at_least=1, each=POSITIVE)
 KERNEL_PARAMS = {
     "fock": {},
-    "gaussian_rbf": {"sigma": POSITIVE},
-    "ou": {"mass": POSITIVE},
-    "ou_mixture": {"masses": replace(_POSITIVE_LIST, required=True),
+    "gaussian_rbf": {"sigma": replace(POSITIVE, default=1.0)},
+    "ou": {"mass": replace(POSITIVE, default=1.0)},
+    "ou_mixture": {"masses": replace(_POSITIVE_LIST, default=REQUIRED),
+                   # absent: 1 for each mass (``kernels.ou_mixture_profile``)
                    "weights": replace(_POSITIVE_LIST, same_length="masses")},
-    "laplace": {"atoms": Rule(list, required=True, at_least=1, each=POINT),
-                "weights": replace(_POSITIVE_LIST, required=True, same_length="atoms")},
-    "laplace_gaussian": {"scale": NUMBER},
-    "circle_laplace": {"mass": NUMBER,
-                       "n_atoms": Rule(int, at_least=1, at_most=MAX_POINTS)},
-    "halfplane_bessel": {"mass": POSITIVE},
-    "det": {"n": Rule(int, required=True, at_least=1, at_most=MAX_MATRIX_SIZE),
-            "power": replace(POSITIVE, required=True)},
+    "laplace": {"atoms": Rule(list, default=REQUIRED, at_least=1, each=POINT),
+                "weights": replace(_POSITIVE_LIST, default=REQUIRED, same_length="atoms")},
+    "laplace_gaussian": {"scale": replace(NUMBER, default=1.0)},
+    "circle_laplace": {"mass": replace(NUMBER, default=1.0),
+                       "n_atoms": Rule(int, default=32, at_least=1, at_most=MAX_POINTS)},
+    "halfplane_bessel": {"mass": replace(POSITIVE, default=1.0)},
+    "det": {"n": Rule(int, default=REQUIRED, at_least=1, at_most=MAX_MATRIX_SIZE),
+            "power": replace(POSITIVE, default=REQUIRED)},
 }
 
 ACTION_CATALOG = {
@@ -293,24 +306,21 @@ ACTION_CATALOG = {
     "euclidean": "planar motions on R^2; involution by conjugation with diag(-I_p, I_q)",
     "matrix_right_multiplication": "gl(n) acting on a matrix ball by g -> g x",
 }
-# the ``euclidean`` p and q when absent: a planar motion splits 2 = p + q
-EUCLIDEAN_SPLIT = {"p": 2, "q": 0}
 
 
 def _planar_split(params) -> Optional[str]:
-    split = {**EUCLIDEAN_SPLIT, **params}
-    p, q = split["p"], split["q"]
+    p, q = params["p"], params["q"]
     return None if p + q == 2 else f"a planar motion needs p + q = 2, got {p} + {q}"
 
 
 ACTION_PARAMS = {
-    "translation": {"dimension": Rule(int, at_least=1, at_most=MAX_DIMENSION)},
-    "euclidean": {"p": Rule(int, at_least=0, at_most=2),
-                  "q": Rule(int, at_least=0, at_most=2, agrees=_planar_split),
-                  "domain": Rule(str, choices=("plane", "halfplane"))},
+    "translation": {"dimension": Rule(int, default=1, at_least=1, at_most=MAX_DIMENSION)},
+    "euclidean": {"p": Rule(int, default=2, at_least=0, at_most=2),
+                  "q": Rule(int, default=0, at_least=0, at_most=2, agrees=_planar_split),
+                  "domain": Rule(str, default="plane", choices=("plane", "halfplane"))},
     "matrix_right_multiplication": {
-        "n": Rule(int, required=True, at_least=1, at_most=MAX_MATRIX_SIZE),
-        "radius": POSITIVE},
+        "n": Rule(int, default=REQUIRED, at_least=1, at_most=MAX_MATRIX_SIZE),
+        "radius": replace(POSITIVE, default=1.0)},
 }
 
 FIELD_CATALOG = {
@@ -321,18 +331,15 @@ FIELD_CATALOG = {
     "quad_swirl": "quadratic planar field (y^2, x)",
     "quadratic1d": "x^2 on the chart (-inf, 1); blows up in finite time",
 }
-# the coordinate_shear params when absent
-SHEAR_DEFAULTS = {"from": 0, "to": 1, "dimension": 2}
 
 
-def _shear_axis(key: str) -> Rule:
+def _shear_axis(key: str, default: int) -> Rule:
     """A ``coordinate_shear`` axis, below the field's own dimension."""
     def agrees(params):
-        shear = {**SHEAR_DEFAULTS, **params}
-        if shear[key] >= shear["dimension"]:
-            return f"must be < dimension ({shear['dimension']})"
+        if params[key] >= params["dimension"]:
+            return f"must be < dimension ({params['dimension']})"
         return None
-    return Rule(int, at_least=0, at_most=MAX_DIMENSION - 1, agrees=agrees)
+    return Rule(int, default=default, at_least=0, at_most=MAX_DIMENSION - 1, agrees=agrees)
 
 
 def _square(params) -> Optional[str]:
@@ -353,11 +360,13 @@ def _offset_fits(params) -> Optional[str]:
 
 FIELD_PARAMS = {
     "rotation2d": {},
-    "constant": {"vector": replace(POINT, required=True)},
-    "affine": {"matrix": Rule(list, required=True, at_least=1, each=POINT, agrees=_square),
+    "constant": {"vector": replace(POINT, default=REQUIRED)},
+    "affine": {"matrix": Rule(list, default=REQUIRED, at_least=1, each=POINT, agrees=_square),
+               # absent: the zero vector
                "offset": replace(POINT, agrees=_offset_fits)},
-    "coordinate_shear": {"from": _shear_axis("from"), "to": _shear_axis("to"),
-                         "dimension": Rule(int, at_least=1, at_most=MAX_DIMENSION)},
+    "coordinate_shear": {"from": _shear_axis("from", 0), "to": _shear_axis("to", 1),
+                         "dimension": Rule(int, default=2, at_least=1,
+                                           at_most=MAX_DIMENSION)},
     "quad_swirl": {},
     "quadratic1d": {},
 }
@@ -367,14 +376,14 @@ ALGEBRA_CATALOG = {
     "abelian": "R^d, zero bracket, involution -1",
     "matrix_involutive": "gl(n, R) with a -> -a^T; h = so(n), q = sym(n)",
 }
-_SIZE = Rule(int, required=True, at_least=1, at_most=MAX_DIMENSION)
-_PART = Rule(int, required=True, at_least=0, at_most=MAX_DIMENSION)
+_SIZE = Rule(int, default=REQUIRED, at_least=1, at_most=MAX_DIMENSION)
+_PART = Rule(int, default=REQUIRED, at_least=0, at_most=MAX_DIMENSION)
 ALGEBRA_PARAMS = {
     "euclidean_motion": {"d": _SIZE, "p": _PART, "q": Rule(
-        int, required=True, at_least=0, at_most=MAX_DIMENSION,
+        int, default=REQUIRED, at_least=0, at_most=MAX_DIMENSION,
         agrees=lambda b: None if b["p"] + b["q"] == b["d"] else "needs p + q = d")},
     "abelian": {"d": _SIZE},
-    "matrix_involutive": {"n": Rule(int, required=True, at_least=1,
+    "matrix_involutive": {"n": Rule(int, default=REQUIRED, at_least=1,
                                     at_most=MAX_MATRIX_SIZE)},
 }
 
@@ -382,15 +391,11 @@ ALGEBRA_PARAMS = {
 def _builtin(tables: dict, names=None, unnamed=None) -> Rule:
     """A required builtin block, whose ``name``, one of ``names`` (every name
     of ``tables`` when None), selects the key table of its ``params``; absent
-    params read as none, so the first the builtin requires is named.
-    ``unnamed`` is the key table of a block without a name."""
-    def params(table):
-        needed = [key for key, rule in table.items() if rule.required]
-        return {"params": Rule(dict, spec=table, agrees=lambda block: (
-            (f".{needed[0]}", "required") if needed and "params" not in block else None))}
-
-    named = {name: params(tables[name]) for name in names or tables}
-    return Rule(dict, required=True, spec={"name": Rule(str, spec={
+    params read as none given.  ``unnamed`` is the key table of a block
+    without a name."""
+    named = {name: {"params": Rule(dict, default={}, spec=tables[name])}
+             for name in names or tables}
+    return Rule(dict, default=REQUIRED, spec={"name": Rule(str, spec={
         **({None: unnamed} if unnamed else {}), **named})})
 
 
@@ -402,9 +407,9 @@ _ACTION = _builtin(ACTION_PARAMS)
 _FORM_KERNEL = _builtin(KERNEL_PARAMS, [name for name in KERNEL_PARAMS if name != "ou"])
 _GRID_KERNEL = _builtin(KERNEL_PARAMS, ["ou_mixture"])
 _ALGEBRA = replace(_builtin(ALGEBRA_PARAMS, unnamed={
-    "structure_constants": Rule(list, required=True, at_least=1, agrees=_structure_shape),
-    "involution": Rule(list, required=True, agrees=_involution_shape),
-    "labels": Rule(list, agrees=_one_label_each)}), required=False)
+    "structure_constants": Rule(list, default=REQUIRED, at_least=1, agrees=_structure_shape),
+    "involution": Rule(list, default=REQUIRED, agrees=_involution_shape),
+    "labels": Rule(list, agrees=_one_label_each)}), default=None)
 
 
 def _one_dimension(samples: dict):
@@ -443,16 +448,19 @@ def _sampled_once(samples: dict) -> Optional[str]:
 
 
 # the keys each sample type reads (``runner._sample_points``) in a kind that
-# samples once; those it reads without a default are required
+# samples once
+_HALFWIDTH = replace(POSITIVE, default=1.0)
 SAMPLE_TYPES = {
-    "chebyshev": {"n": _COUNT, "halfwidth": POSITIVE},
-    "uniform_box": {"n": _COUNT, "dimension": Rule(int, at_least=1, at_most=MAX_DIMENSION),
-                    "halfwidth": POSITIVE, "include_origin": Rule(bool)},
-    "grid2d": {"n_side": Rule(int, required=True, at_least=1, at_most=MAX_SIDE),
-               "x_range": _PAIR, "y_range": _PAIR},
-    "circles": {"radii": Rule(list, required=True, at_least=1, each=POSITIVE),
+    "chebyshev": {"n": _COUNT, "halfwidth": _HALFWIDTH},
+    "uniform_box": {"n": _COUNT,
+                    "dimension": Rule(int, default=2, at_least=1, at_most=MAX_DIMENSION),
+                    "halfwidth": _HALFWIDTH, "include_origin": Rule(bool, default=False)},
+    "grid2d": {"n_side": Rule(int, default=REQUIRED, at_least=1, at_most=MAX_SIDE),
+               "x_range": _range("x_range", [-1.0, 1.0], NUMBER, strict=True),
+               "y_range": _range("y_range", [-1.0, 1.0], NUMBER, strict=True)},
+    "circles": {"radii": Rule(list, default=REQUIRED, at_least=1, each=POSITIVE),
                 "n_per_circle": _COUNT},
-    "explicit": {"points": Rule(list, required=True, at_least=1, each=POINT,
+    "explicit": {"points": Rule(list, default=REQUIRED, at_least=1, each=POINT,
                                 agrees=_one_dimension)},
 }
 
@@ -464,101 +472,109 @@ def _samples(ladder: bool) -> Rule:
     types = dict(SAMPLE_TYPES)
     for name, size in _SAMPLE_SIZES.items():
         level = types[name][size]
-        types[name] = {**types[name], size: replace(level, required=not ladder, agrees=_sized),
+        types[name] = {**types[name],
+                       size: replace(level, default=None if ladder else REQUIRED, agrees=_sized),
                        "refinement": Rule(list, at_least=1, each=level,
                                           agrees=_ascending if ladder else _sampled_once)}
-    return Rule(dict, required=True, spec={"type": Rule(str, required=True, spec=types)})
+    return Rule(dict, default=REQUIRED, spec={"type": Rule(str, default=REQUIRED, spec=types)})
 
 
 _LADDER_SAMPLES = _samples(ladder=True)
-# the keys each luscher_mack variant reads: power_1x1 raises positive
-# elements to a power, determinant needs contractions
-_POWER_1X1 = {"exponent": NUMBER, "interval": Rule(list, at_least=2, at_most=2, each=POSITIVE)}
+_POINTS = Rule(int, default=10, at_least=1, at_most=MAX_POINTS)   # flow and bracket points
+# luscher_mack n_samples, whose default each variant sets
+_ELEMENTS = Rule(int, at_least=1, at_most=MAX_SEMIGROUP_SAMPLES)
 
 # allowed top-level keys per kind (beyond kind/seed/tolerances)
 SCHEMAS = {
     "flow_laws": {
-        "fields": Rule(list, required=True, at_least=1, each=_FIELD),
-        "n_points": Rule(int, at_least=1, at_most=MAX_POINTS),
-        "step": Rule((int, float), above=0),
-        "t_range": Rule((int, float), above=0,
-                        agrees=lambda block: _curve_steps(block, "t_range")),
-        "n_time_samples": Rule(int, at_least=1, at_most=MAX_TIME_SAMPLES),
+        "fields": Rule(list, default=REQUIRED, at_least=1, each=_FIELD),
+        "n_points": _POINTS,
+        "step": _STEP,
+        "t_range": _curve_time("t_range", 1.0, above=0),
+        "n_time_samples": Rule(int, default=3, at_least=1, at_most=MAX_TIME_SAMPLES),
     },
     "bracket_order": {
-        "pairs": Rule(list, required=True, at_least=1,
+        "pairs": Rule(list, default=REQUIRED, at_least=1,
                       each=Rule(dict, spec={"x": _FIELD, "y": _FIELD})),
-        "n_points": Rule(int, at_least=1, at_most=MAX_POINTS),
+        "n_points": _POINTS,
         # a fitted order needs at least two distinct step sizes
-        "h_ladder": Rule(list, at_least=2, each=POSITIVE, agrees=_distinct_steps),
+        "h_ladder": Rule(list, default=[1e-2, 5e-3, 2.5e-3], at_least=2, each=POSITIVE,
+                         agrees=_distinct_steps),
     },
     "compatibility": {
         "kernel": _FORM_KERNEL, "action": _ACTION, "algebra": _ALGEBRA,
         "samples": _samples(ladder=False),
-        "invariance": Rule(list, each=Rule(dict, spec={
-            "pair": Rule(list, required=True, at_least=2, at_most=2, each=POINT),
-            "epsilon": Rule(int, required=True, choices=(-1, 1)),
-            "element": Rule((int, str), required=True),
-            "t_max": Rule((int, float), above=0,
-                          agrees=lambda block: _curve_steps(block, "t_max")),
-            "step": Rule((int, float), above=0)})),
+        "invariance": Rule(list, default=[], each=Rule(dict, spec={
+            "pair": Rule(list, default=REQUIRED, at_least=2, at_most=2, each=POINT),
+            "epsilon": Rule(int, default=REQUIRED, choices=(-1, 1)),
+            "element": Rule((int, str), default=REQUIRED),
+            "t_max": _curve_time("t_max", 0.5, above=0),
+            "step": _STEP})),
     },
     "froelich": {
         "kernel": _FORM_KERNEL, "field": _FIELD, "samples": _LADDER_SAMPLES,
+        # absent: the origin, whatever the dimension of the samples
         "start_point": POINT,
-        "time": Rule((int, float), agrees=lambda block: _curve_steps(block, "time")),
-        "step": Rule((int, float), above=0), "rank_cutoff": _UNIT,
+        "time": _curve_time("time", 0.1),
+        "step": _STEP, "rank_cutoff": _RANK_CUTOFF,
     },
     "cdual_rep": {
         "kernel": _FORM_KERNEL, "action": _ACTION, "algebra": _ALGEBRA,
         "samples": _LADDER_SAMPLES,
-        "unitary_times": Rule(list, at_least=1, each=NUMBER),
-        "rank_cutoff": _UNIT,
-        "conjugation": Rule(dict, spec={"x": Rule(str, required=True),
-                                        "y": Rule(str, required=True),
-                                        "s": Rule((int, float), required=True)}),
+        "unitary_times": Rule(list, default=[0.5, 1.0], at_least=1, each=NUMBER),
+        "rank_cutoff": _RANK_CUTOFF,
+        "conjugation": Rule(dict, spec={"x": Rule(str, default=REQUIRED),
+                                        "y": Rule(str, default=REQUIRED),
+                                        "s": Rule((int, float), default=REQUIRED)}),
     },
+    # power_1x1 raises positive elements to a power, determinant needs
+    # contractions, and its power is that of the ``det`` kernel
     "luscher_mack": {
-        "variant": Rule(str, spec={None: _POWER_1X1, "power_1x1": _POWER_1X1, "determinant": {
-            "power": NUMBER, "matrix_size": Rule(int, at_least=1, at_most=MAX_MATRIX_SIZE),
-            "spectral_range": Rule(list, at_least=2, at_most=2, each=_UNIT,
-                                   agrees=_spectral_order)}}),
-        "n_samples": Rule(int, at_least=1, at_most=MAX_SEMIGROUP_SAMPLES),
-        "rank_cutoff": _UNIT,
+        "variant": Rule(str, default="power_1x1", spec={
+            "power_1x1": {
+                "exponent": replace(NUMBER, default=1.5),
+                "interval": Rule(list, default=[0.2, 0.9], at_least=2, at_most=2,
+                                 each=POSITIVE),
+                "n_samples": replace(_ELEMENTS, default=6)},
+            "determinant": {
+                "power": replace(KERNEL_PARAMS["det"]["power"], default=2.0),
+                "matrix_size": Rule(int, default=2, at_least=1, at_most=MAX_MATRIX_SIZE),
+                "spectral_range": _range("spectral_range", [0.05, 0.8], _UNIT, strict=False),
+                "n_samples": replace(_ELEMENTS, default=8)}}),
+        "rank_cutoff": replace(_UNIT, default=1e-12),
     },
     "os_reconstruct": {
         "grid": _GRID, "kernel": _GRID_KERNEL,
-        "bumps": Rule(list, required=True, at_least=1, each=Rule(dict, spec={
-            "center": Rule((list, int, float), required=True),
-            "width": Rule((int, float), required=True)})),
-        "expected_rank": Rule(int, required=True, at_most=MAX_POINTS),
+        "bumps": Rule(list, default=REQUIRED, at_least=1, each=Rule(dict, spec={
+            "center": Rule((list, int, float), default=REQUIRED, each=NUMBER),
+            "width": replace(POSITIVE, default=REQUIRED)})),
+        "expected_rank": Rule(int, default=REQUIRED, at_most=MAX_POINTS),
         # transfer times are cell counts along the direction away from the
         # reflection hyperplane, so never negative
-        "times_cells": Rule(list, required=True, at_least=1, each=_CELLS),
-        "law_pairs_cells": Rule(list, each=Rule(list, at_least=2, at_most=2,
-                                                each=_CELLS)),
-        "rank_cutoff": _UNIT,
+        "times_cells": Rule(list, default=REQUIRED, at_least=1, each=_CELLS),
+        "law_pairs_cells": Rule(list, default=[], each=Rule(list, at_least=2, at_most=2,
+                                                            each=_CELLS)),
+        "rank_cutoff": _RANK_CUTOFF,
     },
     "rp_axioms": {
-        "grid": _GRID, "kernel": replace(_GRID_KERNEL, required=False),
-        "translations": Rule(list, each=_SHIFT,
+        # absent: no pairing to compare
+        "grid": _GRID, "kernel": replace(_GRID_KERNEL, default=None),
+        "translations": Rule(list, default=[], each=_SHIFT,
                              agrees=lambda block: _shifts_fit(block, "translations")),
         "parallel_translations": Rule(
-            list, each=_SHIFT, agrees=lambda block: _shifts_fit(block, "parallel_translations")),
+            list, default=[], each=_SHIFT,
+            agrees=lambda block: _shifts_fit(block, "parallel_translations")),
     },
 }
 
-
-def _tolerances(kind: str) -> dict:
-    """The tolerances a config of ``kind`` may set, each with its default."""
-    return {entry[0]: entry[1] for entry in CHECKS[kind].values()
-            if entry is not None and entry[1] is not None}
-
-
-# the key table of a config, whose kind selects the keys it reads
-SCHEMA = {"kind": Rule(str, required=True, spec={
-    kind: {"seed": Rule(int, required=True),
-           "tolerances": Rule(dict, spec=dict.fromkeys(_tolerances(kind), NUMBER)), **keys}
+# the key table of a config, whose kind selects the keys it reads; each
+# tolerance a kind's checks name with a default may be set
+SCHEMA = {"kind": Rule(str, default=REQUIRED, spec={
+    kind: {"seed": Rule(int, default=REQUIRED, at_least=0),
+           "tolerances": Rule(dict, default={}, spec={
+               entry[0]: replace(NUMBER, default=entry[1]) for entry in CHECKS[kind].values()
+               if entry is not None and entry[1] is not None}),
+           **keys}
     for kind, keys in SCHEMAS.items()})}
 
 
@@ -567,7 +583,7 @@ class ExperimentConfig:
     kind: str
     seed: int
     tolerances: dict
-    body: dict          # kind-specific validated keys
+    body: dict          # kind-specific keys, validated and resolved
     raw: dict           # full echo for the report
 
     def tol(self, name: str) -> float:
@@ -583,11 +599,14 @@ def _check_type(val, expected, path: str):
         raise ConfigError(path, f"expected {expected}, got {type(val).__name__}")
 
 
-def _check_block(obj: dict, spec: dict, path: str):
+def _check_block(obj: dict, spec: dict, path: str) -> dict:
     """``obj`` against its key table ``spec``, with the keys that the value of
-    each selecting key (a string key whose rule has a ``spec``) adds: unknown
-    keys and types first, then each key's bounds, nested blocks and presence,
-    the cross-key checks, and last the keys only another value would add."""
+    each selecting key (a string key whose rule has a ``spec``; its default
+    when absent) adds: unknown keys and types first, then each key's bounds,
+    nested blocks and presence, the cross-key checks, and last the keys only
+    another value would add.  Returns ``obj`` resolved, a copy in which each
+    absent key with a default holds it, nested blocks resolved alike; the
+    cross-key checks read that copy."""
     table, unread, keys = dict(spec), {}, list(spec)
     for key in keys:        # grows by the keys each selection adds
         rule = table[key]
@@ -595,7 +614,7 @@ def _check_block(obj: dict, spec: dict, path: str):
             continue
         if key in obj:
             _check_type(obj[key], str, f"{path}.{key}")
-        value = obj.get(key)
+        value = obj.get(key, rule.default)
         if value not in rule.spec:
             raise ConfigError(f"{path}.{key}", "required" if key not in obj else
                               f"must be one of {', '.join(filter(None, rule.spec))}")
@@ -608,26 +627,31 @@ def _check_block(obj: dict, spec: dict, path: str):
             _check_type(val, table[key].types, f"{path}.{key}")
         elif key not in unread:
             raise ConfigError(f"{path}.{key}", "unknown key")
+    resolved = {}
     for key, rule in table.items():
         if key in obj:
-            _check_bounds(obj[key], rule, f"{path}.{key}")
+            resolved[key] = _check_bounds(obj[key], rule, f"{path}.{key}")
             other = obj.get(rule.same_length)
             if other is not None and len(obj[key]) != len(other):
                 raise ConfigError(f"{path}.{key}",
                                   f"needs one entry per entry of {rule.same_length}")
         elif rule.required:
             raise ConfigError(f"{path}.{key}", "required")
+        elif rule.default is not None:
+            resolved[key] = _check_bounds(rule.default, rule, f"{path}.{key}")
     for key, rule in table.items():
-        problem = rule.agrees(obj) if rule.agrees else None
+        problem = rule.agrees(resolved) if rule.agrees else None
         if problem is not None:
             suffix, why = problem if isinstance(problem, tuple) else ("", problem)
             raise ConfigError(f"{path}.{key}{suffix}", why)
     for key, why in unread.items():
         if key in obj and key not in table:
             raise ConfigError(f"{path}.{key}", why)
+    return resolved
 
 
 def _check_bounds(val, rule: Rule, path: str):
+    """``val`` against the bounds of its rule, returned resolved (a copy, if a list or object)."""
     size = len(val) if isinstance(val, list) else val
     # written as ``not`` so that a NaN fails
     if rule.above is not None and not size > rule.above:
@@ -643,17 +667,31 @@ def _check_bounds(val, rule: Rule, path: str):
     if rule.choices is not None and val not in rule.choices:
         raise ConfigError(path, f"must be one of {', '.join(map(str, rule.choices))}")
     if rule.each is not None and isinstance(val, list):
+        entries = []
         for i, item in enumerate(val):
             _check_type(item, rule.each.types, f"{path}[{i}]")
-            _check_bounds(item, rule.each, f"{path}[{i}]")
+            entries.append(_check_bounds(item, rule.each, f"{path}[{i}]"))
+        return entries
     if rule.spec is not None and isinstance(val, dict):
-        _check_block(val, rule.spec, path)
+        return _check_block(val, rule.spec, path)
+    return val
+
+
+def builtin_params(tables: dict, name: str, params: Optional[dict]) -> dict:
+    """The ``params`` of builtin ``name`` checked against its key table of
+    ``tables`` (say ``KERNEL_PARAMS``), resolved: how its builder reads them."""
+    if name not in tables:
+        raise KeyError(f"unknown builtin {name!r}")
+    return _check_block(params or {}, tables[name], f"{name}.params")
 
 
 def first_non_finite(node, path: str = "$") -> Optional[str]:
-    """The JSON path of the first non-finite number in ``node``, or None."""
+    """The JSON path of the first number in ``node`` that is not finite, or
+    is an integer outside the 64-bit range; None if there is none."""
     if isinstance(node, float):
         return None if math.isfinite(node) else path
+    if isinstance(node, int):   # numpy makes an object array of a larger one
+        return None if -2 ** 63 <= node < 2 ** 63 else path
     if isinstance(node, dict):
         children = ((f"{path}.{key}", child) for key, child in node.items())
     elif isinstance(node, (list, tuple)):
@@ -668,19 +706,19 @@ def first_non_finite(node, path: str = "$") -> Optional[str]:
 
 
 def validate_config(data: dict) -> ExperimentConfig:
+    """``data`` checked and resolved; ``data`` itself stays as it is, the report's echo."""
     if not isinstance(data, dict):
         raise ConfigError("$", "configuration must be a JSON object")
-    _check_block(data, SCHEMA, "$")
+    resolved = _check_block(data, SCHEMA, "$")
     # JSON has no NaN or Infinity, yet the parser reads them, and 1e999 as an
     # infinity: no key takes one, and a report could not carry it back out
     where = first_non_finite(data)
     if where is not None:
-        raise ConfigError(where, "must be a finite number")
-    tolerances = _tolerances(data["kind"])
-    tolerances.update({k: float(v) for k, v in data.get("tolerances", {}).items()})
-    body = {k: v for k, v in data.items()
-            if k not in ("kind", "seed", "tolerances")}
-    return ExperimentConfig(data["kind"], data["seed"], tolerances, body, data)
+        raise ConfigError(where, "must be a finite number, within the 64-bit "
+                                 "range if an integer")
+    body = {k: v for k, v in resolved.items() if k not in ("kind", "seed", "tolerances")}
+    tolerances = {k: float(v) for k, v in resolved["tolerances"].items()}
+    return ExperimentConfig(resolved["kind"], resolved["seed"], tolerances, body, data)
 
 
 def parse_config(path: str) -> ExperimentConfig:

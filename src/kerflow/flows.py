@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .config import DEFAULT_STEP, SHEAR_DEFAULTS
+from .config import DEFAULT_STEP, FIELD_PARAMS, builtin_params
 from .errors import FlowDomainError
 
 BLOWUP_NORM = 1e12
@@ -537,8 +537,8 @@ def _quad_swirl_jacobian(p: np.ndarray) -> np.ndarray:
 
 def builtin_field(name: str, params: Optional[dict] = None) -> VectorField:
     """Catalog of named fields used by experiment configs and tests; the
-    params each reads are ``config.FIELD_PARAMS``."""
-    params = dict(params or {})
+    params each reads, their defaults and bounds, are ``config.FIELD_PARAMS``."""
+    params = builtin_params(FIELD_PARAMS, name, params)
     if name == "rotation2d":
         return rotation_field()
     if name == "constant":
@@ -547,8 +547,7 @@ def builtin_field(name: str, params: Optional[dict] = None) -> VectorField:
         return affine_field(params["matrix"], params.get("offset"))
     if name == "coordinate_shear":
         # x[frm] * d/dx[to]
-        shear = {**SHEAR_DEFAULTS, **params}
-        frm, to, dim = shear["from"], shear["to"], shear["dimension"]
+        frm, to, dim = params["from"], params["to"], params["dimension"]
         A = np.zeros((dim, dim))
         A[to, frm] = 1.0
         return replace(affine_field(A), name=f"shear{frm}{to}")
@@ -561,4 +560,3 @@ def builtin_field(name: str, params: Optional[dict] = None) -> VectorField:
         # x^2 on the chart (-inf, 1): finite-time blow-up exits the chart
         return VectorField(box_chart([-np.inf], [1.0]), lambda p: p ** 2,
                            lambda p: 2.0 * p[..., None], name="quadratic1d")
-    raise KeyError(f"unknown builtin field {name!r}")

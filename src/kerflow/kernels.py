@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .config import KERNEL_PARAMS, builtin_params
 from .errors import EmptyModelError, KernelDomainError, NotHermitianError
 
 DEFAULT_RANK_CUTOFF = 1e-12
@@ -274,9 +275,9 @@ def laplace_kernel_from_measure(measure: MeasureSample) -> Kernel:
 
 def ou_mixture_profile(masses, weights) -> Callable[[np.ndarray], np.ndarray]:
     """Distance profile p(r) = sum_j w_j exp(-m_j r) of the ``ou_mixture``
-    kernel, on an array of distances."""
+    kernel, on an array of distances; ``weights`` None weighs each mass 1."""
     masses = np.asarray(masses, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    weights = np.ones_like(masses) if weights is None else np.asarray(weights, dtype=float)
     if weights.shape != masses.shape:
         raise ValueError("need one weight per mass")
 
@@ -296,11 +297,11 @@ def ou_mixture_profile(masses, weights) -> Callable[[np.ndarray], np.ndarray]:
 
 def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
     """Catalog of named kernels used by experiment configs and tests; the
-    params each reads are ``config.KERNEL_PARAMS``.
+    params each reads, their defaults and bounds, are ``config.KERNEL_PARAMS``.
 
     Every entry has an array form of its values; ``ou_mixture`` and ``det``
     have no analytic gradient and take the central differences of it."""
-    params = dict(params or {})
+    params = builtin_params(KERNEL_PARAMS, name, params)
     if name == "fock":
         def fock_mat(X, Y):
             return np.exp(X @ Y.T)
@@ -308,7 +309,7 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
         return Kernel("fock", fock_mat,
                       lambda X, Y: Y[None] * fock_mat(X, Y)[..., None])
     if name == "gaussian_rbf":
-        sigma = float(params.get("sigma", 1.0))
+        sigma = float(params["sigma"])
 
         def rbf_grad(X, Y):
             D = _diff(X, Y)
@@ -318,9 +319,7 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
                       lambda X, Y: np.exp(-_sq(_diff(X, Y)) / (2.0 * sigma ** 2)),
                       rbf_grad)
     if name == "ou":
-        m = float(params.get("mass", 1.0))
-        if m <= 0.0:
-            raise ValueError("ou kernel needs mass > 0")
+        m = float(params["mass"])
 
         def ou_grad(X, Y):
             D = _diff(X, Y)
@@ -333,11 +332,7 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
         return Kernel("ou", lambda X, Y: np.exp(-m * np.sqrt(_sq(_diff(X, Y)))),
                       ou_grad)
     if name == "ou_mixture":
-        masses = np.asarray(params["masses"], dtype=float)
-        weights = np.asarray(params.get("weights", np.ones_like(masses)), dtype=float)
-        if np.any(masses <= 0) or np.any(weights <= 0):
-            raise ValueError("ou_mixture needs positive masses and weights")
-        profile = ou_mixture_profile(masses, weights)
+        profile = ou_mixture_profile(params["masses"], params.get("weights"))
         return Kernel("ou_mixture", lambda X, Y: profile(np.sqrt(_sq(_diff(X, Y)))))
     if name == "laplace":
         measure = MeasureSample(np.asarray(params["atoms"], dtype=float),
@@ -345,7 +340,7 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
         return laplace_kernel_from_measure(measure)
     if name == "laplace_gaussian":
         # transform of a standard Gaussian weight: exp(s^2 |x+y|^2 / 8)
-        s = float(params.get("scale", 1.0))
+        s = float(params["scale"])
 
         def lg_grad(X, Y):
             U = X[:, None, :] + Y[None, :, :]
@@ -358,9 +353,7 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
         # 2 K0(m sqrt((x1+y1)^2 + (x2-y2)^2)); a continuum mixture of
         # rank-one decay factors times plane waves, hence positive definite
         # there, and invariant under the full planar motion compatibility
-        m = float(params.get("mass", 1.0))
-        if m <= 0.0:
-            raise ValueError("halfplane_bessel needs mass > 0")
+        m = float(params["mass"])
         from scipy.special import k0, k1
 
         # the array forms fill preallocated outputs in place: at 289 points
@@ -396,8 +389,7 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
     if name == "circle_laplace":
         # transform of a uniform measure on a radius-m circle: a smooth,
         # rotation-invariant positive definite kernel close to I0(m |x+y| / 2)
-        m = float(params.get("mass", 1.0))
-        n_atoms = int(params.get("n_atoms", 32))
+        m, n_atoms = float(params["mass"]), int(params["n_atoms"])
         ang = 2.0 * np.pi * np.arange(n_atoms) / n_atoms
         atoms = m * np.stack([np.cos(ang), np.sin(ang)], axis=1)
         weights = np.full(n_atoms, 1.0 / n_atoms)
@@ -406,8 +398,6 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
     if name == "det":
         n = int(params["n"])
         power = float(params["power"])
-        if power <= 0.0:
-            raise ValueError("det kernel needs power > 0")
 
         def det_mat(X, Y):
             Xs, Ys = X.reshape(-1, n, n), Y.reshape(-1, n, n)
@@ -417,4 +407,3 @@ def builtin_kernel(name: str, params: Optional[dict] = None) -> Kernel:
             return np.linalg.det(np.eye(n) - products) ** (-power)
 
         return Kernel("det", det_mat, dimension=n * n)
-    raise KeyError(f"unknown builtin kernel {name!r}")

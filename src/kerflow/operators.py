@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, SymmetricLieAlgebra, algebra_bracket, expm
-from .config import DEFAULT_STEP, EUCLIDEAN_SPLIT
+from .config import ACTION_PARAMS, DEFAULT_STEP, builtin_params
 from .errors import ClassificationError, FlowDomainError
 from .flows import VectorField, integrate_batch, integrate_curve, lie_bracket
 from .kernels import GramModel, Kernel, embed_point, projection_residual
@@ -278,22 +278,20 @@ def froelich_check(kernel: Kernel, field: VectorField, model: GramModel,
 
 def builtin_action(name: str, params: Optional[dict] = None) -> CompatibleAction:
     """Catalog of named kernel-compatible actions for configs and tests; the
-    params each reads are ``config.ACTION_PARAMS``."""
+    params each reads, their defaults and bounds, are ``config.ACTION_PARAMS``."""
     from . import algebra as la
     from . import flows as fl
 
-    params = dict(params or {})
+    params = builtin_params(ACTION_PARAMS, name, params)
     if name == "translation":
-        d = int(params.get("dimension", 1))
+        d = int(params["dimension"])
         alg = la.abelian(d)
         chart = fl.full_space(d)
         fields = tuple(fl.constant_field(np.eye(d)[i], chart) for i in range(d))
         # q-directions have no closed-form group action in the fixed subgroup
         return CompatibleAction(alg, fields, sigma=None, name=f"translation({d})")
     if name == "euclidean":
-        split = {**EUCLIDEAN_SPLIT, **params}
-        p, q = int(split["p"]), int(split["q"])
-        domain = params.get("domain", "plane")
+        p, q, domain = int(params["p"]), int(params["q"]), params["domain"]
         alg = la.euclidean_motion(2, p, q)
         if domain == "halfplane":
             chart = fl.halfspace_chart(2, axis=0)
@@ -324,7 +322,7 @@ def builtin_action(name: str, params: Optional[dict] = None) -> CompatibleAction
                                 name=f"euclidean(2,{p},{q})")
     if name == "matrix_right_multiplication":
         n = int(params["n"])
-        radius = float(params.get("radius", 1.0))
+        radius = float(params["radius"])
         alg = la.matrix_involutive(n)
         chart = fl.ChartDomain(
             n * n,
@@ -345,4 +343,3 @@ def builtin_action(name: str, params: Optional[dict] = None) -> CompatibleAction
                         (g.reshape(-1, n, n) @ expm(t * m)).reshape(g.shape))
         return CompatibleAction(alg, tuple(fields), sigma=sigma,
                                 name=f"matrix_right_multiplication({n})")
-    raise KeyError(f"unknown builtin action {name!r}")

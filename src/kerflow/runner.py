@@ -27,7 +27,7 @@ from . import kernels as kr
 from . import operators as op
 from . import representation as rp
 from .algebra import expm
-from .config import CHECKS, CURVE_TIMES, DEFAULT_STEP, ExperimentConfig, first_non_finite
+from .config import CHECKS, ExperimentConfig, first_non_finite
 from .errors import ConfigError, GridError
 
 
@@ -79,25 +79,25 @@ class ExperimentReport:
 def _sample_points(spec: dict, rng: np.random.Generator, size: Optional[int] = None):
     """Realize a sample spec; ``size`` overrides the configured count so the
     same spec can be replayed along a refinement ladder.  A type reads the
-    keys of its table in ``config.SAMPLE_TYPES``."""
+    keys of its table in ``config.SAMPLE_TYPES``, resolved."""
     kind = spec["type"]
     if kind == "chebyshev":
         n = int(size or spec["n"])
-        half = float(spec.get("halfwidth", 1.0))
+        half = float(spec["halfwidth"])
         pts = half * np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
         return pts[::-1, None]
     if kind == "uniform_box":
         n = int(size or spec["n"])
-        d = int(spec.get("dimension", 2))
-        half = float(spec.get("halfwidth", 1.0))
+        d = int(spec["dimension"])
+        half = float(spec["halfwidth"])
         pts = rng.uniform(-half, half, size=(n, d))
-        if spec.get("include_origin"):
+        if spec["include_origin"]:
             pts[0] = 0.0
         return pts
     if kind == "grid2d":
         n_side = int(size or spec["n_side"])
-        x_lo, x_hi = spec.get("x_range", [-1.0, 1.0])
-        y_lo, y_hi = spec.get("y_range", [-1.0, 1.0])
+        x_lo, x_hi = spec["x_range"]
+        y_lo, y_hi = spec["y_range"]
         gx = np.linspace(x_lo, x_hi, n_side)
         gy = np.linspace(y_lo, y_hi, n_side)
         return np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -141,7 +141,7 @@ def _grid_from_spec(spec: dict) -> dist.TestFunctionGrid:
     shape = spec["shape"]
     shape = tuple(shape) if isinstance(shape, list) else (int(shape),)
     return dist.TestFunctionGrid(origin=spec["origin"], spacing=float(spec["spacing"]),
-                                 shape=shape, margin=int(spec.get("margin", 2)))
+                                 shape=shape, margin=int(spec["margin"]))
 
 
 def _checked_bump(setup: dist.ReflectionSetup, spec: dict, path: str) -> dist.TestFunction:
@@ -168,9 +168,8 @@ def _checked_bump(setup: dist.ReflectionSetup, spec: dict, path: str) -> dist.Te
 def _ou_mixture_smeared(kspec: dict, grid) -> tuple:
     """Masses of an ``ou_mixture`` kernel spec and its smeared kernel on the grid."""
     masses = [float(m) for m in kspec["params"]["masses"]]
-    weights = [float(w) for w in kspec["params"].get("weights", [1.0] * len(masses))]
     return masses, dist.SmearedKernel.from_distance_profile(
-        kr.ou_mixture_profile(masses, weights), grid)
+        kr.ou_mixture_profile(masses, kspec["params"].get("weights")), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +224,15 @@ def _max_ratio(values: list) -> Optional[float]:
 
 def _run_flow_laws(cfg: ExperimentConfig) -> tuple:
     body, rng = cfg.body, np.random.default_rng(cfg.seed)
-    step = float(body.get("step", DEFAULT_STEP))
-    t_range = float(body.get("t_range", CURVE_TIMES["t_range"]))
-    n_points = int(body.get("n_points", 10))
-    n_times = int(body.get("n_time_samples", 3))
+    step, t_range = float(body["step"]), float(body["t_range"])
+    n_points, n_times = int(body["n_points"]), int(body["n_time_samples"])
     # per field, drawn in config order: one row per (point, time pair), all
     # rows as one batch of legs: mid = Phi_s p, ab = Phi_t mid and back =
     # Phi_{-t} ab chained, then direct = Phi_{s+t} p and, for an affine
     # field, Phi_t p against the exponential
     fields, starts, t_ends, samples = [], [], [], []
     for fspec in body["fields"]:
-        field = fl.builtin_field(fspec["name"], fspec.get("params"))
+        field = fl.builtin_field(fspec["name"], fspec["params"])
         pts = rng.uniform(-1.0, 1.0, size=(n_points, field.chart.dimension))
         ts = rng.uniform(-t_range, t_range, size=n_times)
         ss = rng.uniform(-t_range, t_range, size=n_times)
@@ -292,13 +289,13 @@ def _fit_order(hs, errs) -> float:
 
 def _run_bracket_order(cfg: ExperimentConfig) -> tuple:
     body, rng = cfg.body, np.random.default_rng(cfg.seed)
-    hs = [float(h) for h in body.get("h_ladder", [1e-2, 5e-3, 2.5e-3])]
-    n_points = int(body.get("n_points", 10))
+    hs = [float(h) for h in body["h_ladder"]]
+    n_points = int(body["n_points"])
     orders = []
     curves = {}
     for idx, pair in enumerate(body["pairs"]):
-        X = fl.builtin_field(pair["x"]["name"], pair["x"].get("params"))
-        Y = fl.builtin_field(pair["y"]["name"], pair["y"].get("params"))
+        X = fl.builtin_field(pair["x"]["name"], pair["x"]["params"])
+        Y = fl.builtin_field(pair["y"]["name"], pair["y"]["params"])
         bracket = fl.lie_bracket(X, Y)
         pts = rng.uniform(-1.0, 1.0, size=(n_points, X.chart.dimension))
         exact = bracket.rows(pts)
@@ -339,15 +336,15 @@ def _element_index(algebra, value, path: str, fixed_part: bool = False) -> int:
 
 def _run_compatibility(cfg: ExperimentConfig) -> tuple:
     body = cfg.body
-    kernel = kr.builtin_kernel(body["kernel"]["name"], body["kernel"].get("params"))
-    action = op.builtin_action(body["action"]["name"], body["action"].get("params"))
+    kernel = kr.builtin_kernel(body["kernel"]["name"], body["kernel"]["params"])
+    action = op.builtin_action(body["action"]["name"], body["action"]["params"])
     _check_declared_algebra(body, action)
     pts = _checked_samples(body["samples"], np.random.default_rng(cfg.seed), kernel,
                            action.dimension)
     report = op.compatibility_check(kernel, action, pts)
     hom = action.homomorphism_defect(pts[: min(len(pts), 8)])
     invariance = []
-    for i, inv in enumerate(body.get("invariance", [])):
+    for i, inv in enumerate(body["invariance"]):
         field = action.basis_fields[_element_index(
             action.algebra, inv["element"], f"$.invariance[{i}].element")]
         eps = int(inv["epsilon"])
@@ -358,8 +355,7 @@ def _run_compatibility(cfg: ExperimentConfig) -> tuple:
                                   "one per chart dimension")
         pair = [tuple(np.asarray(q, dtype=float) for q in inv["pair"])]
         invariance.append(op.flow_invariance_check(
-            kernel, field, eps, pair, float(inv.get("t_max", CURVE_TIMES["t_max"])),
-            float(inv.get("step", DEFAULT_STEP))))
+            kernel, field, eps, pair, float(inv["t_max"]), float(inv["step"])))
     # informational (value and passed null) without an invariance pair; a
     # pair whose curves reach no time beyond 0 compares nothing and fails
     drifts = [res.max_drift for res in invariance if res.reached[0] != 0.0]
@@ -371,12 +367,10 @@ def _run_compatibility(cfg: ExperimentConfig) -> tuple:
 
 def _run_froelich(cfg: ExperimentConfig) -> tuple:
     body = cfg.body
-    kernel = kr.builtin_kernel(body["kernel"]["name"], body["kernel"].get("params"))
-    field = fl.builtin_field(body["field"]["name"], body["field"].get("params"))
+    kernel = kr.builtin_kernel(body["kernel"]["name"], body["kernel"]["params"])
+    field = fl.builtin_field(body["field"]["name"], body["field"]["params"])
     start = np.asarray(body.get("start_point", [0.0]), dtype=float)
-    t = float(body.get("time", CURVE_TIMES["time"]))
-    step = float(body.get("step", DEFAULT_STEP))
-    cutoff = float(body.get("rank_cutoff", 1e-10))
+    t, step, cutoff = float(body["time"]), float(body["step"]), float(body["rank_cutoff"])
     sizes = []
     deltas, resids = [], []
     for model in _gram_ladder(cfg, kernel, cutoff, field.chart.dimension):
@@ -398,11 +392,11 @@ def _run_froelich(cfg: ExperimentConfig) -> tuple:
 
 def _run_cdual_rep(cfg: ExperimentConfig) -> tuple:
     body = cfg.body
-    kernel = kr.builtin_kernel(body["kernel"]["name"], body["kernel"].get("params"))
-    action = op.builtin_action(body["action"]["name"], body["action"].get("params"))
+    kernel = kr.builtin_kernel(body["kernel"]["name"], body["kernel"]["params"])
+    action = op.builtin_action(body["action"]["name"], body["action"]["params"])
     _check_declared_algebra(body, action)
-    cutoff = float(body.get("rank_cutoff", 1e-10))
-    times = [float(t) for t in body.get("unitary_times", [0.5, 1.0])]
+    cutoff = float(body["rank_cutoff"])
+    times = [float(t) for t in body["unitary_times"]]
     conj_spec = body.get("conjugation")
     if conj_spec:
         x = _element_index(action.algebra, conj_spec["x"], "$.conjugation.x",
@@ -442,12 +436,11 @@ def _run_cdual_rep(cfg: ExperimentConfig) -> tuple:
 
 def _run_luscher_mack(cfg: ExperimentConfig) -> tuple:
     body = cfg.body
-    cutoff = float(body.get("rank_cutoff", 1e-12))
+    cutoff, n = float(body["rank_cutoff"]), int(body["n_samples"])
     values = {}
-    if body.get("variant", "power_1x1") == "power_1x1":
-        a = float(body.get("exponent", 1.5))
-        lo, hi = body.get("interval", [0.2, 0.9])
-        n = int(body.get("n_samples", 6))
+    if body["variant"] == "power_1x1":
+        a = float(body["exponent"])
+        lo, hi = body["interval"]
         elems = [np.array([[s]]) for s in np.linspace(lo, hi, n)]
         action = op.builtin_action("matrix_right_multiplication", {"n": 1})
 
@@ -459,10 +452,8 @@ def _run_luscher_mack(cfg: ExperimentConfig) -> tuple:
         gen = table.entries[0].compressed
         values["generator_error"] = float(np.max(np.abs(gen - a * np.eye(gen.shape[0]))))
     else:   # the determinant variant; its generator has no closed form here
-        n_mat = int(body.get("matrix_size", 2))
-        power = float(body.get("power", 2.0))
-        n = int(body.get("n_samples", 8))
-        lo, hi = body.get("spectral_range", [0.05, 0.8])
+        n_mat, power = int(body["matrix_size"]), float(body["power"])
+        lo, hi = body["spectral_range"]
         elems, rng = [], np.random.default_rng(cfg.seed)
         for _ in range(n):
             raw = rng.normal(size=(n_mat, n_mat))
@@ -487,10 +478,10 @@ def _run_os_reconstruct(cfg: ExperimentConfig) -> tuple:
     setup = dist.ReflectionSetup(grid, axis=0)
     fns = [_checked_bump(setup, b, f"$.bumps[{i}]") for i, b in enumerate(body["bumps"])]
     space = dist.os_quotient(sk, setup, fns,
-                             rank_cutoff=float(body.get("rank_cutoff", 1e-10)))
+                             rank_cutoff=float(body["rank_cutoff"]))
 
     times = [int(c) for c in body["times_cells"]]
-    law_pairs = [(int(s), int(t)) for s, t in body.get("law_pairs_cells", [])]
+    law_pairs = [(int(s), int(t)) for s, t in body["law_pairs_cells"]]
     # one transfer matrix per distinct cell count, read by every check
     needed = sorted({*times, *(c for s, t in law_pairs for c in (s, t, s + t))})
     try:
@@ -539,7 +530,7 @@ def _run_rp_axioms(cfg: ExperimentConfig) -> tuple:
     body = cfg.body
     grid = _grid_from_spec(body["grid"])
     shifts = [tuple(int(c) for c in t["cells"])
-              for t in body.get("translations", [])]
+              for t in body["translations"]]
     drifts = []
     if "kernel" in body and shifts:
         _, sk = _ou_mixture_smeared(body["kernel"], grid)
@@ -553,7 +544,7 @@ def _run_rp_axioms(cfg: ExperimentConfig) -> tuple:
     pairs = [(dist.grid_shift_map(grid, c),
               dist.grid_shift_map(grid, tuple(-k for k in c))) for c in shifts]
     h_maps = [dist.grid_shift_map(grid, tuple(int(c) for c in t["cells"]))
-              for t in body.get("parallel_translations", [])]
+              for t in body["parallel_translations"]]
     report = dist.rp_axioms_check(pairs, dist.grid_reflection_map(grid, axis=0),
                                   dist.slice_mask(grid, axis=0), h_maps)
     # each check is informational (value and passed null) when its block

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -218,6 +219,19 @@ def test_cli_list_builtins(capsys):
     assert "exp(<x, y>)" in out
     assert "euclidean_motion" in out
     assert out.strip()
+    # each builtin's params, read from its key table, under its line
+    lines = out.splitlines()
+    for tables in (config.KERNEL_PARAMS, config.ALGEBRA_PARAMS, config.ACTION_PARAMS,
+                   config.FIELD_PARAMS):
+        for name, table in tables.items():
+            line = next(i for i, text in enumerate(lines) if text.split()[:1] == [name])
+            shown = lines[line + 1].split("params: ")[1] if table else ""
+            assert shown == ", ".join(
+                f"{key} (required)" if rule.required else f"{key} (optional)"
+                if rule.default is None else f"{key}={json.dumps(rule.default)}"
+                for key, rule in table.items()), name
+    assert "sigma=1.0" in out and "n_atoms=32" in out and 'domain="plane"' in out
+    assert "masses (required), weights (optional)" in out
 
 
 def test_cli_run_reports_failure_exit(tmp_path, capsys):
@@ -478,6 +492,8 @@ _UNREACHED = {
     "__init__.__getattr__": "runs when a submodule is first imported",
     "config._builtin": "runs at import, building SCHEMAS",
     "config._samples": "runs at import, building SCHEMAS",
+    "config._curve_time": "runs at import, building SCHEMAS",
+    "config._range": "runs at import, building SCHEMAS",
     "algebra.algebra_bracket": _CATALOG,
     "algebra.SymmetricLieAlgebra.q_indices": _CATALOG,
     "algebra.SymmetricPairReport.max_defect": _CATALOG,
@@ -1055,6 +1071,30 @@ def _zero_size(key):
                  "$.kernel.name", id="ou-in-froelich"),
     pytest.param("cdual_abelian", lambda d: d.update(kernel={"name": "ou"}),
                  "$.kernel.name", id="ou-in-cdual-rep"),
+    # the determinant variant's power is the det kernel's: 0 passed vacuously
+    # on a constant kernel (exit 0), and -1 exited 3 with ClassificationError
+    pytest.param("luscher_mack_det", lambda d: d.update(power=0), "$.power",
+                 id="det-power-zero"),
+    pytest.param("luscher_mack_det", lambda d: d.update(power=-1), "$.power",
+                 id="det-power-negative"),
+    # numpy's generator takes no negative seed (exit 3)
+    pytest.param("froelich_rank1", lambda d: d.update(seed=-1), "$.seed", id="negative-seed"),
+    # a bump center that is no number exited 3 from float(); a negative
+    # width ran (exit 0), squared by the bump, and the report echoed it
+    pytest.param("os_reconstruct_ou", lambda d: d["bumps"][0]["center"].__setitem__(0, "zz"),
+                 "$.bumps[0].center[0]", id="bump-center-string"),
+    pytest.param("os_reconstruct_ou", lambda d: d["bumps"][0].update(width=-0.3),
+                 "$.bumps[0].width", id="bump-width-negative"),
+    # an integer past 64 bits fits a float, yet numpy builds an object array
+    # for it: exit 3 with UFuncTypeError
+    pytest.param("luscher_mack_power", lambda d: d.update(interval=[0.2, 10 ** 300]),
+                 "$.interval[1]", id="interval-int-past-64-bits"),
+    # grid2d ranges need lo < hi: ends that meet exited 3 with
+    # KernelDomainError, and a reversed range ran (exit 0)
+    pytest.param("cdual_halfplane", lambda d: d["samples"].update(x_range=[-1, -1]),
+                 "$.samples.x_range", id="x-range-ends-meet"),
+    pytest.param("cdual_halfplane", lambda d: d["samples"].update(y_range=[1, -1]),
+                 "$.samples.y_range", id="y-range-reversed"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
     data = _shipped(stem)
@@ -1311,20 +1351,22 @@ def test_mutated_shipped_configs_keep_the_exit_code_contract(tmp_path, capsys, d
 ])
 def test_required_params_match_the_builders(module, build, catalog, tables):
     # every builtin has a key table of Rules in config, and is built without
-    # params exactly when its table requires none, so validation and the
-    # builder cannot drift apart
+    # params exactly when its table requires none: the builder reads its
+    # params through that table, which names the first required one missing
     mod = importlib.import_module(f"kerflow.{module}")
     declared = getattr(config, tables)
     assert set(declared) == set(getattr(config, catalog))
     for name, table in declared.items():
         assert all(isinstance(rule, Rule) for rule in table.values()), name
-        required = {key for key, rule in table.items() if rule.required}
+        required = [key for key, rule in table.items() if rule.required]
         if required:
-            with pytest.raises(KeyError) as err:
+            with pytest.raises(ConfigError) as err:
                 getattr(mod, build)(name, {})
-            assert err.value.args[0] in required
+            assert err.value.json_path == f"{name}.params.{required[0]}"
         else:
             getattr(mod, build)(name, {})
+    with pytest.raises(KeyError):
+        getattr(mod, build)("nope", {})
 
 
 # one run per catalog builtin: the shipped config one of whose blocks it
@@ -1394,13 +1436,17 @@ def test_sample_keys_match_the_sampler():
                    for kind, table in SAMPLE_TYPES.items()}
     SAMPLE_OPTIONAL_KEYS = {kind: tuple(key for key, rule in table.items() if not rule.required)
                             for kind, table in SAMPLE_TYPES.items()}
+    # the sampler reads a resolved spec: each key with a default holds it
     given = {"n": 3, "n_side": 2, "radii": [0.5], "n_per_circle": 3,
              "points": [[0.0]]}
     rng = np.random.default_rng(0)
     for kind, keys in SAMPLE_KEYS.items():
-        assert len(_sample_points({"type": kind, **{k: given[k] for k in keys}}, rng))
+        defaults = {k: rule.default for k, rule in SAMPLE_TYPES[kind].items()
+                    if not rule.required}
+        assert len(_sample_points({"type": kind, **defaults,
+                                   **{k: given[k] for k in keys}}, rng))
         for key in keys:
-            spec = {"type": kind, **{k: given[k] for k in keys if k != key}}
+            spec = {"type": kind, **defaults, **{k: given[k] for k in keys if k != key}}
             with pytest.raises(KeyError):
                 _sample_points(spec, rng)
     # an unvalidated spec with an unknown type is still a config error
@@ -1411,11 +1457,129 @@ def test_sample_keys_match_the_sampler():
              "x_range": [0.0, 2.0], "y_range": [0.0, 2.0]}
     assert SAMPLE_OPTIONAL_KEYS.keys() == SAMPLE_KEYS.keys()
     for kind, keys in SAMPLE_OPTIONAL_KEYS.items():
-        spec = {"type": kind, **{k: given[k] for k in SAMPLE_KEYS[kind]}}
+        spec = {"type": kind, **{k: SAMPLE_TYPES[kind][k].default for k in keys},
+                **{k: given[k] for k in SAMPLE_KEYS[kind]}}
         plain = _sample_points(spec, np.random.default_rng(0))
         for key in keys:
             pts = _sample_points({**spec, key: other[key]}, np.random.default_rng(0))
             assert pts.shape != plain.shape or not np.array_equal(pts, plain), key
+
+
+def _key_tables():
+    """Every key table of the config schema, nested and selected ones
+    included, and of the four builtin catalogs, each once, with the selecting
+    key and value of a selected one."""
+    tables, todo = [], [(table, {}) for table in (
+        config.SCHEMA, *config.KERNEL_PARAMS.values(), *config.ACTION_PARAMS.values(),
+        *config.FIELD_PARAMS.values(), *config.ALGEBRA_PARAMS.values())]
+    todo += [(table, {"type": name}) for name, table in SAMPLE_TYPES.items()]
+    while todo:
+        table, selected = todo.pop()
+        if any(table is seen for seen, _ in tables):
+            continue
+        tables.append((table, selected))
+        for key, rule in table.items():
+            for r in (rule, rule.each):
+                if r is None or r.spec is None:
+                    continue
+                if r.types is str:
+                    todo += [(keys, {} if value is None else {key: value})
+                             for value, keys in r.spec.items()]
+                else:
+                    todo.append((r.spec, {}))
+    return tables
+
+
+def test_every_default_passes_its_own_rule():
+    checked = 0
+    for table, selected in _key_tables():
+        for key, rule in table.items():
+            if rule.required or rule.default is None:
+                continue
+            # an object default's own keys are checked with their table
+            config._check_type(rule.default, rule.types, key)
+            config._check_bounds(rule.default, dataclasses.replace(rule, spec=None), key)
+            if rule.types is str and rule.spec is not None:
+                assert rule.default in rule.spec, key
+            checked += 1
+        # a table resolves from its defaults alone, the cross-key checks
+        # included, unless it lacks a key without a default
+        try:
+            config._check_block(selected, {**table, **dict.fromkeys(selected, Rule(str))}, "$")
+        except ConfigError as err:
+            assert str(err).endswith(": required"), err
+    assert checked >= 50
+
+
+# one config per kind, and per luscher_mack variant, that gives only the
+# keys without a default (and a flow_laws with a bare coordinate_shear and
+# rotation2d); each runs to a report
+_DEFAULTS_ONLY = {
+    "flow_laws": {"kind": "flow_laws", "seed": 0, "fields": [
+        {"name": "coordinate_shear"}, {"name": "rotation2d"}]},
+    "bracket_order": {"kind": "bracket_order", "seed": 0, "pairs": [
+        {"x": {"name": "rotation2d"}, "y": {"name": "coordinate_shear"}}]},
+    "compatibility": {"kind": "compatibility", "seed": 0, "kernel": {"name": "gaussian_rbf"},
+                      "action": {"name": "translation"},
+                      "samples": {"type": "chebyshev", "n": 8}},
+    "froelich": {"kind": "froelich", "seed": 0, "kernel": {"name": "circle_laplace"},
+                 "field": {"name": "constant", "params": {"vector": [1.0, 0.0]}},
+                 "samples": {"type": "uniform_box", "n": 21}},
+    "cdual_rep": {"kind": "cdual_rep", "seed": 0, "kernel": {"name": "circle_laplace"},
+                  "action": {"name": "euclidean"}, "samples": {"type": "grid2d", "n_side": 5}},
+    "luscher_mack": {"kind": "luscher_mack", "seed": 0},
+    "luscher_mack_det": {"kind": "luscher_mack", "seed": 0, "variant": "determinant"},
+    "os_reconstruct": {"kind": "os_reconstruct", "seed": 0,
+                       "grid": {"origin": [-3.0], "spacing": 0.05, "shape": [121]},
+                       "kernel": {"name": "ou_mixture", "params": {"masses": [1.0]}},
+                       "bumps": [{"center": [0.5], "width": 0.3}],
+                       "expected_rank": 1, "times_cells": [6]},
+    "rp_axioms": {"kind": "rp_axioms", "seed": 0,
+                  "grid": {"origin": [-2.0, -1.0], "spacing": 0.1, "shape": [41, 21]},
+                  "translations": [{"cells": [3, 0]}]},
+}
+
+
+def test_defaults_only_configs_cover_every_kind():
+    assert {data["kind"] for data in _DEFAULTS_ONLY.values()} == set(config.KINDS)
+
+
+@pytest.mark.parametrize("stem", sorted(_DEFAULTS_ONLY))
+def test_validation_resolves_a_copy_and_the_report_echoes_the_file(tmp_path, capsys, stem):
+    data = _DEFAULTS_ONLY[stem]
+    before = json.dumps(data)
+    cfg = validate_config(data)
+    # the input is left as it was, and kept as the echo
+    assert json.dumps(data) == before and cfg.raw is data
+    # every key of the kind's table with a default is resolved into the body
+    table = {**config.SCHEMAS[cfg.kind]}
+    if cfg.kind == "luscher_mack":
+        table.update(table["variant"].spec[cfg.body["variant"]])
+    assert {key for key, rule in table.items() if rule.default is not None} <= cfg.body.keys()
+    path = _write(tmp_path, data)
+    assert cli.main(["run", path, "--stable-output"]) in (cli.EXIT_PASS, cli.EXIT_CHECK_FAILURE)
+    with open(path) as handle:
+        assert json.loads(capsys.readouterr().out)["config"] == json.load(handle)
+
+
+# the keys whose absence means something other than a constant, which the
+# runner reads with a fallback of its own: a sample's size, absent under a
+# refinement ladder, and a froelich start point, which broadcasts [0.0]
+# against points of any dimension
+_DERIVED_GETS = {"n", "n_side", "start_point"}
+
+
+@pytest.mark.parametrize("module", ["runner", "kernels", "operators", "flows"])
+def test_no_default_is_written_outside_the_key_tables(module):
+    # a default belongs to its key's rule in config; ``.get(key, default)``
+    # would write a second copy of it
+    with open(os.path.join(os.path.dirname(kerflow.__file__), f"{module}.py")) as handle:
+        tree = ast.parse(handle.read())
+    gets = [(node.lineno, node.args[0].value) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and len(node.args) == 2
+            and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)]
+    assert [(line, key) for line, key in gets if key not in _DERIVED_GETS] == []
 
 
 def test_compatibility_without_invariance_compares_nothing(tmp_path, capsys):
