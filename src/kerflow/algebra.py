@@ -10,6 +10,7 @@ dimension at most 16.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -184,18 +185,42 @@ def c_dual(alg: SymmetricLieAlgebra) -> SymmetricLieAlgebra:
                                name=f"dual({alg.name})" if alg.name else "dual")
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring Pade (``scipy.linalg.expm``).
+# Higham (2005): with ||A||_1 <= THETA_13 the [13/13] Pade approximant of e^A
+# is exact to double precision; a larger A is scaled by 2^-s and squared s times
+THETA_13 = 5.371920351148152
+# coefficients of the [13/13] Pade numerator p(A) = sum b_k A^k, q(A) = p(-A)
+_PADE_13 = tuple(factorial(26 - k) * factorial(13) / (factorial(26) * factorial(k)
+                                                     * factorial(13 - k)) for k in range(14))
 
-    The one place kerflow imports ``scipy.linalg``: importing it costs more
-    than the rest of start-up, and most kinds never take an exponential, so
-    it loads on the first call."""
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(a)
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a square matrix, real or complex: the [13/13]
+    Pade approximant by scaling and squaring (Higham 2005), in numpy alone.
+
+    Every exponential kerflow takes comes here.  The one-norm fixes the
+    number of squarings s; the approximant then costs six products and one
+    solve, and the result s more products."""
+    a = np.asarray(a)
+    norm = np.linalg.norm(a, 1)
+    s = int(np.ceil(np.log2(norm / THETA_13))) if norm > THETA_13 else 0
+    a = a / 2.0 ** s
+    b = _PADE_13
+    ident = np.eye(len(a), dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def exp_ad(x: AlgebraElement, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential of t ad(x); backed by scaling-and-squaring Pade."""
+    """Matrix exponential of t ad(x), by ``expm``."""
     ad = x.algebra.ad_matrix(x.coeffs)
     if np.iscomplexobj(ad) and np.all(ad.imag == 0.0):
         ad = ad.real

@@ -11,6 +11,7 @@ imports no numpy, so neither command loads it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -212,9 +213,46 @@ _SHIFT = Rule(dict, spec={"cells": Rule(list, default=REQUIRED, each=Rule(int))}
 _CELLS = Rule(int, at_least=0, at_most=MAX_GRID_CELLS)
 
 
+# rp_axioms compares the pairing of two bumps of this width, centred at the
+# first coordinates of these points, with the pairing of each translate
+PAIRING_BUMPS = ((-0.8, 0.0), (0.6, 0.2))
+PAIRING_WIDTH = 0.3
+
+
+def _bump_box(grid: dict, center) -> Optional[list]:
+    """Per grid axis, the first and last cell index where
+    ``distributions.bump(grid, center, PAIRING_WIDTH)`` is not zero, found by
+    the same floating-point steps; None if it is zero on every cell.  Only
+    cells within the width of the centre along every axis can be nonzero."""
+    near = []
+    for o, n, c in zip(_axes(grid["origin"]), _axes(grid["shape"]), center):
+        steps = [(k, (o + grid["spacing"] * k - c) / PAIRING_WIDTH) for k in range(n)]
+        near.append([(k, d * d) for k, d in steps if d * d < 1.0])
+    cells = [tuple(k for k, _ in cell) for cell in itertools.product(*near)
+             if (u2 := sum(q for _, q in cell)) < 1.0 and math.exp(-1.0 / (1.0 - u2)) != 0.0]
+    return [(min(axis), max(axis)) for axis in zip(*cells)] if cells else None
+
+
+def _bumps_leave_the_margin(block: dict, shift) -> bool:
+    """Whether ``rp_axioms`` pairs its bumps (with a kernel and a translation)
+    and one, moved by ``shift`` cells, is not zero on a cell of the grid's
+    margin or off the grid, which stops a run."""
+    if block.get("kernel") is None or not block["translations"]:
+        return False
+    grid = block["grid"]
+    last = [n - 1 - grid["margin"] for n in _axes(grid["shape"])]
+    for center in PAIRING_BUMPS:
+        box = _bump_box(grid, center[:len(last)])
+        if box and any(lo + s < grid["margin"] or hi + s > top
+                       for (lo, hi), s, top in zip(box, shift, last)):
+            return True
+    return False
+
+
 def _shifts_fit(block: dict, key: str):
     """Why an ``rp_axioms`` translation of ``key`` is not one cell shift per
-    grid axis, each smaller in size than the grid extent along its axis.
+    grid axis, each smaller in size than the grid extent along its axis, or
+    moves a pairing bump into the margin.
     The kernel's check compares translated bumps, so with no translation of
     either kind no check would compare anything: the first key reports it."""
     if not block["translations"] and not block["parallel_translations"]:
@@ -225,6 +263,8 @@ def _shifts_fit(block: dict, key: str):
                 abs(c) >= extent for c, extent in zip(t["cells"], shape)):
             return f"[{i}].cells", ("needs one cell shift per grid axis, each smaller in size "
                                     f"than the grid extent along it, {shape}")
+        if key == "translations" and _bumps_leave_the_margin(block, t["cells"]):
+            return f"[{i}].cells", "moves a pairing bump into the grid's margin or off the grid"
     return None
 
 
@@ -558,7 +598,11 @@ SCHEMAS = {
     },
     "rp_axioms": {
         # absent: no pairing to compare
-        "grid": _GRID, "kernel": replace(_GRID_KERNEL, default=None),
+        "grid": replace(_GRID, agrees=lambda block: (
+            f"the pairing bumps of width {PAIRING_WIDTH} centred at {PAIRING_BUMPS[0]} "
+            f"and {PAIRING_BUMPS[1]} (their first coordinates on a 1D grid) must keep "
+            "clear of the grid's margin") if _bumps_leave_the_margin(block, (0, 0)) else None),
+        "kernel": replace(_GRID_KERNEL, default=None),
         "translations": Rule(list, default=[], each=_SHIFT,
                              agrees=lambda block: _shifts_fit(block, "translations")),
         "parallel_translations": Rule(

@@ -220,7 +220,12 @@ def compress_operator(B: np.ndarray, model: GramModel, epsilon: int,
     A = model.compress(B)
     norm = float(np.linalg.norm(A))
     defect = float(np.linalg.norm(A - epsilon * A.conj().T))
-    if defect > DEFAULT_SYMMETRY_TOL * max(norm, 1e-12):
+    # the rounding of W B W* is of order eps ||W||^2 ||B||; an A no larger is
+    # zero to working precision, and its relative defect compares noise with
+    # noise.  The scale moves with B, so an asymmetric form of any size raises
+    floor = np.finfo(float).eps * float(np.sum(np.abs(model.whitening) ** 2)) \
+        * float(np.linalg.norm(B))
+    if norm > floor and defect > DEFAULT_SYMMETRY_TOL * norm:
         raise ClassificationError(
             f"operator {label or '?'}: symmetry defect {defect:.3e} exceeds "
             f"{DEFAULT_SYMMETRY_TOL:.0e} * {norm:.3e} for epsilon={epsilon:+d}")

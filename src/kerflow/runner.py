@@ -27,7 +27,8 @@ from . import kernels as kr
 from . import operators as op
 from . import representation as rp
 from .algebra import expm
-from .config import CHECKS, ExperimentConfig, first_non_finite
+from .config import (CHECKS, PAIRING_BUMPS, PAIRING_WIDTH, ExperimentConfig,
+                     first_non_finite)
 from .errors import ConfigError, GridError
 
 
@@ -536,8 +537,7 @@ def _run_rp_axioms(cfg: ExperimentConfig) -> tuple:
         _, sk = _ou_mixture_smeared(body["kernel"], grid)
         # invariance of the pairing under margin-respecting shifts: check on
         # a bump pair rather than the full (boundary-truncated) matrices
-        b1 = dist.bump(grid, [-0.8, 0.0] if grid.ndim == 2 else [-0.8], 0.3)
-        b2 = dist.bump(grid, [0.6, 0.2] if grid.ndim == 2 else [0.6], 0.3)
+        b1, b2 = (dist.bump(grid, c[:grid.ndim], PAIRING_WIDTH) for c in PAIRING_BUMPS)
         moved = sk.pairings([b1] + [dist.translate(b1, c) for c in shifts],
                             [b2] + [dist.translate(b2, c) for c in shifts])
         drifts = np.abs(np.diag(moved)[1:] - moved[0, 0]).tolist()

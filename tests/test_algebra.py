@@ -138,6 +138,48 @@ def test_ad_is_a_representation(iso2):
             assert np.max(np.abs(lhs - (Ai @ Aj - Aj @ Ai))) <= 1e-12
 
 
+def _expm_inputs():
+    """The kinds of matrix kerflow exponentiates: compressed skew operators
+    (real, and i times symmetric), homogeneous affine generators, ad matrices
+    and zero.  A 40 x 40 normal skew matrix has a one-norm near 54, so it
+    also takes the squaring steps."""
+    rng = np.random.default_rng(7)
+    cases = {}
+    for n in (2, 5, 13, 40):
+        m = rng.normal(size=(n, n))
+        cases[f"skew{n}"] = m - m.T
+        cases[f"i_sym{n}"] = 1j * (m + m.T)
+    cases["affine"] = np.array([[0.3, -1.2, 0.5], [1.2, 0.3, -0.7], [0.0, 0.0, 0.0]])
+    for alg in (la.euclidean_motion(3, 1, 2), la.matrix_involutive(3)):
+        cases[f"ad_{alg.name}"] = alg.ad_matrix(rng.normal(size=alg.dim))
+    cases["zero"] = np.zeros((4, 4))
+    return cases
+
+
+def _relative(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("name", sorted(_expm_inputs()))
+def test_expm_matches_scipy(name):
+    from scipy.linalg import expm
+    a = _expm_inputs()[name]
+    assert _relative(la.expm(a), expm(a)) <= 1e-13
+
+
+@pytest.mark.parametrize("skew", [True, False])
+def test_expm_at_norm_50_matches_the_40_digit_exponential(skew):
+    # scipy.linalg.expm is itself up to 7.5e-13 off the 40-digit value on such
+    # matrices, so the oracle here is mpmath
+    import mpmath as mp
+    m = np.random.default_rng(1).normal(size=(6, 6))
+    a = m - m.T if skew else m
+    a = 50.0 * a / np.linalg.norm(a, 1)
+    with mp.workdps(40):
+        exact = np.array(mp.expm(mp.matrix(a.tolist())).tolist(), dtype=float)
+    assert _relative(la.expm(a), exact) <= 1e-14
+
+
 def test_builtin_dimensions():
     assert la.euclidean_motion(2, 1, 1).dim == 3
     assert len(la.euclidean_motion(2, 1, 1).h_indices) == 1

@@ -1095,6 +1095,16 @@ def _zero_size(key):
                  "$.samples.x_range", id="x-range-ends-meet"),
     pytest.param("cdual_halfplane", lambda d: d["samples"].update(y_range=[1, -1]),
                  "$.samples.y_range", id="y-range-reversed"),
+    # the pairing bumps of rp_axioms (width 0.3 at (-0.8, 0) and (0.6, 0.2))
+    # reached the margin: validate passed, then the run raised GridError (exit 3)
+    pytest.param("rp_axioms", lambda d: d["grid"].update(origin=[-2.0, 0]),
+                 "$.grid", id="rp-pairing-bump-on-the-margin"),
+    pytest.param("rp_axioms", lambda d: d["grid"].update(origin=[-2.0, 0.001]),
+                 "$.grid", id="rp-pairing-bump-near-the-margin"),
+    pytest.param("rp_axioms", lambda d: d.update(translations=[{"cells": [30, 0]}]),
+                 "$.translations[0].cells", id="rp-translation-moves-a-bump-off-the-grid"),
+    pytest.param("rp_axioms", lambda d: d.update(translations=[{"cells": [0, 5]}]),
+                 "$.translations[0].cells", id="rp-translation-moves-a-bump-into-the-margin"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
     data = _shipped(stem)
@@ -1106,6 +1116,30 @@ def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_
     for command in ("validate", "run"):
         assert cli.main([command, path]) == cli.EXIT_CONFIG_ERROR
         assert f"config error: {json_path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stem", ["cdual_halfplane", "cdual_euclidean"])
+def test_a_coarse_rank_cutoff_is_no_classification_error(tmp_path, capsys, stem):
+    # at rank_cutoff 0.5 an element's compressed operator is rounding noise;
+    # its symmetry defect against its own vanishing norm raised (exit 3)
+    data = _shipped(stem)
+    data["rank_cutoff"] = 0.5
+    assert cli.main(["run", _write(tmp_path, data)]) in (cli.EXIT_PASS,
+                                                         cli.EXIT_CHECK_FAILURE)
+    assert "Error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda d: (d["grid"].update(origin=[-2.0, 0]), d.pop("kernel")),
+                 id="bump-on-the-margin-without-a-kernel"),
+    pytest.param(lambda d: d.update(translations=[{"cells": [-8, 0]}]), id="largest-shift-down"),
+    pytest.param(lambda d: d.update(translations=[{"cells": [10, 0]}]), id="largest-shift-up"),
+])
+def test_rp_axioms_pairing_bumps_that_fit(tmp_path, mutate):
+    # the pairing bump rules reject no grid or translation that the run takes
+    data = _shipped("rp_axioms")
+    mutate(data)
+    assert cli.main(["run", _write(tmp_path, data)]) == cli.EXIT_PASS
 
 
 @pytest.mark.parametrize("algebra", [

@@ -495,7 +495,7 @@ def test_gram_of_real_kernel_is_float64_and_flags_duplicates(fock):
 def test_halfplane_array_forms_equal_the_plain_expressions_bit_for_bit():
     # the in-place forms reorder no operation of 2 K0(m r) and
     # -2 m K1(m r) / r (a, b)
-    from scipy.special import k0, k1
+    k0, k1 = (lambda x: kk.bessel_k(0, x)), (lambda x: kk.bessel_k(1, x))
     m = 1.3
     K = kk.builtin_kernel("halfplane_bessel", {"mass": m})
     rng = np.random.default_rng(0)
@@ -507,6 +507,36 @@ def test_halfplane_array_forms_equal_the_plain_expressions_bit_for_bit():
     d = -2.0 * m * k1(m * r) / r
     assert np.array_equal(K.matrix(X, Y), 2.0 * k0(m * r))
     assert np.array_equal(K.grad1_matrix(X, Y), np.stack([d * a, d * b], axis=-1))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_bessel_k_matches_scipy(n):
+    # scipy's Cephes k0 is itself up to 9 ulp (np.spacing) off the correctly
+    # rounded value on these points, so the two are compared in units of
+    # 2^-52 |scipy| rather than in np.spacing ulps
+    from scipy import special
+    x = np.geomspace(1e-6, 700.0, 10_000)
+    ours, theirs = kk.bessel_k(n, x), (special.k0, special.k1)[n](x)
+    assert np.all(np.abs(ours - theirs) <= 8 * 2.0 ** -52 * np.abs(theirs))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_bessel_k_is_within_4_ulp_of_the_30_digit_value(n):
+    import mpmath as mp
+    x = np.geomspace(1e-6, 700.0, 250)
+    with mp.workdps(30):
+        exact = np.array([float(mp.besselk(n, mp.mpf(v))) for v in x])
+    ours = kk.bessel_k(n, x)
+    assert np.all(np.abs(ours - exact) <= 4 * np.spacing(exact))
+
+
+def test_bessel_k_in_place_and_at_the_edges():
+    x = np.array([[0.5, 1.0, 1.5], [2.0, 4.0, 9.0]])
+    for n in (0, 1):
+        y = x.copy()
+        assert kk.bessel_k(n, y, out=y) is y and np.array_equal(y, kk.bessel_k(n, x))
+        # x = inf is 0; a NaN stays NaN
+        assert np.array_equal(kk.bessel_k(n, [np.inf, np.nan]), [0.0, np.nan], equal_nan=True)
 
 
 def test_laplace_factor_equals_the_plain_expression_bit_for_bit():

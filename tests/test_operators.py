@@ -153,6 +153,20 @@ def test_compress_inconsistent_class_raises(X1d):
     B = op.lie_derivative_form(K, X1d, model.points)
     with pytest.raises(ClassificationError):
         op.compress_operator(B, model, op.SYMMETRIC)
+    # the rounding floor of the test moves with the form, so a tiny
+    # asymmetric form raises too
+    with pytest.raises(ClassificationError):
+        op.compress_operator(1e-30 * B, model, op.SYMMETRIC)
+
+
+def test_compress_takes_an_operator_below_its_rounding_scale():
+    # the form's one entry on the kept span is 1e-18 of its size, below the
+    # rounding of W B W*: the relative test would compare noise with noise
+    model = kk.gram_from_matrix(np.diag([1.0, 1e-20]))
+    assert model.rank == 1
+    comp = op.compress_operator(np.diag([1e-18, 1.0]), model, op.SKEW)
+    assert comp.symmetrization_defect == 2e-18
+    assert comp.compressed.tolist() == [[0.0]]
 
 
 @pytest.fixture

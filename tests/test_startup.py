@@ -1,10 +1,9 @@
 """``import kerflow``, ``validate`` and ``list-builtins`` load no numpy and
-none of the numpy-backed modules; scipy.linalg loads only when a run first
-takes a matrix exponential, and numpy.random only when a run first draws from
-a generator.
+none of the numpy-backed modules; no run of a shipped config loads scipy, and
+numpy.random loads only when a run first draws from a generator.
 
 Each case runs in a fresh interpreter, since the test process itself has
-long imported scipy.linalg by the time this module runs.
+long imported scipy, the tests' oracle, by the time this module runs.
 """
 
 import json
@@ -27,7 +26,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["validate", c]) for c in configs]
     codes += [cli.main(["run", os.path.join({configs!r}, s + ".json"), "--stable-output"])
               for s in {stems!r}]
-print(json.dumps({{"codes": codes, "scipy_linalg": "scipy.linalg" in sys.modules,
+print(json.dumps({{"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
                   "numpy_random": "numpy.random" in sys.modules}}))
 """
 
@@ -39,21 +39,23 @@ def _child(stems):
     return json.loads(out.splitlines()[-1])
 
 
+def _stems():
+    return sorted(f[:-5] for f in os.listdir(CONFIG_DIR) if f.endswith(".json"))
+
+
 def test_validate_and_the_grid_kinds_never_load_scipy_linalg():
     result = _child(("os_reconstruct_ou", "os_reconstruct_mixture", "rp_axioms"))
-    shipped = [f for f in os.listdir(CONFIG_DIR) if f.endswith(".json")]
-    assert len(result["codes"]) == len(shipped) + 3
-    assert set(result["codes"]) == {0}
-    assert result["scipy_linalg"] is False
+    assert result["codes"] == [0] * (len(_stems()) + 3)
+    assert result["scipy"] == []
     # the grid kinds draw nothing, so they do not load numpy.random either
     assert result["numpy_random"] is False
 
 
-def test_a_kind_that_takes_an_exponential_loads_scipy_linalg():
-    # the probe sees the import when it happens
-    result = _child(("cdual_abelian",))
-    assert result["codes"][-1] == 0
-    assert result["scipy_linalg"] is True
+def test_no_shipped_run_loads_scipy():
+    # every kind, the exponentials and the halfplane Bessel kernel included
+    result = _child(_stems())
+    assert result["codes"] == [0] * (2 * len(_stems()))
+    assert result["scipy"] == []
     assert result["numpy_random"] is True
 
 
