@@ -219,7 +219,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def exp_ad(x: AlgebraElement, t: float = 1.0) -> np.ndarray:
+def exp_ad(x: AlgebraElement, t: float) -> np.ndarray:
     """Matrix exponential of t ad(x), by ``expm``."""
     ad = x.algebra.ad_matrix(x.coeffs)
     if np.iscomplexobj(ad) and np.all(ad.imag == 0.0):

@@ -117,7 +117,11 @@ POSITIVE = Rule((int, float), above=0)
 _UNIT = Rule((int, float), above=0, below=1)
 POINT = Rule(list, at_least=1, each=NUMBER)
 _COUNT = Rule(int, default=REQUIRED, at_least=1, at_most=MAX_POINTS)
-_RANK_CUTOFF = replace(_UNIT, default=1e-10)
+# the rank cutoff of a plain Gram, and the looser one of the kinds that
+# compress forms or whiten a reflected (twisted) Gram, whose rank decays steeply
+DEFAULT_RANK_CUTOFF = 1e-12
+LOOSE_RANK_CUTOFF = 1e-10
+_RANK_CUTOFF = replace(_UNIT, default=LOOSE_RANK_CUTOFF)
 
 
 def _is_number(x) -> bool:
@@ -201,6 +205,8 @@ def _margin_fits(grid: dict) -> Optional[str]:
     return None
 
 
+# zero cells at each end of a grid axis: a grid's default margin, and its least
+MIN_MARGIN = 2
 _GRID = Rule(dict, default=REQUIRED, spec={
     "origin": Rule((list, int, float), default=REQUIRED, each=NUMBER,
                    agrees=_reflection_origin),
@@ -208,7 +214,8 @@ _GRID = Rule(dict, default=REQUIRED, spec={
     "shape": Rule((list, int), default=REQUIRED, at_least=1, each=Rule(int, at_least=1),
                   agrees=lambda grid: None if math.prod(_axes(grid["shape"])) <= MAX_GRID_CELLS
                   else f"more than {MAX_GRID_CELLS} cells"),
-    "margin": Rule(int, default=2, at_least=2, at_most=MAX_GRID_CELLS, agrees=_margin_fits)})
+    "margin": Rule(int, default=MIN_MARGIN, at_least=MIN_MARGIN, at_most=MAX_GRID_CELLS,
+                   agrees=_margin_fits)})
 _SHIFT = Rule(dict, spec={"cells": Rule(list, default=REQUIRED, each=Rule(int))})
 _CELLS = Rule(int, at_least=0, at_most=MAX_GRID_CELLS)
 
@@ -235,7 +242,8 @@ def _bump_box(grid: dict, center) -> Optional[list]:
 
 def _bumps_leave_the_margin(block: dict, shift) -> bool:
     """Whether ``rp_axioms`` pairs its bumps (with a kernel and a translation)
-    and one, moved by ``shift`` cells, is not zero on a cell of the grid's
+    and one is zero on every grid point, so that the pairing would compare
+    nothing, or, moved by ``shift`` cells, is not zero on a cell of the grid's
     margin or off the grid, which stops a run."""
     if block.get("kernel") is None or not block["translations"]:
         return False
@@ -243,8 +251,8 @@ def _bumps_leave_the_margin(block: dict, shift) -> bool:
     last = [n - 1 - grid["margin"] for n in _axes(grid["shape"])]
     for center in PAIRING_BUMPS:
         box = _bump_box(grid, center[:len(last)])
-        if box and any(lo + s < grid["margin"] or hi + s > top
-                       for (lo, hi), s, top in zip(box, shift, last)):
+        if box is None or any(lo + s < grid["margin"] or hi + s > top
+                              for (lo, hi), s, top in zip(box, shift, last)):
             return True
     return False
 
@@ -287,6 +295,9 @@ def _range(key: str, default: list, each: Rule, strict: bool) -> Rule:
 
 # the RK4 step of an integral curve when a config gives none
 DEFAULT_STEP = 1e-3
+# the central-difference step of a field's Jacobian or a kernel's gradient
+# that has no closed form
+DEFAULT_FD_STEP = 1e-5
 _STEP = Rule((int, float), default=DEFAULT_STEP, above=0)
 # RK4 steps (|time| / step) one integral curve of a config may ask for
 MAX_CURVE_STEPS = 10 ** 5
@@ -581,7 +592,7 @@ SCHEMAS = {
                 "matrix_size": Rule(int, default=2, at_least=1, at_most=MAX_MATRIX_SIZE),
                 "spectral_range": _range("spectral_range", [0.05, 0.8], _UNIT, strict=False),
                 "n_samples": replace(_ELEMENTS, default=8)}}),
-        "rank_cutoff": replace(_UNIT, default=1e-12),
+        "rank_cutoff": replace(_UNIT, default=DEFAULT_RANK_CUTOFF),
     },
     "os_reconstruct": {
         "grid": _GRID, "kernel": _GRID_KERNEL,
@@ -600,8 +611,9 @@ SCHEMAS = {
         # absent: no pairing to compare
         "grid": replace(_GRID, agrees=lambda block: (
             f"the pairing bumps of width {PAIRING_WIDTH} centred at {PAIRING_BUMPS[0]} "
-            f"and {PAIRING_BUMPS[1]} (their first coordinates on a 1D grid) must keep "
-            "clear of the grid's margin") if _bumps_leave_the_margin(block, (0, 0)) else None),
+            f"and {PAIRING_BUMPS[1]} (their first coordinates on a 1D grid) must each be "
+            "nonzero on the grid and keep clear of its margin")
+            if _bumps_leave_the_margin(block, (0, 0)) else None),
         "kernel": replace(_GRID_KERNEL, default=None),
         "translations": Rule(list, default=[], each=_SHIFT,
                              agrees=lambda block: _shifts_fit(block, "translations")),

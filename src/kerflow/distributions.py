@@ -3,9 +3,10 @@ reflection-positivity checks, quotient spaces, and contraction semigroups.
 
 Everything here is real-valued and exact-translation based: test functions
 live on uniform grids with a mandatory zero margin, flows act on them only as
-integer-cell shifts along axes, and reflections are index flips on symmetric
-grids.  That removes every resampling error from the semigroup and contraction
-claims, which are the point of the module.  Kernels may have kink
+integer-cell shifts along axes, and the reflection across the time-zero
+hyperplane is an index flip of the first axis, on grids symmetric there.  That
+removes every resampling error from the semigroup and contraction claims,
+which are the point of the module.  Kernels may have kink
 singularities (exponential decay type) but nothing worse; quadrature is plain
 trapezoid, which is all compact support requires.
 """
@@ -17,13 +18,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import symmetric_axis
+from .config import DEFAULT_RANK_CUTOFF, LOOSE_RANK_CUTOFF, MIN_MARGIN, symmetric_axis
 from .errors import DegenerateQuotientError, EmptyModelError, GridError
 from .kernels import GramModel, gram_from_matrix
 from .operators import SYMMETRIC, compress_operator, semigroup_matrix
-
-DEFAULT_MARGIN = 2
-TWISTED_RANK_CUTOFF = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +36,7 @@ class TestFunctionGrid:
     origin: np.ndarray
     spacing: float
     shape: tuple
-    margin: int = DEFAULT_MARGIN
+    margin: int = MIN_MARGIN
 
     def __post_init__(self):
         origin = np.atleast_1d(np.asarray(self.origin, dtype=float))
@@ -49,8 +47,8 @@ class TestFunctionGrid:
             raise GridError("origin dimension must match the grid shape")
         if self.spacing <= 0.0:
             raise GridError("spacing must be positive")
-        if self.margin < DEFAULT_MARGIN:
-            raise GridError(f"support margin must be >= {DEFAULT_MARGIN} cells")
+        if self.margin < MIN_MARGIN:
+            raise GridError(f"support margin must be >= {MIN_MARGIN} cells")
         if any(s <= 2 * self.margin + 1 for s in shape):
             raise GridError("grid too small for its margin")
         object.__setattr__(self, "origin", origin)
@@ -85,9 +83,9 @@ class TestFunctionGrid:
             out = out * w.reshape(shape)
         return out.ravel()
 
-    def is_symmetric(self, axis: int) -> bool:
-        """Whether coordinate negation along ``axis`` maps the grid to itself."""
-        return symmetric_axis(self.origin[axis], self.spacing, self.shape[axis])
+    def is_symmetric(self) -> bool:
+        """Whether coordinate negation along the first axis maps the grid to itself."""
+        return symmetric_axis(self.origin[0], self.spacing, self.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,11 +167,11 @@ def translate(fn: TestFunction, cells) -> TestFunction:
     return TestFunction(fn.grid, shifted)
 
 
-def reflect(fn: TestFunction, axis: int) -> TestFunction:
-    """Coordinate sign flip along ``axis``; the grid must be symmetric there."""
-    if not fn.grid.is_symmetric(axis):
-        raise GridError("grid is not symmetric along the reflected axis")
-    return TestFunction(fn.grid, np.flip(fn.values, axis=axis))
+def reflect(fn: TestFunction) -> TestFunction:
+    """Coordinate sign flip along the first axis; the grid must be symmetric there."""
+    if not fn.grid.is_symmetric():
+        raise GridError("grid is not symmetric along its first axis, the reflected one")
+    return TestFunction(fn.grid, np.flip(fn.values, axis=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +264,7 @@ def same_grid(a: TestFunctionGrid, b: TestFunctionGrid) -> bool:
 
 
 def smeared_gram(sk: SmearedKernel, fns: Sequence[TestFunction],
-                 rank_cutoff: float = 1e-12) -> GramModel:
+                 rank_cutoff: float = DEFAULT_RANK_CUTOFF) -> GramModel:
     """Gram of the pairing; reuses the whitening machinery on the matrix."""
     return gram_from_matrix(sk.pairings(fns, fns), rank_cutoff)
 
@@ -310,9 +308,10 @@ class DistributionTransportResult:
 
 
 def distribution_froelich_check(sk: SmearedKernel, field, base: TestFunction,
-                                t_cells: int, axis: int = 0,
-                                n_basis: int = 8, basis_spacing_cells: int = 1,
-                                rank_cutoff: float = 1e-12) -> DistributionTransportResult:
+                                t_cells: int, axis: int = 0, n_basis: int = 8,
+                                basis_spacing_cells: int = 1,
+                                rank_cutoff: float = DEFAULT_RANK_CUTOFF
+                                ) -> DistributionTransportResult:
     """Semigroup transport on a basis of exact translates of one function.
 
     The derivative form is B[i, j] = -pairing(phi_i, dphi_j); compressing and
@@ -351,43 +350,23 @@ def distribution_froelich_check(sk: SmearedKernel, field, base: TestFunction,
 
 
 @dataclass(frozen=True)
-class ReflectionSetup:
-    """Reflection across a coordinate hyperplane plus the positive slice."""
-
-    grid: TestFunctionGrid
-    axis: int = 0
-
-    def __post_init__(self):
-        if not self.grid.is_symmetric(self.axis):
-            raise GridError("reflection needs a grid symmetric along its axis")
-
-    def reflect(self, fn: TestFunction) -> TestFunction:
-        return reflect(fn, self.axis)
-
-    def in_positive_slice(self, fn: TestFunction) -> bool:
-        return bool(np.all(fn.flat[~slice_mask(self.grid, self.axis)] == 0.0))
-
-
-@dataclass(frozen=True)
 class ReflectionPositivityReport:
     twisted_gram: np.ndarray
     min_ratio: float
 
 
-def twisted_gram(sk: SmearedKernel, setup: ReflectionSetup,
-                 fns_plus: Sequence[TestFunction]) -> np.ndarray:
-    for f in fns_plus:
-        if not setup.in_positive_slice(f):
-            raise GridError("test functions must be supported in the positive slice")
-    return sk.pairings([setup.reflect(f) for f in fns_plus], fns_plus)
+def twisted_gram(sk: SmearedKernel, fns_plus: Sequence[TestFunction]) -> np.ndarray:
+    outside = ~slice_mask(sk.grid)
+    if any(np.any(f.flat[outside]) for f in fns_plus):
+        raise GridError("test functions must be supported in the positive slice")
+    return sk.pairings([reflect(f) for f in fns_plus], fns_plus)
 
 
-def reflection_positivity_check(
-        sk: SmearedKernel, setup: ReflectionSetup,
-        fns_plus: Sequence[TestFunction]) -> ReflectionPositivityReport:
+def reflection_positivity_check(sk: SmearedKernel, fns_plus: Sequence[TestFunction]
+                                ) -> ReflectionPositivityReport:
     """Positivity of the reflected pairing on the positive slice: the
     smallest eigenvalue over the largest (-inf when none is positive)."""
-    T = twisted_gram(sk, setup, fns_plus)
+    T = twisted_gram(sk, fns_plus)
     vals = np.linalg.eigvalsh(0.5 * (T + T.T))[::-1]
     lam_max = float(vals[0]) if vals.size else 0.0
     ratio = float(vals[-1] / lam_max) if lam_max > 0 else -np.inf
@@ -405,27 +384,25 @@ class OSSpace:
     """
 
     smeared: SmearedKernel
-    setup: ReflectionSetup
     fns_plus: tuple
     positivity: ReflectionPositivityReport
     model: GramModel
 
 
-def os_quotient(sk: SmearedKernel, setup: ReflectionSetup,
-                fns_plus: Sequence[TestFunction],
-                rank_cutoff: float = TWISTED_RANK_CUTOFF) -> OSSpace:
+def os_quotient(sk: SmearedKernel, fns_plus: Sequence[TestFunction],
+                rank_cutoff: float = LOOSE_RANK_CUTOFF) -> OSSpace:
     """Whiten the twisted Gram, with its reflection-positivity report.
 
     The cutoff is looser than the plain Gram default because reflected
     exponential-factor kernels produce steep rank decay by construction.
     It discards negative eigenvalues too, which the report's ratio measures.
     """
-    report = reflection_positivity_check(sk, setup, fns_plus)
+    report = reflection_positivity_check(sk, fns_plus)
     try:
         model = gram_from_matrix(report.twisted_gram, rank_cutoff)
     except EmptyModelError as exc:
         raise DegenerateQuotientError("twisted Gram has numerical rank zero") from exc
-    return OSSpace(sk, setup, tuple(fns_plus), report, model)
+    return OSSpace(sk, tuple(fns_plus), report, model)
 
 
 @dataclass(frozen=True)
@@ -436,16 +413,15 @@ class OSSemigroupResult:
 
 
 def os_semigroup(space: OSSpace, cells: Sequence[int]) -> list:
-    """Matrix of the positive-slice shift (away from the hyperplane) by each
-    cell count of ``cells`` on the quotient, in order, from reflected
-    pairings of exact translates; one kernel block serves every count."""
+    """Matrix of the positive-slice shift (along the first axis, away from
+    the hyperplane) by each cell count of ``cells`` on the quotient, in
+    order, from reflected pairings of exact translates; one kernel block
+    serves every count."""
     if any(c < 0 for c in cells):
         raise GridError("the transfer direction needs t >= 0")
-    fns, axis, ndim = space.fns_plus, space.setup.axis, space.setup.grid.ndim
+    fns, rest = space.fns_plus, (0,) * (space.smeared.grid.ndim - 1)
     As = space.smeared.pairings_each(
-        [space.setup.reflect(f) for f in fns],
-        [[translate(f, tuple(c if a == axis else 0 for a in range(ndim))) for f in fns]
-         for c in cells])
+        [reflect(f) for f in fns], [[translate(f, (c,) + rest) for f in fns] for c in cells])
     return [OSSemigroupResult(S, max(float(np.linalg.norm(S, 2)) - 1.0, 0.0),
                               float(np.linalg.norm(S - S.T)))
             for S in map(space.model.compress, As)]
@@ -490,16 +466,17 @@ def grid_shift_matrix(grid: TestFunctionGrid, cells) -> np.ndarray:
     return out
 
 
-def grid_reflection_map(grid: TestFunctionGrid, axis: int) -> np.ndarray:
-    """Coordinate sign flip along ``axis`` as an index map (a permutation)."""
-    if not grid.is_symmetric(axis):
-        raise GridError("reflection map needs a symmetric grid")
-    return np.flip(np.arange(grid.size).reshape(grid.shape), axis=axis).ravel()
+def grid_reflection_map(grid: TestFunctionGrid) -> np.ndarray:
+    """Coordinate sign flip along the first axis as an index map (a permutation)."""
+    if not grid.is_symmetric():
+        raise GridError("reflection map needs a grid symmetric along its first axis")
+    return np.flip(np.arange(grid.size).reshape(grid.shape), axis=0).ravel()
 
 
-def slice_mask(grid: TestFunctionGrid, axis: int) -> np.ndarray:
-    """Grid points of the positive slice: the diagonal of its projector."""
-    return grid.points()[:, axis] > 0.0
+def slice_mask(grid: TestFunctionGrid) -> np.ndarray:
+    """Grid points of the positive slice, where the first coordinate is > 0:
+    the diagonal of its projector."""
+    return grid.points()[:, 0] > 0.0
 
 
 @dataclass(frozen=True)

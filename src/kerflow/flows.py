@@ -17,11 +17,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .config import DEFAULT_STEP, FIELD_PARAMS, builtin_params
+from .config import DEFAULT_FD_STEP, DEFAULT_STEP, FIELD_PARAMS, builtin_params
 from .errors import FlowDomainError
 
 BLOWUP_NORM = 1e12
-DEFAULT_FD_STEP = 1e-5
 
 EXIT_LEFT_CHART = "left chart"
 EXIT_STEP_FAILURE = "step failure"
@@ -82,9 +81,9 @@ def box_chart(lo, hi) -> ChartDomain:
     return ChartDomain(lo.size, lambda p: np.all((p > lo) & (p < hi), axis=-1))
 
 
-def halfspace_chart(dimension: int, axis: int = 0) -> ChartDomain:
-    """Open half-space {x[axis] > 0}."""
-    return ChartDomain(dimension, lambda p: p[..., axis] > 0.0)
+def halfspace_chart(dimension: int) -> ChartDomain:
+    """Open half-space {x[0] > 0}."""
+    return ChartDomain(dimension, lambda p: p[..., 0] > 0.0)
 
 
 @dataclass(frozen=True)
@@ -159,10 +158,9 @@ def affine_field(matrix, offset=None, chart: Optional[ChartDomain] = None) -> Ve
                        lambda p: A, name="affine", affine=(A, b))
 
 
-def rotation_field(chart: Optional[ChartDomain] = None) -> VectorField:
+def rotation_field() -> VectorField:
     """Planar rotation generator X(x, y) = (-y, x)."""
-    return replace(affine_field([[0.0, -1.0], [1.0, 0.0]], chart=chart),
-                   name="rotation2d")
+    return replace(affine_field([[0.0, -1.0], [1.0, 0.0]]), name="rotation2d")
 
 
 @dataclass(frozen=True)

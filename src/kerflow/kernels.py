@@ -20,11 +20,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bessel_tables
-from .config import KERNEL_PARAMS, builtin_params
+from .config import DEFAULT_FD_STEP, DEFAULT_RANK_CUTOFF, KERNEL_PARAMS, builtin_params
 from .errors import EmptyModelError, KernelDomainError, NotHermitianError
 
-DEFAULT_RANK_CUTOFF = 1e-12
-DEFAULT_FD_STEP = 1e-5
 HERMITICITY_TOL = 1e-10
 
 

@@ -298,10 +298,7 @@ def builtin_action(name: str, params: Optional[dict] = None) -> CompatibleAction
     if name == "euclidean":
         p, q, domain = int(params["p"]), int(params["q"]), params["domain"]
         alg = la.euclidean_motion(2, p, q)
-        if domain == "halfplane":
-            chart = fl.halfspace_chart(2, axis=0)
-        else:
-            chart = fl.full_space(2)
+        chart = fl.halfspace_chart(2) if domain == "halfplane" else fl.full_space(2)
         # right action m.g = g^{-1} m, so the basis fields carry a minus sign;
         # this is what makes beta a homomorphism rather than an anti-one
         rot = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import SymmetricLieAlgebra, c_dual, exp_ad, expm
+from .config import DEFAULT_RANK_CUTOFF
 from .errors import CompatibilityError, EmptyModelError, PositivityError
 from .kernels import GramModel, Kernel, gram
 from .operators import (DEFAULT_SYMMETRY_TOL, SKEW, SYMMETRIC, CompatibleAction,
@@ -216,7 +217,7 @@ def luscher_mack_pipeline(elements: Sequence[np.ndarray],
                           phi,
                           action: CompatibleAction,
                           phi_grad=None,
-                          rank_cutoff: float = 1e-12):
+                          rank_cutoff: float = DEFAULT_RANK_CUTOFF):
     """From a function phi on an open semigroup of matrices to a dual
     representation table.
 

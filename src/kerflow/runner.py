@@ -130,9 +130,8 @@ def _gram_ladder(cfg: ExperimentConfig, kernel, cutoff: float, dimension: int):
     sizes, else the one configured size.  Every level replays the seed, so
     ladder levels nest statistically.  Points have ``dimension`` coordinates."""
     spec = cfg.body["samples"]
-    sizes = spec["refinement"] if "refinement" in spec \
-        else [spec.get("n", spec.get("n_side", 0))]
-    for size in sizes:
+    # without a ladder, size None has each sample type read its own size key
+    for size in spec["refinement"] if "refinement" in spec else [None]:
         pts = _checked_samples(spec, np.random.default_rng(cfg.seed), kernel,
                                dimension, size)
         yield kr.gram(kernel, pts, rank_cutoff=cutoff)
@@ -145,11 +144,10 @@ def _grid_from_spec(spec: dict) -> dist.TestFunctionGrid:
                                  shape=shape, margin=int(spec["margin"]))
 
 
-def _checked_bump(setup: dist.ReflectionSetup, spec: dict, path: str) -> dist.TestFunction:
+def _checked_bump(grid: dist.TestFunctionGrid, spec: dict, path: str) -> dist.TestFunction:
     """The bump a spec asks for: its center has one coordinate per grid axis,
     and its support is nonzero on the grid, stays off the margin and lies in
     the positive slice of the reflection."""
-    grid = setup.grid
     if np.size(spec["center"]) != grid.ndim:
         raise ConfigError(f"{path}.center", f"needs {grid.ndim} coordinates, "
                                             "one per grid axis")
@@ -160,7 +158,7 @@ def _checked_bump(setup: dist.ReflectionSetup, spec: dict, path: str) -> dist.Te
     # an all-zero test function pairs to nothing
     if not np.any(fn.values):
         raise ConfigError(path, "the bump is zero on every grid point")
-    if not setup.in_positive_slice(fn):
+    if np.any(fn.flat[~dist.slice_mask(grid)]):
         raise ConfigError(path, "the bump's support must lie in the positive "
                                 "slice, where the first coordinate is > 0")
     return fn
@@ -476,10 +474,8 @@ def _run_os_reconstruct(cfg: ExperimentConfig) -> tuple:
     body = cfg.body
     grid = _grid_from_spec(body["grid"])
     masses, sk = _ou_mixture_smeared(body["kernel"], grid)
-    setup = dist.ReflectionSetup(grid, axis=0)
-    fns = [_checked_bump(setup, b, f"$.bumps[{i}]") for i, b in enumerate(body["bumps"])]
-    space = dist.os_quotient(sk, setup, fns,
-                             rank_cutoff=float(body["rank_cutoff"]))
+    fns = [_checked_bump(grid, b, f"$.bumps[{i}]") for i, b in enumerate(body["bumps"])]
+    space = dist.os_quotient(sk, fns, rank_cutoff=float(body["rank_cutoff"]))
 
     times = [int(c) for c in body["times_cells"]]
     law_pairs = [(int(s), int(t)) for s, t in body["law_pairs_cells"]]
@@ -545,8 +541,8 @@ def _run_rp_axioms(cfg: ExperimentConfig) -> tuple:
               dist.grid_shift_map(grid, tuple(-k for k in c))) for c in shifts]
     h_maps = [dist.grid_shift_map(grid, tuple(int(c) for c in t["cells"]))
               for t in body["parallel_translations"]]
-    report = dist.rp_axioms_check(pairs, dist.grid_reflection_map(grid, axis=0),
-                                  dist.slice_mask(grid, axis=0), h_maps)
+    report = dist.rp_axioms_check(pairs, dist.grid_reflection_map(grid),
+                                  dist.slice_mask(grid), h_maps)
     # each check is informational (value and passed null) when its block
     # gives it nothing to compare
     return _checks(cfg, {"rp1_max_defect": report.rp1_max_defect,

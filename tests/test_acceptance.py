@@ -215,12 +215,10 @@ def test_ac09_semigroup_pipelines():
 
 def test_ac10_os_reconstruction():
     grid = dist.TestFunctionGrid(origin=[-3.0], spacing=0.05, shape=(121,))
-    setup = dist.ReflectionSetup(grid, 0)
-
     sk1 = dist.SmearedKernel.from_distance_profile(
         kk.ou_mixture_profile([1.0], [1.0]), grid)
     fns = [dist.bump(grid, [0.5], 0.3), dist.bump(grid, [1.0], 0.3)]
-    space1 = dist.os_quotient(sk1, setup, fns)
+    space1 = dist.os_quotient(sk1, fns)
     sg = dist.os_semigroup(space1, [6])[0]
     rank1_ok = (space1.model.rank == 1 and space1.model.gap_ratio <= 1e-10
                 and abs(sg.matrix[0, 0] - np.exp(-0.3)) <= 1e-10)
@@ -228,7 +226,7 @@ def test_ac10_os_reconstruction():
     sk2 = dist.SmearedKernel.from_distance_profile(
         kk.ou_mixture_profile([1.0, 2.0], [0.5, 0.5]), grid)
     fns2 = fns + [dist.bump(grid, [1.5], 0.3)]
-    space2 = dist.os_quotient(sk2, setup, fns2)
+    space2 = dist.os_quotient(sk2, fns2)
     eig_err = law = contraction = 0.0
     for cells in (4, 10):
         t = cells * grid.spacing
@@ -249,8 +247,8 @@ def test_ac10_os_reconstruction():
 def test_ac11_rp_axioms():
     grid = dist.TestFunctionGrid(origin=[-2.0, -1.0], spacing=0.1,
                                  shape=(41, 21))
-    theta = dist.grid_reflection_map(grid, 0)
-    mask = dist.slice_mask(grid, 0)
+    theta = dist.grid_reflection_map(grid)
+    mask = dist.slice_mask(grid)
     pairs = [(dist.grid_shift_map(grid, (k, 0)),
               dist.grid_shift_map(grid, (-k, 0))) for k in (3, 5)]
     h_maps = [dist.grid_shift_map(grid, (0, 2))]

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import importlib.util
 import io
+import itertools
 import json
 import os
 import sys
@@ -523,6 +524,20 @@ def _module_from_file(*parts):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_every_benchmark_workload_file_validates():
+    # the benchmark's set-up aborts the whole run when validate rejects one of
+    # the files it generates, so a config rule made tighter must keep them all
+    workloads = _module_from_file("perfbench", "workloads.py")
+    rejected = []
+    for workload, seed in itertools.product(workloads.WORKLOADS, range(21)):
+        for stem, data in workloads.generate(workload, seed, CONFIG_DIR).items():
+            try:
+                validate_config(data)
+            except ConfigError as exc:
+                rejected.append((workload, seed, stem, str(exc)))
+    assert rejected == []
 
 
 def test_perfbench_check_lists_read_the_table():
@@ -1105,6 +1120,11 @@ def _zero_size(key):
                  "$.translations[0].cells", id="rp-translation-moves-a-bump-off-the-grid"),
     pytest.param("rp_axioms", lambda d: d.update(translations=[{"cells": [0, 5]}]),
                  "$.translations[0].cells", id="rp-translation-moves-a-bump-into-the-margin"),
+    # no grid point lay within the width of the pairing bump at (-0.8, 0): zero
+    # on every grid point, it compared nothing, and the run passed (exit 0)
+    pytest.param("rp_axioms", lambda d: d.update(grid={
+        "origin": [-14.0, -5.25], "spacing": 0.7, "shape": [41, 21], "margin": 2}),
+                 "$.grid", id="rp-pairing-bump-zero-on-the-grid"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
     data = _shipped(stem)
@@ -1597,10 +1617,9 @@ def test_validation_resolves_a_copy_and_the_report_echoes_the_file(tmp_path, cap
 
 
 # the keys whose absence means something other than a constant, which the
-# runner reads with a fallback of its own: a sample's size, absent under a
-# refinement ladder, and a froelich start point, which broadcasts [0.0]
-# against points of any dimension
-_DERIVED_GETS = {"n", "n_side", "start_point"}
+# runner reads with a fallback of its own: a froelich start point, which
+# broadcasts [0.0] against points of any dimension
+_DERIVED_GETS = {"start_point"}
 
 
 @pytest.mark.parametrize("module", ["runner", "kernels", "operators", "flows"])
@@ -1614,6 +1633,42 @@ def test_no_default_is_written_outside_the_key_tables(module):
             and node.func.attr == "get" and len(node.args) == 2
             and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)]
     assert [(line, key) for line, key in gets if key not in _DERIVED_GETS] == []
+
+
+# parameters with a default and dataclass fields with a default, over the
+# public functions and classes of the package: the values a caller may set
+SETTABLE_VALUES = 64
+
+
+def _settable_values(node, owner="") -> list:
+    """The settable values of a public function or class, by name."""
+    if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+        return []
+    name = owner + node.name
+    if isinstance(node, ast.FunctionDef):
+        args = node.args
+        named = args.posonlyargs + args.args
+        return [f"{name}({arg.arg})" for arg, default in
+                [*zip(named[len(named) - len(args.defaults):], args.defaults),
+                 *zip(args.kwonlyargs, args.kw_defaults)] if default is not None]
+    fields = [f"{name}.{item.target.id}" for item in node.body
+              if isinstance(item, ast.AnnAssign) and item.value is not None]
+    return fields + [value for item in node.body
+                     for value in _settable_values(item, name + ".")]
+
+
+def test_settable_library_values_are_pinned():
+    found = []
+    package = os.path.dirname(kerflow.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as handle:
+                tree = ast.parse(handle.read())
+            found += [value for node in tree.body for value in _settable_values(node)]
+    assert len(found) == SETTABLE_VALUES, (
+        f"{len(found)} settable values, pinned at {SETTABLE_VALUES}: a new option "
+        "must raise the pin in its own diff and be named in CHANGES.md, and a "
+        f"removed one lowers it; found {found}")
 
 
 def test_compatibility_without_invariance_compares_nothing(tmp_path, capsys):

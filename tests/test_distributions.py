@@ -30,9 +30,22 @@ def test_grid_weights_sum_to_length(line_grid):
 
 
 def test_grid_symmetry(line_grid):
-    assert line_grid.is_symmetric(0)
+    assert line_grid.is_symmetric()
     off = ds.TestFunctionGrid(origin=[-2.9], spacing=0.05, shape=(121,))
-    assert not off.is_symmetric(0)
+    assert not off.is_symmetric()
+    # the reflection needs a grid symmetric along its first axis
+    fn = ds.bump(off, [0.7], 0.3)
+    sk = ds.SmearedKernel.from_distance_profile(kk.ou_mixture_profile([1.0], [1.0]), off)
+    for reflecting in (lambda: ds.reflect(fn), lambda: ds.grid_reflection_map(off),
+                       lambda: ds.os_quotient(sk, [fn])):
+        with pytest.raises(GridError):
+            reflecting()
+    # the second axis is never reflected, so it need not be symmetric
+    plane = ds.TestFunctionGrid(origin=[-2.0, -0.5], spacing=0.1, shape=(41, 21))
+    fn = ds.bump(plane, [0.7, 0.5], 0.3)
+    assert np.array_equal(ds.reflect(fn).values, fn.values[::-1])
+    assert np.array_equal(ds.grid_reflection_map(plane).reshape(plane.shape)[::-1],
+                          np.arange(plane.size).reshape(plane.shape))
 
 
 def test_grid_rejects_small_margin():
@@ -60,7 +73,7 @@ def test_translate_exact_and_guarded(line_grid):
 
 def test_reflect_is_involutive(line_grid):
     fn = ds.bump(line_grid, [0.7], 0.4)
-    assert np.array_equal(ds.reflect(ds.reflect(fn, 0), 0).values, fn.values)
+    assert np.array_equal(ds.reflect(ds.reflect(fn)).values, fn.values)
 
 
 def test_constant_kernel_pairing_is_product_of_integrals(line_grid):
@@ -188,40 +201,34 @@ def test_transport_rejects_fractional_cells():
 
 
 def test_reflection_positivity_ou(ou_smeared, line_grid):
-    setup = ds.ReflectionSetup(line_grid, 0)
     fns = [ds.bump(line_grid, [0.5], 0.3), ds.bump(line_grid, [1.0], 0.3)]
-    report = ds.reflection_positivity_check(ou_smeared, setup, fns)
+    report = ds.reflection_positivity_check(ou_smeared, fns)
     assert report.min_ratio >= -1e-12
 
 
 def test_reflection_positivity_cosine_fails(line_grid):
     sk = ds.SmearedKernel.from_distance_profile(lambda d: np.cos(d), line_grid)
-    setup = ds.ReflectionSetup(line_grid, 0)
     fns = [ds.bump(line_grid, [0.8], 0.3), ds.bump(line_grid, [2.3], 0.3)]
-    report = ds.reflection_positivity_check(sk, setup, fns)
+    report = ds.reflection_positivity_check(sk, fns)
     assert report.min_ratio < -1e-10
 
 
 def test_reflection_positivity_single_function(ou_smeared, line_grid):
-    setup = ds.ReflectionSetup(line_grid, 0)
     fn = ds.bump(line_grid, [0.7], 0.3)
-    report = ds.reflection_positivity_check(ou_smeared, setup, [fn])
-    assert (report.min_ratio >= -1e-10) == (ou_smeared.pairing(setup.reflect(fn), fn) >= 0)
+    report = ds.reflection_positivity_check(ou_smeared, [fn])
+    assert (report.min_ratio >= -1e-10) == (ou_smeared.pairing(ds.reflect(fn), fn) >= 0)
 
 
 def test_positive_slice_enforced(ou_smeared, line_grid):
-    setup = ds.ReflectionSetup(line_grid, 0)
     with pytest.raises(GridError):
-        ds.reflection_positivity_check(ou_smeared, setup,
-                                       [ds.bump(line_grid, [-0.5], 0.3)])
+        ds.reflection_positivity_check(ou_smeared, [ds.bump(line_grid, [-0.5], 0.3)])
 
 
 def test_quotient_rank_one_factors(ou_smeared, line_grid):
     # reflected pairing of the decay kernel is the exact product of decay
     # integrals: the factor vector is proportional to (e^{-0.5}, e^{-1})
-    setup = ds.ReflectionSetup(line_grid, 0)
     fns = [ds.bump(line_grid, [0.5], 0.1), ds.bump(line_grid, [1.0], 0.1)]
-    space = ds.os_quotient(ou_smeared, setup, fns)
+    space = ds.os_quotient(ou_smeared, fns)
     assert space.model.rank == 1
     assert space.model.gap_ratio <= 1e-10
     T = space.positivity.twisted_gram
@@ -234,9 +241,8 @@ def test_quotient_rank_one_factors(ou_smeared, line_grid):
 def test_quotient_rank_two_mixture(line_grid):
     sk = ds.SmearedKernel.from_distance_profile(
         kk.ou_mixture_profile([1.0, 2.0], [0.5, 0.5]), line_grid)
-    setup = ds.ReflectionSetup(line_grid, 0)
     fns = [ds.bump(line_grid, [c], 0.3) for c in (0.5, 1.0, 1.5)]
-    space = ds.os_quotient(sk, setup, fns)
+    space = ds.os_quotient(sk, fns)
     assert space.model.rank == 2
 
 
@@ -244,34 +250,30 @@ def test_quotient_full_rank_for_invariant_kernel(line_grid):
     pts = line_grid.points()[:, 0]
     sk = ds.SmearedKernel.from_matrix(line_grid,
                                       np.exp(-(pts[:, None] + pts[None, :]) ** 2 / 2))
-    setup = ds.ReflectionSetup(line_grid, 0)
     fns = [ds.bump(line_grid, [c], 0.3) for c in (1.0, 2.0)]
-    space = ds.os_quotient(sk, setup, fns)
+    space = ds.os_quotient(sk, fns)
     assert space.model.rank == 2
 
 
 def test_quotient_rank_stable_under_dependent_function(ou_smeared, line_grid):
-    setup = ds.ReflectionSetup(line_grid, 0)
     f1 = ds.bump(line_grid, [0.5], 0.3)
     f2 = ds.bump(line_grid, [1.0], 0.3)
     combo = ds.TestFunction(line_grid, 0.5 * f1.values + 0.25 * f2.values)
-    r2 = ds.os_quotient(ou_smeared, setup, [f1, f2]).model.rank
-    r3 = ds.os_quotient(ou_smeared, setup, [f1, f2, combo]).model.rank
+    r2 = ds.os_quotient(ou_smeared, [f1, f2]).model.rank
+    r3 = ds.os_quotient(ou_smeared, [f1, f2, combo]).model.rank
     assert r2 == r3
 
 
 def test_quotient_degenerate_raises(line_grid):
     sk = ds.SmearedKernel.from_matrix(line_grid,
                                       np.zeros((line_grid.size, line_grid.size)))
-    setup = ds.ReflectionSetup(line_grid, 0)
     with pytest.raises((PositivityError, Exception)):
-        ds.os_quotient(sk, setup, [ds.bump(line_grid, [0.5], 0.3)])
+        ds.os_quotient(sk, [ds.bump(line_grid, [0.5], 0.3)])
 
 
 def test_transfer_scalar_matches_decay(ou_smeared, line_grid):
-    setup = ds.ReflectionSetup(line_grid, 0)
     fns = [ds.bump(line_grid, [0.5], 0.3), ds.bump(line_grid, [1.0], 0.3)]
-    space = ds.os_quotient(ou_smeared, setup, fns)
+    space = ds.os_quotient(ou_smeared, fns)
     sg = ds.os_semigroup(space, [6])[0]     # t = 0.3
     assert sg.matrix.shape == (1, 1)
     assert sg.matrix[0, 0] == pytest.approx(np.exp(-0.3), abs=1e-10)
@@ -280,9 +282,8 @@ def test_transfer_scalar_matches_decay(ou_smeared, line_grid):
 
 
 def test_transfer_identity_at_zero(ou_smeared, line_grid):
-    setup = ds.ReflectionSetup(line_grid, 0)
     fns = [ds.bump(line_grid, [0.5], 0.3), ds.bump(line_grid, [1.0], 0.3)]
-    space = ds.os_quotient(ou_smeared, setup, fns)
+    space = ds.os_quotient(ou_smeared, fns)
     sg = ds.os_semigroup(space, [0])[0]
     assert np.max(np.abs(sg.matrix - np.eye(space.model.rank))) <= 1e-12
 
@@ -290,9 +291,8 @@ def test_transfer_identity_at_zero(ou_smeared, line_grid):
 def test_transfer_mixture_eigenvalues(line_grid):
     sk = ds.SmearedKernel.from_distance_profile(
         kk.ou_mixture_profile([1.0, 2.0], [0.5, 0.5]), line_grid)
-    setup = ds.ReflectionSetup(line_grid, 0)
     fns = [ds.bump(line_grid, [c], 0.3) for c in (0.5, 1.0, 1.5)]
-    space = ds.os_quotient(sk, setup, fns)
+    space = ds.os_quotient(sk, fns)
     for cells in (4, 10):
         t = cells * line_grid.spacing
         S = ds.os_semigroup(space, [cells])[0].matrix
@@ -301,9 +301,8 @@ def test_transfer_mixture_eigenvalues(line_grid):
 
 
 def test_transfer_semigroup_law(ou_smeared, line_grid):
-    setup = ds.ReflectionSetup(line_grid, 0)
     fns = [ds.bump(line_grid, [0.5], 0.3), ds.bump(line_grid, [1.0], 0.3)]
-    space = ds.os_quotient(ou_smeared, setup, fns)
+    space = ds.os_quotient(ou_smeared, fns)
     assert ds.os_semigroup_law_defect(space, 4, 6) <= 1e-8
 
 
@@ -317,12 +316,12 @@ def _dense(index_map):
 
 def test_grid_operators_are_exact_permutation_conjugates():
     grid = ds.TestFunctionGrid(origin=[-2.0, -1.0], spacing=0.1, shape=(41, 21))
-    theta = _dense(ds.grid_reflection_map(grid, 0))
+    theta = _dense(ds.grid_reflection_map(grid))
     S = ds.grid_shift_matrix(grid, (3, 0))
     S_neg = ds.grid_shift_matrix(grid, (-3, 0))
     assert np.array_equal(theta @ S @ theta, S_neg)
     fn = ds.bump(grid, [0.7, 0.2], 0.4)
-    assert np.array_equal(theta @ fn.flat, ds.reflect(fn, 0).flat)
+    assert np.array_equal(theta @ fn.flat, ds.reflect(fn).flat)
 
 
 def _shift_matrix_by_columns(grid, cells):
@@ -360,8 +359,8 @@ def test_rp_axioms_identity_element():
     grid = ds.TestFunctionGrid(origin=[-2.0], spacing=0.1, shape=(41,))
     identity = np.arange(grid.size)
     report = ds.rp_axioms_check([(identity, identity)],
-                                ds.grid_reflection_map(grid, 0),
-                                ds.slice_mask(grid, 0))
+                                ds.grid_reflection_map(grid),
+                                ds.slice_mask(grid))
     assert report.rp1_max_defect == 0.0
     assert report.rp2_max_defect is None
 
@@ -371,16 +370,16 @@ def test_rp_axioms_translations_2d():
     pairs = [(ds.grid_shift_map(grid, (k, 0)), ds.grid_shift_map(grid, (-k, 0)))
              for k in (3, 5)]
     h_maps = [ds.grid_shift_map(grid, (0, 2))]
-    report = ds.rp_axioms_check(pairs, ds.grid_reflection_map(grid, 0),
-                                ds.slice_mask(grid, 0), h_maps)
+    report = ds.rp_axioms_check(pairs, ds.grid_reflection_map(grid),
+                                ds.slice_mask(grid), h_maps)
     assert report.rp1_max_defect <= 1e-12
     assert report.rp2_max_defect <= 1e-12
 
 
 def test_rp_axioms_compare_nothing_without_operators():
     grid = ds.TestFunctionGrid(origin=[-2.0], spacing=0.1, shape=(41,))
-    report = ds.rp_axioms_check([], ds.grid_reflection_map(grid, 0),
-                                ds.slice_mask(grid, 0))
+    report = ds.rp_axioms_check([], ds.grid_reflection_map(grid),
+                                ds.slice_mask(grid))
     assert report.rp1_max_defect is None and report.rp2_max_defect is None
 
 
@@ -393,7 +392,7 @@ def test_rp_axioms_compare_nothing_without_operators():
 ])
 def test_rp_axioms_maps_match_dense_norms(shape, origin, shifts):
     grid = ds.TestFunctionGrid(origin=origin, spacing=0.1, shape=shape)
-    theta_map, mask = ds.grid_reflection_map(grid, 0), ds.slice_mask(grid, 0)
+    theta_map, mask = ds.grid_reflection_map(grid), ds.slice_mask(grid)
     theta, projector = _dense(theta_map), np.diag(mask.astype(float))
     eye = np.eye(grid.size)
     rp1_values, rp2_values = set(), set()
@@ -469,7 +468,7 @@ def _smeared_functions(draw, lists=st.just(1)):
         if kind == "zero":
             return ds.TestFunction(grid, np.zeros(shape))
         if kind == "reflect":
-            return ds.reflect(fn, draw(st.integers(0, grid.ndim - 1)))
+            return ds.reflect(fn)
         if kind == "translate":
             cells = draw(st.lists(st.integers(-4, 4), min_size=grid.ndim,
                                   max_size=grid.ndim))
@@ -596,7 +595,7 @@ def _os_spaces(draw):
                                      max_size=grid.ndim), min_size=1, max_size=4))
     fns = [ds.bump(grid, np.add(lo, np.multiply(np.subtract(hi, lo), u)), 0.3)
            for u in centers]
-    space = ds.os_quotient(sk, ds.ReflectionSetup(grid, 0), fns)
+    space = ds.os_quotient(sk, fns)
     cells = draw(st.lists(st.integers(0, most), min_size=1, max_size=4))
     return space, [*cells, 0, cells[0]]
 
@@ -625,14 +624,13 @@ def test_twisted_gram_and_semigroup_match_entry_definitions(shape, origin,
                                else 0.1, shape=shape)
     sk = ds.SmearedKernel.from_distance_profile(
         kk.ou_mixture_profile([1.0, 2.0], [0.5, 0.5]), grid)
-    setup = ds.ReflectionSetup(grid, 0)
     fns = [ds.bump(grid, c, 0.3) for c in centers]
-    T = ds.twisted_gram(sk, setup, fns)
-    T_ref = np.array([[sk.pairing(setup.reflect(f), g) for g in fns] for f in fns])
+    T = ds.twisted_gram(sk, fns)
+    T_ref = np.array([[sk.pairing(ds.reflect(f), g) for g in fns] for f in fns])
     assert np.allclose(T, T_ref, rtol=1e-12, atol=0.0)
-    space = ds.os_quotient(sk, setup, fns)
+    space = ds.os_quotient(sk, fns)
     assert space.positivity.min_ratio >= -1e-10
-    A_ref = np.array([[sk.pairing(setup.reflect(f), ds.translate(g, shift))
+    A_ref = np.array([[sk.pairing(ds.reflect(f), ds.translate(g, shift))
                        for g in fns] for f in fns])
     W = space.model.whitening
     S_ref = W @ A_ref @ W.T
@@ -692,7 +690,6 @@ def test_os_reconstruct_evaluates_two_kernel_blocks(monkeypatch):
 
 def test_rank_zero_quotient_raises(ou_smeared, line_grid):
     # a relative cutoff of 1 keeps no eigenvalue of a positive twisted Gram
-    setup = ds.ReflectionSetup(line_grid, 0)
     with pytest.raises(DegenerateQuotientError):
-        ds.os_quotient(ou_smeared, setup, [ds.bump(line_grid, [0.5], 0.3)],
+        ds.os_quotient(ou_smeared, [ds.bump(line_grid, [0.5], 0.3)],
                        rank_cutoff=1.0)
