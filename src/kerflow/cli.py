@@ -8,6 +8,7 @@ Only ``run`` loads numpy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -103,8 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: a parse leaves the parser as it was
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

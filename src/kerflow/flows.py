@@ -201,11 +201,12 @@ def _stop(live: np.ndarray, ok: np.ndarray, reason: str, stops: dict):
 
 class _Maps(NamedTuple):
     """The value map and chart tests of a block: each answers for every row
-    from that row's own field and chart."""
+    from that row's own field and chart; ``whole_space``: every chart is."""
 
     value: Callable[[np.ndarray], np.ndarray]
     contains_all: Callable[[np.ndarray], bool]
     contains_rows: Callable[[np.ndarray], np.ndarray]
+    whole_space: bool
 
 
 def _block_maps(fields: list, edges: np.ndarray, ids: np.ndarray) -> _Maps:
@@ -233,21 +234,24 @@ def _block_maps(fields: list, edges: np.ndarray, ids: np.ndarray) -> _Maps:
                 v[rows] = field.block(q[rows])
             return v
     if all(field.chart == first.chart for field, _ in spans):
-        return _Maps(value, first.chart.contains_all, first.chart.contains_rows)
+        return _Maps(value, first.chart.contains_all, first.chart.contains_rows,
+                     first.chart.membership is None)
     return _Maps(value,
                  lambda q: all(f.chart.contains_all(q[rows]) for f, rows in spans),
-                 lambda q: np.concatenate([f.chart.contains_rows(q[rows]) for f, rows in spans]))
+                 lambda q: np.concatenate([f.chart.contains_rows(q[rows]) for f, rows in spans]),
+                 False)
 
 
 def _stage(maps: _Maps, q: np.ndarray, live: np.ndarray, stops: dict,
-           charted: bool = True):
+           charted: bool):
     """Field values at the block's stage points ``q``.  One test over the
     block passes when every stage point is in the chart and the summed
     squared norms are within bound; only when it trips is each live row
     checked, and stopped if its stage point left the chart or its value is
     non-finite or beyond BLOWUP_NORM.  ``charted`` False skips the chart
-    test, for stage points known to be inside."""
-    value, contains_all, contains_rows = maps
+    test, for stage points known to be inside or whose test cannot stop a
+    row."""
+    value, contains_all, contains_rows, _ = maps
     if not charted or contains_all(q):
         v = value(q)
         # a constant field's one value stands for each of the rows
@@ -270,11 +274,17 @@ def _stage(maps: _Maps, q: np.ndarray, live: np.ndarray, stops: dict,
 # 2**26 * 2**-53 * end <= step / 2.
 _COUNTDOWN_STEPS = 2 ** 26
 
+# A finite float plus an addend below half an ulp of the largest float,
+# 2**970, stays finite; the factor 2 under it absorbs the rounding of the
+# bounds on a step's addends.
+_FINITE_ADDEND = 2.0 ** 969
 
-def _advance(groups: list, p: np.ndarray, t_end: np.ndarray, step: float,
+
+def _advance(groups: list, p: np.ndarray, t_end: np.ndarray, step,
              path: Optional[list] = None):
     """The RK4 loop: advance each row of ``p`` (n, d) to its own signed time
-    in ``t_end`` (n,), or through its row of legs in ``t_end`` (n, k).
+    in ``t_end`` (n,), or through its row of legs in ``t_end`` (n, k), with
+    ``step`` one positive float or one per row (n,).
     ``groups`` is a list of (field, rows): each field runs the next ``rows``
     rows of ``p``, in order.  A step advances the block of rows still
     running, each group's slice by its own field, and does the arithmetic
@@ -286,19 +296,21 @@ def _advance(groups: list, p: np.ndarray, t_end: np.ndarray, step: float,
     receives the signed times and points of every row after each step, for
     as long as every row is in the block: the steps that every row
     accepted."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
     one = t_end.ndim == 1
     t_end = t_end[:, None] if one else t_end
     (n, k), d = t_end.shape, p.shape[1]
+    step = np.asarray(step, dtype=float)
+    if step.shape not in ((), (n,)) or not (step > 0.0).all():
+        raise ValueError(f"step must be one positive float or ({n},) of them, one per row")
+    step = np.broadcast_to(step, (n,))
     fields, edges = [f for f, _ in groups], np.cumsum([0] + [rows for _, rows in groups])
     sign, total = np.where(t_end >= 0.0, 1.0, -1.0), np.abs(t_end)
     # tiny guard keeps ``total/step`` from emitting a spurious final microstep
     slack = 1e-15 * np.maximum(1.0, total)
     # the countdown below holds for legs of at most _COUNTDOWN_STEPS steps,
     # each step longer than the leg's slack
-    steady = (total.max(initial=0.0) <= _COUNTDOWN_STEPS * step
-              and step > slack.max(initial=0.0))
+    steady = ((total <= _COUNTDOWN_STEPS * step[:, None]).all()
+              and (step[:, None] > slack).all())
     # per row and leg: the first leg from there on that takes a step (k: none)
     legs = np.where(total > slack, np.arange(k), k)
     first = np.minimum.accumulate(legs[:, ::-1], axis=1)[:, ::-1]
@@ -308,34 +320,38 @@ def _advance(groups: list, p: np.ndarray, t_end: np.ndarray, step: float,
     reasons, ran = np.full((n, k), None, dtype=object), np.zeros((n, k), dtype=bool)
     ids = (first[:, 0] < k).nonzero()[0]
     # the block: row numbers and legs, then per row the point, time reached,
-    # sign, total, slack and time left of its leg
+    # step, sign, total, slack and time left of its leg
     j = first[ids, 0]
-    x, tx, s, end, tiny = p[ids], np.zeros(len(ids)), sign[ids, j], total[ids, j], slack[ids, j]
+    x, tx, st = p[ids], np.zeros(len(ids)), step[ids]
+    s, end, tiny = sign[ids, j], total[ids, j], slack[ids, j]
     left, live, full, a, quiet = end, np.ones(len(ids), dtype=bool), len(ids) == n, None, 0
     while len(ids):
         if not quiet:
             # ``left`` is fresh here
             if a is None:
                 maps = _block_maps(fields, edges, ids)
-            low = left.min()
+                # on the whole space a live row's stage points x + c h k are
+                # finite, so inside, while |h| BLOWUP_NORM is a finite
+                # addend: x passed a chart test, k a value bound
+                charted = not maps.whole_space or st.max() * BLOWUP_NORM >= _FINITE_ADDEND
             # |h| moves only when the block does or a row takes a shorter last step
-            if a is None or low < step:
-                a = np.minimum(step, left)
+            if a is None or (left < st).any():
+                a = np.minimum(st, left)
                 # (rows, d), as every operand of the arithmetic below
                 h = np.repeat((s * a)[:, None], d, axis=1)
                 half, sixth = 0.5 * h, h / 6.0
             # a countdown of steps, all but the last of which no row can
             # finish or take short: each row keeps more than a step left
-            # after int(low / step) - 4 full steps, as the rounding of t
-            # stays below half a step (_COUNTDOWN_STEPS) and that of
-            # low / step below one
-            quiet = max(int(low / step) - 3, 0) if steady else 0
+            # after int(low) - 4 full steps, low the fewest steps any row
+            # has left, as the rounding of t stays below half a step
+            # (_COUNTDOWN_STEPS) and that of left / step below one
+            quiet = max(int((left / st).min()) - 3, 0) if steady else 0
         stops = {}
         # every row of x passed the start check or its last step's chart test
-        k1 = _stage(maps, x, live, stops, charted=False)
-        k2 = _stage(maps, x + half * k1, live, stops)
-        k3 = _stage(maps, x + half * k2, live, stops)
-        k4 = _stage(maps, x + h * k3, live, stops)
+        k1 = _stage(maps, x, live, stops, False)
+        k2 = _stage(maps, x + half * k1, live, stops, charted)
+        k3 = _stage(maps, x + half * k2, live, stops, charted)
+        k4 = _stage(maps, x + h * k3, live, stops, charted)
         x_new = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not maps.contains_all(x_new):
             _stop(live, maps.contains_rows(x_new), EXIT_LEFT_CHART, stops)
@@ -360,8 +376,8 @@ def _advance(groups: list, p: np.ndarray, t_end: np.ndarray, step: float,
             done = live & ~running
             j = np.where(done, first[ids, j + 1], j)
             keep = live & (j < k)
-            ids, j, x_new, t_new, s, end, tiny, left, done = (
-                arr[keep] for arr in (ids, j, x_new, t_new, s, end, tiny, left, done))
+            ids, j, x_new, t_new, st, s, end, tiny, left, done = (
+                arr[keep] for arr in (ids, j, x_new, t_new, st, s, end, tiny, left, done))
             if done.any():
                 # the next leg starts from the point reached, as a fresh batch would
                 r, jd = ids[done], j[done]
@@ -396,12 +412,12 @@ def integrate_curve(field: VectorField, start, t_end: float,
     return IntegralCurve(times, points, reason is not None, reason)
 
 
-def integrate_batch(field: VectorField, starts, t_ends,
-                    step: float = DEFAULT_STEP,
+def integrate_batch(field: VectorField, starts, t_ends, step=DEFAULT_STEP,
                     path: Optional[list] = None) -> BatchFlow:
     """Integrate each row of ``starts`` (n, d) to its own time in ``t_ends``,
     all rows together, each with the semantics and the endpoint of
-    ``integrate_curve``.  With ``t_ends`` of shape (n, k), row i runs k legs
+    ``integrate_curve``; ``step`` is one float or one per row (n,), a row's
+    own for all its legs.  With ``t_ends`` of shape (n, k), row i runs k legs
     back to back, each from the point where its previous leg ended, exactly
     as a fresh batch from that point would; the flow then carries each
     leg's endpoint, time, exit reason and completion.  A leg of length 0
@@ -415,7 +431,7 @@ def integrate_batch(field: VectorField, starts, t_ends,
     return integrate_groups([(field, len(p) if p.ndim else 0)], p, t_ends, step, path)
 
 
-def integrate_groups(groups: list, starts, t_ends, step: float = DEFAULT_STEP,
+def integrate_groups(groups: list, starts, t_ends, step=DEFAULT_STEP,
                      path: Optional[list] = None) -> BatchFlow:
     """``integrate_batch`` for rows of several fields in one RK4 loop:
     ``groups`` is a list of (field, rows), and each field runs the next
@@ -506,22 +522,24 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     return VectorField(x.chart, value, name=f"[{x.name},{y.name}]")
 
 
-def lie_derivative_via_flow(x: VectorField, y: VectorField, point, h: float,
+def lie_derivative_via_flow(x: VectorField, y: VectorField, point, h,
                             step: Optional[float] = None) -> np.ndarray:
     """Symmetric difference quotient of the flow transport of y along x, at a
-    point (d,) or at each row of points (n, d), both signs of h as one batch.
+    point (d,) or at each row of points (n, d), with one h or one per point
+    (n,), both signs of h as one batch.
 
     Independent oracle for ``lie_bracket``; second-order accurate in h.  The
-    internal ODE step defaults to h/8 so integration error stays far below the
-    quotient's own h^2 term.
+    internal ODE step defaults to each row's h/8 so integration error stays
+    far below the quotient's own h^2 term.
     """
-    if step is None:
-        step = h / 8.0
     p = np.asarray(point, dtype=float)
     rows = np.atleast_2d(p)
     n = len(rows)
-    both = _pushforward_rows(x, np.repeat([-h, h], n), y, np.vstack([rows, rows]), step)
-    est = (both[:n] - both[n:]) / (2.0 * h)
+    h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
+    if step is None:
+        step = np.tile(h / 8.0, 2)
+    both = _pushforward_rows(x, np.concatenate([-h, h]), y, np.vstack([rows, rows]), step)
+    est = (both[:n] - both[n:]) / (2.0 * h[:, None])
     return est if p.ndim == 2 else est[0]
 
 

@@ -298,9 +298,11 @@ def _run_bracket_order(cfg: ExperimentConfig) -> tuple:
         bracket = fl.lie_bracket(X, Y)
         pts = rng.uniform(-1.0, 1.0, size=(n_points, X.chart.dimension))
         exact = bracket.rows(pts)
-        errs = [max([0.0] + [float(np.linalg.norm(e - b)) for e, b in
-                             zip(fl.lie_derivative_via_flow(X, Y, pts, h), exact)])
-                for h in hs]
+        # the whole ladder in one batch: the points once per h
+        est = fl.lie_derivative_via_flow(X, Y, np.tile(pts, (len(hs), 1)),
+                                         np.repeat(hs, n_points))
+        errs = [max([0.0] + [float(np.linalg.norm(e - b)) for e, b in zip(level, exact)])
+                for level in np.split(est, len(hs))]
         orders.append(_fit_order(hs, errs))
         curves[f"pair_{idx}_error_vs_h"] = [[h, e] for h, e in zip(hs, errs)]
     return _checks(cfg, {"min_fitted_order": min(orders),

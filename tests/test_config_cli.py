@@ -235,6 +235,51 @@ def test_cli_list_builtins(capsys):
     assert "masses (required), weights (optional)" in out
 
 
+def test_cli_parser_built_once_gives_each_call_its_own_arguments(tmp_path):
+    # main builds its parser once per process; a call after others must see
+    # only its own arguments: exit codes, output and CSV files are those of
+    # a fresh parser's call
+    bracket = os.path.join(CONFIG_DIR, "bracket_order.json")
+    csv_dir = tmp_path / "csv"
+    argvs = [["run", bracket, "--stable-output", "--csv-dir", str(csv_dir)],
+             ["run", bracket], ["validate", bracket], ["list-builtins"],
+             ["run", bracket, "--no-such-flag"]]
+
+    def fresh(argv):
+        args = cli.build_parser().parse_args(argv)
+        return args.func(args)
+
+    def sequence(main):
+        seen = []
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:      # argparse rejects the argv
+                    code = exc.code
+            text = out.getvalue()
+            if argv == ["run", bracket]:
+                # the only output that varies between runs: wall seconds
+                report = json.loads(text)
+                assert report.pop("timings")
+                text = json.dumps(report)
+            seen.append((code, text, err.getvalue()))
+            if csv_dir.exists():
+                seen.append(sorted(os.listdir(csv_dir)))
+                for name in os.listdir(csv_dir):
+                    os.remove(csv_dir / name)
+                csv_dir.rmdir()
+        return seen
+
+    cached = sequence(cli.main)
+    assert [entry[0] for entry in cached if isinstance(entry, tuple)] == [
+        cli.EXIT_PASS] * 4 + [cli.EXIT_CONFIG_ERROR]
+    # only the first run writes CSV files, and only it drops the timings
+    assert [isinstance(entry, list) for entry in cached] == [False, True] + [False] * 4
+    assert cached == sequence(fresh)
+
+
 def test_cli_run_reports_failure_exit(tmp_path, capsys):
     # a tolerance so tight it must fail: exit code 1 and the check named
     cfg = _write(tmp_path, {
@@ -319,6 +364,9 @@ def shipped_replay():
 
     paths = [os.path.join(CONFIG_DIR, name) for name in sorted(os.listdir(CONFIG_DIR))]
     runs = []
+    # the parser is built once per process: build it inside the replay, as
+    # a fresh process does, whatever ran before
+    cli._parser.cache_clear()
     sys.setprofile(record)
     try:
         for path in paths:
@@ -1335,9 +1383,9 @@ def test_flow_laws_runs_one_loop_per_dimension(monkeypatch, tmp_path):
         calls.append(([field.name for field, _ in groups], p.shape[1], t_ends.shape))
         return loop(groups, p, t_ends, *args, **kwargs)
 
-    def stage(*args, charted=True):
-        steps.append(charted)
-        return first_stage(*args, charted=charted)
+    def stage(*args):
+        steps.append(args[4])
+        return first_stage(*args)
 
     loop, first_stage = flows._advance, flows._stage
     monkeypatch.setattr(flows, "_advance", advance)
@@ -1346,7 +1394,8 @@ def test_flow_laws_runs_one_loop_per_dimension(monkeypatch, tmp_path):
     assert run_experiment(cfg).passed
     # 30 rows of three legs per field, and 30 more against the exponential
     assert calls == [(["rotation2d", "affine"], 2, (180, 3))]
-    assert steps.count(False) == 2379
+    # four stages a step, none testing the whole-space chart
+    assert len(steps) == 4 * 2379 and not any(steps)
     calls.clear()
     cfg = parse_config(_write(tmp_path, {
         "kind": "flow_laws", "seed": 1,
@@ -1357,6 +1406,32 @@ def test_flow_laws_runs_one_loop_per_dimension(monkeypatch, tmp_path):
     run_experiment(cfg)
     assert calls == [(["quadratic1d", "constant"], 1, (16, 3)),
                      (["rotation2d", "quad_swirl"], 2, (20, 3))]
+
+
+# RK4 steps (four stages each) a shipped config may take; any config not
+# named takes none.  A loop split into several fails here, where the
+# benchmark's timings would hide it in their spread.  A bound may go down
+# freely; raising one is a regression to argue.
+_RK4_STEP_BUDGET = {"flow_laws": 2379, "bracket_order": 48, "compatibility": 500,
+                    "froelich_laplace": 300, "froelich_rank1": 300}
+
+
+def test_shipped_configs_keep_their_rk4_step_budget(monkeypatch):
+    from kerflow import flows
+
+    stages, first_stage = [], flows._stage
+    monkeypatch.setattr(flows, "_stage", lambda *args: stages.append(1) or first_stage(*args))
+    steps = {}
+    for name in sorted(os.listdir(CONFIG_DIR)):
+        stages.clear()
+        with np.errstate(all="ignore"):
+            assert run_experiment(parse_config(os.path.join(CONFIG_DIR, name))).passed
+        assert len(stages) % 4 == 0
+        steps[os.path.splitext(name)[0]] = len(stages) // 4
+    over = {stem: (n, _RK4_STEP_BUDGET.get(stem, 0)) for stem, n in steps.items()
+            if n > _RK4_STEP_BUDGET.get(stem, 0)}
+    assert over == {}
+    assert _RK4_STEP_BUDGET.keys() <= steps.keys()
 
 
 _SHIPPED_STEMS = sorted(os.path.splitext(f)[0] for f in os.listdir(CONFIG_DIR)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kerflow import flows as fl
 from kerflow.config import FIELD_CATALOG
@@ -275,6 +275,38 @@ def test_lie_derivative_on_points_stacks_one_point_calls(pair, h, points):
     assert np.array_equal(fl.lie_derivative_via_flow(X, Y, points, h), one_by_one)
 
 
+# a rotation on the half-space x > 0: a long enough flow leaves it
+_HALFSPACE_PAIR = (fl.affine_field([[0.0, 1.0], [-1.0, 0.0]], chart=fl.halfspace_chart(2)),
+                   fl.constant_field([1.0, 0.0]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=st.sampled_from(_BRACKET_PAIRS + (_HALFSPACE_PAIR,)),
+       rows=st.lists(st.tuples(st.floats(0.02, 1.0), st.floats(-1.0, 1.0),
+                               st.sampled_from([1e-2, 2.5e-3, 0.3, 1.5])),
+                     min_size=1, max_size=5))
+@example(pair=_HALFSPACE_PAIR, rows=[(0.5, 0.0, 1e-2), (0.05, 0.9, 1.5)])
+def test_lie_derivative_with_one_h_per_point_stacks_one_h_calls(pair, rows):
+    # one h per point gives each point its one-h call's quotient bit for
+    # bit; a row that stops in a leg raises, naming its start point as its
+    # own call does (the example: (0.05, 0.9) leaves x > 0 within h = 1.5)
+    X, Y = pair
+    points, hs = np.array([r[:2] for r in rows]), np.array([r[2] for r in rows])
+    alone = []
+    for point, h in zip(points, hs):
+        try:
+            alone.append(fl.lie_derivative_via_flow(X, Y, point, h))
+        except FlowDomainError as exc:
+            alone.append(str(exc))
+    raised = [out for out in alone if isinstance(out, str)]
+    if raised:
+        with pytest.raises(FlowDomainError) as err:
+            fl.lie_derivative_via_flow(X, Y, points, hs)
+        assert str(err.value) in raised
+    else:
+        assert _same(fl.lie_derivative_via_flow(X, Y, points, hs), np.stack(alone))
+
+
 def test_bracket_shear():
     X = fl.constant_field([1.0, 0.0])
     Y = fl.builtin_field("coordinate_shear")
@@ -391,8 +423,10 @@ def test_batch_path_ends_with_the_first_row_to_stop():
 
 
 # Reference RK4 loop: every row takes every step, a finished or stopped row
-# with h = 0, and every stage tests each row.  The library loop, which
-# advances only the rows still running, must match it bit for bit.
+# with h = 0, and every stage tests each row; ``step`` is one float or one
+# per row.  The library loop, which advances only the rows still running and
+# skips the stage chart tests that cannot stop a row, must match it bit for
+# bit.
 def _ref_stop(live, ok, reason, reasons):
     for i in (live & ~ok).nonzero()[0]:
         reasons[i] = reason
@@ -504,22 +538,37 @@ def _ref_legs(field, p, t_ends, step):
                         np.stack([f.completed for f in legs], 1))
 
 
+def _draw_steps(data, n, sizes):
+    """One step for all n rows, as a float, or one per row, as (n,)."""
+    if data.draw(st.booleans()):
+        return data.draw(st.sampled_from(sizes))
+    return np.array(data.draw(st.lists(st.sampled_from(sizes), min_size=n, max_size=n)))
+
+
+def _draw_times(data, steps, n, legs, multiples):
+    """(n, legs) signed times, each row's special times the given multiples
+    of its own step."""
+    rows = []
+    for step in np.broadcast_to(steps, (n,)):
+        times = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0] + [m * step for m in multiples])
+        rows.append(data.draw(st.lists(times, min_size=legs, max_size=legs)))
+    return np.array(rows).reshape(n, legs)
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), case=st.sampled_from(sorted(_ORACLE_CASES)),
-       step=st.sampled_from([1e-2, 0.07, 0.3]), legs=st.integers(0, 3),
-       record=st.booleans())
-def test_rk4_loop_matches_the_reference_loop(data, case, step, legs, record):
+       legs=st.integers(0, 3), record=st.booleans())
+def test_rk4_loop_matches_the_reference_loop(data, case, legs, record):
     # legs 0 is a one-leg batch, times (n,), whose path may be recorded;
-    # else each row runs that many legs, times (n, legs), chained
+    # else each row runs that many legs, times (n, legs), chained; the step
+    # is one for all rows or one per row
     field, (lo, hi) = _ORACLE_CASES[case]
     d = field.chart.dimension
     n = data.draw(st.integers(1, 6))
     starts = np.array(data.draw(st.lists(st.lists(st.floats(lo, hi), min_size=d, max_size=d),
                                          min_size=n, max_size=n)))
-    times = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 2.5 * step, -step])
-    t_ends = np.array(data.draw(st.lists(st.lists(times, min_size=max(legs, 1),
-                                                  max_size=max(legs, 1)),
-                                         min_size=n, max_size=n)))
+    step = _draw_steps(data, n, [1e-2, 0.07, 0.3])
+    t_ends = _draw_times(data, step, n, max(legs, 1), [2.5, -1.0])
     record = record and not legs
     got_path, want_path = ([], []) if record else (None, None)
     with np.errstate(all="ignore"):
@@ -533,12 +582,14 @@ def test_rk4_loop_matches_the_reference_loop(data, case, step, legs, record):
 
 
 def _assert_groups_match_own_batches(groups, starts, t_ends, step):
-    """One loop over the groups gives each row its own field's batch flow."""
+    """One loop over the groups gives each row its own field's batch flow;
+    ``step`` is one float or one per row of the groups."""
+    edges = np.cumsum([0] + [n for _, n in groups])
+    steps = np.split(step, edges[1:-1]) if np.ndim(step) else [step] * len(groups)
     with np.errstate(all="ignore"):
         got = fl.integrate_groups(groups, np.concatenate(starts), np.concatenate(t_ends), step)
-        wants = [fl.integrate_batch(field, p, t, step)
-                 for (field, _), p, t in zip(groups, starts, t_ends)]
-    edges = np.cumsum([0] + [n for _, n in groups])
+        wants = [fl.integrate_batch(field, p, t, own)
+                 for (field, _), p, t, own in zip(groups, starts, t_ends, steps)]
     for want, lo, hi in zip(wants, edges, edges[1:]):
         _assert_same_flow(fl.BatchFlow(*(part[lo:hi] for part in got)), want, [], [])
 
@@ -550,28 +601,27 @@ _GROUP_CASES = sorted(name for name, (field, _) in _ORACLE_CASES.items()
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), step=st.sampled_from([1e-2, 0.07]), legs=st.integers(0, 3))
-def test_groups_in_one_loop_match_each_fields_own_batch(data, step, legs):
+@given(data=st.data(), legs=st.integers(0, 3))
+def test_groups_in_one_loop_match_each_fields_own_batch(data, legs):
     # several fields in one RK4 loop, each on its own contiguous rows, give
     # each row the flow of its own field's batch; 300 steps let the
-    # countdown run, and a group may have no rows
+    # countdown run, a group may have no rows, and the step is one for all
+    # rows or one per row
     names = data.draw(st.lists(st.sampled_from(_GROUP_CASES), min_size=2, max_size=4))
-    times = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, -step, 300 * step])
-    groups, starts, t_ends = [], [], []
+    groups, starts = [], []
     for name in names:
         field, (lo, hi) = _ORACLE_CASES[name]
         n = data.draw(st.integers(0, 4))
         starts.append(np.array(data.draw(st.lists(st.lists(st.floats(lo, hi), min_size=2,
                                                            max_size=2),
                                                   min_size=n, max_size=n))).reshape(n, 2))
-        t_ends.append(np.array(data.draw(st.lists(st.lists(times, min_size=max(legs, 1),
-                                                           max_size=max(legs, 1)),
-                                                  min_size=n, max_size=n))
-                               ).reshape(n, max(legs, 1)))
         groups.append((field, n))
+    edges = np.cumsum([0] + [n for _, n in groups])
+    step = _draw_steps(data, int(edges[-1]), [1e-2, 0.07])
+    t_ends = _draw_times(data, step, int(edges[-1]), max(legs, 1), [-1.0, 300.0])
     if not legs:
-        t_ends = [t[:, 0] for t in t_ends]
-    _assert_groups_match_own_batches(groups, starts, t_ends, step)
+        t_ends = t_ends[:, 0]
+    _assert_groups_match_own_batches(groups, starts, np.split(t_ends, edges[1:-1]), step)
 
 
 def test_integrate_groups_checks_its_groups_and_starts():
@@ -583,6 +633,10 @@ def test_integrate_groups_checks_its_groups_and_starts():
     with pytest.raises(FlowDomainError, match="outside the chart"):
         fl.integrate_groups([(fl.rotation_field(), 1), (_ORACLE_CASES["ball"][0], 1)],
                             [[0.1, 0.2], [2.0, 0.0]], 1.0)
+    # a step is one positive float or one per row
+    for step in (0.0, [0.1], [0.1, -0.1], [0.1, np.nan], [[0.1, 0.1]]):
+        with pytest.raises(ValueError, match="one positive float or"):
+            fl.integrate_groups(fields[:1] * 2, [[0.1, 0.2], [0.3, 0.4]], 1.0, step)
 
 
 def test_legs_after_a_stop_or_of_length_zero():
@@ -711,7 +765,10 @@ def test_reference_oracle_cases_reach_every_exit():
              (_ORACLE_CASES["halfspace-drift"][0], [[0.05, 0.0], [1.0, 0.0]], [1.0, 0.5], 1e-2),
              (_inf_beyond(0.5), [[0.4, 0.0], [-1.0, 0.0]], [1.0, 1.0], 1e-2),
              # a stage point that overflows to inf has left the full space
-             (fl.constant_field([1.0]), [[biggest], [0.0]], [1e300, 1e300], 1e300)]
+             (fl.constant_field([1.0]), [[biggest], [0.0]], [1e300, 1e300], 1e300),
+             # so has one whose field value, 1e-300 x, is within bound: with
+             # a step this long the whole-space stage chart test still runs
+             (fl.affine_field([[1e-300]]), [[biggest], [0.0]], [1e300, 1e300], 1e300)]
     seen = set()
     for field, starts, t_ends, step in cases:
         got_path, want_path = [], []
