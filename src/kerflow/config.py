@@ -11,6 +11,8 @@ imports no numpy, so neither command loads it.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import json
 import math
@@ -181,8 +183,8 @@ def _reflection_origin(grid: dict) -> Optional[str]:
     origin, shape = _axes(grid["origin"]), _axes(grid["shape"])
     if len(origin) != len(shape):
         return f"needs one coordinate per grid axis ({len(shape)})"
-    if math.prod(shape) > MAX_GRID_CELLS:
-        return None     # the cell bound of the shape reports it
+    if math.prod(shape) > MAX_GRID_CELLS or first_non_finite(grid):
+        return None     # the cell bound of the shape, or the finite check, reports it
     lo, spacing = float(origin[0]), float(grid["spacing"])
     if not symmetric_axis(lo, spacing, shape[0]):
         return (f"the grid must be symmetric about 0 along its first axis, the "
@@ -226,35 +228,51 @@ PAIRING_BUMPS = ((-0.8, 0.0), (0.6, 0.2))
 PAIRING_WIDTH = 0.3
 
 
-def _bump_box(grid: dict, center) -> Optional[list]:
-    """Per grid axis, the first and last cell index where
-    ``distributions.bump(grid, center, PAIRING_WIDTH)`` is not zero, found by
-    the same floating-point steps; None if it is zero on every cell.  Only
-    cells within the width of the centre along every axis can be nonzero."""
-    near = []
-    for o, n, c in zip(_axes(grid["origin"]), _axes(grid["shape"]), center):
-        steps = [(k, (o + grid["spacing"] * k - c) / PAIRING_WIDTH) for k in range(n)]
-        near.append([(k, d * d) for k, d in steps if d * d < 1.0])
-    cells = [tuple(k for k, _ in cell) for cell in itertools.product(*near)
-             if (u2 := sum(q for _, q in cell)) < 1.0 and math.exp(-1.0 / (1.0 - u2)) != 0.0]
-    return [(min(axis), max(axis)) for axis in zip(*cells)] if cells else None
+@functools.lru_cache(maxsize=256)     # each os_reconstruct bump serves three rules
+def _bump_box(origin: tuple, spacing: float, shape: tuple, center: tuple,
+              width: float) -> Optional[tuple]:
+    """Per grid axis, the first and last cell where ``distributions.bump`` is
+    not zero, by its floating-point steps, or None.  They are monotone in the
+    cell k and in each squared offset ((o + spacing k - c) / width)^2, so
+    bisection finds each axis's run, the other axes at their least offset."""
+    def square(a, k):
+        d = (origin[a] + spacing * k - center[a]) / width
+        return d * d
+    # per axis, the first cell at or past the centre: squares fall before it
+    mids = [bisect.bisect_left(range(n), center[a], key=lambda k, a=a: origin[a] + spacing * k)
+            for a, n in enumerate(shape)]
+    least = [min(square(a, k) for k in (m - 1, m) if 0 <= k < n)
+             for a, (m, n) in enumerate(zip(mids, shape))]
+    box = []
+    for a, (mid, n) in enumerate(zip(mids, shape)):
+        def nonzero(k, a=a, rest=sum(q for b, q in enumerate(least) if b != a)):
+            u2 = square(a, k) + rest
+            return u2 < 1.0 and math.exp(-1.0 / (1.0 - u2)) != 0.0
+        box.append((bisect.bisect_left(range(mid), True, key=nonzero), mid - 1 + bisect.bisect_left(
+            range(mid, n), True, key=lambda k: not nonzero(k))))
+    return tuple(box) if all(lo <= hi for lo, hi in box) else None
+
+
+def _moved_out(grid: dict, box: tuple, shift) -> Optional[str]:
+    """Why the cells of ``box`` moved by ``shift`` cells leave the grid or
+    reach its margin, in the words of ``distributions.translate``; or None."""
+    gap = min(min(lo + s, n - 1 - hi - s)
+              for (lo, hi), s, n in zip(box, shift, _axes(grid["shape"])))
+    return ("translation pushed support off the grid" if gap < 0 else
+            "support touches the margin" if gap < grid["margin"] else None)
 
 
 def _bumps_leave_the_margin(block: dict, shift) -> bool:
     """Whether ``rp_axioms`` pairs its bumps (with a kernel and a translation)
     and one is zero on every grid point, so that the pairing would compare
-    nothing, or, moved by ``shift`` cells, is not zero on a cell of the grid's
-    margin or off the grid, which stops a run."""
-    if block.get("kernel") is None or not block["translations"]:
-        return False
+    nothing, or, moved by ``shift`` cells, leaves the grid or touches its
+    margin, which stops a run.  A number not finite is left to its own check."""
     grid = block["grid"]
-    last = [n - 1 - grid["margin"] for n in _axes(grid["shape"])]
-    for center in PAIRING_BUMPS:
-        box = _bump_box(grid, center[:len(last)])
-        if box is None or any(lo + s < grid["margin"] or hi + s > top
-                              for (lo, hi), s, top in zip(box, shift, last)):
-            return True
-    return False
+    if block.get("kernel") is None or not block["translations"] or first_non_finite(grid):
+        return False
+    origin, shape = tuple(_axes(grid["origin"])), tuple(_axes(grid["shape"]))
+    return any((box := _bump_box(origin, grid["spacing"], shape, c[:len(shape)], PAIRING_WIDTH))
+               is None or _moved_out(grid, box, shift) for c in PAIRING_BUMPS)
 
 
 def _shifts_fit(block: dict, key: str):
@@ -273,6 +291,36 @@ def _shifts_fit(block: dict, key: str):
                                     f"than the grid extent along it, {shape}")
         if key == "translations" and _bumps_leave_the_margin(block, t["cells"]):
             return f"[{i}].cells", "moves a pairing bump into the grid's margin or off the grid"
+    return None
+
+
+def _bumps_fit(block: dict, key: str):
+    """Why an ``os_reconstruct`` bump is not a test function of the positive
+    slice, or a shift of ``key`` (a ``times_cells`` entry, a ``law_pairs_cells``
+    pair's times and their sum) moves one off the grid or onto its margin, in
+    the words and order of the run's ``distributions`` calls.  A number that
+    is not finite is left to the check that names it."""
+    grid, boxes = block["grid"], []
+    if first_non_finite([grid, block["bumps"]]):
+        return None
+    origin, shape = tuple(_axes(grid["origin"])), tuple(_axes(grid["shape"]))
+    for i, bump in enumerate(block["bumps"]):
+        center = tuple(_axes(bump["center"]))
+        if len(center) != len(shape):
+            return f"[{i}].center", f"needs {len(shape)} coordinates, one per grid axis"
+        box = _bump_box(origin, grid["spacing"], shape, center, bump["width"])
+        if why := ("the bump is zero on every grid point" if box is None
+                   else _moved_out(grid, box, [0] * len(shape))):
+            return f"[{i}]", why
+        if not origin[0] + grid["spacing"] * box[0][0] > 0.0:
+            return f"[{i}]", ("the bump's support must lie in the positive slice, "
+                              "where the first coordinate is > 0")
+        boxes.append(box)
+    for i, entry in enumerate(block[key] if key != "bumps" else []):
+        for c, box in itertools.product([entry] if key == "times_cells"
+                                        else [*entry, sum(entry)], boxes):
+            if why := _moved_out(grid, box, [c] + [0] * (len(shape) - 1)):
+                return f"[{i}]", f"a shift by {c} cells: {why}"
     return None
 
 
@@ -598,13 +646,16 @@ SCHEMAS = {
         "grid": _GRID, "kernel": _GRID_KERNEL,
         "bumps": Rule(list, default=REQUIRED, at_least=1, each=Rule(dict, spec={
             "center": Rule((list, int, float), default=REQUIRED, each=NUMBER),
-            "width": replace(POSITIVE, default=REQUIRED)})),
+            "width": replace(POSITIVE, default=REQUIRED)}),
+            agrees=lambda block: _bumps_fit(block, "bumps")),
         "expected_rank": Rule(int, default=REQUIRED, at_most=MAX_POINTS),
         # transfer times are cell counts along the direction away from the
         # reflection hyperplane, so never negative
-        "times_cells": Rule(list, default=REQUIRED, at_least=1, each=_CELLS),
+        "times_cells": Rule(list, default=REQUIRED, at_least=1, each=_CELLS,
+                            agrees=lambda block: _bumps_fit(block, "times_cells")),
         "law_pairs_cells": Rule(list, default=[], each=Rule(list, at_least=2, at_most=2,
-                                                            each=_CELLS)),
+                                                            each=_CELLS),
+                                agrees=lambda block: _bumps_fit(block, "law_pairs_cells")),
         "rank_cutoff": _RANK_CUTOFF,
     },
     "rp_axioms": {

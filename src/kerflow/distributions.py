@@ -52,6 +52,7 @@ class TestFunctionGrid:
         if any(s <= 2 * self.margin + 1 for s in shape):
             raise GridError("grid too small for its margin")
         object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "spacing", float(self.spacing))
         object.__setattr__(self, "shape", shape)
 
     @property
@@ -124,12 +125,7 @@ class TestFunction:
 
 def bump(grid: TestFunctionGrid, center, width) -> TestFunction:
     """Standard mollifier bump exp(-1 / (1 - u^2)) with support |u| < 1."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    width = np.atleast_1d(np.asarray(width, dtype=float))
-    if width.size == 1:
-        width = np.full(grid.ndim, float(width[0]))
-    pts = grid.points()
-    u2 = np.sum(((pts - center) / width) ** 2, axis=1)
+    u2 = np.sum(((grid.points() - np.asarray(center, dtype=float)) / width) ** 2, axis=1)
     vals = np.where(u2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - u2, 1e-300)), 0.0)
     return TestFunction(grid, vals.reshape(grid.shape))
 
@@ -425,11 +421,6 @@ def os_semigroup(space: OSSpace, cells: Sequence[int]) -> list:
     return [OSSemigroupResult(S, max(float(np.linalg.norm(S, 2)) - 1.0, 0.0),
                               float(np.linalg.norm(S - S.T)))
             for S in map(space.model.compress, As)]
-
-
-def os_semigroup_law_defect(space: OSSpace, s_cells: int, t_cells: int) -> float:
-    return semigroup_law_defect(*(r.matrix for r in os_semigroup(
-        space, [s_cells, t_cells, s_cells + t_cells])))
 
 
 def semigroup_law_defect(S_s: np.ndarray, S_t: np.ndarray, S_st: np.ndarray) -> float:

@@ -11,7 +11,6 @@ and never affect the exit code.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import operator
 import os
@@ -29,7 +28,7 @@ from . import representation as rp
 from .algebra import expm
 from .config import (CHECKS, PAIRING_BUMPS, PAIRING_WIDTH, ExperimentConfig,
                      first_non_finite)
-from .errors import ConfigError, GridError
+from .errors import ConfigError
 
 
 @dataclass
@@ -137,33 +136,6 @@ def _gram_ladder(cfg: ExperimentConfig, kernel, cutoff: float, dimension: int):
         yield kr.gram(kernel, pts, rank_cutoff=cutoff)
 
 
-def _grid_from_spec(spec: dict) -> dist.TestFunctionGrid:
-    shape = spec["shape"]
-    shape = tuple(shape) if isinstance(shape, list) else (int(shape),)
-    return dist.TestFunctionGrid(origin=spec["origin"], spacing=float(spec["spacing"]),
-                                 shape=shape, margin=int(spec["margin"]))
-
-
-def _checked_bump(grid: dist.TestFunctionGrid, spec: dict, path: str) -> dist.TestFunction:
-    """The bump a spec asks for: its center has one coordinate per grid axis,
-    and its support is nonzero on the grid, stays off the margin and lies in
-    the positive slice of the reflection."""
-    if np.size(spec["center"]) != grid.ndim:
-        raise ConfigError(f"{path}.center", f"needs {grid.ndim} coordinates, "
-                                            "one per grid axis")
-    try:
-        fn = dist.bump(grid, spec["center"], spec["width"])
-    except GridError as exc:
-        raise ConfigError(path, str(exc)) from exc
-    # an all-zero test function pairs to nothing
-    if not np.any(fn.values):
-        raise ConfigError(path, "the bump is zero on every grid point")
-    if np.any(fn.flat[~dist.slice_mask(grid)]):
-        raise ConfigError(path, "the bump's support must lie in the positive "
-                                "slice, where the first coordinate is > 0")
-    return fn
-
-
 def _ou_mixture_smeared(kspec: dict, grid) -> tuple:
     """Masses of an ``ou_mixture`` kernel spec and its smeared kernel on the grid."""
     masses = [float(m) for m in kspec["params"]["masses"]]
@@ -215,10 +187,20 @@ def _max_norm(gaps: list) -> Optional[float]:
     return max((float(np.linalg.norm(g)) for block in gaps for g in block), default=None)
 
 
-def _max_ratio(values: list) -> Optional[float]:
-    """Largest ratio of a ladder level's value to the one before it, over the
-    levels after a nonzero value; None when no two levels give a ratio."""
-    return max((b / a for a, b in zip(values, values[1:]) if a > 0), default=None)
+_LADDER_FLOOR = 0.0     # a ladder level counts when its value is above this
+
+
+def _ladder(levels: list, values: list) -> tuple:
+    """A ladder's curve ``[[level, value], ...]``, levels as given; the
+    least-squares slope of log value on log level over the levels that count
+    (value above ``_LADDER_FLOOR``), None without two distinct ones; and the
+    largest ratio of a value to the one before, when that one counts, or None."""
+    curve = [[level, value] for level, value in zip(levels, values)]
+    counted = [pair for pair in curve if pair[1] > _LADDER_FLOOR]
+    x, y = np.log(np.array(counted, dtype=float).reshape(-1, 2)).T
+    order = float(np.polyfit(x, y, 1)[0]) if len({p[0] for p in counted}) > 1 else None
+    ratio = max((b / a for a, b in zip(values, values[1:]) if a > _LADDER_FLOOR), default=None)
+    return curve, order, ratio
 
 
 def _run_flow_laws(cfg: ExperimentConfig) -> tuple:
@@ -279,19 +261,10 @@ def _run_flow_laws(cfg: ExperimentConfig) -> tuple:
                                  if blocks and values[n] is None]), {}
 
 
-def _fit_order(hs, errs) -> float:
-    hs = np.log(np.asarray(hs, dtype=float))
-    errs = np.log(np.maximum(np.asarray(errs, dtype=float), 1e-300))
-    slope = np.polyfit(hs, errs, 1)[0]
-    return float(slope)
-
-
 def _run_bracket_order(cfg: ExperimentConfig) -> tuple:
     body, rng = cfg.body, np.random.default_rng(cfg.seed)
-    hs = [float(h) for h in body["h_ladder"]]
-    n_points = int(body["n_points"])
-    orders = []
-    curves = {}
+    hs, n_points = [float(h) for h in body["h_ladder"]], int(body["n_points"])
+    orders, curves = [], {}
     for idx, pair in enumerate(body["pairs"]):
         X = fl.builtin_field(pair["x"]["name"], pair["x"]["params"])
         Y = fl.builtin_field(pair["y"]["name"], pair["y"]["params"])
@@ -303,10 +276,13 @@ def _run_bracket_order(cfg: ExperimentConfig) -> tuple:
                                          np.repeat(hs, n_points))
         errs = [max([0.0] + [float(np.linalg.norm(e - b)) for e, b in zip(level, exact)])
                 for level in np.split(est, len(hs))]
-        orders.append(_fit_order(hs, errs))
-        curves[f"pair_{idx}_error_vs_h"] = [[h, e] for h, e in zip(hs, errs)]
-    return _checks(cfg, {"min_fitted_order": min(orders),
-                         "max_fitted_order": max(orders)}), curves
+        curves[f"pair_{idx}_error_vs_h"], order, _ = _ladder(hs, errs)
+        orders.append(order)
+    # a pair without an order (no two steps with an error) fails both checks
+    fitted = [order for order in orders if order is not None]
+    return _checks(cfg, {"min_fitted_order": min(fitted, default=None),
+                         "max_fitted_order": max(fitted, default=None)},
+                   CHECKS[cfg.kind] if None in orders else ()), curves
 
 
 def _check_declared_algebra(body: dict, action):
@@ -372,8 +348,7 @@ def _run_froelich(cfg: ExperimentConfig) -> tuple:
     field = fl.builtin_field(body["field"]["name"], body["field"]["params"])
     start = np.asarray(body.get("start_point", [0.0]), dtype=float)
     t, step, cutoff = float(body["time"]), float(body["step"]), float(body["rank_cutoff"])
-    sizes = []
-    deltas, resids = [], []
+    sizes, deltas, resids = [], [], []
     for model in _gram_ladder(cfg, kernel, cutoff, field.chart.dimension):
         if "start_point" in body and len(start) != model.points.shape[1]:
             raise ConfigError("$.start_point", f"needs {model.points.shape[1]} "
@@ -383,12 +358,11 @@ def _run_froelich(cfg: ExperimentConfig) -> tuple:
         sizes.append(model.size)
         deltas.append(res.relative_error)
         resids.append(res.projection_residual)
-    spectrum = [[i, float(lam)] for i, lam in enumerate(model.eigenvalues.real)]
-    checks = _checks(cfg, {"relative_error": deltas[-1],
-                           "monotone_max_ratio": _max_ratio(deltas),
-                           "projection_residual": resids[-1]})
-    return checks, {"delta_vs_size": [[s, d] for s, d in zip(sizes, deltas)],
-                    "gram_spectrum": spectrum}
+    curve, _, ratio = _ladder(sizes, deltas)
+    return _checks(cfg, {"relative_error": deltas[-1], "monotone_max_ratio": ratio,
+                         "projection_residual": resids[-1]}), {
+        "delta_vs_size": curve,
+        "gram_spectrum": [[i, float(lam)] for i, lam in enumerate(model.eigenvalues.real)]}
 
 
 def _run_cdual_rep(cfg: ExperimentConfig) -> tuple:
@@ -404,35 +378,33 @@ def _run_cdual_rep(cfg: ExperimentConfig) -> tuple:
                            fixed_part=True)
         y = _element_index(action.algebra, conj_spec["y"], "$.conjugation.y")
     skew_defect = unit_defect = 0.0
-    comm_curve, conj_curve = [], []
+    sizes, comms, conjs = [], [], []
     for model in _gram_ladder(cfg, kernel, cutoff, action.dimension):
         table = rp.synthesize_cdual_rep(kernel, action, model)
         skew_defect = max(skew_defect, table.max_skew_defect)
         unit_defect = max(unit_defect, table.max_unitarity_defect(times))
         comm = rp.commutation_defect(table)
-        comm_curve.append([model.size, comm.max_defect])
+        sizes.append(model.size)
+        comms.append(comm.max_defect)
         if conj_spec:
-            conj_curve.append([model.size, rp.conjugation_check(
-                table, x, y, float(conj_spec["s"]))])
+            conjs.append(rp.conjugation_check(table, x, y, float(conj_spec["s"])))
+    # without a conjugation block the curve is empty and the ratio None
+    conj_curve, _, conj_ratio = _ladder(sizes, conjs)
     checks = _checks(cfg, {"skew_defect_max": skew_defect,
                            "unitarity_defect_max": unit_defect,
-                           "conjugation_max_ratio": _max_ratio([v for _, v in conj_curve]),
-                           "commutation_defect_final": comm_curve[-1][1]})
-    curves = {"commutation_vs_size": comm_curve}
-    if conj_curve:
-        curves["conjugation_vs_size"] = conj_curve
-    # per-element symmetrization ledger and flattened pair defects at the
-    # finest sample, for the report consumers
-    curves["element_defect_by_index"] = [
-        [k, table.entries[k].symmetrization_defect]
-        for k in range(action.algebra.dim)]
+                           "conjugation_max_ratio": conj_ratio,
+                           "commutation_defect_final": comms[-1]})
     labels = action.algebra.labels
-    curves["commutation_pair_defects"] = [
-        [labels.index(a), labels.index(b), d]
-        for (a, b), d in sorted(comm.pair_defects.items())]
-    curves["gram_spectrum"] = [[i, float(lam)] for i, lam
-                               in enumerate(model.eigenvalues.real)]
-    return checks, curves
+    # the per-element symmetrization ledger and the flattened pair defects
+    # at the finest sample, for the report consumers
+    return checks, {
+        "commutation_vs_size": _ladder(sizes, comms)[0],
+        **({"conjugation_vs_size": conj_curve} if conj_curve else {}),
+        "element_defect_by_index": [[k, table.entries[k].symmetrization_defect]
+                                    for k in range(action.algebra.dim)],
+        "commutation_pair_defects": [[labels.index(a), labels.index(b), d]
+                                     for (a, b), d in sorted(comm.pair_defects.items())],
+        "gram_spectrum": [[i, float(lam)] for i, lam in enumerate(model.eigenvalues.real)]}
 
 
 def _run_luscher_mack(cfg: ExperimentConfig) -> tuple:
@@ -474,44 +446,30 @@ def _run_luscher_mack(cfg: ExperimentConfig) -> tuple:
 
 def _run_os_reconstruct(cfg: ExperimentConfig) -> tuple:
     body = cfg.body
-    grid = _grid_from_spec(body["grid"])
+    grid = dist.TestFunctionGrid(**body["grid"])
     masses, sk = _ou_mixture_smeared(body["kernel"], grid)
-    fns = [_checked_bump(grid, b, f"$.bumps[{i}]") for i, b in enumerate(body["bumps"])]
+    fns = [dist.bump(grid, b["center"], b["width"]) for b in body["bumps"]]
     space = dist.os_quotient(sk, fns, rank_cutoff=float(body["rank_cutoff"]))
 
     times = [int(c) for c in body["times_cells"]]
     law_pairs = [(int(s), int(t)) for s, t in body["law_pairs_cells"]]
     # one transfer matrix per distinct cell count, read by every check
     needed = sorted({*times, *(c for s, t in law_pairs for c in (s, t, s + t))})
-    try:
-        transfer = dict(zip(needed, dist.os_semigroup(space, needed)))
-    except GridError as exc:
-        # blamed only once raised, so a passing run translates nothing more
-        uses = [(f"$.times_cells[{i}]", c) for i, c in enumerate(times)] + [
-            (f"$.law_pairs_cells[{i}]", c) for i, (s, t) in enumerate(law_pairs)
-            for c in (s, t, s + t)]
-        for (path, c), f in itertools.product(uses, fns):
-            try:
-                dist.translate(f, (c,) + (0,) * (grid.ndim - 1))
-            except GridError as off:
-                raise ConfigError(path, f"a shift by {c} cells: {off}") from exc
-        raise
+    transfer = dict(zip(needed, dist.os_semigroup(space, needed)))
 
     eig_err = contraction = sa_defect = 0.0
     curve = []
     for cells in times:
         t = cells * grid.spacing
         sg = transfer[cells]
-        S = 0.5 * (sg.matrix + sg.matrix.T)
-        eigs = np.sort(np.linalg.eigvalsh(S))[::-1]
+        eigs = np.sort(np.linalg.eigvalsh(0.5 * (sg.matrix + sg.matrix.T)))[::-1]
         # one target per mass, and 0 for each eigenvalue of the rank beyond them
         targets = np.sort([np.exp(-m * t) for m in masses])[::-1][: len(eigs)]
         targets = np.pad(targets, (0, len(eigs) - len(targets)))
         eig_err = max(eig_err, float(np.max(np.abs(eigs - targets))))
         contraction = max(contraction, sg.contraction_defect)
         sa_defect = max(sa_defect, sg.self_adjointness_defect)
-        for i, v in enumerate(eigs):
-            curve.append([t, i, float(v)])
+        curve += [[t, i, float(v)] for i, v in enumerate(eigs)]
     laws = [dist.semigroup_law_defect(transfer[s].matrix, transfer[t].matrix,
                                       transfer[s + t].matrix)
             for s, t in law_pairs]
@@ -527,9 +485,8 @@ def _run_os_reconstruct(cfg: ExperimentConfig) -> tuple:
 
 def _run_rp_axioms(cfg: ExperimentConfig) -> tuple:
     body = cfg.body
-    grid = _grid_from_spec(body["grid"])
-    shifts = [tuple(int(c) for c in t["cells"])
-              for t in body["translations"]]
+    grid = dist.TestFunctionGrid(**body["grid"])
+    shifts = [tuple(int(c) for c in t["cells"]) for t in body["translations"]]
     drifts = []
     if "kernel" in body and shifts:
         _, sk = _ou_mixture_smeared(body["kernel"], grid)

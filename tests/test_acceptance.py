@@ -235,7 +235,8 @@ def test_ac10_os_reconstruction():
         eig_err = max(eig_err, float(np.max(np.abs(
             eigs - [np.exp(-t), np.exp(-2 * t)]))))
         contraction = max(contraction, res.contraction_defect)
-    law = dist.os_semigroup_law_defect(space2, 4, 10)
+    law = dist.semigroup_law_defect(*(r.matrix for r in dist.os_semigroup(
+        space2, [4, 10, 14])))
     ok = (rank1_ok and space2.model.rank == 2 and eig_err <= 1e-8
           and contraction <= 1e-8 and law <= 1e-8)
     _report("AC10 quotient reconstruction: rank 1 scalar e^{-0.3} +- 1e-10; "

@@ -8,6 +8,7 @@ import json
 import os
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,6 +189,62 @@ def test_flow_checks_fail_on_their_witness(tmp_path, capsys, stem, change, check
     assert checks[check]["passed"] is False
 
 
+def test_bracket_order_with_no_error_to_fit_fails_both_order_checks(tmp_path, capsys):
+    # constant fields commute and their flows are exact, so every error of
+    # the ladder is 0.0: an order fitted to floored errors read 2.9e-14 and
+    # passed max_fitted_order
+    constant = [{"name": "constant", "params": {"vector": v}} for v in ([1.0, 0.0],
+                                                                        [0.0, 1.0])]
+    data = {**_shipped("bracket_order"), "pairs": [dict(zip("xy", constant))]}
+    code, checks = _run_checks(tmp_path, capsys, data)
+    assert code == cli.EXIT_CHECK_FAILURE
+    for name in ("min_fitted_order", "max_fitted_order"):
+        assert checks[name]["value"] is None and checks[name]["passed"] is False, name
+
+
+def _reference_order(hs, errs):
+    """The bracket order fit that ``runner._ladder`` replaced, as it was."""
+    hs = np.log(np.asarray(hs, dtype=float))
+    errs = np.log(np.maximum(np.asarray(errs, dtype=float), 1e-300))
+    return float(np.polyfit(hs, errs, 1)[0])
+
+
+def _reference_ratio(values):
+    """The ladder ratio that ``runner._ladder`` replaced, as it was."""
+    return max((b / a for a, b in zip(values, values[1:]) if a > 0), default=None)
+
+
+_LEVELS = st.one_of(st.lists(st.integers(1, 10 ** 6), min_size=2, max_size=8, unique=True),
+                    st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=8, unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels=_LEVELS, data=st.data())
+def test_ladder_matches_the_old_fit_and_ratio_on_positive_values(levels, data):
+    # above 1e-300 the old floor changed no value, so the fit agrees bit for bit
+    values = data.draw(st.lists(st.floats(1e-300, 1e300), min_size=len(levels),
+                                max_size=len(levels)))
+    curve, order, ratio = runner._ladder(levels, values)
+    assert curve == [[level, value] for level, value in zip(levels, values)]
+    assert [type(level) for level, _ in curve] == [type(level) for level in levels]
+    assert order == _reference_order(levels, values)
+    assert ratio == _reference_ratio(values)
+
+
+def test_ladder_fits_only_the_levels_that_count():
+    # a zero level is left out of the fit of an h^2 ladder, where the old
+    # floor read it as 1e-300 and fitted an order above 100
+    levels, values = [1.0, 0.5, 0.25, 0.125], [1.0, 0.25, 0.0, 0.015625]
+    assert _reference_order(levels, values) > 100
+    curve, order, ratio = runner._ladder(levels, values)
+    assert curve == [[1.0, 1.0], [0.5, 0.25], [0.25, 0.0], [0.125, 0.015625]]
+    assert order == pytest.approx(2.0) and ratio == 0.25
+    # one level that counts fits no order, and a ladder of zeros gives no ratio
+    assert runner._ladder([1, 2, 3], [0.0, 5.0, 0.0])[1:] == (None, 0.0)
+    assert runner._ladder([1, 2], [0.0, 0.0])[1:] == (None, None)
+    assert runner._ladder([4], [1.0]) == ([[4, 1.0]], None, None)
+
+
 # One shipped config and one change per os_reconstruct check that no
 # shipped config fails: the reflected pairing of an ou_mixture kernel is not
 # reflection positive in the plane, so four generic bumps on a 2-D grid give a
@@ -364,9 +421,10 @@ def shipped_replay():
 
     paths = [os.path.join(CONFIG_DIR, name) for name in sorted(os.listdir(CONFIG_DIR))]
     runs = []
-    # the parser is built once per process: build it inside the replay, as
-    # a fresh process does, whatever ran before
+    # the parser and each bump box are built once per process: build them
+    # inside the replay, as a fresh process does, whatever ran before
     cli._parser.cache_clear()
+    config._bump_box.cache_clear()
     sys.setprofile(record)
     try:
         for path in paths:
@@ -530,7 +588,6 @@ _UNREACHED = {
     "flows.pushforward": _ACCEPTANCE,
     "operators.CompatibleAction.field": _ACCEPTANCE,
     "algebra.SymmetricLieAlgebra.element": _ACCEPTANCE,
-    "distributions.os_semigroup_law_defect": "acceptance API: AC10's semigroup law",
     "distributions.grid_shift_matrix": _TRACER,
     "distributions.SmearedKernel.pairing": _TRACER,
     "distributions.SmearedKernel.matrix": _TRACER,
@@ -1173,6 +1230,31 @@ def _zero_size(key):
     pytest.param("rp_axioms", lambda d: d.update(grid={
         "origin": [-14.0, -5.25], "spacing": 0.7, "shape": [41, 21], "margin": 2}),
                  "$.grid", id="rp-pairing-bump-zero-on-the-grid"),
+    # an origin coordinate past 64 bits raised OverflowError in validate
+    # (exit 1, with a traceback) and in run (exit 3)
+    pytest.param("rp_axioms", lambda d: d["grid"].update(origin=[-2.0, 10 ** 400]),
+                 "$.grid.origin[1]", id="rp-grid-origin-past-64-bits"),
+    pytest.param("os_reconstruct_ou", lambda d: d["grid"].update(origin=[-10 ** 400]),
+                 "$.grid.origin[0]", id="os-grid-origin-past-64-bits"),
+    # an os_reconstruct bump must be a nonzero test function on the grid, off
+    # its margin, and in the positive slice, and each transfer time must keep
+    # every bump there: validate passed these, and the run exited 2
+    pytest.param("os_reconstruct_mixture", lambda d: d["bumps"][2].update(center=[100.0]),
+                 "$.bumps[2]", id="off-grid-bump"),
+    pytest.param("os_reconstruct_mixture", lambda d: d["bumps"][2].update(center=[2.9]),
+                 "$.bumps[2]", id="bump-on-the-margin"),
+    pytest.param("os_reconstruct_mixture", lambda d: d["bumps"][2].update(center=[0.5, 0.5]),
+                 "$.bumps[2].center", id="bump-center-dimension"),
+    pytest.param("os_reconstruct_mixture", lambda d: d["bumps"][0].update(center=[0.1]),
+                 "$.bumps[0]", id="bump-across-the-reflection"),
+    pytest.param("os_reconstruct_ou", lambda d: d["bumps"][1].update(center=[-0.5]),
+                 "$.bumps[1]", id="bump-in-the-negative-slice"),
+    pytest.param("os_reconstruct_ou", lambda d: d.update(times_cells=[6, 40]),
+                 "$.times_cells[1]", id="transfer-time-off-the-grid"),
+    pytest.param("os_reconstruct_ou", lambda d: d.update(times_cells=[6, 34]),
+                 "$.times_cells[1]", id="transfer-time-into-the-margin"),
+    pytest.param("os_reconstruct_ou", lambda d: d.update(law_pairs_cells=[[30, 20]]),
+                 "$.law_pairs_cells[0]", id="law-pair-sum-off-the-grid"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
     data = _shipped(stem)
@@ -1208,6 +1290,40 @@ def test_rp_axioms_pairing_bumps_that_fit(tmp_path, mutate):
     data = _shipped("rp_axioms")
     mutate(data)
     assert cli.main(["run", _write(tmp_path, data)]) == cli.EXIT_PASS
+
+
+@st.composite
+def _grid_and_bump(draw):
+    """A 1-D or 2-D grid within the config bounds, symmetric along its first
+    axis, and a bump on it; half the draws put the centre on a cell and make
+    the width a whole number of cells."""
+    exact = draw(st.booleans())
+    spacing = draw(st.sampled_from([0.025, 0.05, 0.07, 0.1, 0.3]) if exact
+                   else st.floats(1e-3, 10.0))
+    shape = [draw(st.integers(6, 300))]
+    if draw(st.booleans()):
+        shape.append(draw(st.integers(6, config.MAX_GRID_CELLS // shape[0])))
+    origin = [-0.5 * spacing * (shape[0] - 1)] + [draw(st.floats(-100.0, 100.0))
+                                                  for _ in shape[1:]]
+    cells = st.integers(-8, 128) if exact else st.floats(-8.0, 128.0)
+    center = [o + spacing * draw(cells) for o in origin]
+    width = spacing * draw(st.integers(1, 40) if exact else st.floats(0.05, 150.0))
+    return {"origin": origin, "spacing": spacing, "shape": shape, "margin": 2}, center, width
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_grid_and_bump())
+def test_bump_box_is_the_nonzero_box_of_the_bump(case):
+    grid, center, width = case
+    test_grid = distributions.TestFunctionGrid(grid["origin"], grid["spacing"],
+                                               tuple(grid["shape"]))
+    # the bump's values on every cell, the margin included
+    with mock.patch.object(distributions.TestFunction, "margin_violation",
+                           lambda self, margin: False):
+        values = distributions.bump(test_grid, center, width).values
+    box = tuple((int(k.min()), int(k.max())) for k in np.nonzero(values)) if values.any() else None
+    assert config._bump_box(tuple(grid["origin"]), grid["spacing"], tuple(grid["shape"]),
+                            tuple(center), width) == box
 
 
 @pytest.mark.parametrize("algebra", [
@@ -1290,24 +1406,6 @@ def test_config_file_exits_2_with_path(tmp_path, capsys, write, json_path):
     pytest.param("froelich_rank1",
                  lambda d: d.update(samples={"type": "explicit", "points": [[0.0, 0.1]]}),
                  "$.samples", id="froelich-sample-dimension"),
-    # a bump must be a nonzero test function on the grid, off its margin
-    pytest.param("os_reconstruct_mixture", lambda d: d["bumps"][2].update(center=[100.0]),
-                 "$.bumps[2]", id="off-grid-bump"),
-    pytest.param("os_reconstruct_mixture", lambda d: d["bumps"][2].update(center=[2.9]),
-                 "$.bumps[2]", id="bump-on-the-margin"),
-    pytest.param("os_reconstruct_mixture", lambda d: d["bumps"][2].update(center=[0.5, 0.5]),
-                 "$.bumps[2].center", id="bump-center-dimension"),
-    # an OS test function lives in the positive slice: a bump whose support
-    # reaches the reflection hyperplane or beyond it is no such function
-    pytest.param("os_reconstruct_mixture", lambda d: d["bumps"][0].update(center=[0.1]),
-                 "$.bumps[0]", id="bump-across-the-reflection"),
-    pytest.param("os_reconstruct_ou", lambda d: d["bumps"][1].update(center=[-0.5]),
-                 "$.bumps[1]", id="bump-in-the-negative-slice"),
-    # a transfer time, or a law pair's time or sum, shifts a bump off the grid
-    pytest.param("os_reconstruct_ou", lambda d: d.update(times_cells=[6, 40]),
-                 "$.times_cells[1]", id="transfer-time-off-the-grid"),
-    pytest.param("os_reconstruct_ou", lambda d: d.update(law_pairs_cells=[[30, 20]]),
-                 "$.law_pairs_cells[0]", id="law-pair-sum-off-the-grid"),
 ])
 def test_run_checks_references_exits_2_with_path(tmp_path, capsys, stem, mutate,
                                                   json_path):
@@ -1359,7 +1457,7 @@ def test_unexpected_error_exits_3_in_one_line(tmp_path, capsys, monkeypatch):
 def test_non_finite_report_value_exits_3_naming_its_path(tmp_path, capsys, monkeypatch,
                                                           value):
     # JSON has no NaN or Infinity, so no report may carry one
-    monkeypatch.setattr(runner, "_fit_order", lambda hs, errs: value)
+    monkeypatch.setattr(runner, "_ladder", lambda levels, values: ([], value, None))
     path = _write(tmp_path, _shipped("bracket_order"))
     assert cli.main(["run", path]) == cli.EXIT_NUMERIC_ERROR
     captured = capsys.readouterr()

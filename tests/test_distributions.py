@@ -303,7 +303,8 @@ def test_transfer_mixture_eigenvalues(line_grid):
 def test_transfer_semigroup_law(ou_smeared, line_grid):
     fns = [ds.bump(line_grid, [0.5], 0.3), ds.bump(line_grid, [1.0], 0.3)]
     space = ds.os_quotient(ou_smeared, fns)
-    assert ds.os_semigroup_law_defect(space, 4, 6) <= 1e-8
+    S_s, S_t, S_st = (r.matrix for r in ds.os_semigroup(space, [4, 6, 10]))
+    assert ds.semigroup_law_defect(S_s, S_t, S_st) <= 1e-8
 
 
 def _dense(index_map):
