@@ -214,7 +214,8 @@ _GRID = Rule(dict, default=REQUIRED, spec={
                    agrees=_reflection_origin),
     "spacing": Rule((int, float), default=REQUIRED, above=0),
     "shape": Rule((list, int), default=REQUIRED, at_least=1, each=Rule(int, at_least=1),
-                  agrees=lambda grid: None if math.prod(_axes(grid["shape"])) <= MAX_GRID_CELLS
+                  agrees=lambda grid: "a grid has 1 or 2 axes" if len(_axes(grid["shape"])) > 2
+                  else None if math.prod(_axes(grid["shape"])) <= MAX_GRID_CELLS
                   else f"more than {MAX_GRID_CELLS} cells"),
     "margin": Rule(int, default=MIN_MARGIN, at_least=MIN_MARGIN, at_most=MAX_GRID_CELLS,
                    agrees=_margin_fits)})
@@ -644,7 +645,7 @@ SCHEMAS = {
     },
     "os_reconstruct": {
         "grid": _GRID, "kernel": _GRID_KERNEL,
-        "bumps": Rule(list, default=REQUIRED, at_least=1, each=Rule(dict, spec={
+        "bumps": Rule(list, default=REQUIRED, at_least=1, at_most=MAX_POINTS, each=Rule(dict, spec={
             "center": Rule((list, int, float), default=REQUIRED, each=NUMBER),
             "width": replace(POSITIVE, default=REQUIRED)}),
             agrees=lambda block: _bumps_fit(block, "bumps")),

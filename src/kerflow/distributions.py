@@ -202,9 +202,9 @@ class SmearedKernel:
 
         def block(rows, cols):
             # one coordinate at a time, so each entry is 0 + d_0^2 + d_1^2 whatever
-            # block it is in; rows in parts of about 2^15 entries bound the temporaries
+            # block it is in; rows in parts of about 2^12 entries bound the temporaries
             out = np.empty((len(rows), len(cols)))
-            for part in np.array_split(np.arange(len(rows)), max(1, out.size >> 15)):
+            for part in np.array_split(np.arange(len(rows)), max(1, out.size >> 12)):
                 dist = np.zeros((len(part), len(cols)))
                 for axis in range(pts.shape[1]):
                     diff = np.subtract.outer(pts[rows[part], axis], pts[cols, axis])
@@ -347,26 +347,30 @@ def distribution_froelich_check(sk: SmearedKernel, field, base: TestFunction,
 
 @dataclass(frozen=True)
 class ReflectionPositivityReport:
-    twisted_gram: np.ndarray
+    pairings: dict      # cell count c: <theta f, K tau_c g>; count 0 is the twisted Gram
     min_ratio: float
 
 
-def twisted_gram(sk: SmearedKernel, fns_plus: Sequence[TestFunction]) -> np.ndarray:
+def reflection_positivity_check(sk: SmearedKernel, fns_plus: Sequence[TestFunction],
+                                cells: Sequence[int] = ()) -> ReflectionPositivityReport:
+    """Positivity of the twisted Gram on the positive slice: its smallest
+    eigenvalue over its largest (-inf when none is positive).  One kernel
+    block gives it and the pairings with the translates by each count of
+    ``cells``, along the first axis away from the hyperplane."""
     outside = ~slice_mask(sk.grid)
     if any(np.any(f.flat[outside]) for f in fns_plus):
         raise GridError("test functions must be supported in the positive slice")
-    return sk.pairings([reflect(f) for f in fns_plus], fns_plus)
-
-
-def reflection_positivity_check(sk: SmearedKernel, fns_plus: Sequence[TestFunction]
-                                ) -> ReflectionPositivityReport:
-    """Positivity of the reflected pairing on the positive slice: the
-    smallest eigenvalue over the largest (-inf when none is positive)."""
-    T = twisted_gram(sk, fns_plus)
+    if any(c < 0 for c in cells):
+        raise GridError("the transfer direction needs t >= 0")
+    counts, rest = sorted({0, *map(int, cells)}), (0,) * (sk.grid.ndim - 1)
+    pairings = dict(zip(counts, sk.pairings_each(
+        [reflect(f) for f in fns_plus],
+        [[translate(f, (c,) + rest) for f in fns_plus] if c else fns_plus for c in counts])))
+    T = pairings[0]
     vals = np.linalg.eigvalsh(0.5 * (T + T.T))[::-1]
     lam_max = float(vals[0]) if vals.size else 0.0
     ratio = float(vals[-1] / lam_max) if lam_max > 0 else -np.inf
-    return ReflectionPositivityReport(T, ratio)
+    return ReflectionPositivityReport(pairings, ratio)
 
 
 @dataclass(frozen=True)
@@ -376,29 +380,27 @@ class OSSpace:
     ``model`` is the Gram model of the twisted Gram: its whitening is the
     quotient map, and the eigendirections it discards span the null space
     at the cutoff resolution.  ``positivity`` is the reflection-positivity
-    report the quotient was built from.
+    report the quotient was built from, with the transfer pairings.
     """
 
-    smeared: SmearedKernel
-    fns_plus: tuple
     positivity: ReflectionPositivityReport
     model: GramModel
 
 
 def os_quotient(sk: SmearedKernel, fns_plus: Sequence[TestFunction],
-                rank_cutoff: float = LOOSE_RANK_CUTOFF) -> OSSpace:
-    """Whiten the twisted Gram, with its reflection-positivity report.
+                rank_cutoff: float = LOOSE_RANK_CUTOFF, cells: Sequence[int] = ()) -> OSSpace:
+    """Whiten the twisted Gram, with its report and the pairings of ``cells``.
 
     The cutoff is looser than the plain Gram default because reflected
     exponential-factor kernels produce steep rank decay by construction.
     It discards negative eigenvalues too, which the report's ratio measures.
     """
-    report = reflection_positivity_check(sk, fns_plus)
+    report = reflection_positivity_check(sk, fns_plus, cells)
     try:
-        model = gram_from_matrix(report.twisted_gram, rank_cutoff)
+        model = gram_from_matrix(report.pairings[0], rank_cutoff)
     except EmptyModelError as exc:
         raise DegenerateQuotientError("twisted Gram has numerical rank zero") from exc
-    return OSSpace(sk, tuple(fns_plus), report, model)
+    return OSSpace(report, model)
 
 
 @dataclass(frozen=True)
@@ -411,16 +413,14 @@ class OSSemigroupResult:
 def os_semigroup(space: OSSpace, cells: Sequence[int]) -> list:
     """Matrix of the positive-slice shift (along the first axis, away from
     the hyperplane) by each cell count of ``cells`` on the quotient, in
-    order, from reflected pairings of exact translates; one kernel block
-    serves every count."""
-    if any(c < 0 for c in cells):
-        raise GridError("the transfer direction needs t >= 0")
-    fns, rest = space.fns_plus, (0,) * (space.smeared.grid.ndim - 1)
-    As = space.smeared.pairings_each(
-        [reflect(f) for f in fns], [[translate(f, (c,) + rest) for f in fns] for c in cells])
+    order, compressed from the pairings the space was built with; a count
+    it was not built with raises ValueError."""
+    pairings = space.positivity.pairings
+    if missing := sorted(set(cells) - pairings.keys()):
+        raise ValueError(f"the OS space holds no transfer pairing for cell counts {missing}")
     return [OSSemigroupResult(S, max(float(np.linalg.norm(S, 2)) - 1.0, 0.0),
                               float(np.linalg.norm(S - S.T)))
-            for S in map(space.model.compress, As)]
+            for S in (space.model.compress(pairings[c]) for c in cells)]
 
 
 def semigroup_law_defect(S_s: np.ndarray, S_t: np.ndarray, S_st: np.ndarray) -> float:

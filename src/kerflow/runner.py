@@ -449,12 +449,11 @@ def _run_os_reconstruct(cfg: ExperimentConfig) -> tuple:
     grid = dist.TestFunctionGrid(**body["grid"])
     masses, sk = _ou_mixture_smeared(body["kernel"], grid)
     fns = [dist.bump(grid, b["center"], b["width"]) for b in body["bumps"]]
-    space = dist.os_quotient(sk, fns, rank_cutoff=float(body["rank_cutoff"]))
-
     times = [int(c) for c in body["times_cells"]]
     law_pairs = [(int(s), int(t)) for s, t in body["law_pairs_cells"]]
-    # one transfer matrix per distinct cell count, read by every check
+    # one transfer matrix per distinct cell count, from the twisted Gram's block
     needed = sorted({*times, *(c for s, t in law_pairs for c in (s, t, s + t))})
+    space = dist.os_quotient(sk, fns, rank_cutoff=float(body["rank_cutoff"]), cells=needed)
     transfer = dict(zip(needed, dist.os_semigroup(space, needed)))
 
     eig_err = contraction = sa_defect = 0.0

@@ -792,6 +792,10 @@ def _zero_size(key):
     return mutate
 
 
+# a grid with one axis more than a test-function grid has
+_THREE_AXES = {"origin": [-3.0, -0.6, -0.6], "spacing": 0.2, "shape": [31, 7, 7], "margin": 2}
+
+
 # each input used to escape the contract at run time: a KeyError, numpy or
 # index error (exit 1) or an EmptyModelError (exit 3)
 @pytest.mark.parametrize("stem, mutate, json_path", [
@@ -1255,6 +1259,18 @@ def _zero_size(key):
                  "$.times_cells[1]", id="transfer-time-into-the-margin"),
     pytest.param("os_reconstruct_ou", lambda d: d.update(law_pairs_cells=[[30, 20]]),
                  "$.law_pairs_cells[0]", id="law-pair-sum-off-the-grid"),
+    # a test-function grid has one or two axes; the pairing bumps of
+    # rp_axioms have two coordinates
+    pytest.param("rp_axioms", lambda d: d.update(
+        grid=_THREE_AXES, translations=[{"cells": [3, 0, 0]}],
+        parallel_translations=[{"cells": [0, 1, 0]}]),
+                 "$.grid.shape", id="rp-axioms-three-axis-grid"),
+    pytest.param("os_reconstruct_ou", lambda d: d.update(
+        grid=_THREE_AXES, bumps=[{"center": [1.0, 0.0, 0.0], "width": 0.3}]),
+                 "$.grid.shape", id="os-reconstruct-three-axis-grid"),
+    # one bump list sizes the twisted Gram and every transfer pairing
+    pytest.param("os_reconstruct_ou", lambda d: d.update(bumps=d["bumps"][:1] * 2001),
+                 "$.bumps", id="os-reconstruct-bumps-past-the-bound"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
     data = _shipped(stem)
@@ -1810,7 +1826,7 @@ def test_no_default_is_written_outside_the_key_tables(module):
 
 # parameters with a default and dataclass fields with a default, over the
 # public functions and classes of the package: the values a caller may set
-SETTABLE_VALUES = 64
+SETTABLE_VALUES = 66
 
 
 def _settable_values(node, owner="") -> list:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 
@@ -231,7 +230,7 @@ def test_quotient_rank_one_factors(ou_smeared, line_grid):
     space = ds.os_quotient(ou_smeared, fns)
     assert space.model.rank == 1
     assert space.model.gap_ratio <= 1e-10
-    T = space.positivity.twisted_gram
+    T = space.positivity.pairings[0]
     ratio = T[0, 0] / T[0, 1]
     assert ratio == pytest.approx(np.exp(-0.5) / np.exp(-1.0), rel=1e-6)
     assert np.exp(-0.5) == pytest.approx(0.60653, abs=1e-5)
@@ -273,7 +272,7 @@ def test_quotient_degenerate_raises(line_grid):
 
 def test_transfer_scalar_matches_decay(ou_smeared, line_grid):
     fns = [ds.bump(line_grid, [0.5], 0.3), ds.bump(line_grid, [1.0], 0.3)]
-    space = ds.os_quotient(ou_smeared, fns)
+    space = ds.os_quotient(ou_smeared, fns, cells=[6])
     sg = ds.os_semigroup(space, [6])[0]     # t = 0.3
     assert sg.matrix.shape == (1, 1)
     assert sg.matrix[0, 0] == pytest.approx(np.exp(-0.3), abs=1e-10)
@@ -292,7 +291,7 @@ def test_transfer_mixture_eigenvalues(line_grid):
     sk = ds.SmearedKernel.from_distance_profile(
         kk.ou_mixture_profile([1.0, 2.0], [0.5, 0.5]), line_grid)
     fns = [ds.bump(line_grid, [c], 0.3) for c in (0.5, 1.0, 1.5)]
-    space = ds.os_quotient(sk, fns)
+    space = ds.os_quotient(sk, fns, cells=[4, 10])
     for cells in (4, 10):
         t = cells * line_grid.spacing
         S = ds.os_semigroup(space, [cells])[0].matrix
@@ -302,7 +301,7 @@ def test_transfer_mixture_eigenvalues(line_grid):
 
 def test_transfer_semigroup_law(ou_smeared, line_grid):
     fns = [ds.bump(line_grid, [0.5], 0.3), ds.bump(line_grid, [1.0], 0.3)]
-    space = ds.os_quotient(ou_smeared, fns)
+    space = ds.os_quotient(ou_smeared, fns, cells=[4, 6, 10])
     S_s, S_t, S_st = (r.matrix for r in ds.os_semigroup(space, [4, 6, 10]))
     assert ds.semigroup_law_defect(S_s, S_t, S_st) <= 1e-8
 
@@ -570,8 +569,8 @@ def test_pairings_each_reads_every_list_from_one_union_block(case):
 
 
 @st.composite
-def _os_spaces(draw):
-    """An OS space on a 1D or 2D grid, from 1 to 4 bumps in the positive
+def _os_inputs(draw):
+    """A kernel on a 1D or 2D grid, from 1 to 4 bumps in the positive
     slice, and transfer cell counts that keep every translate off the
     margin, always with 0 and a repeat among them.  On the line the kernel
     is an ``ou_mixture``; in the plane, where exp(-m |x - y|) is not
@@ -596,20 +595,20 @@ def _os_spaces(draw):
                                      max_size=grid.ndim), min_size=1, max_size=4))
     fns = [ds.bump(grid, np.add(lo, np.multiply(np.subtract(hi, lo), u)), 0.3)
            for u in centers]
-    space = ds.os_quotient(sk, fns)
     cells = draw(st.lists(st.integers(0, most), min_size=1, max_size=4))
-    return space, [*cells, 0, cells[0]]
+    return sk, fns, [*cells, 0, cells[0]]
 
 
 @settings(max_examples=30, deadline=None)
-@given(case=_os_spaces())
+@given(case=_os_inputs())
 def test_os_semigroup_of_many_counts_equals_one_count_calls(case):
-    space, cells = case
-    recorded, blocks = _recording(space.smeared)
-    many = ds.os_semigroup(dataclasses.replace(space, smeared=recorded), cells)
+    # one quotient over every count against one quotient per count
+    sk, fns, cells = case
+    recorded, blocks = _recording(sk)
+    many = ds.os_semigroup(ds.os_quotient(recorded, fns, cells=cells), cells)
     assert len(blocks) == 1 and len(many) == len(cells)
     for c, got in zip(cells, many):
-        (one,) = ds.os_semigroup(space, [c])
+        (one,) = ds.os_semigroup(ds.os_quotient(sk, fns, cells=[c]), [c])
         assert np.array_equal(got.matrix, one.matrix)
         assert got.contraction_defect == one.contraction_defect
         assert got.self_adjointness_defect == one.self_adjointness_defect
@@ -626,10 +625,10 @@ def test_twisted_gram_and_semigroup_match_entry_definitions(shape, origin,
     sk = ds.SmearedKernel.from_distance_profile(
         kk.ou_mixture_profile([1.0, 2.0], [0.5, 0.5]), grid)
     fns = [ds.bump(grid, c, 0.3) for c in centers]
-    T = ds.twisted_gram(sk, fns)
+    T = ds.reflection_positivity_check(sk, fns).pairings[0]
     T_ref = np.array([[sk.pairing(ds.reflect(f), g) for g in fns] for f in fns])
     assert np.allclose(T, T_ref, rtol=1e-12, atol=0.0)
-    space = ds.os_quotient(sk, fns)
+    space = ds.os_quotient(sk, fns, cells=[shift[0]])
     assert space.positivity.min_ratio >= -1e-10
     A_ref = np.array([[sk.pairing(ds.reflect(f), ds.translate(g, shift))
                        for g in fns] for f in fns])
@@ -637,6 +636,42 @@ def test_twisted_gram_and_semigroup_match_entry_definitions(shape, origin,
     S_ref = W @ A_ref @ W.T
     S = ds.os_semigroup(space, [shift[0]])[0].matrix
     assert np.allclose(S, S_ref, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(line=st.booleans(), data=st.data())
+def test_count_zero_pairing_is_the_twisted_gram(line, data):
+    # on the grids above, each pairing of the one block is bit for bit the
+    # reflected pairing of its list alone; count 0 pairs the functions themselves
+    shape, origin, spacing, most = (((121,), [-3.0], 0.05, 24) if line
+                                    else ((41, 21), [-2.0, -1.0], 0.1, 6))
+    grid = ds.TestFunctionGrid(origin=origin, spacing=spacing, shape=shape)
+    sk = ds.SmearedKernel.from_distance_profile(
+        kk.ou_mixture_profile([1.0, 2.0], [0.5, 0.5]), grid)
+    lo, hi = ([0.35], [1.2]) if line else ([0.35, -0.5], [0.8, 0.5])
+    centers = data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=grid.ndim,
+                                          max_size=grid.ndim), min_size=1, max_size=4))
+    fns = [ds.bump(grid, np.add(lo, np.multiply(np.subtract(hi, lo), u)), 0.3)
+           for u in centers]
+    cells = data.draw(st.lists(st.integers(0, most), max_size=4))
+    report = ds.reflection_positivity_check(sk, fns, cells)
+    reflected, rest = [ds.reflect(f) for f in fns], (0,) * (grid.ndim - 1)
+    assert sorted(report.pairings) == sorted({0, *cells})
+    assert np.array_equal(report.pairings[0], sk.pairings(reflected, fns))
+    for c, P in report.pairings.items():
+        assert np.array_equal(P, sk.pairings(
+            reflected, [ds.translate(f, (c,) + rest) for f in fns]))
+
+
+def test_os_semigroup_needs_a_count_the_space_was_built_with(ou_smeared, line_grid):
+    fns = [ds.bump(line_grid, [0.5], 0.3), ds.bump(line_grid, [1.0], 0.3)]
+    space = ds.os_quotient(ou_smeared, fns, cells=[4, 6])
+    assert len(ds.os_semigroup(space, [0, 4, 6])) == 3
+    for cells in ([10], [4, 10], [-4]):
+        with pytest.raises(ValueError):
+            ds.os_semigroup(space, cells)
+    with pytest.raises(GridError):
+        ds.os_quotient(ou_smeared, fns, cells=[-4])
 
 
 def test_os_reconstruct_checks_positivity_once(monkeypatch):
@@ -671,8 +706,8 @@ def test_os_reconstruct_computes_each_transfer_time_once(monkeypatch):
     assert calls == [[4, 10, 14]]
 
 
-def test_os_reconstruct_evaluates_two_kernel_blocks(monkeypatch):
-    # the twisted Gram's block, and one block for all transfer times
+def test_os_reconstruct_evaluates_one_kernel_block(monkeypatch):
+    # the twisted Gram and every transfer time read one block
     blocks = []
     build = ds.SmearedKernel.from_distance_profile
 
@@ -686,7 +721,7 @@ def test_os_reconstruct_evaluates_two_kernel_blocks(monkeypatch):
     cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs",
                                     "os_reconstruct_mixture.json"))
     assert run_experiment(cfg).passed
-    assert [len(seen) for seen in blocks] == [2]
+    assert [len(seen) for seen in blocks] == [1]
 
 
 def test_rank_zero_quotient_raises(ou_smeared, line_grid):
