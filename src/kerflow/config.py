@@ -549,7 +549,9 @@ def _sampled_once(samples: dict) -> Optional[str]:
 
 # the keys each sample type reads (``runner._sample_points``) in a kind that
 # samples once
-_HALFWIDTH = replace(POSITIVE, default=1.0)
+# a box [-halfwidth, halfwidth] has a finite width: below 2^1023 the double
+# is at most the largest float, and 2^1023 doubles to infinity
+_HALFWIDTH = replace(POSITIVE, default=1.0, below=2.0 ** 1023)
 SAMPLE_TYPES = {
     "chebyshev": {"n": _COUNT, "halfwidth": _HALFWIDTH},
     "uniform_box": {"n": _COUNT,

@@ -147,7 +147,7 @@ def constant_field(vector, chart: Optional[ChartDomain] = None) -> VectorField:
 
 def _affine_rows(A: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     # a matrix-vector product per point: a row's rounding ignores the batch size
-    return (A @ p[..., None])[..., 0] + b
+    return np.matvec(A, p) + b
 
 
 def affine_field(matrix, offset=None, chart: Optional[ChartDomain] = None) -> VectorField:
@@ -201,12 +201,14 @@ def _stop(live: np.ndarray, ok: np.ndarray, reason: str, stops: dict):
 
 class _Maps(NamedTuple):
     """The value map and chart tests of a block: each answers for every row
-    from that row's own field and chart; ``whole_space``: every chart is."""
+    from that row's own field and chart; ``whole_space``: every chart is;
+    ``norms``: when every field is affine, the largest |A|_F and |b|."""
 
     value: Callable[[np.ndarray], np.ndarray]
     contains_all: Callable[[np.ndarray], bool]
     contains_rows: Callable[[np.ndarray], np.ndarray]
     whole_space: bool
+    norms: Optional[tuple]
 
 
 def _block_maps(fields: list, edges: np.ndarray, ids: np.ndarray) -> _Maps:
@@ -218,9 +220,13 @@ def _block_maps(fields: list, edges: np.ndarray, ids: np.ndarray) -> _Maps:
     bounds = np.searchsorted(ids, edges).tolist()
     spans = [(f, slice(lo, hi)) for f, lo, hi in zip(fields, bounds, bounds[1:]) if lo < hi]
     first = spans[0][0]
+    affine = all(f.affine is not None for f, _ in spans)
+    # the largest |A|_F and |b| of the block's fields, for _guards_idle
+    norms = tuple(math.sqrt(max(np.vdot(f.affine[i], f.affine[i]) for f, _ in spans))
+                  for i in (0, 1)) if affine else None
     if len(spans) == 1:
         value = first.block
-    elif all(f.affine is not None for f, _ in spans):
+    elif affine:
         # per row its field's A (rows, d, d) and b (rows, d); A in C order,
         # as each field's own, so the product rounds a row as its field does
         counts = [rows.stop - rows.start for _, rows in spans]
@@ -235,23 +241,26 @@ def _block_maps(fields: list, edges: np.ndarray, ids: np.ndarray) -> _Maps:
             return v
     if all(field.chart == first.chart for field, _ in spans):
         return _Maps(value, first.chart.contains_all, first.chart.contains_rows,
-                     first.chart.membership is None)
+                     first.chart.membership is None, norms)
     return _Maps(value,
                  lambda q: all(f.chart.contains_all(q[rows]) for f, rows in spans),
                  lambda q: np.concatenate([f.chart.contains_rows(q[rows]) for f, rows in spans]),
-                 False)
+                 False, norms)
 
 
 def _stage(maps: _Maps, q: np.ndarray, live: np.ndarray, stops: dict,
-           charted: bool):
+           charted: bool, guarded: bool):
     """Field values at the block's stage points ``q``.  One test over the
     block passes when every stage point is in the chart and the summed
     squared norms are within bound; only when it trips is each live row
     checked, and stopped if its stage point left the chart or its value is
     non-finite or beyond BLOWUP_NORM.  ``charted`` False skips the chart
     test, for stage points known to be inside or whose test cannot stop a
-    row."""
-    value, contains_all, contains_rows, _ = maps
+    row; ``guarded`` False skips every test, in a step that ``_guards_idle``
+    proved no guard can trip in."""
+    if not guarded:
+        return maps.value(q)
+    value, contains_all, contains_rows = maps[:3]
     if not charted or contains_all(q):
         v = value(q)
         # a constant field's one value stands for each of the rows
@@ -278,6 +287,33 @@ _COUNTDOWN_STEPS = 2 ** 26
 # 2**970, stays finite; the factor 2 under it absorbs the rounding of the
 # bounds on a step's addends.
 _FINITE_ADDEND = 2.0 ** 969
+
+# the exponent up to which the bound of ``_guards_idle`` stays finite
+_MAX_EXPONENT = 600.0
+
+
+def _guards_idle(norms: Optional[tuple], x: np.ndarray, a: np.ndarray, quiet: int) -> bool:
+    """Whether no guard can trip in the steps of a countdown of ``quiet``
+    steps, each row of the block ``x`` taking steps of length ``a``, on the
+    whole space with affine fields X(p) = A p + b only: ``norms`` is None or
+    the block's largest |A|_F and |b|, L and B.  A step of length h takes a
+    point of norm r to one of norm at most e^{hL} (r + h B), and its stage
+    points to within e^{2hL} (r + h B).  So with M the block's largest row
+    norm, H its longest step and n = quiet + 1, every point and stage point
+    of the countdown has norm at most R = e^{nHL} (M + nHB), and every stage
+    value at most L R + B.  Four times that within BLOWUP_NORM, and 4 R
+    finite, means each value bound and new-point test passes.  The factor 4
+    absorbs the rounding, a relative O(d eps) a step: over at most
+    _COUNTDOWN_STEPS steps it compounds to about 1 + 1e-7 in the plane."""
+    if norms is None:
+        return False
+    L, B = norms
+    n, H = quiet + 1, float(a.max())
+    if n * H * L > _MAX_EXPONENT:
+        return False
+    M = math.sqrt(float(np.einsum("ij,ij->i", x, x).max()))
+    R = math.exp(n * H * L) * (M + n * H * B)
+    return 4.0 * R < math.inf and 4.0 * (L * R + B) <= BLOWUP_NORM
 
 
 def _advance(groups: list, p: np.ndarray, t_end: np.ndarray, step,
@@ -346,14 +382,17 @@ def _advance(groups: list, p: np.ndarray, t_end: np.ndarray, step,
             # has left, as the rounding of t stays below half a step
             # (_COUNTDOWN_STEPS) and that of left / step below one
             quiet = max(int((left / st).min()) - 3, 0) if steady else 0
-        stops = {}
+            # every step of the countdown but its last, which does the
+            # bookkeeping, may drop its guards
+            idle = quiet > 1 and not charted and _guards_idle(maps.norms, x, a, quiet)
+        stops, guarded = {}, quiet < 2 or not idle
         # every row of x passed the start check or its last step's chart test
-        k1 = _stage(maps, x, live, stops, False)
-        k2 = _stage(maps, x + half * k1, live, stops, charted)
-        k3 = _stage(maps, x + half * k2, live, stops, charted)
-        k4 = _stage(maps, x + h * k3, live, stops, charted)
+        k1 = _stage(maps, x, live, stops, False, guarded)
+        k2 = _stage(maps, x + half * k1, live, stops, charted, guarded)
+        k3 = _stage(maps, x + half * k2, live, stops, charted, guarded)
+        k4 = _stage(maps, x + h * k3, live, stops, charted, guarded)
         x_new = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not maps.contains_all(x_new):
+        if guarded and not maps.contains_all(x_new):
             _stop(live, maps.contains_rows(x_new), EXIT_LEFT_CHART, stops)
         t_new = tx + a
         if path is not None and full and not stops:
@@ -491,26 +530,6 @@ def _pushforward_rows(field_x: VectorField, t: np.ndarray, field_y: VectorField,
                                   f"from start point {points[i]}")
     J = fwd.endpoints[:, d:].reshape(-1, d, d)
     return (J @ field_y.rows(q)[..., None])[..., 0]
-
-
-def pushforward(field_x: VectorField, t: float, field_y: VectorField,
-                step: float = DEFAULT_STEP) -> VectorField:
-    """Transport ``field_y`` by the time-t flow of ``field_x``.
-
-    The value at p is J(q) Y(q) with q the backward flow of p and J the flow
-    Jacobian at q, obtained from the variational equation.  Evaluation raises
-    on domain exit during either leg.
-    """
-    if t == 0.0:
-        return field_y
-
-    def value(p):
-        rows = np.atleast_2d(p)
-        out = _pushforward_rows(field_x, np.full(len(rows), float(t)), field_y, rows, step)
-        return out if p.ndim == 2 else out[0]
-
-    return VectorField(field_y.chart, value,
-                       name=f"push[{field_x.name},{t}]{field_y.name}")
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:

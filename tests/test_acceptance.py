@@ -18,6 +18,7 @@ from kerflow import flows as fl
 from kerflow import kernels as kk
 from kerflow import operators as op
 from kerflow import representation as rp
+from test_flows import pushforward
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -85,8 +86,8 @@ def test_ac03_adjoint_flow_transport():
     worst = 0.0
     pts = rng.uniform(-1.0, 1.0, size=(10, 2))
     for y in range(alg.dim):
-        transported = fl.pushforward(action.basis_fields[x], -t,
-                                     action.basis_fields[y], 1e-3)
+        transported = pushforward(action.basis_fields[x], -t,
+                                  action.basis_fields[y], 1e-3)
         target = action.field(alg.element(E @ np.eye(alg.dim)[y]))
         for p in pts:
             worst = max(worst, float(np.linalg.norm(transported(p) - target(p))))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kerflow import flows as fl
-from kerflow.config import FIELD_CATALOG
+from kerflow.config import DEFAULT_STEP, FIELD_CATALOG
 from kerflow.errors import FlowDomainError
 
 
@@ -189,17 +189,35 @@ def test_batch_start_outside_chart_raises():
         fl.integrate_batch(f, [[0.2], [1.5]], [0.1, 0.1], 1e-3)
 
 
+def pushforward(field_x, t, field_y, step=DEFAULT_STEP):
+    """Transport ``field_y`` by the time-t flow of ``field_x``, one point at a
+    time: the value at p is J(q) Y(q), with q the backward flow of p and J
+    the flow Jacobian at q, from ``flows._pushforward_rows``.  Evaluation
+    raises on a domain exit during either leg.  AC3 builds its transported
+    fields with it."""
+    if t == 0.0:
+        return field_y
+
+    def value(p):
+        rows = np.atleast_2d(p)
+        out = fl._pushforward_rows(field_x, np.full(len(rows), float(t)), field_y, rows, step)
+        return out if p.ndim == 2 else out[0]
+
+    return fl.VectorField(field_y.chart, value,
+                          name=f"push[{field_x.name},{t}]{field_y.name}")
+
+
 def test_pushforward_at_zero_is_identity():
     X = fl.rotation_field()
     Y = fl.constant_field([1.0, 0.0])
-    assert np.allclose(fl.pushforward(X, 0.0, Y)([0.3, 0.4]), [1.0, 0.0])
+    assert np.allclose(pushforward(X, 0.0, Y)([0.3, 0.4]), [1.0, 0.0])
 
 
 def test_pushforward_translation_shifts_shear():
     # X = d/dx, Y = x d/dy: the time-1 transport has value (x - 1) d/dy
     X = fl.constant_field([1.0, 0.0])
     Y = fl.builtin_field("coordinate_shear")
-    P = fl.pushforward(X, 1.0, Y, 1e-2)
+    P = pushforward(X, 1.0, Y, 1e-2)
     for x, y in [(2.0, 5.0), (0.0, 1.0), (-1.5, 0.2)]:
         assert np.allclose(P([x, y]), [0.0, x - 1.0], atol=1e-9)
 
@@ -207,7 +225,7 @@ def test_pushforward_translation_shifts_shear():
 def test_pushforward_rotation_of_constant():
     X = fl.rotation_field()
     Y = fl.constant_field([1.0, 0.0])
-    v = fl.pushforward(X, np.pi / 2, Y, 1e-3)([0.2, 0.1])
+    v = pushforward(X, np.pi / 2, Y, 1e-3)([0.2, 0.1])
     assert np.linalg.norm(v - [0.0, 1.0]) <= 1e-7
 
 
@@ -216,12 +234,12 @@ def test_pushforward_raises_when_either_leg_leaves_the_chart():
     chart = fl.halfspace_chart(2)
     drift = fl.constant_field([-1.0, 0.0], chart)
     with pytest.raises(FlowDomainError, match=r"backward leg .*start point \[0\.05"):
-        fl.pushforward(drift, -0.1, fl.constant_field([1.0, 0.0], chart), 1e-2)([0.05, 0.0])
+        pushforward(drift, -0.1, fl.constant_field([1.0, 0.0], chart), 1e-2)([0.05, 0.0])
     # one coarse step of x^2 back up from below 0.9999 puts an RK4 stage
     # point past 1, in the flow Jacobian leg
     quad = fl.builtin_field("quadratic1d")
     with pytest.raises(FlowDomainError, match=r"Jacobian leg .*start point \[0\.9999\]"):
-        fl.pushforward(quad, 0.1, fl.constant_field([1.0], quad.chart), 0.1)([0.9999])
+        pushforward(quad, 0.1, fl.constant_field([1.0], quad.chart), 0.1)([0.9999])
     # in a batch, the error names the start point of the row that stopped
     with pytest.raises(FlowDomainError, match=r"start point \[0\.95\]"):
         fl.lie_derivative_via_flow(quad, quad, [[0.1], [0.95], [-0.5]], 0.1, 1e-2)
@@ -512,6 +530,13 @@ _ORACLE_CASES = {
     "quadratic1d": (_quad, (-0.99, 0.99)),
     "ball": (fl.affine_field([[0.3, -1.0], [1.0, 0.1]], chart=_ball(2, 1.2)), (-0.8, 0.8)),
     "inf": (_inf_beyond(0.5), (-1.0, 0.45)),
+    # whole-space affine fields, whose countdowns may drop their guards:
+    # a generic bounded one, one whose values cross BLOWUP_NORM within a
+    # leg and one whose values end near it
+    "affine-3d": (fl.affine_field([[0.3, -1.2, 0.4], [0.8, 0.1, -0.5], [-0.6, 0.9, -0.2]],
+                                  [0.2, -0.3, 0.5]), (-1.0, 1.0)),
+    "blowup": (fl.affine_field(40.0 * np.eye(2)), (-1.0, 1.0)),
+    "near-blowup": (fl.affine_field(27.0 * np.eye(2)), (-0.03, 0.03)),
 }
 
 
@@ -555,7 +580,7 @@ def _draw_times(data, steps, n, legs, multiples):
     return np.array(rows).reshape(n, legs)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(data=st.data(), case=st.sampled_from(sorted(_ORACLE_CASES)),
        legs=st.integers(0, 3), record=st.booleans())
 def test_rk4_loop_matches_the_reference_loop(data, case, legs, record):
@@ -579,6 +604,74 @@ def test_rk4_loop_matches_the_reference_loop(data, case, legs, record):
             got = fl._advance([(field, n)], starts.copy(), t_ends[:, 0], step, got_path)
             want = _ref_advance(field, starts.copy(), t_ends[:, 0], step, want_path)
     _assert_same_flow(got, want, got_path or [], want_path or [])
+
+
+def _guarded_steps(monkeypatch, run):
+    """The result of ``run()``, and per RK4 step whether it kept its guards."""
+    steps, stage = [], fl._stage
+
+    def counted(*args):
+        steps.append(args[5])
+        return stage(*args)
+
+    monkeypatch.setattr(fl, "_stage", counted)
+    out = run()
+    monkeypatch.undo()
+    # the four stages of a step agree
+    assert steps == [g for g in steps[::4] for _ in range(4)]
+    return out, steps[::4]
+
+
+@pytest.mark.parametrize("A, starts, reason", [
+    # the value 40 x passes BLOWUP_NORM at t of about 0.6 to 0.7, inside the
+    # first countdown
+    (40.0, [[1.0, 0.0], [0.5, -0.5], [0.01, 0.0]], fl.EXIT_STEP_FAILURE),
+    # the value 27 x ends at 0.43 BLOWUP_NORM or less
+    (27.0, [[0.03, 0.0], [0.0, -0.03], [0.02, 0.02]], None),
+])
+def test_guards_that_can_trip_still_trip_at_the_same_step(monkeypatch, A, starts, reason):
+    # the proof refuses these countdowns, so each row stops where, and for
+    # the reason that, the reference loop says; a bound that forgot the
+    # growth of |x| would let the first block run past BLOWUP_NORM
+    field, starts, t_ends = fl.affine_field(A * np.eye(2)), np.array(starts), np.ones(3)
+    got_path, want_path = [], []
+    with np.errstate(all="ignore"):
+        got, guarded = _guarded_steps(monkeypatch, lambda: fl._advance(
+            [(field, 3)], starts.copy(), t_ends, 1e-2, got_path))
+        want = _ref_advance(field, starts.copy(), t_ends, 1e-2, want_path)
+    _assert_same_flow(got, want, got_path, want_path)
+    assert got.exit_reasons == (reason,) * 3
+    assert all(guarded)
+    # a tenth of the leg, far from the bound, runs its countdown unguarded
+    with np.errstate(all="ignore"):
+        _, short = _guarded_steps(monkeypatch, lambda: fl._advance(
+            [(field, 3)], starts.copy(), 0.1 * t_ends, 1e-2))
+    assert short.count(True) == 4 and len(short) == 10
+
+
+def test_a_membership_chart_keeps_every_guard(monkeypatch):
+    # the same affine field on the whole space runs its countdowns unguarded
+    ball = _ORACLE_CASES["ball"][0]
+    starts, t_ends = np.array([[0.1, 0.2], [-0.3, 0.0]]), np.array([0.5, -0.5])
+    for field, unguarded in ((ball, 0), (dataclasses.replace(ball, chart=fl.full_space(2)), 46)):
+        _, guarded = _guarded_steps(monkeypatch, lambda: fl.integrate_batch(
+            field, starts, t_ends, 1e-2))
+        assert len(guarded) == 50 and guarded.count(False) == unguarded
+
+
+def test_the_proof_refuses_a_bound_just_above_the_limit():
+    # |A|_F 1, b 0 and a step too short to grow anything: 4 |x| against
+    # BLOWUP_NORM, exact in floats
+    limit = fl.BLOWUP_NORM / 4.0
+    a = np.array([1e-300])
+    assert fl._guards_idle((1.0, 0.0), np.array([[limit]]), a, 5)
+    assert not fl._guards_idle((1.0, 0.0), np.array([[np.nextafter(limit, np.inf)]]), a, 5)
+    # b alone meets the same limit, and an exponent past 600 refuses
+    # before exp could overflow
+    assert fl._guards_idle((0.0, limit), np.zeros((1, 1)), a, 5)
+    assert not fl._guards_idle((0.0, np.nextafter(limit, np.inf)), np.zeros((1, 1)), a, 5)
+    assert not fl._guards_idle((1.0, 0.0), np.ones((1, 1)), np.array([1.0]), 600)
+    assert not fl._guards_idle(None, np.ones((1, 1)), a, 5)
 
 
 def _assert_groups_match_own_batches(groups, starts, t_ends, step):
@@ -686,6 +779,24 @@ def test_affine_map_of_a_block_is_the_map_of_its_rows(data, d):
     assert _same(field.block(block[rows]), values[rows])
     for point, value in zip(block, values):
         assert _same(field.block(point[None])[0], value) and _same(field(point), value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 9), n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       stacked=st.booleans())
+def test_matvec_is_the_stacked_matmul_bit_for_bit(d, n, seed, stacked):
+    # the affine value map np.matvec(A, p) + b rounds each row as the
+    # product per point (A @ p[..., None])[..., 0] does, for one A or one
+    # per row, and a row's bits do not depend on the rows beside it
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, d, d) if stacked else (d, d)) * 10.0 ** rng.integers(-3, 4)
+    p = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4)
+    got = np.matvec(A, p)
+    assert _same(got, (A @ p[..., None])[..., 0])
+    rows = rng.random(n) < 0.5
+    assert _same(np.matvec(A[rows] if stacked else A, p[rows]), got[rows])
+    for i in range(n):
+        assert _same(np.matvec(A[i] if stacked else A, p[i]), got[i])
 
 
 def _first_block_value(groups):
