@@ -18,7 +18,7 @@ from kerflow import flows as fl
 from kerflow import kernels as kk
 from kerflow import operators as op
 from kerflow import representation as rp
-from test_flows import pushforward
+from transport import pushforward
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import warnings
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kerflow import flows as fl
-from kerflow.config import DEFAULT_STEP, FIELD_CATALOG
+from kerflow.config import FIELD_CATALOG
 from kerflow.errors import FlowDomainError
+from transport import pushforward
 
 
 def test_constant_field_endpoint():
@@ -187,24 +189,6 @@ def test_batch_start_outside_chart_raises():
     f = fl.builtin_field("quadratic1d")
     with pytest.raises(FlowDomainError):
         fl.integrate_batch(f, [[0.2], [1.5]], [0.1, 0.1], 1e-3)
-
-
-def pushforward(field_x, t, field_y, step=DEFAULT_STEP):
-    """Transport ``field_y`` by the time-t flow of ``field_x``, one point at a
-    time: the value at p is J(q) Y(q), with q the backward flow of p and J
-    the flow Jacobian at q, from ``flows._pushforward_rows``.  Evaluation
-    raises on a domain exit during either leg.  AC3 builds its transported
-    fields with it."""
-    if t == 0.0:
-        return field_y
-
-    def value(p):
-        rows = np.atleast_2d(p)
-        out = fl._pushforward_rows(field_x, np.full(len(rows), float(t)), field_y, rows, step)
-        return out if p.ndim == 2 else out[0]
-
-    return fl.VectorField(field_y.chart, value,
-                          name=f"push[{field_x.name},{t}]{field_y.name}")
 
 
 def test_pushforward_at_zero_is_identity():
@@ -580,9 +564,28 @@ def _draw_times(data, steps, n, legs, multiples):
     return np.array(rows).reshape(n, legs)
 
 
+class _Replay:
+    """Stands in for ``st.data()`` in an ``@example``: each draw returns the
+    next of the given values, in a cycle."""
+
+    def __init__(self, *values):
+        self._values = itertools.cycle(values)
+
+    def draw(self, strategy):
+        return next(self._values)
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), case=st.sampled_from(sorted(_ORACLE_CASES)),
        legs=st.integers(0, 3), record=st.booleans())
+# draws: 3 rows, their starts, one step 1e-2 for all, and each row's time.
+# The values 40 x of the first and last rows cross BLOWUP_NORM in
+# mid-countdown, at t of about 0.6 and 0.7 of a leg of 1, and the middle
+# row contracts: a countdown proof that forgot the growth of |x| would run
+# the two past the bound
+@example(data=_Replay(3, [[1.0, 0.0], [0.5, -0.5], [0.01, 0.0]], True, 1e-2,
+                      [1.0], [-1.0], [1.0]),
+         case="blowup", legs=0, record=True)
 def test_rk4_loop_matches_the_reference_loop(data, case, legs, record):
     # legs 0 is a one-leg batch, times (n,), whose path may be recorded;
     # else each row runs that many legs, times (n, legs), chained; the step
