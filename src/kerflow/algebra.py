@@ -26,7 +26,7 @@ class SymmetricLieAlgebra:
 
     ``structure[i, j, k]`` is the coefficient of e_k in [e_i, e_j].  The
     involution matrix must be diagonal with entries exactly +-1; indices with
-    +1 form ``h_indices`` (fixed part), -1 form ``q_indices``.
+    +1 form ``h_indices`` (fixed part), those with -1 the q part.
     """
 
     structure: np.ndarray
@@ -63,10 +63,6 @@ class SymmetricLieAlgebra:
     @property
     def h_indices(self) -> tuple:
         return tuple(int(i) for i in np.flatnonzero(self.involution_signs > 0))
-
-    @property
-    def q_indices(self) -> tuple:
-        return tuple(int(i) for i in np.flatnonzero(self.involution_signs < 0))
 
     def basis_element(self, i: int) -> "AlgebraElement":
         coeffs = np.zeros(self.dim, dtype=complex)

@@ -90,7 +90,8 @@ class Rule:
     same_length: Optional[str] = None   # sibling key whose list this one matches
     # cross-key check, given the whole block once every key's bounds hold:
     # None, or why this key (present or at its default) disagrees with the
-    # rest, as a message or as (path suffix, message) naming one of its entries
+    # rest, as a message, as (path suffix, message) naming one of its entries,
+    # or as (later key, path suffix, message) for a later key it decides too
     agrees: Optional[Callable[[dict], object]] = None
 
     @property
@@ -229,7 +230,7 @@ PAIRING_BUMPS = ((-0.8, 0.0), (0.6, 0.2))
 PAIRING_WIDTH = 0.3
 
 
-@functools.lru_cache(maxsize=256)     # each os_reconstruct bump serves three rules
+@functools.lru_cache(maxsize=256)     # each rp_axioms pairing bump serves every translation
 def _bump_box(origin: tuple, spacing: float, shape: tuple, center: tuple,
               width: float) -> Optional[tuple]:
     """Per grid axis, the first and last cell where ``distributions.bump`` is
@@ -254,13 +255,21 @@ def _bump_box(origin: tuple, spacing: float, shape: tuple, center: tuple,
     return tuple(box) if all(lo <= hi for lo, hi in box) else None
 
 
-def _moved_out(grid: dict, box: tuple, shift) -> Optional[str]:
-    """Why the cells of ``box`` moved by ``shift`` cells leave the grid or
-    reach its margin, in the words of ``distributions.translate``; or None."""
-    gap = min(min(lo + s, n - 1 - hi - s)
-              for (lo, hi), s, n in zip(box, shift, _axes(grid["shape"])))
+def moved_out(shape, margin: int, box, shift) -> Optional[str]:
+    """Why the cells of ``box`` (per axis the first and last cell where a grid
+    function is not zero, or None for the zero function) moved by ``shift``
+    cells leave a grid of ``shape`` or reach its ``margin``; or None."""
+    if box is None:
+        return None
+    gap = min(min(lo + s, n - 1 - hi - s) for (lo, hi), s, n in zip(box, shift, shape))
     return ("translation pushed support off the grid" if gap < 0 else
-            "support touches the margin" if gap < grid["margin"] else None)
+            "support touches the margin" if gap < margin else None)
+
+
+def in_positive_slice(origin: float, spacing: float, box) -> bool:
+    """Whether the cells of ``box`` lie where the first coordinate, ``origin``
+    + ``spacing`` k at cell k of the first axis, is > 0."""
+    return box is None or origin + spacing * box[0][0] > 0.0
 
 
 def _bumps_leave_the_margin(block: dict, shift) -> bool:
@@ -273,7 +282,7 @@ def _bumps_leave_the_margin(block: dict, shift) -> bool:
         return False
     origin, shape = tuple(_axes(grid["origin"])), tuple(_axes(grid["shape"]))
     return any((box := _bump_box(origin, grid["spacing"], shape, c[:len(shape)], PAIRING_WIDTH))
-               is None or _moved_out(grid, box, shift) for c in PAIRING_BUMPS)
+               is None or moved_out(shape, grid["margin"], box, shift) for c in PAIRING_BUMPS)
 
 
 def _shifts_fit(block: dict, key: str):
@@ -295,12 +304,13 @@ def _shifts_fit(block: dict, key: str):
     return None
 
 
-def _bumps_fit(block: dict, key: str):
+def _bumps_fit(block: dict):
     """Why an ``os_reconstruct`` bump is not a test function of the positive
-    slice, or a shift of ``key`` (a ``times_cells`` entry, a ``law_pairs_cells``
-    pair's times and their sum) moves one off the grid or onto its margin, in
-    the words and order of the run's ``distributions`` calls.  A number that
-    is not finite is left to the check that names it."""
+    slice, or, at ``times_cells`` or ``law_pairs_cells``, why a shift (a
+    ``times_cells`` entry, a ``law_pairs_cells`` pair's times and their sum)
+    moves one off the grid or onto its margin: the three keys' checks in
+    order, on one box per bump.  A number that is not finite is left to the
+    check that names it."""
     grid, boxes = block["grid"], []
     if first_non_finite([grid, block["bumps"]]):
         return None
@@ -311,17 +321,18 @@ def _bumps_fit(block: dict, key: str):
             return f"[{i}].center", f"needs {len(shape)} coordinates, one per grid axis"
         box = _bump_box(origin, grid["spacing"], shape, center, bump["width"])
         if why := ("the bump is zero on every grid point" if box is None
-                   else _moved_out(grid, box, [0] * len(shape))):
+                   else moved_out(shape, grid["margin"], box, [0] * len(shape))):
             return f"[{i}]", why
-        if not origin[0] + grid["spacing"] * box[0][0] > 0.0:
+        if not in_positive_slice(origin[0], grid["spacing"], box):
             return f"[{i}]", ("the bump's support must lie in the positive slice, "
                               "where the first coordinate is > 0")
         boxes.append(box)
-    for i, entry in enumerate(block[key] if key != "bumps" else []):
-        for c, box in itertools.product([entry] if key == "times_cells"
-                                        else [*entry, sum(entry)], boxes):
-            if why := _moved_out(grid, box, [c] + [0] * (len(shape) - 1)):
-                return f"[{i}]", f"a shift by {c} cells: {why}"
+    for key in ("times_cells", "law_pairs_cells"):
+        for i, entry in enumerate(block[key]):
+            for c, box in itertools.product([entry] if key == "times_cells"
+                                            else [*entry, sum(entry)], boxes):
+                if why := moved_out(shape, grid["margin"], box, [c] + [0] * (len(shape) - 1)):
+                    return key, f"[{i}]", f"a shift by {c} cells: {why}"
     return None
 
 
@@ -471,6 +482,19 @@ FIELD_PARAMS = {
     "quadratic1d": {},
 }
 
+# the dimension of the space each builtin field acts on, from its resolved params
+_FIELD_DIMENSION = {"rotation2d": lambda _: 2, "quad_swirl": lambda _: 2,
+                    "quadratic1d": lambda _: 1, "constant": lambda p: len(p["vector"]),
+                    "affine": lambda p: len(p["matrix"]),
+                    "coordinate_shear": lambda p: p["dimension"]}
+
+
+def _one_space(pair: dict) -> Optional[str]:
+    """Why a ``bracket_order`` pair's two fields act on spaces of two dimensions."""
+    x, y = (_FIELD_DIMENSION[pair[k]["name"]](pair[k]["params"]) for k in "xy")
+    return None if x == y else f"acts on dimension {y}, but x acts on dimension {x}"
+
+
 ALGEBRA_CATALOG = {
     "euclidean_motion": "R^d >| so(d) with involution by diag(-I_p, I_q)",
     "abelian": "R^d, zero bracket, involution -1",
@@ -597,7 +621,8 @@ SCHEMAS = {
     },
     "bracket_order": {
         "pairs": Rule(list, default=REQUIRED, at_least=1,
-                      each=Rule(dict, spec={"x": _FIELD, "y": _FIELD})),
+                      each=Rule(dict, spec={"x": _FIELD,
+                                            "y": replace(_FIELD, agrees=_one_space)})),
         "n_points": _POINTS,
         # a fitted order needs at least two distinct step sizes
         "h_ladder": Rule(list, default=[1e-2, 5e-3, 2.5e-3], at_least=2, each=POSITIVE,
@@ -650,15 +675,13 @@ SCHEMAS = {
         "bumps": Rule(list, default=REQUIRED, at_least=1, at_most=MAX_POINTS, each=Rule(dict, spec={
             "center": Rule((list, int, float), default=REQUIRED, each=NUMBER),
             "width": replace(POSITIVE, default=REQUIRED)}),
-            agrees=lambda block: _bumps_fit(block, "bumps")),
+            agrees=_bumps_fit),
         "expected_rank": Rule(int, default=REQUIRED, at_most=MAX_POINTS),
         # transfer times are cell counts along the direction away from the
-        # reflection hyperplane, so never negative
-        "times_cells": Rule(list, default=REQUIRED, at_least=1, each=_CELLS,
-                            agrees=lambda block: _bumps_fit(block, "times_cells")),
+        # reflection hyperplane, so never negative; the bumps' check covers both
+        "times_cells": Rule(list, default=REQUIRED, at_least=1, each=_CELLS),
         "law_pairs_cells": Rule(list, default=[], each=Rule(list, at_least=2, at_most=2,
-                                                            each=_CELLS),
-                                agrees=lambda block: _bumps_fit(block, "law_pairs_cells")),
+                                                            each=_CELLS)),
         "rank_cutoff": _RANK_CUTOFF,
     },
     "rp_axioms": {
@@ -752,8 +775,8 @@ def _check_block(obj: dict, spec: dict, path: str) -> dict:
     for key, rule in table.items():
         problem = rule.agrees(resolved) if rule.agrees else None
         if problem is not None:
-            suffix, why = problem if isinstance(problem, tuple) else ("", problem)
-            raise ConfigError(f"{path}.{key}{suffix}", why)
+            *at, suffix, why = problem if isinstance(problem, tuple) else ("", problem)
+            raise ConfigError(f"{path}.{at[0] if at else key}{suffix}", why)
     for key, why in unread.items():
         if key in obj and key not in table:
             raise ConfigError(f"{path}.{key}", why)

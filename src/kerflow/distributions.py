@@ -14,11 +14,13 @@ trapezoid, which is all compact support requires.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_RANK_CUTOFF, LOOSE_RANK_CUTOFF, MIN_MARGIN, symmetric_axis
+from .config import (DEFAULT_RANK_CUTOFF, LOOSE_RANK_CUTOFF, MIN_MARGIN, in_positive_slice,
+                     moved_out, symmetric_axis)
 from .errors import DegenerateQuotientError, EmptyModelError, GridError
 from .kernels import GramModel, gram_from_matrix
 from .operators import SYMMETRIC, compress_operator, semigroup_matrix
@@ -91,29 +93,28 @@ class TestFunctionGrid:
 
 @dataclass(frozen=True, eq=False)
 class TestFunction:
-    """Samples of a compactly supported function on a grid."""
+    """Samples of a compactly supported function on a grid, held in a
+    read-only copy, so that its support box stays the values' own."""
 
     grid: TestFunctionGrid
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.shape != self.grid.shape:
             raise GridError("value array must match the grid shape")
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
-        if self.margin_violation(self.grid.margin):
-            raise GridError("support touches the margin")
+        if why := moved_out(self.grid.shape, self.grid.margin, self.box, (0,) * v.ndim):
+            raise GridError(why)
 
-    def margin_violation(self, margin: int) -> bool:
-        v = self.values
-        for a in range(self.grid.ndim):
-            idx_lo = [slice(None)] * self.grid.ndim
-            idx_hi = [slice(None)] * self.grid.ndim
-            idx_lo[a] = slice(0, margin)
-            idx_hi[a] = slice(v.shape[a] - margin, v.shape[a])
-            if np.any(v[tuple(idx_lo)] != 0.0) or np.any(v[tuple(idx_hi)] != 0.0):
-                return True
-        return False
+    @cached_property
+    def box(self) -> Optional[tuple]:
+        """Per axis, the first and last cell where the function is not zero
+        (a NaN is not zero), or None for the zero function."""
+        nonzero, axes = self.values != 0.0, range(self.values.ndim)
+        runs = [np.flatnonzero(nonzero.any(axis=tuple(b for b in axes if b != a))) for a in axes]
+        return tuple((int(k[0]), int(k[-1])) for k in runs) if runs[0].size else None
 
     @property
     def flat(self) -> np.ndarray:
@@ -130,37 +131,22 @@ def bump(grid: TestFunctionGrid, center, width) -> TestFunction:
     return TestFunction(grid, vals.reshape(grid.shape))
 
 
-def _shift_array(v: np.ndarray, cells) -> np.ndarray:
-    """Integer-cell shift with zero fill (never wraps)."""
-    for a, c in enumerate(cells):
-        if c == 0:
-            continue
-        # a shift past the extent leaves zeros, as one up to it does
-        c = max(-v.shape[a], min(c, v.shape[a]))
-        rolled = np.zeros_like(v)
-        src = [slice(None)] * v.ndim
-        dst = [slice(None)] * v.ndim
-        if c > 0:
-            src[a] = slice(0, v.shape[a] - c)
-            dst[a] = slice(c, v.shape[a])
-        else:
-            src[a] = slice(-c, v.shape[a])
-            dst[a] = slice(0, v.shape[a] + c)
-        rolled[tuple(dst)] = v[tuple(src)]
-        v = rolled
-    return v
-
-
 def translate(fn: TestFunction, cells) -> TestFunction:
     """Exact translation by integer cells per axis; errors if the shifted
-    support would touch the margin."""
+    support would leave the grid or touch the margin.  The zero function
+    translates to itself."""
     cells = tuple(int(c) for c in np.atleast_1d(cells))
     if len(cells) != fn.grid.ndim:
         raise GridError("need one cell shift per axis")
-    shifted = _shift_array(fn.values, cells)
-    if np.count_nonzero(shifted) != np.count_nonzero(fn.values):
-        raise GridError("translation pushed support off the grid")
-    return TestFunction(fn.grid, shifted)
+    if why := moved_out(fn.grid.shape, fn.grid.margin, fn.box, cells):
+        raise GridError(why)
+    if fn.box is None:
+        return fn
+    # every nonzero cell lies in the box, which the shift keeps on the grid
+    out = np.zeros_like(fn.values)
+    out[tuple(slice(lo + c, hi + 1 + c) for (lo, hi), c in zip(fn.box, cells))] = \
+        fn.values[tuple(slice(lo, hi + 1) for lo, hi in fn.box)]
+    return TestFunction(fn.grid, out)
 
 
 def reflect(fn: TestFunction) -> TestFunction:
@@ -273,7 +259,7 @@ def directional_derivative(field_values: np.ndarray, fn: TestFunction) -> TestFu
     margin + 2 zero cells; the output then still satisfies the margin.
     """
     grid = fn.grid
-    if fn.margin_violation(grid.margin + 2):
+    if moved_out(grid.shape, grid.margin + 2, fn.box, (0,) * grid.ndim):
         raise GridError("support too close to the margin for the derivative stencil")
     v = fn.values
     out = np.zeros_like(v)
@@ -357,8 +343,7 @@ def reflection_positivity_check(sk: SmearedKernel, fns_plus: Sequence[TestFuncti
     eigenvalue over its largest (-inf when none is positive).  One kernel
     block gives it and the pairings with the translates by each count of
     ``cells``, along the first axis away from the hyperplane."""
-    outside = ~slice_mask(sk.grid)
-    if any(np.any(f.flat[outside]) for f in fns_plus):
+    if not all(in_positive_slice(sk.grid.origin[0], sk.grid.spacing, f.box) for f in fns_plus):
         raise GridError("test functions must be supported in the positive slice")
     if any(c < 0 for c in cells):
         raise GridError("the transfer direction needs t >= 0")

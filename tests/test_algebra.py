@@ -53,7 +53,7 @@ def test_validate_abelian_with_full_flip():
     report = la.validate_symmetric_pair(alg)
     assert report.passed
     assert alg.h_indices == ()
-    assert len(alg.q_indices) == 3
+    assert np.count_nonzero(alg.involution_signs < 0) == 3
 
 
 def test_mixed_basis_rejected():
@@ -184,11 +184,11 @@ def test_builtin_dimensions():
     assert la.euclidean_motion(2, 1, 1).dim == 3
     assert len(la.euclidean_motion(2, 1, 1).h_indices) == 1
     ab = la.abelian(1)
-    assert ab.h_indices == () and len(ab.q_indices) == 1
+    assert ab.h_indices == () and np.count_nonzero(ab.involution_signs < 0) == 1
     mi = la.matrix_involutive(2)
     assert mi.dim == 4
     assert len(mi.h_indices) == 1      # so(2)
-    assert len(mi.q_indices) == 3      # symmetric 2x2
+    assert np.count_nonzero(mi.involution_signs < 0) == 3      # symmetric 2x2
 
 
 def test_every_builtin_validates():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kerflow
-from kerflow import cli, config, distributions, runner
+from kerflow import cli, config, distributions, flows, runner
 from kerflow.config import (CHECKS, SAMPLE_TYPES, ExperimentConfig, Rule, parse_config,
                             validate_config)
 from kerflow.errors import ConfigError
@@ -402,18 +402,25 @@ def test_declared_algebra_consistency(tmp_path):
 
 
 def _quiet(argv):
-    """Exit code and stdout of one in-process ``kerflow`` command."""
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        return cli.main(argv), out.getvalue()
+    """Exit code, stdout and stderr of one in-process ``kerflow`` command."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        return cli.main(argv), out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")
-def shipped_replay():
+def shipped_replay(tmp_path_factory):
     """``kerflow run --stable-output`` on every shipped config, each run once
-    per module, then ``validate`` on each and ``list-builtins``, all under a
-    profiler.  Returns the runs as (file name, exit code, report) and the
-    (file, first line) of the code of every function they entered."""
+    per module, then ``validate`` on each and ``list-builtins``, then
+    ``validate`` and, if it passes, ``run --stable-output`` on each config of
+    ``_BUILTIN_RUNS``, all under a profiler.  Returns the shipped runs as
+    (file name, exit code, report), the (file, first line) of the code of
+    every function they all entered, and per catalog builtin the ``_quiet``
+    results of its validate and of its run (None when it did not run)."""
     entered = set()
+    catalog_dir, catalog = tmp_path_factory.mktemp("catalog"), {}
+    for name in _BUILTIN_RUNS:
+        (catalog_dir / f"{name}.json").write_text(json.dumps(_builtin_run_config(name)))
 
     def record(frame, event, arg):
         if event == "call":
@@ -428,14 +435,19 @@ def shipped_replay():
     sys.setprofile(record)
     try:
         for path in paths:
-            code, out = _quiet(["run", path, "--stable-output"])
+            code, out, _ = _quiet(["run", path, "--stable-output"])
             runs.append((os.path.basename(path), code, json.loads(out)))
         validated = [_quiet(["validate", path])[0] for path in paths]
         listed = _quiet(["list-builtins"])[0]
+        for name in _BUILTIN_RUNS:
+            path = str(catalog_dir / f"{name}.json")
+            checked = _quiet(["validate", path])
+            catalog[name] = checked, (_quiet(["run", path, "--stable-output"])
+                                      if checked[0] == cli.EXIT_PASS else None)
     finally:
         sys.setprofile(None)
     assert validated == [cli.EXIT_PASS] * len(paths) and listed == cli.EXIT_PASS
-    return runs, {(os.path.realpath(f), line) for f, line in entered}
+    return runs, {(os.path.realpath(f), line) for f, line in entered}, catalog
 
 
 def test_checks_appear_exactly_once(shipped_replay):
@@ -570,10 +582,11 @@ def _named_functions():
 _CLASS_2 = "Class 2 (the distribution kernel), awaiting promotion into a kind"
 _ACCEPTANCE = "acceptance API: AC3 builds its target fields with it"
 _TRACER = "perfbench/tracer.py names it"
-_CATALOG = "reached by a catalog builtin or config block that no shipped config uses"
-_FAILURE = "reached when a config is rejected or a flow leaves its chart"
-# functions that no shipped config, ``validate`` or ``list-builtins``
-# reaches, each with the reason it stays
+_PAIRS = ("homomorphism_defect compares a compatibility action's element pairs with it, "
+          "and no shipped or catalog config has an action of two or more elements")
+_FAILURE = "reached when a flow leaves its chart"
+# functions that no shipped or catalog config, ``validate`` or
+# ``list-builtins`` reaches, each with the reason it stays
 _UNREACHED = {
     "representation.h_group_rep": "Class 1 (the H-group part), awaiting promotion "
                                   "into cdual_rep",
@@ -585,7 +598,7 @@ _UNREACHED = {
     "distributions.SmearedKernel.hermiticity_defect": _CLASS_2,
     "distributions.TestFunction.integral": _CLASS_2,
     "kernels.embed_index": _CLASS_2,
-    "operators.CompatibleAction.field": _ACCEPTANCE,
+    "operators.CompatibleAction.field": _PAIRS,
     "algebra.SymmetricLieAlgebra.element": _ACCEPTANCE,
     "distributions.grid_shift_matrix": _TRACER,
     "distributions.SmearedKernel.pairing": _TRACER,
@@ -599,17 +612,11 @@ _UNREACHED = {
     "config._samples": "runs at import, building SCHEMAS",
     "config._curve_time": "runs at import, building SCHEMAS",
     "config._range": "runs at import, building SCHEMAS",
-    "algebra.algebra_bracket": _CATALOG,
-    "algebra.SymmetricLieAlgebra.q_indices": _CATALOG,
-    "algebra.SymmetricPairReport.max_defect": _CATALOG,
-    "algebra.builtin_algebra": _CATALOG,
-    "kernels._diff": _CATALOG,
-    "kernels._sq": _CATALOG,
-    "flows.box_chart": _CATALOG,
-    "flows.ChartDomain._members": _CATALOG,
+    "algebra.algebra_bracket": _PAIRS,
+    "algebra.SymmetricPairReport.max_defect": "reached when c_dual rejects an algebra "
+                                              "that is not a symmetric pair",
     "flows._stop": _FAILURE,
     "flows._label": _FAILURE,
-    "errors.ConfigError.__init__": _FAILURE,
 }
 
 
@@ -1274,6 +1281,9 @@ _THREE_AXES = {"origin": [-3.0, -0.6, -0.6], "spacing": 0.2, "shape": [31, 7, 7]
     # one bump list sizes the twisted Gram and every transfer pairing
     pytest.param("os_reconstruct_ou", lambda d: d.update(bumps=d["bumps"][:1] * 2001),
                  "$.bumps", id="os-reconstruct-bumps-past-the-bound"),
+    # a Lie bracket pairs two fields on one space (a 1-vector against the rotation)
+    pytest.param("bracket_order", lambda d: d["pairs"][1]["y"]["params"].update(vector=[1.0]),
+                 "$.pairs[1].y", id="bracket-pair-of-two-dimensions"),
 ])
 def test_config_contract_exits_2_with_path(tmp_path, capsys, stem, mutate, json_path):
     data = _shipped(stem)
@@ -1337,8 +1347,7 @@ def test_bump_box_is_the_nonzero_box_of_the_bump(case):
     test_grid = distributions.TestFunctionGrid(grid["origin"], grid["spacing"],
                                                tuple(grid["shape"]))
     # the bump's values on every cell, the margin included
-    with mock.patch.object(distributions.TestFunction, "margin_violation",
-                           lambda self, margin: False):
+    with mock.patch.object(distributions, "moved_out", lambda *args: None):
         values = distributions.bump(test_grid, center, width).values
     box = tuple((int(k.min()), int(k.max())) for k in np.nonzero(values)) if values.any() else None
     assert config._bump_box(tuple(grid["origin"]), grid["spacing"], tuple(grid["shape"]),
@@ -1622,6 +1631,17 @@ def test_required_params_match_the_builders(module, build, catalog, tables):
         getattr(mod, build)("nope", {})
 
 
+def test_field_dimensions_match_the_builders():
+    # the dimension validate reads from a field's params is its chart's
+    given = {"constant": {"vector": [1.0, 0.0, 2.0]}, "affine": {"matrix": [[1.0] * 4] * 4},
+             "coordinate_shear": {"dimension": 5}}
+    assert set(config._FIELD_DIMENSION) == set(config.FIELD_PARAMS)
+    for name in config.FIELD_PARAMS:
+        params = config.builtin_params(config.FIELD_PARAMS, name, given.get(name))
+        field = flows.builtin_field(name, params)
+        assert config._FIELD_DIMENSION[name](params) == field.chart.dimension, name
+
+
 # one run per catalog builtin: the shipped config one of whose blocks it
 # takes, and params with the keys its key table requires, valued to fit that
 # config's samples and action; matrix_right_multiplication names its element
@@ -1662,25 +1682,30 @@ def test_builtin_runs_cover_every_catalog_name():
         assert set(params) == {key for key, rule in table.items() if rule.required}, name
 
 
-@pytest.mark.parametrize("name", sorted(_BUILTIN_RUNS))
-def test_every_catalog_builtin_runs_in_a_kind(tmp_path, capsys, name):
+def _builtin_run_config(name):
+    """The config of builtin ``name``'s run in ``_BUILTIN_RUNS``."""
     stem, key, params = _BUILTIN_RUNS[name]
     data = _shipped(stem)
     block = {"name": name, "params": params}
     data[key] = [block] if key == "fields" else block
     if name == "matrix_right_multiplication":
         data["invariance"][0]["element"] = 0
-    path = _write(tmp_path, data)
+    return data
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTIN_RUNS))
+def test_every_catalog_builtin_runs_in_a_kind(shipped_replay, name):
+    # the replay validates and runs each builtin's config once
+    (validated, _, err), ran = shipped_replay[2][name]
     if name == "ou":
         # no kind runs it: the form kinds' catalogs leave it out
-        assert cli.main(["validate", path]) == cli.EXIT_CONFIG_ERROR
-        assert "config error: $.kernel.name: " in capsys.readouterr().err
+        assert validated == cli.EXIT_CONFIG_ERROR
+        assert "config error: $.kernel.name: " in err
         return
-    assert cli.main(["validate", path]) == cli.EXIT_PASS
-    capsys.readouterr()
-    code = cli.main(["run", path, "--stable-output"])
+    assert validated == cli.EXIT_PASS
+    code, out, _ = ran
     assert code in (cli.EXIT_PASS, cli.EXIT_CHECK_FAILURE)
-    assert json.loads(capsys.readouterr().out)["passed"] is (code == cli.EXIT_PASS)
+    assert json.loads(out)["passed"] is (code == cli.EXIT_PASS)
 
 
 def test_sample_keys_match_the_sampler():

@@ -52,9 +52,118 @@ def test_grid_rejects_small_margin():
         ds.TestFunctionGrid(origin=[0.0], spacing=0.1, shape=(50,), margin=1)
 
 
+# The support rule by value scans: the reference that the library's support
+# boxes (``TestFunction.box`` with ``config.moved_out`` and
+# ``config.in_positive_slice``) must agree with.
+
+def _margin_violation(values, margin) -> bool:
+    """Whether a value in the outer ``margin`` cells of some axis is not zero."""
+    for a in range(values.ndim):
+        lo, hi = [slice(None)] * values.ndim, [slice(None)] * values.ndim
+        lo[a], hi[a] = slice(0, margin), slice(values.shape[a] - margin, values.shape[a])
+        if np.any(values[tuple(lo)] != 0.0) or np.any(values[tuple(hi)] != 0.0):
+            return True
+    return False
+
+
+def _zero_fill_shift(values, cells):
+    """Integer-cell shift with zero fill: what leaves the grid is dropped, so
+    a shift past the extent leaves zeros, as one up to it does."""
+    for a, c in enumerate(cells):
+        c = max(-values.shape[a], min(c, values.shape[a]))
+        rolled = np.zeros_like(values)
+        src, dst = [slice(None)] * values.ndim, [slice(None)] * values.ndim
+        src[a] = slice(max(0, -c), values.shape[a] - max(0, c))
+        dst[a] = slice(max(0, c), values.shape[a] - max(0, -c))
+        rolled[tuple(dst)] = values[tuple(src)]
+        values = rolled
+    return values
+
+
+def _translate_error(values, cells, margin):
+    """The GridError message of a translation by value counts, or None."""
+    shifted = _zero_fill_shift(values, cells)
+    if np.count_nonzero(shifted) != np.count_nonzero(values):
+        return "translation pushed support off the grid"
+    return "support touches the margin" if _margin_violation(shifted, margin) else None
+
+
+def _grid_error(call):
+    """The message of the GridError ``call`` raises, or None."""
+    try:
+        call()
+    except GridError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _grid_values(draw):
+    """A 1-D or 2-D grid and a value array on it: zero, a lone entry on a
+    corner, margin or slice edge, or scattered entries, each a number, a NaN
+    or -0.0."""
+    shape = tuple(draw(st.lists(st.integers(6, 14), min_size=1, max_size=2)))
+    margin = draw(st.integers(2, (min(shape) - 2) // 2))
+    spacing = draw(st.sampled_from([0.1, 0.25, 1.0]))
+    # cell z of the first axis sits at coordinate 0, or just left of it
+    z = draw(st.integers(0, shape[0] - 1))
+    origin = [-spacing * z + draw(st.sampled_from([0.0, -0.03]))]
+    grid = ds.TestFunctionGrid(origin=origin + [-1.0] * (len(shape) - 1), spacing=spacing,
+                               shape=shape, margin=margin)
+    values = np.zeros(shape)
+    entry = st.sampled_from([1.0, -2.5, 1e-300, np.nan, -0.0])
+    cell = st.tuples(*(st.integers(0, n - 1) for n in shape))
+    edges = [[0, margin - 1, margin, n - 1 - margin, n - 1] for n in shape]
+    edges[0] += [z, min(z + 1, shape[0] - 1)]
+    corner = st.tuples(*map(st.sampled_from, edges))
+    for index in draw(st.sampled_from([[], [corner], [cell, cell, cell]])):
+        values[draw(index)] = draw(entry)
+    return grid, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_grid_values(), data=st.data())
+def test_support_boxes_decide_as_the_value_scans(case, data):
+    grid, values = case
+    margin = grid.margin
+    made = _grid_error(lambda: ds.TestFunction(grid, values))
+    assert made == ("support touches the margin" if _margin_violation(values, margin)
+                    else None)
+    if made is not None:
+        return
+    fn = ds.TestFunction(grid, values)
+    cells = tuple(data.draw(st.integers(-2 * n, 2 * n)) for n in grid.shape)
+    assert _grid_error(lambda: ds.translate(fn, cells)) == _translate_error(values, cells,
+                                                                            margin)
+    if _translate_error(values, cells, margin) is None:
+        assert np.array_equal(ds.translate(fn, cells).values, _zero_fill_shift(values, cells),
+                              equal_nan=True)
+    # the derivative stencil needs two more zero cells than the margin
+    flat_field = np.zeros(grid.shape + (grid.ndim,))
+    assert _grid_error(lambda: ds.directional_derivative(flat_field, fn)) == (
+        "support too close to the margin for the derivative stencil"
+        if _margin_violation(values, margin + 2) else None)
+    # a negative count is the next error, raised before any pairing
+    sk = ds.SmearedKernel(grid, lambda rows, cols: np.zeros((len(rows), len(cols))))
+    outside = ~ds.slice_mask(grid)
+    assert _grid_error(lambda: ds.reflection_positivity_check(sk, [fn], cells=(-1,))) == (
+        "test functions must be supported in the positive slice"
+        if np.any(fn.flat[outside]) else "the transfer direction needs t >= 0")
+
+
+def test_values_are_a_read_only_copy(line_grid):
+    # the support box is computed once, so the values must not change under it
+    values = np.zeros(line_grid.shape)
+    fn = ds.TestFunction(line_grid, values)
+    values[60] = 1.0
+    assert fn.box is None
+    with pytest.raises(ValueError):
+        fn.values[60] = 1.0
+
+
 def test_bump_respects_margin(line_grid):
     fn = ds.bump(line_grid, [0.0], 0.5)
-    assert not fn.margin_violation(line_grid.margin)
+    assert not _margin_violation(fn.values, line_grid.margin)
     with pytest.raises(GridError):
         ds.bump(line_grid, [-2.95], 0.5)
 
@@ -327,7 +436,7 @@ def test_grid_operators_are_exact_permutation_conjugates():
 def _shift_matrix_by_columns(grid, cells):
     """Column j is the zero-fill shift of the j-th unit vector."""
     eye = np.eye(grid.size)
-    return np.stack([ds._shift_array(eye[:, j].reshape(grid.shape), cells).ravel()
+    return np.stack([_zero_fill_shift(eye[:, j].reshape(grid.shape), cells).ravel()
                      for j in range(grid.size)], axis=1)
 
 
