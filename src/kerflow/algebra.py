@@ -69,9 +69,6 @@ class SymmetricLieAlgebra:
         coeffs[i] = 1.0
         return AlgebraElement(self, coeffs)
 
-    def element(self, coeffs) -> "AlgebraElement":
-        return AlgebraElement(self, np.asarray(coeffs, dtype=complex))
-
     def index_of(self, label: str) -> int:
         return self.labels.index(label)
 

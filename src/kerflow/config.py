@@ -68,11 +68,10 @@ REQUIRED = object()     # the ``default`` of a key that its block must give
 class Rule:
     """A key's allowed types plus what is checked once the types hold: the
     key may be required or have a default, a number, or a list's length, may
-    be bounded, a list may have to be as long as a sibling key's list, a
-    value may have to be one of a few choices, every entry of a list may
-    have to satisfy a rule of its own, an object value is checked against a
-    key table of its own, a string value may select the keys its block
-    reads, and a key may have to agree with its siblings."""
+    be bounded, every entry of a list may have to satisfy a rule of its own,
+    an object value is checked against a key table of its own, a string
+    value may select the keys its block reads, and a key may have to agree
+    with its siblings."""
 
     types: object
     # REQUIRED, the value an absent key reads as, or None: an absent key
@@ -86,8 +85,6 @@ class Rule:
     # key table of an object value; of a string key, the keys that each of
     # its values adds to the block, under None those it adds when absent
     spec: Optional[dict] = None
-    choices: Optional[tuple] = None     # the values allowed
-    same_length: Optional[str] = None   # sibling key whose list this one matches
     # cross-key check, given the whole block once every key's bounds hold:
     # None, or why this key (present or at its default) disagrees with the
     # rest, as a message, as (path suffix, message) naming one of its entries,
@@ -103,7 +100,9 @@ class Rule:
 # error, never an allocation or a loop without end.  A config's largest
 # arrays have about the square of its sizes as entries; each bound keeps
 # them near those of a Gram on MAX_POINTS points (32 MB).
-MAX_POINTS = 2000           # sample points, flow and bracket points, bumps
+# sample points, flow and bracket points, bumps, rp_axioms translations
+# and parallel_translations
+MAX_POINTS = 2000
 MAX_SIDE = 44               # grid2d points per side: 44^2 = 1936 points
 MAX_DIMENSION = 8           # coordinates of a uniform_box point
 MAX_TIME_SAMPLES = 100      # flow_laws time pairs per point
@@ -401,9 +400,13 @@ KERNEL_PARAMS = {
     "ou": {"mass": replace(POSITIVE, default=1.0)},
     "ou_mixture": {"masses": replace(_POSITIVE_LIST, default=REQUIRED),
                    # absent: 1 for each mass (``kernels.ou_mixture_profile``)
-                   "weights": replace(_POSITIVE_LIST, same_length="masses")},
+                   "weights": replace(_POSITIVE_LIST, agrees=lambda p: None if len(
+                       p.get("weights", p["masses"])) == len(p["masses"])
+                       else "needs one entry per entry of masses")},
     "laplace": {"atoms": Rule(list, default=REQUIRED, at_least=1, each=POINT),
-                "weights": replace(_POSITIVE_LIST, default=REQUIRED, same_length="atoms")},
+                "weights": replace(_POSITIVE_LIST, default=REQUIRED, agrees=lambda p: None
+                                   if len(p["weights"]) == len(p["atoms"])
+                                   else "needs one entry per entry of atoms")},
     "laplace_gaussian": {"scale": replace(NUMBER, default=1.0)},
     "circle_laplace": {"mass": replace(NUMBER, default=1.0),
                        "n_atoms": Rule(int, default=32, at_least=1, at_most=MAX_POINTS)},
@@ -428,7 +431,9 @@ ACTION_PARAMS = {
     "translation": {"dimension": Rule(int, default=1, at_least=1, at_most=MAX_DIMENSION)},
     "euclidean": {"p": Rule(int, default=2, at_least=0, at_most=2),
                   "q": Rule(int, default=0, at_least=0, at_most=2, agrees=_planar_split),
-                  "domain": Rule(str, default="plane", choices=("plane", "halfplane"))},
+                  "domain": Rule(str, default="plane", agrees=lambda p: None
+                                 if p["domain"] in ("plane", "halfplane")
+                                 else "must be one of plane, halfplane")},
     "matrix_right_multiplication": {
         "n": Rule(int, default=REQUIRED, at_least=1, at_most=MAX_MATRIX_SIZE),
         "radius": replace(POSITIVE, default=1.0)},
@@ -633,7 +638,8 @@ SCHEMAS = {
         "samples": _samples(ladder=False),
         "invariance": Rule(list, default=[], each=Rule(dict, spec={
             "pair": Rule(list, default=REQUIRED, at_least=2, at_most=2, each=POINT),
-            "epsilon": Rule(int, default=REQUIRED, choices=(-1, 1)),
+            "epsilon": Rule(int, default=REQUIRED, agrees=lambda entry: None
+                            if entry["epsilon"] in (-1, 1) else "must be one of -1, 1"),
             "element": Rule((int, str), default=REQUIRED),
             "t_max": _curve_time("t_max", 0.5, above=0),
             "step": _STEP})),
@@ -692,10 +698,10 @@ SCHEMAS = {
             "nonzero on the grid and keep clear of its margin")
             if _bumps_leave_the_margin(block, (0, 0)) else None),
         "kernel": replace(_GRID_KERNEL, default=None),
-        "translations": Rule(list, default=[], each=_SHIFT,
+        "translations": Rule(list, default=[], at_most=MAX_POINTS, each=_SHIFT,
                              agrees=lambda block: _shifts_fit(block, "translations")),
         "parallel_translations": Rule(
-            list, default=[], each=_SHIFT,
+            list, default=[], at_most=MAX_POINTS, each=_SHIFT,
             agrees=lambda block: _shifts_fit(block, "parallel_translations")),
     },
 }
@@ -764,10 +770,6 @@ def _check_block(obj: dict, spec: dict, path: str) -> dict:
     for key, rule in table.items():
         if key in obj:
             resolved[key] = _check_bounds(obj[key], rule, f"{path}.{key}")
-            other = obj.get(rule.same_length)
-            if other is not None and len(obj[key]) != len(other):
-                raise ConfigError(f"{path}.{key}",
-                                  f"needs one entry per entry of {rule.same_length}")
         elif rule.required:
             raise ConfigError(f"{path}.{key}", "required")
         elif rule.default is not None:
@@ -797,8 +799,6 @@ def _check_bounds(val, rule: Rule, path: str):
     if rule.at_most is not None and not size <= rule.at_most:
         what = "length" if isinstance(val, list) else "value"
         raise ConfigError(path, f"{what} must be <= {rule.at_most}")
-    if rule.choices is not None and val not in rule.choices:
-        raise ConfigError(path, f"must be one of {', '.join(map(str, rule.choices))}")
     if rule.each is not None and isinstance(val, list):
         entries = []
         for i, item in enumerate(val):

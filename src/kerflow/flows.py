@@ -92,11 +92,11 @@ class VectorField:
 
     When no Jacobian is given, central differences with step ``DEFAULT_FD_STEP`` are used.
     The value map takes a point (d,) or an (n, d) array of points, giving
-    (n, d) values or, for a constant field, one (d,) value for every row;
-    its Jacobian likewise gives (n, d, d) or one (d, d).  Each row's value
-    and Jacobian are computed from that row alone, since the set of rows a
-    flow passes changes as rows finish or stop.  ``affine`` is the (A, b)
-    of an affine field X(p) = A p + b; ``==`` leaves it out.
+    (n, d) values; its Jacobian gives (n, d, d) or one (d, d) for every row.
+    Each row's value and Jacobian are computed from that row alone, since
+    the set of rows a flow passes changes as rows finish or stop.
+    ``affine`` is the (A, b) of an affine field X(p) = A p + b; ``==``
+    leaves it out.
     """
 
     chart: ChartDomain
@@ -110,22 +110,17 @@ class VectorField:
 
     def rows(self, points: np.ndarray) -> np.ndarray:
         """Values at each row of ``points`` (n, d), as (n, d)."""
-        values = self.block(np.asarray(points, dtype=float))
-        if values.shape != points.shape:
-            values = np.repeat(values[None], len(points), 0)   # a constant field
-        return values
+        return self.block(np.asarray(points, dtype=float))
 
     def block(self, points: np.ndarray) -> np.ndarray:
-        """Values at each row of the float block ``points`` (n, d): (n, d), or
-        a constant field's one (d,) value, which broadcasts over the rows."""
+        """Values at each row of the float block ``points`` (n, d), as (n, d)."""
         values = self.func(points)
         if values.__class__ is not np.ndarray or values.dtype is not _FLOAT:
             values = np.asarray(values, dtype=float)
-        if values.shape != points.shape and values.shape != points.shape[1:]:
+        if values.shape != points.shape:
             # a map of one point would run on the wrong entries
             raise ValueError(f"field {self.name or _label(self.func)!r}: value map "
-                             f"returned shape {values.shape} where {points.shape} "
-                             f"or {points.shape[1:]} belongs")
+                             f"returned shape {values.shape} where {points.shape} belongs")
         return values
 
     def jac(self, point) -> np.ndarray:
@@ -139,12 +134,6 @@ class VectorField:
                          for e in steps], axis=-1)
 
 
-def constant_field(vector, chart: Optional[ChartDomain] = None) -> VectorField:
-    v = np.asarray(vector, dtype=float)
-    return VectorField(chart or full_space(v.size), lambda p: v,
-                       lambda p: np.zeros((v.size, v.size)), name="constant")
-
-
 def _affine_rows(A: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     # a matrix-vector product per point: a row's rounding ignores the batch size
     return np.matvec(A, p) + b
@@ -156,6 +145,12 @@ def affine_field(matrix, offset=None, chart: Optional[ChartDomain] = None) -> Ve
     b = np.zeros(A.shape[0]) if offset is None else np.asarray(offset, dtype=float)
     return VectorField(chart or full_space(A.shape[0]), partial(_affine_rows, A, b),
                        lambda p: A, name="affine", affine=(A, b))
+
+
+def constant_field(vector, chart: Optional[ChartDomain] = None) -> VectorField:
+    """X(p) = v: the affine field with A = 0 and b = v."""
+    v = np.asarray(vector, dtype=float)
+    return replace(affine_field(np.zeros((v.size, v.size)), v, chart), name="constant")
 
 
 def rotation_field() -> VectorField:
@@ -236,7 +231,6 @@ def _block_maps(fields: list, edges: np.ndarray, ids: np.ndarray) -> _Maps:
         def value(q):
             v = np.empty_like(q)
             for field, rows in spans:
-                # a constant field's one (d,) value is written into its rows
                 v[rows] = field.block(q[rows])
             return v
     if all(field.chart == first.chart for field, _ in spans):
@@ -263,15 +257,13 @@ def _stage(maps: _Maps, q: np.ndarray, live: np.ndarray, stops: dict,
     value, contains_all, contains_rows = maps[:3]
     if not charted or contains_all(q):
         v = value(q)
-        # a constant field's one value stands for each of the rows
-        if (len(q) if v.ndim == 1 else 1) * np.vdot(v, v) <= _BLOCK_BOUND:
+        if np.vdot(v, v) <= _BLOCK_BOUND:
             return v
         inside = np.ones(len(q), dtype=bool)
     else:
         inside = contains_rows(q)
         v = value(q)
-    rows = np.broadcast_to(v, q.shape)
-    ok = inside & (np.einsum("ij,ij->i", rows, rows) <= BLOWUP_NORM ** 2)
+    ok = inside & (np.einsum("ij,ij->i", v, v) <= BLOWUP_NORM ** 2)
     if not ok.all():
         _stop(live, inside, EXIT_LEFT_CHART, stops)
         _stop(live, ok, EXIT_STEP_FAILURE, stops)

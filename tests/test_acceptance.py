@@ -88,7 +88,7 @@ def test_ac03_adjoint_flow_transport():
     for y in range(alg.dim):
         transported = pushforward(action.basis_fields[x], -t,
                                   action.basis_fields[y], 1e-3)
-        target = action.field(alg.element(E @ np.eye(alg.dim)[y]))
+        target = action.field(la.AlgebraElement(alg, E @ np.eye(alg.dim)[y]))
         for p in pts:
             worst = max(worst, float(np.linalg.norm(transported(p) - target(p))))
     _report("AC3 adjoint-flow transport identity <= 1e-6", worst <= 1e-6,

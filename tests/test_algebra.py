@@ -29,7 +29,8 @@ def test_iso2_defining_relations(iso2):
 def test_bracket_bilinearity(iso2):
     r = iso2.basis_element(iso2.index_of("r"))
     t1 = iso2.basis_element(iso2.index_of("t1"))
-    lhs = la.algebra_bracket(iso2.element(2.0 * r.coeffs), iso2.element(3.0 * t1.coeffs))
+    lhs = la.algebra_bracket(la.AlgebraElement(iso2, 2.0 * r.coeffs),
+                             la.AlgebraElement(iso2, 3.0 * t1.coeffs))
     assert np.allclose(lhs.coeffs, 6.0 * la.algebra_bracket(r, t1).coeffs)
 
 
@@ -114,11 +115,11 @@ def test_exp_ad_nilpotent_series_terminates():
 def test_exp_ad_is_automorphism(t):
     alg = la.euclidean_motion(2, 1, 1)
     E = la.exp_ad(alg.basis_element(alg.index_of("r")), t)
-    a = alg.element([0.3, -0.5, 0.7])
-    b = alg.element([1.1, 0.2, -0.4])
+    a = la.AlgebraElement(alg, [0.3, -0.5, 0.7])
+    b = la.AlgebraElement(alg, [1.1, 0.2, -0.4])
     lhs = E @ la.algebra_bracket(a, b).coeffs
-    rhs = la.algebra_bracket(alg.element(E @ a.coeffs),
-                             alg.element(E @ b.coeffs)).coeffs
+    rhs = la.algebra_bracket(la.AlgebraElement(alg, E @ a.coeffs),
+                             la.AlgebraElement(alg, E @ b.coeffs)).coeffs
     assert np.linalg.norm(lhs - rhs) <= 1e-10
 
 

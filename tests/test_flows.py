@@ -45,7 +45,7 @@ def test_start_outside_chart_raises():
 
 def test_step_failure_on_nonfinite_field():
     chart = fl.full_space(1)
-    f = fl.VectorField(chart, lambda p: np.array([np.nan]))
+    f = fl.VectorField(chart, lambda p: np.full(p.shape, np.nan))
     c = fl.integrate_curve(f, [0.0], 1.0, 1e-2)
     assert c.terminated_early and c.exit_reason == fl.EXIT_STEP_FAILURE
 
@@ -164,6 +164,17 @@ def test_point_callables_are_rejected_by_shape():
             test(block)
     with pytest.raises(ValueError, match="chart"):
         fl.integrate_batch(fl.constant_field([1.0, 0.0], chart), block, 0.1, 1e-2)
+
+
+def test_one_value_for_a_whole_block_is_rejected():
+    # a value map returns one value per row, a constant one too: a single
+    # (d,) value for an (n, d) block is the wrong shape
+    block = np.array([[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]])
+    field = fl.VectorField(fl.full_space(2), lambda p: np.array([1.0, 0.0]), name="drift")
+    with pytest.raises(ValueError, match=r"field 'drift'.*\(2,\) where \(3, 2\)"):
+        field.rows(block)
+    with pytest.raises(ValueError, match="field 'drift'"):
+        fl.integrate_batch(field, block, 0.1, 1e-2)
 
 
 @pytest.mark.parametrize("failing_first", [False, True])
@@ -509,6 +520,9 @@ _ORACLE_CASES = {
                                      chart=fl.box_chart([-1.0, -np.inf], [1.0, np.inf])),
                      (-0.9, 0.9)),
     "halfspace-drift": (fl.constant_field([-1.0, 0.0], _halfspace), (0.05, 2.0)),
+    # a whole-space constant field, A = 0: its countdowns drop their guards
+    # with L = 0, and beside affine fields it joins their stacked product
+    "drift": (fl.constant_field([0.6, -0.8]), (-1.0, 1.0)),
     "halfspace-rotation": (fl.affine_field([[0.0, 1.0], [-1.0, 0.0]], chart=_halfspace),
                            (0.05, 2.0)),
     "quadratic1d": (_quad, (-0.99, 0.99)),
@@ -690,8 +704,8 @@ def _assert_groups_match_own_batches(groups, starts, t_ends, step):
         _assert_same_flow(fl.BatchFlow(*(part[lo:hi] for part in got)), want, [], [])
 
 
-# the 2-D cases by chart: full space (rotation, affine, inf), two boxes, one
-# half-space and a ball; box-drift and halfspace-drift are constant fields
+# the 2-D cases by chart: full space (rotation, affine, drift, inf), two
+# boxes, one half-space and a ball; the three drifts are constant fields
 _GROUP_CASES = sorted(name for name, (field, _) in _ORACLE_CASES.items()
                       if field.chart.dimension == 2)
 
@@ -845,10 +859,9 @@ def test_affine_groups_share_one_product_bit_for_bit(data, d, step, legs):
         assert b.shape == A.shape[:2]
 
 
-@pytest.mark.parametrize("other", ["constant", "quad_swirl"])
-def test_affine_beside_a_general_field_keeps_the_per_group_map(other):
+def test_affine_beside_a_general_field_keeps_the_per_group_map():
     # a field without (A, b) keeps the per-group map, and each row its own flow
-    general = fl.builtin_field(other, _FIELD_PARAMS.get(other))
+    general = fl.builtin_field("quad_swirl")
     assert general.affine is None
     affine = fl.affine_field([[0.2, -1.1], [0.9, -0.3]], [0.1, 0.7])
     groups = [(affine, 3), (general, 2), (fl.rotation_field(), 2)]
@@ -862,13 +875,17 @@ def test_affine_beside_a_general_field_keeps_the_per_group_map(other):
 
 
 def test_affine_fields_carry_their_matrix_and_offset():
-    # rotation2d and coordinate_shear inherit (A, b); == never compares it
+    # rotation2d, coordinate_shear and constant inherit (A, b); == never
+    # compares it
     rotation, shear = fl.rotation_field(), fl.builtin_field("coordinate_shear")
     assert _same(rotation.affine[0], np.array([[0.0, -1.0], [1.0, 0.0]]))
     assert _same(shear.affine[0], np.array([[0.0, 0.0], [1.0, 0.0]]))
     assert _same(shear.affine[1], np.zeros(2))
     assert rotation == dataclasses.replace(rotation, affine=None)
-    assert fl.builtin_field("constant", {"vector": [1.0, 0.0]}).affine is None
+    constant = fl.builtin_field("constant", {"vector": [1.0, 0.0]})
+    assert constant.name == "constant"
+    assert _same(constant.affine[0], np.zeros((2, 2)))
+    assert _same(constant.affine[1], np.array([1.0, 0.0]))
 
 
 def test_reference_oracle_cases_reach_every_exit():

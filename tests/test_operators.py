@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from kerflow import flows as fl
 from kerflow import kernels as kk
 from kerflow import operators as op
-from kerflow.algebra import expm
+from kerflow.algebra import AlgebraElement, expm
 from kerflow.errors import ClassificationError
 
 
@@ -254,9 +254,9 @@ def test_section_curve_satisfies_operator_ode(X1d):
 def test_action_linearity():
     action = op.builtin_action("euclidean", {"p": 2, "q": 0})
     alg = action.algebra
-    a = alg.element([1.0, 2.0, 0.0])
-    b = alg.element([0.0, -1.0, 1.0])
-    combo = action.field(alg.element(a.coeffs + 2.0 * b.coeffs))
+    a = AlgebraElement(alg, [1.0, 2.0, 0.0])
+    b = AlgebraElement(alg, [0.0, -1.0, 1.0])
+    combo = action.field(AlgebraElement(alg, a.coeffs + 2.0 * b.coeffs))
     p = np.array([0.3, -0.8])
     expected = action.field(a)(p) + 2.0 * action.field(b)(p)
     assert np.max(np.abs(combo(p) - expected)) <= 1e-12
